@@ -31,9 +31,7 @@ def bit_width(value: int) -> int:
     >>> bit_width(0), bit_width(1), bit_width(255), bit_width(256)
     (1, 1, 8, 9)
     """
-    require_integer(value, "value")
-    require_non_negative(value, "value")
-    return max(1, int(value).bit_length())
+    return require_non_negative(value, "value").bit_length() or 1
 
 
 def fixed_width_bits(max_value: int) -> int:
@@ -42,9 +40,7 @@ def fixed_width_bits(max_value: int) -> int:
     >>> fixed_width_bits(0), fixed_width_bits(1), fixed_width_bits(1023)
     (1, 1, 10)
     """
-    require_integer(max_value, "max_value")
-    require_non_negative(max_value, "max_value")
-    return bit_width(max_value)
+    return require_non_negative(max_value, "max_value").bit_length() or 1
 
 
 def varint_bits(value: int) -> int:
@@ -74,9 +70,10 @@ def signed_varint_bits(value: int) -> int:
     >>> signed_varint_bits(0), signed_varint_bits(1), signed_varint_bits(-1)
     (1, 3, 1)
     """
-    require_integer(value, "value")
+    value = require_integer(value, "value")
     zigzag = 2 * value if value >= 0 else -2 * value - 1
-    return varint_bits(zigzag)
+    # The zigzag image of an integer is a non-negative integer: no re-check.
+    return 2 * (zigzag.bit_length() or 1) - 1
 
 
 def encoded_int_bits(value: int, max_value: int | None = None) -> int:

@@ -13,6 +13,10 @@ def require_integer(value: object, name: str) -> int:
     Booleans are rejected even though they are ``int`` subclasses, because a
     ``True`` slipping in where an item count is expected is always a bug.
     """
+    # Exact ``int`` is the case every bit-accounting call is in; the ABC walk
+    # below is only needed to tell numpy integers from floats and strings.
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)

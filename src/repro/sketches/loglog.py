@@ -64,6 +64,18 @@ class LogLogSketch:
         if len(self.registers) != self.num_registers:
             raise ValueError("register list length does not match num_registers")
 
+    def _derived(self, registers: list[int]) -> "LogLogSketch":
+        """A sketch with this one's (already validated) shape and salt.
+
+        Skips ``__post_init__``: ``registers`` comes from sketches of this
+        shape, so there is nothing for a constructor call to check again.
+        """
+        sketch = LogLogSketch.__new__(LogLogSketch)
+        sketch.num_registers = self.num_registers
+        sketch.salt = self.salt
+        sketch.registers = registers
+        return sketch
+
     # ------------------------------------------------------------------ #
     # Updates
     # ------------------------------------------------------------------ #
@@ -91,9 +103,7 @@ class LogLogSketch:
             raise ValueError("cannot merge sketches with different register counts")
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches built with different salts")
-        merged = LogLogSketch(num_registers=self.num_registers, salt=self.salt)
-        merged.registers = [max(a, b) for a, b in zip(self.registers, other.registers)]
-        return merged
+        return self._derived(list(map(max, self.registers, other.registers)))
 
     def merge_in_place(self, other: "LogLogSketch") -> None:
         """Fold ``other`` into this sketch without allocating a new one."""
@@ -101,7 +111,7 @@ class LogLogSketch:
             raise ValueError("cannot merge sketches with different register counts")
         if other.salt != self.salt:
             raise ValueError("cannot merge sketches built with different salts")
-        self.registers = [max(a, b) for a, b in zip(self.registers, other.registers)]
+        self.registers = list(map(max, self.registers, other.registers))
 
     def estimate(self) -> float:
         """LogLog cardinality estimate ``alpha_m * m * 2^(mean register)``."""
@@ -151,6 +161,4 @@ class LogLogSketch:
         return changed * (index_bits + register_bits) + bit_width(self.num_registers)
 
     def copy(self) -> "LogLogSketch":
-        clone = LogLogSketch(num_registers=self.num_registers, salt=self.salt)
-        clone.registers = list(self.registers)
-        return clone
+        return self._derived(list(self.registers))

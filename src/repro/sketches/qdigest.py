@@ -14,13 +14,21 @@ summary-shipping baseline alongside Greenwald–Khanna.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro._util.bits import fixed_width_bits
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
+
+
+def dyadic_levels(universe_size: int) -> int:
+    """Depth of the full binary tree over ``[0, universe_size)`` rounded up to 2^k.
+
+    Integer arithmetic on purpose: ``ceil(log2(2**60 + 1))`` is 60 in floats,
+    which leaves the largest legal values outside the tree.
+    """
+    return max(1, (universe_size - 1).bit_length())
 
 
 @dataclass
@@ -42,8 +50,23 @@ class QDigest:
         require_positive(self.universe_size, "universe_size")
         require_positive(self.compression, "compression")
         # Round the universe up to a power of two so the dyadic tree is full.
-        self._levels = max(1, math.ceil(math.log2(self.universe_size)))
+        self._levels = dyadic_levels(self.universe_size)
         self._padded_universe = 1 << self._levels
+
+    def _derived(self, compression: int, counts: dict[int, int], total: int) -> "QDigest":
+        """A digest over this one's (already validated) universe.
+
+        Skips ``__post_init__``: merging re-derives nothing a constructor
+        call would have to check again.
+        """
+        digest = QDigest.__new__(QDigest)
+        digest.universe_size = self.universe_size
+        digest.compression = compression
+        digest.counts = counts
+        digest.total = total
+        digest._levels = self._levels
+        digest._padded_universe = self._padded_universe
+        return digest
 
     # ------------------------------------------------------------------ #
     # Tree-node helpers
@@ -83,27 +106,49 @@ class QDigest:
         self.total += count
 
     def compress(self) -> None:
-        """Push small counts upward so at most O(compression · log U) nodes remain."""
+        """Push small counts upward so at most O(compression · log U) nodes remain.
+
+        One pass buckets the stored ids by tree level; levels are then folded
+        deepest first, each over its own bucket, and a parent created while a
+        level is folded joins the next bucket up — O(size + levels) work, with
+        the visit order (and so the dict order of ``counts``) of a full
+        rescan per level.
+        """
         if self.total == 0:
             return
         threshold = self.total / self.compression
-        for level in range(self._levels, 0, -1):
-            start = 1 << level
-            end = 1 << (level + 1)
-            for node_id in [n for n in list(self.counts) if start <= n < end]:
-                count = self.counts.get(node_id, 0)
+        counts = self.counts
+        get = counts.get
+        pop = counts.pop
+        levels = self._levels
+        # buckets[level] lists the stored ids of that level in dict order;
+        # ids outside the tree (level 0, or below the leaves) are never folded.
+        buckets: list[list[int]] = [[] for _ in range(levels + 1)]
+        limit = 2 << levels
+        for node_id in counts:
+            if 1 < node_id < limit:
+                buckets[node_id.bit_length() - 1].append(node_id)
+        for level in range(levels, 0, -1):
+            created = buckets[level - 1].append
+            for node_id in buckets[level]:
+                count = get(node_id)
+                if count is None:
+                    # Removed since the buckets were filled (folded as its
+                    # sibling's partner): the pair's decision is already taken.
+                    continue
                 sibling = node_id ^ 1
                 parent = node_id >> 1
-                sibling_count = self.counts.get(sibling, 0)
-                parent_count = self.counts.get(parent, 0)
-                if count + sibling_count + parent_count < threshold:
-                    merged = count + sibling_count + parent_count
-                    self.counts.pop(node_id, None)
-                    self.counts.pop(sibling, None)
+                parent_count = get(parent)
+                merged = count + get(sibling, 0) + (parent_count or 0)
+                if merged < threshold:
+                    del counts[node_id]
+                    pop(sibling, None)
                     if merged:
-                        self.counts[parent] = merged
+                        counts[parent] = merged
+                        if parent_count is None:
+                            created(parent)
                     else:
-                        self.counts.pop(parent, None)
+                        pop(parent, None)
 
     # ------------------------------------------------------------------ #
     # Combination and queries
@@ -112,14 +157,13 @@ class QDigest:
         """Add counts node-wise and recompress."""
         if other.universe_size != self.universe_size:
             raise ConfigurationError("cannot merge digests over different universes")
-        merged = QDigest(
-            universe_size=self.universe_size,
-            compression=max(self.compression, other.compression),
-        )
-        merged.counts = dict(self.counts)
+        counts = dict(self.counts)
+        get = counts.get
         for node_id, count in other.counts.items():
-            merged.counts[node_id] = merged.counts.get(node_id, 0) + count
-        merged.total = self.total + other.total
+            counts[node_id] = get(node_id, 0) + count
+        merged = self._derived(
+            max(self.compression, other.compression), counts, self.total + other.total
+        )
         merged.compress()
         return merged
 
@@ -162,10 +206,15 @@ class QDigest:
             raise ConfigurationError(
                 "cannot compare digests over different universes"
             )
-        keys = set(self.counts) | set(other.counts)
-        return sum(
-            abs(self.counts.get(key, 0) - other.counts.get(key, 0)) for key in keys
-        )
+        mine, theirs = self.counts, other.counts
+        get = theirs.get
+        distance = 0
+        for key, count in mine.items():
+            distance += abs(count - get(key, 0))
+        for key, count in theirs.items():
+            if key not in mine:
+                distance += abs(count)
+        return distance
 
     def changed_entries(self, other: "QDigest") -> int:
         """Number of dyadic nodes whose stored count differs from ``other``'s."""
@@ -173,10 +222,16 @@ class QDigest:
             raise ConfigurationError(
                 "cannot compare digests over different universes"
             )
-        keys = set(self.counts) | set(other.counts)
-        return sum(
-            1 for key in keys if self.counts.get(key, 0) != other.counts.get(key, 0)
-        )
+        mine, theirs = self.counts, other.counts
+        get = theirs.get
+        changed = 0
+        for key, count in mine.items():
+            if count != get(key, 0):
+                changed += 1
+        for key, count in theirs.items():
+            if count and key not in mine:
+                changed += 1
+        return changed
 
     def delta_bits(self, previous: "QDigest") -> int:
         """Bits to transmit this digest to a receiver holding ``previous``.

@@ -22,12 +22,12 @@ Four query families mirror the paper's aggregate repertoire:
 from __future__ import annotations
 
 import abc
-import math
 from typing import Callable, Sequence
 
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
 from repro.sketches.loglog import loglog_relative_sigma
+from repro.sketches.qdigest import dyadic_levels
 from repro.streaming.summaries import (
     CountSummary,
     DistinctSummary,
@@ -137,8 +137,7 @@ class QuantileQuery(StandingQuery):
 
     def digest_rank_error_fraction(self) -> float:
         """Worst-case rank error (fraction of N) of the q-digest itself."""
-        levels = max(1, math.ceil(math.log2(self.universe_size)))
-        return levels / self.compression
+        return dyadic_levels(self.universe_size) / self.compression
 
     def error_bound(self, epsilon: float, scale: float) -> float:
         """Total rank error: suppression slack plus digest compression error."""
