@@ -40,8 +40,10 @@ heartbeat.
 
 from __future__ import annotations
 
+from repro._util.fastpath import np, require_numpy
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError, DeliveryError
+from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 
 #: One liveness token per tree edge per sweep: a type bit plus an epoch
@@ -97,11 +99,15 @@ class HeartbeatDetector:
         alive-mask when the sweep fires (a :class:`~repro.faults.RootCrash`
         is applied before the sweep, since the root's silence at the epoch
         tick is self-announcing) neither sends nor is sent to.  The link
-        sequence is the cached :attr:`~repro.network.FlatTree.up_links`
-        (canonical bottom-up order), charged through
+        sequence is the tree's cached child→parent edges (canonical
+        bottom-up order), charged through
         :meth:`~repro.network.SensorNetwork.send_batch`, so the ledger —
-        including lossy-radio retries — is identical under both execution
-        modes.  Returns ``(bits, messages)`` charged.
+        including lossy-radio retries — is identical under every execution
+        mode.  On perfect links it is the
+        :attr:`~repro.network.FlatTree.up_link_array` filtered by boolean
+        masks and sent as one array; a lossy radio walks the
+        :attr:`~repro.network.FlatTree.up_links` list, whose order its
+        random draws follow.  Returns ``(bits, messages)`` charged.
         """
         telemetry = network.telemetry
         with telemetry.span("detect", period=self.period) as span:
@@ -114,9 +120,33 @@ class HeartbeatDetector:
     def _charge_sweep(
         self, network: SensorNetwork, silent: set[int]
     ) -> tuple[int, int]:
-        up_links = network.flat_tree.up_links
+        flat = network.flat_tree
+        damaged = bool(silent) or network.num_alive < network.num_nodes
+        alive = network.alive_mask
+        if alive is not None and type(network.radio) is ReliableRadio:
+            # Perfect links: every heartbeat is one charged copy and link
+            # order moves nothing, so the sweep is one masked link array.
+            links = flat.up_link_array
+            if damaged:
+                speaks = alive
+                if silent:
+                    speaks = alive.copy()
+                    speaks[list(silent)] = False
+                links = _heard_links(links, speaks, alive)
+            if not len(links):
+                return 0, 0
+            network.send_batch(
+                links,
+                np.full(len(links), self.heartbeat_bits, dtype=np.int64),
+                protocol=self.protocol,
+                require_edge=False,
+            )
+            return len(links) * self.heartbeat_bits, len(links)
+        # A lossy radio draws per link in canonical order and may drop one
+        # for good: walk the cached list.
+        up_links = flat.up_links
         is_alive = network.is_alive
-        if silent or network.num_alive < network.num_nodes:
+        if damaged:
             links = [
                 link
                 for link in up_links
@@ -160,6 +190,16 @@ class HeartbeatDetector:
         )
 
 
+def _heard_links(links, speaks, alive):
+    """The rows of a ``(k, 2)`` child→parent link array one sweep charges.
+
+    ``speaks`` and ``alive`` are boolean masks indexed by node id: a
+    heartbeat is sent when the child speaks and its parent is alive to hear
+    it.  Row order is kept.
+    """
+    return np.compress(speaks[links[:, 0]] & alive[links[:, 1]], links, axis=0)
+
+
 def heartbeat_sweep_vectorized(
     flat,
     alive,
@@ -183,20 +223,17 @@ def heartbeat_sweep_vectorized(
     Perfect links only: the standalone field has no radio model, so this is
     the :class:`~repro.network.radio.ReliableRadio` cost exactly.
     """
-    from repro._util.fastpath import require_numpy
-
-    np = require_numpy("vectorized heartbeat sweep")
-    parent = flat.parent
-    mask = alive & (parent >= 0)
-    mask &= np.where(parent >= 0, alive[np.maximum(parent, 0)], False)
-    count = int(mask.sum())
+    require_numpy("vectorized heartbeat sweep")
+    ids = flat.ids_array
+    alive_by_id = np.zeros(int(ids.max()) + 1, dtype=bool)
+    alive_by_id[ids] = alive
+    links = _heard_links(flat.up_link_array, alive_by_id, alive_by_id)
+    count = len(links)
 
     def _charge() -> None:
         if count:
-            senders = flat.ids_array[mask]
-            receivers = flat.ids_array[parent[mask]]
             sizes = np.full(count, heartbeat_bits, dtype=np.int64)
-            ledger.charge_array(senders, receivers, sizes, protocol=protocol)
+            ledger.charge_array(links[:, 0], links[:, 1], sizes, protocol=protocol)
 
     if telemetry is not None and telemetry.enabled:
         with telemetry.span("detect", period=period) as span:

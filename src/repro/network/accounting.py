@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 from repro._util.fastpath import np as _np
@@ -423,17 +424,24 @@ class CommunicationLedger:
         for mark in self._marks:
             mark.rebase(total_bits=0, messages=0, rounds=0)
 
+    def _node_traffic(self) -> list[tuple[int, NodeTraffic]]:
+        """``(node, traffic)`` for every per-node entry — what :meth:`merge`
+        reads of the *other* ledger, whichever class it is."""
+        return list(self._per_node.items())
+
     def merge(self, other: "CommunicationLedger") -> None:
-        """Accumulate the counters of another ledger into this one."""
+        """Accumulate the counters of another ledger (of either class) into
+        this one."""
+        merged = other._node_traffic()
         if self._marks:
             # Record pre-merge baselines for every node the merge will touch,
             # so active metering intervals see the merged traffic as a delta.
-            for node in other._per_node:
+            for node, _ in merged:
                 traffic = self._per_node[node]
                 for mark in self._marks:
                     if node not in mark.node_baseline:
                         mark.node_baseline[node] = traffic.bits_total
-        for node, traffic in other._per_node.items():
+        for node, traffic in merged:
             self._per_node[node].merge(traffic)
         for protocol, bits in other._per_protocol_bits.items():
             self._per_protocol_bits[protocol] += bits
@@ -454,6 +462,21 @@ def _as_int_list(values) -> list[int]:
     if hasattr(values, "tolist"):
         return values.tolist()
     return [int(value) for value in values]
+
+
+#: Links converted per slice by :meth:`ArrayLedger.charge_batch`.  An
+#: election flood hands over several hundred thousand links as one tuple
+#: list; whole-batch arrays beside it would set the process's peak memory.
+_BATCH_CHUNK = 32768
+
+
+def _link_chunks(links: Sequence[tuple[int, int]]):
+    """``links`` as ``(start, (k, 2) int64 array)`` slices of bounded size."""
+    for start in range(0, len(links), _BATCH_CHUNK):
+        chunk = links[start : start + _BATCH_CHUNK]
+        yield start, _np.fromiter(
+            chain.from_iterable(chunk), dtype=_np.int64, count=2 * len(chunk)
+        ).reshape(-1, 2)
 
 
 class ArrayLedgerMark:
@@ -494,7 +517,10 @@ class ArrayLedger(CommunicationLedger):
     per-protocol totals, marks for the telemetry spans — semantically
     identical to the base ledger (per-node entries exist exactly for nodes
     that sent or received at least one message, numpy scalars never leak
-    out).
+    out).  An id outside ``0..n-1`` raises
+    :class:`~repro.exceptions.ConfigurationError` before anything is
+    charged.  :class:`~repro.network.SensorNetwork` picks this class by
+    default for the ``"vectorized"`` / ``"sharded"`` execution modes.
 
     Per-node budgets are *not* supported: budget enforcement must interleave
     the budget check with every individual transmission, which is exactly
@@ -546,6 +572,15 @@ class ArrayLedger(CommunicationLedger):
     # ------------------------------------------------------------------ #
     # Charging
     # ------------------------------------------------------------------ #
+    def _require_known(self, ids) -> None:
+        """Reject ids outside ``0..n-1`` before anything is charged: numpy
+        would bill a negative id to a node counted from the end."""
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self._num_nodes):
+            raise ConfigurationError(
+                f"node ids must lie in 0..{self._num_nodes - 1}; got "
+                f"{int(ids.min())}..{int(ids.max())}"
+            )
+
     def charge(
         self,
         sender: int,
@@ -554,6 +589,11 @@ class ArrayLedger(CommunicationLedger):
         protocol: str = "unknown",
     ) -> None:
         require_non_negative(size_bits, "size_bits")
+        if not (0 <= sender < self._num_nodes and 0 <= receiver < self._num_nodes):
+            raise ConfigurationError(
+                f"node ids must lie in 0..{self._num_nodes - 1}; got "
+                f"{sender} -> {receiver}"
+            )
         self._totals_dirty = True
         self._bits_sent[sender] += size_bits
         self._msgs_sent[sender] += 1
@@ -572,13 +612,23 @@ class ArrayLedger(CommunicationLedger):
     ) -> None:
         if not links:
             return
-        self.charge_array(
-            _np.asarray([link[0] for link in links], dtype=_np.int64),
-            _np.asarray([link[1] for link in links], dtype=_np.int64),
-            _np.asarray(sizes, dtype=_np.int64),
-            protocol=protocol,
-            copies=None if copies is None else _np.asarray(copies, dtype=_np.int64),
-        )
+        if min(sizes) < 0:
+            require_non_negative(min(sizes), "size_bits")
+        if len(links) > _BATCH_CHUNK:
+            # Every id is checked before the first slice is charged.
+            for _, pairs in _link_chunks(links):
+                self._require_known(pairs)
+        for start, pairs in _link_chunks(links):
+            stop = start + _BATCH_CHUNK
+            self._charge_columns(
+                pairs[:, 0],
+                pairs[:, 1],
+                _np.asarray(sizes[start:stop], dtype=_np.int64),
+                None
+                if copies is None
+                else _np.asarray(copies[start:stop], dtype=_np.int64),
+                protocol,
+            )
 
     def charge_array(
         self,
@@ -589,21 +639,31 @@ class ArrayLedger(CommunicationLedger):
         copies=None,
     ) -> None:
         np = _np
-        senders = np.asarray(senders, dtype=np.int64)
-        receivers = np.asarray(receivers, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
+        if bool((sizes < 0).any()):
+            require_non_negative(int(sizes.min()), "size_bits")
+        self._charge_columns(
+            np.asarray(senders, dtype=np.int64),
+            np.asarray(receivers, dtype=np.int64),
+            sizes,
+            None if copies is None else np.asarray(copies, dtype=np.int64),
+            protocol,
+        )
+
+    def _charge_columns(self, senders, receivers, sizes, copies, protocol: str) -> None:
+        """Scatter-add validated-size int64 columns into the per-node table."""
+        np = _np
         if senders.size == 0:
             # An empty batch must leave no trace, matching charge_batch.
             return
-        if bool((sizes < 0).any()):
-            require_non_negative(int(sizes.min()), "size_bits")
+        self._require_known(senders)
+        self._require_known(receivers)
         if copies is None:
             weights = sizes
             messages = int(senders.size)
             np.add.at(self._msgs_sent, senders, 1)
             np.add.at(self._msgs_received, receivers, 1)
         else:
-            copies = np.asarray(copies, dtype=np.int64)
             live = copies > 0
             if not bool(live.all()):
                 senders = senders[live]
@@ -727,10 +787,12 @@ class ArrayLedger(CommunicationLedger):
         for mark in self._marks:
             mark.rebase(total_bits=0, messages=0, rounds=0)
 
+    def _node_traffic(self) -> list[tuple[int, NodeTraffic]]:
+        return [(node, self.traffic(node)) for node in self.nodes()]
+
     def merge(self, other: CommunicationLedger) -> None:
         """Accumulate ``other`` — an :class:`ArrayLedger` over the same id
         space, or a dict-backed ledger whose ids fall inside it."""
-        self._totals_dirty = True
         if isinstance(other, ArrayLedger):
             if other._num_nodes > self._num_nodes:
                 raise ConfigurationError(
@@ -743,11 +805,19 @@ class ArrayLedger(CommunicationLedger):
             self._msgs_sent[:span] += other._msgs_sent
             self._msgs_received[:span] += other._msgs_received
         else:
-            for node, traffic in other._per_node.items():
+            merged = other._node_traffic()
+            for node, _ in merged:
+                if not 0 <= node < self._num_nodes:
+                    raise ConfigurationError(
+                        f"cannot merge traffic of node {node} into a "
+                        f"{self._num_nodes}-node ArrayLedger"
+                    )
+            for node, traffic in merged:
                 self._bits_sent[node] += traffic.bits_sent
                 self._bits_received[node] += traffic.bits_received
                 self._msgs_sent[node] += traffic.messages_sent
                 self._msgs_received[node] += traffic.messages_received
+        self._totals_dirty = True
         for protocol, bits in other._per_protocol_bits.items():
             self._per_protocol_bits[protocol] += bits
         self._messages += other._messages

@@ -23,7 +23,9 @@ protocol implementations can sweep whole levels with array indexing only:
   convergecast and broadcast sweeps transmit them — computed on first use
   and then shared, so full-tree batched sweeps ship a ready-made link list
   to ``SensorNetwork.send_batch`` while repair-heavy runs that never sweep
-  the full tree do not pay for them.
+  the full tree do not pay for them; in numpy mode ``up_link_array`` is the
+  same up-sweep as one ``(k, 2)`` int64 array, the form ``send_batch``
+  charges without a per-link loop.
 
 **Representation.**  When numpy is installed (the ``fast`` extra) the
 structural arrays — ``parent``, ``depth``, ``child_start``, ``child_end``,
@@ -92,6 +94,7 @@ class FlatTree:
         "_index",
         "_ids_array",
         "_up_links",
+        "_up_link_array",
         "_down_links",
     )
 
@@ -176,6 +179,7 @@ class FlatTree:
         self._index = index
         self._ids_array = None
         self._up_links = None
+        self._up_link_array = None
         self._down_links = None
 
     # ------------------------------------------------------------------ #
@@ -218,12 +222,9 @@ class FlatTree:
         consume.
         """
         if self._up_links is None:
-            if _np is not None and self.num_nodes > 1:
-                ids = self.ids_array
-                positions = self.bottom_up[self.parent[self.bottom_up] >= 0]
-                senders = ids[positions].tolist()
-                receivers = ids[self.parent[positions]].tolist()
-                self._up_links = list(zip(senders, receivers))
+            if _np is not None:
+                links = self.up_link_array
+                self._up_links = list(zip(links[:, 0].tolist(), links[:, 1].tolist()))
             else:
                 order = self.node_ids
                 parent = self.parent
@@ -233,6 +234,21 @@ class FlatTree:
                     if parent[position] >= 0
                 ]
         return self._up_links
+
+    @property
+    def up_link_array(self):
+        """:attr:`up_links` as one ``(k, 2)`` int64 array (numpy mode only).
+
+        The form :meth:`SensorNetwork.send_batch` charges without a per-link
+        loop; treat as read-only — it is shared like the list.
+        """
+        if self._up_link_array is None:
+            ids = self.ids_array
+            positions = self.bottom_up[self.parent[self.bottom_up] >= 0]
+            self._up_link_array = _np.stack(
+                (ids[positions], ids[self.parent[positions]]), axis=1
+            )
+        return self._up_link_array
 
     @property
     def down_links(self) -> list[tuple[int, int]]:

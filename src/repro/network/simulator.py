@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
 
+from repro._util.fastpath import np as _np
 from repro._util.validation import require_non_negative
 from repro.exceptions import (
     ConfigurationError,
@@ -39,7 +40,11 @@ from repro.exceptions import (
     EmptyNetworkError,
     TopologyError,
 )
-from repro.network.accounting import CommunicationLedger, LedgerSnapshot
+from repro.network.accounting import (
+    ArrayLedger,
+    CommunicationLedger,
+    LedgerSnapshot,
+)
 from repro.network.flat_tree import FlatTree
 from repro.network.message import Message
 from repro.network.node import SensorNode
@@ -61,7 +66,9 @@ from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_record
 #: (:class:`repro.streaming.vector_engine.VectorStreamEngine`) — single
 #: process or subtree-sharded multiprocessing respectively; generic one-shot
 #: protocols treat both exactly like ``"batched"``, so every mode stays
-#: bit-for-bit ledger-identical.
+#: bit-for-bit ledger-identical.  A network constructed in one of the two
+#: array modes without an explicit ``ledger=`` meters on the dense
+#: :class:`~repro.network.ArrayLedger` (numpy present, ids ``0..n-1``).
 EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
 
 
@@ -86,9 +93,6 @@ class SensorNetwork:
         self.graph = graph
         self.root_id = root
         self.radio = radio if radio is not None else ReliableRadio()
-        self.ledger = ledger if ledger is not None else CommunicationLedger()
-        self._telemetry: TelemetryRecorder = NULL_RECORDER
-        self.telemetry = telemetry
         self.execution = execution
         self._nodes: dict[int, SensorNode] = {
             node_id: SensorNode(node_id=node_id, is_root=(node_id == root))
@@ -96,6 +100,23 @@ class SensorNetwork:
         }
         self._sorted_ids: list[int] = sorted(self._nodes)
         self._dead: set[int] = set()
+        num_nodes = len(self._sorted_ids)
+        dense_ids = _np is not None and self._sorted_ids == list(range(num_nodes))
+        #: ``_dead`` as a boolean array indexed by node id, for whole-array
+        #: endpoint checks (treat as read-only); ``None`` without numpy or
+        #: when the ids are not ``0..n-1``.
+        self.alive_mask = _np.ones(num_nodes, dtype=bool) if dense_ids else None
+        if ledger is None:
+            # The array modes charge link arrays, which only the dense
+            # ledger takes without a per-link loop; the list modes send many
+            # small tuple batches, where the dict ledger is the faster one.
+            if dense_ids and execution in ("vectorized", "sharded"):
+                ledger = ArrayLedger(num_nodes)
+            else:
+                ledger = CommunicationLedger()
+        self.ledger = ledger
+        self._telemetry: TelemetryRecorder = NULL_RECORDER
+        self.telemetry = telemetry
         self._flat_tree: FlatTree | None = None
         self._flat_tree_source: SpanningTree | None = None
         self.degree_bound = degree_bound
@@ -179,7 +200,9 @@ class SensorNetwork:
         pipeline (single-process, or subtree-sharded worker processes);
         generic tree protocols treat them like ``"batched"``.  Every mode
         produces bit-for-bit identical ledgers (enforced by the equivalence
-        test-suites).
+        test-suites).  The mode given at construction also picks the default
+        ledger class (see :data:`EXECUTION_MODES`); assigning it later does
+        not swap the ledger.
         """
         return self._execution
 
@@ -344,6 +367,8 @@ class SensorNetwork:
             )
         node = self.node(node_id)
         self._dead.add(node_id)
+        if self.alive_mask is not None:
+            self.alive_mask[node_id] = False
         node.clear_items()
         node.reset_scratch()
 
@@ -370,6 +395,8 @@ class SensorNetwork:
         """Bring a crashed node back (with no items; rejoin supplies fresh ones)."""
         self.node(node_id)
         self._dead.discard(node_id)
+        if self.alive_mask is not None:
+            self.alive_mask[node_id] = True
 
     def alive_node_ids(self) -> list[int]:
         """Ids of currently-alive nodes, in ascending order."""
@@ -497,6 +524,12 @@ class SensorNetwork:
         Payload objects are not simulated here — batched callers hand
         payloads to receivers themselves — so the return value is the
         ``copies_delivered`` count per link.
+
+        ``links`` may also be a ``(k, 2)`` int64 array with ``sizes`` an
+        int64 array (what the vectorized paths already hold); the copies
+        then come back as an int64 array.  Same checks, same charges: on
+        perfect links the arrays are validated and charged whole, any other
+        configuration is converted once and takes the ordered code above.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -531,6 +564,8 @@ class SensorNetwork:
             raise ConfigurationError(
                 f"send_batch got {len(links)} links but {len(sizes)} sizes"
             )
+        if _np is not None and isinstance(links, _np.ndarray):
+            return self._send_link_array(links, sizes, protocol, require_edge)
         nodes = self._nodes
         dead = self._dead
         if require_edge:
@@ -597,6 +632,39 @@ class SensorNetwork:
                 )
             raise
         return self._charge_outcomes(links, sizes, outcomes, protocol)
+
+    def _send_link_array(self, links, sizes, protocol: str, require_edge: bool):
+        """:meth:`send_batch` for a ``(k, 2)`` link array; copies as an array."""
+        alive = self.alive_mask
+        if (
+            not require_edge
+            and alive is not None
+            and type(self.radio) is ReliableRadio
+            and self.ledger.per_node_budget_bits is None
+            and (
+                links.size == 0
+                or (
+                    links.min() >= 0
+                    and links.max() < alive.size
+                    and alive[links].all()
+                )
+            )
+        ):
+            # Perfect links, every endpoint known and alive: nothing depends
+            # on link order, so the arrays go to the ledger whole.
+            self.ledger.charge_array(
+                links[:, 0], links[:, 1], sizes, protocol=protocol
+            )
+            return _np.ones(len(links), dtype=_np.int64)
+        # Radio draws, budget raise points, edge checks and the error a bad
+        # endpoint raises all follow link order: the list code owns them.
+        copies = self._send_batch_impl(
+            list(zip(links[:, 0].tolist(), links[:, 1].tolist())),
+            _np.asarray(sizes).tolist(),
+            protocol,
+            require_edge,
+        )
+        return _np.asarray(copies, dtype=_np.int64)
 
     def _charge_outcomes(
         self,

@@ -18,7 +18,8 @@ ingredients:
 * transmissions still go through :meth:`SensorNetwork.send_batch`, one call
   per tree level, in ascending node-id order within the level — so radio
   randomness is consumed in exactly the reference order and lossy-radio
-  retries charge identically;
+  retries charge identically; each level is handed over as a ``(k, 2)``
+  link array, which perfect links charge without a per-link loop;
 * the suppression / delta arithmetic is the count-summary specialization of
   the engine's ``decide`` rule, computed with exact vectorized varint
   widths;
@@ -380,18 +381,17 @@ class VectorStreamEngine(ContinuousQueryEngine):
         self, columns: SweepState, active, deepest: int, slack: float, protocol: str
     ) -> EpochStats:
         flat = self._flat
-        node_ids = flat.node_ids
+        ids = flat.ids_array
         network = self.network
 
         def charge(tx_pos, tx_par, sizes):
-            links = [
-                (node_ids[sender], node_ids[receiver])
-                for sender, receiver in zip(tx_pos.tolist(), tx_par.tolist())
-            ]
             copies = network.send_batch(
-                links, sizes.tolist(), protocol=protocol, require_edge=False
+                np.stack((ids[tx_pos], ids[tx_par]), axis=1),
+                sizes,
+                protocol=protocol,
+                require_edge=False,
             )
-            delivered = np.asarray(copies, dtype=np.int64) > 0
+            delivered = copies > 0
             return None if bool(delivered.all()) else delivered
 
         result = sweep_levels(

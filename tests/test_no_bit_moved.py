@@ -6,7 +6,8 @@ simulation can observe — per-epoch answers, every bit/message column of the
 ``FaultTrace``, the final ``ledger.snapshot()`` and the lossy radio's RNG
 state — is hashed.  The constants below were computed on commit ``4c02ed7``
 (PR 11, the parent of the kernel rewrite in ``repro.sketches`` /
-``repro._util``); a kernel that folds a different count into a parent,
+``repro._util``) — the count-valued ``execution="vectorized"`` epoch's on
+``7bac39f`` (PR 13, the parent of the array-native charged send); a kernel that folds a different count into a parent,
 prices one delta entry more or less, or makes the radio draw one extra random
 number changes the hash.  (The dict *order* of a digest's ``counts`` moves no
 bit, so it is not visible here — ``tests/test_sketch_kernels.py`` holds the
@@ -26,7 +27,15 @@ from repro.core import (
     RepetitionPolicy,
 )
 from repro.distinct import ApproxDistinctCountProtocol, ExactDistinctCountProtocol
-from repro.faults import FaultEngine, HeartbeatDetector, TreeRepair, run_faulty_stream
+from repro._util.fastpath import HAVE_NUMPY
+from repro.faults import (
+    FaultEngine,
+    FaultScript,
+    HeartbeatDetector,
+    RootCrash,
+    TreeRepair,
+    run_faulty_stream,
+)
 from repro.network import LossyRadio, SensorNetwork
 from repro.protocols import (
     ApproxCountProtocol,
@@ -41,17 +50,20 @@ from repro.streaming import (
     DistinctCountQuery,
     PredicateCountQuery,
     QuantileQuery,
+    engine_for,
 )
+from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.telemetry.records import json_safe
 from repro.tenancy import MultiTenantEngine
 from repro.workloads import DriftStream, uniform_values
-from repro.workloads.faults import churn_script
+from repro.workloads.faults import churn_script, storm_under_churn_script
 
 VALUE_MAX = 1 << 16
 SEED = 3
 
 TENANTS_SHA256 = "4972802af1dd08ea38ad66d7890cc562d0fd4ef82e59a8b66787aa790204b025"
 ONESHOT_SHA256 = "6e6d83c9908038899069d7dd00f3ba2c1f8d11c5770434f7efa4e021629f7062"
+COUNT_PATH_SHA256 = "f477792757b45dace524db685d870c339c3778e84d33e27223d8085b624dac1b"
 
 
 def _sha256(payload) -> str:
@@ -187,3 +199,66 @@ def test_oneshot_paper_queries_move_no_bit():
         )
     assert len(rows) == 12
     assert _sha256(rows) == ONESHOT_SHA256
+
+
+@pytest.mark.skipif(
+    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
+)
+@pytest.mark.parametrize("observed", [False, True])
+def test_count_path_epochs_move_no_bit(observed):
+    """The count-valued epoch of ``execution="vectorized"`` under a storm,
+    background churn and a root crash, bare and with the full watcher on.
+
+    ``COUNT_PATH_SHA256`` was computed on commit ``7bac39f`` (PR 13, the
+    parent of the array-native charged send), where this network's ledger
+    was the dict one and every level and heartbeat sweep went through the
+    tuple-list ``send_batch``; installing the tracer moves no bit, so both
+    runs pin the same constant.
+    """
+    n, epochs = 400, 24
+    network = SensorNetwork.from_items(
+        [0] * n,
+        topology="random_geometric",
+        seed=SEED,
+        degree_bound=None,
+        execution="vectorized",
+    )
+    network.clear_items()
+    engine = engine_for(network, epsilon=0.1)
+    engine.register("count", CountQuery())
+    engine.register(
+        "below_mid",
+        PredicateCountQuery(lambda item: item < VALUE_MAX // 2, description="x < mid"),
+    )
+    script = storm_under_churn_script(
+        network.node_ids(),
+        epochs,
+        storm_epoch=epochs // 4,
+        storm_fraction=0.1,
+        rejoin_epoch=epochs // 2,
+        churn_rate=0.01,
+        seed=SEED,
+        rejoin_value_max=VALUE_MAX,
+    ).merge(FaultScript({3 * epochs // 4: [RootCrash()]}))
+    faults = FaultEngine(
+        network,
+        script=script,
+        repair=TreeRepair(),
+        seed=SEED,
+        detector=HeartbeatDetector(period=1),
+    )
+    stream = DriftStream(n, max_value=VALUE_MAX, seed=SEED, drift_fraction=0.05)
+    telemetry = (
+        SpanTracer(flight=FlightRecorder(), attribution=CostAttribution())
+        if observed
+        else None
+    )
+    trace = run_faulty_stream(
+        engine, stream, faults, epochs=epochs, compute_truth=False, telemetry=telemetry
+    )
+    rows = list(trace.to_dicts())
+    assert len(rows) == epochs
+    assert sum(row["crashes"] for row in rows) >= n // 10  # the storm landed
+    assert [row["new_root"] for row in rows].count(None) == epochs - 1
+    payload = {"rows": rows, "ledger": _ledger_payload(network.ledger)}
+    assert _sha256(payload) == COUNT_PATH_SHA256

@@ -206,6 +206,89 @@ class TestArrayLedger:
             == backward.snapshot().per_protocol_bits
         )
 
+    @pytest.mark.parametrize("bad", [-1, -2, 4, 7])
+    def test_out_of_range_ids_charge_nothing(self, bad):
+        """numpy indexing would bill ``-1`` to the last node; the dense
+        ledger refuses instead, like the network does for the dict one."""
+        from repro.exceptions import ConfigurationError
+        from repro.network.accounting import ArrayLedger, CommunicationLedger
+
+        ledger = ArrayLedger(4)
+        ledger.charge(0, 1, 3, protocol="ok")
+        before = ledger.snapshot()
+        stray = CommunicationLedger()
+        stray.charge(0, bad, 8)
+        attempts = [
+            lambda: ledger.charge(bad, 0, 8),
+            lambda: ledger.charge(0, bad, 8),
+            lambda: ledger.charge_array([1, bad], [2, 3], [5, 5]),
+            lambda: ledger.charge_array([1, 2], [bad, 3], [5, 5], copies=[2, 1]),
+            lambda: ledger.charge_batch([(1, 2), (3, bad)], [5, 5]),
+            lambda: ledger.merge(stray),
+        ]
+        for attempt in attempts:
+            with pytest.raises(ConfigurationError):
+                attempt()
+            assert ledger.snapshot() == before
+
+    def test_charge_batch_slices_leave_the_same_ledger(self, monkeypatch):
+        """A batch longer than the conversion slice: same ledger as the dict
+        one, and a bad id in the *last* slice still charges nothing."""
+        from repro.exceptions import ConfigurationError
+        from repro.network import accounting
+
+        monkeypatch.setattr(accounting, "_BATCH_CHUNK", 64)
+        rng = random.Random(9)
+        links = [(rng.randrange(40), rng.randrange(40)) for _ in range(300)]
+        sizes = [rng.randrange(0, 30) for _ in range(300)]
+        copies = [rng.randrange(0, 3) for _ in range(300)]
+        for repeats in (None, copies):
+            reference = accounting.CommunicationLedger()
+            reference.charge_batch(links, sizes, repeats, protocol="p")
+            dense = accounting.ArrayLedger(40)
+            dense.charge_batch(links, sizes, repeats, protocol="p")
+            assert dense.snapshot() == reference.snapshot()
+        dense = accounting.ArrayLedger(40)
+        with pytest.raises(ConfigurationError):
+            dense.charge_batch(links[:-1] + [(3, 40)], sizes)
+        with pytest.raises(ConfigurationError):
+            dense.charge_batch(links, sizes[:-1] + [-1])
+        assert dense.snapshot() == accounting.ArrayLedger(40).snapshot()
+
+    @pytest.mark.parametrize("into", ["array", "dict"])
+    @pytest.mark.parametrize("other", ["array", "dict"])
+    def test_merge_works_between_both_classes(self, into, other):
+        """``a.merge(b)`` for every class pairing equals the same charges
+        replayed on one ledger, and an open mark sees the merge as a delta."""
+        from repro.network.accounting import ArrayLedger, CommunicationLedger
+
+        def make(kind):
+            return ArrayLedger(30) if kind == "array" else CommunicationLedger()
+
+        rng = random.Random(11)
+        charges = [
+            (rng.randrange(30), rng.randrange(30), rng.randrange(1, 50), f"p{k % 3}")
+            for k in range(120)
+        ]
+        target, source, replay = make(into), make(other), CommunicationLedger()
+        for k, (sender, receiver, bits, protocol) in enumerate(charges):
+            if k == 20:
+                mark = target.mark()
+                replay_mark = replay.mark()
+            (target if k < 40 else source).charge(sender, receiver, bits, protocol)
+            replay.charge(sender, receiver, bits, protocol)
+        source.advance_round(3)
+        replay.advance_round(3)
+        target.merge(source)
+        assert target.snapshot() == replay.snapshot()
+        assert target.counters_snapshot() == replay.counters_snapshot()
+        assert target.max_node_delta_since(mark) == replay.max_node_delta_since(
+            replay_mark
+        )
+        assert {
+            node: bits for node, bits in target.node_deltas_since(mark).items() if bits
+        } == replay.node_deltas_since(replay_mark)
+
 
 # --------------------------------------------------------------------------- #
 # FlatTree: from_arrays and the rewire cache-invalidation regression
@@ -247,6 +330,7 @@ class TestFlatTreeArrays:
         expected = FlatTree.from_arrays([-1, 0, 0, 1, 2])
         assert patched.to_lists() == expected.to_lists()
         assert patched.up_links == expected.up_links
+        assert patched.up_link_array.tolist() == [list(link) for link in expected.up_links]
         assert patched.down_links == expected.down_links
         assert patched.up_links != stale_up
         assert patched.down_links != stale_down
