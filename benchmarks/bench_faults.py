@@ -20,15 +20,13 @@ and checks:
   the attached-population ground truth on every epoch, i.e. resilience is
   not bought with wrong answers.
 
-Set ``REPRO_FAULT_SIZES`` (comma-separated node counts) to shrink the sweep
-— the CI smoke job runs ``REPRO_FAULT_SIZES=256``, which still asserts all
-three properties at a size where the run takes a fraction of a second.
+``--smoke`` shrinks the field to the CI size (n = 256), which still asserts
+all three properties at a size where the run takes a fraction of a second.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import statistics
 import time
 
@@ -40,13 +38,13 @@ from benchmarks.conftest import (
 )
 from repro.analysis.experiments import (
     run_fault_tolerance_study,
-    run_heartbeat_study,
     run_root_failover_study,
 )
 from repro.analysis.report import format_table
 from repro.faults import FaultEngine, FaultScript, RootCrash, TreeRepair
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import build_topology
+from repro.sweeps import SweepRunner, get_sweep
 from repro.telemetry import (
     CostAttribution,
     FlightRecorder,
@@ -56,12 +54,8 @@ from repro.telemetry import (
 )
 from repro.workloads.faults import storm_under_churn_script
 
-_ENV_SIZES = os.environ.get("REPRO_FAULT_SIZES")
-FULL_SIZES = (10_000,)
-SIZES = (
-    tuple(int(size) for size in _ENV_SIZES.split(",")) if _ENV_SIZES else FULL_SIZES
-)
-SMOKE = _ENV_SIZES is not None
+#: ``--smoke`` -> the field sizes every test below sweeps.
+SIZES = {False: (10_000,), True: (256,)}
 EPOCHS = 8
 STORM_EPOCH = 2
 REJOIN_EPOCH = 5
@@ -70,7 +64,7 @@ SAVINGS_TARGET = 5.0
 SPEEDUP_TARGET = 5.0
 
 
-def test_incremental_repair_beats_rebuild(benchmark):
+def test_incremental_repair_beats_rebuild(benchmark, smoke):
     started = time.perf_counter()
     # One tracer across the sweep: the incremental arm of every size runs
     # instrumented, so the bench JSON gains the per-phase wall-clock and
@@ -91,24 +85,24 @@ def test_incremental_repair_beats_rebuild(benchmark):
                 topology="random_geometric",
                 seed=0,
                 telemetry=tracer,
-            )
-            for num_nodes in SIZES
+            ).measures
+            for num_nodes in SIZES[smoke]
         ]
 
     comparisons = run_once(benchmark, sweep)
 
     rows = [
         [
-            comparison.num_nodes,
-            comparison.incremental_fault_bits,
-            comparison.rebuild_fault_bits,
-            round(comparison.savings_factor, 1),
-            comparison.incremental_repair_bits,
-            comparison.rebuild_repair_bits,
-            comparison.incremental_max_count_error,
-            comparison.rebuild_rebuilds,
+            measures["num_nodes"],
+            measures["incremental_fault_bits"],
+            measures["rebuild_fault_bits"],
+            round(measures["savings_factor"], 1),
+            measures["incremental_repair_bits"],
+            measures["rebuild_repair_bits"],
+            measures["incremental_max_count_error"],
+            measures["rebuild_rebuilds"],
         ]
-        for comparison in comparisons
+        for measures in comparisons
     ]
     print()
     print(format_table(
@@ -129,26 +123,28 @@ def test_incremental_repair_beats_rebuild(benchmark):
         ),
     ))
 
-    for comparison in comparisons:
-        benchmark.extra_info[f"savings_{comparison.num_nodes}"] = round(
-            comparison.savings_factor, 2
+    for measures in comparisons:
+        num_nodes = measures["num_nodes"]
+        benchmark.extra_info[f"savings_{num_nodes}"] = round(
+            measures["savings_factor"], 2
         )
-        benchmark.extra_info[f"incremental_bits_{comparison.num_nodes}"] = (
-            comparison.incremental_fault_bits
+        benchmark.extra_info[f"incremental_bits_{num_nodes}"] = (
+            measures["incremental_fault_bits"]
         )
-        benchmark.extra_info[f"rebuild_bits_{comparison.num_nodes}"] = (
-            comparison.rebuild_fault_bits
+        benchmark.extra_info[f"rebuild_bits_{num_nodes}"] = (
+            measures["rebuild_fault_bits"]
         )
         # Acceptance: ≥ 5× fewer bits across the fault epochs.
-        assert comparison.savings_factor >= SAVINGS_TARGET
+        assert measures["savings_factor"] >= SAVINGS_TARGET
         # The incremental arm stayed incremental (its fallback threshold was
         # never tripped); the naive arm rebuilt at the storm and the rejoin.
-        assert comparison.incremental_rebuilds == 0
-        assert comparison.rebuild_rebuilds >= 2
+        assert measures["incremental_rebuilds"] == 0
+        assert measures["rebuild_rebuilds"] >= 2
         # Resilience does not cost accuracy: both arms stay within ε · n of
         # the attached ground truth on every epoch.
-        assert comparison.incremental_max_count_error <= comparison.count_error_budget
-        assert comparison.rebuild_max_count_error <= comparison.count_error_budget
+        budget = measures["count_error_budget"]
+        assert measures["incremental_max_count_error"] <= budget
+        assert measures["rebuild_max_count_error"] <= budget
 
     headline = comparisons[-1]
     diagnosis = diagnose(list(tracer.iter_dicts()))
@@ -157,12 +153,12 @@ def test_incremental_repair_beats_rebuild(benchmark):
     assert not diagnosis.unattributed, [a.render() for a in diagnosis.unattributed]
     emit_bench_json(
         "faults",
-        n=headline.num_nodes,
+        n=headline["num_nodes"],
         wall_clock_s=time.perf_counter() - started,
-        bits=headline.incremental_fault_bits,
+        bits=headline["incremental_fault_bits"],
         metrics={
             "repair_savings": {
-                "value": round(headline.savings_factor, 2),
+                "value": round(headline["savings_factor"], 2),
                 "floor": SAVINGS_TARGET,
             },
         },
@@ -186,7 +182,7 @@ def test_savings_across_fault_scenarios(benchmark):
                 rejoin_epoch=REJOIN_EPOCH,
                 topology="random_geometric",
                 seed=1,
-            )
+            ).measures
             for scenario in ("regional_outage", "churn", "link_storm")
         }
 
@@ -194,12 +190,12 @@ def test_savings_across_fault_scenarios(benchmark):
     rows = [
         [
             scenario,
-            comparison.incremental_fault_bits,
-            comparison.rebuild_fault_bits,
-            round(comparison.savings_factor, 1),
-            comparison.incremental_max_count_error,
+            measures["incremental_fault_bits"],
+            measures["rebuild_fault_bits"],
+            round(measures["savings_factor"], 1),
+            measures["incremental_max_count_error"],
         ]
-        for scenario, comparison in results.items()
+        for scenario, measures in results.items()
     ]
     print()
     print(format_table(
@@ -207,18 +203,20 @@ def test_savings_across_fault_scenarios(benchmark):
         rows,
         title="E12b  savings factor by fault scenario (N = 256, 8 epochs)",
     ))
-    for scenario, comparison in results.items():
+    for scenario, measures in results.items():
         benchmark.extra_info[f"{scenario}_savings"] = round(
-            comparison.savings_factor, 2
+            measures["savings_factor"], 2
         )
-        assert comparison.savings_factor >= SAVINGS_TARGET
-        assert comparison.incremental_max_count_error <= comparison.count_error_budget
+        assert measures["savings_factor"] >= SAVINGS_TARGET
+        assert (
+            measures["incremental_max_count_error"] <= measures["count_error_budget"]
+        )
 
 
 # --------------------------------------------------------------------------- #
 # E13 — root fail-over: charged election + re-rooting vs rebuild-and-recompute
 # --------------------------------------------------------------------------- #
-def test_root_failover_beats_charged_rebuild(benchmark):
+def test_root_failover_beats_charged_rebuild(benchmark, smoke):
     """Losing the query node is survivable, measured, and cheaper than naive.
 
     A scripted :class:`~repro.faults.RootCrash` kills the root mid-stream.
@@ -242,22 +240,22 @@ def test_root_failover_beats_charged_rebuild(benchmark):
                 crash_epoch=STORM_EPOCH,
                 topology="random_geometric",
                 seed=0,
-            )
-            for num_nodes in SIZES
+            ).measures
+            for num_nodes in SIZES[smoke]
         ]
 
     comparisons = run_once(benchmark, sweep)
     rows = [
         [
-            comparison.num_nodes,
-            comparison.new_root,
-            comparison.failover_fault_bits,
-            comparison.rebuild_fault_bits,
-            round(comparison.savings_factor, 2),
-            comparison.failover_election_bits,
-            comparison.failover_max_count_error,
+            measures["num_nodes"],
+            measures["new_root"],
+            measures["failover_fault_bits"],
+            measures["rebuild_fault_bits"],
+            round(measures["savings_factor"], 2),
+            measures["failover_election_bits"],
+            measures["failover_max_count_error"],
         ]
-        for comparison in comparisons
+        for measures in comparisons
     ]
     print()
     print(format_table(
@@ -277,26 +275,27 @@ def test_root_failover_beats_charged_rebuild(benchmark):
         ),
     ))
 
-    for comparison in comparisons:
-        benchmark.extra_info[f"failover_savings_{comparison.num_nodes}"] = round(
-            comparison.savings_factor, 2
+    for measures in comparisons:
+        benchmark.extra_info[f"failover_savings_{measures['num_nodes']}"] = round(
+            measures["savings_factor"], 2
         )
         # Election + re-root + stream recovery is one fully accounted epoch.
-        assert comparison.decomposition_holds
+        assert measures["decomposition_holds"]
         # Both arms paid the same (non-trivial) election bill.
-        assert comparison.failover_election_bits > 0
-        assert comparison.failover_election_bits == comparison.rebuild_election_bits
+        assert measures["failover_election_bits"] > 0
+        assert measures["failover_election_bits"] == measures["rebuild_election_bits"]
         # Acceptance: fail-over costs no more than the charged naive
         # response (in practice well below — the margin is the re-sync
         # traffic the cache migration avoids).
-        assert comparison.failover_fault_bits <= comparison.rebuild_fault_bits
+        assert measures["failover_fault_bits"] <= measures["rebuild_fault_bits"]
         # The handover does not cost accuracy in either arm.
-        assert comparison.failover_max_count_error <= comparison.count_error_budget
-        assert comparison.rebuild_max_count_error <= comparison.count_error_budget
+        budget = measures["count_error_budget"]
+        assert measures["failover_max_count_error"] <= budget
+        assert measures["rebuild_max_count_error"] <= budget
 
     # Per-edge vs batched elections are interchangeable at the headline
     # size: same winner, same re-rooted tree, bit-for-bit identical ledgers.
-    num_nodes = max(SIZES)
+    num_nodes = max(SIZES[smoke])
     graph = build_topology("random_geometric", num_nodes, seed=0)
     networks = []
     for mode in ("batched", "per-edge"):
@@ -319,12 +318,12 @@ def test_root_failover_beats_charged_rebuild(benchmark):
     headline = comparisons[-1]
     emit_bench_json(
         "faults",
-        n=headline.num_nodes,
+        n=headline["num_nodes"],
         wall_clock_s=time.perf_counter() - started,
-        bits=headline.failover_fault_bits,
+        bits=headline["failover_fault_bits"],
         metrics={
             "root_failover_savings": {
-                "value": round(headline.savings_factor, 2),
+                "value": round(headline["savings_factor"], 2),
                 "floor": 1.0,
             },
         },
@@ -334,33 +333,32 @@ def test_root_failover_beats_charged_rebuild(benchmark):
 # --------------------------------------------------------------------------- #
 # The cost of knowing: charged heartbeat detection
 # --------------------------------------------------------------------------- #
-def test_heartbeat_detection_pays_for_failure_knowledge(benchmark):
+def test_heartbeat_detection_pays_for_failure_knowledge(benchmark, tmp_path):
     """Charged detection keeps the repair gap while exposing its real price.
 
-    Sweeping the heartbeat period shows the trade: shorter periods pay more
-    standing bits for instant detection, longer periods pay less but answer
-    with stale zombie summaries until the next sweep (visible as COUNT
-    error during the detection window).  Both repair policies pay the same
-    bill, so incremental repair still beats rebuild-and-recompute by ≥5x
-    with detection charged.
+    Sweeping the heartbeat period (the ``e12c_heartbeat`` spec, whose full
+    size — N = 256 — is already CI-sized) shows the trade: shorter periods
+    pay more standing bits for instant detection, longer periods pay less
+    but answer with stale zombie summaries until the next sweep (visible as
+    COUNT error during the detection window).  Both repair policies pay the
+    same bill, so incremental repair still beats rebuild-and-recompute by
+    ≥5x with detection charged.
     """
-    records = run_once(
-        benchmark,
-        run_heartbeat_study,
-        periods=(1, 2, 4, 8),
-        num_nodes=256,
-        epochs=12,
-        seed=0,
-    )
+    spec = get_sweep("e12c_heartbeat")
+    runner = SweepRunner(spec, cache_dir=tmp_path, processes=0)
+    # Matrix order is the axis order: the oracle row, then periods 1, 2, 4, 8.
+    records = [
+        outcome.result["measures"] for outcome in run_once(benchmark, runner.run).outcomes
+    ]
     rows = [
         [
-            "oracle" if record.period is None else record.period,
-            record.detection_bits,
-            round(record.detection_bits_per_epoch, 1),
-            round(record.mean_latency, 2),
-            record.worst_case_latency,
-            record.max_count_error,
-            round(record.savings_factor, 1),
+            "oracle" if record["detector_period"] is None else record["detector_period"],
+            record["detection_bits"],
+            round(record["detection_bits"] / record["epochs"], 1),
+            round(record["detection_latency"], 2),
+            record["worst_case_latency"],
+            record["incremental_max_count_error"],
+            round(record["savings_factor"], 1),
         ]
         for record in records
     ]
@@ -376,34 +374,38 @@ def test_heartbeat_detection_pays_for_failure_knowledge(benchmark):
             "savings",
         ],
         rows,
-        title="E12c  heartbeat period vs detection latency (N = 256, 12 epochs)",
+        title=(
+            f"E12c  heartbeat period vs detection latency "
+            f"(N = {spec.base['n']}, {spec.base['epochs']} epochs)"
+        ),
     ))
 
     oracle = records[0]
     charged = records[1:]
-    assert oracle.period is None and oracle.detection_bits == 0
+    assert oracle["detector_period"] is None and oracle["detection_bits"] == 0
     for record in charged:
-        benchmark.extra_info[f"period_{record.period}_bits"] = record.detection_bits
+        period = record["detector_period"]
+        benchmark.extra_info[f"period_{period}_bits"] = record["detection_bits"]
         # Detection is charged, and the repair-vs-rebuild gap survives it.
-        assert record.detection_bits > 0
-        assert record.savings_factor >= SAVINGS_TARGET
+        assert record["detection_bits"] > 0
+        assert record["savings_factor"] >= SAVINGS_TARGET
     # Longer periods pay fewer heartbeat bits...
-    bits = [record.detection_bits for record in charged]
+    bits = [record["detection_bits"] for record in charged]
     assert bits == sorted(bits, reverse=True)
     # ...at the price of real detection latency (and stale answers).
     instant, *delayed = charged
-    assert instant.mean_latency == 0.0
-    assert all(record.mean_latency > 0 for record in delayed)
-    assert max(record.max_count_error for record in delayed) > 0
+    assert instant["detection_latency"] == 0.0
+    assert all(record["detection_latency"] > 0 for record in delayed)
+    assert max(record["incremental_max_count_error"] for record in delayed) > 0
 
     emit_bench_json(
         "faults",
-        n=256,
+        n=spec.base["n"],
         wall_clock_s=0.0,
-        bits=charged[0].detection_bits,
+        bits=charged[0]["detection_bits"],
         metrics={
             "heartbeat_savings": {
-                "value": round(min(r.savings_factor for r in charged), 2),
+                "value": round(min(r["savings_factor"] for r in charged), 2),
                 "floor": SAVINGS_TARGET,
             },
         },
@@ -470,7 +472,7 @@ def _run_crash_storm(graph, execution: str):
     return timed.seconds, network
 
 
-def test_batched_repair_outpaces_per_edge(benchmark):
+def test_batched_repair_outpaces_per_edge(benchmark, smoke):
     """The flat-array repair pass is ≥5x faster at n = 10,000 (target ≥10x).
 
     A 10% crash storm (recovering four epochs later) rides on sustained
@@ -480,7 +482,7 @@ def test_batched_repair_outpaces_per_edge(benchmark):
     delivery) is accumulated per pass over interleaved repeats; the two
     paths must also agree exactly on the repaired tree and the ledger.
     """
-    num_nodes = max(SIZES)
+    num_nodes = max(SIZES[smoke])
     graph = build_topology("random_geometric", num_nodes, seed=0)
 
     def race():
@@ -530,7 +532,7 @@ def test_batched_repair_outpaces_per_edge(benchmark):
     assert left.rounds == right.rounds
 
     metrics = {}
-    if not SMOKE:
+    if not smoke:
         # Acceptance: ≥5x wall-clock on the 10k-node repair pass.  Timing on
         # shared smoke runners is noise, so the smoke job checks only the
         # equivalence half above.

@@ -16,14 +16,12 @@ checks:
 * the per-tenant ledger columns sum exactly to the shared plan's charged
   bits after every epoch (the decomposition invariant).
 
-Sizes come from ``REPRO_TENANT_NODES`` / ``REPRO_TENANT_QUERIES`` /
-``REPRO_TENANT_EPOCHS`` so CI can smoke the same assertions at a smaller
-point (the acceptance size is n = 10,000, Q = 32).
+The acceptance size is n = 10,000, Q = 32; ``--smoke`` runs the same
+assertions at the CI point (n = 256, Q = 24).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from benchmarks.conftest import (
@@ -36,37 +34,37 @@ from repro.analysis.experiments import run_multitenant_study
 from repro.analysis.report import format_table
 from repro.telemetry import SpanTracer
 
-NUM_NODES = int(os.environ.get("REPRO_TENANT_NODES", "10000"))
-TENANTS = int(os.environ.get("REPRO_TENANT_QUERIES", "32"))
-EPOCHS = int(os.environ.get("REPRO_TENANT_EPOCHS", "6"))
+#: ``--smoke`` -> the (num_nodes, tenants, epochs) parameter set.
+SIZES = {False: (10_000, 32, 6), True: (256, 24, 6)}
 EPSILON = 0.1
 
 
-def test_multitenant_shared_plan_vs_independent(benchmark):
+def test_multitenant_shared_plan_vs_independent(benchmark, smoke):
+    num_nodes, tenants, epochs = SIZES[smoke]
     started = time.perf_counter()
     # Instrument the shared arm: the bench JSON gains the per-phase
     # breakdown (epoch sweeps + tenant.split spans) and CI archives it.
     tracer = SpanTracer()
-    comparison = run_once(
+    measures = run_once(
         benchmark,
         run_multitenant_study,
-        num_nodes=NUM_NODES,
-        epochs=EPOCHS,
-        tenants=TENANTS,
+        num_nodes=num_nodes,
+        epochs=epochs,
+        tenants=tenants,
         workload="drift",
         epsilon=EPSILON,
         seed=0,
         telemetry=tracer,
-    )
+    ).measures
 
     rows = [
-        ["tenant queries", comparison.tenants],
-        ["shared legs", comparison.legs],
-        ["shared plan bits", comparison.shared_bits],
-        ["independent bits", comparison.independent_bits],
-        ["savings factor", round(comparison.savings_factor, 2)],
-        ["answers identical", comparison.answers_match],
-        ["decomposition exact", comparison.decomposition_holds],
+        ["tenant queries", measures["tenants"]],
+        ["shared legs", measures["legs"]],
+        ["shared plan bits", measures["shared_bits"]],
+        ["independent bits", measures["independent_bits"]],
+        ["savings factor", round(measures["savings_factor"], 2)],
+        ["answers identical", measures["answers_match"]],
+        ["decomposition exact", measures["decomposition_holds"]],
     ]
     print()
     print(format_table(
@@ -74,31 +72,30 @@ def test_multitenant_shared_plan_vs_independent(benchmark):
         rows,
         title=(
             f"E14  multi-tenant dedup, drift workload "
-            f"(N = {NUM_NODES}, Q = {TENANTS}, {EPOCHS} epochs)"
+            f"(N = {num_nodes}, Q = {tenants}, {epochs} epochs)"
         ),
     ))
 
-    benchmark.extra_info["savings_factor"] = round(comparison.savings_factor, 2)
-    benchmark.extra_info["legs"] = comparison.legs
-    benchmark.extra_info["shared_bits"] = comparison.shared_bits
-    benchmark.extra_info["independent_bits"] = comparison.independent_bits
+    benchmark.extra_info["savings_factor"] = round(measures["savings_factor"], 2)
+    for name in ("legs", "shared_bits", "independent_bits"):
+        benchmark.extra_info[name] = measures[name]
 
     # Acceptance: Q overlapping queries cost ≥ 5× less than Q engines,
     # with no tenant able to tell the difference from its answers.
-    assert comparison.savings_factor >= 5.0
-    assert comparison.answers_match
-    assert comparison.decomposition_holds
+    assert measures["savings_factor"] >= 5.0
+    assert measures["answers_match"]
+    assert measures["decomposition_holds"]
     # The dedup itself: far fewer legs than tenants (four families here).
-    assert comparison.legs < comparison.tenants
+    assert measures["legs"] < measures["tenants"]
 
     emit_bench_json(
         "multitenant",
-        n=NUM_NODES,
+        n=num_nodes,
         wall_clock_s=time.perf_counter() - started,
-        bits=comparison.shared_bits,
+        bits=measures["shared_bits"],
         metrics={
             "multitenant_savings": {
-                "value": round(comparison.savings_factor, 2),
+                "value": round(measures["savings_factor"], 2),
                 "floor": 5.0,
             },
         },

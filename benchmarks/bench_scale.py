@@ -8,20 +8,18 @@ convergecast round trip through both paths and checks the two claims of the
 refactor:
 
 * **equivalence** — wherever both paths run, their ledgers are bit-for-bit
-  identical (``ScalingRecord.ledgers_identical``);
+  identical (the ``ledgers_identical`` measure);
 * **speed** — the batched path is ≥ 5× faster in wall-clock at n = 10,000,
   and completes a 100k-node field (where the per-edge path is not even
   attempted).
 
-Set ``REPRO_SCALE_SIZES`` (comma-separated node counts) to shrink the sweep —
-the CI smoke job runs ``REPRO_SCALE_SIZES=256,1024``, which still asserts
-ledger equivalence but skips the wall-clock assertions (timing on shared
-runners is noise).
+The sizes are the ``e11_scaling`` sweep spec's ``n`` axis: 1k / 10k / 100k,
+or 256 / 1024 under ``--smoke`` — which still asserts ledger equivalence
+but skips the wall-clock assertions (timing on shared runners is noise).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -35,46 +33,42 @@ from benchmarks.conftest import (
 from repro.analysis.experiments import run_scaling_study
 from repro.analysis.report import format_table
 from repro.network.simulator import SensorNetwork
+from repro.sweeps import get_sweep
 from repro.telemetry import SpanTracer
 
-_ENV_SIZES = os.environ.get("REPRO_SCALE_SIZES")
-FULL_SIZES = (1_000, 10_000, 100_000)
-SIZES = (
-    tuple(int(size) for size in _ENV_SIZES.split(",")) if _ENV_SIZES else FULL_SIZES
-)
-SMOKE = _ENV_SIZES is not None
-PER_EDGE_LIMIT = 20_000
 SPEEDUP_TARGET = 5.0
 SPEEDUP_AT = 10_000
 
 
-def test_batched_backend_scales(benchmark):
+def test_batched_backend_scales(benchmark, smoke):
+    spec = get_sweep("e11_scaling", smoke=smoke)
+    sizes = spec.axes["n"]
     # The one-shot protocols emit no phase spans, but the tracer still
     # collects the per-size timing histograms and net.* counters.
     tracer = SpanTracer()
-    records = run_once(
-        benchmark,
-        run_scaling_study,
-        SIZES,
-        per_edge_limit=PER_EDGE_LIMIT,
-        repeats=3,
-        seed=0,
-        telemetry=tracer,
-    )
 
-    rows = [
-        [
-            record.num_nodes,
-            record.tree_height,
-            round(record.batched_seconds * 1000, 1),
-            "-" if record.per_edge_seconds is None
-            else round(record.per_edge_seconds * 1000, 1),
-            "-" if record.speedup is None else round(record.speedup, 1),
-            "-" if record.ledgers_identical is None else record.ledgers_identical,
-            record.messages,
+    def sweep():
+        return [
+            run_scaling_study(num_nodes=num_nodes, telemetry=tracer, **spec.base)
+            for num_nodes in sizes
         ]
-        for record in records
-    ]
+
+    results = run_once(benchmark, sweep)
+
+    rows = []
+    for result in results:
+        measures, timing = result.measures, result.timing
+        rows.append([
+            measures["num_nodes"],
+            measures["tree_height"],
+            round(timing["batched_seconds"] * 1000, 1),
+            "-" if timing["per_edge_seconds"] is None
+            else round(timing["per_edge_seconds"] * 1000, 1),
+            "-" if timing["speedup"] is None else round(timing["speedup"], 1),
+            "-" if measures["ledgers_identical"] is None
+            else measures["ledgers_identical"],
+            measures["messages"],
+        ])
     print()
     print(format_table(
         [
@@ -90,46 +84,52 @@ def test_batched_backend_scales(benchmark):
         title="E11  broadcast + SUM convergecast: batched vs per-edge execution",
     ))
 
-    for record in records:
-        benchmark.extra_info[f"batched_ms_{record.num_nodes}"] = round(
-            record.batched_seconds * 1000, 2
+    for result in results:
+        num_nodes = result.measures["num_nodes"]
+        benchmark.extra_info[f"batched_ms_{num_nodes}"] = round(
+            result.timing["batched_seconds"] * 1000, 2
         )
-        if record.speedup is not None:
-            benchmark.extra_info[f"speedup_{record.num_nodes}"] = round(
-                record.speedup, 2
+        if result.timing["speedup"] is not None:
+            benchmark.extra_info[f"speedup_{num_nodes}"] = round(
+                result.timing["speedup"], 2
             )
 
     # Equivalence: wherever both paths ran, the ledgers must be identical.
-    compared = [record for record in records if record.ledgers_identical is not None]
+    compared = [
+        result.measures["ledgers_identical"]
+        for result in results
+        if result.measures["ledgers_identical"] is not None
+    ]
     assert compared, "no size was small enough to run the per-edge reference"
-    assert all(record.ledgers_identical for record in compared)
+    assert all(compared)
     # Every requested size completed under the batched backend.
-    assert len(records) == len(SIZES)
+    assert len(results) == len(sizes)
 
     metrics = {}
-    if not SMOKE:
+    if not smoke:
         # Acceptance: ≥ 5× wall-clock speedup on the 10k-node convergecast...
         ten_k = [
-            record
-            for record in records
-            if record.num_nodes >= SPEEDUP_AT and record.speedup is not None
+            result.timing["speedup"]
+            for result in results
+            if result.measures["num_nodes"] >= SPEEDUP_AT
+            and result.timing["speedup"] is not None
         ]
         assert ten_k, f"sweep did not include a timed size ≥ {SPEEDUP_AT}"
-        best_speedup = max(record.speedup for record in ten_k)
+        best_speedup = max(ten_k)
         assert best_speedup >= SPEEDUP_TARGET
         # ...and the 100k-node field completes on the batched path.
-        assert max(record.num_nodes for record in records) >= 99_000
+        assert max(result.measures["num_nodes"] for result in results) >= 99_000
         metrics["traversal_speedup"] = {
             "value": round(best_speedup, 2),
             "floor": SPEEDUP_TARGET,
         }
 
-    largest = records[-1]
+    largest = results[-1]
     emit_bench_json(
         "scale",
-        n=largest.num_nodes,
-        wall_clock_s=largest.batched_seconds,
-        bits=largest.total_bits,
+        n=largest.measures["num_nodes"],
+        wall_clock_s=largest.timing["batched_seconds"],
+        bits=largest.measures["total_bits"],
         metrics=metrics,
         phases=phases_from_tracer(tracer) or None,
     )
@@ -141,13 +141,14 @@ def test_batched_backend_scales(benchmark):
 # Vectorized core: the million-node epoch
 # --------------------------------------------------------------------------- #
 MILLION = 1_000_000
-VECTORIZED_N = max(SIZES) if SMOKE else MILLION
+#: ``--smoke`` -> field size of the vectorized epoch.
+VECTORIZED_N = {False: MILLION, True: 1024}
 EPOCH_BUDGET_SECONDS = 1.0
 STEADY_EPOCHS = 5
 CHURN_FRACTION = 0.01
 
 
-def test_vectorized_million_node_epoch(benchmark):
+def test_vectorized_million_node_epoch(benchmark, smoke):
     """A 1M-node fused epoch (detect + repair + convergecast) under 1 s.
 
     The steady-state epoch is the quantity the paper's continuous-monitoring
@@ -162,20 +163,21 @@ def test_vectorized_million_node_epoch(benchmark):
 
     from repro.network import VectorField
 
+    num_nodes = VECTORIZED_N[smoke]
     tracer = SpanTracer()
-    field = VectorField.balanced(VECTORIZED_N, branching=8, telemetry=tracer)
+    field = VectorField.balanced(num_nodes, branching=8, telemetry=tracer)
     field.register_count_query("count")
     rng = np.random.default_rng(0)
     field.advance_epoch(
-        changed_positions=np.arange(VECTORIZED_N),
-        new_counts=rng.integers(0, 50, VECTORIZED_N),
+        changed_positions=np.arange(num_nodes),
+        new_counts=rng.integers(0, 50, num_nodes),
     )
 
-    churn = max(1, int(VECTORIZED_N * CHURN_FRACTION))
+    churn = max(1, int(num_nodes * CHURN_FRACTION))
 
     def steady_epochs():
         for _ in range(STEADY_EPOCHS):
-            changed = rng.choice(VECTORIZED_N, churn, replace=False)
+            changed = rng.choice(num_nodes, churn, replace=False)
             field.advance_epoch(
                 changed_positions=changed,
                 new_counts=rng.integers(0, 50, churn),
@@ -190,7 +192,7 @@ def test_vectorized_million_node_epoch(benchmark):
     print(format_table(
         ["N", "epoch (ms)", "dirty/epoch", "tx/epoch", "bits/epoch"],
         [[
-            VECTORIZED_N,
+            num_nodes,
             round(per_epoch * 1000, 1),
             round(sum(r["dirty"] for r in field.records[1:]) / STEADY_EPOCHS),
             round(sum(r["transmissions"] for r in field.records[1:]) / STEADY_EPOCHS),
@@ -201,8 +203,7 @@ def test_vectorized_million_node_epoch(benchmark):
     benchmark.extra_info["vectorized_epoch_ms"] = round(per_epoch * 1000, 2)
 
     metrics = {}
-    if not SMOKE:
-        assert VECTORIZED_N >= MILLION
+    if not smoke:
         assert per_epoch < EPOCH_BUDGET_SECONDS, (
             f"1M-node epoch took {per_epoch:.3f}s (budget {EPOCH_BUDGET_SECONDS}s)"
         )
@@ -213,7 +214,7 @@ def test_vectorized_million_node_epoch(benchmark):
 
     emit_bench_json(
         "scale",
-        n=VECTORIZED_N,
+        n=num_nodes,
         wall_clock_s=per_epoch,
         bits=total_bits,
         metrics=metrics,
@@ -226,11 +227,12 @@ def test_vectorized_million_node_epoch(benchmark):
 # --------------------------------------------------------------------------- #
 # Sharded backend: bit-identical to the single-process batched engine
 # --------------------------------------------------------------------------- #
-SHARDED_N = min(10_000, max(SIZES)) if SMOKE else 10_000
+#: ``--smoke`` -> size of the twin networks.
+SHARDED_N = {False: 10_000, True: 1024}
 SHARDED_EPOCHS = 4
 
 
-def test_sharded_ledger_identity(benchmark):
+def test_sharded_ledger_identity(benchmark, smoke):
     """Per-epoch ledger merges leave the sharded backend bit-identical.
 
     Twin networks at n = 10,000 run the same drift stream, one under the
@@ -248,11 +250,12 @@ def test_sharded_ledger_identity(benchmark):
     from repro.streaming.queries import CountQuery
     from repro.streaming.vector_engine import VectorStreamEngine
 
+    num_nodes = SHARDED_N[smoke]
     tracer = SpanTracer()
 
     def build(execution, telemetry=None):
         network = SensorNetwork.from_items(
-            [0] * SHARDED_N,
+            [0] * num_nodes,
             topology="random_geometric",
             seed=0,
             execution=execution,
@@ -271,11 +274,11 @@ def test_sharded_ledger_identity(benchmark):
         epochs = []
         for _ in range(SHARDED_EPOCHS):
             updates = {
-                rng_state.randrange(SHARDED_N): [
+                rng_state.randrange(num_nodes): [
                     rng_state.randrange(100)
                     for _ in range(rng_state.randrange(4))
                 ]
-                for _ in range(SHARDED_N // 20)
+                for _ in range(num_nodes // 20)
             }
             epochs.append(updates)
         for engine in engines:
@@ -304,12 +307,12 @@ def test_sharded_ledger_identity(benchmark):
     print()
     print(format_table(
         ["N", "epochs", "total bits", "ledgers equal"],
-        [[SHARDED_N, SHARDED_EPOCHS, left.total_bits, identical]],
+        [[num_nodes, SHARDED_EPOCHS, left.total_bits, identical]],
         title="E13  sharded backend: merged worker ledgers vs batched",
     ))
     emit_bench_json(
         "scale",
-        n=SHARDED_N,
+        n=num_nodes,
         wall_clock_s=elapsed,
         bits=left.total_bits,
         metrics={"sharded_ledger_identity": {"value": 1.0, "floor": 1.0}},

@@ -6,6 +6,11 @@ measured inside the simulation, not the wall-clock time of the simulator, so
 repeated timing adds nothing.  Results that reproduce the paper's claims are
 attached to ``benchmark.extra_info`` (visible in ``--benchmark-verbose`` /
 JSON output) and printed as plain-text tables (visible with ``-s``).
+
+Each claim bench has exactly two parameter sets, *full* (the sizes README
+quotes) and *smoke* (the sizes CI runs), selected by the one ``--smoke``
+option; wall-clock floors are asserted only at full size, because timing
+on shared smoke runners is noise.
 """
 
 from __future__ import annotations
@@ -14,6 +19,20 @@ import json
 import os
 
 import pytest
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--smoke",
+        action="store_true",
+        help="run every claim bench at its smoke parameter set (CI sizes)",
+    )
+
+
+@pytest.fixture
+def smoke(request) -> bool:
+    """Whether this session runs the smoke parameter sets (``--smoke``)."""
+    return request.config.getoption("--smoke")
 
 
 def run_once(benchmark, function, *args, **kwargs):

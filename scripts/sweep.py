@@ -4,8 +4,8 @@
 Usage::
 
     python scripts/sweep.py list
-    python scripts/sweep.py run e10_streaming e12_fault_tolerance [--out DIR]
-        [--cache DIR] [--serial] [--force] [--expect-cached]
+    python scripts/sweep.py run e10_streaming e12_fault_tolerance [--smoke]
+        [--out DIR] [--cache DIR] [--serial] [--force] [--expect-cached]
         [--baseline DIR] [--strict]
     python scripts/sweep.py report SWEEP_e10_streaming.json [...]
     python scripts/sweep.py diff baseline/SWEEP_x.json current/SWEEP_x.json
@@ -14,6 +14,8 @@ Usage::
 ``run`` accepts builtin spec names (see ``list``) or paths to ``.toml`` /
 ``.json`` spec files, executes each matrix through the cached fork pool,
 and writes ``SWEEP_<name>.json`` + ``SWEEP_<name>.md`` into ``--out``.
+``--smoke`` selects each builtin spec's smoke parameter set (the sizes CI
+runs) instead of its full one; spec files have one parameter set and ignore it.
 ``--expect-cached`` exits non-zero if any cell actually executed — the CI
 assertion that a re-run of an unchanged spec is a pure cache recall.
 ``--baseline DIR`` diffs each fresh payload against ``DIR/SWEEP_<name>.json``
@@ -47,10 +49,10 @@ from repro.sweeps import (  # noqa: E402
 )
 
 
-def resolve_spec(token: str):
+def resolve_spec(token: str, smoke: bool = False):
     """A builtin sweep name, or a path to a .toml/.json spec file."""
     if token in BUILTIN_SWEEPS:
-        return get_sweep(token)
+        return get_sweep(token, smoke=smoke)
     if os.path.exists(token):
         return load_spec(token)
     raise ConfigurationError(
@@ -78,7 +80,7 @@ def cmd_run(args) -> int:
     failures: list[str] = []
     executed_total = 0
     for token in args.spec:
-        spec = resolve_spec(token)
+        spec = resolve_spec(token, smoke=args.smoke)
         runner = SweepRunner(spec, cache_dir=args.cache, processes=0 if args.serial else None)
         result = runner.run(force=args.force)
         executed_total += result.executed
@@ -145,6 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="expand + execute sweep spec(s)")
     run.add_argument("spec", nargs="+", help="builtin sweep name or spec file path")
+    run.add_argument(
+        "--smoke",
+        action="store_true",
+        help="run builtin specs at their smoke parameter set (CI sizes)",
+    )
     run.add_argument("--out", default=".", help="output directory for SWEEP_* files")
     run.add_argument("--cache", default=None, help="cell cache directory")
     run.add_argument("--serial", action="store_true", help="disable the fork pool")

@@ -1,22 +1,21 @@
-"""Study runners for the experiments of DESIGN.md (E1–E13).
+"""Study runners for the experiments of DESIGN.md (E1–E14).
 
 Each function runs one experiment family and returns plain records that the
 ``benchmarks/`` targets print as tables (and the test-suite sanity-checks at
 small sizes).  The functions are deliberately free of pytest / benchmark
 dependencies so they can also be driven from the example scripts.
 
-Multi-scenario studies over these runners are expressed declaratively
-through the sweep harness (:mod:`repro.sweeps`, ``docs/SWEEPS.md``): a
-spec's cells call straight into these functions (``repro.sweeps.cells``),
-so a sweep cell and a hand-written call are the same computation — the
-harness only adds matrix expansion, caching and parallel execution.
+The streaming-era studies (E10–E14) each build their ``measures`` once and
+return a :class:`StudyResult`; sweep cells (:mod:`repro.sweeps`,
+``docs/SWEEPS.md``), the claim benches and the tests all call that one
+function.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
@@ -40,7 +39,7 @@ from repro.core.rep_count import RepetitionPolicy
 from repro.exceptions import ConfigurationError
 from repro.distinct import ApproxDistinctCountProtocol, ExactDistinctCountProtocol
 from repro.core.definitions import rank
-from repro.faults.detection import HeartbeatDetector, detector_from_config
+from repro.faults.detection import detector_from_config
 from repro.faults.engine import FaultEngine
 from repro.faults.repair import TreeRepair
 from repro.faults.runner import run_faulty_stream
@@ -78,7 +77,7 @@ from repro.workloads.faults import (
     root_failover_script,
 )
 from repro.workloads.generators import generate_workload
-from repro.workloads.streams import DriftStream, make_stream
+from repro.workloads.streams import make_stream
 
 
 def default_domain(num_items: int) -> int:
@@ -560,35 +559,63 @@ def run_repetition_ablation(
 
 
 # --------------------------------------------------------------------------- #
-# E10 — continuous queries: incremental vs per-epoch recomputation
+# E10–E14 — the streaming-era studies: one function each, one result shape
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class StreamingComparison:
-    """Outcome of driving both streaming engines through the same stream."""
+class StudyResult:
+    """What every E10–E14 study returns: the (cost, answer) pair, said once.
 
-    workload: str
-    num_nodes: int
-    epochs: int
-    epsilon: float
-    incremental_bits: int
-    recompute_bits: int
-    savings_factor: float
-    max_count_error: float
-    max_median_rank_error: float
-    count_error_budget: float
-    median_rank_error_budget: float
-    incremental_trace: StreamingTrace
-    recompute_trace: StreamingTrace
+    ``measures`` are the deterministic simulation results — bits, savings
+    factors, answer errors — under JSON-safe names.  The dict *is* the
+    sweep cell's ``measures`` section, so a sweep cell, a claim bench and a
+    test all read the same numbers from the same place.  ``traces`` holds
+    the in-process per-arm :class:`~repro.streaming.StreamingTrace` /
+    :class:`~repro.faults.FaultTrace` for callers that need epoch rows; it
+    is never cached or serialised.  ``timing`` is wall-clock: recorded for
+    humans, machine-dependent, never compared.
+
+    Every study takes ``telemetry=``, a recorder installed on its *subject*
+    arm only (incremental / fail-over / shared plan), so that arm's epochs
+    emit the span taxonomy of ``docs/TELEMETRY.md``; the baseline arm is
+    what the subject is compared against and stays uninstrumented.
+    """
+
+    measures: dict
+    traces: dict = field(default_factory=dict)
+    timing: dict = field(default_factory=dict)
 
 
-def _standing_queries(domain: int, compression: int, num_registers: int, seed: int):
+#: Readings of every streaming-era study lie in ``[0, STREAM_DOMAIN]``.
+STREAM_DOMAIN = 1 << 16
+
+
+def _below_mid() -> PredicateCountQuery:
+    mid = STREAM_DOMAIN // 2
+    return PredicateCountQuery(lambda item: item < mid, description=f"x < {mid}")
+
+
+def _savings(baseline_bits: int, subject_bits: int) -> float:
+    return round(baseline_bits / max(1, subject_bits), 4)
+
+
+def _idle_network(num_nodes: int, topology, seed: int, **build) -> SensorNetwork:
+    """A seeded network holding no readings yet — the stream fills them in."""
+    network = SensorNetwork.from_items(
+        [0] * num_nodes, topology=topology, seed=seed, **build
+    )
+    network.clear_items()
+    return network
+
+
+# --------------------------------------------------------------------------- #
+# E10 — continuous queries: incremental vs per-epoch recomputation
+# --------------------------------------------------------------------------- #
+def _standing_queries(seed: int) -> dict[str, StandingQuery]:
     return {
         "count": CountQuery(),
-        "median": MedianQuery(universe_size=domain + 1, compression=compression),
-        "distinct": DistinctCountQuery(num_registers=num_registers, salt=seed),
-        "below_mid": PredicateCountQuery(
-            lambda item, mid=domain // 2: item < mid, description=f"x < {domain // 2}"
-        ),
+        "median": MedianQuery(universe_size=STREAM_DOMAIN + 1, compression=256),
+        "distinct": DistinctCountQuery(num_registers=64, salt=seed),
+        "below_mid": _below_mid(),
     }
 
 
@@ -598,50 +625,27 @@ def run_streaming_comparison(
     workload: str = "drift",
     epsilon: float = 0.1,
     topology: str = "grid",
-    domain_max: int | None = None,
-    compression: int = 256,
-    num_registers: int = 64,
     seed: int = 0,
     telemetry=None,
-    **stream_params,
-) -> StreamingComparison:
+) -> StudyResult:
     """Drive the incremental and naive engines through one identical stream.
 
     Both engines register the same four standing queries (COUNT, MEDIAN,
     COUNT DISTINCT, COUNTP) over networks with identical topology and
     readings; two same-seed stream instances guarantee identical inputs.  Per
     epoch the incremental answers are checked against the ground truth, so
-    the returned maxima certify the ε-approximation empirically.
-
-    ``telemetry`` installs a :class:`~repro.telemetry.TelemetryRecorder` on
-    the *incremental* network, so its epochs emit ``stream`` /
-    ``convergecast`` spans and the network counters (the naive arm stays
-    uninstrumented — it is the baseline, not the subject).
+    the returned maxima certify the ε-approximation empirically.  Traces:
+    ``incremental`` and ``recompute``.
     """
-    domain = domain_max if domain_max is not None else 1 << 16
-    builds = []
-    for _ in range(2):
-        network = SensorNetwork.from_items(
-            [0] * num_nodes, topology=topology, seed=seed
-        )
-        network.clear_items()
-        builds.append(network)
-    incremental_net, recompute_net = builds
-    if telemetry is not None:
-        incremental_net.telemetry = telemetry
+    incremental_net = _idle_network(num_nodes, topology, seed, telemetry=telemetry)
     incremental = ContinuousQueryEngine(incremental_net, epsilon=epsilon)
-    naive = RecomputeEngine(recompute_net)
-    for name, query in _standing_queries(domain, compression, num_registers, seed).items():
-        incremental.register(name, query)
-    for name, query in _standing_queries(domain, compression, num_registers, seed).items():
-        naive.register(name, query)
+    naive = RecomputeEngine(_idle_network(num_nodes, topology, seed))
+    for engine in (incremental, naive):
+        for name, query in _standing_queries(seed).items():
+            engine.register(name, query)
 
-    stream_a = make_stream(
-        workload, num_nodes, max_value=domain, seed=seed, **stream_params
-    )
-    stream_b = make_stream(
-        workload, num_nodes, max_value=domain, seed=seed, **stream_params
-    )
+    stream_a = make_stream(workload, num_nodes, max_value=STREAM_DOMAIN, seed=seed)
+    stream_b = make_stream(workload, num_nodes, max_value=STREAM_DOMAIN, seed=seed)
     max_count_error = 0.0
     max_rank_error = 0.0
     count_scale = 1.0
@@ -667,43 +671,31 @@ def run_streaming_comparison(
             )
             max_rank_error = max(max_rank_error, abs(median_rank - true_count / 2.0))
 
-    incremental_bits = incremental.trace.total_bits
-    recompute_bits = naive.trace.total_bits
-    return StreamingComparison(
-        workload=workload,
-        num_nodes=num_nodes,
-        epochs=epochs,
-        epsilon=epsilon,
-        incremental_bits=incremental_bits,
-        recompute_bits=recompute_bits,
-        savings_factor=recompute_bits / max(1, incremental_bits),
-        max_count_error=max_count_error,
-        max_median_rank_error=max_rank_error,
-        count_error_budget=epsilon * count_scale,
-        median_rank_error_budget=median_query.error_bound(epsilon, count_scale),
-        incremental_trace=incremental.trace,
-        recompute_trace=naive.trace,
+    return StudyResult(
+        measures={
+            "workload": workload,
+            "num_nodes": num_nodes,
+            "epochs": epochs,
+            "epsilon": epsilon,
+            "incremental_bits": incremental.trace.total_bits,
+            "recompute_bits": naive.trace.total_bits,
+            "savings_factor": _savings(
+                naive.trace.total_bits, incremental.trace.total_bits
+            ),
+            "max_count_error": max_count_error,
+            "max_median_rank_error": max_rank_error,
+            "count_error_budget": epsilon * count_scale,
+            "median_rank_error_budget": round(
+                median_query.error_bound(epsilon, count_scale), 4
+            ),
+        },
+        traces={"incremental": incremental.trace, "recompute": naive.trace},
     )
 
 
 # --------------------------------------------------------------------------- #
 # E11 — execution-path scaling: per-edge vs batched wall-clock
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ScalingRecord:
-    """Wall-clock comparison of the two execution paths at one network size."""
-
-    num_nodes: int
-    topology: str
-    tree_height: int
-    batched_seconds: float
-    per_edge_seconds: float | None
-    speedup: float | None
-    ledgers_identical: bool | None
-    total_bits: int
-    messages: int
-
-
 def _scaling_workload(network: SensorNetwork) -> int:
     """One root-initiated round trip: a request broadcast plus a SUM convergecast."""
     broadcast(network, "sum-request", 32, protocol="scaling-request")
@@ -717,92 +709,84 @@ def _scaling_workload(network: SensorNetwork) -> int:
 
 
 def run_scaling_study(
-    sizes: Sequence[int],
+    num_nodes: int,
     topology: str = "grid",
-    degree_bound: int | None = None,
     per_edge_limit: int = 20_000,
     repeats: int = 1,
     seed: int = 0,
     telemetry=None,
-) -> list[ScalingRecord]:
-    """E11: time the batched and per-edge execution paths as N grows.
+) -> StudyResult:
+    """E11: time the batched and per-edge execution paths at one size.
 
-    For each size one network is built and the same broadcast + SUM
-    convergecast round trip is executed under both execution modes (best of
-    ``repeats``), resetting the ledger and radio in between so both paths see
-    identical randomness.  The resulting ledgers are compared field by field
-    — the batched backend must be bit-for-bit indistinguishable from the
-    per-edge reference.  Above ``per_edge_limit`` nodes only the batched path
-    runs (the per-edge path becomes the bottleneck the study exists to show),
-    so the sweep can include 100k-node fields.  ``degree_bound`` defaults to
-    ``None`` (plain BFS tree) because the bounded-degree re-parenting
+    One network is built and the same broadcast + SUM convergecast round
+    trip is executed under both execution modes (best of ``repeats``),
+    resetting the ledger and radio in between so both paths see identical
+    randomness.  The resulting ledgers are compared field by field — the
+    batched backend must be bit-for-bit indistinguishable from the per-edge
+    reference.  Above ``per_edge_limit`` nodes only the batched path runs
+    (the per-edge path becomes the bottleneck the study exists to show), so
+    a sweep over ``n`` can include 100k-node fields.  The tree is a plain
+    BFS tree (``degree_bound=None``) because the bounded-degree re-parenting
     heuristic, not the execution core, dominates build time at scale.
+
+    The seconds and the speedup land in ``timing``; the ledger-identity
+    verdict and the charged bits — the deterministic part — are the measures.
     """
-    records: list[ScalingRecord] = []
-    for num_nodes in sizes:
-        # Build the graph first: generators only approximate the requested
-        # size (a grid rounds to the nearest square), and the items must
-        # match the actual node count.
-        graph = build_topology(topology, num_nodes, seed=seed)
-        actual_nodes = graph.number_of_nodes()
-        items = generate_workload(
-            "uniform",
-            actual_nodes,
-            max_value=default_domain(min(actual_nodes, 4096)),
-            seed=seed,
-        )
-        network = SensorNetwork.from_items(
-            items, topology=graph, seed=seed, degree_bound=degree_bound
-        )
-        if telemetry is not None:
-            # Both execution modes run with the same hooks live, so the
-            # relative comparison is unaffected by the instrumentation.
-            network.telemetry = telemetry
+    # Build the graph first: generators only approximate the requested size
+    # (a grid rounds to the nearest square), and the items must match the
+    # actual node count.
+    graph = build_topology(topology, num_nodes, seed=seed)
+    actual_nodes = graph.number_of_nodes()
+    items = generate_workload(
+        "uniform",
+        actual_nodes,
+        max_value=default_domain(min(actual_nodes, 4096)),
+        seed=seed,
+    )
+    # Both execution modes run with the same telemetry hooks live, so the
+    # relative comparison is unaffected by the instrumentation.
+    network = SensorNetwork.from_items(
+        items, topology=graph, seed=seed, degree_bound=None, telemetry=telemetry
+    )
 
-        def timed(mode: str) -> tuple[float, object]:
-            network.execution = mode
-            best = math.inf
-            snapshot = None
-            for _ in range(max(1, repeats)):
-                network.reset_ledger()
-                started = time.perf_counter()
-                _scaling_workload(network)
-                elapsed = time.perf_counter() - started
-                if elapsed < best:
-                    best = elapsed
-                snapshot = network.ledger.snapshot()
-            return best, snapshot
+    def timed(mode: str) -> tuple[float, object]:
+        network.execution = mode
+        best = math.inf
+        snapshot = None
+        for _ in range(max(1, repeats)):
+            network.reset_ledger()
+            started = time.perf_counter()
+            _scaling_workload(network)
+            best = min(best, time.perf_counter() - started)
+            snapshot = network.ledger.snapshot()
+        return best, snapshot
 
-        batched_seconds, batched_snapshot = timed("batched")
-        if num_nodes <= per_edge_limit:
-            per_edge_seconds, per_edge_snapshot = timed("per-edge")
-            speedup = per_edge_seconds / batched_seconds if batched_seconds else None
-            ledgers_identical = per_edge_snapshot == batched_snapshot
-        else:
-            per_edge_seconds = None
-            speedup = None
-            ledgers_identical = None
-        records.append(
-            ScalingRecord(
-                num_nodes=network.num_nodes,
-                topology=topology,
-                tree_height=network.tree.height,
-                batched_seconds=batched_seconds,
-                per_edge_seconds=per_edge_seconds,
-                speedup=speedup,
-                ledgers_identical=ledgers_identical,
-                total_bits=batched_snapshot.total_bits,
-                messages=batched_snapshot.messages,
-            )
-        )
-        if telemetry is not None:
-            nodes = str(network.num_nodes)
-            telemetry.observe("scaling.batched_s", batched_seconds, nodes=nodes)
-            if per_edge_seconds is not None:
-                telemetry.observe(
-                    "scaling.per_edge_s", per_edge_seconds, nodes=nodes
-                )
-    return records
+    batched_seconds, batched_snapshot = timed("batched")
+    per_edge_seconds = speedup = ledgers_identical = None
+    if num_nodes <= per_edge_limit:
+        per_edge_seconds, per_edge_snapshot = timed("per-edge")
+        speedup = per_edge_seconds / batched_seconds if batched_seconds else None
+        ledgers_identical = per_edge_snapshot == batched_snapshot
+    if telemetry is not None:
+        nodes = str(network.num_nodes)
+        telemetry.observe("scaling.batched_s", batched_seconds, nodes=nodes)
+        if per_edge_seconds is not None:
+            telemetry.observe("scaling.per_edge_s", per_edge_seconds, nodes=nodes)
+    return StudyResult(
+        measures={
+            "num_nodes": network.num_nodes,
+            "topology": topology,
+            "tree_height": network.tree.height,
+            "total_bits": batched_snapshot.total_bits,
+            "messages": batched_snapshot.messages,
+            "ledgers_identical": ledgers_identical,
+        },
+        timing={
+            "batched_seconds": batched_seconds,
+            "per_edge_seconds": per_edge_seconds,
+            "speedup": speedup,
+        },
+    )
 
 
 def run_degree_bound_ablation(
@@ -851,83 +835,51 @@ def run_degree_bound_ablation(
 # E12 — fault tolerance: incremental repair + delta re-sync vs rebuild-and-
 # recompute
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FaultToleranceComparison:
-    """Outcome of driving both repair policies through one fault scenario."""
-
-    scenario: str
-    num_nodes: int
-    epochs: int
-    epsilon: float
-    incremental_fault_bits: int
-    rebuild_fault_bits: int
-    savings_factor: float
-    incremental_total_bits: int
-    rebuild_total_bits: int
-    incremental_repair_bits: int
-    rebuild_repair_bits: int
-    incremental_max_count_error: float
-    rebuild_max_count_error: float
-    count_error_budget: float
-    incremental_rebuilds: int
-    rebuild_rebuilds: int
-    incremental_trace: FaultTrace
-    rebuild_trace: FaultTrace
-    #: Heartbeat traffic per arm when a detector was charged (0 = oracle).
-    incremental_detection_bits: int = 0
-    rebuild_detection_bits: int = 0
-    #: Mean epochs from crash to detection on the incremental arm.
-    detection_latency: float = 0.0
-    detector_period: int | None = None
-
-
-def _fault_scenario_script(
-    scenario: str,
-    graph,
-    node_ids: Sequence[int],
+def _fault_arms(
+    script_for,
+    *,
+    num_nodes: int,
     epochs: int,
-    storm_epoch: int,
-    crash_fraction: float,
-    rejoin_epoch: int | None,
-    outage_radius: int,
+    epsilon: float,
+    topology: str,
     seed: int,
-):
-    """Build the scenario's :class:`~repro.faults.FaultScript` for one arm."""
-    if scenario == "crash_storm":
-        return crash_storm_script(
-            node_ids,
-            epoch=storm_epoch,
-            fraction=crash_fraction,
+    detector_period: int | None,
+    telemetry,
+) -> dict[str, FaultTrace]:
+    """Both arms of E12 / E13: one drifting stream survived two ways.
+
+    Per repair strategy, builds graph → network → engine with COUNT and a
+    COUNTP → fault engine (``TreeRepair(strategy=...)``, the scripted
+    faults of ``script_for(network)``, an optional charged heartbeat
+    detector) → drift stream, and runs it.  Everything but the strategy is
+    equal, so the arms see identical topology, readings and faults.
+    Returns the traces keyed ``incremental`` / ``rebuild``.
+    """
+    traces: dict[str, FaultTrace] = {}
+    for strategy in ("incremental", "rebuild"):
+        graph = build_topology(topology, num_nodes, seed=seed)
+        network = _idle_network(graph.number_of_nodes(), graph, seed, degree_bound=None)
+        engine = ContinuousQueryEngine(network, epsilon=epsilon)
+        engine.register("count", CountQuery())
+        engine.register("below_mid", _below_mid())
+        faults = FaultEngine(
+            network,
+            script=script_for(network),
+            repair=TreeRepair(strategy=strategy),
             seed=seed,
-            rejoin_epoch=rejoin_epoch,
+            detector=detector_from_config(detector_period),
         )
-    if scenario == "regional_outage":
-        return regional_outage_script(
-            graph,
-            epoch=storm_epoch,
-            radius=outage_radius,
-            seed=seed,
-            rejoin_epoch=rejoin_epoch,
+        stream = make_stream(
+            "drift", network.num_nodes, max_value=STREAM_DOMAIN, seed=seed, drift_fraction=0.02
         )
-    if scenario == "churn":
-        return churn_script(
-            node_ids,
-            epochs=max(1, epochs - 1),
-            churn_rate=crash_fraction,
-            start_epoch=1,
-            seed=seed,
+        traces[strategy] = run_faulty_stream(
+            engine,
+            stream,
+            faults,
+            epochs=epochs,
+            telemetry=telemetry if strategy == "incremental" else None,
         )
-    if scenario == "link_storm":
-        return link_storm_script(
-            graph,
-            epoch=storm_epoch,
-            fraction=crash_fraction,
-            seed=seed,
-            restore_epoch=rejoin_epoch,
-        )
-    raise ConfigurationError(
-        f"unknown fault scenario {scenario!r}; known: {FAULT_SCENARIOS}"
-    )
+    return traces
 
 
 def run_fault_tolerance_study(
@@ -940,14 +892,10 @@ def run_fault_tolerance_study(
     outage_radius: int = 3,
     epsilon: float = 0.1,
     topology: str = "random_geometric",
-    degree_bound: int | None = None,
-    drift_fraction: float = 0.02,
-    domain_max: int | None = None,
-    compute_truth: bool = True,
     seed: int = 0,
-    detector_period: "int | HeartbeatDetector | None" = None,
+    detector_period: int | None = None,
     telemetry=None,
-) -> FaultToleranceComparison:
+) -> StudyResult:
     """E12: measure what surviving faults costs under the two repair policies.
 
     Two identical networks run the same drifting stream with the same
@@ -958,223 +906,106 @@ def run_fault_tolerance_study(
     policy).  Off fault epochs the two arms behave identically, so the
     comparison is taken over the *fault-epoch* bits — the cost attributable
     to surviving the scenario — while answer accuracy is checked against the
-    attached ground truth on every epoch for both arms.
+    attached ground truth on every epoch for both arms.  Traces:
+    ``incremental`` and ``rebuild``.
 
     ``detector_period`` switches both arms from the free oracle detector to
     a charged :class:`~repro.faults.HeartbeatDetector` with that sweep
-    period: both repair policies then pay the same heartbeat bill and see
-    crashes with the same latency, so the repair-vs-rebuild gap is measured
-    with its failure knowledge finally paid for.
+    period: both repair policies then pay the same heartbeat bill
+    (``detection_bits``) and see crashes with the same latency
+    (``detection_latency``, at worst ``worst_case_latency`` epochs), so the
+    repair-vs-rebuild gap is measured with its failure knowledge paid for.
+    Sweeping the period is E12c (the ``e12c_heartbeat`` spec): longer
+    periods pay fewer bits but answer from stale zombie summaries longer.
     """
-    domain = domain_max if domain_max is not None else 1 << 16
-    traces: dict[str, FaultTrace] = {}
-    for strategy in ("incremental", "rebuild"):
-        graph = build_topology(topology, num_nodes, seed=seed)
-        network = SensorNetwork.from_items(
-            [0] * graph.number_of_nodes(),
-            topology=graph,
-            seed=seed,
-            degree_bound=degree_bound,
+    if scenario not in FAULT_SCENARIOS:
+        raise ConfigurationError(
+            f"fault_tolerance: unknown fault scenario {scenario!r}; "
+            f"known: {FAULT_SCENARIOS}"
         )
-        network.clear_items()
-        engine = ContinuousQueryEngine(network, epsilon=epsilon)
-        engine.register("count", CountQuery())
-        engine.register(
-            "below_mid",
-            PredicateCountQuery(
-                lambda item, mid=domain // 2: item < mid,
-                description=f"x < {domain // 2}",
-            ),
-        )
-        script = _fault_scenario_script(
-            scenario,
+    detector = detector_from_config(detector_period)
+
+    def script_for(network: SensorNetwork):
+        if scenario == "crash_storm":
+            return crash_storm_script(
+                network.node_ids(),
+                epoch=storm_epoch,
+                fraction=crash_fraction,
+                seed=seed,
+                rejoin_epoch=rejoin_epoch,
+            )
+        if scenario == "regional_outage":
+            return regional_outage_script(
+                network.graph,
+                epoch=storm_epoch,
+                radius=outage_radius,
+                seed=seed,
+                rejoin_epoch=rejoin_epoch,
+            )
+        if scenario == "churn":
+            return churn_script(
+                network.node_ids(),
+                epochs=max(1, epochs - 1),
+                churn_rate=crash_fraction,
+                start_epoch=1,
+                seed=seed,
+            )
+        return link_storm_script(
             network.graph,
-            network.node_ids(),
-            epochs,
-            storm_epoch,
-            crash_fraction,
-            rejoin_epoch,
-            outage_radius,
-            seed,
-        )
-        faults = FaultEngine(
-            network,
-            script=script,
-            repair=TreeRepair(strategy=strategy),
+            epoch=storm_epoch,
+            fraction=crash_fraction,
             seed=seed,
-            detector=detector_from_config(detector_period),
+            restore_epoch=rejoin_epoch,
         )
-        stream = DriftStream(
-            graph.number_of_nodes(),
-            max_value=domain,
-            seed=seed,
-            drift_fraction=drift_fraction,
-        )
-        traces[strategy] = run_faulty_stream(
-            engine,
-            stream,
-            faults,
-            epochs=epochs,
-            compute_truth=compute_truth,
-            # The incremental arm is the subject of the study; the rebuild
-            # arm is its baseline and stays uninstrumented.
-            telemetry=telemetry if strategy == "incremental" else None,
-        )
-    incremental = traces["incremental"]
-    rebuild = traces["rebuild"]
-    return FaultToleranceComparison(
-        scenario=scenario,
+
+    traces = _fault_arms(
+        script_for,
         num_nodes=num_nodes,
         epochs=epochs,
         epsilon=epsilon,
-        incremental_fault_bits=incremental.fault_epoch_bits,
-        rebuild_fault_bits=rebuild.fault_epoch_bits,
-        savings_factor=rebuild.fault_epoch_bits
-        / max(1, incremental.fault_epoch_bits),
-        incremental_total_bits=incremental.total_bits,
-        rebuild_total_bits=rebuild.total_bits,
-        incremental_repair_bits=incremental.total_repair_bits,
-        rebuild_repair_bits=rebuild.total_repair_bits,
-        incremental_max_count_error=incremental.max_answer_error("count"),
-        rebuild_max_count_error=rebuild.max_answer_error("count"),
-        count_error_budget=epsilon * num_nodes,
-        incremental_rebuilds=incremental.rebuild_count,
-        rebuild_rebuilds=rebuild.rebuild_count,
-        incremental_trace=incremental,
-        rebuild_trace=rebuild,
-        incremental_detection_bits=incremental.total_detection_bits,
-        rebuild_detection_bits=rebuild.total_detection_bits,
-        detection_latency=incremental.mean_detection_latency,
-        detector_period=(
-            detector_period.period
-            if isinstance(detector_period, HeartbeatDetector)
-            else detector_period
-        ),
+        topology=topology,
+        seed=seed,
+        detector_period=detector_period,
+        telemetry=telemetry,
     )
-
-
-# --------------------------------------------------------------------------- #
-# E12c — the cost of knowing about failures: heartbeat period sweep
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class HeartbeatTradeoffRecord:
-    """One point of the heartbeat-period vs detection-latency trade-off."""
-
-    period: int | None
-    detection_bits: int
-    detection_bits_per_epoch: float
-    mean_latency: float
-    worst_case_latency: int
-    max_count_error: float
-    fault_epoch_bits: int
-    savings_factor: float
-
-
-def run_heartbeat_study(
-    periods: Sequence[int] = (1, 2, 4, 8),
-    num_nodes: int = 400,
-    epochs: int = 12,
-    crash_fraction: float = 0.1,
-    storm_epoch: int = 3,
-    rejoin_epoch: int | None = 9,
-    epsilon: float = 0.1,
-    topology: str = "random_geometric",
-    seed: int = 0,
-    include_oracle: bool = True,
-    telemetry=None,
-) -> list[HeartbeatTradeoffRecord]:
-    """E12c: charge failure detection and sweep its period.
-
-    Each period runs the full E12 crash-storm comparison with a
-    :class:`~repro.faults.HeartbeatDetector` of that sweep interval (plus an
-    uncharged oracle row for reference).  Longer periods pay fewer heartbeat
-    bits but detect crashes later, which shows up twice: the answer error
-    spikes while stale zombie summaries linger at the root, and the repair
-    that heals the storm is deferred.  Both repair policies pay the same
-    bill, so the incremental-vs-rebuild savings factor survives the charge —
-    the claim the fault benchmarks assert.
-    """
-    configs: list[int | None] = ([None] if include_oracle else [])
-    configs.extend(periods)
-    records: list[HeartbeatTradeoffRecord] = []
-    for period in configs:
-        comparison = run_fault_tolerance_study(
-            num_nodes=num_nodes,
-            epochs=epochs,
-            scenario="crash_storm",
-            crash_fraction=crash_fraction,
-            storm_epoch=storm_epoch,
-            rejoin_epoch=rejoin_epoch,
-            epsilon=epsilon,
-            topology=topology,
-            seed=seed,
-            detector_period=period,
-            telemetry=telemetry,
-        )
-        detector = detector_from_config(period)
-        records.append(
-            HeartbeatTradeoffRecord(
-                period=period,
-                detection_bits=comparison.incremental_detection_bits,
-                detection_bits_per_epoch=(
-                    comparison.incremental_detection_bits / epochs
-                ),
-                mean_latency=comparison.detection_latency,
-                worst_case_latency=(
-                    0 if detector is None else detector.worst_case_latency()
-                ),
-                max_count_error=comparison.incremental_max_count_error,
-                fault_epoch_bits=comparison.incremental_fault_bits,
-                savings_factor=comparison.savings_factor,
-            )
-        )
-    return records
+    incremental = traces["incremental"]
+    rebuild = traces["rebuild"]
+    return StudyResult(
+        measures={
+            "scenario": scenario,
+            "num_nodes": num_nodes,
+            "epochs": epochs,
+            "epsilon": epsilon,
+            "incremental_fault_bits": incremental.fault_epoch_bits,
+            "rebuild_fault_bits": rebuild.fault_epoch_bits,
+            "savings_factor": _savings(
+                rebuild.fault_epoch_bits, incremental.fault_epoch_bits
+            ),
+            "incremental_total_bits": incremental.total_bits,
+            "rebuild_total_bits": rebuild.total_bits,
+            "incremental_repair_bits": incremental.total_repair_bits,
+            "rebuild_repair_bits": rebuild.total_repair_bits,
+            "incremental_max_count_error": incremental.max_answer_error("count"),
+            "rebuild_max_count_error": rebuild.max_answer_error("count"),
+            "count_error_budget": epsilon * num_nodes,
+            "incremental_rebuilds": incremental.rebuild_count,
+            "rebuild_rebuilds": rebuild.rebuild_count,
+            # Heartbeat traffic when a detector was charged (0 = oracle; both
+            # arms pay the same) and the observed crash-to-detection gap.
+            "detection_bits": incremental.total_detection_bits,
+            "detection_latency": incremental.mean_detection_latency,
+            "worst_case_latency": (
+                0 if detector is None else detector.worst_case_latency()
+            ),
+            "detector_period": detector_period,
+        },
+        traces=traces,
+    )
 
 
 # --------------------------------------------------------------------------- #
 # E13 — root fail-over: charged election + re-rooting vs rebuild-and-recompute
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class RootFailoverComparison:
-    """Outcome of killing the query root under both repair policies.
-
-    Both arms pay the same charged :class:`~repro.faults.RootElection`
-    (``election_bits`` — candidate convergecast, winner flood, re-rooting
-    flips); they differ in what happens next.  The *failover* arm re-roots
-    the winner's fragment along the reversed root path, re-attaches the
-    other fragments as units and migrates the summary caches, so only
-    repaired paths retransmit.  The *rebuild* arm floods a fresh BFS tree
-    over every alive edge and recomputes every summary from scratch — the
-    charged naive baseline the fail-over must not exceed.
-    ``decomposition_holds`` certifies ``total_bits == repair_bits +
-    query_bits + detection_bits + election_bits`` on every epoch of both
-    arms.
-    """
-
-    num_nodes: int
-    epochs: int
-    crash_epoch: int
-    epsilon: float
-    new_root: int
-    #: Tree-attached population at the end of the crash epoch (the winner's
-    #: fragment plus every re-adopted unit) — the answerable survivors.
-    #: The election's own electorate size lives on ``ElectionResult``.
-    attached_at_crash: int
-    failover_fault_bits: int
-    rebuild_fault_bits: int
-    savings_factor: float
-    failover_election_bits: int
-    rebuild_election_bits: int
-    failover_total_bits: int
-    rebuild_total_bits: int
-    failover_max_count_error: float
-    rebuild_max_count_error: float
-    count_error_budget: float
-    decomposition_holds: bool
-    failover_trace: FaultTrace
-    rebuild_trace: FaultTrace
-
-
 def _decomposition_holds(trace: FaultTrace) -> bool:
     return all(
         record.total_bits
@@ -1186,156 +1017,107 @@ def _decomposition_holds(trace: FaultTrace) -> bool:
     )
 
 
+def _elected_root(trace: FaultTrace) -> int | None:
+    """The root the run ended on: the winner of its last election."""
+    winners = [record.new_root for record in trace if record.new_root is not None]
+    return winners[-1] if winners else None
+
+
 def run_root_failover_study(
     num_nodes: int = 400,
     epochs: int = 8,
     crash_epoch: int = 2,
     epsilon: float = 0.1,
     topology: str = "random_geometric",
-    degree_bound: int | None = None,
-    drift_fraction: float = 0.02,
     churn_rate: float = 0.0,
-    domain_max: int | None = None,
-    compute_truth: bool = True,
     seed: int = 0,
-    detector_period: "int | HeartbeatDetector | None" = None,
+    detector_period: int | None = None,
     telemetry=None,
-) -> RootFailoverComparison:
+) -> StudyResult:
     """E13: what losing the query node costs, survived two ways.
 
     Two identical networks run the same drifting stream with the same
     standing queries (COUNT and a COUNTP, as in E12); at ``crash_epoch`` a
     scripted :class:`~repro.faults.RootCrash` kills the query node on both.
-    Each arm pays the identical charged election (highest surviving id over
-    the alive component); the incremental arm then re-roots and re-attaches
-    fragments as units while the ``strategy="rebuild"`` arm floods a fresh
-    BFS tree and recomputes every summary — so the comparison isolates what
-    the fail-over machinery itself saves over the naive charged response.
-    ``churn_rate`` layers background membership churn underneath, and
-    ``detector_period`` charges a heartbeat detector in both arms exactly as
-    in E12.
+    Each arm pays the identical charged :class:`~repro.faults.RootElection`
+    (``*_election_bits`` — candidate convergecast, winner flood, re-rooting
+    flips; highest surviving id over the alive component).  The *failover*
+    arm (trace ``incremental``) then re-roots the winner's fragment along
+    the reversed root path, re-attaches the other fragments as units and
+    migrates the summary caches, so only repaired paths retransmit; the
+    ``rebuild`` arm floods a fresh BFS tree over every alive edge and
+    recomputes every summary — the charged naive baseline the fail-over
+    must not exceed.  ``attached_at_crash`` is the tree-attached population
+    at the end of the crash epoch (the answerable survivors), and
+    ``decomposition_holds`` certifies ``total_bits == repair_bits +
+    query_bits + detection_bits + election_bits`` on every epoch of both
+    arms.  ``churn_rate`` layers background membership churn underneath,
+    and ``detector_period`` charges a heartbeat detector in both arms
+    exactly as in E12.
     """
-    domain = domain_max if domain_max is not None else 1 << 16
-    traces: dict[str, FaultTrace] = {}
-    roots: dict[str, int] = {}
-    attached: dict[str, int] = {}
-    for strategy in ("incremental", "rebuild"):
-        graph = build_topology(topology, num_nodes, seed=seed)
-        network = SensorNetwork.from_items(
-            [0] * graph.number_of_nodes(),
-            topology=graph,
-            seed=seed,
-            degree_bound=degree_bound,
+    if not 0 <= crash_epoch < epochs:
+        raise ConfigurationError(
+            f"root_failover: crash_epoch={crash_epoch} must fall inside the "
+            f"run (0 <= crash_epoch < epochs={epochs})"
         )
-        network.clear_items()
-        engine = ContinuousQueryEngine(network, epsilon=epsilon)
-        engine.register("count", CountQuery())
-        engine.register(
-            "below_mid",
-            PredicateCountQuery(
-                lambda item, mid=domain // 2: item < mid,
-                description=f"x < {domain // 2}",
-            ),
-        )
-        script = root_failover_script(
+
+    def script_for(network: SensorNetwork):
+        return root_failover_script(
             network.node_ids(),
             crash_epoch=crash_epoch,
             epochs=epochs,
             churn_rate=churn_rate,
             seed=seed,
         )
-        faults = FaultEngine(
-            network,
-            script=script,
-            repair=TreeRepair(strategy=strategy),
-            seed=seed,
-            detector=detector_from_config(detector_period),
-        )
-        stream = DriftStream(
-            graph.number_of_nodes(),
-            max_value=domain,
-            seed=seed,
-            drift_fraction=drift_fraction,
-        )
-        traces[strategy] = run_faulty_stream(
-            engine,
-            stream,
-            faults,
-            epochs=epochs,
-            compute_truth=compute_truth,
-            telemetry=telemetry if strategy == "incremental" else None,
-        )
-        roots[strategy] = network.root_id
-        crash_record = traces[strategy][crash_epoch]
-        attached[strategy] = crash_record.attached
-    if roots["incremental"] != roots["rebuild"]:
-        raise ConfigurationError(
-            f"the two arms elected different roots: {roots}"
-        )
-    failover = traces["incremental"]
-    rebuild = traces["rebuild"]
-    return RootFailoverComparison(
+
+    traces = _fault_arms(
+        script_for,
         num_nodes=num_nodes,
         epochs=epochs,
-        crash_epoch=crash_epoch,
         epsilon=epsilon,
-        new_root=roots["incremental"],
-        attached_at_crash=attached["incremental"],
-        failover_fault_bits=failover.fault_epoch_bits,
-        rebuild_fault_bits=rebuild.fault_epoch_bits,
-        savings_factor=rebuild.fault_epoch_bits
-        / max(1, failover.fault_epoch_bits),
-        failover_election_bits=failover.total_election_bits,
-        rebuild_election_bits=rebuild.total_election_bits,
-        failover_total_bits=failover.total_bits,
-        rebuild_total_bits=rebuild.total_bits,
-        failover_max_count_error=failover.max_answer_error("count"),
-        rebuild_max_count_error=rebuild.max_answer_error("count"),
-        count_error_budget=epsilon * num_nodes,
-        decomposition_holds=(
-            _decomposition_holds(failover) and _decomposition_holds(rebuild)
-        ),
-        failover_trace=failover,
-        rebuild_trace=rebuild,
+        topology=topology,
+        seed=seed,
+        detector_period=detector_period,
+        telemetry=telemetry,
+    )
+    failover = traces["incremental"]
+    rebuild = traces["rebuild"]
+    new_root = _elected_root(failover)
+    if new_root != _elected_root(rebuild):
+        raise ConfigurationError(
+            "root_failover: the two arms elected different roots: "
+            f"{new_root} vs {_elected_root(rebuild)}"
+        )
+    return StudyResult(
+        measures={
+            "num_nodes": num_nodes,
+            "epochs": epochs,
+            "crash_epoch": crash_epoch,
+            "new_root": new_root,
+            "attached_at_crash": failover[crash_epoch].attached,
+            "failover_fault_bits": failover.fault_epoch_bits,
+            "rebuild_fault_bits": rebuild.fault_epoch_bits,
+            "savings_factor": _savings(
+                rebuild.fault_epoch_bits, failover.fault_epoch_bits
+            ),
+            "failover_election_bits": failover.total_election_bits,
+            "rebuild_election_bits": rebuild.total_election_bits,
+            "failover_max_count_error": failover.max_answer_error("count"),
+            "rebuild_max_count_error": rebuild.max_answer_error("count"),
+            "count_error_budget": epsilon * num_nodes,
+            "decomposition_holds": (
+                _decomposition_holds(failover) and _decomposition_holds(rebuild)
+            ),
+        },
+        traces=traces,
     )
 
 
 # --------------------------------------------------------------------------- #
 # E14 — multi-tenant standing queries: shared plan vs independent engines
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class MultiTenantComparison:
-    """Outcome of serving Q overlapping tenant queries two ways."""
-
-    num_nodes: int
-    epochs: int
-    epsilon: float
-    workload: str
-    #: Tenants registered (one standing query each).
-    tenants: int
-    #: Distinct legs the planner actually runs (the dedup denominator).
-    legs: int
-    admitted: int
-    shared: int
-    degraded: int
-    rejected: int
-    #: Total charged bits of the shared plan (one MultiTenantEngine).
-    shared_bits: int
-    #: Total charged bits of Q dedicated single-tenant engines.
-    independent_bits: int
-    #: ``independent_bits / shared_bits`` — the one-for-all win.
-    savings_factor: float
-    #: Every admitted tenant's per-epoch answer was number-identical to
-    #: its dedicated single-tenant engine's.
-    answers_match: bool
-    #: The tenant ledger columns summed exactly to the plan's charged bits
-    #: after every epoch.
-    decomposition_holds: bool
-    shared_trace: StreamingTrace
-
-
 def _tenant_query_mix(
-    tenants: int, domain: int, compression: int, num_registers: int, seed: int
+    tenants: int, seed: int
 ) -> list[tuple[str, str, "StandingQuery"]]:
     """A deterministic overlapping mix: Q tenants over four signatures.
 
@@ -1345,7 +1127,7 @@ def _tenant_query_mix(
     the fraction is excluded from the plan signature and resolved at the
     root — while exercising the per-tenant answer derivation.
     """
-    base = _standing_queries(domain, compression, num_registers, seed)
+    base = _standing_queries(seed)
     kinds = list(base)
     fractions = (0.5, 0.25, 0.75)
     mix: list[tuple[str, str, StandingQuery]] = []
@@ -1355,7 +1137,7 @@ def _tenant_query_mix(
         if kind == "median":
             fraction = fractions[(index // len(kinds)) % len(fractions)]
             query = QuantileQuery(
-                fraction, universe_size=domain + 1, compression=compression
+                fraction, universe_size=STREAM_DOMAIN + 1, compression=256
             )
         mix.append((f"tenant{index:02d}", kind, query))
     return mix
@@ -1368,14 +1150,10 @@ def run_multitenant_study(
     workload: str = "drift",
     epsilon: float = 0.1,
     topology: str = "grid",
-    domain_max: int | None = None,
-    compression: int = 256,
-    num_registers: int = 64,
     seed: int = 0,
     bits_budget: int | None = None,
     telemetry=None,
-    **stream_params,
-) -> MultiTenantComparison:
+) -> StudyResult:
     """E14: Q overlapping standing queries, shared plan vs Q engines.
 
     The shared arm registers every tenant query on one
@@ -1383,26 +1161,21 @@ def run_multitenant_study(
     dedicated :class:`~repro.streaming.ContinuousQueryEngine` per admitted
     tenant over its own identically-built network and an identically-seeded
     stream.  Per epoch the study checks that every tenant's derived answer
-    equals its dedicated engine's (number-identical — the plan changes
-    *who pays*, never *what is answered*) and that the tenant ledger
-    columns keep summing exactly to the shared plan's charged bits.  The
-    headline measure is ``independent_bits / shared_bits``, which grows
-    like Q over the number of distinct signatures.
-
-    ``telemetry`` installs a recorder on the *shared* network (the subject;
-    the baseline engines stay uninstrumented).
+    equals its dedicated engine's (``answers_match``: number-identical — the
+    plan changes *who pays*, never *what is answered*) and that the tenant
+    ledger columns keep summing exactly to the shared plan's charged bits
+    (``decomposition_holds``).  ``legs`` is the number of distinct legs the
+    planner actually runs (the dedup denominator); the headline measure is
+    ``independent_bits / shared_bits``, which grows like Q over the number
+    of distinct signatures.
     """
     if tenants <= 0:
-        raise ConfigurationError(f"tenants must be positive, got {tenants}")
-    domain = domain_max if domain_max is not None else 1 << 16
-    mix = _tenant_query_mix(tenants, domain, compression, num_registers, seed)
+        raise ConfigurationError(
+            f"multitenant: tenants must be positive, got {tenants}"
+        )
+    mix = _tenant_query_mix(tenants, seed)
 
-    shared_net = SensorNetwork.from_items(
-        [0] * num_nodes, topology=topology, seed=seed
-    )
-    shared_net.clear_items()
-    if telemetry is not None:
-        shared_net.telemetry = telemetry
+    shared_net = _idle_network(num_nodes, topology, seed, telemetry=telemetry)
     service = MultiTenantEngine(
         shared_net, epsilon=epsilon, bits_budget=bits_budget
     )
@@ -1411,64 +1184,55 @@ def run_multitenant_study(
         for tenant, query_name, query in mix
     }
 
-    dedicated: dict[str, ContinuousQueryEngine] = {}
-    dedicated_streams = {}
+    def stream():
+        return make_stream(workload, num_nodes, max_value=STREAM_DOMAIN, seed=seed)
+
+    # One dedicated (tenant, query name, engine, stream) per admitted tenant.
+    dedicated = []
     for tenant, query_name, query in mix:
         if not decisions[tenant].admitted:
             continue
-        network = SensorNetwork.from_items(
-            [0] * num_nodes, topology=topology, seed=seed
+        engine = ContinuousQueryEngine(
+            _idle_network(num_nodes, topology, seed), epsilon=epsilon
         )
-        network.clear_items()
-        engine = ContinuousQueryEngine(network, epsilon=epsilon)
         engine.register(query_name, query)
-        dedicated[tenant] = engine
-        dedicated_streams[tenant] = make_stream(
-            workload, num_nodes, max_value=domain, seed=seed, **stream_params
-        )
+        dedicated.append((tenant, query_name, engine, stream()))
 
-    shared_stream = make_stream(
-        workload, num_nodes, max_value=domain, seed=seed, **stream_params
-    )
+    shared_stream = stream()
     answers_match = True
     decomposition = True
-    query_names = {tenant: query_name for tenant, query_name, _ in mix}
     for epoch in range(epochs):
         updates = (
             shared_stream.initial() if epoch == 0 else shared_stream.step(epoch)
         )
         service.advance_epoch(updates)
         decomposition = decomposition and service.decomposition_holds()
-        for tenant, engine in dedicated.items():
-            stream = dedicated_streams[tenant]
-            own = stream.initial() if epoch == 0 else stream.step(epoch)
-            engine.advance_epoch(own)
-            name = query_names[tenant]
-            if engine.answers().get(name) != service.tenant_answers(tenant).get(
-                name
-            ):
+        for tenant, name, engine, own in dedicated:
+            engine.advance_epoch(own.initial() if epoch == 0 else own.step(epoch))
+            if engine.answers().get(name) != service.tenant_answers(tenant).get(name):
                 answers_match = False
 
     shared_bits = shared_net.ledger.total_bits
     independent_bits = sum(
-        engine.network.ledger.total_bits for engine in dedicated.values()
+        engine.network.ledger.total_bits for _, _, engine, _ in dedicated
     )
     statuses = [decision.status for decision in decisions.values()]
-    return MultiTenantComparison(
-        num_nodes=num_nodes,
-        epochs=epochs,
-        epsilon=epsilon,
-        workload=workload,
-        tenants=tenants,
-        legs=len(service.planner.legs()),
-        admitted=statuses.count("admitted"),
-        shared=statuses.count("shared"),
-        degraded=statuses.count("degraded"),
-        rejected=statuses.count("rejected"),
-        shared_bits=shared_bits,
-        independent_bits=independent_bits,
-        savings_factor=independent_bits / max(1, shared_bits),
-        answers_match=answers_match,
-        decomposition_holds=decomposition,
-        shared_trace=service.trace,
+    return StudyResult(
+        measures={
+            "num_nodes": num_nodes,
+            "epochs": epochs,
+            "epsilon": epsilon,
+            "workload": workload,
+            "tenants": tenants,
+            "legs": len(service.planner.legs()),
+            "admitted": statuses.count("admitted"),
+            "shared": statuses.count("shared"),
+            "degraded": statuses.count("degraded"),
+            "rejected": statuses.count("rejected"),
+            "shared_bits": shared_bits,
+            "independent_bits": independent_bits,
+            "savings_factor": _savings(independent_bits, shared_bits),
+            "answers_match": answers_match,
+            "decomposition_holds": decomposition,
+        },
     )

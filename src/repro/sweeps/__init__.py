@@ -34,12 +34,7 @@ from repro.sweeps.spec import (
     load_spec,
     spec_from_dict,
 )
-from repro.sweeps.specs import (
-    BUILTIN_SWEEPS,
-    e10_streaming_spec,
-    e12_fault_tolerance_spec,
-    get_sweep,
-)
+from repro.sweeps.specs import BUILTIN_SWEEPS, get_sweep
 
 __all__ = [
     "BUILTIN_SWEEPS",
@@ -54,8 +49,6 @@ __all__ = [
     "SweepSpec",
     "cell_key",
     "diff_payloads",
-    "e10_streaming_spec",
-    "e12_fault_tolerance_spec",
     "get_sweep",
     "load_payload",
     "load_spec",

@@ -1,15 +1,17 @@
-"""Cell runners: one sweep cell in, one normalized record out.
+"""The cell adapter: one sweep cell in, one normalized record out.
 
-Each runner wraps one of the hand-written study drivers in
-:mod:`repro.analysis.experiments`, installs a fresh
-:class:`~repro.telemetry.SpanTracer` on the instrumented arm (the study
-runners grew ``telemetry=`` hooks in the telemetry PR, so every phase's
-spans and bits come for free), and folds the outcome into a plain dict:
+An experiment kind maps straight to its study function in
+:mod:`repro.analysis.experiments`; :func:`run_cell` is the only adapter
+between the sweep vocabulary and a study.  It installs a fresh
+:class:`~repro.telemetry.SpanTracer` on the study's instrumented arm,
+translates the sweep-wide ``n`` axis onto ``num_nodes``, calls the study,
+and returns a plain JSON-safe dict:
 
 ``measures``
-    Deterministic simulation results — bits, savings factors, answer
-    errors.  Same seed, same numbers, on every machine and under any
-    process fan-out; this is the section ``sweep diff`` compares.
+    The study's :class:`~repro.analysis.experiments.StudyResult` measures,
+    verbatim — deterministic simulation results (bits, savings factors,
+    answer errors).  Same seed, same numbers, on every machine and under
+    any process fan-out; this is the section ``sweep diff`` compares.
 ``timing``
     Wall-clock observations.  Recorded for humans, ignored by the diff.
 ``phases``
@@ -17,18 +19,19 @@ spans and bits come for free), and folds the outcome into a plain dict:
     — the same shape the ``BENCH_<name>.json`` reports carry, so a sweep
     cell's span taxonomy maps 1:1 onto ``docs/TELEMETRY.md``.
 
-Runners take the sweep axis vocabulary (``n``, ``scenario``,
-``detector_period``, …) and translate it onto each study's keyword
-arguments; unknown parameters fail loudly with the study's ``TypeError``
-so a typo in a spec can never silently run a default.
+A cell's parameters are bound against the study's signature before
+anything runs: a missing or misspelt key is a ``ConfigurationError`` naming
+the study and the key, so a typo in a spec never silently runs a default.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from typing import Any, Callable
 
 from repro.analysis.experiments import (
+    StudyResult,
     run_fault_tolerance_study,
     run_multitenant_study,
     run_root_failover_study,
@@ -38,169 +41,17 @@ from repro.analysis.experiments import (
 from repro.exceptions import ConfigurationError
 from repro.telemetry import SpanTracer, phases_payload
 
-
-def _take_n(params: dict) -> dict:
-    """Translate the sweep-wide ``n`` axis onto a study's ``num_nodes``."""
-    if "n" in params:
-        if "num_nodes" in params:
-            raise ConfigurationError("give either 'n' or 'num_nodes', not both")
-        params = dict(params)
-        params["num_nodes"] = params.pop("n")
-    return params
-
-
-def run_streaming_cell(params: dict[str, Any]) -> dict:
-    """E10 as a cell: incremental vs recompute over one identical stream."""
-    tracer = SpanTracer()
-    comparison = run_streaming_comparison(telemetry=tracer, **_take_n(params))
-    return {
-        "measures": {
-            "workload": comparison.workload,
-            "num_nodes": comparison.num_nodes,
-            "epochs": comparison.epochs,
-            "epsilon": comparison.epsilon,
-            "incremental_bits": comparison.incremental_bits,
-            "recompute_bits": comparison.recompute_bits,
-            "savings_factor": round(comparison.savings_factor, 4),
-            "max_count_error": comparison.max_count_error,
-            "max_median_rank_error": comparison.max_median_rank_error,
-            "count_error_budget": comparison.count_error_budget,
-            "median_rank_error_budget": round(
-                comparison.median_rank_error_budget, 4
-            ),
-        },
-        "phases": phases_payload(tracer),
-    }
-
-
-def run_fault_tolerance_cell(params: dict[str, Any]) -> dict:
-    """E12 as a cell: incremental repair vs rebuild under one fault script."""
-    tracer = SpanTracer()
-    comparison = run_fault_tolerance_study(telemetry=tracer, **_take_n(params))
-    return {
-        "measures": {
-            "scenario": comparison.scenario,
-            "num_nodes": comparison.num_nodes,
-            "epochs": comparison.epochs,
-            "epsilon": comparison.epsilon,
-            "incremental_fault_bits": comparison.incremental_fault_bits,
-            "rebuild_fault_bits": comparison.rebuild_fault_bits,
-            "savings_factor": round(comparison.savings_factor, 4),
-            "incremental_total_bits": comparison.incremental_total_bits,
-            "rebuild_total_bits": comparison.rebuild_total_bits,
-            "incremental_repair_bits": comparison.incremental_repair_bits,
-            "rebuild_repair_bits": comparison.rebuild_repair_bits,
-            "incremental_max_count_error": comparison.incremental_max_count_error,
-            "rebuild_max_count_error": comparison.rebuild_max_count_error,
-            "count_error_budget": comparison.count_error_budget,
-            "incremental_rebuilds": comparison.incremental_rebuilds,
-            "rebuild_rebuilds": comparison.rebuild_rebuilds,
-            "detection_bits": comparison.incremental_detection_bits,
-            "detection_latency": comparison.detection_latency,
-            "detector_period": comparison.detector_period,
-        },
-        "phases": phases_payload(tracer),
-    }
-
-
-def run_root_failover_cell(params: dict[str, Any]) -> dict:
-    """E13 as a cell: charged election + migration vs rebuild-and-recompute."""
-    tracer = SpanTracer()
-    comparison = run_root_failover_study(telemetry=tracer, **_take_n(params))
-    return {
-        "measures": {
-            "num_nodes": comparison.num_nodes,
-            "epochs": comparison.epochs,
-            "crash_epoch": comparison.crash_epoch,
-            "new_root": comparison.new_root,
-            "attached_at_crash": comparison.attached_at_crash,
-            "failover_fault_bits": comparison.failover_fault_bits,
-            "rebuild_fault_bits": comparison.rebuild_fault_bits,
-            "savings_factor": round(comparison.savings_factor, 4),
-            "failover_election_bits": comparison.failover_election_bits,
-            "rebuild_election_bits": comparison.rebuild_election_bits,
-            "failover_max_count_error": comparison.failover_max_count_error,
-            "rebuild_max_count_error": comparison.rebuild_max_count_error,
-            "count_error_budget": comparison.count_error_budget,
-            "decomposition_holds": comparison.decomposition_holds,
-        },
-        "phases": phases_payload(tracer),
-    }
-
-
-def run_scaling_cell(params: dict[str, Any]) -> dict:
-    """E11 as a cell: one network size, batched vs per-edge round trip.
-
-    Wall-clock comparisons are machine-dependent, so the speedup lands in
-    ``timing``; the ledger-identity verdict and the charged bits — the
-    deterministic part — are the cell's measures.
-    """
-    params = _take_n(params)
-    num_nodes = params.pop("num_nodes")
-    tracer = SpanTracer()
-    records = run_scaling_study(sizes=[num_nodes], telemetry=tracer, **params)
-    (record,) = records
-    return {
-        "measures": {
-            "num_nodes": record.num_nodes,
-            "topology": record.topology,
-            "tree_height": record.tree_height,
-            "total_bits": record.total_bits,
-            "messages": record.messages,
-            "ledgers_identical": record.ledgers_identical,
-        },
-        "timing": {
-            "batched_seconds": round(record.batched_seconds, 4),
-            "per_edge_seconds": (
-                None
-                if record.per_edge_seconds is None
-                else round(record.per_edge_seconds, 4)
-            ),
-            "speedup": (
-                None if record.speedup is None else round(record.speedup, 2)
-            ),
-        },
-        "phases": phases_payload(tracer),
-    }
-
-
-def run_multitenant_cell(params: dict[str, Any]) -> dict:
-    """E14 as a cell: Q overlapping tenant queries, shared plan vs Q engines."""
-    tracer = SpanTracer()
-    comparison = run_multitenant_study(telemetry=tracer, **_take_n(params))
-    return {
-        "measures": {
-            "num_nodes": comparison.num_nodes,
-            "epochs": comparison.epochs,
-            "epsilon": comparison.epsilon,
-            "workload": comparison.workload,
-            "tenants": comparison.tenants,
-            "legs": comparison.legs,
-            "admitted": comparison.admitted,
-            "shared": comparison.shared,
-            "degraded": comparison.degraded,
-            "rejected": comparison.rejected,
-            "shared_bits": comparison.shared_bits,
-            "independent_bits": comparison.independent_bits,
-            "savings_factor": round(comparison.savings_factor, 4),
-            "answers_match": comparison.answers_match,
-            "decomposition_holds": comparison.decomposition_holds,
-        },
-        "phases": phases_payload(tracer),
-    }
-
-
 #: The experiment-kind registry sweep specs select from.
-CELL_RUNNERS: dict[str, Callable[[dict[str, Any]], dict]] = {
-    "streaming": run_streaming_cell,
-    "fault_tolerance": run_fault_tolerance_cell,
-    "root_failover": run_root_failover_cell,
-    "scaling": run_scaling_cell,
-    "multitenant": run_multitenant_cell,
+CELL_RUNNERS: dict[str, Callable[..., StudyResult]] = {
+    "streaming": run_streaming_comparison,
+    "fault_tolerance": run_fault_tolerance_study,
+    "root_failover": run_root_failover_study,
+    "scaling": run_scaling_study,
+    "multitenant": run_multitenant_study,
 }
 
 
-def runner_for(experiment: str) -> Callable[[dict[str, Any]], dict]:
+def runner_for(experiment: str) -> Callable[..., StudyResult]:
     """Resolve an experiment kind, failing loudly with the known list."""
     try:
         return CELL_RUNNERS[experiment]
@@ -212,12 +63,27 @@ def runner_for(experiment: str) -> Callable[[dict[str, Any]], dict]:
 
 
 def run_cell(experiment: str, params: dict[str, Any]) -> dict:
-    """Execute one cell and stamp its wall-clock into ``timing``."""
-    runner = runner_for(experiment)
+    """Execute one cell: its study's measures, timing and phase breakdown."""
+    study = runner_for(experiment)
+    params = dict(params)
+    if "n" in params:
+        if "num_nodes" in params:
+            raise ConfigurationError(
+                f"{experiment}: give either 'n' or 'num_nodes', not both"
+            )
+        params["num_nodes"] = params.pop("n")
+    tracer = SpanTracer()
+    try:
+        inspect.signature(study).bind(telemetry=tracer, **params)
+    except TypeError as error:
+        raise ConfigurationError(f"{experiment}: {error}") from None
     started = time.perf_counter()
-    result = runner(dict(params))
-    result.setdefault("timing", {})
-    result["timing"].setdefault(
-        "cell_seconds", round(time.perf_counter() - started, 4)
-    )
-    return result
+    result = study(telemetry=tracer, **params)
+    return {
+        "measures": result.measures,
+        "timing": {
+            **result.timing,
+            "cell_seconds": round(time.perf_counter() - started, 4),
+        },
+        "phases": phases_payload(tracer),
+    }

@@ -528,22 +528,21 @@ class TestRunFaultyStream:
 
 class TestFaultToleranceStudy:
     def test_small_study_favours_incremental(self):
-        comparison = run_fault_tolerance_study(
+        measures = run_fault_tolerance_study(
             num_nodes=100,
             epochs=6,
             storm_epoch=2,
             rejoin_epoch=4,
             topology="grid",
             seed=0,
-        )
-        assert comparison.savings_factor > 2.0
-        assert comparison.incremental_fault_bits < comparison.rebuild_fault_bits
-        assert comparison.rebuild_rebuilds >= 2
-        assert comparison.incremental_rebuilds == 0
-        assert (
-            comparison.incremental_max_count_error <= comparison.count_error_budget
-        )
-        assert comparison.rebuild_max_count_error <= comparison.count_error_budget
+        ).measures
+        assert measures["savings_factor"] > 2.0
+        assert measures["incremental_fault_bits"] < measures["rebuild_fault_bits"]
+        assert measures["rebuild_rebuilds"] >= 2
+        assert measures["incremental_rebuilds"] == 0
+        budget = measures["count_error_budget"]
+        assert measures["incremental_max_count_error"] <= budget
+        assert measures["rebuild_max_count_error"] <= budget
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -551,15 +550,15 @@ class TestFaultToleranceStudy:
 
     def test_root_failover_study_smoke(self):
         """E13 at toy size: accounted handover, never worse than rebuilding."""
-        comparison = run_root_failover_study(
+        measures = run_root_failover_study(
             num_nodes=64, epochs=5, crash_epoch=2, topology="grid", seed=0
-        )
-        assert comparison.new_root == 63
-        assert comparison.decomposition_holds
-        assert comparison.failover_election_bits > 0
-        assert comparison.failover_election_bits == comparison.rebuild_election_bits
-        assert comparison.failover_fault_bits <= comparison.rebuild_fault_bits
-        assert comparison.failover_max_count_error <= comparison.count_error_budget
+        ).measures
+        assert measures["new_root"] == 63
+        assert measures["decomposition_holds"]
+        assert measures["failover_election_bits"] > 0
+        assert measures["failover_election_bits"] == measures["rebuild_election_bits"]
+        assert measures["failover_fault_bits"] <= measures["rebuild_fault_bits"]
+        assert measures["failover_max_count_error"] <= measures["count_error_budget"]
 
 
 class TestAdoptionFallback:

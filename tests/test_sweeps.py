@@ -9,8 +9,10 @@ Covers the contracts ``docs/SWEEPS.md`` documents:
 * parallel-vs-serial result equality through the fork pool;
 * the normalizer + diff — an injected regression is detected, added
   coverage is not a failure;
-* the builtin E10/E12 specs reproduce the hand-written study runners'
-  headline numbers cell for cell.
+* the builtin specs: two parameter sets (full / smoke) behind one switch,
+  overrides that fail loudly instead of falling back to a default.
+
+What a cell *computes* is pinned in ``tests/test_studies.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,9 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import (
-    run_fault_tolerance_study,
-    run_multitenant_study,
-    run_streaming_comparison,
-)
 from repro.exceptions import ConfigurationError, DuplicateAxisValueError
 from repro.sweeps import (
+    BUILTIN_SWEEPS,
     Constraint,
     SweepRunner,
     SweepSpec,
@@ -150,8 +148,12 @@ class TestExpansion:
         assert load_spec(spec.to_dict()) == spec
 
     def test_builtin_specs_smoke_expand(self):
-        for name in ("e10_streaming", "e12_fault_tolerance"):
-            assert len(get_sweep(name).expand()) > 0
+        assert len(BUILTIN_SWEEPS) == 6
+        for name in BUILTIN_SWEEPS:
+            full = get_sweep(name)
+            smoke = get_sweep(name, smoke=True)
+            assert full.expand() and smoke.expand()
+            assert smoke != full
 
 
 # --------------------------------------------------------------------- #
@@ -294,45 +296,9 @@ class TestReportAndDiff:
 
 
 # --------------------------------------------------------------------- #
-# Builtin specs reproduce the hand-written runners
+# Builtin specs: one sizing switch, loud overrides
 # --------------------------------------------------------------------- #
 class TestBuiltinEquivalence:
-    def test_e10_cell_matches_hand_written_runner(self, tmp_path):
-        spec = get_sweep(
-            "e10_streaming", num_nodes=25, epochs=4, workloads=("drift",), seeds=(0,)
-        )
-        result = SweepRunner(spec, cache_dir=tmp_path, processes=0).run()
-        (outcome,) = result.outcomes
-        direct = run_streaming_comparison(
-            num_nodes=25, epochs=4, workload="drift", epsilon=0.1,
-            topology="grid", seed=0,
-        )
-        measures = outcome.result["measures"]
-        assert measures["incremental_bits"] == direct.incremental_bits
-        assert measures["recompute_bits"] == direct.recompute_bits
-        assert measures["savings_factor"] == round(direct.savings_factor, 4)
-        assert measures["max_count_error"] == direct.max_count_error
-
-    def test_e12_cell_matches_hand_written_runner(self, tmp_path):
-        spec = get_sweep(
-            "e12_fault_tolerance",
-            num_nodes=48,
-            epochs=6,
-            scenarios=("crash_storm",),
-            detector_periods=(4,),
-        )
-        result = SweepRunner(spec, cache_dir=tmp_path, processes=0).run()
-        (outcome,) = result.outcomes
-        direct = run_fault_tolerance_study(
-            num_nodes=48, epochs=6, scenario="crash_storm", crash_fraction=0.1,
-            epsilon=0.1, topology="random_geometric", seed=0, detector_period=4,
-        )
-        measures = outcome.result["measures"]
-        assert measures["incremental_fault_bits"] == direct.incremental_fault_bits
-        assert measures["rebuild_fault_bits"] == direct.rebuild_fault_bits
-        assert measures["savings_factor"] == round(direct.savings_factor, 4)
-        assert measures["detection_bits"] == direct.incremental_detection_bits
-
     def test_e12_constraint_prunes_link_storm_heartbeat_arm(self):
         cells = get_sweep("e12_fault_tolerance", num_nodes=32).expand()
         combos = {
@@ -341,6 +307,44 @@ class TestBuiltinEquivalence:
         }
         assert ("link_storm", None) in combos
         assert ("link_storm", 4) not in combos
+
+
+class TestBuiltinSpecs:
+    def test_smoke_selects_the_ci_sizes(self):
+        assert get_sweep("e10_streaming").base["n"] == 100
+        smoke = get_sweep("e10_streaming", smoke=True)
+        assert (smoke.base["n"], smoke.base["epochs"]) == (64, 8)
+        assert get_sweep("e11_scaling", smoke=True).axes["n"] == (256, 1024)
+        # An explicit override wins over either parameter set.
+        assert get_sweep("e10_streaming", smoke=True, num_nodes=25).base["n"] == 25
+
+    def test_overrides_replace_base_values_and_axes(self):
+        spec = get_sweep(
+            "e14_multitenant", n=36, epochs=4, tenants=(6,), seed=(0,)
+        )
+        assert spec.base["n"] == 36 and spec.base["epochs"] == 4
+        assert spec.axes == {"tenants": (6,), "seed": (0,)}
+        # None keeps the spec's own value instead of overriding it.
+        assert get_sweep("e10_streaming", epochs=None).base["epochs"] == 30
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("e10_streaming", {"epochs": 0}),
+            ("e12_fault_tolerance", {"num_nodes": 0}),
+            ("e12_fault_tolerance", {"n": -4}),
+            ("e14_multitenant", {"tenants": (8, 0)}),
+            ("e11_scaling", {"n": (256, 2.5)}),
+        ],
+    )
+    def test_non_positive_size_override_is_rejected(self, name, override):
+        """An explicit bad size used to fall through ``or`` to the default."""
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            get_sweep(name, **override)
+
+    def test_unknown_override_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="no parameter 'epocs'"):
+            get_sweep("e10_streaming", epocs=8)
 
 
 # --------------------------------------------------------------------- #
@@ -382,23 +386,3 @@ class TestDuplicateAxisValues:
         # axis mixing equal-valued distinct literals stays expressible.
         spec = tiny_streaming_spec(seeds=(1, 1.0))
         assert spec.axes["seed"] == (1, 1.0)
-
-
-class TestE14Builtin:
-    def test_e14_cell_matches_hand_written_runner(self, tmp_path):
-        spec = get_sweep(
-            "e14_multitenant", num_nodes=36, epochs=4, tenants=(6,), seeds=(0,)
-        )
-        result = SweepRunner(spec, cache_dir=tmp_path, processes=0).run()
-        (outcome,) = result.outcomes
-        direct = run_multitenant_study(
-            num_nodes=36, epochs=4, tenants=6, workload="drift", epsilon=0.1,
-            topology="grid", seed=0,
-        )
-        measures = outcome.result["measures"]
-        assert measures["legs"] == direct.legs
-        assert measures["shared_bits"] == direct.shared_bits
-        assert measures["independent_bits"] == direct.independent_bits
-        assert measures["savings_factor"] == round(direct.savings_factor, 4)
-        assert measures["answers_match"] and direct.answers_match
-        assert measures["decomposition_holds"] and direct.decomposition_holds

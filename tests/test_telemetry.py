@@ -5,10 +5,10 @@ The load-bearing assertions are the *reconciliation* tests: summing span
 :class:`~repro.faults.FaultTrace` charged that epoch — on both execution
 paths — and the per-phase spans reproduce the trace's accounting columns
 exactly.  The overhead guard then shows the instrumentation costs nothing
-when disabled: zero extra ledger bits and near-zero wall-clock.
+when disabled: zero extra ledger bits, and a recorder-call count per epoch
+that does not grow with the network (the wall-clock cost of watching is
+sampled repeatedly by ``benchmarks/perf``, not asserted here).
 """
-
-import time
 
 import pytest
 
@@ -361,8 +361,8 @@ class TestOverheadGuard:
     NUM_NODES = 10_000
     EPOCHS = 2
 
-    def big_setup(self):
-        network = SensorNetwork.from_items([0] * self.NUM_NODES, topology="grid")
+    def big_setup(self, num_nodes):
+        network = SensorNetwork.from_items([0] * num_nodes, topology="grid")
         network.clear_items()
         engine = ContinuousQueryEngine(network, epsilon=0.1)
         engine.register("count", CountQuery())
@@ -370,12 +370,11 @@ class TestOverheadGuard:
             network.node_ids(), epoch=1, fraction=0.05, seed=0
         )
         faults = FaultEngine(network, script=script)
-        stream = DriftStream(self.NUM_NODES, seed=0)
+        stream = DriftStream(num_nodes, seed=0)
         return engine, stream, faults
 
-    def run_once(self, telemetry):
-        engine, stream, faults = self.big_setup()
-        started = time.perf_counter()
+    def run_once(self, telemetry, num_nodes=NUM_NODES):
+        engine, stream, faults = self.big_setup(num_nodes)
         trace = run_faulty_stream(
             engine,
             stream,
@@ -384,30 +383,32 @@ class TestOverheadGuard:
             compute_truth=False,
             telemetry=telemetry,
         )
-        elapsed = time.perf_counter() - started
-        return trace.total_bits, engine.network.ledger.total_bits, elapsed
+        return trace.total_bits, engine.network.ledger.total_bits
 
     @pytest.mark.slow
     def test_null_recorder_charges_zero_extra_bits(self):
-        default_bits, default_ledger, _ = self.run_once(None)
-        null_bits, null_ledger, _ = self.run_once(NullRecorder())
-        traced_bits, traced_ledger, _ = self.run_once(SpanTracer())
+        default_bits, default_ledger = self.run_once(None)
+        null_bits, null_ledger = self.run_once(NullRecorder())
+        traced_bits, traced_ledger = self.run_once(SpanTracer())
         assert default_bits == null_bits == traced_bits
         assert default_ledger == null_ledger == traced_ledger
 
-    @pytest.mark.slow
-    def test_null_recorder_wall_clock_within_tolerance(self):
-        # Interleaved best-of-3; re-measure up to 3 times before failing so
-        # a single scheduler hiccup cannot flake the guard.
-        for attempt in range(3):
-            base_times, null_times = [], []
-            for _ in range(3):
-                base_times.append(self.run_once(None)[2])
-                null_times.append(self.run_once(NullRecorder())[2])
-            base, null = min(base_times), min(null_times)
-            if null <= base * 1.05:
-                return
-        pytest.fail(
-            f"NullRecorder run took {null:.4f}s vs {base:.4f}s baseline "
-            f"(> 5% overhead)"
-        )
+    def test_disabled_recorder_calls_do_not_grow_with_the_network(
+        self, counting_recorder
+    ):
+        """Telemetry off costs O(phases) recorder calls per epoch, not O(n).
+
+        The deterministic form of the old "within 5% wall-clock" ratio,
+        which flaked under load: a disabled recorder is reached only by the
+        per-phase ``span()`` calls — the same number at n = 100 and at
+        n = 2,500 — every per-message hook stays behind its ``enabled``
+        gate, and the spans it hands out are the shared no-op.
+        """
+        small, large = counting_recorder(), counting_recorder()
+        self.run_once(small, num_nodes=100)
+        self.run_once(large, num_nodes=2_500)
+        assert small.calls == large.calls
+        assert small.gated_calls == 0
+        # A handful of phase spans per epoch (epoch ▸ repair, stream ▸
+        # convergecast), plus the one ledger binding.
+        assert 0 < sum(small.calls.values()) <= 1 + 5 * self.EPOCHS
