@@ -24,8 +24,8 @@ models:
 A second run pins the repair policy to ``strategy="rebuild"``: the same
 charged election, followed by tearing the tree down, flooding a fresh BFS
 construction and recomputing every summary — what the fail-over machinery
-saves over the naive charged response (E13 in
-``benchmarks/bench_faults.py`` asserts the fail-over never costs more).
+saves over the naive charged response (the E13 claim in
+``benchmarks/test_claims.py`` asserts the fail-over never costs more).
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ being an asymptotic note, never disputes).
 
 from __future__ import annotations
 
-from repro.analysis.experiments import run_baseline_comparison, run_count_distinct_sweep
-from repro.analysis.metrics import fit_growth_exponent
+from repro.analysis.experiments import run_baseline_comparison, run_count_distinct_study
 from repro.analysis.report import format_table
 from repro.analysis.theory import (
     exact_median_bits_envelope,
@@ -33,41 +32,39 @@ SIZES = [64, 144, 324, 729]
 
 
 def main() -> None:
-    median_records = run_baseline_comparison(SIZES, include_gossip=False, apx_registers=32)
-    distinct_records = run_count_distinct_sweep(SIZES)
-
+    # One study call per protocol: its measures hold the ladder's per-size
+    # bits (``max_node_bits_n<N>``) and the fitted growth exponent — the
+    # numbers `python scripts/sweep.py run e8_baselines e7_count_distinct`
+    # caches and reports.  Table column -> (measures, measure-name prefix).
     interesting = {
-        "MEDIAN (Fig.1)": [],
-        "APX_MEDIAN2 (Fig.4)": [],
-        "naive ship-all": [],
+        label: (
+            run_baseline_comparison(SIZES, protocol=protocol, apx_registers=32).measures,
+            "",
+        )
+        for label, protocol in (
+            ("MEDIAN (Fig.1)", "fig1_median"),
+            ("APX_MEDIAN2 (Fig.4)", "fig4_apx_median2"),
+            ("naive ship-all", "naive_ship_all"),
+        )
     }
-    for record in median_records:
-        if record.protocol in interesting:
-            interesting[record.protocol].append((record.num_items, record.max_node_bits))
-    for label in ("COUNT_DISTINCT(exact)", "COUNT_DISTINCT(loglog,m=64)"):
-        interesting[label] = [
-            (record.num_items, record.max_node_bits)
-            for record in distinct_records
-            if record.protocol == label
-        ]
+    distinct = run_count_distinct_study(SIZES).measures
+    interesting["COUNT_DISTINCT(exact)"] = (distinct, "exact_")
+    interesting["COUNT_DISTINCT(loglog,m=64)"] = (distinct, "approx_")
 
-    rows = []
-    for n in SIZES:
-        row = [n]
-        for protocol in interesting:
-            value = dict(interesting[protocol]).get(n, "-")
-            row.append(value)
-        rows.append(row)
+    rows = [
+        [n] + [m[f"{prefix}max_node_bits_n{n}"] for m, prefix in interesting.values()]
+        for n in SIZES
+    ]
     print(format_table(
         ["N"] + list(interesting), rows,
         title="Max per-node bits as the network grows",
     ))
 
     print()
-    fit_rows = []
-    for protocol, points in interesting.items():
-        exponent, _ = fit_growth_exponent(*zip(*points))
-        fit_rows.append([protocol, round(exponent, 2)])
+    fit_rows = [
+        [label, round(m[f"{prefix}bits_growth_exponent"], 2)]
+        for label, (m, prefix) in interesting.items()
+    ]
     print(format_table(
         ["protocol", "fitted growth exponent (cost ~ N^p)"],
         fit_rows,
@@ -75,11 +72,11 @@ def main() -> None:
     ))
 
     # Model-based crossover extrapolation for Fig. 1 vs Fig. 4.
-    fig1_points = dict(interesting["MEDIAN (Fig.1)"])
-    fig4_points = dict(interesting["APX_MEDIAN2 (Fig.4)"])
     n0 = SIZES[0]
-    exact_constant = fig1_points[n0] / exact_median_bits_envelope(n0, n0 * n0)
-    approx_constant = fig4_points[n0] / polyloglog_median_bits_envelope(
+    fig1_bits = interesting["MEDIAN (Fig.1)"][0][f"max_node_bits_n{n0}"]
+    fig4_bits = interesting["APX_MEDIAN2 (Fig.4)"][0][f"max_node_bits_n{n0}"]
+    exact_constant = fig1_bits / exact_median_bits_envelope(n0, n0 * n0)
+    approx_constant = fig4_bits / polyloglog_median_bits_envelope(
         n0, num_registers=32, beta=1 / 16, epsilon=0.25
     )
     crossover = predicted_crossover(

@@ -36,15 +36,15 @@ simulator to 100k-node fields), while the *per-edge* reference path sends one
 edge at a time.  Both are bit-for-bit ledger-equivalent; select with
 ``SensorNetwork(..., execution="per-edge")`` when you want the reference
 behaviour, e.g. for wall-clock comparisons (see
-``benchmarks/bench_scale.py``).
+``benchmarks/test_paths.py``).
 
 Deployments also lose nodes and links: the fault-tolerance engine in
 :mod:`repro.faults` injects crashes, rejoins, link drops and regional
 outages, heals the spanning tree incrementally (orphaned subtrees re-attach
 through local adoption instead of a full rebuild) and re-synchronises only
 the summaries along repaired paths — see
-:func:`~repro.faults.run_faulty_stream` and ``benchmarks/bench_faults.py``
-for the measured repair-vs-rebuild savings.  Even the query root may die:
+:func:`~repro.faults.run_faulty_stream` and the ``e12_fault_tolerance``
+sweep for the measured repair-vs-rebuild savings.  Even the query root may die:
 a :class:`~repro.faults.RootCrash` triggers a charged
 :class:`~repro.faults.RootElection` (highest surviving id over the alive
 component), the tree re-roots at the winner and the caches migrate along
@@ -56,7 +56,7 @@ shared summary plan (:class:`~repro.tenancy.MultiTenantEngine`), with
 gold / standard / best-effort admission tiers under a bits budget and a
 per-tenant ledger split whose columns sum exactly to the shared plan's
 charged bits — ``docs/MULTITENANT.md`` has the planner model and
-``benchmarks/bench_multitenant.py`` the measured ≥5x dedup savings.
+the ``e14_multitenant`` sweep the measured ≥5x dedup savings.
 
 Every phase of that pipeline is observable: install a
 :class:`~repro.telemetry.SpanTracer` (``network.telemetry = SpanTracer()``

@@ -1,22 +1,21 @@
 """Experiment harness, metrics and theoretical envelopes.
 
-* :mod:`repro.analysis.metrics` — per-run records, rank/value error of median
+* :mod:`repro.analysis.metrics` — rank/value error of median
   estimates, and growth-rate fitting (does the measured per-node cost grow
   like ``(log N)^2``, ``(log log N)^3``, or ``N``?).
 * :mod:`repro.analysis.theory` — the paper's asymptotic cost formulas as
   concrete envelope functions, used to overlay predictions on measurements
   and to extrapolate the exact-vs-approximate crossover beyond what a pure
   Python simulation can execute.
-* :mod:`repro.analysis.experiments` — the sweep runners behind the
-  ``benchmarks/`` targets and EXPERIMENTS.md (one function per experiment id
-  in DESIGN.md).
+* :mod:`repro.analysis.experiments` — the study functions E1–E14, each
+  returning one ``StudyResult`` whose ``measures`` the sweep cells, claim
+  tests and examples all read.
 * :mod:`repro.analysis.report` — plain-text table formatting for the
-  benchmark harness output.
+  example scripts and CLI reports.
 """
 
 from repro.analysis.metrics import (
     MedianAccuracy,
-    RunRecord,
     fit_growth_exponent,
     fit_against_model,
     median_accuracy,
@@ -32,7 +31,6 @@ from repro.analysis.theory import (
 
 __all__ = [
     "MedianAccuracy",
-    "RunRecord",
     "fit_growth_exponent",
     "fit_against_model",
     "median_accuracy",

@@ -1,14 +1,13 @@
-"""Study runners for the experiments of DESIGN.md (E1–E14).
+"""Study functions for the experiments of DESIGN.md (E1–E14).
 
-Each function runs one experiment family and returns plain records that the
-``benchmarks/`` targets print as tables (and the test-suite sanity-checks at
-small sizes).  The functions are deliberately free of pytest / benchmark
-dependencies so they can also be driven from the example scripts.
-
-The streaming-era studies (E10–E14) each build their ``measures`` once and
-return a :class:`StudyResult`; sweep cells (:mod:`repro.sweeps`,
-``docs/SWEEPS.md``), the claim benches and the tests all call that one
-function.
+Each function runs one experiment and returns a :class:`StudyResult` whose
+``measures`` it builds once; sweep cells (:mod:`repro.sweeps`,
+``docs/SWEEPS.md``), the claim tests (``benchmarks/test_claims.py``), the
+tier-1 tests and the example scripts all call that one function.  The
+paper's one-shot studies (E1–E9) take their size ladder as a parameter —
+a fitted growth exponent is a property of the whole ladder — and file each
+rung's numbers under ``<name>_n<size>``; every other loop (topology,
+workload, sketch size, quantile, …) is a sweep axis.
 """
 
 from __future__ import annotations
@@ -19,7 +18,12 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
-from repro.analysis.metrics import RunRecord, median_accuracy
+from repro.analysis.metrics import (
+    fit_against_model,
+    fit_growth_exponent,
+    median_accuracy,
+)
+from repro.analysis.theory import exact_median_bits_envelope
 from repro.baselines import (
     GKMedianProtocol,
     GossipMedianProtocol,
@@ -27,24 +31,35 @@ from repro.baselines import (
     QDigestMedianProtocol,
     SamplingMedianProtocol,
 )
-from repro.core.apx_median import ApproximateMedianProtocol
+from repro.core.apx_median import (
+    ApproximateMedianProtocol,
+    ApproximateOrderStatisticProtocol,
+)
 from repro.core.apx_median2 import PolyloglogMedianProtocol
 from repro.core.definitions import (
     is_approximate_order_statistic,
+    rank,
     reference_median,
+    reference_order_statistic,
 )
 from repro.core.median import DeterministicMedianProtocol
 from repro.core.order_statistics import DeterministicOrderStatisticProtocol
 from repro.core.rep_count import RepetitionPolicy
+from repro.distinct import (
+    ApproxDistinctCountProtocol,
+    ExactDistinctCountProtocol,
+    make_disjoint_instance,
+    make_intersecting_instance,
+    solve_disjointness_via_count_distinct,
+)
 from repro.exceptions import ConfigurationError
-from repro.distinct import ApproxDistinctCountProtocol, ExactDistinctCountProtocol
-from repro.core.definitions import rank
 from repro.faults.detection import detector_from_config
 from repro.faults.engine import FaultEngine
 from repro.faults.repair import TreeRepair
 from repro.faults.runner import run_faulty_stream
 from repro.faults.trace import FaultTrace
 from repro.network.simulator import SensorNetwork
+from repro.network.topology import build_topology
 from repro.protocols.aggregates import (
     AverageProtocol,
     CountProtocol,
@@ -66,8 +81,6 @@ from repro.streaming.queries import (
 )
 from repro.streaming.recompute import RecomputeEngine
 from repro.tenancy import MultiTenantEngine
-from repro.streaming.trace import StreamingTrace
-from repro.network.topology import build_topology
 from repro.workloads.faults import (
     FAULT_SCENARIOS,
     churn_script,
@@ -78,6 +91,33 @@ from repro.workloads.faults import (
 )
 from repro.workloads.generators import generate_workload
 from repro.workloads.streams import make_stream
+
+
+@dataclass(frozen=True)
+class StudyResult:
+    """What every E1–E14 study returns: the (cost, answer) pair, said once.
+
+    ``measures`` are the deterministic simulation results — bits, fitted
+    exponents, savings factors, answer errors — as a flat dict of JSON
+    scalars.  The dict *is* the sweep cell's ``measures`` section, so a
+    sweep cell, a claim test and a tier-1 test all read the same numbers
+    from the same place.  ``traces`` holds the in-process per-arm
+    :class:`~repro.streaming.StreamingTrace` /
+    :class:`~repro.faults.FaultTrace` of the streaming-era studies for
+    callers that need epoch rows; it is never cached or serialised.
+    ``timing`` is wall-clock: recorded for humans, machine-dependent, never
+    compared.
+
+    Every study takes ``telemetry=``, a recorder installed on its *subject*
+    network only (the one-shot field / the incremental, fail-over or
+    shared-plan arm), so that network emits the span taxonomy of
+    ``docs/TELEMETRY.md``; a baseline arm is what the subject is compared
+    against and stays uninstrumented.
+    """
+
+    measures: dict
+    traces: dict = field(default_factory=dict)
+    timing: dict = field(default_factory=dict)
 
 
 def default_domain(num_items: int) -> int:
@@ -92,6 +132,7 @@ def build_network(
     domain_max: int | None = None,
     seed: int = 0,
     degree_bound: int | None = 3,
+    telemetry=None,
 ) -> tuple[SensorNetwork, list[int], int]:
     """Build a seeded network for one experiment point.
 
@@ -100,54 +141,98 @@ def build_network(
     domain = domain_max if domain_max is not None else default_domain(num_items)
     items = generate_workload(workload, num_items, max_value=domain, seed=seed)
     network = SensorNetwork.from_items(
-        items, topology=topology, seed=seed, degree_bound=degree_bound
+        items,
+        topology=topology,
+        seed=seed,
+        degree_bound=degree_bound,
+        telemetry=telemetry,
     )
     return network, items, domain
 
 
-def _record(
-    protocol: str,
-    workload: str,
-    topology: str,
-    network: SensorNetwork,
-    items: list[int],
-    domain: int,
-    answer: float,
-    result,
-    **extra,
-) -> RunRecord:
-    return RunRecord(
-        protocol=protocol,
-        workload=workload,
-        topology=topology,
-        num_nodes=network.num_nodes,
-        num_items=len(items),
-        domain_max=domain,
-        answer=answer,
-        true_median=float(reference_median(items)),
-        max_node_bits=result.max_node_bits,
-        total_bits=result.total_bits,
-        messages=result.messages,
-        rounds=result.rounds,
-        extra=extra,
-    )
+def _checked(sizes: Sequence[int]) -> Sequence[int]:
+    if not sizes:
+        raise ConfigurationError("a study needs at least one size, got an empty ladder")
+    return sizes
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"a study needs at least one trial, got {trials}")
+
+
+def _ladder(sizes: Sequence[int], **build):
+    """Yield ``(size, network, items, domain)`` up a one-shot study's size ladder."""
+    for size in _checked(sizes):
+        yield (size, *build_network(size, **build))
+
+
+def _policy(repetition_cap: int | None) -> RepetitionPolicy | None:
+    """REP_COUNTP's repetitions: the protocols' practical default, or capped."""
+    if repetition_cap is None:
+        return None
+    return RepetitionPolicy.practical(cap=repetition_cap)
+
+
+def _cost(result, prefix: str = "") -> dict:
+    """The ledger columns of one protocol run (Chlebus et al.'s communication half)."""
+    return {
+        f"{prefix}max_node_bits": result.max_node_bits,
+        f"{prefix}total_bits": result.total_bits,
+        f"{prefix}messages": result.messages,
+        f"{prefix}rounds": result.rounds,
+    }
+
+
+def _rung(measures: dict, size: int, **columns) -> None:
+    """File one ladder rung's columns under ``<column>_n<size>``."""
+    for name, value in columns.items():
+        measures[f"{name}_n{size}"] = value
+
+
+def _fit_ladder(measures: dict, sizes: Sequence[int], prefix: str = "", model=None) -> None:
+    """Add the growth-rate fits of ``<prefix>max_node_bits`` over the ladder.
+
+    ``<prefix>bits_growth_exponent`` is the power-law exponent p of
+    ``cost ~ N^p``; with a ``model``, ``<prefix>bits_model_ratio_spread`` is
+    how flat ``cost / model(N)`` stays.  Rounded to four places (the fits go
+    through ``math.log``); absent on a single rung, which has no growth.
+    """
+    if len(sizes) < 2:
+        return
+    costs = [measures[f"{prefix}max_node_bits_n{size}"] for size in sizes]
+    exponent, _ = fit_growth_exponent(sizes, costs)
+    measures[f"{prefix}bits_growth_exponent"] = round(exponent, 4)
+    if model is not None:
+        _, spread = fit_against_model(sizes, costs, model)
+        measures[f"{prefix}bits_model_ratio_spread"] = round(spread, 4)
+
+
+def _named(table: dict, kind: str, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {kind} {name!r}; known: {sorted(table)}"
+        ) from None
 
 
 # --------------------------------------------------------------------------- #
 # E1 — primitive aggregates (Fact 2.1)
 # --------------------------------------------------------------------------- #
-def run_primitive_aggregates_sweep(
+def run_primitive_aggregates_study(
     sizes: Sequence[int],
+    aggregate: str = "COUNT",
     topology: str = "grid",
     workload: str = "uniform",
     seed: int = 0,
-) -> list[RunRecord]:
-    """Per-node cost of MIN / MAX / COUNT / SUM / AVG as N grows."""
-    records: list[RunRecord] = []
-    for num_items in sizes:
-        network, items, domain = build_network(
-            num_items, workload=workload, topology=topology, seed=seed
-        )
+    telemetry=None,
+) -> StudyResult:
+    """E1: per-node cost of one of MIN / MAX / COUNT / SUM / AVG as N grows."""
+    measures: dict = {}
+    for size, network, _, domain in _ladder(
+        sizes, workload=workload, topology=topology, seed=seed, telemetry=telemetry
+    ):
         protocols = {
             "MIN": MinProtocol(domain_max=domain),
             "MAX": MaxProtocol(domain_max=domain),
@@ -155,316 +240,306 @@ def run_primitive_aggregates_sweep(
             "SUM": SumProtocol(),
             "AVG": AverageProtocol(),
         }
-        for name, protocol in protocols.items():
-            network.reset_ledger()
-            result = protocol.run(network)
-            answer = float(result.value)
-            records.append(
-                _record(name, workload, topology, network, items, domain, answer, result)
-            )
-    return records
+        result = _named(protocols, "aggregate", aggregate).run(network)
+        _rung(measures, size, **_cost(result), answer=result.value)
+    _fit_ladder(measures, sizes, model=math.log2)
+    return StudyResult(measures)
 
 
 # --------------------------------------------------------------------------- #
 # E2 — approximate counting (Fact 2.2)
 # --------------------------------------------------------------------------- #
-def run_apx_count_sweep(
+def run_apx_count_study(
     sizes: Sequence[int],
-    register_counts: Sequence[int] = (16, 64, 256),
+    num_registers: int = 64,
     trials: int = 5,
     topology: str = "grid",
     workload: str = "uniform",
     seed: int = 0,
-) -> list[RunRecord]:
-    """Accuracy and per-node bits of APX_COUNT versus N and sketch size m."""
-    records: list[RunRecord] = []
-    for num_items in sizes:
-        network, items, domain = build_network(
-            num_items, workload=workload, topology=topology, seed=seed
+    telemetry=None,
+) -> StudyResult:
+    """E2: accuracy and per-node bits of APX_COUNT versus N at sketch size m."""
+    _check_trials(trials)
+    measures: dict = {}
+    for size, network, _, _ in _ladder(
+        sizes, workload=workload, topology=topology, seed=seed, telemetry=telemetry
+    ):
+        protocol = ApproxCountProtocol(
+            num_registers=num_registers, seed=seed, max_expected_count=4 * size
         )
-        for num_registers in register_counts:
-            protocol = ApproxCountProtocol(
-                num_registers=num_registers, seed=seed, max_expected_count=4 * num_items
-            )
-            errors = []
-            last_result = None
-            for _ in range(trials):
-                network.reset_ledger()
-                last_result = protocol.run(network)
-                errors.append(
-                    abs(last_result.value.estimate - num_items) / num_items
-                )
-            records.append(
-                _record(
-                    f"APX_COUNT(m={num_registers})",
-                    workload,
-                    topology,
-                    network,
-                    items,
-                    domain,
-                    last_result.value.estimate,
-                    last_result,
-                    mean_relative_error=sum(errors) / len(errors),
-                    predicted_sigma=last_result.value.relative_sigma,
-                    trials=trials,
-                )
-            )
-    return records
+        errors = []
+        for _ in range(trials):
+            network.reset_ledger()
+            result = protocol.run(network)
+            errors.append(abs(result.value.estimate - size) / size)
+        _rung(
+            measures,
+            size,
+            **_cost(result),
+            answer=result.value.estimate,
+            mean_relative_error=sum(errors) / trials,
+            predicted_sigma=result.value.relative_sigma,
+        )
+    _fit_ladder(measures, sizes)
+    return StudyResult(measures)
 
 
 # --------------------------------------------------------------------------- #
-# E3 — deterministic exact median (Theorem 3.2)
+# E3 / E4 / E9b — deterministic exact selection (Theorem 3.2, Section 3.4)
 # --------------------------------------------------------------------------- #
-def run_exact_median_sweep(
+def run_exact_median_study(
     sizes: Sequence[int],
-    topologies: Sequence[str] = ("grid",),
-    workloads: Sequence[str] = ("uniform",),
-    seed: int = 0,
-) -> list[RunRecord]:
-    """Correctness and per-node bits of Fig. 1 as N grows."""
-    records: list[RunRecord] = []
-    for topology in topologies:
-        for workload in workloads:
-            for num_items in sizes:
-                network, items, domain = build_network(
-                    num_items, workload=workload, topology=topology, seed=seed
-                )
-                result = DeterministicMedianProtocol(domain_max=domain).run(network)
-                accuracy = median_accuracy(items, result.value.median)
-                records.append(
-                    _record(
-                        "MEDIAN",
-                        workload,
-                        topology,
-                        network,
-                        items,
-                        domain,
-                        float(result.value.median),
-                        result,
-                        exact=accuracy.exact,
-                        probes=result.value.probes,
-                    )
-                )
-    return records
-
-
-# --------------------------------------------------------------------------- #
-# E4 — deterministic order statistics (Section 3.4)
-# --------------------------------------------------------------------------- #
-def run_order_statistic_sweep(
-    num_items: int,
-    quantiles: Sequence[float] = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99),
+    quantile: float = 0.5,
     topology: str = "grid",
     workload: str = "uniform",
+    degree_bound: int | None = 3,
     seed: int = 0,
-) -> list[RunRecord]:
-    """Exact k-order statistics across the quantile range."""
-    records: list[RunRecord] = []
-    network, items, domain = build_network(
-        num_items, workload=workload, topology=topology, seed=seed
-    )
-    for quantile in quantiles:
-        network.reset_ledger()
+    telemetry=None,
+) -> StudyResult:
+    """E3: correctness and per-node bits of Fig. 1's binary search as N grows.
+
+    ``quantile`` is E4's axis (Section 3.4: the same search answers any
+    rank at the same cost) and ``degree_bound`` E9b's (the remark after
+    Fact 2.1: on hub-heavy topologies an unbounded BFS tree concentrates
+    traffic at the hub, the bounded-degree construction spreads it — the
+    rung's ``tree_degree`` / ``tree_height`` say which tree was built).
+    """
+    measures: dict = {}
+    for size, network, items, domain in _ladder(
+        sizes, workload=workload, topology=topology, seed=seed,
+        degree_bound=degree_bound, telemetry=telemetry,
+    ):
         result = DeterministicOrderStatisticProtocol(
             quantile=quantile, domain_max=domain
         ).run(network)
-        records.append(
-            _record(
-                f"OS(q={quantile})",
-                workload,
-                topology,
-                network,
-                items,
-                domain,
-                float(result.value.value),
-                result,
-                quantile=quantile,
-                probes=result.value.probes,
-            )
+        answer = result.value.value
+        _rung(
+            measures,
+            size,
+            **_cost(result),
+            answer=answer,
+            reference=reference_order_statistic(items, quantile * size),
+            exact=median_accuracy(items, answer, quantile).exact,
+            probes=result.value.probes,
+            domain_max=domain,
+            tree_degree=network.tree.max_degree(),
+            tree_height=network.tree.height,
         )
-    return records
+    _fit_ladder(
+        measures, sizes, model=lambda n: exact_median_bits_envelope(n, n * n)
+    )
+    return StudyResult(measures)
 
 
 # --------------------------------------------------------------------------- #
-# E5 — approximate median success probability (Theorems 4.5 / 4.6)
+# E5 / E9a / E9c — approximate selection success probability (Theorems 4.5 / 4.6)
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ApproxMedianTrialSummary:
-    """Aggregate of repeated APX_MEDIAN runs on one input."""
-
-    num_items: int
-    epsilon: float
-    num_registers: int
-    trials: int
-    success_rate: float
-    mean_rank_error: float
-    mean_value_error: float
-    mean_max_node_bits: float
-    alpha_guarantee: float
-    beta_guarantee: float
-
-
-def run_apx_median_trials(
-    num_items: int,
+def run_apx_median_study(
+    num_nodes: int,
     trials: int = 20,
     epsilon: float = 0.2,
     num_registers: int = 256,
-    alpha_slack: float = 1.0,
+    quantile: float = 0.5,
+    sketch: str = "loglog",
+    repetition_cap: int | None = None,
+    alpha_floor: float = 0.0,
     beta_slack: float = 0.05,
-    repetition_policy: RepetitionPolicy | None = None,
+    domain_max: int | None = None,
     topology: str = "grid",
     workload: str = "uniform",
     seed: int = 0,
-) -> ApproxMedianTrialSummary:
-    """Repeat APX_MEDIAN and measure how often the output is an (α, β)-median.
+    trial_seed: int | None = None,
+    telemetry=None,
+) -> StudyResult:
+    """E5: repeat Fig. 2 on one input; how often is the output an (α, β)-answer?
 
-    The success criterion uses ``α = alpha_slack · 3σ`` (the theorem's
-    guarantee scaled by ``alpha_slack``) and ``β = beta_slack`` — the latter is
-    looser than the theorem's 1/N because the practical repetition policy runs
-    far fewer repetitions than the paper's constants (see DESIGN.md §5).
+    A trial succeeds when its output is an (α, β) ``quantile``-order
+    statistic with ``α = max(alpha_floor, 3σ)`` — the theorem's guarantee
+    for the sketch in use — and ``β = beta_slack``, looser than the
+    theorem's 1/N because the practical repetition policy runs far fewer
+    repetitions than the paper's constants (see DESIGN.md §5).  Trial ``t``
+    hashes with seed ``trial_seed + t`` (default ``1000 · seed + t``).
+    ``quantile`` is E5b's axis (Theorem 4.6), ``repetition_cap`` E9a's (the
+    REP_COUNTP cap; ``None`` is the practical default) and ``sketch`` E9c's
+    (the α-counting black box).
     """
-    network, items, domain = build_network(
-        num_items, workload=workload, topology=topology, seed=seed
+    _check_trials(trials)
+    network, items, _ = build_network(
+        num_nodes, workload=workload, topology=topology, domain_max=domain_max,
+        seed=seed, telemetry=telemetry,
     )
+    first_seed = seed * 1_000 if trial_seed is None else trial_seed
     successes = 0
-    rank_errors = []
-    value_errors = []
-    bits = []
-    alpha_guarantee = 0.0
-    beta_guarantee = 0.0
+    answers, rank_errors, value_errors, bits = [], [], [], []
     for trial in range(trials):
         network.reset_ledger()
-        protocol = ApproximateMedianProtocol(
+        result = ApproximateOrderStatisticProtocol(
             epsilon=epsilon,
+            quantile=quantile,
             num_registers=num_registers,
-            repetition_policy=repetition_policy,
-            seed=seed * 1_000 + trial,
-        )
-        result = protocol.run(network)
+            repetition_policy=_policy(repetition_cap),
+            sketch=sketch,
+            seed=first_seed + trial,
+        ).run(network)
         outcome = result.value
-        alpha_guarantee = outcome.alpha_guarantee
-        beta_guarantee = outcome.beta_guarantee
-        alpha = alpha_slack * outcome.alpha_guarantee
-        if is_approximate_order_statistic(
-            items, len(items) / 2.0, outcome.value, alpha=alpha, beta=beta_slack
-        ):
-            successes += 1
-        accuracy = median_accuracy(items, outcome.value)
+        successes += is_approximate_order_statistic(
+            items,
+            quantile * len(items),
+            outcome.value,
+            alpha=max(alpha_floor, outcome.alpha_guarantee),
+            beta=beta_slack,
+        )
+        accuracy = median_accuracy(items, outcome.value, quantile)
+        answers.append(outcome.value)
         rank_errors.append(accuracy.rank_error)
         value_errors.append(accuracy.value_error)
         bits.append(result.max_node_bits)
-    return ApproxMedianTrialSummary(
-        num_items=num_items,
-        epsilon=epsilon,
-        num_registers=num_registers,
-        trials=trials,
-        success_rate=successes / trials,
-        mean_rank_error=sum(rank_errors) / trials,
-        mean_value_error=sum(value_errors) / trials,
-        mean_max_node_bits=sum(bits) / trials,
-        alpha_guarantee=alpha_guarantee,
-        beta_guarantee=beta_guarantee,
+    return StudyResult(
+        {
+            "success_rate": successes / trials,
+            "mean_answer": sum(answers) / trials,
+            "mean_rank_error": sum(rank_errors) / trials,
+            "mean_value_error": sum(value_errors) / trials,
+            "mean_max_node_bits": sum(bits) / trials,
+            "alpha_guarantee": outcome.alpha_guarantee,
+            "beta_guarantee": outcome.beta_guarantee,
+        }
     )
 
 
 # --------------------------------------------------------------------------- #
 # E6 — polyloglog median scaling (Theorem 4.7 / Corollary 4.8)
 # --------------------------------------------------------------------------- #
-def run_polyloglog_sweep(
+def run_polyloglog_study(
     sizes: Sequence[int],
     beta: float = 1.0 / 16.0,
     epsilon: float = 0.25,
     num_registers: int = 64,
+    repetition_cap: int | None = None,
+    domain_max: int | None = None,
     topology: str = "grid",
     workload: str = "uniform",
     seed: int = 0,
-) -> list[RunRecord]:
-    """Per-node bits and value error of APX_MEDIAN2 as N grows."""
-    records: list[RunRecord] = []
-    for num_items in sizes:
-        network, items, domain = build_network(
-            num_items, workload=workload, topology=topology, seed=seed
-        )
-        protocol = PolyloglogMedianProtocol(
-            beta=beta, epsilon=epsilon, num_registers=num_registers, seed=seed
-        )
-        result = protocol.run(network)
+    protocol_seed: int | None = None,
+    telemetry=None,
+) -> StudyResult:
+    """E6: per-node bits and value error of APX_MEDIAN2 (Fig. 4) as N grows.
+
+    Every rung also runs Fig. 1 on the same field (``exact_max_node_bits``),
+    so sweeping ``domain_max`` — E6b — shows the mechanism behind
+    Corollary 4.8: the deterministic protocol pays per value-bit, the
+    length-domain protocol per length-bit.  With an explicit ``domain_max``
+    both protocols are told the bound; without one the values are N² and
+    APX_MEDIAN2 finds the range itself.
+    """
+    measures: dict = {}
+    for size, network, items, domain in _ladder(
+        sizes, workload=workload, topology=topology, domain_max=domain_max,
+        seed=seed, telemetry=telemetry,
+    ):
+        exact = DeterministicMedianProtocol(domain_max=domain).run(network)
+        network.reset_ledger()
+        result = PolyloglogMedianProtocol(
+            beta=beta,
+            epsilon=epsilon,
+            num_registers=num_registers,
+            repetition_policy=_policy(repetition_cap),
+            domain_max=domain_max,
+            seed=seed if protocol_seed is None else protocol_seed,
+        ).run(network)
         accuracy = median_accuracy(items, result.value.value)
-        records.append(
-            _record(
-                "APX_MEDIAN2",
-                workload,
-                topology,
-                network,
-                items,
-                domain,
-                float(result.value.value),
-                result,
-                beta=beta,
-                value_error=accuracy.value_error,
-                rank_error=accuracy.rank_error,
-                stages=len(result.value.stages),
-            )
+        _rung(
+            measures,
+            size,
+            **_cost(result),
+            answer=result.value.value,
+            reference=reference_median(items),
+            value_error=accuracy.value_error,
+            rank_error=accuracy.rank_error,
+            stages=len(result.value.stages),
+            exact_max_node_bits=exact.max_node_bits,
         )
-    return records
+    _fit_ladder(measures, sizes)
+    return StudyResult(measures)
 
 
 # --------------------------------------------------------------------------- #
 # E7 — COUNT DISTINCT: exact vs approximate (Theorem 5.1)
 # --------------------------------------------------------------------------- #
-def run_count_distinct_sweep(
+def run_count_distinct_study(
     sizes: Sequence[int],
     num_registers: int = 64,
     topology: str = "line",
     seed: int = 0,
-) -> list[RunRecord]:
-    """Exact (linear) versus approximate (loglog) distinct counting.
+    telemetry=None,
+) -> StudyResult:
+    """E7: exact (linear) versus approximate (loglog) distinct counting.
 
     Uses a line topology with all-distinct values — the shape of the
     Set-Disjointness embedding — so the linear traffic through the middle of
     the line is exactly the quantity Theorem 5.1 lower-bounds.
     """
-    records: list[RunRecord] = []
-    for num_items in sizes:
-        domain = default_domain(num_items)
-        items = generate_workload("sequential", num_items, max_value=domain, seed=seed)
-        network = SensorNetwork.from_items(items, topology=topology, seed=seed)
+    measures: dict = {}
+    for size, network, items, domain in _ladder(
+        sizes, workload="sequential", topology=topology, seed=seed, telemetry=telemetry
+    ):
         true_distinct = len(set(items))
-
-        exact_result = ExactDistinctCountProtocol(domain_max=domain).run(network)
-        records.append(
-            _record(
-                "COUNT_DISTINCT(exact)",
-                "sequential",
-                topology,
-                network,
-                items,
-                domain,
-                float(exact_result.value),
-                exact_result,
-                true_distinct=true_distinct,
-            )
-        )
+        exact = ExactDistinctCountProtocol(domain_max=domain).run(network)
         network.reset_ledger()
-        approx_result = ApproxDistinctCountProtocol(
+        approx = ApproxDistinctCountProtocol(
             num_registers=num_registers, seed=seed
         ).run(network)
-        records.append(
-            _record(
-                f"COUNT_DISTINCT(loglog,m={num_registers})",
-                "sequential",
-                topology,
-                network,
-                items,
-                domain,
-                approx_result.value.estimate,
-                approx_result,
-                true_distinct=true_distinct,
-                relative_error=abs(approx_result.value.estimate - true_distinct)
-                / max(1, true_distinct),
-            )
+        _rung(
+            measures,
+            size,
+            **_cost(exact, "exact_"),
+            **_cost(approx, "approx_"),
+            true_distinct=true_distinct,
+            exact_answer=exact.value,
+            approx_answer=approx.value.estimate,
+            approx_relative_error=abs(approx.value.estimate - true_distinct)
+            / max(1, true_distinct),
         )
-    return records
+    _fit_ladder(measures, sizes, prefix="exact_")
+    _fit_ladder(measures, sizes, prefix="approx_")
+    return StudyResult(measures)
+
+
+def run_disjointness_study(
+    sizes: Sequence[int], seed: int = 1, telemetry=None
+) -> StudyResult:
+    """E7b: the Set-Disjointness reduction behind Theorem 5.1, run both ways.
+
+    Each rung embeds two ``size / 2``-element sets in a line of ``size``
+    nodes, once disjoint and once sharing a single element — the hardest
+    case.  Driven by exact COUNT DISTINCT the reduction decides both
+    instances and its traffic across the A/B cut grows linearly; driven by
+    a 64-register LogLog protocol (within a 2% tolerance) the cut traffic
+    stays flat — it escapes the lower bound precisely because a difference
+    of one flips the answer it cannot see.  The reduction builds its own
+    networks, so ``telemetry`` is accepted for the common call shape and
+    records nothing.
+    """
+    measures: dict = {}
+    for size in _checked(sizes):
+        disjoint = make_disjoint_instance(size // 2, seed=seed)
+        near = make_intersecting_instance(size // 2, overlap=1, seed=seed)
+        exact = ExactDistinctCountProtocol()
+        approx = ApproxDistinctCountProtocol(num_registers=64, seed=2)
+        exact_disjoint = solve_disjointness_via_count_distinct(disjoint, exact)
+        exact_near = solve_disjointness_via_count_distinct(near, exact)
+        approx_near = solve_disjointness_via_count_distinct(
+            near, approx, tolerance=0.02
+        )
+        _rung(
+            measures,
+            size,
+            exact_decides=exact_disjoint.correct and exact_near.correct,
+            exact_cut_bits=exact_disjoint.cut_bits,
+            approx_decides=approx_near.correct,
+            approx_cut_bits=approx_near.cut_bits,
+        )
+    return StudyResult(measures)
 
 
 # --------------------------------------------------------------------------- #
@@ -472,119 +547,58 @@ def run_count_distinct_sweep(
 # --------------------------------------------------------------------------- #
 def run_baseline_comparison(
     sizes: Sequence[int],
+    protocol: str = "fig1_median",
+    apx_registers: int = 64,
     topology: str = "grid",
     workload: str = "uniform",
     seed: int = 0,
-    include_gossip: bool = True,
-    apx_registers: int = 64,
-) -> list[RunRecord]:
-    """All median protocols (paper's and baselines) on the same inputs."""
-    records: list[RunRecord] = []
-    for num_items in sizes:
-        network, items, domain = build_network(
-            num_items, workload=workload, topology=topology, seed=seed
-        )
-        protocols: list[tuple[str, object]] = [
-            ("MEDIAN (Fig.1)", DeterministicMedianProtocol(domain_max=domain)),
-            (
-                "APX_MEDIAN (Fig.2)",
-                ApproximateMedianProtocol(
-                    epsilon=0.2, num_registers=apx_registers, seed=seed
-                ),
-            ),
-            (
-                "APX_MEDIAN2 (Fig.4)",
-                PolyloglogMedianProtocol(
-                    beta=1.0 / 16.0, epsilon=0.25, num_registers=apx_registers, seed=seed
-                ),
-            ),
-            ("naive ship-all", NaiveShipAllMedianProtocol(domain_max=domain)),
-            ("sampling (Nath)", SamplingMedianProtocol(sample_size=32, domain_max=domain)),
-            ("GK summary", GKMedianProtocol(epsilon=0.05, domain_max=domain)),
-            ("q-digest", QDigestMedianProtocol(compression=32, domain_max=domain)),
-        ]
-        if include_gossip:
-            protocols.append(("gossip push-sum", GossipMedianProtocol(seed=seed)))
-        for name, protocol in protocols:
-            network.reset_ledger()
-            result = protocol.run(network)
-            outcome = result.value
-            answer = getattr(outcome, "median", None)
-            if answer is None:
-                answer = getattr(outcome, "value", outcome)
-            accuracy = median_accuracy(items, float(answer))
-            records.append(
-                _record(
-                    name,
-                    workload,
-                    topology,
-                    network,
-                    items,
-                    domain,
-                    float(answer),
-                    result,
-                    exact=accuracy.exact,
-                    rank_error=accuracy.rank_error,
-                    value_error=accuracy.value_error,
-                )
-            )
-    return records
+    telemetry=None,
+) -> StudyResult:
+    """E8: one median protocol — the paper's or a baseline — as N grows.
 
-
-# --------------------------------------------------------------------------- #
-# E9 — ablations
-# --------------------------------------------------------------------------- #
-def run_repetition_ablation(
-    num_items: int,
-    caps: Sequence[int] = (1, 2, 4, 8, 16),
-    trials: int = 10,
-    epsilon: float = 0.2,
-    num_registers: int = 64,
-    seed: int = 0,
-) -> list[ApproxMedianTrialSummary]:
-    """Effect of the REP_COUNTP repetition cap on accuracy and cost."""
-    summaries = []
-    for cap in caps:
-        summaries.append(
-            run_apx_median_trials(
-                num_items,
-                trials=trials,
-                epsilon=epsilon,
-                num_registers=num_registers,
-                repetition_policy=RepetitionPolicy.practical(cap=cap),
-                seed=seed,
-            )
-        )
-    return summaries
-
-
-# --------------------------------------------------------------------------- #
-# E10–E14 — the streaming-era studies: one function each, one result shape
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class StudyResult:
-    """What every E10–E14 study returns: the (cost, answer) pair, said once.
-
-    ``measures`` are the deterministic simulation results — bits, savings
-    factors, answer errors — under JSON-safe names.  The dict *is* the
-    sweep cell's ``measures`` section, so a sweep cell, a claim bench and a
-    test all read the same numbers from the same place.  ``traces`` holds
-    the in-process per-arm :class:`~repro.streaming.StreamingTrace` /
-    :class:`~repro.faults.FaultTrace` for callers that need epoch rows; it
-    is never cached or serialised.  ``timing`` is wall-clock: recorded for
-    humans, machine-dependent, never compared.
-
-    Every study takes ``telemetry=``, a recorder installed on its *subject*
-    arm only (incremental / fail-over / shared plan), so that arm's epochs
-    emit the span taxonomy of ``docs/TELEMETRY.md``; the baseline arm is
-    what the subject is compared against and stays uninstrumented.
+    Every ``protocol`` sees the same seeded inputs, so the cells of a sweep
+    over it are the paper's Section 1 comparison, contender by contender.
     """
+    measures: dict = {}
+    for size, network, items, domain in _ladder(
+        sizes, workload=workload, topology=topology, seed=seed, telemetry=telemetry
+    ):
+        contenders = {
+            "fig1_median": DeterministicMedianProtocol(domain_max=domain),
+            "fig2_apx_median": ApproximateMedianProtocol(
+                epsilon=0.2, num_registers=apx_registers, seed=seed
+            ),
+            "fig4_apx_median2": PolyloglogMedianProtocol(
+                beta=1.0 / 16.0, epsilon=0.25, num_registers=apx_registers, seed=seed
+            ),
+            "naive_ship_all": NaiveShipAllMedianProtocol(domain_max=domain),
+            "sampling": SamplingMedianProtocol(sample_size=32, domain_max=domain),
+            "gk_summary": GKMedianProtocol(epsilon=0.05, domain_max=domain),
+            "qdigest": QDigestMedianProtocol(compression=32, domain_max=domain),
+            "gossip": GossipMedianProtocol(seed=seed),
+        }
+        result = _named(contenders, "median protocol", protocol).run(network)
+        outcome = result.value
+        answer = getattr(outcome, "median", None)
+        if answer is None:
+            answer = getattr(outcome, "value", outcome)
+        accuracy = median_accuracy(items, answer)
+        _rung(
+            measures,
+            size,
+            **_cost(result),
+            answer=answer,
+            exact=accuracy.exact,
+            rank_error=accuracy.rank_error,
+            value_error=accuracy.value_error,
+        )
+    _fit_ladder(measures, sizes)
+    return StudyResult(measures)
 
-    measures: dict
-    traces: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
 
-
+# --------------------------------------------------------------------------- #
+# E10–E14 — the streaming-era studies
+# --------------------------------------------------------------------------- #
 #: Readings of every streaming-era study lie in ``[0, STREAM_DOMAIN]``.
 STREAM_DOMAIN = 1 << 16
 
@@ -787,48 +801,6 @@ def run_scaling_study(
             "speedup": speedup,
         },
     )
-
-
-def run_degree_bound_ablation(
-    num_items: int,
-    degree_bounds: Sequence[int | None] = (None, 2, 3, 4, 8),
-    topology: str = "star",
-    workload: str = "uniform",
-    seed: int = 0,
-) -> list[RunRecord]:
-    """Effect of the spanning-tree degree bound on the per-node cost.
-
-    On hub-heavy topologies an unbounded BFS tree concentrates traffic at the
-    hub; the bounded-degree construction spreads it, which is the remark the
-    paper makes after Fact 2.1.  On the star the hub is unavoidable — the
-    records show the bound is best-effort there.
-    """
-    records: list[RunRecord] = []
-    for degree_bound in degree_bounds:
-        network, items, domain = build_network(
-            num_items,
-            workload=workload,
-            topology=topology,
-            seed=seed,
-            degree_bound=degree_bound,
-        )
-        result = DeterministicMedianProtocol(domain_max=domain).run(network)
-        records.append(
-            _record(
-                f"MEDIAN(degree_bound={degree_bound})",
-                workload,
-                topology,
-                network,
-                items,
-                domain,
-                float(result.value.median),
-                result,
-                degree_bound=degree_bound if degree_bound is not None else 0,
-                tree_degree=network.tree.max_degree(),
-                tree_height=network.tree.height,
-            )
-        )
-    return records
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Measurement records and growth-rate analysis.
+"""Accuracy measures and growth-rate analysis.
 
 The paper's claims are asymptotic ("O((log N)^2) bits per node"), so the
 reproduction's job is to show that the *measured* per-node communication grows
@@ -13,30 +13,11 @@ COUNT DISTINCT (p ≈ 1) is distinguished from the polylog protocols (p ≈ 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.definitions import rank
+from repro.core.definitions import is_order_statistic, rank
 from repro.exceptions import ConfigurationError
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One protocol execution in a sweep."""
-
-    protocol: str
-    workload: str
-    topology: str
-    num_nodes: int
-    num_items: int
-    domain_max: int
-    answer: float
-    true_median: float | None
-    max_node_bits: int
-    total_bits: int
-    messages: int
-    rounds: int
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -48,31 +29,31 @@ class MedianAccuracy:
     exact: bool
 
 
-def median_accuracy(items: Sequence[int], estimate: float) -> MedianAccuracy:
-    """Measure how far ``estimate`` is from being the exact median of ``items``.
+def median_accuracy(
+    items: Sequence[int], estimate: float, quantile: float = 0.5
+) -> MedianAccuracy:
+    """Measure how far ``estimate`` is from the exact median of ``items``.
 
-    ``rank_error`` is ``|ℓ(estimate) − N/2| / (N/2)`` — the empirical α.
-    ``value_error`` is ``|estimate − nearest exact median| / max(items)`` — the
-    empirical β.
+    ``rank_error`` is ``|ℓ(estimate) − k| / k`` — the empirical α — and
+    ``value_error`` is ``|estimate − nearest exact answer| / max(items)`` —
+    the empirical β — for the target rank ``k = quantile · N`` (the median's
+    ``N/2`` by default; any other ``quantile`` measures that order statistic).
     """
     if not items:
         raise ConfigurationError("cannot measure accuracy against an empty multiset")
-    n = len(items)
-    half = n / 2.0
+    target = quantile * len(items)
     estimate_rank = rank(items, estimate) + 0.5 * sum(
         1 for item in items if item == estimate
     )
-    rank_error = abs(estimate_rank - half) / half if half else 0.0
+    rank_error = abs(estimate_rank - target) / target if target else 0.0
     ordered = sorted(items)
-    exact_median = ordered[max(0, math.ceil(half) - 1)]
+    exact_answer = ordered[max(0, math.ceil(target) - 1)]
     max_item = max(items)
-    value_error = abs(estimate - exact_median) / max_item if max_item else 0.0
-    from repro.core.definitions import is_median  # local import to avoid cycle at module load
-
+    value_error = abs(estimate - exact_answer) / max_item if max_item else 0.0
     return MedianAccuracy(
         rank_error=rank_error,
         value_error=value_error,
-        exact=is_median(items, estimate),
+        exact=is_order_statistic(items, target, estimate),
     )
 
 

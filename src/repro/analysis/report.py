@@ -1,4 +1,4 @@
-"""Plain-text table formatting for the benchmark harness and examples."""
+"""Plain-text table formatting for the example scripts and CLI reports."""
 
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ slice of the state columns, charging a **private**
 Because per-node and per-protocol ledger counters are additive and rounds
 are advanced once by the parent (one per swept level, the reference
 schedule), the merged ledger is bit-for-bit identical to the single-process
-batched sweep — the property ``benchmarks/bench_scale.py`` asserts at
+batched sweep — the property ``benchmarks/test_paths.py`` asserts at
 n = 10,000.
 
 Workers are plain ``multiprocessing`` fork workers created lazily and

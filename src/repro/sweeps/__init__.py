@@ -14,7 +14,7 @@ compares runs against a committed baseline — the CI sweep gate.
 semantics.
 """
 
-from repro.sweeps.cells import CELL_RUNNERS, run_cell, runner_for
+from repro.sweeps.cells import CELL_RUNNERS, bind_cell, run_cell, runner_for
 from repro.sweeps.report import (
     SweepDiff,
     diff_payloads,
@@ -47,6 +47,7 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
+    "bind_cell",
     "cell_key",
     "diff_payloads",
     "get_sweep",

@@ -13,6 +13,7 @@ meaningful across machines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -180,8 +181,15 @@ def diff_payloads(
             if isinstance(old, (int, float)) and isinstance(
                 new_value, (int, float)
             ) and not isinstance(old, bool) and not isinstance(new_value, bool):
-                budget = abs_tolerance + rel_tolerance * abs(old)
-                if abs(new_value - old) > budget:
+                if math.isfinite(old) and math.isfinite(new_value):
+                    budget = abs_tolerance + rel_tolerance * abs(old)
+                    moved = abs(new_value - old) > budget
+                else:
+                    # NaN / ±inf never pass a tolerance test (every comparison
+                    # with NaN is false): unchanged only if identical.
+                    both_nan = math.isnan(old) and math.isnan(new_value)
+                    moved = not both_nan and old != new_value
+                if moved:
                     changed.append((cell_id, measure, old, new_value))
             elif old != new_value:
                 changed.append((cell_id, measure, old, new_value))

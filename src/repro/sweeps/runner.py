@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.exceptions import ConfigurationError
 from repro.sweeps.cells import run_cell, runner_for
-from repro.sweeps.spec import SweepCell, SweepSpec
+from repro.sweeps.spec import SweepCell, SweepSpec, cell_key
 
 #: Default on-disk cache location, overridable per-runner or via env.
 DEFAULT_CACHE_DIR = ".sweep-cache"
@@ -90,6 +91,11 @@ class SweepRunner:
         self.cache_dir = Path(cache_dir)
         if processes is None:
             env = os.environ.get("REPRO_SWEEP_PROCESSES")
+            if env is not None and not env.isdecimal():
+                raise ConfigurationError(
+                    f"REPRO_SWEEP_PROCESSES must be a non-negative integer "
+                    f"(0 runs cells inline), got {env!r}"
+                )
             processes = int(env) if env is not None else None
         self._processes = processes
 
@@ -100,7 +106,14 @@ class SweepRunner:
         return self.cache_dir / f"{cell.key}.json"
 
     def cached_result(self, cell: SweepCell) -> "dict | None":
-        """The cell's cached result, or ``None`` on miss/corruption."""
+        """The cell's cached result, or ``None`` on miss/corruption.
+
+        An entry is recalled only if it describes this very cell (its
+        experiment and parameters hash to the cell's key) and its result has
+        the shape
+        :func:`~repro.sweeps.cells.run_cell` returns; anything else is a
+        miss, so the cell re-executes and overwrites it.
+        """
         path = self._cache_path(cell)
         if not path.exists():
             return None
@@ -109,9 +122,17 @@ class SweepRunner:
                 entry = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("key") != cell.key or "result" not in entry:
+        if not isinstance(entry, dict):
             return None
-        return entry["result"]
+        params, result = entry.get("params"), entry.get("result")
+        if (
+            not isinstance(params, dict)
+            or cell_key(entry.get("experiment"), params) != cell.key
+            or not isinstance(result, dict)
+            or not isinstance(result.get("measures"), dict)
+        ):
+            return None
+        return result
 
     def _store(self, cell: SweepCell, result: dict) -> None:
         self.cache_dir.mkdir(parents=True, exist_ok=True)

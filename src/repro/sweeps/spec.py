@@ -28,7 +28,7 @@ from repro.exceptions import ConfigurationError, DuplicateAxisValueError
 
 #: Bump to invalidate every cached cell result (e.g. when a cell runner's
 #: output schema changes in a way the parameter hash cannot see).
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def _canonical(value: Any) -> Any:

@@ -17,7 +17,7 @@ the top per-node hotspot along the way::
 The same detector doubles as the CI trajectory gate: ``scripts/diagnose.py
 --strict`` fails when a flagged epoch has *no* attributable cause chain
 (a cost spike nothing in the flight ring explains), and
-:func:`verdict` summarises the run for ``BENCH_*.json`` reports.
+:func:`verdict` summarises the run as a JSON-safe record.
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def diagnose(
 
 
 def verdict(diagnosis: Diagnosis) -> dict[str, Any]:
-    """The anomaly-detector summary a ``BENCH_*.json`` report embeds."""
+    """The anomaly-detector summary of a run, JSON-safe for reports."""
     root_kinds: dict[str, int] = {}
     for anomaly in diagnosis.anomalies:
         root = anomaly.root_cause

@@ -365,9 +365,8 @@ def phases_payload(tracer: SpanTracer) -> dict[str, dict[str, float]]:
     wall-clock, and its *exclusive* communication bits (so the per-phase
     bits add up to the run total instead of double-counting nested spans;
     the inclusive figure rides along as ``bits_inclusive``).  This is the
-    ``phases`` section of both the ``BENCH_<name>.json`` perf reports
-    (``benchmarks/conftest.emit_bench_json``) and the per-cell records of
-    the sweep harness (:mod:`repro.sweeps`).
+    ``phases`` section of the per-cell records of the sweep harness
+    (:mod:`repro.sweeps`).
     """
     return {
         name: {

@@ -33,7 +33,7 @@ Quick start::
     print(service.tenant_answers("acme"), service.split.columns())
 
 See ``docs/MULTITENANT.md`` for the planner model, the admission tiers and
-the ledger-split invariant; ``benchmarks/bench_multitenant.py`` measures
+the ledger-split invariant; the ``e14_multitenant`` sweep measures
 the ≥5x sublinear total-bits growth for overlapping query sets.
 """
 

@@ -7,14 +7,11 @@ import pytest
 from repro.analysis.experiments import (
     build_network,
     default_domain,
-    run_apx_median_trials,
+    run_apx_median_study,
     run_baseline_comparison,
-    run_count_distinct_sweep,
-    run_degree_bound_ablation,
-    run_exact_median_sweep,
-    run_order_statistic_sweep,
-    run_primitive_aggregates_sweep,
-    run_repetition_ablation,
+    run_count_distinct_study,
+    run_exact_median_study,
+    run_primitive_aggregates_study,
 )
 from repro.analysis.metrics import (
     fit_against_model,
@@ -158,43 +155,66 @@ class TestExperimentRunners:
         assert len(items) == 36
         assert domain == 36 * 36
 
-    def test_primitive_sweep_records(self):
-        records = run_primitive_aggregates_sweep([16], topology="line")
-        assert {record.protocol for record in records} == {"MIN", "MAX", "COUNT", "SUM", "AVG"}
-        assert all(record.max_node_bits > 0 for record in records)
+    def test_primitive_study_covers_the_five_aggregates(self):
+        for aggregate in ("MIN", "MAX", "COUNT", "SUM", "AVG"):
+            measures = run_primitive_aggregates_study(
+                [16], aggregate=aggregate, topology="line"
+            ).measures
+            assert measures["max_node_bits_n16"] > 0
+        with pytest.raises(ConfigurationError, match=r"\['AVG', 'COUNT', 'MAX', 'MIN', 'SUM'\]"):
+            run_primitive_aggregates_study([16], aggregate="MEDIAN")
 
-    def test_exact_median_sweep_is_exact(self):
-        records = run_exact_median_sweep([25, 49], workloads=("uniform", "zipf"))
-        assert all(record.extra["exact"] for record in records)
+    def test_exact_median_study_is_exact(self):
+        for workload in ("uniform", "zipf"):
+            measures = run_exact_median_study([25, 49], workload=workload).measures
+            assert measures["exact_n25"] and measures["exact_n49"]
 
-    def test_order_statistic_sweep(self):
-        records = run_order_statistic_sweep(36, quantiles=(0.25, 0.5, 0.75))
-        assert len(records) == 3
+    def test_exact_median_study_answers_any_quantile(self):
+        for quantile in (0.25, 0.5, 0.75):
+            measures = run_exact_median_study([36], quantile=quantile).measures
+            assert measures["answer_n36"] == measures["reference_n36"]
 
-    def test_apx_median_trials_summary(self):
-        summary = run_apx_median_trials(49, trials=3, num_registers=64)
-        assert 0.0 <= summary.success_rate <= 1.0
-        assert summary.trials == 3
+    def test_apx_median_study_summary(self):
+        measures = run_apx_median_study(49, trials=3, num_registers=64).measures
+        assert 0.0 <= measures["success_rate"] <= 1.0
+        assert measures["success_rate"] * 3 == round(measures["success_rate"] * 3)
 
-    def test_count_distinct_sweep_contrast(self):
-        records = run_count_distinct_sweep([64])
-        exact = next(r for r in records if "exact" in r.protocol)
-        approx = next(r for r in records if "loglog" in r.protocol)
-        assert exact.answer == 64
-        assert exact.max_node_bits > approx.max_node_bits
+    def test_count_distinct_study_contrast(self):
+        measures = run_count_distinct_study([64]).measures
+        assert measures["exact_answer_n64"] == 64
+        assert measures["exact_max_node_bits_n64"] > measures["approx_max_node_bits_n64"]
 
-    def test_baseline_comparison_contains_all_contenders(self):
-        records = run_baseline_comparison([36], include_gossip=False, apx_registers=16)
-        names = {record.protocol for record in records}
-        assert "MEDIAN (Fig.1)" in names
-        assert "naive ship-all" in names
-        assert len(names) == 7
+    def test_baseline_comparison_runs_every_contender(self):
+        for protocol in (
+            "fig1_median",
+            "fig2_apx_median",
+            "fig4_apx_median2",
+            "naive_ship_all",
+            "sampling",
+            "gk_summary",
+            "qdigest",
+        ):
+            measures = run_baseline_comparison(
+                [36], protocol=protocol, apx_registers=16
+            ).measures
+            assert measures["max_node_bits_n36"] > 0
+        with pytest.raises(ConfigurationError, match="fig1_median.*gossip.*naive_ship_all"):
+            run_baseline_comparison([36], protocol="oracle")
 
-    def test_repetition_ablation_costs_increase_with_cap(self):
-        summaries = run_repetition_ablation(36, caps=(1, 4), trials=2, num_registers=16)
-        assert summaries[1].mean_max_node_bits > summaries[0].mean_max_node_bits
+    def test_repetition_cap_costs_increase_with_cap(self):
+        low, high = (
+            run_apx_median_study(
+                36, trials=2, num_registers=16, repetition_cap=cap
+            ).measures
+            for cap in (1, 4)
+        )
+        assert high["mean_max_node_bits"] > low["mean_max_node_bits"]
 
-    def test_degree_bound_ablation_reports_tree_stats(self):
-        records = run_degree_bound_ablation(20, degree_bounds=(None, 3), topology="single_hop")
-        unbounded, bounded = records
-        assert unbounded.extra["tree_degree"] >= bounded.extra["tree_degree"]
+    def test_degree_bound_reports_tree_stats(self):
+        unbounded, bounded = (
+            run_exact_median_study(
+                [20], topology="single_hop", degree_bound=bound
+            ).measures
+            for bound in (None, 3)
+        )
+        assert unbounded["tree_degree_n20"] >= bounded["tree_degree_n20"]

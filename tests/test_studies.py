@@ -1,12 +1,16 @@
-"""The E10–E14 studies: pinned measures, one call path, named errors.
+"""The E1–E14 studies: pinned measures, one call path, named errors.
 
 Each study builds its ``measures`` once and is called the same way by sweep
-cells, claim benches and tests, so "the refactor kept every number" is a
-checked statement, not prose: every literal below was computed on parent
-commit 22743ae through that commit's ``run_*_cell`` wrappers (and
-``run_heartbeat_study`` for the E12c rows) and must stay ``==``.  The one
-key the wrappers did not have is ``worst_case_latency`` (E12c's column,
-``period - 1``), which the fault-tolerance study now reports itself.
+cells, claim tests and tier-1 tests, so "the refactor kept every number" is
+a checked statement, not prose.  The E10–E14 literals (``PINNED``) were
+computed on commit 22743ae through that commit's ``run_*_cell`` wrappers
+(and ``run_heartbeat_study`` for the E12c rows); the one key the wrappers
+did not have is ``worst_case_latency`` (E12c's column, ``period - 1``).
+The E1–E9 literals (``PINNED_SMOKE``) were computed on parent commit
+42fc3c0 through that commit's ``run_*_sweep`` functions and inline bench
+bodies — the parent call stands next to each — filed under the
+``<column>_n<size>`` names the studies use now, with the fits rounded to
+four places.  All must stay ``==``.
 """
 
 from __future__ import annotations
@@ -163,6 +167,111 @@ PINNED = {
     ),
 }
 
+#: (spec, smoke cell id) -> measures on 42fc3c0: one cell per E1–E9 experiment
+#: kind, and a second where a kind also serves another experiment's inputs.
+PINNED_SMOKE = {
+    # run_primitive_aggregates_sweep([16, 64, 144]) -> its AVG records
+    ("e1_primitives", "aggregate=AVG"): {
+        "max_node_bits_n16": 86, "total_bits_n16": 346, "messages_n16": 30, "rounds_n16": 12,
+        "answer_n16": 140.5625,
+        "max_node_bits_n64": 134, "total_bits_n64": 2170, "messages_n64": 126, "rounds_n64": 28,
+        "answer_n64": 2113.125,
+        "max_node_bits_n144": 162, "total_bits_n144": 5870, "messages_n144": 286,
+        "rounds_n144": 44, "answer_n144": 10759.263888888889,
+        "bits_growth_exponent": 0.2916, "bits_model_ratio_spread": 1.0509,
+    },
+    # run_apx_count_sweep([64, 256], register_counts=[16, 64, 256], trials=5) -> m=64 records
+    ("e2_apx_count", "num_registers=64"): {
+        "max_node_bits_n64": 870, "total_bits_n64": 18270, "messages_n64": 126, "rounds_n64": 28,
+        "answer_n64": 65.49688751555341, "mean_relative_error_n64": 0.052351710419532724,
+        "predicted_sigma_n64": 0.1625,
+        "max_node_bits_n256": 870, "total_bits_n256": 73950, "messages_n256": 510,
+        "rounds_n256": 60, "answer_n256": 240.55820851485836,
+        "mean_relative_error_n256": 0.08929295327954809, "predicted_sigma_n256": 0.1625,
+        "bits_growth_exponent": 0.0,
+    },
+    # run_exact_median_sweep([36, 64, 144]); tree_* read off the same seeded network
+    ("e3_exact_median", "seed=0"): {
+        "max_node_bits_n36": 915, "total_bits_n36": 8857, "messages_n36": 1050, "rounds_n36": 300,
+        "answer_n36": 724, "reference_n36": 724, "exact_n36": True, "probes_n36": 12,
+        "domain_max_n36": 1296, "tree_degree_n36": 3, "tree_height_n36": 10,
+        "max_node_bits_n64": 1115, "total_bits_n64": 19377, "messages_n64": 2016,
+        "rounds_n64": 448, "answer_n64": 2121, "reference_n64": 2121, "exact_n64": True,
+        "probes_n64": 13, "domain_max_n64": 4096, "tree_degree_n64": 3, "tree_height_n64": 14,
+        "max_node_bits_n144": 1463, "total_bits_n144": 56435, "messages_n144": 5148,
+        "rounds_n144": 792, "answer_n144": 10388, "reference_n144": 10388, "exact_n144": True,
+        "probes_n144": 15, "domain_max_n144": 20736, "tree_degree_n144": 3,
+        "tree_height_n144": 22,
+        "bits_growth_exponent": 0.3383, "bits_model_ratio_spread": 1.2029,
+    },
+    # run_order_statistic_sweep(100, quantiles=(0.25,))
+    ("e4_order_statistics", "quantile=0.25"): {
+        "max_node_bits_n100": 1298, "total_bits_n100": 34592, "messages_n100": 3564,
+        "rounds_n100": 648, "answer_n100": 2407, "reference_n100": 2407, "exact_n100": True,
+        "probes_n100": 15, "domain_max_n100": 10000, "tree_degree_n100": 3,
+        "tree_height_n100": 18,
+    },
+    # run_degree_bound_ablation(64, degree_bounds=(None,), topology="single_hop"); probes
+    # from the same DeterministicMedianProtocol run
+    ("e9b_degree_bound", "degree_bound=none"): {
+        "max_node_bits_n64": 17325, "total_bits_n64": 17325, "messages_n64": 2016,
+        "rounds_n64": 32, "answer_n64": 2121, "reference_n64": 2121, "exact_n64": True,
+        "probes_n64": 13, "domain_max_n64": 4096, "tree_degree_n64": 63, "tree_height_n64": 1,
+    },
+    # run_apx_median_trials(64, trials=4, epsilon=0.2, num_registers=64, seed=3);
+    # mean_answer from the same four protocol runs
+    ("e5_apx_median", "num_registers=64"): {
+        "success_rate": 1.0, "mean_answer": 2080.0, "mean_rank_error": 0.0625,
+        "mean_value_error": 0.010853478046373951, "mean_max_node_bits": 20548.0,
+        "alpha_guarantee": 0.48750000000000004, "beta_guarantee": 0.016908748263597707,
+    },
+    # bench_ablations.test_counting_sketch_choice body at N = 64, 3 trials (seeds 300 + t)
+    ("e9c_counting_sketch", "sketch=hyperloglog"): {
+        "success_rate": 1.0, "mean_answer": 24620.0, "mean_rank_error": 0.0625,
+        "mean_value_error": 0.05006544502617801, "mean_max_node_bits": 20680.0,
+        "alpha_guarantee": 0.39, "beta_guarantee": 0.015169560245853014,
+    },
+    # bench_apx_median2.test_domain_width_sensitivity_and_crossover body at N = 36, X = 2^10 - 1
+    ("e6b_domain_width", "domain_max=1023"): {
+        "max_node_bits_n36": 12813, "total_bits_n36": 149109, "messages_n36": 2730,
+        "rounds_n36": 780, "answer_n36": 446, "reference_n36": 506,
+        "value_error_n36": 0.059230009871668314, "rank_error_n36": 0.16666666666666666,
+        "stages_n36": 3, "exact_max_node_bits_n36": 713,
+    },
+    # run_count_distinct_sweep([32, 128])
+    ("e7_count_distinct", "seed=0"): {
+        "exact_max_node_bits_n32": 697, "exact_total_bits_n32": 5807, "exact_messages_n32": 62,
+        "exact_rounds_n32": 62, "approx_max_node_bits_n32": 836, "approx_total_bits_n32": 12958,
+        "approx_messages_n32": 62, "approx_rounds_n32": 62, "true_distinct_n32": 32,
+        "exact_answer_n32": 32, "approx_answer_n32": 33.36300311253031,
+        "approx_relative_error_n32": 0.042593847266572116,
+        "exact_max_node_bits_n128": 3829, "exact_total_bits_n128": 123839,
+        "exact_messages_n128": 254, "exact_rounds_n128": 254, "approx_max_node_bits_n128": 836,
+        "approx_total_bits_n128": 53086, "approx_messages_n128": 254, "approx_rounds_n128": 254,
+        "true_distinct_n128": 128, "exact_answer_n128": 128,
+        "approx_answer_n128": 107.13449174858698,
+        "approx_relative_error_n128": 0.1630117832141642,
+        "exact_bits_growth_exponent": 1.2289, "approx_bits_growth_exponent": 0.0,
+    },
+    # bench_count_distinct.test_disjointness_reduction body at set sizes 32 and 512
+    ("e7b_disjointness", "seed=1"): {
+        "exact_decides_n64": True, "exact_cut_bits_n64": 723, "approx_decides_n64": False,
+        "approx_cut_bits_n64": 836,
+        "exact_decides_n1024": True, "exact_cut_bits_n1024": 19715, "approx_decides_n1024": True,
+        "approx_cut_bits_n1024": 836,
+    },
+    # run_baseline_comparison([64, 256], apx_registers=32) -> its "GK summary" records
+    ("e8_baselines", "protocol=gk_summary"): {
+        "max_node_bits_n64": 3105, "total_bits_n64": 14082, "messages_n64": 252, "rounds_n64": 56,
+        "answer_n64": 2121.0, "exact_n64": True, "rank_error_n64": 0.015625,
+        "value_error_n64": 0.0,
+        "max_node_bits_n256": 4849, "total_bits_n256": 104686, "messages_n256": 1020,
+        "rounds_n256": 120, "answer_n256": 31380.0, "exact_n256": False,
+        "rank_error_n256": 0.01953125, "value_error_n256": 0.032996529116853066,
+        "bits_growth_exponent": 0.3215,
+    },
+}
+
 #: ``run_heartbeat_study(periods=(1, 2, 4, 8), num_nodes=64, epochs=12)`` on
 #: 22743ae, as (period, detection_bits, mean_latency, worst_case_latency,
 #: max_count_error, fault_epoch_bits, savings_factor rounded as a cell does).
@@ -175,10 +284,19 @@ HEARTBEAT_ROWS = [
 ]
 
 
+def smoke_cell(spec_name, cell_id):
+    (cell,) = (
+        cell for cell in get_sweep(spec_name, smoke=True).expand() if cell.cell_id == cell_id
+    )
+    return cell
+
+
+ONE_SHOT_KINDS = sorted({smoke_cell(*case).experiment for case in PINNED_SMOKE})
+
+
 class TestPinnedMeasures:
-    @pytest.mark.parametrize("case", sorted(PINNED))
-    def test_cell_reports_the_parent_commits_measures(self, case):
-        experiment, params, expected = PINNED[case]
+    @staticmethod
+    def check(experiment, params, expected):
         result = run_cell(experiment, params)
         assert result["measures"] == expected
         # Same seed, same numbers — and the whole cell survives the cache's
@@ -186,8 +304,18 @@ class TestPinnedMeasures:
         assert run_cell(experiment, params)["measures"] == expected
         assert json.loads(json.dumps(result)) == result
 
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_cell_reports_the_parent_commits_measures(self, case):
+        self.check(*PINNED[case])
+
+    @pytest.mark.parametrize("spec_name, cell_id", sorted(PINNED_SMOKE))
+    def test_smoke_cell_reports_the_parent_commits_measures(self, spec_name, cell_id):
+        cell = smoke_cell(spec_name, cell_id)
+        self.check(cell.experiment, cell.params, PINNED_SMOKE[spec_name, cell_id])
+
     def test_every_experiment_kind_is_pinned(self):
-        assert {experiment for experiment, _, _ in PINNED.values()} == set(CELL_RUNNERS)
+        pinned = {experiment for experiment, _, _ in PINNED.values()}
+        assert pinned | set(ONE_SHOT_KINDS) == set(CELL_RUNNERS)
 
     def test_cell_and_direct_call_are_the_same_function(self):
         """A cell is the study's own ``measures``; traces back the totals."""
@@ -236,6 +364,20 @@ class TestMalformedParameters:
     def test_misspelt_key_names_study_and_key(self, experiment):
         with pytest.raises(ConfigurationError, match=f"{experiment}.*epocs"):
             run_cell(experiment, {"n": 16, "epocs": 3})
+
+    @pytest.mark.parametrize("experiment", ONE_SHOT_KINDS)
+    def test_one_shot_kinds_reject_empty_and_misspelt_parameters(self, experiment):
+        size = {"n": 16} if experiment == "apx_median" else {"sizes": (16,)}
+        with pytest.raises(ConfigurationError, match=f"{experiment}.*missing a required"):
+            run_cell(experiment, {})
+        with pytest.raises(ConfigurationError, match=f"{experiment}.*'sed'"):
+            run_cell(experiment, {**size, "sed": 0})
+        if "sizes" in size:
+            with pytest.raises(ConfigurationError, match="at least one size"):
+                run_cell(experiment, {"sizes": ()})
+        if experiment in ("apx_median", "apx_count"):
+            with pytest.raises(ConfigurationError, match="at least one trial"):
+                run_cell(experiment, {**size, "trials": 0})
 
     def test_n_and_num_nodes_together_are_rejected(self):
         with pytest.raises(ConfigurationError, match="either 'n' or 'num_nodes'"):

@@ -148,7 +148,9 @@ class TestExpansion:
         assert load_spec(spec.to_dict()) == spec
 
     def test_builtin_specs_smoke_expand(self):
-        assert len(BUILTIN_SWEEPS) == 6
+        # Sixteen for E1–E9 (the paper's tables and their ablations), seven
+        # for E10–E14.
+        assert len(BUILTIN_SWEEPS) == 23
         for name in BUILTIN_SWEEPS:
             full = get_sweep(name)
             smoke = get_sweep(name, smoke=True)
@@ -205,6 +207,47 @@ class TestCaching:
         (tmp_path / f"{cell.key}.json").write_text("{not json", encoding="utf-8")
         result = runner.run()
         assert result.executed == 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: {**entry, "result": [entry["result"]]},
+            lambda entry: {**entry, "result": {"timing": {}}},
+            lambda entry: {**entry, "result": {"measures": [1, 2]}},
+            lambda entry: {**entry, "experiment": "scaling"},
+            lambda entry: {**entry, "params": {**entry["params"], "seed": 7}},
+            lambda entry: {**entry, "params": [entry["params"]]},
+            lambda entry: [entry],
+        ],
+        ids=[
+            "list-result", "no-measures", "list-measures", "experiment", "params",
+            "list-params", "list-entry",
+        ],
+    )
+    def test_mis_shaped_or_mismatched_entry_is_a_miss(self, tmp_path, corrupt):
+        """A file under the right key that is not this cell's result is
+        re-executed and overwritten, never recalled (it used to crash
+        ``payload()`` or be trusted)."""
+        spec = tiny_streaming_spec()
+        clean = SweepRunner(spec, cache_dir=tmp_path / "clean", processes=0).run().payload()
+        runner = SweepRunner(spec, cache_dir=tmp_path, processes=0)
+        runner.run()
+        path = tmp_path / f"{spec.expand()[0].key}.json"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(corrupt(entry)), encoding="utf-8")
+        rerun = runner.run()
+        assert (rerun.executed, rerun.cached) == (1, 0)
+        assert [cell["measures"] for cell in rerun.payload()["cells"]] == [
+            cell["measures"] for cell in clean["cells"]
+        ]
+        assert runner.run().cached == 1  # the rerun overwrote the bad entry
+
+    @pytest.mark.parametrize("value", ["two", "-1", "1.5", ""])
+    def test_bad_process_count_env_is_a_named_error(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SWEEP_PROCESSES", value)
+        with pytest.raises(ConfigurationError, match="REPRO_SWEEP_PROCESSES.*" + repr(value)):
+            SweepRunner(tiny_streaming_spec())
+        assert SweepRunner(tiny_streaming_spec(), processes=0)  # explicit wins over env
 
     def test_force_reexecutes(self, tmp_path):
         runner = SweepRunner(tiny_streaming_spec(), cache_dir=tmp_path, processes=0)
@@ -287,6 +330,24 @@ class TestReportAndDiff:
         assert diff.ok
         assert diff.new_cells == ("seed=1,workload=drift",)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_diff_flags_a_measure_that_turned_non_finite(self, bad):
+        """``abs(nan - 5.0) > budget`` is false: NaN used to pass the gate."""
+
+        def payload(value):
+            return {"sweep": "s", "cells": [{"cell_id": "c", "measures": {"m": value}}]}
+
+        for tolerance in (0.0, 0.5):
+            for baseline, current in ((bad, 5.0), (5.0, bad)):
+                diff = diff_payloads(
+                    payload(baseline), payload(current), rel_tolerance=tolerance
+                )
+                assert [row[:2] for row in diff.changed] == [("c", "m")]
+            # ...but a measure that is the same non-finite value on both sides
+            # (nan vs nan included) did not change.
+            assert diff_payloads(payload(bad), payload(bad), rel_tolerance=tolerance).ok
+        assert not diff_payloads(payload(float("inf")), payload(float("-inf"))).ok
+
     def test_diff_tolerance_admits_bounded_drift(self, tmp_path):
         payload = self.payload(tmp_path)
         drifted = json.loads(json.dumps(payload))
@@ -325,7 +386,7 @@ class TestBuiltinSpecs:
         assert spec.base["n"] == 36 and spec.base["epochs"] == 4
         assert spec.axes == {"tenants": (6,), "seed": (0,)}
         # None keeps the spec's own value instead of overriding it.
-        assert get_sweep("e10_streaming", epochs=None).base["epochs"] == 30
+        assert get_sweep("e10_streaming", epochs=None).base["epochs"] == 60
 
     @pytest.mark.parametrize(
         "name, override",
