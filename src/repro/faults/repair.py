@@ -25,24 +25,30 @@ instead re-attaches each unit through a local adoption handshake:
    whatever remains is *detached* (physically cut off) and rejoins
    automatically once connectivity returns.
 
-Two execution paths implement the sweep, selected by
-``network.execution`` exactly as the protocol traversals do:
+Two implementations of the sweep exist, selected by ``network.execution``
+exactly as the protocol traversals are:
 
-* *per-edge* — the reference implementation: the adoption frontier scans
-  every attached node's neighbourhood wave by wave, and the repaired tree is
-  rebuilt into fresh dictionaries.  O(alive graph edges) per fault epoch.
-* *batched* (default) — operates on the
-  :class:`~repro.network.FlatTree` arrays: the attached set falls out of one
-  top-down array sweep, adoption candidates are enumerated from the (small)
-  orphan side through a priority queue that reproduces the reference scan
-  order exactly, the rebuild-vs-incremental estimate short-circuits without
+* *per-edge* — the reference: the attached set is a walk down the old tree,
+  the adoption frontier scans every attached node's neighbourhood wave by
+  wave, and the repaired tree is rebuilt into fresh dictionaries.
+  O(alive graph edges) per fault epoch.
+* *arrays* (every other mode) — the attached set is a handful of boolean
+  masks over the :class:`~repro.network.FlatTree` arrays (alive gather, one
+  probe per tree edge that the graph still carries it, one ``&=`` per
+  level), adoption candidates are enumerated from the (small) orphan side
+  through a priority queue that reproduces the reference scan order
+  exactly, the rebuild-vs-incremental estimate short-circuits without
   touching the edge set, and the spanning tree plus its flat view are
-  patched **in place** via :meth:`~repro.network.FlatTree.rewire` instead of
-  rebuilt.  O(damage) where the reference path is O(alive edges).
+  patched **in place** via :meth:`~repro.network.FlatTree.rewire` instead
+  of rebuilt.  O(damage) in Python where the reference is O(alive edges).
+  It needs numpy and the dense ids ``0..n-1`` behind
+  ``network.alive_mask``; a network without them is repaired by the
+  reference (after a one-time :class:`~repro._util.fastpath.FallbackWarning`
+  when it is numpy that is missing).
 
-Both paths attempt the same adoptions in the same order and push every
-control message through :meth:`~repro.network.SensorNetwork.send_batch`, so
-their ledgers — including lossy-radio retries — are bit-for-bit identical
+Both attempt the same adoptions in the same order and push every control
+message through :meth:`~repro.network.SensorNetwork.send_batch`, so their
+ledgers — including lossy-radio retries — are bit-for-bit identical
 (enforced by the randomized equivalence suite).
 
 When the *estimated* incremental cost exceeds ``rebuild_threshold`` times
@@ -61,8 +67,8 @@ which the repair pass runs *seeded* — the winner's surviving fragment,
 re-rooted along the election's reversed root path, plays the role of the
 attached region, and every other fragment re-attaches through the ordinary
 adoption cascade.  The seeded pass materialises the re-rooted tree through
-:func:`~repro.network.spanning_tree.tree_from_parents` on both execution
-paths (a root change moves every depth, so the O(damage) in-place
+:func:`~repro.network.spanning_tree.tree_from_parents` in both
+implementations (a root change moves every depth, so the O(damage) in-place
 :meth:`~repro.network.FlatTree.rewire` has no edge to offer), and the
 resulting :class:`RepairResult` carries the
 :class:`~repro.faults.ElectionResult` so stream recovery can migrate its
@@ -81,14 +87,20 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from collections import deque
-from itertools import compress
 from dataclasses import dataclass, field
 from typing import Callable
 
 import networkx as nx
 
+from repro._util.fastpath import np
 from repro.exceptions import ConfigurationError, DeliveryError
-from repro.faults.election import ElectionResult, RootElection
+from repro.faults.election import (
+    ElectionResult,
+    RootElection,
+    surviving_edge_mask,
+    tree_fragments,
+    use_arrays,
+)
 from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.network.spanning_tree import (
@@ -168,7 +180,7 @@ _NOOP = RepairResult(
 class _Cascade:
     """Mutable bookkeeping shared by one adoption sweep.
 
-    Both execution paths feed the same fields in the same order, so the
+    Both implementations feed the same fields in the same order, so the
     results they materialise afterwards are identical.  ``deferred_links`` /
     ``deferred_sizes`` buffer the control traffic when the radio is the
     perfect-delivery singleton: no handshake can fail, so charging the whole
@@ -195,7 +207,6 @@ class TreeRepair:
         strategy: str = "incremental",
         rebuild_threshold: float = 1.0,
         protocol: str = "faults:repair",
-        execution: str | None = None,
         election: RootElection | None = None,
     ) -> None:
         if strategy not in REPAIR_STRATEGIES:
@@ -206,18 +217,9 @@ class TreeRepair:
             raise ConfigurationError(
                 f"rebuild_threshold must be positive, got {rebuild_threshold}"
             )
-        if execution is not None and execution not in ("batched", "per-edge"):
-            raise ConfigurationError(
-                f"unknown execution mode {execution!r}; known: batched, per-edge"
-            )
         self.strategy = strategy
         self.rebuild_threshold = rebuild_threshold
         self.protocol = protocol
-        #: Which repair implementation to run; ``None`` (default) follows
-        #: ``network.execution``, an explicit value pins one path — the fault
-        #: benchmarks use this to race the two repair implementations on
-        #: identical batched-core networks.
-        self.execution = execution
         #: How to replace a dead root.  ``None`` means a dead root is an
         #: error at repair time; :class:`~repro.faults.FaultEngine` installs
         #: a default :class:`~repro.faults.RootElection` here so scripted
@@ -236,8 +238,8 @@ class TreeRepair:
         repaired :class:`~repro.network.SpanningTree` on the network and
         charges every control message to the ledger under :attr:`protocol`.
         Returns a no-op result when the existing tree already spans exactly
-        the attachable population.  Dispatches on ``network.execution``; the
-        two paths are ledger-identical and produce identical trees.
+        the attachable population.  Follows ``network.execution``; the two
+        implementations are ledger-identical and produce identical trees.
 
         A dead root defers to ``election`` (falling back to
         :attr:`election`): the handover is charged and the repair runs
@@ -278,20 +280,18 @@ class TreeRepair:
                     "or drive repairs through FaultEngine, which wires one up"
                 )
             elected = chooser.elect(network)
-        execution = self.execution if self.execution is not None else network.execution
-        if execution == "per-edge":
-            return self._repair_per_edge(network, elected)
-        return self._repair_batched(network, elected)
+        if use_arrays(network, "array tree repair"):
+            return self._repair_arrays(network, elected)
+        return self._repair_per_edge(network, elected)
 
     # ------------------------------------------------------------------ #
-    # Per-edge reference path
+    # Per-edge reference
     # ------------------------------------------------------------------ #
     def _repair_per_edge(
         self, network: SensorNetwork, elected: ElectionResult | None = None
     ) -> RepairResult:
         tree = network.tree
         graph = network.graph
-        root = network.root_id
         old_parent = tree.parent
         old_children = tree.children
         has_edge = graph.has_edge
@@ -305,8 +305,8 @@ class TreeRepair:
         else:
             # Survivors: BFS from the root over tree edges whose child end
             # is alive and whose graph edge still exists.
-            attached = {root}
-            stack = [root]
+            attached = {network.root_id}
+            stack = [network.root_id]
             while stack:
                 node = stack.pop()
                 for child in old_children[node]:
@@ -324,23 +324,13 @@ class TreeRepair:
         if self.strategy == "rebuild":
             return self._rebuild(network, old_nodes, elected)
 
-        units, unit_id, unit_parent = self._orphan_units(network, unattached)
+        units, unit_id, unit_parent = tree_fragments(network, unattached)
         if units and self._should_rebuild(network, units, unattached):
             return self._rebuild(network, old_nodes, elected)
 
         before = network.ledger.counters_snapshot()
         cascade = _Cascade(attached=attached)
-        # ``get``: a seeded fragment may contain the winner as a node an
-        # earlier repair left outside the tree (a detached survivor), which
-        # has no old parent to inherit.
-        new_parent: dict[int, int | None] = {
-            node: old_parent.get(node) for node in attached
-        }
-        if elected is not None:
-            new_parent[elected.new_root] = None
-            for node, new_par in elected.flips:
-                new_parent[node] = new_par
-            cascade.parent_changed.extend(node for node, _ in elected.flips)
+        new_parent = self._seed_parents(old_parent, attached, elected, cascade)
         frontier = sorted(attached)
         while frontier:
             wave_added: list[int] = []
@@ -362,142 +352,76 @@ class TreeRepair:
                 cascade.waves += 1
             frontier = wave_added
 
+        removed, child_losses = self._install_from_parents(
+            network, new_parent, cascade, unit_parent
+        )
+        return self._finish(
+            network, before, cascade, units, unit_id, removed, child_losses, elected
+        )
+
+    @staticmethod
+    def _seed_parents(
+        old_parent: dict[int, int | None],
+        attached: set[int],
+        elected: ElectionResult | None,
+        cascade: _Cascade,
+    ) -> dict[int, int | None]:
+        """Parent pointers of the attached region before any adoption; a
+        fail-over's flips are applied (and logged as parent changes) here."""
+        # ``get``: a seeded fragment may contain the winner as a node an
+        # earlier repair left outside the tree (a detached survivor), which
+        # has no old parent to inherit.
+        new_parent = {node: old_parent.get(node) for node in attached}
+        if elected is not None:
+            new_parent[elected.new_root] = None
+            new_parent.update(elected.flips)
+            cascade.parent_changed.extend(node for node, _ in elected.flips)
+        return new_parent
+
+    @staticmethod
+    def _install_from_parents(
+        network: SensorNetwork,
+        new_parent: dict[int, int | None],
+        cascade: _Cascade,
+        unit_parent: dict[int, int | None],
+    ) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+        """Build and install the repaired tree from a full parent map.
+
+        O(network): the reference does this every pass, the array
+        implementation only after a root change.  Returns ``(removed,
+        child_losses)``.
+        """
+        attached = cascade.attached
         for member in cascade.attach_log:
             new_parent[member] = cascade.parent_overrides.get(
                 member, unit_parent[member]
             )
-
-        detached = tuple(
-            node for node in sorted(unit_id) if node not in attached
+        old_parent = network.tree.parent
+        child_losses = sorted(
+            (parent, child)
+            for child, parent in old_parent.items()
+            if parent is not None
+            and parent in attached
+            and new_parent.get(child) != parent
         )
-        child_losses: list[tuple[int, int]] = []
-        for child, parent in old_parent.items():
-            if parent is None or parent not in attached:
-                continue
-            if new_parent.get(child) != parent:
-                child_losses.append((parent, child))
-        removed = tuple(sorted(old_nodes - attached))
-
+        removed = tuple(sorted(set(old_parent) - attached))
         network.tree = tree_from_parents(
-            root, {node: new_parent[node] for node in attached}
+            network.root_id, {node: new_parent[node] for node in attached}
         )
-        network.ledger.advance_round(cascade.waves)
-        after = network.ledger.counters_snapshot()
-        result = RepairResult(
-            strategy="incremental",
-            rebuilt=False,
-            parent_changed=tuple(cascade.parent_changed),
-            child_losses=tuple(sorted(child_losses)),
-            removed=removed,
-            detached=detached,
-            control_bits=after.total_bits - before.total_bits,
-            control_messages=after.messages - before.messages,
-            rounds=cascade.waves,
-            election=elected,
-        )
-        self._raise_if_exhausted(cascade, units, result)
-        return result
+        return removed, child_losses
 
-    # ------------------------------------------------------------------ #
-    # Batched path: flat arrays, orphan-side candidates, in-place patch
-    # ------------------------------------------------------------------ #
-    def _repair_batched(
-        self, network: SensorNetwork, elected: ElectionResult | None = None
+    def _finish(
+        self,
+        network: SensorNetwork,
+        before,
+        cascade: _Cascade,
+        units: list[list[int]],
+        unit_id: dict[int, int],
+        removed: tuple[int, ...],
+        child_losses: list[tuple[int, int]],
+        elected: ElectionResult | None,
     ) -> RepairResult:
-        if elected is not None:
-            return self._repair_batched_seeded(network, elected)
-        tree = network.tree
-        flat = network.flat_tree
-        adjacency = network.graph._adj  # raw dict-of-dicts: the hot sweeps
-        node_ids = flat.node_ids
-        parent_pos = flat.parent
-        num_old = flat.num_nodes
-        dead = set(network.dead_node_ids())
-
-        # Attached sweep: canonical order is top-down, so each node's parent
-        # has already been classified when the node is reached.  The sweep
-        # simultaneously collects the alive old-tree nodes that fell off;
-        # the attached set itself is materialised in one C pass afterwards.
-        attached_mask = bytearray(num_old)
-        unattached_tree: list[int] = []
-        if num_old:
-            attached_mask[0] = 1
-        for position in range(1, num_old):
-            node = node_ids[position]
-            if node in dead:
-                continue
-            if attached_mask[parent_pos[position]] and node in adjacency[
-                node_ids[parent_pos[position]]
-            ]:
-                attached_mask[position] = 1
-            else:
-                unattached_tree.append(node)
-        attached = set(compress(node_ids, attached_mask))
-
-        # Alive nodes outside the old tree (rejoined or reconnecting after a
-        # detachment) exist only when the population counts disagree; the
-        # common fault epoch skips the full scan.
-        if len(attached) + len(unattached_tree) == network.num_alive:
-            unattached = sorted(unattached_tree)
-        else:
-            unattached = [
-                node for node in network.alive_node_ids() if node not in attached
-            ]
-        if not unattached and len(attached) == num_old:
-            return _NOOP
-
-        if self.strategy == "rebuild":
-            return self._rebuild(network, set(tree.parent))
-
-        units, unit_id, unit_parent = self._orphan_units(network, unattached)
-        if units and self._should_rebuild_batched(
-            network, units, unattached, len(attached)
-        ):
-            return self._rebuild(network, set(tree.parent))
-
-        before = network.ledger.counters_snapshot()
-        cascade = _Cascade(attached=attached)
-        if type(network.radio) is ReliableRadio:
-            cascade.deferred_links = []
-            cascade.deferred_sizes = []
-        remaining = set(unattached)
-        self._adoption_cascade_batched(
-            network, adjacency, units, unit_id, unit_parent, cascade, remaining
-        )
-        if cascade.deferred_links:
-            network.send_batch(
-                cascade.deferred_links,
-                cascade.deferred_sizes,
-                protocol=self.protocol,
-                require_edge=False,
-            )
-
-        detached = tuple(
-            node for node in sorted(unit_id) if node not in attached
-        )
-
-        # O(damage) bookkeeping: the only candidates for a cache eviction or
-        # a removal are reparented nodes and old-tree nodes that fell out.
-        old_parent = tree.parent
-        removed_list = [node for node in sorted(dead) if node in old_parent]
-        removed_list.extend(node for node in detached if node in old_parent)
-        removed = tuple(sorted(removed_list))
-        parent_overrides = cascade.parent_overrides
-        child_losses: list[tuple[int, int]] = []
-        for child in cascade.parent_changed:
-            old = old_parent.get(child)
-            if old is not None and old in attached and parent_overrides[child] != old:
-                child_losses.append((old, child))
-        for child in removed:
-            old = old_parent[child]
-            if old is not None and old in attached:
-                child_losses.append((old, child))
-        child_losses.sort()
-
-        self._patch_tree_in_place(
-            network, flat, cascade, units, unit_parent, removed, child_losses
-        )
-
+        """Close an incremental pass: rounds, the result, exhausted units."""
         network.ledger.advance_round(cascade.waves)
         after = network.ledger.counters_snapshot()
         result = RepairResult(
@@ -506,55 +430,72 @@ class TreeRepair:
             parent_changed=tuple(cascade.parent_changed),
             child_losses=tuple(child_losses),
             removed=removed,
-            detached=detached,
+            detached=tuple(
+                node for node in sorted(unit_id) if node not in cascade.attached
+            ),
             control_bits=after.total_bits - before.total_bits,
             control_messages=after.messages - before.messages,
             rounds=cascade.waves,
+            election=elected,
         )
         self._raise_if_exhausted(cascade, units, result)
         return result
 
-    def _repair_batched_seeded(
-        self, network: SensorNetwork, elected: ElectionResult
+    # ------------------------------------------------------------------ #
+    # Array implementation: masks, orphan-side candidates, in-place patch
+    # ------------------------------------------------------------------ #
+    def _repair_arrays(
+        self, network: SensorNetwork, elected: ElectionResult | None = None
     ) -> RepairResult:
-        """Root fail-over repair on the batched path.
+        """One pass for every radio and for fail-over alike.
 
-        The adoption cascade still runs on the orphan-side candidate
-        machinery (sets, adjacency, the per-unit heap), but the attached
-        region is seeded from the election instead of swept out of the flat
-        arrays — the flat view is rooted at the dead root and useless here —
-        and the re-rooted tree is materialised through
-        :func:`~repro.network.spanning_tree.tree_from_parents`: a root
-        change moves every depth, so the O(damage) in-place rewire has
-        nothing to save.  Both execution paths therefore build the fail-over
-        tree identically, and their ledgers stay bit-for-bit equal.
+        A fail-over differs at the two ends only: its attached seed is the
+        election's winner fragment instead of a sweep of the flat arrays
+        (which are rooted at the dead root), and its tree is materialised
+        from the parent map because a root change moves every depth.
         """
         tree = network.tree
-        adjacency = network.graph._adj
+        adjacency = network.graph._adj  # raw dict-of-dicts: the hot sweeps
         old_parent = tree.parent
-        old_nodes = set(old_parent)
-        attached = set(elected.winner_fragment)
-        unattached = [
-            node for node in network.alive_node_ids() if node not in attached
-        ]
+        alive = network.alive_mask
+        if elected is None:
+            # Attached = alive, tree edge to the parent still in the graph,
+            # parent attached — settled level by level, top down.
+            flat = network.flat_tree
+            ids = flat.ids_array
+            attached_mask = attached_mask_vectorized(
+                flat, alive[ids] & surviving_edge_mask(flat, adjacency)
+            )
+            attached_ids = ids[attached_mask]
+        else:
+            attached_ids = np.asarray(elected.winner_fragment, dtype=np.int64)
+        # Every other alive node is an orphan, whether it fell off the old
+        # tree or was never in it (rejoined, or detached by an earlier pass).
+        orphaned = alive.copy()
+        orphaned[attached_ids] = False
+        unattached = np.flatnonzero(orphaned).tolist()
+        attached = set(attached_ids.tolist())
+        if elected is None and not unattached and len(attached) == flat.num_nodes:
+            return _NOOP
 
         if self.strategy == "rebuild":
-            return self._rebuild(network, old_nodes, elected)
-        units, unit_id, unit_parent = self._orphan_units(network, unattached)
+            return self._rebuild(network, set(old_parent), elected)
+
+        units, unit_id, unit_parent = tree_fragments(network, unattached)
         if units and self._should_rebuild_batched(
             network, units, unattached, len(attached)
         ):
-            return self._rebuild(network, old_nodes, elected)
+            return self._rebuild(network, set(old_parent), elected)
 
         before = network.ledger.counters_snapshot()
         cascade = _Cascade(attached=attached)
-        cascade.parent_changed.extend(node for node, _ in elected.flips)
+        if elected is not None:
+            new_parent = self._seed_parents(old_parent, attached, elected, cascade)
         if type(network.radio) is ReliableRadio:
             cascade.deferred_links = []
             cascade.deferred_sizes = []
-        remaining = set(unattached)
         self._adoption_cascade_batched(
-            network, adjacency, units, unit_id, unit_parent, cascade, remaining
+            network, adjacency, units, unit_id, unit_parent, cascade, set(unattached)
         )
         if cascade.deferred_links:
             network.send_batch(
@@ -564,46 +505,36 @@ class TreeRepair:
                 require_edge=False,
             )
 
-        detached = tuple(
-            node for node in sorted(unit_id) if node not in attached
-        )
-        new_parent: dict[int, int | None] = {
-            node: old_parent.get(node) for node in elected.winner_fragment
-        }
-        new_parent[elected.new_root] = None
-        for node, new_par in elected.flips:
-            new_parent[node] = new_par
-        for member in cascade.attach_log:
-            new_parent[member] = cascade.parent_overrides.get(
-                member, unit_parent[member]
+        if elected is not None:
+            removed, child_losses = self._install_from_parents(
+                network, new_parent, cascade, unit_parent
             )
-        child_losses: list[tuple[int, int]] = []
-        for child, parent in old_parent.items():
-            if parent is None or parent not in attached:
-                continue
-            if new_parent.get(child) != parent:
-                child_losses.append((parent, child))
-        removed = tuple(sorted(old_nodes - attached))
-
-        network.tree = tree_from_parents(
-            network.root_id, {node: new_parent[node] for node in attached}
+        else:
+            # O(damage) bookkeeping: the only candidates for a removal are
+            # the old-tree nodes the sweep dropped, and for a cache eviction
+            # those plus the reparented nodes.
+            removed = tuple(
+                node
+                for node in np.sort(ids[~attached_mask]).tolist()
+                if node not in attached
+            )
+            parent_overrides = cascade.parent_overrides
+            child_losses = []
+            for child in cascade.parent_changed:
+                old = old_parent.get(child)
+                if old is not None and old in attached and parent_overrides[child] != old:
+                    child_losses.append((old, child))
+            for child in removed:
+                old = old_parent[child]
+                if old is not None and old in attached:
+                    child_losses.append((old, child))
+            child_losses.sort()
+            self._patch_tree_in_place(
+                network, flat, cascade, units, unit_parent, removed, child_losses
+            )
+        return self._finish(
+            network, before, cascade, units, unit_id, removed, child_losses, elected
         )
-        network.ledger.advance_round(cascade.waves)
-        after = network.ledger.counters_snapshot()
-        result = RepairResult(
-            strategy="incremental",
-            rebuilt=False,
-            parent_changed=tuple(cascade.parent_changed),
-            child_losses=tuple(sorted(child_losses)),
-            removed=removed,
-            detached=detached,
-            control_bits=after.total_bits - before.total_bits,
-            control_messages=after.messages - before.messages,
-            rounds=cascade.waves,
-            election=elected,
-        )
-        self._raise_if_exhausted(cascade, units, result)
-        return result
 
     def _adoption_cascade_batched(
         self,
@@ -631,37 +562,16 @@ class TreeRepair:
         added_in_cascade: set[int] = set()
         wave_members: list[int] | None = None  # None = wave one (original attached)
         while remaining:
-            # Cheapest candidate per unit, scanned from whichever side of the
-            # attached/orphan boundary has fewer nodes — both scans visit the
-            # same boundary edges, and the minimum per unit is the same.
-            best: dict[int, tuple[int, int]] = {}
             if wave_members is None:
-                # Wave one: the adopters are the original attached set and
-                # nothing has been adopted yet, so C-level set intersections
-                # against the adjacency key views do the boundary scan.
-                if len(attached) < len(remaining):
-                    for adopter in attached:
-                        for orphan in remaining.intersection(adjacency[adopter]):
-                            unit = unit_id[orphan]
-                            key = (adopter, orphan)
-                            if unit not in best or key < best[unit]:
-                                best[unit] = key
-                else:
-                    for orphan in remaining:
-                        hits = attached.intersection(adjacency[orphan])
-                        if hits:
-                            unit = unit_id[orphan]
-                            key = (min(hits), orphan)
-                            if unit not in best or key < best[unit]:
-                                best[unit] = key
-                in_cascade = added_in_cascade
+                # Wave one: the original attached set adopts and an
+                # adopter's rank is its id, so ids compare as they are.
+                adopters = adopter_set = attached
+                rank_key = None
 
                 def rank_of(
-                    neighbor: int,
-                    _attached=attached,
-                    _in_cascade=in_cascade,
+                    neighbor: int, _attached=attached, _added=added_in_cascade
                 ) -> int | None:
-                    if neighbor in _attached and neighbor not in _in_cascade:
+                    if neighbor in _attached and neighbor not in _added:
                         return neighbor
                     return None
 
@@ -671,30 +581,33 @@ class TreeRepair:
                 position_of = {
                     member: position for position, member in enumerate(wave_members)
                 }
-                get_position = position_of.get
-                if len(wave_members) < len(remaining):
-                    for position, adopter in enumerate(wave_members):
-                        for orphan in remaining.intersection(adjacency[adopter]):
-                            unit = unit_id[orphan]
-                            key = (position, orphan)
-                            if unit not in best or key < best[unit]:
-                                best[unit] = key
-                else:
-                    member_set = set(position_of)
-                    for orphan in remaining:
-                        hits = member_set.intersection(adjacency[orphan])
-                        if hits:
-                            rank_min = min(position_of[hit] for hit in hits)
-                            unit = unit_id[orphan]
-                            key = (rank_min, orphan)
-                            if unit not in best or key < best[unit]:
-                                best[unit] = key
+                adopters = wave_members
+                adopter_set = set(position_of)
+                rank_key = rank_of = position_of.get
+                adopter_of = wave_members.__getitem__
 
-                def rank_of(neighbor: int, _get=get_position) -> int | None:
-                    return _get(neighbor)
-
-                def adopter_of(rank: int, _members=wave_members) -> int:
-                    return _members[rank]
+            # Candidate pairs across the attached/orphan boundary, scanned
+            # from whichever side has fewer nodes — both scans visit the
+            # same boundary edges, and the minimum per unit is the same.
+            # C-level set intersections against the adjacency key views do
+            # the scanning.
+            if len(adopters) < len(remaining):
+                pairs = (
+                    (rank_of(adopter), orphan)
+                    for adopter in adopters
+                    for orphan in remaining.intersection(adjacency[adopter])
+                )
+            else:
+                pairs = (
+                    (rank_of(min(hits, key=rank_key)), orphan)
+                    for orphan in remaining
+                    if (hits := adopter_set.intersection(adjacency[orphan]))
+                )
+            best: dict[int, tuple[int, int]] = {}
+            for pair in pairs:
+                unit = unit_id[pair[1]]
+                if unit not in best or pair < best[unit]:
+                    best[unit] = pair
 
             wave_added = self._run_wave(
                 network,
@@ -953,68 +866,6 @@ class TreeRepair:
             raise error
 
     # ------------------------------------------------------------------ #
-    # Orphan-unit discovery (shared; O(damage))
-    # ------------------------------------------------------------------ #
-    def _orphan_units(
-        self,
-        network: SensorNetwork,
-        unattached: list[int],
-    ) -> tuple[list[list[int]], dict[int, int], dict[int, int | None]]:
-        """Group unattached alive nodes into maximal surviving tree fragments.
-
-        Returns ``(units, unit_id, unit_parent)``: member lists per unit, the
-        node → unit index, and each node's surviving old parent *within its
-        unit* (``None`` at the fragment top).  A unit is a subtree of the old
-        tree, so exactly one member has no in-unit parent.
-        """
-        tree = network.tree
-        old_parent = tree.parent
-        old_children = tree.children
-        adjacency = network.graph._adj
-        get_parent = old_parent.get
-        get_children = old_children.get
-        unattached_set = set(unattached)
-        unit_id: dict[int, int] = {}
-        unit_parent: dict[int, int | None] = {}
-        units: list[list[int]] = []
-        for start in unattached:  # ascending ids: deterministic unit numbering
-            if start in unit_id:
-                continue
-            # ``members`` doubles as the BFS queue: the cursor walks it while
-            # discovery appends, preserving the exact breadth-first member
-            # order the per-edge path produces.
-            members = [start]
-            unit = len(units)
-            unit_id[start] = unit
-            cursor = 0
-            while cursor < len(members):
-                node = members[cursor]
-                cursor += 1
-                parent = get_parent(node)
-                neighbors = adjacency[node]
-                if (
-                    parent is not None
-                    and parent in unattached_set
-                    and parent in neighbors
-                ):
-                    unit_parent[node] = parent
-                    if parent not in unit_id:
-                        unit_id[parent] = unit
-                        members.append(parent)
-                else:
-                    unit_parent[node] = None
-                for child in get_children(node, ()):
-                    if (
-                        child in unattached_set
-                        and child in neighbors
-                        and child not in unit_id
-                    ):
-                        unit_id[child] = unit
-                        members.append(child)
-            units.append(members)
-        return units, unit_id, unit_parent
-
-    # ------------------------------------------------------------------ #
     # Rebuild-vs-incremental estimate
     # ------------------------------------------------------------------ #
     def _should_rebuild(
@@ -1054,9 +905,7 @@ class TreeRepair:
         edges each) — which bounds the flood estimate from below and settles
         the comparison whenever the incremental estimate is already cheaper
         than that, the common case by orders of magnitude.  Only near the
-        boundary is the exact count computed, and then from the (small) dead
-        boundary rather than the whole edge set: an edge is dead exactly
-        when it touches a dead node.
+        boundary does the reference count the edges.
         """
         estimated_incremental = len(units) * (
             ATTACH_REQUEST_BITS + ATTACH_ACK_BITS
@@ -1069,24 +918,7 @@ class TreeRepair:
         ) * REBUILD_TOKEN_BITS
         if estimated_incremental <= self.rebuild_threshold * lower_bound:
             return False
-        adjacency = network.graph._adj
-        dead = network.dead_node_ids()
-        dead_set = set(dead)
-        incident = 0
-        dead_to_dead = 0
-        for node in dead:
-            neighbors = adjacency[node]
-            incident += len(neighbors)
-            for neighbor in neighbors:
-                if neighbor in dead_set:
-                    dead_to_dead += 1
-        alive_edges = (
-            network.graph.number_of_edges() - incident + dead_to_dead // 2
-        )
-        estimated_rebuild = (
-            2 * alive_edges + network.num_alive
-        ) * REBUILD_TOKEN_BITS
-        return estimated_incremental > self.rebuild_threshold * estimated_rebuild
+        return self._should_rebuild(network, units, unattached)
 
     # ------------------------------------------------------------------ #
     # Rebuild-from-scratch fallback (shared)
@@ -1153,17 +985,15 @@ class TreeRepair:
 def attached_mask_vectorized(flat, alive):
     """Root-connectivity as one top-down array sweep over a flat tree.
 
-    The array counterpart of the batched repair's attached-set computation,
-    for callers that hold a :class:`~repro.network.FlatTree` plus an
-    ``alive`` boolean mask over its canonical positions (the standalone
-    :class:`~repro.network.vector_field.VectorField`): a node is attached
-    iff it is alive and its parent is attached, seeded at the root.  One
-    whole-array pass per tree level, O(n) total, no per-node Python.
+    ``alive`` is a boolean mask over the canonical positions of ``flat`` —
+    for the in-tree repair already and-ed with "the edge to my parent
+    survives" — and a node is attached iff it is alive and its parent is
+    attached, seeded at the root.  One whole-array pass per tree level, O(n)
+    total, no per-node Python.  Shared by :class:`TreeRepair`'s array
+    implementation and the standalone
+    :class:`~repro.network.vector_field.VectorField`.
 
-    Returns a new boolean mask; ``alive`` is not modified.  The in-tree
-    repair machinery is unaffected — under ``execution`` modes
-    ``"vectorized"`` and ``"sharded"`` the :class:`TreeRepair` dispatch
-    routes to the batched implementation, whose ledger is the reference.
+    Returns a new boolean mask; ``alive`` is not modified.
     """
     from repro._util.fastpath import require_numpy
 

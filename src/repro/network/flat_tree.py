@@ -93,6 +93,7 @@ class FlatTree:
         "level_spans",
         "_index",
         "_ids_array",
+        "_position_table",
         "_up_links",
         "_up_link_array",
         "_down_links",
@@ -151,12 +152,16 @@ class FlatTree:
         bottom_up,
         level_spans: list[tuple[int, int]],
         index: dict[int, int] | None,
+        ids_array=None,
+        position_table=None,
     ) -> None:
         """Adopt the structural arrays, promoting them to int64 buffers.
 
         numpy arrays are the primary representation when numpy is available;
         the pure-Python fallback keeps the same contents as lists.  Inputs
         may be lists or arrays — whichever the producing code path built.
+        ``ids_array`` / ``position_table`` pre-fill those lazy views when the
+        producer already holds them.
         """
         self.root_id = root_id
         self.num_nodes = len(node_ids)
@@ -177,7 +182,8 @@ class FlatTree:
         self.child_index = child_index
         self.bottom_up = bottom_up
         self._index = index
-        self._ids_array = None
+        self._ids_array = ids_array
+        self._position_table = position_table
         self._up_links = None
         self._up_link_array = None
         self._down_links = None
@@ -210,6 +216,40 @@ class FlatTree:
                 )
             self._ids_array = _np.asarray(self.node_ids, dtype=_np.int64)
         return self._ids_array
+
+    @property
+    def position_table(self):
+        """Node id → canonical position as one int64 array (numpy mode only).
+
+        ``table[node_id]`` is the node's position, ``-1`` for an id below the
+        largest one that is not in the tree.  The array counterpart of
+        :attr:`index` for fields with dense non-negative ids — the table is
+        ``max(id) + 1`` long — and the one id→position table the array
+        paths share: :meth:`rewire`, the fast repair and election, and the
+        vectorized engine's column re-alignment all read it.
+        """
+        if self._position_table is None:
+            ids = self.ids_array
+            if ids.size and int(ids.min()) < 0:
+                raise ConfigurationError(
+                    "FlatTree.position_table requires non-negative node ids"
+                )
+            table = _np.full(int(ids.max()) + 1 if ids.size else 0, -1, dtype=_np.int64)
+            table[ids] = _np.arange(self.num_nodes, dtype=_np.int64)
+            self._position_table = table
+        return self._position_table
+
+    def positions_of(self, node_ids):
+        """Canonical positions of an int64 id array, ``-1`` where the id is
+        not in the tree (numpy mode only; see :attr:`position_table`)."""
+        table = self.position_table
+        node_ids = _np.asarray(node_ids, dtype=_np.int64)
+        inside = (node_ids >= 0) & (node_ids < table.size)
+        if bool(inside.all()):
+            return table[node_ids]
+        positions = _np.full(node_ids.shape, -1, dtype=_np.int64)
+        positions[inside] = table[node_ids[inside]]
+        return positions
 
     @property
     def up_links(self) -> list[tuple[int, int]]:
@@ -419,22 +459,25 @@ class FlatTree:
             )
         displaced.update(depths)
 
-        insertions: dict[int, list[int]] = {}
-        for node, level in depths.items():
-            insertions.setdefault(level, []).append(node)
-        for members in insertions.values():
-            members.sort()
-
-        if _np is not None and self.num_nodes >= _NUMPY_REWIRE_MIN_NODES:
-            return self._rewire_numpy(displaced, reparented, insertions)
-        return self._rewire_python(displaced, reparented, insertions)
+        if (
+            _np is not None
+            and self.num_nodes >= _NUMPY_REWIRE_MIN_NODES
+            and int(self.ids_array.min()) >= 0
+        ):
+            return self._rewire_numpy(displaced, reparented, depths)
+        return self._rewire_python(displaced, reparented, depths)
 
     def _rewire_python(
         self,
         displaced: set[int],
         reparented: Mapping[int, int],
-        insertions: dict[int, list[int]],
+        depths: Mapping[int, int],
     ) -> "FlatTree":
+        insertions: dict[int, list[int]] = {}
+        for node, level in depths.items():
+            insertions.setdefault(level, []).append(node)
+        for members in insertions.values():
+            members.sort()
         old_order = self.node_ids
         old_spans = self.level_spans
         old_index = self.index
@@ -546,112 +589,107 @@ class FlatTree:
         self,
         displaced: set[int],
         reparented: Mapping[int, int],
-        insertions: dict[int, list[int]],
+        depths: Mapping[int, int],
     ) -> "FlatTree":
-        """Vectorised re-span; produces exactly the arrays of the pure path."""
+        """Whole-array re-span; produces exactly the arrays of the pure path.
+
+        Ids resolve through :attr:`position_table` (hence non-negative ids)
+        and the canonical order is one merge of two sorted ``(level, id)``
+        key runs — the survivors, already in order, and the arrivals — so
+        the only Python loop left is over the patch itself: a repaired tree
+        is often a hundred levels deep, and a pass per level costs more
+        than the arrays do.
+        """
         np = _np
-        old_order = self.node_ids
+        old_ids = self.ids_array
         old_parent = self.parent
-        old_index = self.index
-        old_spans = self.level_spans
-        old_order_np = self.ids_array
-        old_parent_np = np.asarray(old_parent, dtype=np.int64)
 
         keep = np.ones(self.num_nodes, dtype=bool)
-        displaced_positions = [
-            old_index[node] for node in displaced if node in old_index
-        ]
-        if displaced_positions:
-            keep[np.asarray(displaced_positions, dtype=np.int64)] = False
+        if displaced:
+            positions = self.positions_of(
+                np.fromiter(displaced, dtype=np.int64, count=len(displaced))
+            )
+            keep[positions[positions >= 0]] = False
+        stayed = np.flatnonzero(keep)  # old positions, still in canonical order
+        nodes = np.fromiter(depths, dtype=np.int64, count=len(depths))
+        levels = np.fromiter(depths.values(), dtype=np.int64, count=len(depths))
+        sorter = np.lexsort((nodes, levels))
+        nodes, levels = nodes[sorter], levels[sorter]
 
-        max_level = max(
-            len(old_spans) - 1, max(insertions) if insertions else 0
-        )
-        order_parts: list = []
-        origin_parts: list = []
-        level_spans: list[tuple[int, int]] = []
-        begin = 0
-        for level in range(max_level + 1):
-            start, end = old_spans[level] if level < len(old_spans) else (0, 0)
-            surviving = np.nonzero(keep[start:end])[0]
-            if start:
-                surviving = surviving + start
-            level_nodes = old_order_np[surviving]
-            level_origin = surviving
-            arrivals = insertions.get(level)
-            if arrivals:
-                arrival_nodes = np.asarray(arrivals, dtype=np.int64)
-                level_nodes = np.concatenate([level_nodes, arrival_nodes])
-                level_origin = np.concatenate(
-                    [level_origin, np.full(len(arrivals), -1, dtype=np.int64)]
-                )
-                sorter = np.argsort(level_nodes)  # ids are unique per level
-                level_nodes = level_nodes[sorter]
-                level_origin = level_origin[sorter]
-            size = int(level_nodes.shape[0])
-            level_spans.append((begin, begin + size))
-            begin += size
-            order_parts.append(level_nodes)
-            origin_parts.append(level_origin)
-        while level_spans and level_spans[-1][0] == level_spans[-1][1]:
-            level_spans.pop()
-            order_parts.pop()
-            origin_parts.pop()
-
-        order_np = np.concatenate(order_parts)
-        new_to_old = np.concatenate(origin_parts)
-        num_nodes = int(order_np.shape[0])
+        # Each arrival lands after the survivors that sort before it and
+        # after the arrivals before it; survivors fill the other slots.
+        span = max(int(old_ids.max()), int(nodes.max()) if nodes.size else 0) + 1
+        slots = np.searchsorted(
+            self.depth[stayed] * span + old_ids[stayed], levels * span + nodes
+        ) + np.arange(nodes.size, dtype=np.int64)
+        num_nodes = int(stayed.size + nodes.size)
+        survivors = np.ones(num_nodes, dtype=bool)
+        survivors[slots] = False
+        order_np = np.empty(num_nodes, dtype=np.int64)
+        order_np[slots] = nodes
+        order_np[survivors] = old_ids[stayed]
+        depth_np = np.empty(num_nodes, dtype=np.int64)
+        depth_np[slots] = levels
+        depth_np[survivors] = self.depth[stayed]
         old_to_new = np.full(self.num_nodes, -1, dtype=np.int64)
-        survivors = new_to_old >= 0
-        old_to_new[new_to_old[survivors]] = np.nonzero(survivors)[0]
+        old_to_new[stayed] = np.flatnonzero(survivors)
+        table = np.full(int(order_np.max()) + 1, -1, dtype=np.int64)
+        table[order_np] = np.arange(num_nodes, dtype=np.int64)
 
         # Survivors translate their parent pointer wholesale (a survivor's
-        # parent is itself a survivor); only arrivals resolve through ids.
+        # parent is itself a survivor); only arrivals resolve through ids —
+        # the patch names a reparented node's parent, a node that moved with
+        # its unit keeps the one it had.
         parent_np = np.full(num_nodes, -1, dtype=np.int64)
-        survivor_mask = survivors.copy()
-        survivor_mask[0] = False  # the root keeps parent -1
-        parent_np[survivor_mask] = old_to_new[
-            old_parent_np[new_to_old[survivor_mask]]
-        ]
-        order_list = order_np.tolist()
-        index = {node: position for position, node in enumerate(order_list)}
-        get_reparented = reparented.get
-        for position in np.nonzero(~survivors)[0].tolist():
-            node = order_list[position]
-            parent_id = get_reparented(node)
-            if parent_id is None:
-                parent_id = old_order[old_parent[old_index[node]]]
-            parent_np[position] = index[parent_id]
+        parent_np[survivors] = old_to_new[old_parent[stayed]]
+        parent_np[0] = -1  # the root (old_parent -1 wrapped around above)
+        if nodes.size:
+            get_reparented = reparented.get
+            parent_ids = np.fromiter(
+                (get_reparented(node, -1) for node in nodes.tolist()),
+                dtype=np.int64,
+                count=nodes.size,
+            )
+            kept = parent_ids < 0
+            if kept.any():
+                parent_ids[kept] = old_ids[old_parent[self.position_table[nodes[kept]]]]
+            parent_np[slots] = table[parent_ids]
+        if num_nodes > 1 and int(parent_np[1:].min()) < 0:
+            raise ConfigurationError(
+                "rewire patch names a parent that is not in the patched tree"
+            )
 
-        lengths = [end - start for start, end in level_spans]
-        depth_np = np.repeat(
-            np.arange(len(level_spans), dtype=np.int64), lengths
-        )
-        # Children grouped by parent, position-ascending within each group —
-        # a stable argsort of the parent column is exactly the bucket pass.
-        child_positions = np.argsort(parent_np[1:], kind="stable") + 1
+        # A valid tree has contiguous depths, so every level up to the
+        # deepest is populated and the spans are the running level counts.
+        level_sizes = np.bincount(depth_np)
+        ends = np.cumsum(level_sizes)
+        starts = ends - level_sizes
+        level_spans = list(zip(starts.tolist(), ends.tolist()))
+        # Children grouped by parent, position-ascending within each group:
+        # the bucket pass is a sort of (parent, position) keys, which are
+        # unique, so the plain sort does for what a stable argsort would.
+        positions = np.arange(num_nodes, dtype=np.int64)
+        child_positions = np.sort(parent_np[1:] * num_nodes + positions[1:]) % num_nodes
         child_counts = np.bincount(parent_np[1:], minlength=num_nodes)
         child_end_np = np.cumsum(child_counts)
-        child_start_np = child_end_np - child_counts
-        bottom_up_np = np.concatenate(
-            [
-                np.arange(start, end, dtype=np.int64)
-                for start, end in reversed(level_spans)
-            ]
-        )
+        # Deepest level first, canonical order within a level.
+        bottom_up_np = np.empty(num_nodes, dtype=np.int64)
+        bottom_up_np[num_nodes - ends[depth_np] + positions - starts[depth_np]] = positions
 
         rewired = object.__new__(FlatTree)
         rewired._install(
             root_id=self.root_id,
-            node_ids=order_list,
+            node_ids=order_np.tolist(),
             parent=parent_np,
             depth=depth_np,
-            child_start=child_start_np,
+            child_start=child_end_np - child_counts,
             child_end=child_end_np,
             child_index=child_positions,
             bottom_up=bottom_up_np,
             level_spans=level_spans,
-            index=index,
+            index=None,
+            ids_array=order_np,
+            position_table=table,
         )
         return rewired
 

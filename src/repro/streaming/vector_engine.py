@@ -15,17 +15,20 @@ and update stream, the ledger snapshot and the per-epoch answers are
 bit-for-bit identical to the batched and per-edge reference paths.  The
 ingredients:
 
-* transmissions still go through :meth:`SensorNetwork.send_batch`, one call
-  per tree level, in ascending node-id order within the level — so radio
-  randomness is consumed in exactly the reference order and lossy-radio
-  retries charge identically; each level is handed over as a ``(k, 2)``
-  link array, which perfect links charge without a per-link loop;
+* transmissions still go through :meth:`SensorNetwork.send_batch` as
+  ``(k, 2)`` link arrays, deepest level first and in ascending node-id
+  order within a level — so radio randomness is consumed in exactly the
+  reference order and lossy-radio retries charge identically.  On perfect
+  links, where neither order nor timing can matter, the levels of a sweep
+  are buffered and charged in **one** call; any level that could fail is
+  sent on its own (see :meth:`VectorStreamEngine._run_inprocess`);
 * the suppression / delta arithmetic is the count-summary specialization of
   the engine's ``decide`` rule, computed with exact vectorized varint
   widths;
 * repairs re-synchronize the columns with the same eviction rules the
   reference applies to its dicts (:meth:`apply_repair`,
-  :meth:`apply_root_change`).
+  :meth:`apply_root_change`), as column writes over positions looked up in
+  the flat tree's :attr:`~repro.network.FlatTree.position_table`.
 
 When ``network.execution == "sharded"`` the sweep fans out over subtree
 shards (:mod:`repro.network.sharding`): each worker process runs the same
@@ -99,7 +102,6 @@ class VectorStreamEngine(ContinuousQueryEngine):
         require_numpy("VectorStreamEngine")
         super().__init__(network, epsilon, energy_model)
         self._flat = None
-        self._pos_table = None
         self._dropped = _EvictionLog()
         self._shards = shards
         self._shard_processes = shard_processes
@@ -126,16 +128,10 @@ class VectorStreamEngine(ContinuousQueryEngine):
             raise ConfigurationError(
                 "the vectorized engine requires non-negative node ids"
             )
-        max_id = int(ids.max()) if ids.size else 0
-        table = np.full(max_id + 1, -1, dtype=np.int64)
-        table[ids] = np.arange(flat.num_nodes, dtype=np.int64)
 
         if self._flat is not None and self._queries:
-            old_table = self._pos_table
             old_ids = self._flat.ids_array
-            within = ids < old_table.size
-            old_pos = np.full(flat.num_nodes, -1, dtype=np.int64)
-            old_pos[within] = old_table[ids[within]]
+            old_pos = self._flat.positions_of(ids)
             carried = old_pos >= 0
             carried_from = old_pos[carried]
             surviving = np.zeros(self._flat.num_nodes, dtype=bool)
@@ -160,12 +156,12 @@ class VectorStreamEngine(ContinuousQueryEngine):
                 state.state = fresh
                 state.tracked = tracked
         self._flat = flat
-        self._pos_table = table
         self._shard_runner = None  # shard plans are per-tree
 
     def _pos_of(self, node_id: int) -> int:
-        if 0 <= node_id < self._pos_table.size:
-            return int(self._pos_table[node_id])
+        table = self._flat.position_table
+        if 0 <= node_id < table.size:
+            return int(table[node_id])
         return -1
 
     # ------------------------------------------------------------------ #
@@ -206,99 +202,110 @@ class VectorStreamEngine(ContinuousQueryEngine):
         if election is None:
             return
         self._realign()
-        new_root = int(election.new_root)
-        path = tuple(int(member) for member in election.reversed_path)
-        dirty: set[int] = set()
+        flat = self._flat
+        path = np.asarray(election.reversed_path, dtype=np.int64)
+        positions = flat.positions_of(path)
+        on_tree = positions >= 0
+        # Each path member now answers to its former child: it evicts the
+        # copy it cached for that child (in the tree or not).
+        evicting = on_tree[1:]
+        members = positions[on_tree]
+        root_position = self._pos_of(int(election.new_root))
         for name, state in self._queries.items():
             columns = state.state
-            parked = self._dropped.by_query.get(name, {})
-            previous: int | None = None
-            for member in path:
-                position = self._pos_of(member)
-                if position < 0:
-                    previous = member
-                    continue
-                state.tracked[position] = True
-                if previous is not None:
-                    self._evict_child_cache(columns, parked, position, previous)
-                columns.transmitted[position] = 0
-                columns.has_transmitted[position] = False
-                dirty.add(member)
-                previous = member
+            state.tracked[members] = True
+            self._evict_child_caches(
+                columns,
+                self._dropped.by_query.get(name, {}),
+                positions[1:][evicting],
+                positions[:-1][evicting],
+                path[:-1][evicting],
+            )
+            columns.transmitted[members] = 0
+            columns.has_transmitted[members] = False
             # The deepest path member's old parent was the dead root: its
             # cache died with it, so no one holds a copy any more.
-            if path:
-                last = self._pos_of(path[-1])
-                if last >= 0:
-                    columns.last_delivered[last] = 0
-                    columns.has_delivered[last] = False
-            root_position = self._pos_of(new_root)
+            if path.size and on_tree[-1]:
+                columns.last_delivered[positions[-1]] = 0
+                columns.has_delivered[positions[-1]] = False
             if root_position >= 0:
                 state.tracked[root_position] = True
-        dirty.add(new_root)
-        self._pending_dirty |= dirty
-        self._record_root_change_evictions(path)
+        self._pending_dirty.update(path[on_tree].tolist())
+        self._pending_dirty.add(int(election.new_root))
+        self._record_root_change_evictions(tuple(election.reversed_path))
 
     def apply_repair(self, result) -> None:
         if result is None or not getattr(result, "changed_anything", True):
             return
         self._realign()
-        tree_nodes = self.network.tree.parent
-        num = self._flat.num_nodes
+        flat = self._flat
+        num = flat.num_nodes
         if result.rebuilt:
             for state in self._queries.values():
                 state.state = SweepState.zeros(num)
                 state.tracked = np.ones(num, dtype=bool)
                 state.initialized = False
             self._dropped.by_query.clear()
-            self._pending_dirty = set(tree_nodes)
+            self._pending_dirty = set(self.network.tree.parent)
             self._record_evictions(result)
             return
-        dirty: set[int] = set()
-        ids = self._flat.node_ids
+        # What the repair names, as positions in the repaired tree: every
+        # rule below is then a column write over those positions.
+        losses = np.asarray(result.child_losses, dtype=np.int64).reshape(-1, 2)
+        loss_parent = flat.positions_of(losses[:, 0])
+        loss_child = flat.positions_of(losses[:, 1])
+        changed = flat.positions_of(np.asarray(result.parent_changed, dtype=np.int64))
+        changed = changed[changed >= 0]
+        ids = flat.ids_array
+        dirty = self._pending_dirty
         for name, state in self._queries.items():
             columns = state.state
-            parked = self._dropped.by_query.get(name, {})
-            for parent_id, child_id in result.child_losses:
-                parent_pos = self._pos_of(int(parent_id))
-                if parent_pos < 0 or not state.tracked[parent_pos]:
-                    continue
-                self._evict_child_cache(columns, parked, parent_pos, int(child_id))
-                dirty.add(int(parent_id))
-            for node_id in result.parent_changed:
-                position = self._pos_of(int(node_id))
-                if position < 0:
-                    continue
-                state.tracked[position] = True
-                columns.transmitted[position] = 0
-                columns.has_transmitted[position] = False
-                # A reparented node's old cache holder either evicted the
-                # entry above (child_losses) or left the tree with it; its
-                # next delivery must be cached whole by the new parent.
-                columns.last_delivered[position] = 0
-                columns.has_delivered[position] = False
-                dirty.add(int(node_id))
+            evicting = loss_parent >= 0
+            evicting[evicting] = state.tracked[loss_parent[evicting]]
+            self._evict_child_caches(
+                columns,
+                self._dropped.by_query.get(name, {}),
+                loss_parent[evicting],
+                loss_child[evicting],
+                losses[evicting, 1],
+            )
+            dirty.update(losses[evicting, 0].tolist())
+            # A reparented node's old cache holder either evicted the entry
+            # above (child_losses) or left the tree with it; its next
+            # delivery must be cached whole by the new parent.
+            state.tracked[changed] = True
+            for column in ("transmitted", "has_transmitted", "last_delivered", "has_delivered"):
+                getattr(columns, column)[changed] = 0
+            dirty.update(ids[changed].tolist())
             # Nodes re-entering the tree after an earlier removal: fresh
             # rows (realign left them untracked zeros) plus a full resync.
             fresh = np.flatnonzero(~state.tracked)
-            if fresh.size:
-                state.tracked[fresh] = True
-                for position in fresh.tolist():
-                    dirty.add(int(ids[position]))
-        self._pending_dirty |= {node for node in dirty if node in tree_nodes}
+            state.tracked[fresh] = True
+            dirty.update(ids[fresh].tolist())
         self._record_evictions(result)
 
-    def _evict_child_cache(
-        self, columns: SweepState, parked: dict[int, int], parent_pos: int, child_id: int
+    @staticmethod
+    def _evict_child_caches(
+        columns: SweepState, parked: dict[int, int], parent_pos, child_pos, child_ids
     ) -> None:
-        """Drop the parent's cached copy of ``child_id``'s last delivery."""
-        child_pos = self._pos_of(child_id)
-        if child_pos >= 0 and columns.has_delivered[child_pos]:
-            columns.child_sum[parent_pos] -= columns.last_delivered[child_pos]
-            columns.last_delivered[child_pos] = 0
-            columns.has_delivered[child_pos] = False
-        elif child_id in parked:
-            columns.child_sum[parent_pos] -= parked.pop(child_id)
+        """Drop each parent's cached copy of its lost child's last delivery.
+
+        Parallel arrays, one lost (parent, child) edge per entry; a child
+        appears once.  The copy lives in the child's row while the child is
+        in the tree, else in ``parked`` (see :class:`_EvictionLog`).
+        """
+        cached = child_pos >= 0
+        cached[cached] = columns.has_delivered[child_pos[cached]]
+        rows = child_pos[cached]
+        np.subtract.at(columns.child_sum, parent_pos[cached], columns.last_delivered[rows])
+        columns.last_delivered[rows] = 0
+        columns.has_delivered[rows] = False
+        if parked:
+            for parent, child in zip(
+                parent_pos[~cached].tolist(), child_ids[~cached].tolist()
+            ):
+                if child in parked:
+                    columns.child_sum[parent] -= parked.pop(child)
 
     # ------------------------------------------------------------------ #
     # Epoch internals (the inherited advance_epoch drives these)
@@ -335,7 +342,7 @@ class VectorStreamEngine(ContinuousQueryEngine):
             return EpochStats(rounds=0, activated=0, transmissions=0, suppressions=0)
         flat = self._flat
         columns = state.state
-        positions = self._pos_table[
+        positions = flat.position_table[
             np.fromiter((int(node) for node in dirty), dtype=np.int64, count=len(dirty))
         ]
         # Pending-dirty nodes created by a repair have no local summary yet;
@@ -384,25 +391,63 @@ class VectorStreamEngine(ContinuousQueryEngine):
         ids = flat.ids_array
         network = self.network
 
-        def charge(tx_pos, tx_par, sizes):
-            copies = network.send_batch(
+        def send(tx_pos, tx_par, sizes):
+            return network.send_batch(
                 np.stack((ids[tx_pos], ids[tx_par]), axis=1),
                 sizes,
                 protocol=protocol,
                 require_edge=False,
             )
-            delivered = copies > 0
+
+        # One charge per sweep.  On perfect links with no per-node budget a
+        # level whose endpoints are all alive cannot fail, lose a copy or
+        # depend on link order, so its links only have to reach the ledger
+        # before the sweep is over: they are buffered and sent as one batch.
+        # Any other level flushes the buffer and is sent on the spot, which
+        # keeps the exception, its raise point and the charged prefix exactly
+        # those of one send per level.
+        alive = network.alive_mask
+        deferrable = (
+            alive is not None
+            and type(network.radio) is ReliableRadio
+            and network.ledger.per_node_budget_bits is None
+        )
+        # ``up``: which tree positions are alive; ``None`` while all of them are.
+        up = None
+        if deferrable and network.num_alive < network.num_nodes:
+            up = alive[ids]
+            if bool(up.all()):
+                up = None
+        pending: list[tuple] = []
+
+        def flush() -> None:
+            if pending:
+                levels = [np.concatenate(column) for column in zip(*pending)]
+                pending.clear()
+                send(*levels)
+
+        def charge(tx_pos, tx_par, sizes):
+            if deferrable and (
+                up is None or (bool(up[tx_pos].all()) and bool(up[tx_par].all()))
+            ):
+                pending.append((tx_pos, tx_par, sizes))
+                return None
+            flush()
+            delivered = send(tx_pos, tx_par, sizes) > 0
             return None if bool(delivered.all()) else delivered
 
-        result = sweep_levels(
-            parent=flat.parent,
-            level_spans=[flat.level_spans[depth] for depth in range(deepest, -1, -1)],
-            state=columns,
-            active=active,
-            slack=slack,
-            charge=charge,
-            advance_round=network.ledger.advance_round,
-        )
+        try:
+            result = sweep_levels(
+                parent=flat.parent,
+                level_spans=[flat.level_spans[depth] for depth in range(deepest, -1, -1)],
+                state=columns,
+                active=active,
+                slack=slack,
+                charge=charge,
+                advance_round=network.ledger.advance_round,
+            )
+        finally:
+            flush()
         return EpochStats(
             rounds=deepest + 1,
             activated=result.activated,

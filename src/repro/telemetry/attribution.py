@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Iterator
 
 from repro._util.fastpath import np
@@ -58,12 +57,20 @@ BINCOUNT_LIMIT = 1 << 17
 VECTOR_DICT_FOLD_MIN = 4096
 
 
+def _hotspot_order(hotspot: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a ``(node, bits)`` hotspot: more bits first, then the
+    lowest node id — the one tie rule of every fold, at the top-``k`` cutoff
+    and inside the list."""
+    return -hotspot[1], hotspot[0]
+
+
 @dataclass
 class EpochAttribution:
     """One epoch's per-node bit distribution, compressed.
 
     ``hotspots`` is the exact top-``k`` of the epoch's per-node deltas as
-    ``(node, bits)`` pairs, descending; ``quantiles`` maps ``"p50"`` /
+    ``(node, bits)`` pairs, descending by bits, ties by ascending node id
+    (whichever ledger or fold produced them); ``quantiles`` maps ``"p50"`` /
     ``"p90"`` / ``"p99"`` / ``"max"`` to bit values (digest-approximate in
     sketch mode, exact in dense mode); ``digest`` is the
     :class:`~repro.sketches.QDigest` itself in sketch mode (``None`` in
@@ -252,12 +259,12 @@ class CostAttribution:
                     quantiles = self._digest_quantiles(digest)
             candidates = np.nonzero(deltas > cutoff)[0]
             if candidates.size < k:
+                # Positions are node ids, ascending: the lowest ids win.
                 ties = np.nonzero(deltas == cutoff)[0][: k - candidates.size]
                 candidates = np.concatenate([candidates, ties])
             hotspots = sorted(
                 ((int(node), int(deltas[node])) for node in candidates),
-                key=itemgetter(1),
-                reverse=True,
+                key=_hotspot_order,
             )
         if not dense and digest is None:
             positive = deltas[deltas > 0]
@@ -324,10 +331,7 @@ class CostAttribution:
             # bookkeeping, so lift the stats into numpy.
             self._append_dict_stats_vectorized(epoch, positive, dense)
             return
-        hotspots = heapq.nlargest(
-            self.top_k, positive.items(), key=itemgetter(1)
-        )
-        hotspots.sort(key=itemgetter(1), reverse=True)
+        hotspots = heapq.nsmallest(self.top_k, positive.items(), key=_hotspot_order)
         digest = None
         if dense:
             quantiles = self._exact_quantiles(sorted(positive.values()))
@@ -388,12 +392,14 @@ class CostAttribution:
                 quantiles = self._digest_quantiles(digest)
         chosen = np.nonzero(bits > cutoff)[0]
         if chosen.size < k:
-            ties = np.nonzero(bits == cutoff)[0][: k - chosen.size]
+            # The dict is in first-touched order; the lowest ids win.
+            ties = np.nonzero(bits == cutoff)[0]
+            wanted = k - chosen.size
+            if ties.size > wanted:
+                ties = ties[np.argpartition(nodes[ties], wanted - 1)[:wanted]]
             chosen = np.concatenate([chosen, ties])
         hotspots = sorted(
-            zip(nodes[chosen].tolist(), bits[chosen].tolist()),
-            key=itemgetter(1),
-            reverse=True,
+            zip(nodes[chosen].tolist(), bits[chosen].tolist()), key=_hotspot_order
         )
         self.epochs.append(
             EpochAttribution(

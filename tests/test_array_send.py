@@ -389,12 +389,9 @@ def _storm_run(ledger, observed, n=96, epochs=12, seed=5):
             )
             for span in tracer.spans
         ]
-        # Which of several nodes tied at the top-k cutoff is listed depends
-        # on the fold (lowest id vs first touched); the bits do not.
-        result["attribution"] = [
-            {**epoch.to_dict(), "hotspots": [bits for _, bits in epoch.hotspots]}
-            for epoch in tracer.attribution.epochs
-        ]
+        # Hotspot ids included: every fold breaks a tie at the top-k cutoff
+        # the same way (more bits first, then the lowest node id).
+        result["attribution"] = [epoch.to_dict() for epoch in tracer.attribution.epochs]
         result["counters"] = tracer.metrics.to_dict()["counters"]
     return network, result
 

@@ -279,6 +279,26 @@ class TestCostAttribution:
         assert a.quantiles == b.quantiles
 
     @needs_numpy
+    def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self, monkeypatch):
+        """More bits first, then the lowest node id — whichever fold ran and
+        in whatever order the ledger happened to touch the nodes."""
+        from repro.telemetry import attribution as attribution_module
+
+        # Node 7 stands out; forty nodes tie at 16 bits, highest id touched first.
+        deltas = {7: 64, **{node: 16 for node in range(59, 19, -1)}}
+        plain = CostAttribution(top_k=4)
+        plain._fold_dict(0, deltas)
+        monkeypatch.setattr(attribution_module, "VECTOR_DICT_FOLD_MIN", 1)
+        vectorized = CostAttribution(top_k=4)
+        vectorized._fold_dict(0, deltas)
+        column = np.zeros(64, dtype=np.int64)
+        column[list(deltas)] = list(deltas.values())
+        array = CostAttribution(top_k=4)
+        array._fold_array(0, column)
+        for sink in (plain, vectorized, array):
+            assert sink.epochs[0].hotspots == [(7, 64), (20, 16), (21, 16), (22, 16)]
+
+    @needs_numpy
     def test_large_dict_fold_sketch_mode_matches_python_path(self, monkeypatch):
         from repro.telemetry import attribution as attribution_module
 

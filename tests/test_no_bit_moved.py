@@ -56,7 +56,11 @@ from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.telemetry.records import json_safe
 from repro.tenancy import MultiTenantEngine
 from repro.workloads import DriftStream, uniform_values
-from repro.workloads.faults import churn_script, storm_under_churn_script
+from repro.workloads.faults import (
+    churn_script,
+    link_storm_script,
+    storm_under_churn_script,
+)
 
 VALUE_MAX = 1 << 16
 SEED = 3
@@ -64,6 +68,7 @@ SEED = 3
 TENANTS_SHA256 = "4972802af1dd08ea38ad66d7890cc562d0fd4ef82e59a8b66787aa790204b025"
 ONESHOT_SHA256 = "6e6d83c9908038899069d7dd00f3ba2c1f8d11c5770434f7efa4e021629f7062"
 COUNT_PATH_SHA256 = "f477792757b45dace524db685d870c339c3778e84d33e27223d8085b624dac1b"
+LINK_STORM_SHA256 = "128319b8cc315653ca722cc8720827637c649fdede8c869c394d514078d5bfae"
 
 
 def _sha256(payload) -> str:
@@ -201,20 +206,10 @@ def test_oneshot_paper_queries_move_no_bit():
     assert _sha256(rows) == ONESHOT_SHA256
 
 
-@pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
-)
-@pytest.mark.parametrize("observed", [False, True])
-def test_count_path_epochs_move_no_bit(observed):
-    """The count-valued epoch of ``execution="vectorized"`` under a storm,
-    background churn and a root crash, bare and with the full watcher on.
-
-    ``COUNT_PATH_SHA256`` was computed on commit ``7bac39f`` (PR 13, the
-    parent of the array-native charged send), where this network's ledger
-    was the dict one and every level and heartbeat sweep went through the
-    tuple-list ``send_batch``; installing the tracer moves no bit, so both
-    runs pin the same constant.
-    """
+def _count_path_run(script_for, observed: bool):
+    """24 epochs of the count-valued ``execution="vectorized"`` engine on a
+    400-node random-geometric field under ``script_for(network, epochs)``,
+    heartbeat period 1; returns the trace rows and the hashed payload."""
     n, epochs = 400, 24
     network = SensorNetwork.from_items(
         [0] * n,
@@ -230,19 +225,9 @@ def test_count_path_epochs_move_no_bit(observed):
         "below_mid",
         PredicateCountQuery(lambda item: item < VALUE_MAX // 2, description="x < mid"),
     )
-    script = storm_under_churn_script(
-        network.node_ids(),
-        epochs,
-        storm_epoch=epochs // 4,
-        storm_fraction=0.1,
-        rejoin_epoch=epochs // 2,
-        churn_rate=0.01,
-        seed=SEED,
-        rejoin_value_max=VALUE_MAX,
-    ).merge(FaultScript({3 * epochs // 4: [RootCrash()]}))
     faults = FaultEngine(
         network,
-        script=script,
+        script=script_for(network, epochs),
         repair=TreeRepair(),
         seed=SEED,
         detector=HeartbeatDetector(period=1),
@@ -258,7 +243,69 @@ def test_count_path_epochs_move_no_bit(observed):
     )
     rows = list(trace.to_dicts())
     assert len(rows) == epochs
-    assert sum(row["crashes"] for row in rows) >= n // 10  # the storm landed
-    assert [row["new_root"] for row in rows].count(None) == epochs - 1
-    payload = {"rows": rows, "ledger": _ledger_payload(network.ledger)}
-    assert _sha256(payload) == COUNT_PATH_SHA256
+    return rows, _sha256({"rows": rows, "ledger": _ledger_payload(network.ledger)})
+
+
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
+)
+
+
+@needs_numpy
+@pytest.mark.parametrize("observed", [False, True])
+def test_count_path_epochs_move_no_bit(observed):
+    """The count-valued epoch of ``execution="vectorized"`` under a storm,
+    background churn and a root crash, bare and with the full watcher on.
+
+    ``COUNT_PATH_SHA256`` was computed on commit ``7bac39f`` (PR 13, the
+    parent of the array-native charged send), where this network's ledger
+    was the dict one and every level and heartbeat sweep went through the
+    tuple-list ``send_batch``; installing the tracer moves no bit, so both
+    runs pin the same constant.
+    """
+
+    def script_for(network, epochs):
+        return storm_under_churn_script(
+            network.node_ids(),
+            epochs,
+            storm_epoch=epochs // 4,
+            storm_fraction=0.1,
+            rejoin_epoch=epochs // 2,
+            churn_rate=0.01,
+            seed=SEED,
+            rejoin_value_max=VALUE_MAX,
+        ).merge(FaultScript({3 * epochs // 4: [RootCrash()]}))
+
+    rows, digest = _count_path_run(script_for, observed)
+    assert sum(row["crashes"] for row in rows) >= 400 // 10  # the storm landed
+    assert [row["new_root"] for row in rows].count(None) == len(rows) - 1
+    assert digest == COUNT_PATH_SHA256
+
+
+@needs_numpy
+@pytest.mark.parametrize("observed", [False, True])
+def test_cut_tree_edges_and_reelection_move_no_bit(observed):
+    """What the storm pin above never sees: tree edges cut under live nodes
+    and a second fail-over.  30% of the links drop at epoch 6, the root
+    crashes at epoch 8 (election over a field whose old tree is in pieces),
+    the links come back at 12 and the winner itself crashes at 18.
+
+    ``LINK_STORM_SHA256`` was computed on commit ``bb4d945`` (PR 16, the
+    parent of the mask-built attach sweep and the array election flood).
+    """
+
+    def script_for(network, epochs):
+        return link_storm_script(
+            network.graph,
+            epoch=epochs // 4,
+            fraction=0.3,
+            seed=SEED,
+            restore_epoch=epochs // 2,
+        ).merge(
+            FaultScript({epochs // 3: [RootCrash()], 3 * epochs // 4: [RootCrash()]})
+        )
+
+    rows, digest = _count_path_run(script_for, observed)
+    assert rows[6]["link_drops"] > 0 and rows[6]["reparented"] > 0  # tree edges cut
+    assert [row["new_root"] for row in rows if row["new_root"] is not None] == [399, 398]
+    assert digest == LINK_STORM_SHA256
