@@ -16,7 +16,7 @@ import random
 import statistics
 import time
 
-import pytest
+import numpy as np
 
 from repro.faults import FaultEngine, TreeRepair
 from repro.network.simulator import SensorNetwork
@@ -82,9 +82,6 @@ def test_vectorized_million_node_epoch(smoke):
     the field, all as whole-array level passes on the
     :class:`~repro.network.VectorField`.
     """
-    pytest.importorskip("numpy", reason="the vectorized core needs the fast extra")
-    import numpy as np
-
     from repro.network import VectorField
 
     num_nodes = 1024 if smoke else 1_000_000
@@ -127,7 +124,6 @@ def test_sharded_ledger_identity(smoke):
     ledger exactly — per-node bits, totals, messages, rounds and
     per-protocol breakdowns.
     """
-    pytest.importorskip("numpy", reason="the sharded backend needs the fast extra")
     from repro.streaming.vector_engine import VectorStreamEngine
 
     num_nodes = 1024 if smoke else 10_000

@@ -5,10 +5,6 @@ Run with::
     python examples/million_node.py                     # 1,000,000 nodes
     REPRO_MILLION_NODES=100000 python examples/million_node.py
 
-Requires the ``fast`` extra (numpy); without it the script explains and
-exits cleanly, because there is no pure-Python path that holds a million
-nodes.
-
 The :class:`~repro.network.VectorField` keeps the whole field as numpy
 columns over a :class:`~repro.network.FlatTree` and runs each epoch as the
 fused sweep chain — heartbeat **detect** over every alive edge, the attach
@@ -31,16 +27,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-
-from repro._util.fastpath import HAVE_NUMPY
-
-if not HAVE_NUMPY:
-    print(
-        "million_node.py needs the vectorized core: numpy is not installed.\n"
-        "Install the fast extra (pip install 'repro-patt-shamir04[fast]') "
-        "and re-run."
-    )
-    sys.exit(0)
 
 import numpy as np
 

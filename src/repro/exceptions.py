@@ -59,3 +59,11 @@ class DeadNodeError(ProtocolError):
 
 class BudgetExceededError(ReproError):
     """Raised when a protocol exceeds an explicitly configured bit budget."""
+
+
+class SweepWorkerError(ReproError):
+    """Raised when a sweep's worker process dies before its cells finish.
+
+    The message names the unfinished cells; every cell that did finish is
+    already in the cache, so a re-run executes only the named ones.
+    """

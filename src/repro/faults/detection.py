@@ -40,7 +40,8 @@ heartbeat.
 
 from __future__ import annotations
 
-from repro._util.fastpath import np, require_numpy
+import numpy as np
+
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError, DeliveryError
 from repro.network.radio import ReliableRadio
@@ -223,7 +224,6 @@ def heartbeat_sweep_vectorized(
     Perfect links only: the standalone field has no radio model, so this is
     the :class:`~repro.network.radio.ReliableRadio` cost exactly.
     """
-    require_numpy("vectorized heartbeat sweep")
     ids = flat.ids_array
     alive_by_id = np.zeros(int(ids.max()) + 1, dtype=bool)
     alive_by_id[ids] = alive

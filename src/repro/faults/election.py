@@ -38,9 +38,9 @@ Like every other protocol in the repository, the election follows
 place, :meth:`RootElection._plan_reference`, as a list of ``(sender,
 receiver)`` tuples; ``"per-edge"`` networks charge it message by message
 through :meth:`~repro.network.SensorNetwork.send`, every other mode ships
-it through one :meth:`~repro.network.SensorNetwork.send_batch`.  With numpy
-and the dense ids ``0..n-1`` behind ``network.alive_mask`` those other
-modes build the *same* sequence as one ``(k, 2)`` link array instead
+it through one :meth:`~repro.network.SensorNetwork.send_batch`.  With the
+dense ids ``0..n-1`` behind ``network.alive_mask`` those other modes build
+the *same* sequence as one ``(k, 2)`` link array instead
 (:meth:`RootElection._plan_arrays`: the electorate BFS on a CSR cut from
 the graph when the election starts — not cached, so nothing to invalidate
 — fragments and convergecast senders as masks over the
@@ -48,9 +48,8 @@ the graph when the election starts — not cached, so nothing to invalidate
 an election over a 20,000-node field builds no million-tuple list.  Radio
 draws, the :class:`~repro.exceptions.DeliveryError` prefix charge and the
 ledger are those of the reference either way (enforced by the
-election-equivalence suites); a network without numpy (one-time
-:class:`~repro._util.fastpath.FallbackWarning`) or with other ids uses
-the reference builder.
+election-equivalence suites); a network with other ids uses the reference
+builder.
 
 :meth:`RootElection.elect` only *decides and charges*: it re-roots the
 network's identity (:meth:`~repro.network.SensorNetwork.set_root`) and
@@ -76,7 +75,8 @@ from itertools import chain, islice
 from operator import contains
 from typing import Any
 
-from repro._util.fastpath import np, warn_fallback
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import SensorNetwork
 
@@ -136,20 +136,14 @@ class _Plan:
     winner_fragment: list[int]
 
 
-def use_arrays(network: SensorNetwork, feature: str) -> bool:
-    """Whether the array implementation of ``feature`` serves ``network``.
+def use_arrays(network: SensorNetwork) -> bool:
+    """Whether the array implementations of repair and election serve
+    ``network``.
 
-    It needs numpy and the dense ids ``0..n-1`` behind
-    ``network.alive_mask``; a ``"per-edge"`` network always runs the
-    reference.  Missing numpy is loud (once per feature), other ids are not:
-    they are a property of the input, not of the installation.
+    They need the dense ids ``0..n-1`` behind ``network.alive_mask``; a
+    ``"per-edge"`` network always runs the reference.
     """
-    if network.execution == "per-edge":
-        return False
-    if np is None:
-        warn_fallback(feature)
-        return False
-    return network.alive_mask is not None
+    return network.execution != "per-edge" and network.alive_mask is not None
 
 
 def surviving_edge_mask(flat, adjacency):
@@ -295,7 +289,7 @@ class RootElection:
                 "no surviving node to elect; the whole field is dead"
             )
         winner = alive[-1]  # ids ascend: the highest surviving id
-        if use_arrays(network, "array root election"):
+        if use_arrays(network):
             plan = self._plan_arrays(network, winner)
         else:
             plan = self._plan_reference(network, winner)

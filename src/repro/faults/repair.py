@@ -41,10 +41,8 @@ exactly as the protocol traversals are:
   touching the edge set, and the spanning tree plus its flat view are
   patched **in place** via :meth:`~repro.network.FlatTree.rewire` instead
   of rebuilt.  O(damage) in Python where the reference is O(alive edges).
-  It needs numpy and the dense ids ``0..n-1`` behind
-  ``network.alive_mask``; a network without them is repaired by the
-  reference (after a one-time :class:`~repro._util.fastpath.FallbackWarning`
-  when it is numpy that is missing).
+  It needs the dense ids ``0..n-1`` behind ``network.alive_mask``; a
+  network with other ids is repaired by the reference.
 
 Both attempt the same adoptions in the same order and push every control
 message through :meth:`~repro.network.SensorNetwork.send_batch`, so their
@@ -91,8 +89,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import networkx as nx
+import numpy as np
 
-from repro._util.fastpath import np
 from repro.exceptions import ConfigurationError, DeliveryError
 from repro.faults.election import (
     ElectionResult,
@@ -280,7 +278,7 @@ class TreeRepair:
                     "or drive repairs through FaultEngine, which wires one up"
                 )
             elected = chooser.elect(network)
-        if use_arrays(network, "array tree repair"):
+        if use_arrays(network):
             return self._repair_arrays(network, elected)
         return self._repair_per_edge(network, elected)
 
@@ -995,9 +993,6 @@ def attached_mask_vectorized(flat, alive):
 
     Returns a new boolean mask; ``alive`` is not modified.
     """
-    from repro._util.fastpath import require_numpy
-
-    require_numpy("vectorized attach sweep")
     attached = alive.copy()
     parent = flat.parent
     for start, end in flat.level_spans[1:]:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
-from repro._util.fastpath import np as _np
+import numpy as np
+
 from repro._util.validation import require_non_negative
 from repro.exceptions import BudgetExceededError, ConfigurationError
 
@@ -474,8 +475,8 @@ def _link_chunks(links: Sequence[tuple[int, int]]):
     """``links`` as ``(start, (k, 2) int64 array)`` slices of bounded size."""
     for start in range(0, len(links), _BATCH_CHUNK):
         chunk = links[start : start + _BATCH_CHUNK]
-        yield start, _np.fromiter(
-            chain.from_iterable(chunk), dtype=_np.int64, count=2 * len(chunk)
+        yield start, np.fromiter(
+            chain.from_iterable(chunk), dtype=np.int64, count=2 * len(chunk)
         ).reshape(-1, 2)
 
 
@@ -502,7 +503,7 @@ class ArrayLedgerMark:
         self.total_bits = total_bits
         self.messages = messages
         self.rounds = rounds
-        self.node_total = _np.zeros_like(self.node_total)
+        self.node_total = np.zeros_like(self.node_total)
 
 
 class ArrayLedger(CommunicationLedger):
@@ -529,9 +530,6 @@ class ArrayLedger(CommunicationLedger):
     """
 
     def __init__(self, num_nodes: int, per_node_budget_bits: int | None = None) -> None:
-        from repro._util.fastpath import require_numpy
-
-        np = require_numpy("ArrayLedger")
         if per_node_budget_bits is not None:
             raise ConfigurationError(
                 "ArrayLedger does not enforce per-node budgets; use "
@@ -623,10 +621,10 @@ class ArrayLedger(CommunicationLedger):
             self._charge_columns(
                 pairs[:, 0],
                 pairs[:, 1],
-                _np.asarray(sizes[start:stop], dtype=_np.int64),
+                np.asarray(sizes[start:stop], dtype=np.int64),
                 None
                 if copies is None
-                else _np.asarray(copies[start:stop], dtype=_np.int64),
+                else np.asarray(copies[start:stop], dtype=np.int64),
                 protocol,
             )
 
@@ -638,7 +636,6 @@ class ArrayLedger(CommunicationLedger):
         protocol: str = "unknown",
         copies=None,
     ) -> None:
-        np = _np
         sizes = np.asarray(sizes, dtype=np.int64)
         if bool((sizes < 0).any()):
             require_non_negative(int(sizes.min()), "size_bits")
@@ -652,7 +649,6 @@ class ArrayLedger(CommunicationLedger):
 
     def _charge_columns(self, senders, receivers, sizes, copies, protocol: str) -> None:
         """Scatter-add validated-size int64 columns into the per-node table."""
-        np = _np
         if senders.size == 0:
             # An empty batch must leave no trace, matching charge_batch.
             return
@@ -700,7 +696,7 @@ class ArrayLedger(CommunicationLedger):
     def node_deltas_since(self, mark) -> dict[int, int]:
         """Per-node bits added since ``mark`` (nodes with a non-zero delta)."""
         deltas = self._node_totals() - mark.node_total
-        touched = _np.nonzero(deltas)[0]
+        touched = np.nonzero(deltas)[0]
         return dict(zip(touched.tolist(), deltas[touched].tolist()))
 
     def node_delta_array(self, mark):
@@ -722,13 +718,13 @@ class ArrayLedger(CommunicationLedger):
             return 0
         scratch = self._delta_scratch
         if scratch is None:
-            scratch = self._delta_scratch = _np.empty(
-                self._num_nodes, dtype=_np.int64
+            scratch = self._delta_scratch = np.empty(
+                self._num_nodes, dtype=np.int64
             )
         # _node_totals() refreshes the cache when dirty, so the next
         # mark() snapshots for free; the subtraction itself lands in the
         # scratch buffer because nobody keeps per-node deltas from here.
-        _np.subtract(self._node_totals(), mark.node_total, out=scratch)
+        np.subtract(self._node_totals(), mark.node_total, out=scratch)
         return max(0, int(scratch.max()))
 
     # ------------------------------------------------------------------ #
@@ -758,11 +754,11 @@ class ArrayLedger(CommunicationLedger):
         return int(self._node_totals()[touched].max())
 
     def nodes(self) -> Iterator[int]:
-        return iter(_np.nonzero(self._touched_mask())[0].tolist())
+        return iter(np.nonzero(self._touched_mask())[0].tolist())
 
     def snapshot(self) -> LedgerSnapshot:
         totals = self._node_totals()
-        touched = _np.nonzero(self._touched_mask())[0]
+        touched = np.nonzero(self._touched_mask())[0]
         return LedgerSnapshot(
             per_node_bits=dict(
                 zip(touched.tolist(), totals[touched].tolist())

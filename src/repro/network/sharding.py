@@ -38,7 +38,8 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro._util.fastpath import np, require_numpy
+import numpy as np
+
 from repro._util.validation import require_positive
 from repro.network.accounting import CommunicationLedger
 from repro.streaming.vector_kernels import (
@@ -95,7 +96,6 @@ def build_shard_plan(flat, num_shards: int) -> ShardPlan | None:
     Returns ``None`` for degenerate trees (a bare root): there is nothing
     below the cut to fan out.
     """
-    require_numpy("sharded execution")
     require_positive(num_shards, "num_shards")
     num_nodes = flat.num_nodes
     if num_nodes <= 1 or flat.height == 0:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
-from repro._util.fastpath import np as _np
 from repro._util.validation import require_non_negative
 from repro.exceptions import (
     ConfigurationError,
@@ -68,7 +68,7 @@ from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_record
 #: protocols treat both exactly like ``"batched"``, so every mode stays
 #: bit-for-bit ledger-identical.  A network constructed in one of the two
 #: array modes without an explicit ``ledger=`` meters on the dense
-#: :class:`~repro.network.ArrayLedger` (numpy present, ids ``0..n-1``).
+#: :class:`~repro.network.ArrayLedger` (ids ``0..n-1``).
 EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
 
 
@@ -101,11 +101,11 @@ class SensorNetwork:
         self._sorted_ids: list[int] = sorted(self._nodes)
         self._dead: set[int] = set()
         num_nodes = len(self._sorted_ids)
-        dense_ids = _np is not None and self._sorted_ids == list(range(num_nodes))
+        dense_ids = self._sorted_ids == list(range(num_nodes))
         #: ``_dead`` as a boolean array indexed by node id, for whole-array
-        #: endpoint checks (treat as read-only); ``None`` without numpy or
-        #: when the ids are not ``0..n-1``.
-        self.alive_mask = _np.ones(num_nodes, dtype=bool) if dense_ids else None
+        #: endpoint checks (treat as read-only); ``None`` when the ids are
+        #: not ``0..n-1``.
+        self.alive_mask = np.ones(num_nodes, dtype=bool) if dense_ids else None
         if ledger is None:
             # The array modes charge link arrays, which only the dense
             # ledger takes without a per-link loop; the list modes send many
@@ -564,7 +564,7 @@ class SensorNetwork:
             raise ConfigurationError(
                 f"send_batch got {len(links)} links but {len(sizes)} sizes"
             )
-        if _np is not None and isinstance(links, _np.ndarray):
+        if isinstance(links, np.ndarray):
             return self._send_link_array(links, sizes, protocol, require_edge)
         nodes = self._nodes
         dead = self._dead
@@ -655,16 +655,16 @@ class SensorNetwork:
             self.ledger.charge_array(
                 links[:, 0], links[:, 1], sizes, protocol=protocol
             )
-            return _np.ones(len(links), dtype=_np.int64)
+            return np.ones(len(links), dtype=np.int64)
         # Radio draws, budget raise points, edge checks and the error a bad
         # endpoint raises all follow link order: the list code owns them.
         copies = self._send_batch_impl(
             list(zip(links[:, 0].tolist(), links[:, 1].tolist())),
-            _np.asarray(sizes).tolist(),
+            np.asarray(sizes).tolist(),
             protocol,
             require_edge,
         )
-        return _np.asarray(copies, dtype=_np.int64)
+        return np.asarray(copies, dtype=np.int64)
 
     def _charge_outcomes(
         self,

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro._util.fastpath import np, require_numpy
+import numpy as np
+
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
 from repro.network.accounting import ArrayLedger
@@ -72,7 +73,6 @@ class VectorField:
         epsilon: float = 0.1,
         telemetry=None,
     ) -> None:
-        require_numpy("VectorField")
         if epsilon < 0:
             raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
         self.flat = flat
@@ -103,13 +103,12 @@ class VectorField:
         per-node objects — so a million-node field assembles in tens of
         milliseconds.
         """
-        npmod = require_numpy("VectorField.balanced")
         require_positive(num_nodes, "num_nodes")
         require_positive(branching, "branching")
-        parents = npmod.empty(num_nodes, dtype=npmod.int64)
+        parents = np.empty(num_nodes, dtype=np.int64)
         parents[0] = -1
         if num_nodes > 1:
-            parents[1:] = (npmod.arange(1, num_nodes, dtype=npmod.int64) - 1) // branching
+            parents[1:] = (np.arange(1, num_nodes, dtype=np.int64) - 1) // branching
         return cls(FlatTree.from_arrays(parents), **kwargs)
 
     # ------------------------------------------------------------------ #

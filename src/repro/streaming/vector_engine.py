@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro._util.fastpath import np, require_numpy
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.network.energy import EnergyModel
 from repro.network.radio import ReliableRadio
@@ -99,7 +100,6 @@ class VectorStreamEngine(ContinuousQueryEngine):
         shards: int = 4,
         shard_processes: int | None = None,
     ) -> None:
-        require_numpy("VectorStreamEngine")
         super().__init__(network, epsilon, energy_model)
         self._flat = None
         self._dropped = _EvictionLog()
@@ -587,15 +587,9 @@ def engine_for(
     """The engine implementation matching ``network.execution``.
 
     ``"vectorized"`` and ``"sharded"`` networks get a
-    :class:`VectorStreamEngine`; everything else (and any environment
-    without numpy, after a one-time fallback warning) gets the reference
+    :class:`VectorStreamEngine`; everything else gets the reference
     :class:`ContinuousQueryEngine`.
     """
     if network.execution in ("vectorized", "sharded"):
-        if np is None:
-            from repro._util.fastpath import warn_fallback
-
-            warn_fallback("vectorized streaming execution")
-        else:
-            return VectorStreamEngine(network, epsilon, energy_model, **kwargs)
+        return VectorStreamEngine(network, epsilon, energy_model, **kwargs)
     return ContinuousQueryEngine(network, epsilon, energy_model)

@@ -40,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro._util.fastpath import np, require_numpy
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 #: ``parent`` value marking a node with no parent that must not transmit
@@ -64,7 +65,6 @@ def _check_exact(values) -> None:
 
 def bit_width_array(values):
     """Vectorized ``max(1, v.bit_length())`` for non-negative int64 arrays."""
-    require_numpy("vectorized varint sizing")
     _check_exact(values)
     exponents = np.frexp(values.astype(np.float64))[1]
     return np.maximum(1, exponents).astype(np.int64)
@@ -77,7 +77,6 @@ def varint_bits_array(values):
 
 def signed_varint_bits_array(values):
     """Vectorized :func:`repro._util.bits.signed_varint_bits` (zigzag)."""
-    require_numpy("vectorized varint sizing")
     zigzag = np.where(values >= 0, 2 * values, -2 * values - 1)
     return 2 * bit_width_array(zigzag) - 1
 
@@ -123,7 +122,6 @@ class SweepState:
 
     @classmethod
     def zeros(cls, num_rows: int) -> "SweepState":
-        require_numpy("vectorized streaming state")
         return cls(
             **{
                 name: np.zeros(

@@ -1,22 +1,25 @@
 """The sweep executor: content-addressed caching plus a fork worker pool.
 
-Execution strategy, in the worker pattern of
-:class:`repro.network.sharding.ShardRunner`:
+Execution strategy:
 
 1. :meth:`SweepRunner.run` expands the spec, then partitions the matrix
    into *cached* cells (a valid result file exists under the cell's
    content hash) and *missing* cells.
-2. Missing cells are executed through a ``multiprocessing`` fork pool —
-   cells are independent seeded simulations, so they parallelise
-   embarrassingly — or inline when fork is unavailable, when
-   ``REPRO_SWEEP_PROCESSES=0``, or when only one cell is missing.
-   Serial and parallel execution produce identical results (asserted in
-   ``tests/test_sweeps.py``): every cell runner is deterministic in its
-   parameters and shares no state with its siblings.
-3. Each fresh result is written back to the cache, keyed by
-   :func:`repro.sweeps.spec.cell_key`.  Editing one axis value therefore
+2. Missing cells are executed through a fork
+   :class:`~concurrent.futures.ProcessPoolExecutor` — cells are
+   independent seeded simulations, so they parallelise embarrassingly — or
+   inline when fork is unavailable, when ``REPRO_SWEEP_PROCESSES=0``, or
+   when only one cell is missing.  Serial and parallel execution produce
+   identical results (asserted in ``tests/test_sweeps.py``): every cell
+   runner is deterministic in its parameters and shares no state with its
+   siblings.
+3. Each fresh result is written to the cache as soon as it arrives, keyed
+   by :func:`repro.sweeps.spec.cell_key`.  Editing one axis value therefore
    re-executes only the new cells; re-running an unchanged spec executes
-   zero.
+   zero.  A worker that dies (killed, out of memory) breaks the pool
+   instead of hanging it: the cells that finished stay cached and
+   :class:`~repro.exceptions.SweepWorkerError` names the rest, so a re-run
+   executes only those.
 
 Cache entries self-describe (key, experiment, parameters, result); a
 corrupt or mismatched file is treated as a miss and silently re-executed,
@@ -26,12 +29,15 @@ never trusted.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SweepWorkerError
 from repro.sweeps.cells import run_cell, runner_for
 from repro.sweeps.spec import SweepCell, SweepSpec, cell_key
 
@@ -70,9 +76,8 @@ class SweepResult:
         return normalize(self.spec, self.outcomes)
 
 
-def _run_cell_task(task: tuple[str, dict]) -> dict:
+def _run_cell_task(experiment: str, params: dict) -> dict:
     """Pool worker entry point: one (experiment, params) cell."""
-    experiment, params = task
     return run_cell(experiment, params)
 
 
@@ -152,28 +157,53 @@ class SweepRunner:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _execute(self, cells: list[SweepCell]) -> list[dict]:
-        tasks = [(cell.experiment, cell.params) for cell in cells]
+    def _execute(self, cells: list[SweepCell]) -> Iterator[tuple[SweepCell, dict]]:
+        """Run ``cells``, yielding ``(cell, result)`` as each one finishes."""
         processes = self._processes
         if processes is None:
-            processes = min(len(tasks), max(2, os.cpu_count() or 1))
-        if processes <= 1 or len(tasks) <= 1:
-            return [_run_cell_task(task) for task in tasks]
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - no fork on this platform
-            return [_run_cell_task(task) for task in tasks]
-        with context.Pool(processes=processes) as pool:
-            return pool.map(_run_cell_task, tasks)
+            processes = min(len(cells), max(2, os.cpu_count() or 1))
+        if (
+            processes <= 1
+            or len(cells) <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            for cell in cells:
+                yield cell, _run_cell_task(cell.experiment, cell.params)
+            return
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(processes, mp_context=context) as pool:
+            pending = {
+                pool.submit(_run_cell_task, cell.experiment, cell.params): cell
+                for cell in cells
+            }
+            try:
+                for future in as_completed(pending):
+                    result = future.result()
+                    yield pending.pop(future), result
+            except BrokenProcessPool as error:
+                # A dead worker fails every future still in flight; the ones
+                # that finished before it did still hold their results.
+                for future in [f for f in pending if f.done() and f.exception() is None]:
+                    yield pending.pop(future), future.result()
+                unfinished = sorted(pending.values(), key=lambda cell: cell.index)
+                raise SweepWorkerError(
+                    f"sweep {self.spec.name!r}: a worker process died before "
+                    f"{len(unfinished)} cell(s) finished: "
+                    + "; ".join(cell.cell_id for cell in unfinished)
+                    + ".  Every other cell is cached; re-run to execute these."
+                ) from error
+            finally:
+                for future in pending:
+                    future.cancel()
 
     def run(self, force: bool = False) -> SweepResult:
         """Expand, recall cached cells, execute the rest, cache them.
 
         ``force`` ignores (and overwrites) existing cache entries.
         Outcomes come back in matrix order regardless of which cells were
-        cached or how the pool scheduled the rest.
+        cached or how the pool scheduled the rest.  A worker process that
+        dies raises :class:`~repro.exceptions.SweepWorkerError` once every
+        cell that did finish is cached.
         """
         cells = self.spec.expand()
         for cell in cells:
@@ -186,12 +216,10 @@ class SweepRunner:
                 missing.append(cell)
             else:
                 recalled[cell.index] = result
-        fresh = {
-            cell.index: result
-            for cell, result in zip(missing, self._execute(missing))
-        }
-        for cell in missing:
-            self._store(cell, fresh[cell.index])
+        fresh: dict[int, dict] = {}
+        for cell, result in self._execute(missing):
+            self._store(cell, result)
+            fresh[cell.index] = result
         outcomes = [
             CellOutcome(
                 cell=cell,

@@ -9,8 +9,8 @@ span closes, the sink reads the span's already-open
 folds the epoch's per-node bit deltas into one of two representations:
 
 * **dense** — cumulative per-node bits as a numpy ``int64`` column (a plain
-  dict without numpy), exact per-node history for the batched / vectorized
-  regimes up to :attr:`CostAttribution.dense_limit` nodes;
+  dict on a dict-backed ledger), exact per-node history for the batched /
+  vectorized regimes up to :attr:`CostAttribution.dense_limit` nodes;
 * **sketch** — the million-node regime: each epoch's per-node bit
   *distribution* is compressed into the repository's own
   :class:`~repro.sketches.QDigest` (values log₂-bucketed, digest
@@ -31,7 +31,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro._util.fastpath import np
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.sketches.qdigest import QDigest
 
@@ -52,8 +53,8 @@ QUANTILE_FRACTIONS = (0.5, 0.9, 0.99)
 BINCOUNT_LIMIT = 1 << 17
 
 #: Dict folds at or above this many touched nodes route their statistics
-#: through numpy (when available); below it the pure-Python heap/sort is
-#: faster than the round-trip into arrays.
+#: through numpy; below it the pure-Python heap/sort is faster than the
+#: round-trip into arrays.
 VECTOR_DICT_FOLD_MIN = 4096
 
 
@@ -150,9 +151,9 @@ class CostAttribution:
         #: One :class:`EpochAttribution` per observed epoch, in order.
         self.epochs: list[EpochAttribution] = []
         #: Dense mode: cumulative per-node bits (numpy ``int64`` keyed by
-        #: canonical position / node id, or a dict without numpy).  ``None``
-        #: until the first fold, and permanently ``None`` in sketch mode —
-        #: the memory-bound test asserts exactly this.
+        #: canonical position / node id, or a dict on a dict-backed ledger).
+        #: ``None`` until the first fold, and permanently ``None`` in sketch
+        #: mode — the memory-bound test asserts exactly this.
         self.cumulative: Any = None
         self._cumulative_dict: dict[int, int] | None = None
 
@@ -162,9 +163,10 @@ class CostAttribution:
     def observe_span(self, span, ledger, mark):
         """Fold one closing span's ledger interval (called by the tracer).
 
-        Returns the dense per-node delta array on the numpy path (so the
-        tracer can reuse it for the span's ``max_node_bits`` instead of
-        re-subtracting), or ``None`` on the dict path.
+        Returns the dense per-node delta array on an
+        :class:`~repro.network.ArrayLedger` (so the tracer can reuse it for
+        the span's ``max_node_bits`` instead of re-subtracting), or ``None``
+        on a dict-backed ledger.
         """
         epoch = span.attributes.get("epoch")
         if epoch is None:
@@ -180,13 +182,11 @@ class CostAttribution:
         dict-backed :class:`~repro.network.LedgerMark` folds its
         O(touched) baselines and returns ``None``.
         """
-        deltas = None
-        if np is not None and hasattr(ledger, "node_delta_array"):
-            deltas = ledger.node_delta_array(mark)
-        if deltas is not None:
-            self._fold_array(epoch, deltas)
-        else:
+        if not hasattr(ledger, "node_delta_array"):
             self._fold_dict(epoch, ledger.node_deltas_since(mark))
+            return None
+        deltas = ledger.node_delta_array(mark)
+        self._fold_array(epoch, deltas)
         return deltas
 
     def _use_dense(self, population: int) -> bool:
@@ -325,7 +325,7 @@ class CostAttribution:
             cumulative = self._cumulative_dict
             for node, bits in positive.items():
                 cumulative[node] = cumulative.get(node, 0) + bits
-        if np is not None and len(positive) >= VECTOR_DICT_FOLD_MIN:
+        if len(positive) >= VECTOR_DICT_FOLD_MIN:
             # Large dict folds (the batched pipeline at scale): Python
             # sorts/heaps over 10^5 items cost more than the epoch's own
             # bookkeeping, so lift the stats into numpy.

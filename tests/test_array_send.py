@@ -11,11 +11,11 @@ ledgers, mark deltas, radio RNG state and telemetry.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro._util.fastpath import HAVE_NUMPY
 from repro.exceptions import (
     BudgetExceededError,
     ConfigurationError,
@@ -42,13 +42,6 @@ from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.workloads import DriftStream
 from repro.workloads.faults import storm_under_churn_script
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
-)
-
-if HAVE_NUMPY:
-    import numpy as np
 
 _quick = settings(
     max_examples=20,

@@ -22,9 +22,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro._util.fastpath import HAVE_NUMPY
 from repro.exceptions import ConfigurationError
 from repro.faults import (
     FaultEngine,
@@ -53,13 +53,6 @@ from repro.telemetry import (
     split_by_type,
     verdict,
 )
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
-)
-
-if HAVE_NUMPY:
-    import numpy as np
 
 DOMAIN = 1 << 12
 
@@ -229,7 +222,6 @@ class TestCostAttribution:
         # worth of per-node entries a dense fold would keep.
         assert sink.state_entries() == 2 + record.digest.size
 
-    @needs_numpy
     def test_array_fold_matches_dict_fold(self):
         """The whole-array fast path and the dict path agree exactly."""
         from repro.network.accounting import ArrayLedger
@@ -255,7 +247,6 @@ class TestCostAttribution:
         assert a.hotspots == b.hotspots
         assert a.quantiles == b.quantiles
 
-    @needs_numpy
     def test_large_dict_fold_vectorized_matches_python_path(self, monkeypatch):
         from repro.telemetry import attribution as attribution_module
 
@@ -278,7 +269,6 @@ class TestCostAttribution:
         assert a.hotspots == b.hotspots
         assert a.quantiles == b.quantiles
 
-    @needs_numpy
     def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self, monkeypatch):
         """More bits first, then the lowest node id — whichever fold ran and
         in whatever order the ledger happened to touch the nodes."""
@@ -298,7 +288,6 @@ class TestCostAttribution:
         for sink in (plain, vectorized, array):
             assert sink.epochs[0].hotspots == [(7, 64), (20, 16), (21, 16), (22, 16)]
 
-    @needs_numpy
     def test_large_dict_fold_sketch_mode_matches_python_path(self, monkeypatch):
         from repro.telemetry import attribution as attribution_module
 
@@ -321,7 +310,6 @@ class TestCostAttribution:
         assert a.quantiles == b.quantiles
         assert vectorized.cumulative is None and plain.cumulative is None
 
-    @needs_numpy
     def test_auto_mode_switches_to_sketch_above_dense_limit(self):
         from repro.network.accounting import ArrayLedger
 
@@ -441,7 +429,6 @@ class TestStormDiagnosis:
         ]
 
 
-@needs_numpy
 class TestVectorizedReconciliation:
     """Satellite: the causal layer on the numpy execution paths."""
 
@@ -571,7 +558,6 @@ class TestVectorizedReconciliation:
             assert record.touched > 0
 
 
-@needs_numpy
 class TestOverheadGuard:
     """Flight + attribution enabled must observe for free at n = 100k."""
 

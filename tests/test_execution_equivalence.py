@@ -508,11 +508,6 @@ def test_multitenant_plan_and_split_identical_across_vectorized(radio_name, seed
     whether the shared plan runs on the batched reference engine or the
     numpy fused-sweep engine.
     """
-    from repro._util.fastpath import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("vectorized path requires the 'fast' extra (numpy)")
-
     from repro.streaming.queries import CountQuery, PredicateCountQuery
     from repro.tenancy import MultiTenantEngine
     from repro.workloads.streams import make_stream

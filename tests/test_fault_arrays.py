@@ -28,7 +28,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro._util.fastpath import HAVE_NUMPY
 from repro.exceptions import (
     BudgetExceededError,
     DeadNodeError,
@@ -41,26 +40,11 @@ from repro.network.radio import DELIVERED_ONCE, LossyRadio, RadioModel, Reliable
 from repro.network.topology import build_topology
 from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the array paths require the 'fast' extra (numpy)"
-)
-
 _settings = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def numpy_rewire_on_small_trees():
-    """``FlatTree.rewire`` keeps small trees on its pure-Python path; these
-    fields are small, and it is the array path that is under test."""
-    import repro.network.flat_tree as flat_tree_module
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flat_tree_module, "_NUMPY_REWIRE_MIN_NODES", 0)
-        yield
 
 
 class FailingRadio(RadioModel):

@@ -1,8 +1,10 @@
 """FlatTree on degenerate topologies, and fail-fast invariant validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import TopologyError
+from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.flat_tree import FlatTree
 from repro.network.simulator import SensorNetwork
 from repro.network.spanning_tree import SpanningTree, bfs_tree, tree_from_parents
@@ -15,6 +17,60 @@ def line_tree(num_nodes):
 
 def star_tree(num_nodes):
     return bfs_tree(star_topology(num_nodes), root=0)
+
+
+def subtree_of(tree, node):
+    members, stack = [], [node]
+    while stack:
+        members.append(stack.pop())
+        stack.extend(tree.children[members[-1]])
+    return members
+
+
+@st.composite
+def patched_trees(draw):
+    """A random tree of 1–64 nodes — sometimes with its highest id moved to
+    99 — and a ``rewire`` patch for it: ``(tree, removed, reparented,
+    depths)``."""
+    num_nodes = draw(st.integers(1, 64))
+    ids = list(range(num_nodes))
+    if num_nodes > 1 and draw(st.booleans()):
+        ids[-1] = 99
+    parent = {ids[0]: None}
+    for position in range(1, num_nodes):
+        parent[ids[position]] = ids[draw(st.integers(0, position - 1))]
+    tree = tree_from_parents(ids[0], parent)
+
+    leaves = [node for node in ids[1:] if not tree.children[node]]
+    removed = set(draw(st.lists(st.sampled_from(leaves), unique=True))) if leaves else set()
+    patched = {node: par for node, par in parent.items() if node not in removed}
+
+    reparented: dict[int, int] = {}
+    movable = [node for node in ids[1:] if node not in removed]
+    if movable and draw(st.booleans()):
+        mover = draw(st.sampled_from(movable))
+        inside = set(subtree_of(tree, mover))
+        targets = [node for node in patched if node not in inside]
+        reparented[mover] = draw(st.sampled_from(targets))
+        patched[mover] = reparented[mover]
+    for node in draw(
+        st.lists(
+            st.integers(0, 200).filter(lambda node: node not in parent),
+            unique=True,
+            max_size=8,
+        )
+    ):
+        reparented[node] = draw(st.sampled_from(sorted(patched)))
+        patched[node] = reparented[node]
+
+    # Every node whose parent changed, and everything that moved with it.
+    rebuilt = tree_from_parents(ids[0], patched)
+    depths = {
+        member: rebuilt.depth[member]
+        for node in reparented
+        for member in subtree_of(rebuilt, node)
+    }
+    return tree, removed, reparented, depths
 
 
 class TestSingleNode:
@@ -179,8 +235,7 @@ class TestRewire:
         scratch = FlatTree.from_spanning_tree(patched_tree)
         for slot in self.SLOTS:
             assert getattr(rewired, slot) == getattr(scratch, slot), slot
-        # Structural arrays compared representation-independently (they are
-        # int64 buffers under numpy, plain lists without it).
+        # Structural arrays compared as plain lists.
         assert rewired.to_lists() == scratch.to_lists()
 
     def patch(self, tree, removed=(), reparented=None):
@@ -251,36 +306,25 @@ class TestRewire:
         with pytest.raises(ConfigurationError):
             flat.rewire(removed={3}, reparented={3: 0}, depths={3: 1})
 
-    def test_python_and_numpy_paths_agree(self, monkeypatch):
-        import random
+    @given(case=patched_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_rewire_equals_rebuild(self, case):
+        """Any patch of leaf removals, one subtree re-hang and insertions, on
+        trees of 1–64 nodes (sparse ids included): the re-span is the rebuild."""
+        tree, removed, reparented, depths = case
+        patched = self.patch(tree, removed=removed, reparented=reparented)
+        rewired = FlatTree.from_spanning_tree(tree).rewire(
+            removed=removed, reparented=reparented, depths=depths
+        )
+        # to_lists() carries node_ids and level_spans; height is a slot.
+        self.assert_matches_scratch(rewired, patched)
 
-        import repro.network.flat_tree as flat_tree_module
-
-        if flat_tree_module._np is None:
-            pytest.skip("numpy unavailable; only the pure path exists")
-        rng = random.Random(7)
-        from repro.network.topology import build_topology
-
-        graph = build_topology("random_geometric", 60, seed=3)
-        tree = bfs_tree(graph, root=0)
+    def test_negative_id_is_a_named_error(self):
+        tree = tree_from_parents(0, {0: None, -1: 0, 1: 0})
         flat = FlatTree.from_spanning_tree(tree)
-        # remove two leaves, re-hang one subtree under the root
-        leaves = [n for n in tree.parent if not tree.children[n]]
-        removed = set(rng.sample(leaves, 2))
-        mover = next(
-            n
-            for n in tree.nodes_top_down()
-            if tree.parent[n] not in (None, 0) and n not in removed
-        )
-        patched = self.patch(tree, removed=removed, reparented={mover: 0})
-        depths = self.moved_depths(patched, [mover])
-
-        monkeypatch.setattr(flat_tree_module, "_NUMPY_REWIRE_MIN_NODES", 0)
-        vectorised = flat.rewire(
-            removed=removed, reparented={mover: 0}, depths=depths
-        )
-        monkeypatch.setattr(flat_tree_module, "_np", None)
-        pure = flat.rewire(removed=removed, reparented={mover: 0}, depths=depths)
-        for slot in self.SLOTS:
-            assert getattr(vectorised, slot) == getattr(pure, slot), slot
-        self.assert_matches_scratch(vectorised, patched)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            flat.rewire(removed={1})
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            FlatTree.from_spanning_tree(line_tree(3)).rewire(
+                reparented={-5: 0}, depths={-5: 1}
+            )

@@ -27,7 +27,6 @@ from repro.core import (
     RepetitionPolicy,
 )
 from repro.distinct import ApproxDistinctCountProtocol, ExactDistinctCountProtocol
-from repro._util.fastpath import HAVE_NUMPY
 from repro.faults import (
     FaultEngine,
     FaultScript,
@@ -246,12 +245,6 @@ def _count_path_run(script_for, observed: bool):
     return rows, _sha256({"rows": rows, "ledger": _ledger_payload(network.ledger)})
 
 
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
-)
-
-
-@needs_numpy
 @pytest.mark.parametrize("observed", [False, True])
 def test_count_path_epochs_move_no_bit(observed):
     """The count-valued epoch of ``execution="vectorized"`` under a storm,
@@ -282,7 +275,6 @@ def test_count_path_epochs_move_no_bit(observed):
     assert digest == COUNT_PATH_SHA256
 
 
-@needs_numpy
 @pytest.mark.parametrize("observed", [False, True])
 def test_cut_tree_edges_and_reelection_move_no_bit(observed):
     """What the storm pin above never sees: tree edges cut under live nodes

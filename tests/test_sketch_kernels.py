@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,11 +34,6 @@ from repro._util.validation import (
 from repro.exceptions import ConfigurationError
 from repro.sketches.loglog import LogLogSketch
 from repro.sketches.qdigest import QDigest, dyadic_levels
-
-try:
-    import numpy
-except ImportError:  # the 3.10 tier-1 CI leg runs without numpy
-    numpy = None
 
 _settings = settings(
     max_examples=150,
@@ -353,10 +349,9 @@ class Level(int):
 
 def _matrix_values() -> list:
     values = [0, 1, 7, -1, -100, 2**70, True, False, 1.0, 1.5, float("nan"), "3", None,
-              Level(5), Level(0), Level(-2)]
-    if numpy is not None:
-        values += [numpy.int64(9), numpy.int64(0), numpy.int64(-4), numpy.float64(2.0),
-                   numpy.bool_(True)]
+              Level(5), Level(0), Level(-2),
+              numpy.int64(9), numpy.int64(0), numpy.int64(-4), numpy.float64(2.0),
+              numpy.bool_(True)]
     return values
 
 
@@ -411,10 +406,9 @@ def test_validation_messages_are_the_documented_ones():
 def test_int_subclasses_come_back_as_plain_ints():
     assert type(require_integer(Level(5), "x")) is int
     assert type(require_positive(Level(5), "x")) is int
-    if numpy is not None:
-        assert type(require_non_negative(numpy.int64(9), "x")) is int
-        assert bit_width(numpy.int64(255)) == 8
-        assert signed_varint_bits(numpy.int64(-1)) == 1
+    assert type(require_non_negative(numpy.int64(9), "x")) is int
+    assert bit_width(numpy.int64(255)) == 8
+    assert signed_varint_bits(numpy.int64(-1)) == 1
 
 
 @given(value=st.integers(min_value=0, max_value=2**80))

@@ -18,10 +18,14 @@ What a cell *computes* is pinned in ``tests/test_studies.py``.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
-from repro.exceptions import ConfigurationError, DuplicateAxisValueError
+from repro.exceptions import ConfigurationError, DuplicateAxisValueError, SweepWorkerError
 from repro.sweeps import (
     BUILTIN_SWEEPS,
     Constraint,
@@ -274,6 +278,54 @@ class TestParallel:
         assert [c["key"] for c in parallel_cells] == [
             c["key"] for c in serial_cells
         ]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork workers"
+    )
+    def test_dead_worker_is_a_named_error_and_finished_cells_stay_cached(
+        self, tmp_path, monkeypatch
+    ):
+        """A fork worker killed mid-cell fails the run by name instead of
+        hanging it; the cells that finished are cached, so a re-run executes
+        exactly the killed one."""
+        from repro.sweeps import runner as runner_module
+
+        run_cell = runner_module.run_cell
+
+        def killed_on_seed_one(experiment, params):
+            if params["seed"] == 1:
+                # Die once both siblings are cached, so which cells finish
+                # does not depend on scheduling.
+                deadline = time.monotonic() + 30
+                while len(list(tmp_path.glob("*.json"))) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_cell(experiment, params)
+
+        def hung(signum, frame):
+            raise TimeoutError("SweepRunner.run() hung on a dead worker")
+
+        monkeypatch.setattr(runner_module, "run_cell", killed_on_seed_one)
+        spec = tiny_streaming_spec(seeds=(0, 1, 2))
+        runner = SweepRunner(spec, cache_dir=tmp_path, processes=2)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(90)
+        try:
+            with pytest.raises(SweepWorkerError, match="seed=1,workload=drift") as caught:
+                runner.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "seed=0" not in str(caught.value) and "seed=2" not in str(caught.value)
+        assert [runner.cached_result(cell) is not None for cell in spec.expand()] == [
+            True,
+            False,
+            True,
+        ]
+
+        monkeypatch.setattr(runner_module, "run_cell", run_cell)
+        rerun = runner.run()
+        assert [o.cell.params["seed"] for o in rerun.outcomes if not o.cached] == [1]
 
 
 # --------------------------------------------------------------------- #

@@ -14,28 +14,19 @@ seeded radios), run the reference :class:`ContinuousQueryEngine` on one and
 :class:`VectorStreamEngine` on the other, and compare full ledger snapshots
 field by field.  Also here: unit tests for the varint kernels against the
 scalar ``repro._util.bits`` they mirror, the :class:`ArrayLedger` fast path,
-``FlatTree.from_arrays``, the rewire cache-invalidation regression, and the
-loud-fallback behaviour when numpy is absent.
+``FlatTree.from_arrays`` and the rewire cache-invalidation regression.
 """
 
 import random
-import warnings
 
+import numpy as np
 import pytest
 
 from repro._util import bits as scalar_bits
-from repro._util.fastpath import HAVE_NUMPY, FallbackWarning
 from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery, MedianQuery
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized paths require the 'fast' extra (numpy)"
-)
-
-if HAVE_NUMPY:
-    import numpy as np
 
 RADIOS = {
     "reliable": lambda seed: ReliableRadio(),
@@ -109,7 +100,6 @@ def drive_engines(networks, engines, epochs, seed, fault_script=None):
 # --------------------------------------------------------------------------- #
 # Kernel arithmetic: array varints == scalar varints
 # --------------------------------------------------------------------------- #
-@needs_numpy
 class TestVarintKernels:
     def test_varint_bits_matches_scalar(self):
         from repro.streaming.vector_kernels import varint_bits_array
@@ -157,7 +147,6 @@ class TestVarintKernels:
 # --------------------------------------------------------------------------- #
 # ArrayLedger: the vectorized charge path is the ledger, not a shadow of it
 # --------------------------------------------------------------------------- #
-@needs_numpy
 class TestArrayLedger:
     def test_charge_array_matches_scalar_charges(self):
         from repro.network.accounting import ArrayLedger, CommunicationLedger
@@ -293,7 +282,6 @@ class TestArrayLedger:
 # --------------------------------------------------------------------------- #
 # FlatTree: from_arrays and the rewire cache-invalidation regression
 # --------------------------------------------------------------------------- #
-@needs_numpy
 class TestFlatTreeArrays:
     def test_from_arrays_matches_from_spanning_tree(self):
         from repro.network.flat_tree import FlatTree
@@ -342,7 +330,6 @@ class TestFlatTreeArrays:
 # --------------------------------------------------------------------------- #
 # Representation equivalence: vectorized / sharded vs the batched reference
 # --------------------------------------------------------------------------- #
-@needs_numpy
 class TestStreamingEquivalence:
     def _twin_run(self, execution, topology, radio_name, seed, fault_script=None,
                   epochs=5, num_nodes=36, epsilon=0.1, **engine_kwargs):
@@ -504,7 +491,6 @@ class TestStreamingEquivalence:
 # --------------------------------------------------------------------------- #
 # VectorField: the standalone million-node surface
 # --------------------------------------------------------------------------- #
-@needs_numpy
 class TestVectorField:
     def test_exact_count_and_churn(self):
         from repro.network import VectorField
@@ -579,33 +565,3 @@ class TestVectorField:
                 field.epsilon * max(field.answers["count"], int(truth.sum()))
             )
         assert suppressed > 0
-
-
-# --------------------------------------------------------------------------- #
-# Fallback: no numpy must be loud, not slow-and-silent
-# --------------------------------------------------------------------------- #
-class TestFallback:
-    def test_engine_for_warns_once_without_numpy(self, monkeypatch):
-        from repro._util import fastpath
-        from repro.streaming import vector_engine
-        from repro.streaming.vector_engine import engine_for
-
-        monkeypatch.setattr(vector_engine, "np", None)
-        monkeypatch.setattr(fastpath, "_warned", set())
-        network = SensorNetwork.from_items(
-            [1] * 9, topology="grid", execution="vectorized"
-        )
-        with pytest.warns(FallbackWarning, match="vectorized streaming"):
-            engine = engine_for(network)
-        assert type(engine) is ContinuousQueryEngine
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call: silent
-            engine_for(network)
-
-    def test_require_numpy_raises_configuration_error(self, monkeypatch):
-        from repro._util import fastpath
-        from repro.exceptions import ConfigurationError
-
-        monkeypatch.setattr(fastpath, "np", None)
-        with pytest.raises(ConfigurationError, match="fast"):
-            fastpath.require_numpy("test feature")
