@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Docs drift gate: links, a complete ARCHITECTURE map, live sweep specs.
+"""Docs drift gate: links, a complete ARCHITECTURE map, live sweep specs, real paths.
 
 Run from anywhere::
 
     python scripts/check_docs.py
 
-Three checks, all cheap and all fatal on failure:
+Four checks, all cheap and all fatal on failure:
 
 1. every relative markdown link in ``README.md`` and ``docs/*.md`` points
    at a file that exists (anchors are stripped; external URLs skipped);
@@ -17,7 +17,12 @@ Three checks, all cheap and all fatal on failure:
    ```` `sweep:<name>` ```` token resolves to a builtin spec that expands
    to a non-empty run matrix, so the sweeps guide cannot document a spec
    that no longer exists (and the builtins are smoke-expanded on every
-   docs build).
+   docs build);
+4. every backticked repo path — ```` `tests/…` ````, ``src/``,
+   ``benchmarks/``, ``examples/`` or ``scripts/`` — in ``README.md``,
+   ``docs/*.md`` and ``.claude/skills/verify/SKILL.md`` exists, and for
+   ```` `path::name` ```` the file defines ``def name`` or ``class name``,
+   so deleting or renaming a file or test cannot leave a stale mention.
 
 CI runs this in the ``docs`` job next to smoke-running every example.
 """
@@ -31,10 +36,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SWEEP_REF = re.compile(r"`sweep:([A-Za-z0-9_-]+)`")
+#: A backticked repo path; the first whitespace-free token is the path (a
+#: command line such as `scripts/sweep.py run` names ``scripts/sweep.py``).
+PATH_REF = re.compile(r"`((?:tests|src|benchmarks|examples|scripts)/[^`\s]*)[^`]*`")
 
 
 def doc_files() -> list[Path]:
     return [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+
+def path_docs() -> list[Path]:
+    skill = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+    return doc_files() + ([skill] if skill.exists() else [])
 
 
 def check_links() -> list[str]:
@@ -130,10 +143,43 @@ def check_sweep_specs() -> list[str]:
     return failures
 
 
+def check_path_mentions() -> list[str]:
+    """Every backticked repo path must exist; ``path::name`` must define it."""
+    failures: list[str] = []
+    for doc in path_docs():
+        for mention in PATH_REF.findall(doc.read_text(encoding="utf-8")):
+            path, *names = mention.split("::")
+            if "..." in path:  # a placeholder such as `src/...`
+                continue
+            target = ROOT / path
+            if not target.exists():
+                failures.append(f"{doc.relative_to(ROOT)}: `{mention}` names no file")
+                continue
+            for name in names:
+                name = name.split("[", 1)[0]  # a parametrized test id
+                if not re.search(
+                    rf"^\s*(?:def|class) {re.escape(name)}\b",
+                    target.read_text(encoding="utf-8"),
+                    re.MULTILINE,
+                ):
+                    failures.append(
+                        f"{doc.relative_to(ROOT)}: `{mention}` — {path} defines no {name}"
+                    )
+    return failures
+
+
 def main() -> int:
-    failures = check_links() + check_architecture_mentions() + check_sweep_specs()
+    failures = (
+        check_links()
+        + check_architecture_mentions()
+        + check_sweep_specs()
+        + check_path_mentions()
+    )
     modules = public_modules()
     sweeps = sweep_references()
+    paths = sum(
+        len(PATH_REF.findall(doc.read_text(encoding="utf-8"))) for doc in path_docs()
+    )
     links = sum(
         len(LINK.findall(doc.read_text(encoding="utf-8")))
         for doc in doc_files()
@@ -146,7 +192,8 @@ def main() -> int:
     print(
         f"docs check ok: {links} links across {len(doc_files())} documents "
         f"resolve, all {len(modules)} public modules mentioned in "
-        f"docs/ARCHITECTURE.md, {len(sweeps)} documented sweep spec(s) expand"
+        f"docs/ARCHITECTURE.md, {len(sweeps)} documented sweep spec(s) expand, "
+        f"{paths} backticked repo path(s) exist"
     )
     return 0
 

@@ -33,6 +33,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.exceptions import TraceFormatError  # noqa: E402
 from repro.telemetry import diagnose, read_jsonl, verdict  # noqa: E402
 
 
@@ -77,12 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         records = list(read_jsonl(path))
-    except json.JSONDecodeError as error:
-        print(
-            f"error: {path} is not valid JSONL (truncated write?): "
-            f"line {error.lineno}: {error.msg}",
-            file=sys.stderr,
-        )
+    except TraceFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if not records:
         print(f"error: {path} is empty — no trace was written", file=sys.stderr)

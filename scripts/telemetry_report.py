@@ -24,7 +24,6 @@ runs fail loudly on an empty or mangled trace.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,6 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.report import format_table  # noqa: E402
+from repro.exceptions import TraceFormatError  # noqa: E402
 from repro.telemetry import MetricsRegistry, read_jsonl  # noqa: E402
 
 
@@ -151,12 +151,8 @@ def main(argv: list[str] | None = None) -> int:
                 spans.append(line)
             elif kind == "metrics":
                 metrics_dump = line.get("metrics")
-    except json.JSONDecodeError as error:
-        print(
-            f"error: {path} is not valid JSONL (truncated write?): "
-            f"line {error.lineno}: {error.msg}",
-            file=sys.stderr,
-        )
+    except TraceFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     if lines == 0:
         print(f"error: {path} is empty — no trace was written", file=sys.stderr)

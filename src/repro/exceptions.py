@@ -61,6 +61,15 @@ class BudgetExceededError(ReproError):
     """Raised when a protocol exceeds an explicitly configured bit budget."""
 
 
+class TraceFormatError(ReproError, ValueError):
+    """Raised when a telemetry JSONL trace has a line that is not a JSON object.
+
+    The message names the file and the 1-based line: a truncated write
+    leaves invalid JSON on the last line, and a stray value such as ``[1, 2]``
+    is valid JSON but no record.
+    """
+
+
 class SweepWorkerError(ReproError):
     """Raised when a sweep's worker process dies before its cells finish.
 

@@ -47,7 +47,7 @@ exactly as the protocol traversals are:
 Both attempt the same adoptions in the same order and push every control
 message through :meth:`~repro.network.SensorNetwork.send_batch`, so their
 ledgers — including lossy-radio retries — are bit-for-bit identical
-(enforced by the randomized equivalence suite).
+(enforced by the differential oracle, ``tests/test_oracle.py``).
 
 When the *estimated* incremental cost exceeds ``rebuild_threshold`` times
 the estimated flood cost — or when ``strategy="rebuild"`` pins the naive

@@ -25,7 +25,6 @@ from repro.network.radio import (
     RadioModel,
     ReliableRadio,
 )
-from repro.network.scheduler import RoundEngine
 from repro.network.simulator import EXECUTION_MODES, SensorNetwork
 from repro.network.spanning_tree import (
     SpanningTree,
@@ -59,7 +58,6 @@ __all__ = [
     "ReliableRadio",
     "LossyRadio",
     "DuplicatingRadio",
-    "RoundEngine",
     "EXECUTION_MODES",
     "SensorNetwork",
     "VectorField",

@@ -35,7 +35,8 @@ Everything that crosses back into id-keyed code — ``node_ids``,
 ``level_spans``, ``up_links``/``down_links``, :meth:`parent_id` — is built
 from Python ints, so ledgers, radios and traces never see a numpy scalar.
 The per-edge reference path keeps consuming those id-level views, which is
-how the randomized ledger cross-checks stay bit-for-bit meaningful.
+how the differential oracle (``tests/test_oracle.py``) stays bit-for-bit
+meaningful.
 
 The representation is immutable by convention: it is built once per spanning
 tree (``SensorNetwork.flat_tree`` caches it and rebuilds only when the tree

@@ -18,12 +18,11 @@ one place while this module owns scheduling and charging.
 Two execution paths implement the rounds, selected by ``network.execution``:
 the batched path (default) sweeps one tree level per round and charges each
 round's transmissions in a single
-:meth:`~repro.network.SensorNetwork.send_up_tree` call; the per-edge path
-runs the rounds on :class:`~repro.network.RoundEngine` with one
-:meth:`~repro.network.SensorNetwork.send` per transmission.  Both visit the
-active nodes of a round in ascending id order (the round engine's iteration
-order), so ledgers — including lossy-radio retries — are bit-for-bit
-identical.
+:meth:`~repro.network.SensorNetwork.send_batch` call; the per-edge path
+lets every node act once per round with one
+:meth:`~repro.network.SensorNetwork.send` per transmission, delivered after
+the round.  Both visit the active nodes of a round in ascending id order,
+so ledgers — including lossy-radio retries — are bit-for-bit identical.
 
 The ``"vectorized"`` and ``"sharded"`` execution modes fall through to the
 batched path here (this module's ``decide`` callback is inherently
@@ -39,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.network.scheduler import RoundEngine
 from repro.network.simulator import SensorNetwork
 
 # ``decide(node_id, child_updates)`` receives the payloads delivered by the
@@ -118,7 +116,7 @@ def _epoch_convergecast_batched(
         links: list[tuple[int, int]] = []
         sizes: list[int] = []
         deliveries: list[tuple[int, int, Any]] = []
-        # Ascending id order: the order the per-edge round engine visits.
+        # Ascending id order: the order the per-edge rounds visit.
         for node_id in sorted(active_by_depth[depth]):
             updates = received.pop(node_id, None)
             activated += 1
@@ -167,45 +165,47 @@ def _epoch_convergecast_per_edge(
     protocol: str,
 ) -> EpochStats:
     tree = network.tree
-    deepest = max(tree.depth[node] for node in dirty)
+    depth_of = tree.depth
+    parent_of = tree.parent
+    deepest = max(depth_of[node] for node in dirty)
+    node_ids = network.node_ids()
+    inboxes: dict[int, list[tuple[int, Any]]] = {node_id: [] for node_id in node_ids}
     received: dict[int, dict[int, Any]] = {}
-    counters = {"activated": 0, "transmissions": 0, "suppressions": 0}
-    current = {"round": 0}
-
-    def handler(
-        net: SensorNetwork, node_id: int, inbox: list[object]
-    ) -> dict[int, tuple[object, int]]:
-        for sender, payload in inbox:  # duplicated deliveries overwrite: idempotent
-            received.setdefault(node_id, {})[sender] = payload
-        depth = tree.depth.get(node_id)
-        if depth is None:  # crashed or cut off: not spanned by the repaired tree
-            return {}
-        if depth > deepest or deepest - depth != current["round"]:
-            return {}
-        updates = received.pop(node_id, {})
-        if node_id not in dirty and not updates:
-            return {}
-        counters["activated"] += 1
-        decision = decide(node_id, updates)
-        parent = tree.parent[node_id]
-        if parent is None:
-            return {}
-        if decision is None:
-            counters["suppressions"] += 1
-            return {}
-        payload, size_bits = decision
-        counters["transmissions"] += 1
-        return {parent: ((node_id, payload), size_bits)}
-
-    def advance(net: SensorNetwork, round_index: int) -> bool:
-        current["round"] = round_index + 1
-        return False
-
-    engine = RoundEngine(network, protocol_name=protocol)
-    result = engine.run(handler, max_rounds=deepest + 1, stop_condition=advance)
+    activated = transmissions = suppressions = 0
+    for round_index in range(deepest + 1):
+        # Every node acts once per round, in ascending id order; what it
+        # sends is delivered only after the round, into the next inbox.
+        outgoing: list[tuple[int, int, tuple[int, Any], int]] = []
+        for node_id in node_ids:
+            inbox, inboxes[node_id] = inboxes[node_id], []
+            for sender, payload in inbox:  # duplicated deliveries overwrite: idempotent
+                received.setdefault(node_id, {})[sender] = payload
+            depth = depth_of.get(node_id)
+            # Crashed or cut off (not spanned by the repaired tree), or not
+            # this node's round: a node at depth d acts in round deepest - d.
+            if depth is None or deepest - depth != round_index:
+                continue
+            updates = received.pop(node_id, {})
+            if node_id not in dirty and not updates:
+                continue
+            activated += 1
+            decision = decide(node_id, updates)
+            parent = parent_of[node_id]
+            if parent is None:
+                continue
+            if decision is None:
+                suppressions += 1
+                continue
+            payload, size_bits = decision
+            transmissions += 1
+            outgoing.append((node_id, parent, (node_id, payload), size_bits))
+        for sender, receiver, message, size_bits in outgoing:
+            sent = network.send(sender, receiver, message, size_bits, protocol=protocol)
+            inboxes[receiver].extend([message] * sent.metadata.get("copies_delivered", 1))
+        network.ledger.advance_round()
     return EpochStats(
-        rounds=result.rounds_executed,
-        activated=counters["activated"],
-        transmissions=counters["transmissions"],
-        suppressions=counters["suppressions"],
+        rounds=deepest + 1,
+        activated=activated,
+        transmissions=transmissions,
+        suppressions=suppressions,
     )

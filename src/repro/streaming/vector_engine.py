@@ -9,11 +9,11 @@ network's :class:`~repro.network.FlatTree`, and the per-epoch sweep runs as
 whole-array level passes (:mod:`repro.streaming.vector_kernels`) instead of
 per-node ``decide`` callbacks.
 
-Equivalence contract (enforced by the randomized suite in
-``tests/test_vectorized.py``): for any topology, radio model, fault script
-and update stream, the ledger snapshot and the per-epoch answers are
-bit-for-bit identical to the batched and per-edge reference paths.  The
-ingredients:
+Equivalence contract (enforced against the per-edge reference by the
+differential oracle, ``tests/test_oracle.py``): for any topology, radio
+model, fault script and update stream, the ledger snapshot and the
+per-epoch answers are bit-for-bit identical to the batched and per-edge
+paths.  The ingredients:
 
 * transmissions still go through :meth:`SensorNetwork.send_batch` as
   ``(k, 2)`` link arrays, deepest level first and in ascending node-id
@@ -81,8 +81,11 @@ class _EvictionLog:
 
     The reference engine stores a child's cached summary *in the parent's
     dict*, so it survives the child's removal until ``child_losses`` evicts
-    it.  The vectorized engine stores it in the child's row; when a repair
-    drops that row before the eviction runs, the value is parked here.
+    it, or until the parent itself leaves the tree.  The vectorized engine
+    stores it in the child's row; when a repair drops that row while the
+    parent stays, or a root change re-parents the winner fragment's root
+    away from a live parent, the value is parked here until the eviction
+    runs.
     """
 
     by_query: dict[str, dict[int, int]] = field(default_factory=dict)
@@ -137,11 +140,16 @@ class VectorStreamEngine(ContinuousQueryEngine):
             surviving = np.zeros(self._flat.num_nodes, dtype=bool)
             surviving[carried_from] = True
             dropped_pos = np.flatnonzero(~surviving)
+            # A dropped row's delivered copy lives on only while the parent
+            # holding it stays in the tree; a dropped parent takes it along.
+            old_parent = self._flat.parent[dropped_pos]
+            held = old_parent >= 0
+            held[held] = surviving[old_parent[held]]
             for name, state in self._queries.items():
                 old = state.state
                 if dropped_pos.size:
                     parked = self._dropped.by_query.setdefault(name, {})
-                    cached = dropped_pos[old.has_delivered[dropped_pos]]
+                    cached = dropped_pos[old.has_delivered[dropped_pos] & held]
                     for position in cached.tolist():
                         parked[int(old_ids[position])] = int(
                             old.last_delivered[position]
@@ -201,11 +209,23 @@ class VectorStreamEngine(ContinuousQueryEngine):
     def apply_root_change(self, election) -> None:
         if election is None:
             return
+        old_flat = self._flat
         self._realign()
         flat = self._flat
         path = np.asarray(election.reversed_path, dtype=np.int64)
         positions = flat.positions_of(path)
         on_tree = positions >= 0
+        # The deepest path member's old parent holds the copy it cached for
+        # it.  If that parent was the dead root (or left the tree), the copy
+        # died with it; else it stays there until the repair's child_losses
+        # evict it, so it moves to the eviction log.
+        holder_alive = False
+        if path.size and on_tree[-1] and old_flat is not flat:
+            old_position = int(old_flat.positions_of(path[-1:])[0])
+            old_parent = int(old_flat.parent[old_position]) if old_position >= 0 else -1
+            holder_alive = (
+                old_parent >= 0 and self._pos_of(int(old_flat.ids_array[old_parent])) >= 0
+            )
         # Each path member now answers to its former child: it evicts the
         # copy it cached for that child (in the tree or not).
         evicting = on_tree[1:]
@@ -223,9 +243,11 @@ class VectorStreamEngine(ContinuousQueryEngine):
             )
             columns.transmitted[members] = 0
             columns.has_transmitted[members] = False
-            # The deepest path member's old parent was the dead root: its
-            # cache died with it, so no one holds a copy any more.
             if path.size and on_tree[-1]:
+                if holder_alive and columns.has_delivered[positions[-1]]:
+                    self._dropped.by_query.setdefault(name, {})[int(path[-1])] = int(
+                        columns.last_delivered[positions[-1]]
+                    )
                 columns.last_delivered[positions[-1]] = 0
                 columns.has_delivered[positions[-1]] = False
             if root_position >= 0:

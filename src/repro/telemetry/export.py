@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from repro.exceptions import TraceFormatError
+
 
 def dumps_line(record: Mapping) -> str:
     """One JSONL line (compact separators, sorted keys, no newline)."""
@@ -35,12 +37,30 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield each JSONL line of ``path`` as a dict (blank lines skipped)."""
+    """Yield each JSONL line of ``path`` as a dict (blank lines skipped).
+
+    A line that is not valid JSON, or valid JSON but not an object, raises
+    :class:`~repro.exceptions.TraceFormatError` naming ``path`` and the
+    1-based line.
+    """
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise TraceFormatError(
+                    f"{path} line {number} is not valid JSON (truncated write?): "
+                    f"{error.msg}"
+                ) from None
+            if not isinstance(record, dict):
+                raise TraceFormatError(
+                    f"{path} line {number} is a JSON {type(record).__name__}, "
+                    "not a record object"
+                )
+            yield record
 
 
 def load_jsonl(path: str | Path) -> list[dict]:

@@ -3,9 +3,10 @@
 ``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array and, on perfect
 links with known, alive endpoints, charges it whole; everything else runs
 the ordered tuple-list code.  Each test here drives twin networks — one fed
-arrays, one fed tuple lists (or one on the dense default ledger, one on an
-explicit dict ledger) — and holds them to the same copies, exceptions,
-ledgers, mark deltas, radio RNG state and telemetry.
+arrays, one fed tuple lists — and holds them to the same copies,
+exceptions, ledgers, mark deltas, radio RNG state and telemetry.  Whole runs
+on the dense default ledger against the dict ledger are
+``tests/test_oracle.py``'s.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from repro.exceptions import (
     DeadNodeError,
     TopologyError,
 )
-from repro.faults import (
-    FaultEngine,
-    FaultScript,
-    HeartbeatDetector,
-    RootCrash,
-    TreeRepair,
-    run_faulty_stream,
-)
+from repro.faults import HeartbeatDetector
 from repro.network import (
     ArrayLedger,
     CommunicationLedger,
@@ -38,10 +32,7 @@ from repro.network import (
     SensorNetwork,
 )
 from repro.network.topology import random_geometric_topology
-from repro.streaming import CountQuery, PredicateCountQuery, engine_for
-from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
-from repro.workloads import DriftStream
-from repro.workloads.faults import storm_under_churn_script
+from repro.telemetry import SpanTracer
 
 _quick = settings(
     max_examples=20,
@@ -323,79 +314,3 @@ def test_heartbeat_sweep_masks_match_the_list_walk(ledger, data, seed, kill_root
     bits, messages = outcomes[0][0]
     assert bits == messages * detector.heartbeat_bits
     assert messages <= n - 1 - len(silent)
-
-
-# ---------------------------------------------------------------------- #
-# The whole epoch: dense default ledger vs an explicit dict ledger
-# ---------------------------------------------------------------------- #
-def _storm_run(ledger, observed, n=96, epochs=12, seed=5):
-    graph = random_geometric_topology(n, seed=seed)
-    network = SensorNetwork(
-        graph, degree_bound=None, ledger=ledger, execution="vectorized"
-    )
-    engine = engine_for(network, epsilon=0.1)
-    engine.register("count", CountQuery())
-    engine.register("low", PredicateCountQuery(lambda item: item < 500))
-    script = storm_under_churn_script(
-        network.node_ids(),
-        epochs,
-        storm_epoch=epochs // 4,
-        storm_fraction=0.15,
-        rejoin_epoch=epochs // 2,
-        churn_rate=0.02,
-        seed=seed,
-        rejoin_value_max=1000,
-    ).merge(FaultScript({3 * epochs // 4: [RootCrash()]}))
-    faults = FaultEngine(
-        network,
-        script=script,
-        repair=TreeRepair(),
-        seed=seed,
-        detector=HeartbeatDetector(period=1),
-    )
-    tracer = (
-        SpanTracer(flight=FlightRecorder(), attribution=CostAttribution())
-        if observed
-        else None
-    )
-    trace = run_faulty_stream(
-        engine,
-        DriftStream(n, max_value=1000, seed=seed, drift_fraction=0.1),
-        faults,
-        epochs=epochs,
-        telemetry=tracer,
-    )
-    result = {
-        "rows": list(trace.to_dicts()),
-        "snapshot": network.ledger.snapshot(),
-    }
-    if observed:
-        result["spans"] = [
-            (
-                span.name,
-                span.depth,
-                span.bits,
-                span.exclusive_bits,
-                span.messages,
-                span.rounds,
-                span.max_node_bits,
-            )
-            for span in tracer.spans
-        ]
-        # Hotspot ids included: every fold breaks a tie at the top-k cutoff
-        # the same way (more bits first, then the lowest node id).
-        result["attribution"] = [epoch.to_dict() for epoch in tracer.attribution.epochs]
-        result["counters"] = tracer.metrics.to_dict()["counters"]
-    return network, result
-
-
-@pytest.mark.parametrize("observed", [False, True])
-def test_default_array_ledger_run_equals_dict_ledger_run(observed):
-    dense_network, dense = _storm_run(None, observed)
-    dict_network, reference = _storm_run(CommunicationLedger(), observed)
-    assert type(dense_network.ledger) is ArrayLedger
-    assert type(dict_network.ledger) is CommunicationLedger
-    rows = dense["rows"]
-    assert sum(row["crashes"] for row in rows) > 0
-    assert sum(row["new_root"] is not None for row in rows) == 1
-    assert dense == reference

@@ -1,9 +1,8 @@
 """Unit tests for the batched execution core.
 
 Covers the flat-tree representation, batch charging and ledger marks, the
-radio batch filter, and the batched send primitives on the simulator.  The
-cross-path ledger equivalence property is in
-``tests/test_execution_equivalence.py``.
+radio batch filter, and the batched send primitives on the simulator.
+Whole runs are held to the per-edge reference by ``tests/test_oracle.py``.
 """
 
 import pytest

@@ -328,26 +328,3 @@ class TestSeparateAccounting:
             report = faults.step(epoch)
         assert report.detected == (7, 11)
         assert report.detection_latencies == (3, 2)
-
-
-class TestEquivalenceUnderDetection:
-    def test_detector_runs_are_ledger_identical_across_paths(self):
-        snapshots = []
-        for mode in ("batched", "per-edge"):
-            network = fresh_network(
-                36, radio=LossyRadio(loss_rate=0.25, seed=2), execution=mode
-            )
-            script = crash_storm_script(
-                network.node_ids(), epoch=1, fraction=0.2, seed=2, rejoin_epoch=4
-            )
-            faults = FaultEngine(
-                network, script=script, detector=HeartbeatDetector(period=2)
-            )
-            for epoch in range(6):
-                faults.step(epoch)
-            snapshots.append((network.ledger.snapshot(), dict(network.tree.parent)))
-        (left, left_tree), (right, right_tree) = snapshots
-        assert left.per_node_bits == right.per_node_bits
-        assert left.per_protocol_bits == right.per_protocol_bits
-        assert left.rounds == right.rounds
-        assert left_tree == right_tree

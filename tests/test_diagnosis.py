@@ -715,6 +715,21 @@ class TestCliExitCodes:
         spanless.write_text('{"type": "event", "kind": "election"}\n')
         assert cli.main([str(spanless)]) == 1
 
+    @pytest.mark.parametrize("script", ["diagnose", "telemetry_report"])
+    def test_malformed_line_exits_2_naming_its_file_line(self, tmp_path, capsys, script):
+        """A truncated last line and a non-object line both exit 2 (not the
+        ``--strict`` code 1) and name the 1-based line of the file."""
+        cli = load_script(script)
+        span = '{"type": "span", "name": "epoch", "bits": 5}\n'
+        for name, text, line in (
+            ("truncated", span + '{"type": "spa', 2),
+            ("array", span + "\n" + span + "[1, 2]\n", 4),
+        ):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(text)
+            assert cli.main([str(path)]) == 2
+            assert f"{path} line {line} " in capsys.readouterr().err
+
     def test_report_renders_instrumented_trace(self, tmp_path, capsys):
         cli = load_script("telemetry_report")
         path = self.write_storm_trace(tmp_path)

@@ -1,14 +1,12 @@
-"""Root fail-over: charged election, re-rooting, recovery, and equivalence.
+"""Root fail-over: charged election, re-rooting and recovery.
 
 The election is the last piece of the fault pipeline to be charged, and it
 crosses every layer — the alive-mask and root identity on the network, the
 seeded repair, the streaming layer's cache migration, and the per-epoch
-accounting — so this suite tests each layer's contract plus the randomized
-per-edge vs batched equivalence that every charged protocol in the
-repository must satisfy.
+accounting — so this suite tests each layer's contract.  That every path
+elects, re-roots and charges exactly like the per-edge reference is
+``tests/test_oracle.py``'s ``RootCrash`` rule.
 """
-
-import random
 
 import pytest
 
@@ -23,39 +21,16 @@ from repro.faults import (
     TreeRepair,
     run_faulty_stream,
 )
-from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery
-from repro.workloads.faults import (
-    churn_script,
-    crash_storm_script,
-    link_storm_script,
-    root_failover_script,
-)
-
-RADIOS = {
-    "reliable": lambda seed: ReliableRadio(),
-    "lossy": lambda seed: LossyRadio(loss_rate=0.35, seed=seed),
-    "duplicating": lambda seed: DuplicatingRadio(duplicate_rate=0.3, seed=seed),
-}
-
+from repro.workloads.faults import root_failover_script
 
 def fresh_network(num_nodes=16, topology="grid", execution="batched", **kwargs):
     network = SensorNetwork.from_items(
         [7] * num_nodes, topology=topology, execution=execution, **kwargs
     )
     return network
-
-
-def assert_ledgers_identical(batched, per_edge):
-    left = batched.ledger.snapshot()
-    right = per_edge.ledger.snapshot()
-    assert left.per_node_bits == right.per_node_bits
-    assert left.total_bits == right.total_bits
-    assert left.messages == right.messages
-    assert left.rounds == right.rounds
-    assert left.per_protocol_bits == right.per_protocol_bits
 
 
 class StaticStream:
@@ -339,156 +314,3 @@ class TestStreamRecovery:
         # must not corrupt the caches: the next epoch still costs nothing.
         faults_free = engine.advance_epoch({})
         assert faults_free.bits == 0
-
-
-# --------------------------------------------------------------------------- #
-# Cross-path equivalence: elections are bit-for-bit twins
-# --------------------------------------------------------------------------- #
-def _failover_script(network, seed):
-    """Root crash on top of churn, crashes and link storms."""
-    return (
-        crash_storm_script(
-            network.node_ids(), epoch=0, fraction=0.2, seed=seed, rejoin_epoch=3
-        )
-        .merge(FaultScript().add(1, RootCrash()))
-        .merge(
-            link_storm_script(
-                network.graph, epoch=0, fraction=0.1, seed=seed, restore_epoch=3
-            )
-        )
-        .merge(
-            churn_script(
-                network.node_ids(),
-                epochs=4,
-                churn_rate=0.1,
-                start_epoch=1,
-                seed=seed,
-            )
-        )
-    )
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("radio_name", sorted(RADIOS))
-@pytest.mark.parametrize("topology", ["grid", "random_geometric"])
-def test_election_paths_are_ledger_identical(topology, radio_name, seed):
-    """Fail-over under churn: identical elections, trees and ledgers."""
-    networks = []
-    reports = []
-    for mode in ("batched", "per-edge"):
-        network = SensorNetwork.from_items(
-            [3] * 36,
-            topology=topology,
-            seed=seed,
-            radio=RADIOS[radio_name](seed),
-            execution=mode,
-        )
-        script = _failover_script(network, seed)
-        faults = FaultEngine(network, script=script)
-        reports.append([faults.step(epoch) for epoch in range(5)])
-        networks.append(network)
-    batched, per_edge = networks
-    assert [r.repair for r in reports[0]] == [r.repair for r in reports[1]]
-    assert [r.election for r in reports[0]] == [r.election for r in reports[1]]
-    assert batched.root_id == per_edge.root_id
-    assert batched.tree.parent == per_edge.tree.parent
-    assert batched.tree.depth == per_edge.tree.depth
-    batched.tree.check_invariants()
-    assert_ledgers_identical(batched, per_edge)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("radio_name", sorted(RADIOS))
-@pytest.mark.parametrize(
-    "topology", ["grid", "line", "star", "random_geometric", "random_tree"]
-)
-def test_randomized_election_equivalence(topology, radio_name, seed):
-    """Randomized sizes and compound scripts across every topology family.
-
-    The fail-over exercises the seeded repair (shared materialisation, two
-    charging paths), so everything observable must match: the election
-    results, full ledger snapshots including per-node bits under lossy
-    retries, the re-rooted trees in every representation, and the flat
-    views the batched traversals consume afterwards.
-    """
-    rng = random.Random(seed * 9176 + 5)
-    num_nodes = rng.choice([25, 36, 49, 64])
-    items = [rng.randrange(1, 500) for _ in range(num_nodes)]
-    networks = []
-    reports = []
-    for mode in ("batched", "per-edge"):
-        network = SensorNetwork.from_items(
-            items,
-            topology=topology,
-            seed=seed,
-            radio=RADIOS[radio_name](seed),
-            execution=mode,
-        )
-        script = _failover_script(network, seed).merge(
-            FaultScript().add(4, RootCrash())
-        )
-        faults = FaultEngine(network, script=script)
-        reports.append([faults.step(epoch).repair for epoch in range(6)])
-        networks.append(network)
-    batched, per_edge = networks
-    assert reports[0] == reports[1]
-    assert batched.root_id == per_edge.root_id
-    assert batched.tree.parent == per_edge.tree.parent
-    assert batched.tree.children == per_edge.tree.children
-    assert batched.tree.depth == per_edge.tree.depth
-    batched.tree.check_invariants()
-    flat_b, flat_p = batched.flat_tree, per_edge.flat_tree
-    # Structural arrays are representation-dependent (int64 buffers under
-    # numpy); compare the canonical list view plus the id-level link caches.
-    assert flat_b.to_lists() == flat_p.to_lists()
-    for slot in ("up_links", "down_links"):
-        assert getattr(flat_b, slot) == getattr(flat_p, slot), slot
-    assert_ledgers_identical(batched, per_edge)
-    if hasattr(batched.radio, "_rng"):
-        assert batched.radio._rng.getstate() == per_edge.radio._rng.getstate()
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_failover_streaming_stack_is_ledger_identical(seed):
-    """The full resilient stack with a mid-stream root crash, on both paths."""
-    from repro.workloads.streams import DriftStream
-
-    nets = []
-    traces = []
-    for mode in ("batched", "per-edge"):
-        network = SensorNetwork.from_items(
-            [0] * 36,
-            topology="grid",
-            seed=seed,
-            radio=LossyRadio(loss_rate=0.25, seed=seed),
-            execution=mode,
-        )
-        network.clear_items()
-        engine = ContinuousQueryEngine(network, epsilon=0.0)
-        engine.register("count", CountQuery())
-        script = crash_storm_script(
-            network.node_ids(), epoch=1, fraction=0.15, seed=seed, rejoin_epoch=4
-        ).merge(FaultScript().add(2, RootCrash()))
-        faults = FaultEngine(network, script=script)
-        traces.append(
-            run_faulty_stream(
-                engine,
-                DriftStream(36, max_value=512, seed=seed),
-                faults,
-                epochs=6,
-            )
-        )
-        nets.append(network)
-    assert [record.answers for record in traces[0]] == [
-        record.answers for record in traces[1]
-    ]
-    assert [record.total_bits for record in traces[0]] == [
-        record.total_bits for record in traces[1]
-    ]
-    assert [record.election_bits for record in traces[0]] == [
-        record.election_bits for record in traces[1]
-    ]
-    assert nets[0].root_id == nets[1].root_id
-    assert_ledgers_identical(*nets)
-    assert nets[0].radio._rng.getstate() == nets[1].radio._rng.getstate()

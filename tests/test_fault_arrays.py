@@ -1,22 +1,16 @@
-"""Differential tests: the array fault-epoch paths against their references.
+"""The array fault-epoch paths against their references, layer by layer.
 
 A fault epoch runs three array implementations, each beside a reference that
-states the same thing one message at a time:
+states the same thing one message at a time.  Whole runs of every path are
+held to the per-edge reference by ``tests/test_oracle.py``; this file keeps
+the contracts of the layers underneath:
 
 * the root election builds its link sequence as one ``(k, 2)`` array
-  (``RootElection._plan_arrays``) — reference: the tuple-list builder
-  (``_plan_reference``), which a ``"per-edge"`` network also charges message
-  by message;
-* the repair finds its attached set from masks over the ``FlatTree`` arrays
-  — reference: the per-edge walk down the old tree;
-* the vectorized engine charges a sweep's levels in one ``send_batch`` —
-  reference: one call per level (what any radio other than the perfect-link
-  singleton still gets).
-
-Scenarios are drawn by hypothesis at small sizes so a failure shrinks to a
-minimal field; twins are built from the same draw and must agree on every
-result object, the ledger, the radio's RNG state and — when a link fails for
-good — the exception and the prefix charged before it.
+  (``RootElection._plan_arrays``) — it must be the tuple-list builder's
+  plan (``_plan_reference``) link for link, and be the builder a dense
+  network actually runs;
+* the vectorized engine charges a sweep's levels in one ``send_batch`` on
+  perfect links: one call per sweep, the same links as one call per level.
 """
 
 from __future__ import annotations
@@ -24,19 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import (
-    BudgetExceededError,
-    DeadNodeError,
-    DeliveryError,
-    ReproError,
-)
 from repro.faults import RootElection, TreeRepair
-from repro.network import CommunicationLedger, FlatTree, SensorNetwork
-from repro.network.radio import DELIVERED_ONCE, LossyRadio, RadioModel, ReliableRadio
+from repro.network import SensorNetwork
+from repro.network.radio import ReliableRadio
 from repro.network.topology import build_topology
 from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 
@@ -45,20 +32,6 @@ _settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-class FailingRadio(RadioModel):
-    """Perfect links until the ``fail_at``-th transmission, which fails for good."""
-
-    def __init__(self, fail_at: int) -> None:
-        self.fail_at = fail_at
-        self.sent = 0
-
-    def transmit(self, sender: int, receiver: int):
-        self.sent += 1
-        if self.sent == self.fail_at:
-            raise DeliveryError(f"link {sender}->{receiver} is jammed")
-        return DELIVERED_ONCE
 
 
 class PerLevelRadio(ReliableRadio):
@@ -75,29 +48,19 @@ class Field:
     num_nodes: int
     seed: int
     degree_bound: int | None
-    radio: tuple
     crashed: frozenset
     dropped: frozenset
     #: Picks tree edges to cut with ``graph.remove_edge`` (no fault event).
     cut_children: frozenset
     detach_highest: bool
 
-    def radio_model(self):
-        kind, parameter = self.radio
-        if kind == "lossy":
-            return LossyRadio(0.25, seed=parameter, max_retries=6)
-        if kind == "failing":
-            return FailingRadio(parameter)
-        return ReliableRadio()
-
     def network(self, execution: str) -> SensorNetwork:
-        # Each twin owns its graph: link drops mutate it.
+        # Each network owns its graph: link drops mutate it.
         graph = build_topology(self.topology, self.num_nodes, seed=self.seed)
         return SensorNetwork.from_items(
             [1] * graph.number_of_nodes(),
             topology=graph,
             degree_bound=self.degree_bound,
-            radio=self.radio_model(),
             execution=execution,
         )
 
@@ -115,7 +78,7 @@ class Field:
 
 
 @st.composite
-def fields(draw, radios=("reliable", "lossy", "failing")):
+def fields(draw):
     topology = draw(st.sampled_from(["grid", "random_geometric", "ring", "random_tree"]))
     num_nodes = (
         draw(st.sampled_from([9, 16, 25]))
@@ -127,44 +90,16 @@ def fields(draw, radios=("reliable", "lossy", "failing")):
     nodes = sorted(graph.nodes())
     edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
     others = st.sampled_from(nodes[1:])
-    kind = draw(st.sampled_from(radios))
-    parameter = draw(st.integers(min_value=1, max_value=60)) if kind != "reliable" else 0
     return Field(
         topology=topology,
         num_nodes=num_nodes,
         seed=seed,
         degree_bound=draw(st.sampled_from([None, 3])),
-        radio=(kind, parameter),
         crashed=frozenset(draw(st.sets(others, max_size=len(nodes) // 3))),
         dropped=frozenset(draw(st.sets(st.sampled_from(edges), max_size=len(edges) // 3))),
         cut_children=frozenset(draw(st.sets(others, max_size=3))),
         detach_highest=draw(st.booleans()),
     )
-
-
-def observe(network: SensorNetwork) -> dict:
-    """Everything two twins must agree on after a step."""
-    rng = getattr(network.radio, "_rng", None)
-    return {
-        "root": network.root_id,
-        "parent": dict(network.tree.parent),
-        "snapshot": network.ledger.snapshot(),
-        "counters": network.ledger.counters_snapshot(),
-        "radio": rng.getstate() if rng is not None else getattr(network.radio, "sent", None),
-    }
-
-
-def attempt(step):
-    """``step()``'s result, or the named error it raised (type and message)."""
-    try:
-        return "ok", step()
-    except ReproError as error:
-        return type(error), str(error)
-
-
-def assert_flat_view_is_current(network: SensorNetwork) -> None:
-    rebuilt = FlatTree.from_spanning_tree(network.tree)
-    assert network.flat_tree.to_lists() == rebuilt.to_lists()
 
 
 # --------------------------------------------------------------------------- #
@@ -181,41 +116,8 @@ def detach_the_highest_node(network: SensorNetwork) -> None:
     network.graph.add_edges_from(links)
 
 
-def fail_over_twice(field: Field, execution: str) -> list:
-    network = field.network(execution)
-    repair = TreeRepair(election=RootElection())
-    steps = []
-
-    def crash_root_and_repair():
-        network.kill_node(network.root_id, allow_root=True)
-        return repair.repair(network)
-
-    if field.detach_highest:
-        outcome = attempt(lambda: detach_the_highest_node(network))
-        steps.append((outcome, observe(network)))
-        if outcome[0] != "ok":
-            return steps
-    field.damage(network)
-    for _ in range(2):  # the second blow lands on the first winner
-        outcome = attempt(crash_root_and_repair)
-        steps.append((outcome, observe(network)))
-        if outcome[0] != "ok":
-            break
-    return steps
-
-
-@pytest.mark.parametrize("execution", ["batched", "vectorized"])
 @_settings
 @given(field=fields())
-def test_array_election_equals_the_per_edge_reference(execution, field):
-    """Equal ``RepairResult`` (its ``ElectionResult`` included), ledger
-    ``snapshot()`` / ``counters_snapshot()``, tree and radio state after each
-    of two fail-overs — or the same error after the same charged prefix."""
-    assert fail_over_twice(field, execution) == fail_over_twice(field, "per-edge")
-
-
-@_settings
-@given(field=fields(radios=("reliable",)))
 def test_array_plan_is_the_reference_plan_link_for_link(field):
     network = field.network("batched")
     if field.detach_highest:
@@ -277,113 +179,15 @@ def test_array_election_is_what_a_dense_numpy_network_runs(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Repair: mask attach sweep vs the per-edge walk
+# Stream sweep: one send_batch per sweep on perfect links
 # --------------------------------------------------------------------------- #
-def repair_twice(field: Field, execution: str) -> list:
-    network = field.network(execution)
-    steps = []
-
-    def step():
-        result = TreeRepair().repair(network)
-        assert_flat_view_is_current(network)
-        return result
-
-    field.damage(network)
-    outcome = attempt(step)
-    steps.append((outcome, observe(network)))
-    if outcome[0] == "ok":
-        # Half the casualties come back and the dropped links heal: alive
-        # nodes outside the old tree, re-entering it.
-        for node in sorted(field.crashed)[::2]:
-            network.revive_node(node)
-        network.graph.add_edges_from(sorted(field.dropped))
-        steps.append((attempt(step), observe(network)))
-    return steps
-
-
-@pytest.mark.parametrize("execution", ["batched", "vectorized"])
-@_settings
-@given(field=fields())
-def test_mask_attach_sweep_equals_the_per_edge_walk(execution, field):
-    """Dead nodes, dropped links and tree edges removed straight from
-    ``network.graph``: same ``RepairResult``, tree, ledger and radio state."""
-    assert repair_twice(field, execution) == repair_twice(field, "per-edge")
-
-
-def test_a_tree_edge_removed_behind_the_repairs_back_is_noticed():
-    """No fault event, no dead node — only ``graph.remove_edge`` on a tree
-    edge.  The mask sweep must probe the graph, not trust the tree."""
-    results = []
-    for execution in ("vectorized", "per-edge"):
-        network = SensorNetwork.from_items(
-            [1] * 16, topology="grid", degree_bound=None, execution=execution
-        )
-        child = max(network.tree.parent)
-        network.graph.remove_edge(child, network.tree.parent[child])
-        result = TreeRepair().repair(network)
-        assert result.parent_changed == (child,)
-        results.append((result, dict(network.tree.parent), network.ledger.snapshot()))
-    assert results[0] == results[1]
-
-
-# --------------------------------------------------------------------------- #
-# Stream sweep: one buffered charge vs one charge per level
-# --------------------------------------------------------------------------- #
-def stream_twin(radio, ledger=None):
+def stream_network(radio):
     graph = build_topology("grid", 36)
-    network = SensorNetwork(
-        graph, radio=radio, degree_bound=3, ledger=ledger, execution="vectorized"
-    )
+    network = SensorNetwork(graph, radio=radio, degree_bound=3, execution="vectorized")
     engine = engine_for(network, epsilon=0.1)
     engine.register("count", CountQuery())
     engine.register("small", PredicateCountQuery(lambda item: item < 50, description="x < 50"))
     return network, engine
-
-
-def run_epochs(network, engine, kill_before_epoch=None, epochs=4):
-    steps = []
-    for epoch in range(epochs):
-        if epoch == kill_before_epoch:
-            # An inner node dies and nobody repairs: the sweep meets a dead
-            # endpoint mid-way up, after the deeper levels went out.
-            victim = next(
-                node
-                for node in network.tree.nodes_top_down()[1:]
-                if network.tree.children[node]
-            )
-            network.kill_node(victim)
-        updates = {
-            node: [(7 * node + 13 * epoch) % 100] for node in network.tree.parent
-        }
-        outcome = attempt(lambda: engine.advance_epoch(updates))
-        steps.append((outcome, network.ledger.snapshot()))
-        if outcome[0] != "ok":
-            break
-    return steps
-
-
-def test_buffered_sweep_equals_per_level_sweep_up_to_a_dead_endpoint():
-    buffered = run_epochs(*stream_twin(ReliableRadio()), kill_before_epoch=2)
-    per_level = run_epochs(*stream_twin(PerLevelRadio()), kill_before_epoch=2)
-    assert buffered == per_level
-    assert buffered[-1][0][0] is DeadNodeError
-    # The levels below the dead node were charged before the error, not lost
-    # with the buffer: the failing epoch moved the ledger.
-    assert buffered[-1][1].total_bits > buffered[-2][1].total_bits
-
-
-def test_a_per_node_budget_still_fails_at_the_same_transmission():
-    # Enough for the first two epochs, not for the third (read off a dry run).
-    unbudgeted = run_epochs(*stream_twin(ReliableRadio()))
-    budget = (unbudgeted[1][1].max_node_bits + unbudgeted[2][1].max_node_bits) // 2
-    buffered = run_epochs(
-        *stream_twin(ReliableRadio(), CommunicationLedger(per_node_budget_bits=budget))
-    )
-    per_level = run_epochs(
-        *stream_twin(PerLevelRadio(), CommunicationLedger(per_node_budget_bits=budget))
-    )
-    assert buffered == per_level
-    assert len(buffered) == 3 and buffered[-1][0][0] is BudgetExceededError
 
 
 def count_send_batches(network) -> list:
@@ -399,8 +203,8 @@ def count_send_batches(network) -> list:
 
 
 def test_perfect_links_pay_one_send_batch_per_sweep():
-    network, engine = stream_twin(ReliableRadio())
-    reference, reference_engine = stream_twin(PerLevelRadio())
+    network, engine = stream_network(ReliableRadio())
+    reference, reference_engine = stream_network(PerLevelRadio())
     calls = count_send_batches(network)
     reference_calls = count_send_batches(reference)
     queries = len(engine.queries())

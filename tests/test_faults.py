@@ -658,32 +658,6 @@ class TestAdoptionFallback:
             assert member not in network.tree.parent
         network.tree.check_invariants()
 
-    def test_fallback_is_identical_across_paths(self):
-        snapshots = []
-        for execution in ("batched", "per-edge"):
-            network = fresh_network(9, execution=execution)
-            tree = network.tree
-            network.kill_node(4)
-            orphan = next(
-                n for n in tree.children.get(4, ()) if network.is_alive(n)
-            )
-            first = sorted(
-                n
-                for n in network.graph.neighbors(orphan)
-                if network.is_alive(n)
-            )[0]
-            network.radio = self.BlockedLinksRadio([(orphan, first)])
-            result = TreeRepair().repair(network)
-            snapshots.append(
-                (result, dict(network.tree.parent), network.ledger.snapshot())
-            )
-        (left_result, left_tree, left_ledger) = snapshots[0]
-        (right_result, right_tree, right_ledger) = snapshots[1]
-        assert left_result == right_result
-        assert left_tree == right_tree
-        assert left_ledger.per_node_bits == right_ledger.per_node_bits
-        assert left_ledger.per_protocol_bits == right_ledger.per_protocol_bits
-
 
 class TestAccountingInvariant:
     """Property: every record splits its bits exactly into the four columns.
@@ -762,3 +736,45 @@ class TestAccountingInvariant:
         # The randomized pool genuinely exercised the interesting columns.
         assert elections_seen > 0
         assert detection_seen > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("execution", ["batched", "per-edge"])
+def test_fault_storm_stack_stays_consistent_at_scale(execution, seed):
+    """A 10k-node storm-under-churn run keeps every invariant on both paths.
+
+    The invariant sweep (``check_invariants`` + graph validation per epoch)
+    dominates the runtime — this is the fault-storm stress test the ``slow``
+    marker exists for; tier-1 CI runs it on the 3.12 leg only.
+    """
+    from repro.faults import FaultEngine, TreeRepair
+    from repro.workloads.faults import storm_under_churn_script
+
+    network = SensorNetwork.from_items(
+        [0] * 10_000, topology="random_geometric", seed=seed, execution=execution
+    )
+    script = storm_under_churn_script(
+        network.node_ids(),
+        epochs=8,
+        storm_epoch=1,
+        storm_fraction=0.15,
+        rejoin_epoch=4,
+        churn_rate=0.005,
+        seed=seed,
+    )
+    faults = FaultEngine(network, script=script, repair=TreeRepair())
+    for epoch in range(8):
+        faults.step(epoch)
+        network.tree.check_invariants()
+        network.tree.validate(
+            network.graph, covering=set(network.tree.parent)
+        )
+    # The flat view the batched sweeps consume matches a from-scratch build.
+    from repro.network.flat_tree import FlatTree
+
+    scratch = FlatTree.from_spanning_tree(network.tree)
+    flat_lists, scratch_lists = network.flat_tree.to_lists(), scratch.to_lists()
+    assert flat_lists["node_ids"] == scratch_lists["node_ids"]
+    assert flat_lists["parent"] == scratch_lists["parent"]
+    assert flat_lists["child_index"] == scratch_lists["child_index"]

@@ -1,12 +1,11 @@
-"""Tests for the SensorNetwork simulator and the round engine."""
+"""Tests for the SensorNetwork simulator."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError, EmptyNetworkError, TopologyError
 from repro.network.radio import LossyRadio
-from repro.network.scheduler import RoundEngine
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology, star_topology
+from repro.network.topology import line_topology, star_topology
 
 
 class TestConstruction:
@@ -128,39 +127,3 @@ class TestSend:
         assert result == "done"
         assert snapshot.total_bits == 12
 
-
-class TestRoundEngine:
-    def test_flood_reaches_all_nodes(self):
-        network = SensorNetwork.from_items([0] * 9, topology=grid_topology(3, 3))
-        reached = {0}
-
-        def handler(net, node_id, inbox):
-            if inbox or node_id == 0:
-                reached.add(node_id)
-                return {
-                    neighbor: ("token", 8)
-                    for neighbor in net.graph.neighbors(node_id)
-                    if neighbor not in reached
-                }
-            return {}
-
-        engine = RoundEngine(network, protocol_name="FLOOD")
-        outcome = engine.run(handler, max_rounds=10)
-        assert reached == set(network.node_ids())
-        assert outcome.rounds_executed == 10
-
-    def test_stop_condition_ends_early(self):
-        network = SensorNetwork.from_items([0, 0], topology=line_topology(2))
-        engine = RoundEngine(network)
-        outcome = engine.run(
-            lambda net, node, inbox: {},
-            max_rounds=50,
-            stop_condition=lambda net, round_index: round_index >= 2,
-        )
-        assert outcome.converged
-        assert outcome.rounds_executed == 3
-
-    def test_rounds_are_charged_to_ledger(self):
-        network = SensorNetwork.from_items([0, 0], topology=line_topology(2))
-        RoundEngine(network).run(lambda net, node, inbox: {}, max_rounds=5)
-        assert network.ledger.rounds == 5

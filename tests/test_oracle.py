@@ -1,0 +1,661 @@
+"""The differential oracle: every execution path against the per-edge reference.
+
+The model
+---------
+The paper's cost model is Aspnes's synchronous message-passing model with
+crash failures (*Notes on Theory of Distributed Systems*, PAPERS.md):
+
+* computation runs in **synchronous rounds**: every message sent in a round
+  is delivered (or lost, or duplicated, by the radio) before the next round
+  begins, and every transmission is charged to the ledger as it is sent;
+* nodes fail by **crash-stop**: a crashed node never sends or receives
+  again, and a rejoin is a *fresh* node — new readings, no memory;
+* **links** fail too: by a ``LinkDrop`` event, or directly by
+  ``graph.remove_edge`` behind the repair's back;
+* the **root may crash**; a charged election replaces it.
+
+``execution="per-edge"`` is the executable specification of that model —
+one charged ``send`` per tree edge per round.  Every other path is an
+optimisation and must be indistinguishable from it.
+
+What a run exposes
+------------------
+:func:`assert_same_run` compares exactly this observation of two twins:
+
+* each step's outcome: the result, or the ``ReproError`` type and message
+  after the same charged prefix — and each ``decide`` call with the
+  messages charged when it was made (a round decides before it sends);
+* ``ledger.snapshot()`` and ``counters_snapshot()``;
+* the radio's RNG state, or ``FailingRadio.sent``;
+* ``root_id`` and ``tree.parent``;
+* ``flat_tree.to_lists()``, ``up_links`` and ``down_links``;
+* the ``FaultTrace`` rows (``to_dict()``; they hold no wall-clock field);
+* engine answers;
+* with tenants: admission decisions, ``split.columns()`` and
+  ``plan_bits()``;
+* with a tracer: each span's ledger deltas and the attribution columns —
+  not wall-clock fields, and not the sharded path's own ``shard.*`` spans
+  (they only move bits from their parent's exclusive share into theirs).
+
+The machine
+-----------
+:class:`DifferentialOracle` draws one :class:`Scenario` — topology × radio
+× ledger budget × workload × detector × telemetry — and builds twins from
+it: the per-edge reference on a ``CommunicationLedger``, and every
+candidate path admissible for the draw (:meth:`Scenario.candidates`).  Each
+rule is applied to every twin, and the twins are compared after every step;
+after the first error no further rule is applied.  Hypothesis shrinks a
+failure to a minimal field and fault script.
+
+The grid
+--------
+A random draw need not reach every combination in one run, so
+:func:`test_every_cell_of_the_grid_runs_the_same` also drives the same twins
+through every topology × radio × workload × fault script cell, the other
+axes and the script's choices seeded by the cell's name.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+
+from repro.core.median import DeterministicMedianProtocol
+from repro.exceptions import DeliveryError, ReproError
+from repro.faults import (
+    FaultEngine,
+    HeartbeatDetector,
+    LinkDrop,
+    LinkRestore,
+    NodeCrash,
+    NodeRejoin,
+    RootCrash,
+    TreeRepair,
+    run_faulty_stream,
+)
+from repro.network import CommunicationLedger, SensorNetwork
+from repro.network.radio import (
+    DELIVERED_ONCE,
+    DeliveryOutcome,
+    DuplicatingRadio,
+    LossyRadio,
+    RadioModel,
+    ReliableRadio,
+)
+from repro.network.topology import build_topology
+from repro.protocols.aggregates import CountProtocol, SumProtocol
+from repro.protocols.broadcast import broadcast
+from repro.protocols.convergecast import convergecast
+from repro.protocols.epoch_convergecast import epoch_convergecast
+from repro.streaming import CountQuery, PredicateCountQuery, engine_for
+from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
+from repro.tenancy import MultiTenantEngine
+
+TOPOLOGIES = ("grid", "line", "star", "ring", "random_geometric", "random_tree")
+RADIOS = ("reliable", "lossy", "duplicating", "failing", "zero-copy", "per-level")
+WORKLOADS = ("one-shot", "engine", "tenants")
+VALUES = st.integers(min_value=0, max_value=399)
+
+
+class FailingRadio(RadioModel):
+    """Perfect links until the ``fail_at``-th transmission, which fails for good."""
+
+    def __init__(self, fail_at: int) -> None:
+        self.fail_at = fail_at
+        self.sent = 0
+
+    def transmit(self, sender: int, receiver: int):
+        self.sent += 1
+        if self.sent == self.fail_at:
+            raise DeliveryError(f"link {sender}->{receiver} is jammed")
+        return DELIVERED_ONCE
+
+
+class ZeroCopyRadio(RadioModel):
+    """Charges every link but delivers no copy over every third one."""
+
+    def transmit(self, sender: int, receiver: int):
+        if (sender + receiver) % 3 == 0:
+            return DeliveryOutcome(attempts=1, copies_delivered=0)
+        return DELIVERED_ONCE
+
+
+class PerLevelRadio(ReliableRadio):
+    """Perfect links that are not *the* perfect-link class: every fast path
+    keyed on ``type(radio) is ReliableRadio`` steps aside."""
+
+
+def below_200(value: int) -> bool:
+    return value < 200
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One draw: the field, its radio and ledger, and what runs on it."""
+
+    topology: str
+    num_nodes: int
+    seed: int
+    degree_bound: int | None
+    #: ``(kind, parameter)``: a seed for the seeded radios, the failing
+    #: transmission for ``"failing"``.
+    radio: tuple[str, int]
+    #: ``max_retries`` of the lossy radio.
+    retries: int
+    #: Per-node bit budget; only the dict ledger takes one.
+    budget: int | None
+    workload: str
+    epsilon: float
+    #: ``(tenant, predicate?)`` per tenant query, for ``"tenants"``.
+    mix: tuple[tuple[str, bool], ...]
+    tenant_bits_budget: int | None
+    detector_period: int | None
+    traced: bool
+
+    def radio_model(self) -> RadioModel:
+        kind, parameter = self.radio
+        if kind == "lossy":
+            return LossyRadio(0.3, seed=parameter, max_retries=self.retries)
+        if kind == "duplicating":
+            return DuplicatingRadio(0.3, seed=parameter)
+        if kind == "failing":
+            return FailingRadio(parameter)
+        if kind == "zero-copy":
+            return ZeroCopyRadio()
+        if kind == "per-level":
+            return PerLevelRadio()
+        return ReliableRadio()
+
+    def candidates(self) -> list[tuple[str, bool]]:
+        """``(execution, dict ledger?)`` of every path checked against the
+        reference: the dense ``ArrayLedger`` takes no budget, and sharded
+        workers need perfect links and no budget."""
+        paths = [("batched", True), ("vectorized", True)]
+        if self.budget is None:
+            paths.append(("vectorized", False))
+            if self.radio[0] == "reliable":
+                paths.append(("sharded", False))
+        return paths
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    workload = draw(st.sampled_from(WORKLOADS))
+    tenants = st.tuples(st.sampled_from(["acme", "globex", "initech"]), st.booleans())
+    return Scenario(
+        topology=draw(st.sampled_from(TOPOLOGIES)),
+        num_nodes=draw(st.integers(min_value=1, max_value=64)),
+        seed=draw(st.integers(min_value=0, max_value=7)),
+        degree_bound=draw(st.sampled_from([3, None])),
+        radio=(
+            draw(st.sampled_from(RADIOS)),
+            draw(st.integers(min_value=1, max_value=300)),
+        ),
+        retries=draw(st.sampled_from([16, 2])),
+        budget=draw(st.sampled_from([None, None, None, 300, 3000])),
+        workload=workload,
+        epsilon=draw(st.sampled_from([0.1, 0.0])),
+        mix=(
+            tuple(draw(st.lists(tenants, min_size=1, max_size=5)))
+            if workload == "tenants"
+            else ()
+        ),
+        tenant_bits_budget=draw(st.none() | st.integers(min_value=0, max_value=400)),
+        detector_period=draw(st.sampled_from([None, 1, 2])),
+        traced=draw(st.booleans()),
+    )
+
+
+class _OneEpoch:
+    """One machine epoch in the shape :func:`run_faulty_stream` drives: the
+    stream yields this step's updates and fault events, and the fault
+    engine steps at the machine's epoch, not the runner's loop index."""
+
+    def __init__(self, faults: FaultEngine, epoch: int, updates: dict, events: list) -> None:
+        self.network = faults.network
+        self._faults = faults
+        self._epoch = epoch
+        self._updates = updates
+        self._events = events
+        self.report = None
+
+    def initial(self) -> dict:
+        return self._updates
+
+    def pop_fault_events(self) -> list:
+        return self._events
+
+    def step(self, _epoch: int, extra_events=()):
+        self.report = self._faults.step(self._epoch, extra_events)
+        return self.report
+
+    @property
+    def undetected_dead(self) -> frozenset:
+        return self._faults.undetected_dead
+
+
+class Twin:
+    """One execution path's network, fault engine, workload and record."""
+
+    def __init__(self, scenario: Scenario, execution: str, dict_ledger: bool) -> None:
+        self.path = execution if dict_ledger else f"{execution}/array-ledger"
+        graph = build_topology(scenario.topology, scenario.num_nodes, seed=scenario.seed)
+        self.tracer = (
+            SpanTracer(flight=FlightRecorder(), attribution=CostAttribution())
+            if scenario.traced
+            else None
+        )
+        self.network = network = SensorNetwork(
+            graph,
+            radio=scenario.radio_model(),
+            degree_bound=scenario.degree_bound,
+            ledger=(
+                CommunicationLedger(per_node_budget_bits=scenario.budget)
+                if dict_ledger
+                else None
+            ),
+            execution=execution,
+            telemetry=self.tracer,
+        )
+        detector = (
+            HeartbeatDetector(period=scenario.detector_period)
+            if scenario.detector_period is not None
+            else None
+        )
+        self.faults = FaultEngine(network, detector=detector, seed=scenario.seed)
+        self.rows: list[dict] = []
+        #: ``(node, updates, messages charged so far)`` per ``decide`` call
+        #: of the one-shot epoch convergecast, kept across errors: a round
+        #: decides every active node before any of its sends is charged.
+        self.decided: list[tuple] = []
+        self.decisions: list[tuple] = []
+        self.engine = None
+        self.outcome = None
+        if scenario.workload == "one-shot":
+            rng = random.Random(scenario.seed)
+            for node_id in network.node_ids():
+                network.node(node_id).add_item(rng.randrange(1, 400))
+        elif scenario.workload == "engine":
+            self.engine = engine_for(network, scenario.epsilon, shard_processes=0)
+            self.run(self._register_engine)
+        else:
+            self.engine = MultiTenantEngine(
+                network,
+                scenario.epsilon,
+                bits_budget=scenario.tenant_bits_budget,
+                shard_processes=0,
+            )
+            self.run(lambda twin: twin._register_tenants(scenario.mix))
+
+    def _register_engine(self, _twin) -> None:
+        self.engine.register("count", CountQuery())
+        self.engine.register("low", PredicateCountQuery(below_200, "below_200"))
+
+    def _register_tenants(self, mix) -> list:
+        for index, (tenant, predicate) in enumerate(mix):
+            query = PredicateCountQuery(below_200, "below_200") if predicate else CountQuery()
+            decision = self.engine.register(tenant, f"q{index}", query)
+            self.decisions.append((decision.status, decision.leg, decision.signature))
+        return self.decisions
+
+    def run(self, step) -> None:
+        """Apply ``step(self)``; keep its result or the named error it raised."""
+        try:
+            self.outcome = ("ok", step(self))
+        except ReproError as error:
+            self.outcome = (type(error).__name__, str(error))
+
+    @property
+    def failed(self) -> bool:
+        return self.outcome is not None and self.outcome[0] != "ok"
+
+
+def observe(twin: Twin) -> dict:
+    """Everything a run exposes (see the module docstring)."""
+    network = twin.network
+    rng = getattr(network.radio, "_rng", None)
+    flat = network.flat_tree
+    seen = {
+        "outcome": twin.outcome,
+        "snapshot": network.ledger.snapshot(),
+        "counters": network.ledger.counters_snapshot(),
+        "radio": rng.getstate() if rng is not None else getattr(network.radio, "sent", None),
+        "root": network.root_id,
+        "parent": dict(network.tree.parent),
+        "flat_tree": flat.to_lists(),
+        "up_links": flat.up_links,
+        "down_links": flat.down_links,
+        "rows": twin.rows,
+        "decided": twin.decided,
+    }
+    engine = twin.engine
+    if isinstance(engine, MultiTenantEngine):
+        seen["decisions"] = twin.decisions
+        seen["answers"] = engine.answers()
+        seen["columns"] = engine.split.columns()
+        seen["plan_bits"] = engine.plan_bits()
+    elif engine is not None:
+        seen["answers"] = engine.answers()
+    if twin.tracer is not None:
+        seen["spans"] = [
+            (
+                span.name,
+                span.depth,
+                span.bits,
+                span.messages,
+                span.rounds,
+                span.max_node_bits,
+            )
+            for span in twin.tracer.spans
+            if not span.name.startswith("shard.")  # the sharded fan-out's own spans
+        ]
+        seen["attribution"] = [epoch.to_dict() for epoch in twin.tracer.attribution.epochs]
+    return seen
+
+
+def assert_same_run(reference: Twin, candidate: Twin) -> None:
+    expected, actual = observe(reference), observe(candidate)
+    for key, value in expected.items():
+        assert actual[key] == value, f"{candidate.path} differs from per-edge in {key!r}"
+
+
+# --------------------------------------------------------------------------- #
+# Steps: each takes one twin and is applied to every twin in turn
+# --------------------------------------------------------------------------- #
+def stream_epoch(epoch: int, updates: dict, events: list):
+    def step(twin: Twin):
+        one = _OneEpoch(
+            twin.faults,
+            epoch,
+            {node: list(values) for node, values in updates.items()},
+            list(events),
+        )
+        if twin.engine is None:
+            return one.step(epoch, one.pop_fault_events())
+        trace = run_faulty_stream(twin.engine, one, one, epochs=1)
+        twin.rows.extend(trace.to_dicts())
+        return one.report
+
+    return step
+
+
+def tree_sweeps(dirty: set):
+    """Suppressing epoch convergecast, broadcast, adaptive-size convergecast."""
+
+    def step(twin: Twin):
+        network = twin.network
+        sizes: list[int] = []
+
+        def size_bits(value: int) -> int:
+            sizes.append(value)
+            return max(8, value.bit_length())
+
+        def decide(node_id, updates):
+            twin.decided.append(
+                (node_id, sorted(updates.items()), network.ledger.total_messages)
+            )
+            if node_id % 5 == 0 and not updates:
+                return None
+            return ("summary", 8 + (node_id % 3) * 4 + 2 * len(updates))
+
+        stats = epoch_convergecast(network, set(dirty), decide, protocol="epoch")
+        delivered = broadcast(network, "query", 24, protocol="request")
+        total = convergecast(
+            network,
+            local_value=lambda node: sum(node.items),
+            combine=lambda a, b: a + b,
+            size_bits=size_bits,
+            protocol="sum",
+        )
+        return stats, delivered, total, sizes
+
+    return step
+
+
+PROTOCOLS = {
+    "count": lambda: CountProtocol(),
+    "sum": lambda: SumProtocol(),
+    "median": lambda: DeterministicMedianProtocol(domain_max=512),
+}
+
+
+def repair(twin: Twin):
+    result = TreeRepair().repair(twin.network)
+    if twin.engine is not None:
+        twin.engine.apply_repair(result)
+    return result
+
+
+def cut_tree_edge(child: int):
+    """``graph.remove_edge`` on a tree edge — no fault event, no dead node —
+    then a repair, which must probe the graph rather than trust the tree."""
+
+    def step(twin: Twin):
+        network = twin.network
+        network.graph.remove_edge(child, network.tree.parent[child])
+        return repair(twin)
+
+    return step
+
+
+def detach_the_highest_node(twin: Twin):
+    """Leave the highest id alive and graph-connected but *outside* the tree:
+    isolate it, let a repair drop it, then give its links back unrepaired."""
+    network = twin.network
+    highest = network.node_ids()[-1]
+    links = [(highest, neighbor) for neighbor in sorted(network.graph.neighbors(highest))]
+    network.graph.remove_edges_from(links)
+    result = repair(twin)
+    network.graph.add_edges_from(links)
+    return result
+
+
+class Twins:
+    """The reference and every candidate of one scenario, stepped together."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.reference = Twin(scenario, "per-edge", dict_ledger=True)
+        self.candidates = [
+            Twin(scenario, execution, dict_ledger)
+            for execution, dict_ledger in scenario.candidates()
+        ]
+        self.pending: list = []
+        self.epoch = 0
+        self.compare()
+
+    @property
+    def network(self) -> SensorNetwork:
+        return self.reference.network
+
+    def compare(self) -> None:
+        for candidate in self.candidates:
+            assert_same_run(self.reference, candidate)
+
+    def apply(self, step) -> None:
+        if self.reference.failed:
+            return
+        for twin in (self.reference, *self.candidates):
+            twin.run(step)
+        self.compare()
+
+    def queue(self, event) -> None:
+        """Fault events queue for the next epoch's ``FaultEngine.step``."""
+        self.pending.append(event)
+
+    def graph_edges(self) -> list[tuple[int, int]]:
+        return sorted(tuple(sorted(edge)) for edge in self.network.graph.edges())
+
+    def tree_children(self) -> list[int]:
+        """Every node whose tree edge is still in the graph."""
+        network = self.network
+        return [
+            child
+            for child, parent in sorted(network.tree.parent.items())
+            if parent is not None and network.graph.has_edge(child, parent)
+        ]
+
+    def stream_epoch(self, updates: dict) -> None:
+        events, self.pending = self.pending, []
+        self.apply(stream_epoch(self.epoch, updates, events))
+        self.epoch += 1
+
+
+class DifferentialOracle(RuleBasedStateMachine):
+    @initialize(scenario=scenarios())
+    def build(self, scenario: Scenario) -> None:
+        self.twins = Twins(scenario)
+
+    @property
+    def network(self) -> SensorNetwork:
+        return self.twins.network
+
+    @rule(data=st.data())
+    def crash(self, data) -> None:
+        node = data.draw(st.sampled_from(self.network.node_ids()))
+        self.twins.queue(NodeCrash(node))
+
+    @rule(data=st.data(), items=st.lists(VALUES, max_size=3))
+    def rejoin(self, data, items) -> None:
+        node = data.draw(st.sampled_from(self.network.node_ids()))
+        self.twins.queue(NodeRejoin(node, tuple(items)))
+
+    @precondition(lambda self: self.network.graph.number_of_edges())
+    @rule(data=st.data())
+    def drop_link(self, data) -> None:
+        self.twins.queue(LinkDrop(*data.draw(st.sampled_from(self.twins.graph_edges()))))
+
+    @precondition(lambda self: self.twins.reference.faults.dropped_edges)
+    @rule(data=st.data())
+    def restore_link(self, data) -> None:
+        edges = sorted(self.twins.reference.faults.dropped_edges)
+        self.twins.queue(LinkRestore(*data.draw(st.sampled_from(edges))))
+
+    @rule()
+    def crash_root(self) -> None:
+        self.twins.queue(RootCrash())
+
+    @rule(data=st.data())
+    def cut_tree_edge(self, data) -> None:
+        children = self.twins.tree_children()
+        if children:
+            self.twins.apply(cut_tree_edge(data.draw(st.sampled_from(children))))
+
+    @rule()
+    def detach_highest(self) -> None:
+        self.twins.apply(detach_the_highest_node)
+
+    @rule(data=st.data())
+    def epoch(self, data) -> None:
+        updates = data.draw(
+            st.dictionaries(
+                st.sampled_from(self.network.node_ids()),
+                st.lists(VALUES, max_size=3),
+                max_size=12,
+            )
+        )
+        self.twins.stream_epoch(updates)
+
+    @precondition(lambda self: self.twins.scenario.workload == "one-shot")
+    @rule(data=st.data())
+    def sweeps(self, data) -> None:
+        dirty = data.draw(st.sets(st.sampled_from(self.network.node_ids())))
+        self.twins.apply(tree_sweeps(dirty))
+
+    @precondition(lambda self: self.twins.scenario.workload == "one-shot")
+    @rule(kind=st.sampled_from(sorted(PROTOCOLS)))
+    def query(self, kind) -> None:
+        self.twins.apply(lambda twin: PROTOCOLS[kind]().run(twin.network))
+
+
+DifferentialOracle.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+TestDifferentialOracle = DifferentialOracle.TestCase
+
+
+# --------------------------------------------------------------------------- #
+# The grid: every cell of the main axes, each under a seeded fault script
+# --------------------------------------------------------------------------- #
+SCRIPTS = ("churn", "links", "root")
+
+
+def grid_scenario(rng: random.Random, topology: str, radio: str, workload: str) -> Scenario:
+    """The cell's axes; the others drawn from the same ranges as :func:`scenarios`."""
+    tenants = ["acme", "globex", "initech"]
+    return Scenario(
+        topology=topology,
+        num_nodes=rng.randint(1, 36),
+        seed=rng.randrange(8),
+        degree_bound=rng.choice([3, None]),
+        radio=(radio, rng.randint(1, 300)),
+        retries=rng.choice([16, 2]),
+        budget=rng.choice([None, None, None, 300, 3000]),
+        workload=workload,
+        epsilon=rng.choice([0.1, 0.0]),
+        mix=(
+            tuple(
+                (rng.choice(tenants), rng.random() < 0.5) for _ in range(rng.randint(1, 5))
+            )
+            if workload == "tenants"
+            else ()
+        ),
+        tenant_bits_budget=rng.choice([None, rng.randint(0, 400)]),
+        detector_period=rng.choice([None, 1, 2]),
+        traced=rng.random() < 0.5,
+    )
+
+
+def run_script(twins: Twins, script: str, rng: random.Random, epochs: int = 6) -> None:
+    """``"churn"`` crashes and rejoins nodes, ``"links"`` drops, restores and
+    cuts links and detaches the highest id, ``"root"`` crashes the root."""
+    ids = twins.network.node_ids()
+    for epoch in range(epochs):
+        if script == "churn":
+            for node in rng.sample(ids, min(len(ids), rng.randint(1, 2))):
+                twins.queue(NodeCrash(node))
+            if epoch:
+                items = tuple(rng.randrange(400) for _ in range(rng.randint(0, 3)))
+                twins.queue(NodeRejoin(rng.choice(ids), items))
+        elif script == "links":
+            edges = twins.graph_edges()
+            if edges:
+                twins.queue(LinkDrop(*rng.choice(edges)))
+            dropped = sorted(twins.reference.faults.dropped_edges)
+            if dropped and epoch % 2:
+                twins.queue(LinkRestore(*rng.choice(dropped)))
+            children = twins.tree_children()
+            if children and epoch % 3 == 1:
+                twins.apply(cut_tree_edge(rng.choice(children)))
+            if epoch == 4:
+                twins.apply(detach_the_highest_node)
+        elif epoch % 2:
+            twins.queue(RootCrash())
+            twins.queue(NodeRejoin(rng.choice(ids), (rng.randrange(400),)))
+        updates = {
+            node: [rng.randrange(400) for _ in range(rng.randint(0, 3))]
+            for node in rng.sample(ids, min(len(ids), rng.randint(0, 12)))
+        }
+        twins.stream_epoch(updates)
+        if twins.scenario.workload == "one-shot":
+            twins.apply(tree_sweeps(set(rng.sample(ids, rng.randint(0, len(ids))))))
+            kind = sorted(PROTOCOLS)[epoch % len(PROTOCOLS)]
+            twins.apply(lambda twin, kind=kind: PROTOCOLS[kind]().run(twin.network))
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("radio", RADIOS)
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_every_cell_of_the_grid_runs_the_same(topology, radio, workload, script):
+    rng = random.Random(f"{topology}/{radio}/{workload}/{script}")
+    twins = Twins(grid_scenario(rng, topology, radio, workload))
+    run_script(twins, script, rng)

@@ -263,6 +263,16 @@ class TestJsonl:
         assert len(buckets["metrics"]) == 1
         assert split_by_type([{"no": "type"}])["unknown"] == [{"no": "type"}]
 
+    @pytest.mark.parametrize("bad", ['{"type": "spa', "[1, 2]", "7"])
+    def test_a_malformed_line_raises_a_named_error(self, tmp_path, bad):
+        from repro.exceptions import TraceFormatError
+
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"type": "span"}\n\n' + bad + "\n")
+        with pytest.raises(TraceFormatError, match=rf"{path} line 3 ") as caught:
+            load_jsonl(path)
+        assert isinstance(caught.value, ValueError)
+
     def test_tracer_jsonl_is_self_describing(self, tmp_path):
         ledger = CommunicationLedger()
         tracer = SpanTracer(ledger=ledger)

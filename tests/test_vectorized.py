@@ -1,20 +1,15 @@
-"""Vectorized / sharded execution: representation and ledger equivalence.
+"""Vectorized / sharded execution: the layers under the whole-array paths.
 
-The million-node core adds two more execution paths on top of batched and
+The million-node core adds two execution paths on top of batched and
 per-edge: ``"vectorized"`` (whole-array level sweeps over the numpy-backed
 :class:`~repro.network.FlatTree`) and ``"sharded"`` (the same sweeps fanned
-out over subtree shards in worker processes).  Their contract is the one the
-batched core already honours against the per-edge reference: *everything the
-paper measures is identical* — per-node bits, totals, messages, rounds,
-per-protocol breakdowns, answers — for the same seeds, under every radio,
-through arbitrary fault scripts.
-
-These tests build twin networks (identical graphs, items, trees, identically
-seeded radios), run the reference :class:`ContinuousQueryEngine` on one and
-:class:`VectorStreamEngine` on the other, and compare full ledger snapshots
-field by field.  Also here: unit tests for the varint kernels against the
-scalar ``repro._util.bits`` they mirror, the :class:`ArrayLedger` fast path,
-``FlatTree.from_arrays`` and the rewire cache-invalidation regression.
+out over subtree shards in worker processes).  Whole runs of both are
+checked against the per-edge reference by ``tests/test_oracle.py``; this
+file holds the contracts of the layers underneath: the varint kernels
+against the scalar ``repro._util.bits`` they mirror, the
+:class:`ArrayLedger` fast path, ``FlatTree.from_arrays`` and the rewire
+cache-invalidation regression, the vectorized engine's refusals and
+dispatch, fork workers against inline ones, and :class:`VectorField`.
 """
 
 import random
@@ -23,78 +18,18 @@ import numpy as np
 import pytest
 
 from repro._util import bits as scalar_bits
-from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
+from repro.network.radio import LossyRadio
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery, MedianQuery
 
-RADIOS = {
-    "reliable": lambda seed: ReliableRadio(),
-    "lossy": lambda seed: LossyRadio(loss_rate=0.35, seed=seed),
-    "duplicating": lambda seed: DuplicatingRadio(duplicate_rate=0.3, seed=seed),
-}
-TOPOLOGIES = ["grid", "line", "star", "random_geometric", "random_tree"]
 DOMAIN = 1 << 10
 
 
-def assert_ledgers_identical(left_net, right_net):
-    left = left_net.ledger.snapshot()
-    right = right_net.ledger.snapshot()
-    assert left.per_node_bits == right.per_node_bits
-    assert left.total_bits == right.total_bits
-    assert left.max_node_bits == right.max_node_bits
-    assert left.messages == right.messages
-    assert left.rounds == right.rounds
-    assert left.per_protocol_bits == right.per_protocol_bits
-
-
-def make_network(execution, topology, radio_name, seed, num_nodes=36):
-    rng = random.Random(seed * 7919 + 13)
-    items = [rng.randrange(1, 400) for _ in range(num_nodes)]
+def grid_network(execution, radio=None):
     return SensorNetwork.from_items(
-        items,
-        topology=topology,
-        seed=seed,
-        radio=RADIOS[radio_name](seed),
-        execution=execution,
+        list(range(1, 37)), topology="grid", radio=radio, execution=execution
     )
-
-
-def drive_engines(networks, engines, epochs, seed, fault_script=None):
-    """Run identical update streams (and optional faults) over twin engines."""
-    from repro.faults import FaultEngine
-
-    faults = [
-        FaultEngine(network, script=fault_script(network)) if fault_script else None
-        for network in networks
-    ]
-    rng_template = random.Random(seed + 101)
-    per_epoch_updates = []
-    node_ids = networks[0].node_ids()
-    for _ in range(epochs):
-        updates = {}
-        for _ in range(max(4, len(node_ids) // 6)):
-            node = rng_template.choice(node_ids)
-            updates[node] = [
-                rng_template.randrange(DOMAIN)
-                for _ in range(rng_template.randrange(5))
-            ]
-        per_epoch_updates.append(updates)
-    records = []
-    for engine, fault_engine in zip(engines, faults):
-        rows = []
-        for epoch, updates in enumerate(per_epoch_updates):
-            if fault_engine is not None:
-                report = fault_engine.step(epoch)
-                if report.election is not None:
-                    engine.apply_root_change(report.election)
-                engine.apply_repair(report.repair)
-            record = engine.advance_epoch(dict(updates))
-            rows.append((record.answers, record.bits, record.transmissions))
-        records.append(rows)
-        if hasattr(engine, "close"):
-            engine.close()
-    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -286,7 +221,7 @@ class TestFlatTreeArrays:
     def test_from_arrays_matches_from_spanning_tree(self):
         from repro.network.flat_tree import FlatTree
 
-        network = make_network("batched", "grid", "reliable", 0)
+        network = grid_network("batched")
         parents = np.full(network.num_nodes, -1, dtype=np.int64)
         for node, parent in network.tree.parent.items():
             parents[node] = -1 if parent is None else parent
@@ -328,91 +263,15 @@ class TestFlatTreeArrays:
 
 
 # --------------------------------------------------------------------------- #
-# Representation equivalence: vectorized / sharded vs the batched reference
+# VectorStreamEngine: refusals, dispatch, fork workers
 # --------------------------------------------------------------------------- #
-class TestStreamingEquivalence:
-    def _twin_run(self, execution, topology, radio_name, seed, fault_script=None,
-                  epochs=5, num_nodes=36, epsilon=0.1, **engine_kwargs):
-        from repro.streaming.vector_engine import VectorStreamEngine
-
-        reference_net = make_network("batched", topology, radio_name, seed, num_nodes)
-        vector_net = make_network(execution, topology, radio_name, seed, num_nodes)
-        engines = [
-            ContinuousQueryEngine(reference_net, epsilon=epsilon),
-            VectorStreamEngine(vector_net, epsilon=epsilon, **engine_kwargs),
-        ]
-        for engine in engines:
-            engine.register("count", CountQuery())
-        records = drive_engines(
-            [reference_net, vector_net], engines, epochs, seed, fault_script
-        )
-        assert records[0] == records[1]
-        assert_ledgers_identical(reference_net, vector_net)
-        return reference_net, vector_net
-
-    @pytest.mark.parametrize("radio_name", sorted(RADIOS))
-    @pytest.mark.parametrize("topology", ["grid", "line", "random_geometric"])
-    def test_vectorized_ledger_identical(self, topology, radio_name):
-        self._twin_run("vectorized", topology, radio_name, seed=1)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_vectorized_under_faults(self, seed):
-        from repro.workloads.faults import crash_storm_script, link_storm_script
-
-        def script(network):
-            return crash_storm_script(
-                network.node_ids(), epoch=1, fraction=0.2, seed=seed, rejoin_epoch=3
-            ).merge(
-                link_storm_script(
-                    network.graph, epoch=1, fraction=0.1, seed=seed, restore_epoch=3
-                )
-            )
-
-        self._twin_run("vectorized", "grid", "reliable", seed, fault_script=script)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_vectorized_survives_root_failover(self, seed):
-        from repro.faults import FaultScript, RootCrash
-        from repro.workloads.faults import churn_script
-
-        def script(network):
-            return (
-                FaultScript()
-                .add(2, RootCrash())
-                .merge(
-                    churn_script(
-                        network.node_ids(), epochs=5, churn_rate=0.08, seed=seed
-                    )
-                )
-            )
-
-        self._twin_run("vectorized", "grid", "lossy", seed, fault_script=script)
-
-    def test_sharded_inline_ledger_identical(self):
-        self._twin_run("sharded", "grid", "reliable", seed=2, shard_processes=0)
-
-    def test_sharded_fork_ledger_identical(self):
-        self._twin_run("sharded", "grid", "reliable", seed=3, shard_processes=2)
-
-    def test_sharded_under_faults(self):
-        from repro.workloads.faults import crash_storm_script
-
-        def script(network):
-            return crash_storm_script(
-                network.node_ids(), epoch=1, fraction=0.25, seed=5, rejoin_epoch=3
-            )
-
-        self._twin_run(
-            "sharded", "grid", "reliable", seed=5,
-            fault_script=script, shard_processes=0,
-        )
-
+class TestVectorEngine:
     def test_sharded_rejects_lossy_radios(self):
         """Sharded workers charge private ledgers with no RNG — loud refusal."""
         from repro.exceptions import ConfigurationError
         from repro.streaming.vector_engine import VectorStreamEngine
 
-        network = make_network("sharded", "grid", "lossy", 0)
+        network = grid_network("sharded", LossyRadio(loss_rate=0.35, seed=0))
         engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=0)
         engine.register("count", CountQuery())
         with pytest.raises(ConfigurationError):
@@ -422,70 +281,94 @@ class TestStreamingEquivalence:
         from repro.exceptions import ConfigurationError
         from repro.streaming.vector_engine import VectorStreamEngine
 
-        network = make_network("vectorized", "grid", "reliable", 0)
-        engine = VectorStreamEngine(network, epsilon=0.1)
+        engine = VectorStreamEngine(grid_network("vectorized"), epsilon=0.1)
         with pytest.raises(ConfigurationError):
             engine.register("median", MedianQuery(universe_size=DOMAIN))
 
     def test_engine_for_dispatches_on_execution_mode(self):
         from repro.streaming.vector_engine import VectorStreamEngine, engine_for
 
-        assert isinstance(
-            engine_for(make_network("vectorized", "grid", "reliable", 0)),
-            VectorStreamEngine,
+        assert isinstance(engine_for(grid_network("vectorized")), VectorStreamEngine)
+        assert type(engine_for(grid_network("batched"))) is ContinuousQueryEngine
+
+    def test_fork_workers_charge_what_inline_workers_charge(self):
+        """The one thing ``shard_processes`` changes is where the shard
+        sweeps run; answers and the merged ledger must not notice."""
+        from repro.streaming.vector_engine import VectorStreamEngine
+
+        runs = []
+        for processes in (0, 2):
+            network = grid_network("sharded")
+            network.clear_items()
+            engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=processes)
+            engine.register("count", CountQuery())
+            rng = random.Random(3)
+            answers = [
+                engine.advance_epoch(
+                    {rng.randrange(36): [rng.randrange(DOMAIN)] for _ in range(8)}
+                ).answers
+                for _ in range(4)
+            ]
+            engine.close()
+            runs.append((answers, network.ledger.snapshot()))
+        assert runs[0] == runs[1]
+
+    def test_a_detached_subtree_takes_its_parked_caches_along(self):
+        """Rows dropped together with the parent holding their copies leave
+        nothing parked: a later eviction of the same child, back in the tree
+        under another parent, must not subtract the stale copy again."""
+        from repro.faults import FaultEngine, RootCrash, TreeRepair
+        from repro.network.topology import build_topology
+        from repro.streaming.vector_engine import engine_for
+
+        network = SensorNetwork(
+            build_topology("random_geometric", 6, seed=0), execution="vectorized"
         )
-        reference = engine_for(make_network("batched", "grid", "reliable", 0))
-        assert type(reference) is ContinuousQueryEngine
+        engine = engine_for(network, epsilon=0.0)
+        engine.register("count", CountQuery())
+        faults = FaultEngine(network)
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("radio_name", sorted(RADIOS))
-    @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_randomized_storms_are_ledger_identical(self, topology, radio_name, seed):
-        """The full sweep: every topology × radio × a compound fault script."""
-        from repro.workloads.faults import (
-            churn_script,
-            crash_storm_script,
-            link_storm_script,
+        def fail_over(epoch, updates):
+            report = faults.step(epoch, [RootCrash()])
+            engine.apply_root_change(report.election)
+            engine.apply_repair(report.repair)
+            engine.advance_epoch(updates)
+
+        fail_over(0, {1: [0]})
+        root = network.root_id  # the highest id: isolating it detaches the rest
+        links = [(root, neighbor) for neighbor in sorted(network.graph.neighbors(root))]
+        network.graph.remove_edges_from(links)
+        engine.apply_repair(TreeRepair().repair(network))
+        network.graph.add_edges_from(links)
+        fail_over(1, {})
+        network.graph.remove_edge(1, network.tree.parent[1])
+        engine.apply_repair(TreeRepair().repair(network))
+        fail_over(2, {})
+        assert engine.answers()["count"] == len(network.attached_items()) == 1
+
+    def test_a_fragment_root_keeps_its_live_parents_copy_until_evicted(self):
+        """A fail-over whose winner fragment was cut off a *live* parent (a
+        dropped link, not the dead root): that parent still holds the
+        fragment root's copy until the repair's child_losses evict it."""
+        from repro.faults import FaultEngine, LinkDrop, RootCrash
+        from repro.network.topology import build_topology
+        from repro.streaming.vector_engine import engine_for
+
+        network = SensorNetwork(
+            build_topology("grid", 7, seed=0), degree_bound=3, execution="vectorized"
         )
-
-        rng = random.Random(seed * 6151 + 3)
-        num_nodes = rng.choice([25, 36, 49, 64])
-
-        def script(network):
-            return crash_storm_script(
-                network.node_ids(), epoch=1, fraction=0.2, seed=seed, rejoin_epoch=3
-            ).merge(
-                link_storm_script(
-                    network.graph, epoch=1, fraction=0.1, seed=seed, restore_epoch=4
-                )
-            ).merge(
-                churn_script(
-                    network.node_ids(), epochs=6, churn_rate=0.1, seed=seed
-                )
-            )
-
-        self._twin_run(
-            "vectorized", topology, radio_name, seed,
-            fault_script=script, epochs=6, num_nodes=num_nodes,
-        )
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_sharded_storms_at_scale(self, seed):
-        from repro.workloads.faults import crash_storm_script, churn_script
-
-        def script(network):
-            return crash_storm_script(
-                network.node_ids(), epoch=1, fraction=0.15, seed=seed, rejoin_epoch=3
-            ).merge(
-                churn_script(network.node_ids(), epochs=6, churn_rate=0.05, seed=seed)
-            )
-
-        self._twin_run(
-            "sharded", "random_geometric", "reliable", seed,
-            fault_script=script, epochs=6, num_nodes=100, shard_processes=2,
-        )
+        engine = engine_for(network, epsilon=0.1)
+        engine.register("count", CountQuery())
+        faults = FaultEngine(network)
+        for epoch, updates, events in (
+            (0, {1: [0]}, [RootCrash()]),
+            (1, {}, [RootCrash(), LinkDrop(1, 2)]),
+        ):
+            report = faults.step(epoch, events)
+            engine.apply_root_change(report.election)
+            engine.apply_repair(report.repair)
+            engine.advance_epoch(updates)
+        assert engine.answers()["count"] == len(network.attached_items()) == 1
 
 
 # --------------------------------------------------------------------------- #
