@@ -15,11 +15,17 @@ Two encodings are provided:
     value actually sent.  The approximate protocols of Section 4 rely on the
     fact that sending ``floor(log x)`` instead of ``x`` shrinks messages to
     ``O(log log X)`` bits, which only shows up if the encoding is adaptive.
+
+The ``*_array`` twins size whole int64 columns at once for the array sweeps
+(exact below 2**53, refused above).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro._util.validation import require_integer, require_non_negative
+from repro.exceptions import ConfigurationError
 
 
 def bit_width(value: int) -> int:
@@ -90,3 +96,36 @@ def encoded_int_bits(value: int, max_value: int | None = None) -> int:
             f"value {value} exceeds declared maximum {max_value}"
         )
     return fixed_width_bits(max_value)
+
+
+# --------------------------------------------------------------------------- #
+# Array twins (int64 arrays) for the whole-array sweeps
+# --------------------------------------------------------------------------- #
+#: Largest magnitude whose bit length ``np.frexp`` recovers exactly.
+_EXACT_LIMIT = 1 << 53
+
+
+def _check_exact(values) -> None:
+    if values.size and int(np.abs(values).max()) >= _EXACT_LIMIT:
+        raise ConfigurationError(
+            "vectorized varint sizing requires magnitudes below 2**53; "
+            f"got {int(np.abs(values).max())}"
+        )
+
+
+def bit_width_array(values):
+    """Vectorized ``max(1, v.bit_length())`` for non-negative int64 arrays."""
+    _check_exact(values)
+    exponents = np.frexp(values.astype(np.float64))[1]
+    return np.maximum(1, exponents).astype(np.int64)
+
+
+def varint_bits_array(values):
+    """Vectorized :func:`varint_bits` (non-negative values)."""
+    return 2 * bit_width_array(values) - 1
+
+
+def signed_varint_bits_array(values):
+    """Vectorized :func:`signed_varint_bits` (zigzag)."""
+    zigzag = np.where(values >= 0, 2 * values, -2 * values - 1)
+    return 2 * bit_width_array(zigzag) - 1

@@ -41,15 +41,11 @@ class ExactDistinctCountProtocol:
     def _set_bits(self, values: frozenset[int]) -> int:
         if not values:
             return 1
-        listing = sum(
-            fixed_width_bits(self._domain_max) if self._domain_max is not None
-            else varint_bits(value)
-            for value in values
-        ) + varint_bits(len(values))
-        if self._domain_max is not None:
-            bitmap = self._domain_max + 1
-            return min(listing, bitmap)
-        return listing
+        count = len(values)
+        if self._domain_max is None:
+            return sum(varint_bits(value) for value in values) + varint_bits(count)
+        listing = count * fixed_width_bits(self._domain_max) + varint_bits(count)
+        return min(listing, self._domain_max + 1)  # or a bitmap over the domain
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         """Execute the protocol; the result's ``value`` is the exact distinct count."""

@@ -199,10 +199,10 @@ class SensorNetwork:
         ``"sharded"`` opt the streaming layer into the fused numpy epoch
         pipeline (single-process, or subtree-sharded worker processes);
         generic tree protocols treat them like ``"batched"``.  Every mode
-        produces bit-for-bit identical ledgers (enforced by the equivalence
-        test-suites).  The mode given at construction also picks the default
-        ledger class (see :data:`EXECUTION_MODES`); assigning it later does
-        not swap the ledger.
+        produces bit-for-bit identical ledgers (enforced by
+        ``tests/test_oracle.py``).  The mode given at construction also
+        picks the default ledger class (see :data:`EXECUTION_MODES`);
+        assigning it later does not swap the ledger.
         """
         return self._execution
 

@@ -21,7 +21,7 @@ from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
 from repro.protocols.broadcast import broadcast
-from repro.protocols.convergecast import convergecast
+from repro.protocols.convergecast import convergecast, count_convergecast
 
 # Size of the query-announcement broadcast: an opcode identifying the
 # aggregate.  Constant, as in Fact 2.1.
@@ -113,12 +113,8 @@ class CountProtocol:
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "COUNT"}, _REQUEST_BITS, protocol="COUNT")
-            answer = convergecast(
-                network,
-                lambda node: len(list(self._view(node))),
-                lambda a, b: a + b,
-                lambda value: varint_bits(int(value)),
-                protocol="COUNT",
+            answer = count_convergecast(
+                network, lambda node: len(list(self._view(node))), protocol="COUNT"
             )
         return metered.result(answer)
 
@@ -132,6 +128,8 @@ class SumProtocol:
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "SUM"}, _REQUEST_BITS, protocol="SUM")
+            # Not count_convergecast: a sum can pass 2**53, beyond which its
+            # array sizing is not exact.
             answer = convergecast(
                 network,
                 lambda node: sum(self._view(node)),

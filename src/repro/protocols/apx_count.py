@@ -15,6 +15,14 @@ Two counting modes are supported:
 * ``"distinct"`` — items contribute the hash of their value, so duplicates
   collapse (this is the approximate COUNT DISTINCT of Section 5, and it also
   makes the protocol duplicate-insensitive at the transport level).
+
+The merge is a register-wise max, so the root's sketch is the sketch of all
+the nodes' hashes together.  The ``"per-edge"`` reference builds one sketch
+per node and merges them up the tree.  Every other execution path collects
+the hashes (the same per-node draws, in bottom-up order), scatters them into
+the root's registers with
+:func:`~repro.sketches.registers.registers_from_hashes`, and charges the
+same full sketch over every tree edge.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
 from repro.protocols.broadcast import broadcast
-from repro.protocols.convergecast import convergecast
+from repro.protocols.convergecast import charge_up_sweep, convergecast
 from repro.protocols.predicates import AllItemsPredicate, Predicate
 from repro.sketches.hashing import hash64
 from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.loglog import LogLogSketch
+from repro.sketches.registers import registers_from_hashes
 
 _SALT_BITS = 32  # broadcast alongside the query so nodes agree on the hash salt
 
@@ -102,20 +111,42 @@ class ApproxCountProtocol:
         sketch_cls = _SKETCH_TYPES[self.sketch_type]
         return sketch_cls(num_registers=self.num_registers, salt=salt)
 
+    def _local_hashes(
+        self, node: SensorNode, salt: int, predicate: Predicate, view: ItemView
+    ) -> list[int]:
+        """The node's 64-bit contributions, one per matching item."""
+        matching = [value for value in view(node) if predicate(value)]
+        if self.mode == "distinct":
+            return [hash64(value, salt=salt) for value in matching]
+        if not matching:
+            return []  # no draw, so no generator to seed
+        # Fresh per-(node, item, salt) randomness so every item counts once
+        # per invocation and invocations are mutually independent.
+        draw = random.Random(hash64(node.node_id * 1_000_003 + salt, salt=salt)).getrandbits
+        return [draw(64) for _ in matching]
+
     def _local_sketch(
         self, node: SensorNode, salt: int, predicate: Predicate, view: ItemView
     ):
         sketch = self._empty_sketch(salt)
-        matching = [value for value in view(node) if predicate(value)]
-        if self.mode == "distinct":
-            for value in matching:
-                sketch.add_item(value)
-        else:
-            # Fresh per-(node, item, salt) randomness so every item counts once
-            # per invocation and invocations are mutually independent.
-            node_rng = random.Random(hash64(node.node_id * 1_000_003 + salt, salt=salt))
-            for _ in matching:
-                sketch.add_random(node_rng)
+        for hashed in self._local_hashes(node, salt, predicate, view):
+            sketch._add_hash(hashed)
+        return sketch
+
+    def _root_sketch(
+        self, network: SensorNetwork, salt: int, predicate: Predicate, view: ItemView
+    ):
+        """The sketch the convergecast delivers to the root, in one pass:
+        every node's hashes (collected in bottom-up order) scattered into
+        one set of registers."""
+        flat = network.flat_tree
+        nodes = network.node_map
+        node_ids = flat.node_ids
+        hashes: list[int] = []
+        for position in flat.bottom_up.tolist():
+            hashes += self._local_hashes(nodes[node_ids[position]], salt, predicate, view)
+        sketch = self._empty_sketch(salt)
+        sketch.registers = registers_from_hashes(hashes, self.num_registers).tolist()
         return sketch
 
     @property
@@ -146,15 +177,24 @@ class ApproxCountProtocol:
                 _SALT_BITS + effective_predicate.encoded_bits(),
                 protocol="APX_COUNT",
             )
-            merged = convergecast(
-                network,
-                lambda node: self._local_sketch(
-                    node, salt, effective_predicate, effective_view
-                ),
-                lambda a, b: a.merge(b),
-                sketch_bits,
-                protocol="APX_COUNT",
-            )
+            if network.execution == "per-edge":
+                merged = convergecast(
+                    network,
+                    lambda node: self._local_sketch(
+                        node, salt, effective_predicate, effective_view
+                    ),
+                    lambda a, b: a.merge(b),
+                    sketch_bits,
+                    protocol="APX_COUNT",
+                )
+            else:
+                merged = self._root_sketch(
+                    network, salt, effective_predicate, effective_view
+                )
+                # The size does not depend on the registers: every link
+                # carries one full sketch.
+                up_links = network.flat_tree.up_links
+                charge_up_sweep(network, [sketch_bits] * len(up_links), "APX_COUNT")
             result = ApproxCountResult(
                 estimate=merged.estimate(),
                 relative_sigma=merged.relative_sigma,

@@ -15,22 +15,34 @@ below is parameterised by
 Two execution paths implement the same traversal, selected by
 ``network.execution``:
 
-* *batched* (default) — walks the :class:`~repro.network.flat_tree.FlatTree`
-  arrays, collects every upward transmission of the sweep, and charges them
-  in one :meth:`~repro.network.SensorNetwork.send_up_tree` call.  This is
-  what lets the simulator run 100k-node fields.
+* *batched* (every mode but ``"per-edge"``) — walks the
+  :class:`~repro.network.flat_tree.FlatTree` arrays, collects every upward
+  transmission of the sweep, and charges them in one
+  :func:`charge_up_sweep`.  This is what lets the simulator run 100k-node
+  fields.
 * *per-edge* — the reference implementation: one
   :meth:`~repro.network.SensorNetwork.send` per tree edge.
 
 Both visit nodes, combine partials and draw radio randomness in exactly the
-same order, so they produce bit-for-bit identical ledgers and results (the
-equivalence test-suite enforces this across topologies and radio models).
+same order, so they produce bit-for-bit identical ledgers and results
+(``tests/test_oracle.py`` holds every path to the per-edge reference).
+
+Where the partial aggregate has an array form, the batched path need not
+fold per-node objects at all.  :func:`count_convergecast` (COUNT, COUNTP)
+sums subtrees level by level, and APX_COUNT
+(:mod:`repro.protocols.apx_count`) scatters every node's hashes into the
+root's registers at once.  Either way the sizes sent are the ones the
+per-node fold would send, and :func:`charge_up_sweep` charges them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+import operator
+from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
+from repro._util.bits import varint_bits, varint_bits_array
 from repro.network.simulator import SensorNetwork
 
 T = TypeVar("T")
@@ -91,9 +103,56 @@ def _convergecast_batched(
             append_size(size_bits(value))
     if not adaptive:
         sizes = [size_bits] * len(flat.up_links)
+    charge_up_sweep(network, sizes, protocol)
+    return values[0]  # the root has canonical index 0
+
+
+def charge_up_sweep(network: SensorNetwork, sizes: Sequence[int], protocol: str) -> None:
+    """Charge one bottom-up sweep: ``sizes[i]`` bits over ``flat.up_links[i]``.
+
+    Every batched convergecast ends here, so radio draw order, the charged
+    prefix of a :class:`~repro.exceptions.DeliveryError`, the budget raise
+    point and dead-node errors are those of :meth:`SensorNetwork.send_batch`
+    — called through the instance, so a patched ``send_batch`` sees it.
+    """
+    flat = network.flat_tree
     network.send_batch(flat.up_links, sizes, protocol=protocol, require_edge=False)
     network.ledger.advance_round(flat.height)
-    return values[0]  # the root has canonical index 0
+
+
+def _count_bits(value: int) -> int:
+    return varint_bits(int(value))
+
+
+def count_convergecast(
+    network: SensorNetwork, local_count: Callable[..., int], protocol: str
+) -> int:
+    """Total ``local_count`` over all nodes, each partial sent as a varint.
+
+    The same transmissions as ``convergecast(network, local_count, a + b,
+    varint_bits)``.  Off the per-edge path it is one array pass: the local
+    counts (``local_count`` called once per node, in bottom-up order) are
+    summed into their parents deepest level first, and the sizes are the
+    varint widths of the subtree sums.
+    """
+    if network.execution == "per-edge":
+        return _convergecast_per_edge(
+            network, local_count, operator.add, _count_bits, protocol
+        )
+    flat = network.flat_tree
+    nodes = network.node_map
+    node_ids = flat.node_ids
+    bottom_up = flat.bottom_up
+    parent = flat.parent
+    sums = np.empty(flat.num_nodes, dtype=np.int64)
+    sums[bottom_up] = [
+        local_count(nodes[node_ids[position]]) for position in bottom_up.tolist()
+    ]
+    for start, end in reversed(flat.level_spans[1:]):
+        np.add.at(sums, parent[start:end], sums[start:end])
+    senders = bottom_up[parent[bottom_up] >= 0]
+    charge_up_sweep(network, varint_bits_array(sums[senders]).tolist(), protocol)
+    return int(sums[0])  # the root has canonical index 0
 
 
 def _convergecast_per_edge(

@@ -10,12 +10,11 @@ predicate's own :meth:`~repro.protocols.predicates.Predicate.encoded_bits`.
 
 from __future__ import annotations
 
-from repro._util.bits import varint_bits
 from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
 from repro.protocols.broadcast import broadcast
-from repro.protocols.convergecast import convergecast
+from repro.protocols.convergecast import count_convergecast
 from repro.protocols.predicates import Predicate
 
 
@@ -38,11 +37,5 @@ class CountPredicateProtocol:
             def local(node: SensorNode) -> int:
                 return sum(1 for value in self._view(node) if self.predicate(value))
 
-            answer = convergecast(
-                network,
-                local,
-                lambda a, b: a + b,
-                lambda value: varint_bits(int(value)),
-                protocol="COUNTP",
-            )
+            answer = count_convergecast(network, local, protocol="COUNTP")
         return metered.result(answer)

@@ -29,10 +29,11 @@ tops transmit *externally* to the root), and the standalone
 benchmarks.  Callers own charging: the kernel hands positions and sizes to a
 ``charge`` callable and interprets its returned delivery mask.
 
-Exact bit-width arithmetic: the varint widths are computed through
-``np.frexp``, which recovers ``bit_length`` exactly for magnitudes below
-2**53.  Count summaries at any simulated scale stay far below that; the
-helpers guard the bound explicitly rather than silently rounding.
+Exact bit-width arithmetic: the varint widths come from the array helpers
+of :mod:`repro._util.bits`, which recover ``bit_length`` exactly for
+magnitudes below 2**53.  Count summaries at any simulated scale stay far
+below that; the helpers guard the bound explicitly rather than silently
+rounding.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
+from repro._util.bits import signed_varint_bits_array, varint_bits_array
 
 #: ``parent`` value marking a node with no parent that must not transmit
 #: (the global root).
@@ -50,35 +51,6 @@ NO_PARENT = -1
 #: ``parent`` value marking a shard-local top: its parent exists but lives
 #: outside the local arrays, so its transmissions are delivered externally.
 EXTERNAL_PARENT = -2
-
-#: Largest magnitude whose bit length ``np.frexp`` recovers exactly.
-_EXACT_LIMIT = 1 << 53
-
-
-def _check_exact(values) -> None:
-    if values.size and int(np.abs(values).max()) >= _EXACT_LIMIT:
-        raise ConfigurationError(
-            "vectorized varint sizing requires magnitudes below 2**53; "
-            f"got {int(np.abs(values).max())}"
-        )
-
-
-def bit_width_array(values):
-    """Vectorized ``max(1, v.bit_length())`` for non-negative int64 arrays."""
-    _check_exact(values)
-    exponents = np.frexp(values.astype(np.float64))[1]
-    return np.maximum(1, exponents).astype(np.int64)
-
-
-def varint_bits_array(values):
-    """Vectorized :func:`repro._util.bits.varint_bits` (non-negative values)."""
-    return 2 * bit_width_array(values) - 1
-
-
-def signed_varint_bits_array(values):
-    """Vectorized :func:`repro._util.bits.signed_varint_bits` (zigzag)."""
-    zigzag = np.where(values >= 0, 2 * values, -2 * values - 1)
-    return 2 * bit_width_array(zigzag) - 1
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Unit tests for the batched execution core.
 
 Covers the flat-tree representation, batch charging and ledger marks, the
-radio batch filter, and the batched send primitives on the simulator.
+radio batch filter, the batched send primitives on the simulator, and the
+subtree-sum pass of COUNT / COUNTP.
 Whole runs are held to the per-edge reference by ``tests/test_oracle.py``.
 """
 
@@ -22,13 +23,16 @@ from repro.network.radio import (
     ReliableRadio,
 )
 from repro.network.simulator import EXECUTION_MODES, SensorNetwork
+from repro._util.bits import varint_bits
 from repro.network.topology import (
     grid_topology,
     line_topology,
     random_geometric_topology,
+    random_tree_topology,
     star_topology,
 )
 from repro.protocols.base import MeteredRun
+from repro.protocols.convergecast import _convergecast_batched, count_convergecast
 
 
 def build_network(num_nodes=25, topology="grid", **kwargs):
@@ -350,6 +354,38 @@ class TestBatchedSendPrimitives:
         for (sender, receiver), size in zip(links, sizes):
             reference.send(sender, receiver, "x", size, protocol="T")
         assert batched.ledger.snapshot() == reference.ledger.snapshot()
+
+
+class TestCountConvergecast:
+    """The subtree-sum pass against the generic batched fold it replaces."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [line_topology(1), line_topology(9), star_topology(8), random_tree_topology(40, seed=3)],
+        ids=["single", "line", "star", "random-tree"],
+    )
+    @pytest.mark.parametrize("lossy", [False, True], ids=["reliable", "lossy"])
+    def test_equals_the_generic_batched_fold(self, graph, lossy):
+        twins = []
+        for _ in range(2):
+            radio = LossyRadio(0.4, seed=5) if lossy else ReliableRadio()
+            network = SensorNetwork(graph.copy(), radio=radio)
+            network.assign_items({node: [node] * (node % 4) for node in network.node_ids()})
+            twins.append(network)
+        generic, kernel = twins
+
+        def local(node):
+            return len(node.items)
+
+        expected = _convergecast_batched(
+            generic, local, lambda a, b: a + b, lambda value: varint_bits(int(value)), "T"
+        )
+        answer = count_convergecast(kernel, local, "T")
+        assert type(answer) is int and answer == expected
+        assert answer == sum(node % 4 for node in kernel.node_ids())
+        assert kernel.ledger.snapshot() == generic.ledger.snapshot()
+        if lossy:
+            assert kernel.radio._rng.getstate() == generic.radio._rng.getstate()
 
 
 class TestExecutionMode:

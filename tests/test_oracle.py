@@ -65,7 +65,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
+from repro.core.apx_median import ApproximateMedianProtocol
+from repro.core.apx_median2 import PolyloglogMedianProtocol
 from repro.core.median import DeterministicMedianProtocol
+from repro.core.rep_count import RepetitionPolicy
 from repro.exceptions import DeliveryError, ReproError
 from repro.faults import (
     FaultEngine,
@@ -89,9 +92,12 @@ from repro.network.radio import (
 )
 from repro.network.topology import build_topology
 from repro.protocols.aggregates import CountProtocol, SumProtocol
+from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
+from repro.protocols.countp import CountPredicateProtocol
 from repro.protocols.epoch_convergecast import epoch_convergecast
+from repro.protocols.predicates import LessThanPredicate
 from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.tenancy import MultiTenantEngine
@@ -417,10 +423,28 @@ def tree_sweeps(dirty: set):
     return step
 
 
+BELOW_200 = LessThanPredicate(threshold=200, domain_max=512)
+
+#: One-shot queries; each twin runs a fresh object, so sketch salts match.
 PROTOCOLS = {
     "count": lambda: CountProtocol(),
+    "countp": lambda: CountPredicateProtocol(BELOW_200),
     "sum": lambda: SumProtocol(),
     "median": lambda: DeterministicMedianProtocol(domain_max=512),
+    "apx_count": lambda: ApproxCountProtocol(num_registers=16),
+    "apx_count_hll_below": lambda: ApproxCountProtocol(
+        num_registers=8, sketch="hyperloglog", predicate=BELOW_200
+    ),
+    "apx_distinct": lambda: ApproxCountProtocol(num_registers=16, mode="distinct"),
+    "apx_distinct_hll": lambda: ApproxCountProtocol(
+        num_registers=32, mode="distinct", sketch="hyperloglog"
+    ),
+    "apx_median": lambda: ApproximateMedianProtocol(
+        num_registers=16, repetition_policy=RepetitionPolicy.practical(cap=1)
+    ),
+    "apx_median2": lambda: PolyloglogMedianProtocol(
+        num_registers=16, repetition_policy=RepetitionPolicy.practical(cap=1)
+    ),
 }
 
 
@@ -647,7 +671,7 @@ def run_script(twins: Twins, script: str, rng: random.Random, epochs: int = 6) -
         twins.stream_epoch(updates)
         if twins.scenario.workload == "one-shot":
             twins.apply(tree_sweeps(set(rng.sample(ids, rng.randint(0, len(ids))))))
-            kind = sorted(PROTOCOLS)[epoch % len(PROTOCOLS)]
+            kind = rng.choice(sorted(PROTOCOLS))
             twins.apply(lambda twin, kind=kind: PROTOCOLS[kind]().run(twin.network))
 
 

@@ -7,7 +7,8 @@ as reference functions.  The kernels in ``src/`` must equal them exactly on
 random inputs — for the q-digest that includes the *insertion order* of
 ``counts``, which ``quantile``'s tie-breaking and every later merge can
 observe.  The only intended difference is the padded-universe bugfix, tested
-on its own at the end.
+on its own at the end.  ``registers_from_hashes`` is held to the scalar
+``_add_hash`` it batches.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from repro._util.validation import (
     require_positive,
 )
 from repro.exceptions import ConfigurationError
+from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.loglog import LogLogSketch
 from repro.sketches.qdigest import QDigest, dyadic_levels
+from repro.sketches.registers import registers_from_hashes
 
 _settings = settings(
     max_examples=150,
@@ -338,6 +341,43 @@ class TestLogLogKernels:
             LogLogSketch(num_registers=16).merge(LogLogSketch(num_registers=32))
         with pytest.raises(ValueError, match="salts"):
             LogLogSketch(salt=1).merge(LogLogSketch(salt=2))
+
+
+# --------------------------------------------------------------------------- #
+# The register kernel against scalar ``_add_hash``
+# --------------------------------------------------------------------------- #
+#: 0, 1, and the words on either side of 2**k for k in 50..64 — where a
+#: float64 of the whole word would round the bit length.
+_EDGE_HASHES = [0, 1] + [
+    word for k in range(50, 65) for word in ((1 << k) - 1, 1 << k) if word < 1 << 64
+]
+
+
+class TestRegisterKernel:
+    @given(
+        sketch_cls=st.sampled_from([LogLogSketch, HyperLogLogSketch]),
+        exponent=st.integers(min_value=0, max_value=12),
+        hashes=st.lists(
+            st.sampled_from(_EDGE_HASHES) | st.integers(min_value=0, max_value=2**64 - 1),
+            max_size=60,
+        ),
+    )
+    @_settings
+    def test_equals_scalar_add_hash(self, sketch_cls, exponent, hashes):
+        num_registers = 1 << exponent
+        # The edge words again with the index bits below them, so each is
+        # also the remainder the rank is taken of.
+        hashes = hashes + [
+            (word << exponent) & (2**64 - 1) for word in _EDGE_HASHES
+        ]
+        sketch = sketch_cls(num_registers=num_registers)
+        for hashed in hashes:
+            sketch._add_hash(hashed)
+        registers = registers_from_hashes(hashes, num_registers)
+        assert registers.tolist() == sketch.registers
+
+    def test_no_hashes_leave_every_register_empty(self):
+        assert registers_from_hashes([], 8).tolist() == [0] * 8
 
 
 # --------------------------------------------------------------------------- #
