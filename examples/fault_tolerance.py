@@ -62,7 +62,7 @@ def build_engine(strategy: str):
         seed=1,
         rejoin_epoch=REJOIN_EPOCH,
     ).merge(
-        regional_outage_script(network.graph, epoch=OUTAGE_EPOCH, radius=2, seed=2)
+        regional_outage_script(network.links, epoch=OUTAGE_EPOCH, radius=2, seed=2)
     )
     faults = FaultEngine(network, script=script, repair=TreeRepair(strategy=strategy))
     return engine, faults

@@ -59,7 +59,7 @@ from repro.faults.repair import TreeRepair
 from repro.faults.runner import run_faulty_stream
 from repro.faults.trace import FaultTrace
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import build_topology
+from repro.network.topology import build_links
 from repro.protocols.aggregates import (
     AverageProtocol,
     CountProtocol,
@@ -749,8 +749,8 @@ def run_scaling_study(
     # Build the graph first: generators only approximate the requested size
     # (a grid rounds to the nearest square), and the items must match the
     # actual node count.
-    graph = build_topology(topology, num_nodes, seed=seed)
-    actual_nodes = graph.number_of_nodes()
+    links = build_links(topology, num_nodes, seed=seed)
+    actual_nodes = links.num_nodes
     items = generate_workload(
         "uniform",
         actual_nodes,
@@ -760,7 +760,7 @@ def run_scaling_study(
     # Both execution modes run with the same telemetry hooks live, so the
     # relative comparison is unaffected by the instrumentation.
     network = SensorNetwork.from_items(
-        items, topology=graph, seed=seed, degree_bound=None, telemetry=telemetry
+        items, topology=links, seed=seed, degree_bound=None, telemetry=telemetry
     )
 
     def timed(mode: str) -> tuple[float, object]:
@@ -829,8 +829,8 @@ def _fault_arms(
     """
     traces: dict[str, FaultTrace] = {}
     for strategy in ("incremental", "rebuild"):
-        graph = build_topology(topology, num_nodes, seed=seed)
-        network = _idle_network(graph.number_of_nodes(), graph, seed, degree_bound=None)
+        links = build_links(topology, num_nodes, seed=seed)
+        network = _idle_network(links.num_nodes, links, seed, degree_bound=None)
         engine = ContinuousQueryEngine(network, epsilon=epsilon)
         engine.register("count", CountQuery())
         engine.register("below_mid", _below_mid())
@@ -908,7 +908,7 @@ def run_fault_tolerance_study(
             )
         if scenario == "regional_outage":
             return regional_outage_script(
-                network.graph,
+                network.links,
                 epoch=storm_epoch,
                 radius=outage_radius,
                 seed=seed,
@@ -923,7 +923,7 @@ def run_fault_tolerance_study(
                 seed=seed,
             )
         return link_storm_script(
-            network.graph,
+            network.links,
             epoch=storm_epoch,
             fraction=crash_fraction,
             seed=seed,

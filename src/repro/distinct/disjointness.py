@@ -30,7 +30,6 @@ from repro._util.randomness import make_rng
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import line_topology
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,7 @@ class DisjointnessInstance:
         middle of the line — the communication the reduction lower-bounds.
         """
         items = list(self.set_a) + list(self.set_b)
-        graph = line_topology(len(items))
-        return SensorNetwork.from_items(items, topology=graph, **network_kwargs)
+        return SensorNetwork.from_items(items, topology="line", **network_kwargs)
 
     def cut_edge(self) -> tuple[int, int]:
         """The line edge separating player A's nodes from player B's nodes."""

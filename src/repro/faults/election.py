@@ -13,7 +13,7 @@ that model as a *charged* protocol rather than a free oracle handover.
 
 When the root dies, the old spanning tree decomposes into *surviving
 fragments* — maximal connected pieces of tree edges whose endpoints are
-alive and whose graph edge still exists.  The election runs over the
+alive and whose link is still up.  The election runs over the
 *electorate*: the connected component of the alive graph containing the
 highest surviving node id, which wins (deterministic, and every node can
 verify it locally once the flood reaches it).  Three phases, each billed
@@ -41,9 +41,9 @@ through :meth:`~repro.network.SensorNetwork.send`, every other mode ships
 it through one :meth:`~repro.network.SensorNetwork.send_batch`.  With the
 dense ids ``0..n-1`` behind ``network.alive_mask`` those other modes build
 the *same* sequence as one ``(k, 2)`` link array instead
-(:meth:`RootElection._plan_arrays`: the electorate BFS on a CSR cut from
-the graph when the election starts — not cached, so nothing to invalidate
-— fragments and convergecast senders as masks over the
+(:meth:`RootElection._plan_arrays`: the electorate BFS over the network's
+CSR :class:`~repro.network.links.LinkTable` and its alive slots,
+fragments and convergecast senders as masks over the
 :class:`~repro.network.FlatTree`, the flood as one edge-table filter), so
 an election over a 20,000-node field builds no million-tuple list.  Radio
 draws, the :class:`~repro.exceptions.DeliveryError` prefix charge and the
@@ -71,8 +71,6 @@ re-adopted by a later repair once connectivity returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import contains
 from typing import Any
 
 import numpy as np
@@ -146,28 +144,30 @@ def use_arrays(network: SensorNetwork) -> bool:
     return network.execution != "per-edge" and network.alive_mask is not None
 
 
-def surviving_edge_mask(flat, adjacency):
-    """Per canonical position of ``flat``: does the graph still carry the
-    tree edge to the parent?  (``True`` at the root, which has none.)
+def surviving_edge_mask(flat, dropped):
+    """Per canonical position of ``flat``: is the tree edge to the parent
+    still up?  (``True`` at the root, which has none.)
 
-    The graph is the one owner of link state and keeps no change log, so a
-    :class:`~repro.faults.LinkDrop` — or a direct ``graph.remove_edge`` —
-    under a live tree edge is only visible by looking: one C-level dict
-    probe per tree edge.
+    ``dropped`` is ``network.links.dropped``.  Every tree edge is a link,
+    and links change only through ``SensorNetwork.drop_link`` /
+    ``restore_link``, so a tree edge is down exactly when its ``(min, max)``
+    key is in ``dropped``: O(dropped links), no probe per tree edge.
     """
     mask = np.ones(flat.num_nodes, dtype=bool)
-    if flat.num_nodes > 1:
-        parents = flat.ids_array[flat.parent[1:]].tolist()
-        mask[1:] = np.fromiter(
-            map(
-                contains,
-                map(adjacency.__getitem__, parents),
-                islice(flat.node_ids, 1, None),
-            ),
-            dtype=bool,
-            count=len(parents),
-        )
+    if dropped:
+        ends = flat.positions_of(np.array(list(dropped), dtype=np.int64))
+        low, high = ends[:, 0], ends[:, 1]
+        inside = (low >= 0) & (high >= 0)
+        low, high = low[inside], high[inside]
+        parent = flat.parent
+        mask[low[parent[low] == high]] = False
+        mask[high[parent[high] == low]] = False
     return mask
+
+
+def _up(dropped, a: int, b: int) -> bool:
+    """Whether the link between ``a`` and ``b`` is not in ``dropped``."""
+    return not dropped or ((a, b) if a < b else (b, a)) not in dropped
 
 
 def tree_fragments(
@@ -176,9 +176,10 @@ def tree_fragments(
     """Group ``members`` into maximal fragments of surviving tree edges.
 
     A surviving tree edge has both endpoints in ``members`` (ascending ids)
-    and its graph edge intact.  Returns ``(fragments, frag_id,
-    frag_parent)``: member lists per fragment, the node → fragment index,
-    and each node's surviving old parent *within its fragment* (``None`` at
+    and its link up (a set lookup in ``network.links.dropped``).  Returns
+    ``(fragments, frag_id, frag_parent)``: member lists per fragment, the
+    node → fragment index, and each node's surviving old parent *within
+    its fragment* (``None`` at
     the fragment top).  A fragment is a subtree of the old tree, so exactly
     one member has no in-fragment parent; nodes outside the old tree (alive
     but detached, or rejoining) come out as singletons.  O(members): the
@@ -188,7 +189,7 @@ def tree_fragments(
     tree = network.tree
     get_parent = tree.parent.get
     get_children = tree.children.get
-    adjacency = network.graph._adj
+    dropped = network.links.dropped
     member_set = set(members)
     frag_id: dict[int, int] = {}
     frag_parent: dict[int, int | None] = {}
@@ -207,11 +208,10 @@ def tree_fragments(
             node = collected[cursor]
             cursor += 1
             parent = get_parent(node)
-            neighbors = adjacency[node]
             if (
                 parent is not None
                 and parent in member_set
-                and parent in neighbors
+                and _up(dropped, node, parent)
             ):
                 frag_parent[node] = parent
                 if parent not in frag_id:
@@ -222,8 +222,8 @@ def tree_fragments(
             for child in get_children(node, ()):
                 if (
                     child in member_set
-                    and child in neighbors
                     and child not in frag_id
+                    and _up(dropped, node, child)
                 ):
                     frag_id[child] = fragment
                     collected.append(child)
@@ -338,7 +338,7 @@ class RootElection:
     def _plan_reference(self, network: SensorNetwork, winner: int) -> _Plan:
         # The electorate: alive nodes graph-connected to the winner.  BFS
         # depth doubles as the winner flood's round count.
-        adjacency = network.graph._adj
+        neighbors = network.links.neighbors
         is_alive = network.is_alive
         depth_from_winner = {winner: 0}
         frontier = [winner]
@@ -346,7 +346,7 @@ class RootElection:
         while frontier:
             next_frontier: list[int] = []
             for node in frontier:
-                for neighbor in adjacency[node]:
+                for neighbor in neighbors(node):
                     if neighbor not in depth_from_winner and is_alive(neighbor):
                         depth_from_winner[neighbor] = flood_rounds + 1
                         next_frontier.append(neighbor)
@@ -375,7 +375,7 @@ class RootElection:
         # Phase 2 — winner flood: both directions of every alive electorate
         # edge, ascending (min, max) edge order.
         for u in electorate:
-            for v in sorted(adjacency[u]):
+            for v in neighbors(u):
                 if u < v and v in depth_from_winner:
                     links.append((u, v))
                     sizes.append(WINNER_BITS)
@@ -405,49 +405,25 @@ class RootElection:
     # The array builder: the same plan from masks and one edge table
     # ------------------------------------------------------------------ #
     def _plan_arrays(self, network: SensorNetwork, winner: int) -> _Plan:
-        adjacency = network.graph._adj
+        links = network.links
         alive = network.alive_mask
-        num_ids = alive.size
 
-        # The graph as it is right now, as a CSR edge table (``heads`` of
-        # node u are ``heads[offsets[u]:offsets[u + 1]]``).
-        rows = [adjacency[node] for node in range(num_ids)]
-        degree = np.fromiter(map(len, rows), dtype=np.int64, count=num_ids)
-        heads = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int64, count=int(degree.sum())
-        )
-        offsets = np.concatenate(([0], np.cumsum(degree)))
-
-        # The electorate: BFS from the winner, one whole frontier per round
-        # (the round count is the winner flood's).  The dead start out
-        # "seen", so the search never enters them.
-        seen = ~alive
-        seen[winner] = True
-        frontier = np.array([winner], dtype=np.int64)
-        flood_rounds = 0
-        while True:
-            counts = degree[frontier]
-            ends = np.cumsum(counts)
-            reached = heads[
-                np.arange(int(ends[-1]), dtype=np.int64)
-                + np.repeat(offsets[frontier] - ends + counts, counts)
-            ]
-            reached = reached[~seen[reached]]
-            if not reached.size:
-                break
-            seen[reached] = True
-            frontier = np.unique(reached)
-            flood_rounds += 1
-        voting = seen & alive
+        # The electorate: BFS from the winner over the alive links and the
+        # alive nodes, one whole frontier per round (the round count is the
+        # winner flood's).
+        reached, _, levels = links.bfs(winner, alive)
+        flood_rounds = len(levels) - 1
+        voting = np.zeros(alive.size, dtype=bool)
+        voting[reached] = True
 
         # Surviving tree edges, by the child's position in the old tree:
-        # both ends vote and the graph still carries the edge.  The old
-        # root is dead, so nothing hangs from position 0.
+        # both ends vote and the link is up.  The old root is dead, so
+        # nothing hangs from position 0.
         flat = network.flat_tree
         ids = flat.ids_array
         parent = flat.parent
         votes = voting[ids]
-        survives = votes & surviving_edge_mask(flat, adjacency)
+        survives = votes & surviving_edge_mask(flat, links.dropped)
         survives[0] = False
         survives[1:] &= votes[parent[1:]]
         # Fragment top of every position, settled level by level.
@@ -458,11 +434,11 @@ class RootElection:
 
         # Phase 1 — one candidate frame per surviving tree edge, bottom up.
         senders = flat.bottom_up[survives[flat.bottom_up]]
-        # Phase 2 — the flood: every electorate edge once, as (min, max).
-        tails = np.repeat(np.arange(num_ids, dtype=np.int64), degree)
-        crossing = (tails < heads) & voting[tails] & voting[heads]
-        edge_keys = np.sort(tails[crossing] * num_ids + heads[crossing])
-        low, high = np.divmod(edge_keys, num_ids)
+        # Phase 2 — the flood: every electorate edge once, as (min, max),
+        # in the table's ascending edge order.
+        low, high = links.edge_rows()
+        crossing = voting[low] & voting[high]
+        low, high = low[crossing], high[crossing]
         # Phase 3 — the winner's old ancestor chain inside its fragment.
         reversed_path = [winner]
         position = int(flat.positions_of(np.array([winner]))[0])

@@ -4,7 +4,8 @@
 :class:`~repro.network.SensorNetwork`: it applies scripted events from a
 :class:`~repro.faults.events.FaultScript`, draws stochastic crash / rejoin /
 link-failure events from per-epoch rates, mutates the network (alive-mask,
-item loss, graph edges) accordingly, and drives the configured
+item loss, links through ``drop_link`` / ``restore_link``) accordingly, and
+drives the configured
 :class:`~repro.faults.repair.TreeRepair` so the spanning tree keeps spanning
 the alive, root-connected population.  One :meth:`step` per epoch returns a
 :class:`FaultReport` describing both the injected events and the repair's
@@ -145,7 +146,15 @@ class FaultEngine:
         self._injection_cause: int | None = None
         self._epoch = 0
         self._rng = make_rng(seed)
-        self.dropped_edges: set[tuple[int, int]] = set()
+
+    @property
+    def dropped_edges(self) -> set[tuple[int, int]]:
+        """Links that are down right now, as ``(min, max)`` keys.
+
+        Read from the network's link table, the one owner of link state
+        (treat as read-only).
+        """
+        return self.network.links.dropped
 
     @property
     def undetected_dead(self) -> frozenset[int]:
@@ -370,23 +379,21 @@ class FaultEngine:
                 self._injection_cause = outage_id
             try:
                 for crash in expand_regional_outage(
-                    network.graph, event, protect=(network.root_id,)
+                    network.links, event, protect=(network.root_id,)
                 ):
                     self._apply(crash, crashed, rejoined, dropped, restored, flaps)
             finally:
                 self._injection_cause = previous_cause
         elif isinstance(event, LinkDrop):
             edge = event.edge
-            if network.graph.has_edge(*edge):
-                network.graph.remove_edge(*edge)
-                self.dropped_edges.add(edge)
+            if network.links.has(*edge):
+                network.drop_link(*edge)
                 dropped.append(edge)
                 self._emit_injection("LinkDrop", None, u=edge[0], v=edge[1])
         elif isinstance(event, LinkRestore):
             edge = event.edge
-            if edge in self.dropped_edges:
-                network.graph.add_edge(*edge)
-                self.dropped_edges.discard(edge)
+            if edge in network.links.dropped:
+                network.restore_link(*edge)
                 restored.append(edge)
                 self._emit_injection("LinkRestore", None, u=edge[0], v=edge[1])
         else:
@@ -418,9 +425,8 @@ class FaultEngine:
                         )
                     )
         if self.link_drop_rate > 0.0:
-            for u, v in sorted(
-                tuple(sorted(edge)) for edge in network.graph.edges()
-            ):
+            low, high = network.links.edges()  # ascending (min, max)
+            for u, v in zip(low.tolist(), high.tolist()):
                 if rng.random() < self.link_drop_rate:
                     events.append(LinkDrop(u, v))
         return events

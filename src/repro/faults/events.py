@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro._util.validation import require_non_negative
 from repro.exceptions import ConfigurationError
+from repro.network.links import as_link_table
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class RootCrash(FaultEvent):
 
 @dataclass(frozen=True)
 class LinkDrop(FaultEvent):
-    """The graph edge between ``u`` and ``v`` fails (until restored)."""
+    """The link between ``u`` and ``v`` fails (until restored)."""
 
     u: int
     v: int
@@ -157,15 +158,19 @@ class FaultScript:
 
 
 def expand_regional_outage(
-    graph, event: RegionalOutage, protect: Iterable[int] = ()
+    links, event: RegionalOutage, protect: Iterable[int] = ()
 ) -> list[NodeCrash]:
-    """Expand a :class:`RegionalOutage` into per-node crashes via graph BFS.
+    """Expand a :class:`RegionalOutage` into per-node crashes via a BFS over
+    the alive links.
 
-    ``protect`` lists nodes that never crash (the root).  Exposed so scripts
-    and tests can precompute the blast radius of an outage.
+    ``links`` is a :class:`~repro.network.links.LinkTable` (normally
+    ``network.links``; an ``nx.Graph`` converts once).  ``protect`` lists
+    nodes that never crash (the root).  Exposed so scripts and tests can
+    precompute the blast radius of an outage.
     """
     require_non_negative(event.radius, "radius")
-    if event.center not in graph:
+    links = as_link_table(links)
+    if event.center not in links:
         raise ConfigurationError(
             f"outage center {event.center} is not a node of the graph"
         )
@@ -175,7 +180,7 @@ def expand_regional_outage(
     for _ in range(event.radius):
         next_frontier: list[int] = []
         for node in frontier:
-            for neighbor in graph.neighbors(node):
+            for neighbor in links.neighbors(node):
                 if neighbor not in ball:
                     ball.add(neighbor)
                     next_frontier.append(neighbor)

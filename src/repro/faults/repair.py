@@ -33,9 +33,9 @@ exactly as the protocol traversals are:
   wave, and the repaired tree is rebuilt into fresh dictionaries.
   O(alive graph edges) per fault epoch.
 * *arrays* (every other mode) — the attached set is a handful of boolean
-  masks over the :class:`~repro.network.FlatTree` arrays (alive gather, one
-  probe per tree edge that the graph still carries it, one ``&=`` per
-  level), adoption candidates are enumerated from the (small) orphan side
+  masks over the :class:`~repro.network.FlatTree` arrays (alive gather, the
+  tree edges whose link is in ``network.links.dropped`` cleared, one ``&=``
+  per level), adoption candidates are enumerated from the (small) orphan side
   through a priority queue that reproduces the reference scan order
   exactly, the rebuild-vs-incremental estimate short-circuits without
   touching the edge set, and the spanning tree plus its flat view are
@@ -53,8 +53,9 @@ When the *estimated* incremental cost exceeds ``rebuild_threshold`` times
 the estimated flood cost — or when ``strategy="rebuild"`` pins the naive
 policy for baselines — the repair falls back to rebuilding the BFS tree of
 the alive root-component from scratch, charging the flood (two tokens per
-alive edge, one parent-ack per node) that a distributed BFS construction
-costs.  The fault benchmarks measure exactly this trade.
+alive edge in ascending ``(min, max)`` edge order, one parent-ack per node)
+that a distributed BFS construction costs.  The fault benchmarks measure
+exactly this trade.
 
 Even the root may die.  A repair that finds the root dead defers to its
 configured :class:`~repro.faults.RootElection` (raising
@@ -88,7 +89,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DeliveryError
@@ -289,10 +289,10 @@ class TreeRepair:
         self, network: SensorNetwork, elected: ElectionResult | None = None
     ) -> RepairResult:
         tree = network.tree
-        graph = network.graph
+        links = network.links
         old_parent = tree.parent
         old_children = tree.children
-        has_edge = graph.has_edge
+        has_edge = links.has
         is_alive = network.is_alive
 
         if elected is not None:
@@ -302,7 +302,7 @@ class TreeRepair:
             attached = set(elected.winner_fragment)
         else:
             # Survivors: BFS from the root over tree edges whose child end
-            # is alive and whose graph edge still exists.
+            # is alive and whose link is still up.
             attached = {network.root_id}
             stack = [network.root_id]
             while stack:
@@ -333,7 +333,7 @@ class TreeRepair:
         while frontier:
             wave_added: list[int] = []
             for adopter in frontier:
-                for orphan in sorted(graph.neighbors(adopter)):
+                for orphan in links.neighbors(adopter):
                     if orphan in attached or not is_alive(orphan):
                         continue
                     self._adopt_unit(
@@ -453,16 +453,16 @@ class TreeRepair:
         from the parent map because a root change moves every depth.
         """
         tree = network.tree
-        adjacency = network.graph._adj  # raw dict-of-dicts: the hot sweeps
+        neighbors = network.links.neighbors
         old_parent = tree.parent
         alive = network.alive_mask
         if elected is None:
-            # Attached = alive, tree edge to the parent still in the graph,
-            # parent attached — settled level by level, top down.
+            # Attached = alive, tree edge to the parent still up, parent
+            # attached — settled level by level, top down.
             flat = network.flat_tree
             ids = flat.ids_array
             attached_mask = attached_mask_vectorized(
-                flat, alive[ids] & surviving_edge_mask(flat, adjacency)
+                flat, alive[ids] & surviving_edge_mask(flat, network.links.dropped)
             )
             attached_ids = ids[attached_mask]
         else:
@@ -493,7 +493,7 @@ class TreeRepair:
             cascade.deferred_links = []
             cascade.deferred_sizes = []
         self._adoption_cascade_batched(
-            network, adjacency, units, unit_id, unit_parent, cascade, set(unattached)
+            network, neighbors, units, unit_id, unit_parent, cascade, set(unattached)
         )
         if cascade.deferred_links:
             network.send_batch(
@@ -537,7 +537,7 @@ class TreeRepair:
     def _adoption_cascade_batched(
         self,
         network: SensorNetwork,
-        adjacency,
+        neighbors: Callable[[int], list[int]],
         units: list[list[int]],
         unit_id: dict[int, int],
         unit_parent: dict[int, int | None],
@@ -587,19 +587,19 @@ class TreeRepair:
             # Candidate pairs across the attached/orphan boundary, scanned
             # from whichever side has fewer nodes — both scans visit the
             # same boundary edges, and the minimum per unit is the same.
-            # C-level set intersections against the adjacency key views do
-            # the scanning.
+            # C-level set intersections against the cached neighbour lists
+            # do the scanning.
             if len(adopters) < len(remaining):
                 pairs = (
                     (rank_of(adopter), orphan)
                     for adopter in adopters
-                    for orphan in remaining.intersection(adjacency[adopter])
+                    for orphan in remaining.intersection(neighbors(adopter))
                 )
             else:
                 pairs = (
                     (rank_of(min(hits, key=rank_key)), orphan)
                     for orphan in remaining
-                    if (hits := adopter_set.intersection(adjacency[orphan]))
+                    if (hits := adopter_set.intersection(neighbors(orphan)))
                 )
             best: dict[int, tuple[int, int]] = {}
             for pair in pairs:
@@ -609,7 +609,7 @@ class TreeRepair:
 
             wave_added = self._run_wave(
                 network,
-                adjacency,
+                neighbors,
                 units,
                 unit_id,
                 unit_parent,
@@ -628,7 +628,7 @@ class TreeRepair:
     def _run_wave(
         self,
         network: SensorNetwork,
-        adjacency,
+        neighbors: Callable[[int], list[int]],
         units: list[list[int]],
         unit_id: dict[int, int],
         unit_parent: dict[int, int | None],
@@ -670,7 +670,7 @@ class TreeRepair:
             if entry is None:
                 pairs: list[tuple[int, int]] = []
                 for member in units[unit]:
-                    for neighbor in adjacency[member]:
+                    for neighbor in neighbors(member):
                         neighbor_rank = rank_of(neighbor)
                         if neighbor_rank is not None:
                             pairs.append((neighbor_rank, member))
@@ -874,15 +874,16 @@ class TreeRepair:
     ) -> bool:
         """Compare the incremental cost upper bound against the flood estimate.
 
-        The reference computation: one pass over the whole edge set.
+        The reference computation: the alive edges are counted with one
+        mask reduction over the whole edge table.
         """
         estimated_incremental = len(units) * (
             ATTACH_REQUEST_BITS + ATTACH_ACK_BITS
         ) + len(unattached) * REVERSAL_BITS
-        is_alive = network.is_alive
-        alive_edges = sum(
-            1 for u, v in network.graph.edges() if is_alive(u) and is_alive(v)
-        )
+        links = network.links
+        alive = links.row_mask(network.alive_node_ids())
+        low, high = links.edge_rows()
+        alive_edges = int(np.count_nonzero(alive[low] & alive[high]))
         estimated_rebuild = (
             2 * alive_edges + network.num_alive
         ) * REBUILD_TOKEN_BITS
@@ -927,22 +928,34 @@ class TreeRepair:
         old_nodes: set[int],
         elected: ElectionResult | None = None,
     ) -> RepairResult:
-        graph = network.graph
+        table = network.links
         root = network.root_id
-        alive = set(network.alive_node_ids())
-        component = nx.node_connected_component(graph.subgraph(alive), root)
-        component_graph = graph.subgraph(component)
+        alive_ids = network.alive_node_ids()
+        # The tree of the root's alive component: the array BFS restricted
+        # to the alive nodes finds the component and the tree at once.
+        members = table.row_mask(alive_ids)
         if network.degree_bound is None:
-            tree = bfs_tree(component_graph, root)
+            tree = bfs_tree(table, root, members)
         else:
             tree = bounded_degree_tree(
-                component_graph, root, max_degree=network.degree_bound
+                table, root, max_degree=network.degree_bound, members=members
             )
+        component = set(tree.parent)
         # A distributed BFS construction floods a token over every usable
-        # edge in both directions, then every node acks its chosen parent.
+        # edge in both directions, in ascending (min, max) edge order, then
+        # every node acks its chosen parent.
+        inside = table.row_mask(component)
+        low, high = table.edge_rows()
+        usable = inside[low] & inside[high]
+        flood_edges = list(
+            zip(
+                table.ids_of(low[usable]).tolist(),
+                table.ids_of(high[usable]).tolist(),
+            )
+        )
         links: list[tuple[int, int]] = []
         sizes: list[int] = []
-        for u, v in component_graph.edges():
+        for u, v in flood_edges:
             links.append((u, v))
             sizes.append(REBUILD_TOKEN_BITS)
             links.append((v, u))
@@ -964,7 +977,7 @@ class TreeRepair:
                 "repair.rebuild",
                 node=root,
                 component_size=len(component),
-                edges=component_graph.number_of_edges(),
+                edges=len(flood_edges),
             )
         return RepairResult(
             strategy="rebuild",
@@ -972,7 +985,7 @@ class TreeRepair:
             parent_changed=(),
             child_losses=(),
             removed=tuple(sorted(old_nodes - component)),
-            detached=tuple(sorted(alive - component)),
+            detached=tuple(node for node in alive_ids if node not in component),
             control_bits=after.total_bits - before.total_bits,
             control_messages=after.messages - before.messages,
             rounds=rounds,

@@ -17,6 +17,7 @@ from repro.network.accounting import (
 )
 from repro.network.energy import EnergyModel, EnergyReport
 from repro.network.flat_tree import FlatTree
+from repro.network.links import LinkTable
 from repro.network.message import Message
 from repro.network.node import SensorNode
 from repro.network.radio import (
@@ -52,6 +53,7 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "FlatTree",
+    "LinkTable",
     "Message",
     "SensorNode",
     "RadioModel",

@@ -46,6 +46,7 @@ from repro.network.accounting import (
     LedgerSnapshot,
 )
 from repro.network.flat_tree import FlatTree
+from repro.network.links import LinkTable, as_link_table
 from repro.network.message import Message
 from repro.network.node import SensorNode
 from repro.network.radio import (
@@ -55,7 +56,7 @@ from repro.network.radio import (
     ReliableRadio,
 )
 from repro.network.spanning_tree import SpanningTree, bfs_tree, bounded_degree_tree
-from repro.network.topology import build_topology
+from repro.network.topology import build_links
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_recorder
 
 #: Valid values of :attr:`SensorNetwork.execution`.
@@ -77,7 +78,7 @@ class SensorNetwork:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: LinkTable | nx.Graph,
         root: int = 0,
         radio: RadioModel | None = None,
         tree: SpanningTree | None = None,
@@ -86,22 +87,25 @@ class SensorNetwork:
         execution: str = "batched",
         telemetry: TelemetryRecorder | None = None,
     ) -> None:
-        if root not in graph:
+        # The network owns its link table from here on: an ``nx.Graph`` is
+        # converted once, a LinkTable is adopted (do not share one between
+        # networks — links change through drop_link / restore_link).
+        links = as_link_table(graph)
+        if root not in links:
             raise TopologyError(f"root {root} is not a node of the graph")
-        if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-            raise TopologyError("sensor network graph must be connected")
-        self.graph = graph
+        self._links = links
+        self._graph_view: nx.Graph | None = None
         self.root_id = root
         self.radio = radio if radio is not None else ReliableRadio()
         self.execution = execution
+        self._sorted_ids: list[int] = links.node_ids()
         self._nodes: dict[int, SensorNode] = {
             node_id: SensorNode(node_id=node_id, is_root=(node_id == root))
-            for node_id in graph.nodes()
+            for node_id in self._sorted_ids
         }
-        self._sorted_ids: list[int] = sorted(self._nodes)
         self._dead: set[int] = set()
         num_nodes = len(self._sorted_ids)
-        dense_ids = self._sorted_ids == list(range(num_nodes))
+        dense_ids = links.dense
         #: ``_dead`` as a boolean array indexed by node id, for whole-array
         #: endpoint checks (treat as read-only); ``None`` when the ids are
         #: not ``0..n-1``.
@@ -120,8 +124,10 @@ class SensorNetwork:
         self._flat_tree: FlatTree | None = None
         self._flat_tree_source: SpanningTree | None = None
         self.degree_bound = degree_bound
+        # A spanning tree of the links is the connectivity check: the given
+        # one is validated, a built one must reach every node.
         if tree is not None:
-            tree.validate(graph)
+            tree.validate(links)
             self.tree = tree
         else:
             self.tree = self._build_tree()
@@ -133,7 +139,7 @@ class SensorNetwork:
     def from_items(
         cls,
         items: Sequence[int],
-        topology: str | nx.Graph = "grid",
+        topology: str | LinkTable | nx.Graph = "grid",
         root: int = 0,
         radio: RadioModel | None = None,
         degree_bound: int | None = 3,
@@ -143,23 +149,23 @@ class SensorNetwork:
     ) -> "SensorNetwork":
         """Build a network with one item per node.
 
-        ``topology`` is either a prebuilt graph with exactly ``len(items)``
-        nodes or the name of a generator from
-        :mod:`repro.network.topology`.
+        ``topology`` is either a prebuilt link table or graph with exactly
+        ``len(items)`` nodes or the name of a generator from
+        :mod:`repro.network.topology` (built straight into a link table).
         """
         if len(items) == 0:
             raise EmptyNetworkError("cannot build a network from zero items")
-        if isinstance(topology, nx.Graph):
-            graph = topology
+        if isinstance(topology, str):
+            links = build_links(topology, len(items), seed=seed)
         else:
-            graph = build_topology(topology, len(items), seed=seed)
-        if graph.number_of_nodes() < len(items):
+            links = as_link_table(topology)
+        if links.num_nodes < len(items):
             raise ConfigurationError(
-                f"topology has {graph.number_of_nodes()} nodes but "
+                f"topology has {links.num_nodes} nodes but "
                 f"{len(items)} items were supplied"
             )
         network = cls(
-            graph,
+            links,
             root=root,
             radio=radio,
             degree_bound=degree_bound,
@@ -216,10 +222,49 @@ class SensorNetwork:
 
     def _build_tree(self) -> SpanningTree:
         if self.degree_bound is None:
-            return bfs_tree(self.graph, self.root_id)
+            return bfs_tree(self._links, self.root_id)
         return bounded_degree_tree(
-            self.graph, self.root_id, max_degree=self.degree_bound
+            self._links, self.root_id, max_degree=self.degree_bound
         )
+
+    # ------------------------------------------------------------------ #
+    # Links
+    # ------------------------------------------------------------------ #
+    @property
+    def links(self) -> LinkTable:
+        """The link table: the one owner of link state (treat as read-only;
+        change links through :meth:`drop_link` / :meth:`restore_link`)."""
+        return self._links
+
+    @property
+    def graph(self) -> nx.Graph:
+        """A frozen ``nx.Graph`` of the alive links, for readers that want one.
+
+        Built on first access and rebuilt after a link change; mutating it
+        raises.  Nothing on a repair, election or epoch path reads it — they
+        read :attr:`links`.
+        """
+        if self._graph_view is None:
+            self._graph_view = nx.freeze(self._links.to_networkx())
+        return self._graph_view
+
+    def drop_link(self, u: int, v: int) -> None:
+        """Take the alive link ``(u, v)`` down.
+
+        With :meth:`restore_link` the only way to change a link, so a cut
+        tree edge is always on record in ``links.dropped`` — which is what
+        the repair reads instead of probing every tree edge.  The spanning
+        tree is *not* patched here; that is
+        :class:`~repro.faults.TreeRepair`'s (charged) job.  Raises
+        :class:`~repro.exceptions.TopologyError` unless the link is up.
+        """
+        self._links.drop(u, v)
+        self._graph_view = None
+
+    def restore_link(self, u: int, v: int) -> None:
+        """Bring the dropped link ``(u, v)`` back (raises unless it is down)."""
+        self._links.restore(u, v)
+        self._graph_view = None
 
     _UNSET = object()
 
@@ -239,7 +284,7 @@ class SensorNetwork:
     # ------------------------------------------------------------------ #
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._sorted_ids)
 
     @property
     def root(self) -> SensorNode:
@@ -460,7 +505,7 @@ class SensorNetwork:
                 f"send between dead nodes {sender} -> {receiver}; repair the "
                 "tree before running protocols over a faulted network"
             )
-        if require_edge and not self.graph.has_edge(sender, receiver):
+        if require_edge and not self._links.has(sender, receiver):
             raise TopologyError(
                 f"nodes {sender} and {receiver} are not neighbours; "
                 "multi-hop delivery must be routed explicitly"
@@ -569,7 +614,7 @@ class SensorNetwork:
         nodes = self._nodes
         dead = self._dead
         if require_edge:
-            has_edge = self.graph.has_edge
+            has_edge = self._links.has
             for sender, receiver in links:
                 if sender not in nodes or receiver not in nodes:
                     raise ConfigurationError(

@@ -5,7 +5,8 @@ query node.  The paper remarks that a *bounded-degree* spanning tree is
 required to keep the individual communication complexity low (otherwise a hub
 node pays for all of its children's traffic).
 
-Two constructions are provided:
+Two constructions are provided, both over a
+:class:`~repro.network.links.LinkTable` (an ``nx.Graph`` converts once):
 
 ``bfs_tree``
     Plain breadth-first-search tree — minimal depth, but the degree can be as
@@ -25,10 +26,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro._util.validation import require_positive
 from repro.exceptions import TopologyError
+from repro.network.links import as_link_table
 
 
 @dataclass
@@ -150,14 +150,17 @@ class SpanningTree:
                     f"{self.depth[parent] + 1} (one below parent {parent})"
                 )
 
-    def validate(self, graph: nx.Graph, covering: set[int] | None = None) -> None:
+    def validate(self, graph, covering: set[int] | None = None) -> None:
         """Check that this is a spanning tree of ``graph`` rooted at ``root``.
 
-        ``covering`` overrides the node set the tree must span; the default is
-        every graph node.  A tree repaired after crashes spans only the alive,
-        root-connected subset, which is what the fault test-suite passes here.
+        ``graph`` is a :class:`~repro.network.links.LinkTable` or an
+        ``nx.Graph``; only alive links count.  ``covering`` overrides the
+        node set the tree must span; the default is every graph node.  A
+        tree repaired after crashes spans only the alive, root-connected
+        subset, which is what the fault test-suite passes here.
         """
-        expected = set(graph.nodes()) if covering is None else set(covering)
+        links = as_link_table(graph)
+        expected = set(links.node_ids()) if covering is None else set(covering)
         if set(self.parent) != expected:
             raise TopologyError("tree does not span the expected node set")
         if self.parent[self.root] is not None:
@@ -165,7 +168,7 @@ class SpanningTree:
         for node, parent in self.parent.items():
             if parent is None:
                 continue
-            if not graph.has_edge(node, parent):
+            if not links.has(node, parent):
                 raise TopologyError(
                     f"tree edge ({node}, {parent}) is not an edge of the graph"
                 )
@@ -209,25 +212,31 @@ def tree_from_parents(root: int, parent: dict[int, int | None]) -> SpanningTree:
     return SpanningTree(root=root, parent=parent, children=children, depth=depth)
 
 
-def bfs_tree(graph: nx.Graph, root: int = 0) -> SpanningTree:
-    """Breadth-first spanning tree rooted at ``root``."""
-    if root not in graph:
+def bfs_tree(graph, root: int = 0, members=None) -> SpanningTree:
+    """Breadth-first spanning tree rooted at ``root``.
+
+    ``graph`` is a :class:`~repro.network.links.LinkTable` or an
+    ``nx.Graph``.  The search runs one whole frontier per level
+    (:meth:`~repro.network.links.LinkTable.bfs`), which picks the parents a
+    FIFO walk over ascending neighbours picks.  Without ``members`` the tree
+    must reach every node, which is the connectivity check; with a boolean
+    row mask ``members`` it spans the component of ``root`` inside it.
+    """
+    links = as_link_table(graph)
+    if root not in links:
         raise TopologyError(f"root {root} is not a node of the graph")
-    if not nx.is_connected(graph):
+    order, parents, _ = links.bfs(links.row_of(root), members)
+    if members is None and order.size != links.num_nodes:
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     parent: dict[int, int | None] = {root: None}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for neighbor in sorted(graph.neighbors(current)):
-            if neighbor not in parent:
-                parent[neighbor] = current
-                queue.append(neighbor)
+    parent.update(
+        zip(links.ids_of(order[1:]).tolist(), links.ids_of(parents[1:]).tolist())
+    )
     return tree_from_parents(root, parent)
 
 
 def bounded_degree_tree(
-    graph: nx.Graph, root: int = 0, max_degree: int = 3
+    graph, root: int = 0, max_degree: int = 3, members=None
 ) -> SpanningTree:
     """Spanning tree whose degree is heuristically capped at ``max_degree``.
 
@@ -236,12 +245,14 @@ def bounded_degree_tree(
     not descendants of the child being moved, and still have spare capacity.
     The resulting tree is always a valid spanning tree; the degree bound is
     best-effort because some graphs (e.g. the star) admit no low-degree
-    spanning tree at all.
+    spanning tree at all.  ``members`` restricts the tree as in
+    :func:`bfs_tree`.
     """
     require_positive(max_degree, "max_degree")
     if max_degree < 2:
         raise TopologyError("max_degree must be at least 2 for a rooted tree")
-    tree = bfs_tree(graph, root)
+    links = as_link_table(graph)
+    tree = bfs_tree(links, root, members)
     parent = dict(tree.parent)
 
     def degree_of(node: int, children: dict[int, list[int]]) -> int:
@@ -259,7 +270,7 @@ def bounded_degree_tree(
         return result
 
     changed = True
-    iteration_guard = 4 * graph.number_of_nodes() + 16
+    iteration_guard = 4 * len(parent) + 16
     while changed and iteration_guard > 0:
         changed = False
         iteration_guard -= 1
@@ -272,8 +283,9 @@ def bounded_degree_tree(
                     forbidden = descendants(child)
                     candidates = [
                         neighbor
-                        for neighbor in sorted(graph.neighbors(child))
-                        if neighbor not in forbidden
+                        for neighbor in links.neighbors(child)
+                        if neighbor in parent
+                        and neighbor not in forbidden
                         and neighbor != node
                         and degree_of(neighbor, children) < max_degree
                     ]
@@ -291,5 +303,5 @@ def bounded_degree_tree(
                 if not moved:
                     break
     rebuilt = tree_from_parents(root, parent)
-    rebuilt.validate(graph)
+    rebuilt.validate(links, covering=set(parent))
     return rebuilt

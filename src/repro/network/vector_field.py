@@ -1,6 +1,6 @@
 """A standalone million-node sensor field on contiguous numpy state.
 
-:class:`~repro.network.SensorNetwork` carries a networkx graph, per-node
+:class:`~repro.network.SensorNetwork` carries a link table, per-node
 ``Node`` objects and a radio model — the full simulation fidelity the
 correctness suites need, at a per-node Python cost that caps practical runs
 around 10⁵ nodes.  :class:`VectorField` is the production-scale

@@ -79,7 +79,7 @@ class PushSumGossip:
                 else:
                     weights[node.node_id] = 1.0 if node.node_id == network.root_id else 0.0
             neighbours = {
-                node_id: sorted(network.graph.neighbors(node_id))
+                node_id: network.links.neighbors(node_id)
                 for node_id in network.node_ids()
             }
             for _ in range(rounds):

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import networkx as nx
-
 from repro._util.randomness import make_rng
 from repro._util.validation import (
     require_non_negative,
@@ -46,6 +44,7 @@ from repro.faults.events import (
     RootCrash,
     expand_regional_outage,
 )
+from repro.network.links import LinkTable, as_link_table
 
 FAULT_SCENARIOS = ("crash_storm", "regional_outage", "churn", "link_storm")
 """Scenario names understood by the E12 experiment harness."""
@@ -93,7 +92,7 @@ def crash_storm_script(
 
 
 def regional_outage_script(
-    graph: nx.Graph,
+    links: LinkTable,
     epoch: int,
     radius: int,
     center: int | None = None,
@@ -106,20 +105,22 @@ def regional_outage_script(
 
     ``center`` defaults to a seeded random non-root node.  The script
     carries a single :class:`~repro.faults.RegionalOutage` event (the
-    engine expands it against the *current* graph); the rejoin schedule is
-    precomputed from the given graph, which matches unless links also drop
-    inside the blast radius before the outage fires.
+    engine expands it against the *current* links); the rejoin schedule is
+    precomputed from the given ``links`` (``network.links``; an ``nx.Graph``
+    converts once), which matches unless links also drop inside the blast
+    radius before the outage fires.
     """
     require_non_negative(epoch, "epoch")
     require_non_negative(radius, "radius")
+    links = as_link_table(links)
     rng = make_rng(seed)
-    nodes = sorted(graph.nodes())
+    nodes = links.node_ids()
     if center is None:
         candidates = [node for node in nodes if node != root]
         if not candidates:
             raise ConfigurationError("graph has no non-root outage candidates")
         center = candidates[rng.randrange(len(candidates))]
-    if center not in graph:
+    if center not in links:
         raise ConfigurationError(f"outage center {center} is not a graph node")
     script = FaultScript()
     script.add(epoch, RegionalOutage(center=center, radius=radius))
@@ -129,7 +130,7 @@ def regional_outage_script(
                 f"rejoin_epoch {rejoin_epoch} must come after the outage at {epoch}"
             )
         victims = expand_regional_outage(
-            graph, RegionalOutage(center=center, radius=radius), protect=(root,)
+            links, RegionalOutage(center=center, radius=radius), protect=(root,)
         )
         script.add(
             rejoin_epoch,
@@ -266,17 +267,21 @@ def root_failover_script(
 
 
 def link_storm_script(
-    graph: nx.Graph,
+    links: LinkTable,
     epoch: int,
     fraction: float = 0.1,
     seed: int | None = 0,
     restore_epoch: int | None = None,
 ) -> FaultScript:
-    """Drop a random ``fraction`` of the graph's links at ``epoch``."""
+    """Drop a random ``fraction`` of the alive links at ``epoch``.
+
+    ``links`` is ``network.links`` (an ``nx.Graph`` converts once).
+    """
     require_non_negative(epoch, "epoch")
     require_probability(fraction, "fraction")
     rng = make_rng(seed)
-    edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
+    low, high = as_link_table(links).edges()  # ascending (min, max)
+    edges = list(zip(low.tolist(), high.tolist()))
     if not edges:
         raise ConfigurationError("graph has no edges to drop")
     count = round(fraction * len(edges))

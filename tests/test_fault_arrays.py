@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.faults import RootElection, TreeRepair
 from repro.network import SensorNetwork
 from repro.network.radio import ReliableRadio
-from repro.network.topology import build_topology
+from repro.network.topology import build_links, build_topology
 from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 
 _settings = settings(
@@ -50,16 +50,16 @@ class Field:
     degree_bound: int | None
     crashed: frozenset
     dropped: frozenset
-    #: Picks tree edges to cut with ``graph.remove_edge`` (no fault event).
+    #: Picks tree edges to cut with ``drop_link`` (no fault event).
     cut_children: frozenset
     detach_highest: bool
 
     def network(self, execution: str) -> SensorNetwork:
-        # Each network owns its graph: link drops mutate it.
-        graph = build_topology(self.topology, self.num_nodes, seed=self.seed)
+        # Each network owns its link table: link drops mutate it.
+        links = build_links(self.topology, self.num_nodes, seed=self.seed)
         return SensorNetwork.from_items(
-            [1] * graph.number_of_nodes(),
-            topology=graph,
+            [1] * links.num_nodes,
+            topology=links,
             degree_bound=self.degree_bound,
             execution=execution,
         )
@@ -69,12 +69,12 @@ class Field:
         for node in sorted(self.crashed):
             network.kill_node(node)
         for u, v in sorted(self.dropped):
-            if network.graph.has_edge(u, v):
-                network.graph.remove_edge(u, v)
+            if network.links.has(u, v):
+                network.drop_link(u, v)
         for child in sorted(self.cut_children):
             parent = network.tree.parent.get(child)
-            if parent is not None and network.graph.has_edge(child, parent):
-                network.graph.remove_edge(child, parent)
+            if parent is not None and network.links.has(child, parent):
+                network.drop_link(child, parent)
 
 
 @st.composite
@@ -110,10 +110,12 @@ def detach_the_highest_node(network: SensorNetwork) -> None:
     isolate it, let a repair drop it, then give its links back unrepaired.
     It is the next election's winner — a survivor with no old tree around it."""
     highest = network.node_ids()[-1]
-    links = [(highest, neighbor) for neighbor in sorted(network.graph.neighbors(highest))]
-    network.graph.remove_edges_from(links)
+    neighbors = list(network.links.neighbors(highest))
+    for neighbor in neighbors:
+        network.drop_link(highest, neighbor)
     TreeRepair().repair(network)
-    network.graph.add_edges_from(links)
+    for neighbor in neighbors:
+        network.restore_link(highest, neighbor)
 
 
 @_settings

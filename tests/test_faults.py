@@ -203,7 +203,7 @@ class TestTreeRepair:
             node for node in tree.nodes_bottom_up() if tree.parent[node] is not None
         )
         parent = tree.parent[child]
-        network.graph.remove_edge(child, parent)
+        network.drop_link(child, parent)
         result = TreeRepair().repair(network)
         assert child in result.parent_changed
         assert (parent, child) in result.child_losses

@@ -288,7 +288,7 @@ def test_cut_tree_edges_and_reelection_move_no_bit(observed):
 
     def script_for(network, epochs):
         return link_storm_script(
-            network.graph,
+            network.links,
             epoch=epochs // 4,
             fraction=0.3,
             seed=SEED,

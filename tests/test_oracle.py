@@ -10,8 +10,8 @@ crash failures (*Notes on Theory of Distributed Systems*, PAPERS.md):
   begins, and every transmission is charged to the ledger as it is sent;
 * nodes fail by **crash-stop**: a crashed node never sends or receives
   again, and a rejoin is a *fresh* node — new readings, no memory;
-* **links** fail too: by a ``LinkDrop`` event, or directly by
-  ``graph.remove_edge`` behind the repair's back;
+* **links** fail too: by a ``LinkDrop`` event, or by a direct
+  ``SensorNetwork.drop_link`` that no script scheduled;
 * the **root may crash**; a charged election replaces it.
 
 ``execution="per-edge"`` is the executable specification of that model —
@@ -90,7 +90,7 @@ from repro.network.radio import (
     RadioModel,
     ReliableRadio,
 )
-from repro.network.topology import build_topology
+from repro.network.topology import build_links
 from repro.protocols.aggregates import CountProtocol, SumProtocol
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.broadcast import broadcast
@@ -250,14 +250,15 @@ class Twin:
 
     def __init__(self, scenario: Scenario, execution: str, dict_ledger: bool) -> None:
         self.path = execution if dict_ledger else f"{execution}/array-ledger"
-        graph = build_topology(scenario.topology, scenario.num_nodes, seed=scenario.seed)
+        # Each twin owns a fresh link table: its link drops are its own.
+        links = build_links(scenario.topology, scenario.num_nodes, seed=scenario.seed)
         self.tracer = (
             SpanTracer(flight=FlightRecorder(), attribution=CostAttribution())
             if scenario.traced
             else None
         )
         self.network = network = SensorNetwork(
-            graph,
+            links,
             radio=scenario.radio_model(),
             degree_bound=scenario.degree_bound,
             ledger=(
@@ -456,12 +457,13 @@ def repair(twin: Twin):
 
 
 def cut_tree_edge(child: int):
-    """``graph.remove_edge`` on a tree edge — no fault event, no dead node —
-    then a repair, which must probe the graph rather than trust the tree."""
+    """``drop_link`` on a tree edge — no fault event, no dead node — then a
+    repair, which must find the cut on the link table's record rather than
+    trust the tree."""
 
     def step(twin: Twin):
         network = twin.network
-        network.graph.remove_edge(child, network.tree.parent[child])
+        network.drop_link(child, network.tree.parent[child])
         return repair(twin)
 
     return step
@@ -472,10 +474,12 @@ def detach_the_highest_node(twin: Twin):
     isolate it, let a repair drop it, then give its links back unrepaired."""
     network = twin.network
     highest = network.node_ids()[-1]
-    links = [(highest, neighbor) for neighbor in sorted(network.graph.neighbors(highest))]
-    network.graph.remove_edges_from(links)
+    neighbors = list(network.links.neighbors(highest))
+    for neighbor in neighbors:
+        network.drop_link(highest, neighbor)
     result = repair(twin)
-    network.graph.add_edges_from(links)
+    for neighbor in neighbors:
+        network.restore_link(highest, neighbor)
     return result
 
 
@@ -513,15 +517,16 @@ class Twins:
         self.pending.append(event)
 
     def graph_edges(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(edge)) for edge in self.network.graph.edges())
+        low, high = self.network.links.edges()
+        return list(zip(low.tolist(), high.tolist()))
 
     def tree_children(self) -> list[int]:
-        """Every node whose tree edge is still in the graph."""
+        """Every node whose tree edge is still up."""
         network = self.network
         return [
             child
             for child, parent in sorted(network.tree.parent.items())
-            if parent is not None and network.graph.has_edge(child, parent)
+            if parent is not None and network.links.has(child, parent)
         ]
 
     def stream_epoch(self, updates: dict) -> None:
@@ -549,7 +554,7 @@ class DifferentialOracle(RuleBasedStateMachine):
         node = data.draw(st.sampled_from(self.network.node_ids()))
         self.twins.queue(NodeRejoin(node, tuple(items)))
 
-    @precondition(lambda self: self.network.graph.number_of_edges())
+    @precondition(lambda self: self.network.links.num_edges)
     @rule(data=st.data())
     def drop_link(self, data) -> None:
         self.twins.queue(LinkDrop(*data.draw(st.sampled_from(self.twins.graph_edges()))))

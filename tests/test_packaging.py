@@ -1,8 +1,11 @@
 """``pyproject.toml`` must not drift from the package it describes."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,35 @@ def test_every_third_party_import_is_a_dependency(pyproject):
 def test_no_fast_extra(pyproject):
     # numpy is a dependency: there is no optional accelerated mode to install.
     assert "fast" not in pyproject["project"].get("optional-dependencies", {})
+
+
+BLOCK_SCIPY_AND_BUILD = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from repro.network import SensorNetwork
+
+network = SensorNetwork.from_items(
+    [0] * 20000, topology="random_geometric", seed=0, degree_bound=None
+)
+assert network.links.num_edges == 605225, network.links.num_edges
+assert "scipy" not in sys.modules
+"""
+
+
+def test_random_geometric_fields_need_no_scipy():
+    """scipy is not a dependency.  networkx's own generator needs it for a
+    KD-tree and otherwise compares all ~200M pairs of a 20,000-node field;
+    the link generator finds the same 605,225 links with numpy alone."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    started = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-c", BLOCK_SCIPY_AND_BUILD], check=True, env=env, timeout=60
+    )
+    assert time.perf_counter() - started < 10

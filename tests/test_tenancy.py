@@ -470,7 +470,7 @@ def run_twin_case(radio_name, seed, with_faults, epochs=6, num_nodes=36):
                 rejoin_epoch=3, rejoin_value_max=DOMAIN,
             ).merge(
                 link_storm_script(
-                    network.graph, epoch=1, fraction=0.1, seed=seed,
+                    network.links, epoch=1, fraction=0.1, seed=seed,
                     restore_epoch=3,
                 )
             )

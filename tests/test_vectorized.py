@@ -336,12 +336,14 @@ class TestVectorEngine:
 
         fail_over(0, {1: [0]})
         root = network.root_id  # the highest id: isolating it detaches the rest
-        links = [(root, neighbor) for neighbor in sorted(network.graph.neighbors(root))]
-        network.graph.remove_edges_from(links)
+        neighbors = list(network.links.neighbors(root))
+        for neighbor in neighbors:
+            network.drop_link(root, neighbor)
         engine.apply_repair(TreeRepair().repair(network))
-        network.graph.add_edges_from(links)
+        for neighbor in neighbors:
+            network.restore_link(root, neighbor)
         fail_over(1, {})
-        network.graph.remove_edge(1, network.tree.parent[1])
+        network.drop_link(1, network.tree.parent[1])
         engine.apply_repair(TreeRepair().repair(network))
         fail_over(2, {})
         assert engine.answers()["count"] == len(network.attached_items()) == 1
