@@ -104,6 +104,7 @@ class LinkTable:
         return self.row_of(node_id) >= 0
 
     def row_of(self, node_id) -> int:
+        """The row of ``node_id``, ``-1`` when it is not a node."""
         if self._row is not None:
             return self._row.get(node_id, -1)
         if isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes:
