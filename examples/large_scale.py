@@ -66,7 +66,7 @@ def main() -> None:
     build_seconds = time.perf_counter() - started
     print(
         f"built a {field.num_nodes}-node grid field "
-        f"(tree height {field.tree.height}) in {build_seconds:.2f}s\n"
+        f"(tree height {field.flat_tree.height}) in {build_seconds:.2f}s\n"
     )
 
     rows = [

@@ -323,7 +323,7 @@ def run_exact_median_study(
             probes=result.value.probes,
             domain_max=domain,
             tree_degree=network.tree.max_degree(),
-            tree_height=network.tree.height,
+            tree_height=network.flat_tree.height,
         )
     _fit_ladder(
         measures, sizes, model=lambda n: exact_median_bits_envelope(n, n * n)
@@ -790,7 +790,7 @@ def run_scaling_study(
         measures={
             "num_nodes": network.num_nodes,
             "topology": topology,
-            "tree_height": network.tree.height,
+            "tree_height": network.flat_tree.height,
             "total_bits": batched_snapshot.total_bits,
             "messages": batched_snapshot.messages,
             "ledgers_identical": ledgers_identical,

@@ -186,9 +186,22 @@ def tree_fragments(
     repair calls it on the orphaned nodes (its *orphan units*), the
     reference election on the electorate.
     """
-    tree = network.tree
-    get_parent = tree.parent.get
-    get_children = tree.children.get
+    flat = network.flat_tree
+    node_ids = flat.node_ids
+    # Every member's old parent and child span, off the flat arrays; one
+    # outside the old tree has neither.
+    positions = flat.positions_of(np.asarray(members, dtype=np.int64))
+    held = positions.clip(min=0)
+    old = {
+        node: (None if up < 0 else node_ids[up], first, last)
+        for node, up, first, last in zip(
+            members,
+            np.where(positions >= 0, flat.parent[held], -1).tolist(),
+            np.where(positions >= 0, flat.child_start[held], 0).tolist(),
+            np.where(positions >= 0, flat.child_end[held], 0).tolist(),
+        )
+    }
+    child_index = flat.child_index
     dropped = network.links.dropped
     member_set = set(members)
     frag_id: dict[int, int] = {}
@@ -207,7 +220,7 @@ def tree_fragments(
         while cursor < len(collected):
             node = collected[cursor]
             cursor += 1
-            parent = get_parent(node)
+            parent, first, last = old[node]
             if (
                 parent is not None
                 and parent in member_set
@@ -219,7 +232,8 @@ def tree_fragments(
                     collected.append(parent)
             else:
                 frag_parent[node] = None
-            for child in get_children(node, ()):
+            for position in child_index[first:last].tolist():
+                child = node_ids[position]
                 if (
                     child in member_set
                     and child not in frag_id

@@ -28,19 +28,21 @@ instead re-attaches each unit through a local adoption handshake:
 Two implementations of the sweep exist, selected by ``network.execution``
 exactly as the protocol traversals are:
 
-* *per-edge* — the reference: the attached set is a walk down the old tree,
-  the adoption frontier scans every attached node's neighbourhood wave by
-  wave, and the repaired tree is rebuilt into fresh dictionaries.
-  O(alive graph edges) per fault epoch.
+* *per-edge* — the reference: the attached set is a walk down the old tree
+  (read through the ``network.tree`` view), the adoption frontier scans
+  every attached node's neighbourhood wave by wave, and the repaired tree is
+  rebuilt from its full parent map.  O(alive graph edges) per fault epoch.
 * *arrays* (every other mode) — the attached set is a handful of boolean
   masks over the :class:`~repro.network.FlatTree` arrays (alive gather, the
   tree edges whose link is in ``network.links.dropped`` cleared, one ``&=``
   per level), adoption candidates are enumerated from the (small) orphan side
   through a priority queue that reproduces the reference scan order
   exactly, the rebuild-vs-incremental estimate short-circuits without
-  touching the edge set, and the spanning tree plus its flat view are
-  patched **in place** via :meth:`~repro.network.FlatTree.rewire` instead
-  of rebuilt.  O(damage) in Python where the reference is O(alive edges).
+  touching the edge set, and the repaired tree is one
+  :meth:`~repro.network.FlatTree.rewire` of the old one, installed through
+  :meth:`~repro.network.SensorNetwork.set_tree` — no dictionary tree is
+  kept in step, and the ``network.tree`` view is never built.  O(damage)
+  in Python where the reference is O(alive edges).
   It needs the dense ids ``0..n-1`` behind ``network.alive_mask``; a
   network with other ids is repaired by the reference.
 
@@ -66,8 +68,8 @@ which the repair pass runs *seeded* — the winner's surviving fragment,
 re-rooted along the election's reversed root path, plays the role of the
 attached region, and every other fragment re-attaches through the ordinary
 adoption cascade.  The seeded pass materialises the re-rooted tree through
-:func:`~repro.network.spanning_tree.tree_from_parents` in both
-implementations (a root change moves every depth, so the O(damage) in-place
+:meth:`~repro.network.FlatTree.from_parents` in both implementations (a
+root change moves every depth, so the O(damage)
 :meth:`~repro.network.FlatTree.rewire` has no edge to offer), and the
 resulting :class:`RepairResult` carries the
 :class:`~repro.faults.ElectionResult` so stream recovery can migrate its
@@ -84,10 +86,10 @@ resilience bill exactly.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -99,13 +101,10 @@ from repro.faults.election import (
     tree_fragments,
     use_arrays,
 )
+from repro.network.flat_tree import FlatTree
 from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
-from repro.network.spanning_tree import (
-    bfs_tree,
-    bounded_degree_tree,
-    tree_from_parents,
-)
+from repro.network.spanning_tree import spanning_parents
 
 #: Valid values of :attr:`TreeRepair.strategy`.
 REPAIR_STRATEGIES = ("incremental", "rebuild")
@@ -232,8 +231,8 @@ class TreeRepair:
     ) -> RepairResult:
         """Re-span the alive, root-connected population; return what changed.
 
-        Reads the network's graph, spanning tree and alive-mask; installs the
-        repaired :class:`~repro.network.SpanningTree` on the network and
+        Reads the network's links, spanning tree and alive-mask; installs the
+        repaired :class:`~repro.network.FlatTree` on the network and
         charges every control message to the ledger under :attr:`protocol`.
         Returns a no-op result when the existing tree already spans exactly
         the attachable population.  Follows ``network.execution``; the two
@@ -351,7 +350,7 @@ class TreeRepair:
             frontier = wave_added
 
         removed, child_losses = self._install_from_parents(
-            network, new_parent, cascade, unit_parent
+            network, old_parent, new_parent, cascade, unit_parent
         )
         return self._finish(
             network, before, cascade, units, unit_id, removed, child_losses, elected
@@ -379,6 +378,7 @@ class TreeRepair:
     @staticmethod
     def _install_from_parents(
         network: SensorNetwork,
+        old_parent: Mapping[int, int | None],
         new_parent: dict[int, int | None],
         cascade: _Cascade,
         unit_parent: dict[int, int | None],
@@ -386,15 +386,14 @@ class TreeRepair:
         """Build and install the repaired tree from a full parent map.
 
         O(network): the reference does this every pass, the array
-        implementation only after a root change.  Returns ``(removed,
-        child_losses)``.
+        implementation only after a root change.  ``old_parent`` is the
+        replaced tree's parent map.  Returns ``(removed, child_losses)``.
         """
         attached = cascade.attached
         for member in cascade.attach_log:
             new_parent[member] = cascade.parent_overrides.get(
                 member, unit_parent[member]
             )
-        old_parent = network.tree.parent
         child_losses = sorted(
             (parent, child)
             for child, parent in old_parent.items()
@@ -403,8 +402,10 @@ class TreeRepair:
             and new_parent.get(child) != parent
         )
         removed = tuple(sorted(set(old_parent) - attached))
-        network.tree = tree_from_parents(
-            network.root_id, {node: new_parent[node] for node in attached}
+        network.set_tree(
+            FlatTree.from_parents(
+                network.root_id, {node: new_parent[node] for node in attached}
+            )
         )
         return removed, child_losses
 
@@ -440,7 +441,7 @@ class TreeRepair:
         return result
 
     # ------------------------------------------------------------------ #
-    # Array implementation: masks, orphan-side candidates, in-place patch
+    # Array implementation: masks, orphan-side candidates, one rewire
     # ------------------------------------------------------------------ #
     def _repair_arrays(
         self, network: SensorNetwork, elected: ElectionResult | None = None
@@ -452,15 +453,13 @@ class TreeRepair:
         (which are rooted at the dead root), and its tree is materialised
         from the parent map because a root change moves every depth.
         """
-        tree = network.tree
+        flat = network.flat_tree
+        ids = flat.ids_array
         neighbors = network.links.neighbors
-        old_parent = tree.parent
         alive = network.alive_mask
         if elected is None:
             # Attached = alive, tree edge to the parent still up, parent
             # attached — settled level by level, top down.
-            flat = network.flat_tree
-            ids = flat.ids_array
             attached_mask = attached_mask_vectorized(
                 flat, alive[ids] & surviving_edge_mask(flat, network.links.dropped)
             )
@@ -477,17 +476,19 @@ class TreeRepair:
             return _NOOP
 
         if self.strategy == "rebuild":
-            return self._rebuild(network, set(old_parent), elected)
+            return self._rebuild(network, set(flat.node_ids), elected)
 
         units, unit_id, unit_parent = tree_fragments(network, unattached)
         if units and self._should_rebuild_batched(
             network, units, unattached, len(attached)
         ):
-            return self._rebuild(network, set(old_parent), elected)
+            return self._rebuild(network, set(flat.node_ids), elected)
 
         before = network.ledger.counters_snapshot()
         cascade = _Cascade(attached=attached)
         if elected is not None:
+            # A root change moves every depth: O(network) either way.
+            old_parent = flat.parent_map()
             new_parent = self._seed_parents(old_parent, attached, elected, cascade)
         if type(network.radio) is ReliableRadio:
             cascade.deferred_links = []
@@ -505,7 +506,7 @@ class TreeRepair:
 
         if elected is not None:
             removed, child_losses = self._install_from_parents(
-                network, new_parent, cascade, unit_parent
+                network, old_parent, new_parent, cascade, unit_parent
             )
         else:
             # O(damage) bookkeeping: the only candidates for a removal are
@@ -517,18 +518,18 @@ class TreeRepair:
                 if node not in attached
             )
             parent_overrides = cascade.parent_overrides
-            child_losses = []
-            for child in cascade.parent_changed:
-                old = old_parent.get(child)
-                if old is not None and old in attached and parent_overrides[child] != old:
-                    child_losses.append((old, child))
-            for child in removed:
-                old = old_parent[child]
-                if old is not None and old in attached:
-                    child_losses.append((old, child))
-            child_losses.sort()
-            self._patch_tree_in_place(
-                network, flat, cascade, units, unit_parent, removed, child_losses
+            nodes = [*cascade.parent_changed, *removed]
+            # Their old parent ids, read off the flat arrays (-1 for none).
+            positions = flat.positions_of(np.array(nodes, dtype=np.int64))
+            ups = np.where(positions >= 0, flat.parent[positions], -1)
+            old_parents = np.where(ups >= 0, ids[ups], -1).tolist()
+            child_losses = sorted(
+                (old, child)
+                for child, old in zip(nodes, old_parents)
+                if old in attached and parent_overrides.get(child) != old
+            )
+            self._install_rewired(
+                network, flat, cascade, units, unit_parent, removed
             )
         return self._finish(
             network, before, cascade, units, unit_id, removed, child_losses, elected
@@ -683,84 +684,55 @@ class TreeRepair:
                 heapq.heappush(heap, (next_rank, next_orphan, unit))
         return wave_added
 
-    def _patch_tree_in_place(
+    def _install_rewired(
         self,
         network: SensorNetwork,
-        flat,
+        flat: FlatTree,
         cascade: _Cascade,
         units: list[list[int]],
         unit_parent: dict[int, int | None],
         removed: tuple[int, ...],
-        child_losses: list[tuple[int, int]],
     ) -> None:
-        """Apply the cascade to the tree dictionaries and rewire the flat view.
+        """Install the cascade's tree: one :meth:`FlatTree.rewire` of ``flat``.
 
-        Touches only removed nodes, reparented nodes and re-attached unit
-        members; every other entry — and its position in the canonical
-        traversal order — is untouched, which is what keeps the pass
-        O(damage) instead of O(network).
+        Only the re-attached unit members get a new depth; every other node
+        — and its position in the canonical order — is untouched, which is
+        what keeps the pass O(damage) instead of O(network).
         """
-        tree = network.tree
-        parent_map = tree.parent
-        children = tree.children
-        depth_map = tree.depth
         overrides = cascade.parent_overrides
-
-        for parent, child in child_losses:
-            children[parent].remove(child)
-        for node in removed:
-            del parent_map[node]
-            del children[node]
-            del depth_map[node]
-
         new_depths: dict[int, int] = {}
+        table = flat.position_table
+        old_depth = flat.depth
+
+        def depth_of(node: int) -> int:
+            # An adopter attached earlier in this cascade has its new depth;
+            # any other adopter kept the one it had.
+            level = new_depths.get(node)
+            return int(old_depth[table[node]]) if level is None else level
+
         for unit, contact, adopter in cascade.adopted_units:
             members = units[unit]
             if len(members) == 1:
                 # Singleton fast path: one pointer, one depth, no re-rooting
                 # (the common case under churn and every rejoin).
-                if contact not in parent_map:
-                    children[contact] = []
-                parent_map[contact] = adopter
-                insort(children[adopter], contact)
-                level = depth_map[adopter] + 1
-                depth_map[contact] = level
-                new_depths[contact] = level
+                new_depths[contact] = depth_of(adopter) + 1
                 continue
-            final_parent = {
-                member: overrides.get(member, unit_parent[member])
-                for member in members
-            }
-            for member in members:
-                target = final_parent[member]
-                if member in parent_map:
-                    if parent_map[member] != target:
-                        parent_map[member] = target
-                        insort(children[target], member)
-                else:
-                    # A node re-entering the tree (rejoined, or reconnected
-                    # after being detached) arrives as a singleton unit.
-                    parent_map[member] = target
-                    children[member] = []
-                    insort(children[target], member)
             # Fresh depths ripple out from the contact point; the adopter's
             # depth is final because units are processed in adoption order.
             kids_within: dict[int, list[int]] = {}
             for member in members:
-                kids_within.setdefault(final_parent[member], []).append(member)
-            queue = deque([(contact, depth_map[adopter] + 1)])
+                kids_within.setdefault(
+                    overrides.get(member, unit_parent[member]), []
+                ).append(member)
+            queue = deque([(contact, depth_of(adopter) + 1)])
             while queue:
                 member, level = queue.popleft()
-                depth_map[member] = level
                 new_depths[member] = level
                 for child in kids_within.get(member, ()):
                     queue.append((child, level + 1))
 
         network.set_tree(
-            tree,
-            flat_tree=flat.rewire(
-                removed=removed, reparented=overrides, depths=new_depths
-            ),
+            flat.rewire(removed=removed, reparented=overrides, depths=new_depths)
         )
 
     # ------------------------------------------------------------------ #
@@ -933,18 +905,16 @@ class TreeRepair:
         alive_ids = network.alive_node_ids()
         # The tree of the root's alive component: the array BFS restricted
         # to the alive nodes finds the component and the tree at once.
-        members = table.row_mask(alive_ids)
-        if network.degree_bound is None:
-            tree = bfs_tree(table, root, members)
-        else:
-            tree = bounded_degree_tree(
-                table, root, max_degree=network.degree_bound, members=members
-            )
-        component = set(tree.parent)
+        node_ids, parent_ids = spanning_parents(
+            table, root, network.degree_bound, table.row_mask(alive_ids)
+        )
+        flat = FlatTree.from_arrays(parent_ids, root, node_ids=node_ids)
+        component_ids = node_ids.tolist()
+        component = set(component_ids)
         # A distributed BFS construction floods a token over every usable
         # edge in both directions, in ascending (min, max) edge order, then
-        # every node acks its chosen parent.
-        inside = table.row_mask(component)
+        # every node acks its chosen parent, in BFS discovery order.
+        inside = table.row_mask(component_ids)
         low, high = table.edge_rows()
         usable = inside[low] & inside[high]
         flood_edges = list(
@@ -960,12 +930,10 @@ class TreeRepair:
             sizes.append(REBUILD_TOKEN_BITS)
             links.append((v, u))
             sizes.append(REBUILD_TOKEN_BITS)
-        for node, parent in tree.parent.items():
-            if parent is not None:
-                links.append((node, parent))
-                sizes.append(REBUILD_ACK_BITS)
-        network.tree = tree
-        rounds = tree.height + 1
+        links.extend(zip(component_ids[1:], parent_ids[1:].tolist()))
+        sizes.extend([REBUILD_ACK_BITS] * (len(component_ids) - 1))
+        network.set_tree(flat)
+        rounds = flat.height + 1
         before = network.ledger.counters_snapshot()
         if links:
             network.send_batch(links, sizes, protocol=self.protocol, require_edge=False)

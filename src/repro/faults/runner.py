@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.faults.engine import FaultEngine
 from repro.faults.trace import FaultEpochRecord, FaultTrace
@@ -132,7 +134,10 @@ def run_faulty_stream(
             engine.apply_repair(report.repair)
             mid = network.ledger.counters_snapshot()
 
-            tree_nodes = network.tree.parent
+            flat = network.flat_tree
+            # The update and flap targets the tree spans, one array lookup.
+            targets = np.fromiter((*updates, *report.flapped), dtype=np.int64)
+            tree_nodes = set(targets[flat.positions_of(targets) >= 0].tolist())
             # Crashed-but-undetected nodes still sit in the tree, but their
             # sensors are gone: a zombie reads nothing, so its updates vanish
             # (its stale cached summary lingering at the root is exactly the
@@ -199,7 +204,7 @@ def run_faulty_stream(
                 rebuilt=report.repair.rebuilt,
                 detached=len(report.repair.detached),
                 alive=network.num_alive,
-                attached=len(tree_nodes),
+                attached=flat.num_nodes,
                 repair_bits=repair_bits,
                 repair_messages=repair_messages,
                 query_bits=record.bits,

@@ -1,12 +1,16 @@
-"""Flat-array spanning-tree representation for the batched execution core.
+"""The spanning tree, as flat arrays.
 
-:class:`~repro.network.spanning_tree.SpanningTree` describes the tree with
-per-node dictionaries, which is convenient for construction and validation
-but expensive to traverse: every protocol walk re-sorts the node set by depth
-and chases parent/children pointers through hash lookups.  :class:`FlatTree`
-freezes one spanning tree into contiguous arrays indexed by a *canonical
-index* — the node's position in the top-down level order — so the batched
-protocol implementations can sweep whole levels with array indexing only:
+:class:`FlatTree` is the one representation of a network's rooted spanning
+tree: ``SensorNetwork.flat_tree`` owns it, every tree builder produces it
+from parent arrays (:meth:`FlatTree.from_arrays`), and the repair installs
+a new one through ``SensorNetwork.set_tree``.  The per-node dictionaries of
+:class:`~repro.network.spanning_tree.SpanningTree` are a read-only view
+built from these arrays on demand, for the per-edge reference paths and
+for readers that want ``tree.parent`` / ``tree.children`` / ``tree.depth``.
+The arrays are indexed by a *canonical index* — the node's position in the
+top-down level order (by depth, ascending id within a level) — so the
+batched protocol implementations can sweep whole levels with array indexing
+only:
 
 * ``parent[i]`` is the canonical index of node ``i``'s parent (``-1`` at the
   root, which always has canonical index 0),
@@ -38,28 +42,30 @@ The per-edge reference path keeps consuming those id-level views, which is
 how the differential oracle (``tests/test_oracle.py``) stays bit-for-bit
 meaningful.
 
-The representation is immutable by convention: it is built once per spanning
-tree (``SensorNetwork.flat_tree`` caches it and rebuilds only when the tree
-object changes) and shared by every batched traversal.  Because instances
-are immutable, the lazy ``up_links``/``down_links`` caches live on the
-instance: :meth:`rewire` returns a *new* ``FlatTree`` with both caches
-unset, so a rewire can never serve stale link lists to a subsequent sweep
-(``tests/test_vectorized.py`` pins this with a rewire-then-sweep regression
-test).  Fault repair is the one producer of *slightly different* trees at
-high frequency, so it does not rebuild from scratch: :meth:`FlatTree.rewire`
-re-spans the arrays around a set of pointer flips, removals and insertions
-in one linear pass — no re-validation, no depth sort — and the repaired
-network installs the result via :meth:`~repro.network.SensorNetwork.set_tree`.
+The representation is immutable by convention: a tree change installs a
+*new* instance, never edits one, and every batched traversal shares the
+installed one.  Because instances are immutable, the lazy
+``up_links``/``down_links`` caches live on the instance: :meth:`rewire`
+returns a new ``FlatTree`` with both caches unset, so a rewire can never
+serve stale link lists to a subsequent sweep (``tests/test_vectorized.py``
+pins this with a rewire-then-sweep regression test).  Fault repair is the
+one producer of *slightly different* trees at high frequency, so it does not
+rebuild from scratch: :meth:`FlatTree.rewire` re-spans the arrays around a
+set of pointer flips, removals and insertions in one linear pass — no
+re-validation, no depth sort — and the repair installs the result via
+:meth:`~repro.network.SensorNetwork.set_tree`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.network.spanning_tree import SpanningTree
+
+if TYPE_CHECKING:
+    from repro.network.spanning_tree import SpanningTree
 
 #: Structural array slots, in canonical order (used by ``to_lists``).
 _ARRAY_SLOTS = (
@@ -73,7 +79,7 @@ _ARRAY_SLOTS = (
 
 
 class FlatTree:
-    """Array-of-structs view of a rooted spanning tree."""
+    """A rooted spanning tree as canonical-order arrays."""
 
     __slots__ = (
         "root_id",
@@ -95,48 +101,7 @@ class FlatTree:
         "_down_links",
     )
 
-    def __init__(self, tree: SpanningTree) -> None:
-        order = tree.nodes_top_down()
-        index = {node: position for position, node in enumerate(order)}
-        num_nodes = len(order)
-        parent = [0] * num_nodes
-        depth = [0] * num_nodes
-        child_start = [0] * num_nodes
-        child_end = [0] * num_nodes
-        child_index: list[int] = []
-        for position, node in enumerate(order):
-            depth[position] = tree.depth[node]
-            node_parent = tree.parent[node]
-            parent[position] = -1 if node_parent is None else index[node_parent]
-            child_start[position] = len(child_index)
-            child_index.extend(index[child] for child in tree.children[node])
-            child_end[position] = len(child_index)
-
-        height = depth[-1] if num_nodes else 0
-        level_spans: list[tuple[int, int]] = []
-        start = 0
-        for level in range(height + 1):
-            end = start
-            while end < num_nodes and depth[end] == level:
-                end += 1
-            level_spans.append((start, end))
-            start = end
-
-        bottom_up = [index[node] for node in tree.nodes_bottom_up()]
-        self._install(
-            root_id=tree.root,
-            node_ids=order,
-            parent=parent,
-            depth=depth,
-            child_start=child_start,
-            child_end=child_end,
-            child_index=child_index,
-            bottom_up=bottom_up,
-            level_spans=level_spans,
-            index=index,
-        )
-
-    def _install(
+    def __init__(
         self,
         root_id: int,
         node_ids: list[int],
@@ -147,15 +112,15 @@ class FlatTree:
         child_index,
         bottom_up,
         level_spans: list[tuple[int, int]],
-        index: dict[int, int] | None,
         ids_array=None,
         position_table=None,
     ) -> None:
-        """Adopt the structural arrays as contiguous int64 buffers.
+        """Adopt already-canonical structural arrays as int64 buffers.
 
-        Inputs may be lists or arrays — whichever the producing code path
-        built.  ``ids_array`` / ``position_table`` pre-fill those lazy views
-        when the producer already holds them.
+        Not a builder: :meth:`from_arrays` (or :meth:`from_parents` /
+        :meth:`rewire`) derives the canonical arrays and calls this.
+        ``ids_array`` / ``position_table`` pre-fill those lazy views when
+        the producer already holds them.
         """
         self.root_id = root_id
         self.num_nodes = len(node_ids)
@@ -168,7 +133,7 @@ class FlatTree:
         self.child_end = np.ascontiguousarray(child_end, dtype=np.int64)
         self.child_index = np.ascontiguousarray(child_index, dtype=np.int64)
         self.bottom_up = np.ascontiguousarray(bottom_up, dtype=np.int64)
-        self._index = index
+        self._index = None
         self._ids_array = ids_array
         self._position_table = position_table
         self._up_links = None
@@ -184,9 +149,7 @@ class FlatTree:
         never touches it, and at a million nodes the dict alone costs more
         to build than a whole fused epoch."""
         if self._index is None:
-            self._index = {
-                node: position for position, node in enumerate(self.node_ids)
-            }
+            self._index = dict(zip(self.node_ids, range(self.num_nodes)))
         return self._index
 
     @property
@@ -283,93 +246,112 @@ class FlatTree:
 
         Runs :meth:`SpanningTree.check_invariants` first — parent pointers,
         child lists and depths must be mutually consistent — so a malformed
-        tree (e.g. produced by a buggy incremental repair) raises
-        :class:`~repro.exceptions.TopologyError` here instead of silently
-        corrupting every batched sweep built on the arrays.
+        hand-built tree raises :class:`~repro.exceptions.TopologyError` here
+        instead of silently corrupting every batched sweep built on the
+        arrays.  The arrays come from the parent map alone.
         """
         tree.check_invariants()
-        return cls(tree)
+        return cls.from_parents(tree.root, tree.parent)
 
     @classmethod
-    def from_arrays(cls, parent_ids: Sequence[int], root_id: int = 0) -> "FlatTree":
-        """Build a flat tree directly from a parent-id array, no SpanningTree.
+    def from_parents(
+        cls, root_id: int, parent: Mapping[int, int | None]
+    ) -> "FlatTree":
+        """:meth:`from_arrays` over a node → parent-id map (``None`` at the
+        root, and only there); raises
+        :class:`~repro.exceptions.TopologyError` otherwise."""
+        if parent.get(root_id, 0) is not None:
+            raise TopologyError(f"root {root_id} must be a node with no parent")
+        parent_ids = list(parent.values())
+        if parent_ids.count(None) != 1:
+            raise TopologyError("exactly one node (the root) may have no parent")
+        return cls.from_arrays(
+            [root_id if node is None else node for node in parent_ids],
+            root_id,
+            node_ids=list(parent),
+        )
 
-        ``parent_ids[i]`` is the parent *id* of node ``i`` (ids are the dense
-        range ``0..n-1``), ``-1`` exactly at ``root_id``.  This is the
-        million-node constructor: it never materialises per-node dicts, so a
-        1M-node balanced tree flattens in milliseconds instead of the seconds
-        a ``SpanningTree`` round-trip costs.  Depths are derived by pointer
-        doubling-style waves, which also catches cycles (no convergence
-        within ``n`` levels raises :class:`~repro.exceptions.TopologyError`).
+    @classmethod
+    def from_arrays(
+        cls,
+        parent_ids: Sequence[int],
+        root_id: int = 0,
+        node_ids: Sequence[int] | None = None,
+    ) -> "FlatTree":
+        """Build a flat tree from parent ids: the one tree constructor.
+
+        ``parent_ids[i]`` is the parent *id* of node ``node_ids[i]`` (by
+        default the dense range ``0..n-1``); the root's entry is ignored
+        (conventionally ``-1``).  It never materialises per-node dicts, so a
+        1M-node balanced tree flattens in a quarter second.  Depths are derived
+        by pointer doubling, which also catches cycles; ids are
+        range-checked, so a parent that is no node, a duplicate id or a
+        missing root raise :class:`~repro.exceptions.TopologyError`.  The
+        canonical order is by depth, ascending id within a level.
         """
-        parents = np.ascontiguousarray(parent_ids, dtype=np.int64)
-        num_nodes = int(parents.shape[0])
-        if num_nodes == 0:
-            raise TopologyError("cannot build a FlatTree over zero nodes")
-        if not 0 <= root_id < num_nodes or parents[root_id] != -1:
-            raise TopologyError(
-                f"root {root_id} must be in range and have parent -1"
-            )
-        if int((parents == -1).sum()) != 1:
-            raise TopologyError("exactly one node (the root) may have parent -1")
-        if ((parents < -1) | (parents >= num_nodes)).any():
-            raise TopologyError("parent ids out of range")
+        parents = np.asarray(parent_ids, dtype=np.int64).ravel()
+        num_nodes = parents.size
+        if node_ids is None:
+            node_ids = np.arange(num_nodes, dtype=np.int64)
+        ids = np.asarray(node_ids, dtype=np.int64).ravel()
+        if num_nodes == 0 or ids.size != num_nodes:
+            raise TopologyError("a FlatTree needs nodes, and one parent id per node")
+        # Rows are ascending ids: every parent id, and the root, become rows.
+        sorter = np.argsort(ids, kind="stable")
+        ids, wanted = ids[sorter], np.append(parents[sorter], root_id)
+        located = np.searchsorted(ids, wanted).clip(max=num_nodes - 1)
+        found = ids[located] == wanted
+        root = int(located[-1])
+        if not found[-1]:
+            raise TopologyError(f"root {root_id} is not a tree node")
+        parents, found[root] = located[:-1], True
+        if not found.all() or bool((ids[1:] == ids[:-1]).any()):
+            raise TopologyError("a parent id is no node of the tree, or ids repeat")
+        parents[root] = root
 
         # Depth by pointer doubling: ``hop[i]`` is an ancestor of ``i`` and
-        # ``depth_of_id[i]`` the hop count to it; squaring the hop pointer
+        # ``depth_of_row[i]`` the hop count to it; squaring the hop pointer
         # each round grounds every node at the root in O(log height) whole-
         # array passes.  A cycle never grounds and is caught by the bound.
-        ids = np.arange(num_nodes, dtype=np.int64)
-        depth_of_id = np.where(ids == root_id, 0, 1).astype(np.int64)
-        hop = parents.copy()
-        hop[root_id] = root_id
+        rows = np.arange(num_nodes, dtype=np.int64)
+        depth_of_row = (rows != root).astype(np.int64)
+        hop = parents
         for _ in range(num_nodes.bit_length() + 2):
-            if bool((hop == root_id).all()):
+            if bool((hop == root).all()):
                 break
-            depth_of_id = depth_of_id + depth_of_id[hop]
+            depth_of_row = depth_of_row + depth_of_row[hop]
             hop = hop[hop]
         else:
             raise TopologyError("parent pointers do not reach the root (cycle?)")
 
-        order = np.lexsort((np.arange(num_nodes, dtype=np.int64), depth_of_id))
-        depth = depth_of_id[order]
-        pos_of_id = np.empty(num_nodes, dtype=np.int64)
-        pos_of_id[order] = np.arange(num_nodes, dtype=np.int64)
-        parent = np.where(
-            parents[order] >= 0, pos_of_id[parents[order]], -1
-        ).astype(np.int64)
+        order = np.lexsort((rows, depth_of_row))
+        depth = depth_of_row[order]
+        pos_of_row = np.empty(num_nodes, dtype=np.int64)
+        pos_of_row[order] = rows
+        parent = pos_of_row[parents[order]]
+        parent[0] = -1
 
-        height = int(depth[-1])
-        bounds = np.searchsorted(depth, np.arange(height + 2, dtype=np.int64))
-        level_spans = [
-            (int(bounds[level]), int(bounds[level + 1]))
-            for level in range(height + 1)
-        ]
-        child_positions = np.argsort(parent[1:], kind="stable") + 1
+        level_sizes = np.bincount(depth)
+        ends = np.cumsum(level_sizes)
+        starts = ends - level_sizes
         child_counts = np.bincount(parent[1:], minlength=num_nodes)
         child_end = np.cumsum(child_counts)
-        child_start = child_end - child_counts
-        bottom_up = np.concatenate(
-            [
-                np.arange(start, end, dtype=np.int64)
-                for start, end in reversed(level_spans)
-            ]
-        )
-
-        flat = object.__new__(cls)
-        flat._install(
+        # Deepest level first, canonical order within a level.
+        bottom_up = np.empty(num_nodes, dtype=np.int64)
+        bottom_up[num_nodes - ends[depth] + rows - starts[depth]] = rows
+        ordered_ids = ids[order]
+        return cls(
             root_id=root_id,
-            node_ids=order.tolist(),
+            node_ids=ordered_ids.tolist(),
             parent=parent,
             depth=depth,
-            child_start=child_start,
+            child_start=child_end - child_counts,
             child_end=child_end,
-            child_index=child_positions,
+            child_index=np.argsort(parent[1:], kind="stable") + 1,
             bottom_up=bottom_up,
-            level_spans=level_spans,
-            index=None,
+            level_spans=list(zip(starts.tolist(), ends.tolist())),
+            ids_array=ordered_ids,
         )
-        return flat
 
     # ------------------------------------------------------------------ #
     # Incremental re-span
@@ -393,7 +375,7 @@ class FlatTree:
         The canonical order (by level, ascending id within a level) is one
         merge of two sorted ``(level, id)`` key runs — the survivors,
         already in order, and the arrivals — so the result is *identical* to
-        ``FlatTree.from_spanning_tree`` on the patched tree, with no depth
+        :meth:`from_arrays` on the patched parents, with no depth
         sort and no invariant re-validation.  The only Python loop is over
         the patch itself: a repaired tree is often a hundred levels deep,
         and a pass per level costs more than the arrays do.  Ids resolve
@@ -498,8 +480,7 @@ class FlatTree:
         bottom_up = np.empty(num_nodes, dtype=np.int64)
         bottom_up[num_nodes - ends[depth] + positions - starts[depth]] = positions
 
-        rewired = object.__new__(FlatTree)
-        rewired._install(
+        return FlatTree(
             root_id=self.root_id,
             node_ids=order.tolist(),
             parent=parent,
@@ -509,11 +490,9 @@ class FlatTree:
             child_index=child_positions,
             bottom_up=bottom_up,
             level_spans=level_spans,
-            index=None,
             ids_array=order,
             position_table=table,
         )
-        return rewired
 
     # ------------------------------------------------------------------ #
     # Convenience accessors (traversals index the arrays directly)
@@ -532,6 +511,12 @@ class FlatTree:
         """The parent *node id* of ``node_id`` (``None`` at the root)."""
         parent_position = self.parent[self.index[node_id]]
         return None if parent_position < 0 else self.node_ids[parent_position]
+
+    def parent_map(self) -> dict[int, int | None]:
+        """Node id → parent id (``None`` at the root), in canonical order."""
+        return dict(
+            zip(self.node_ids, [None] + self.ids_array[self.parent[1:]].tolist())
+        )
 
     def nodes_bottom_up(self) -> Iterator[int]:
         """Node ids in the same order as ``SpanningTree.nodes_bottom_up``."""

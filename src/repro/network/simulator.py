@@ -55,7 +55,7 @@ from repro.network.radio import (
     RadioModel,
     ReliableRadio,
 )
-from repro.network.spanning_tree import SpanningTree, bfs_tree, bounded_degree_tree
+from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import build_links
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_recorder
 
@@ -121,16 +121,15 @@ class SensorNetwork:
         self.ledger = ledger
         self._telemetry: TelemetryRecorder = NULL_RECORDER
         self.telemetry = telemetry
-        self._flat_tree: FlatTree | None = None
-        self._flat_tree_source: SpanningTree | None = None
+        self._tree_view: SpanningTree | None = None
         self.degree_bound = degree_bound
         # A spanning tree of the links is the connectivity check: the given
         # one is validated, a built one must reach every node.
         if tree is not None:
             tree.validate(links)
-            self.tree = tree
+            self.set_tree(FlatTree.from_parents(tree.root, tree.parent))
         else:
-            self.tree = self._build_tree()
+            self.rebuild_tree()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -220,13 +219,6 @@ class SensorNetwork:
             )
         self._execution = mode
 
-    def _build_tree(self) -> SpanningTree:
-        if self.degree_bound is None:
-            return bfs_tree(self._links, self.root_id)
-        return bounded_degree_tree(
-            self._links, self.root_id, max_degree=self.degree_bound
-        )
-
     # ------------------------------------------------------------------ #
     # Links
     # ------------------------------------------------------------------ #
@@ -268,16 +260,17 @@ class SensorNetwork:
 
     _UNSET = object()
 
-    def rebuild_tree(self, degree_bound: object = _UNSET) -> SpanningTree:
-        """Rebuild the spanning tree, optionally changing the degree bound.
+    def rebuild_tree(self, degree_bound: object = _UNSET) -> FlatTree:
+        """Rebuild and install the spanning tree, optionally changing the
+        degree bound; returns the new :attr:`flat_tree`.
 
         Pass ``degree_bound=None`` explicitly to switch to an unbounded BFS
         tree; omit the argument to keep the current bound.
         """
         if degree_bound is not SensorNetwork._UNSET:
             self.degree_bound = degree_bound  # type: ignore[assignment]
-        self.tree = self._build_tree()
-        return self.tree
+        self.set_tree(build_tree(self._links, self.root_id, self.degree_bound))
+        return self._flat_tree
 
     # ------------------------------------------------------------------ #
     # Node / item access
@@ -292,35 +285,35 @@ class SensorNetwork:
 
     @property
     def flat_tree(self) -> FlatTree:
-        """Flat-array view of the current spanning tree (built lazily, cached).
-
-        The cache is keyed on the tree object itself, so
-        :meth:`rebuild_tree` — or assigning :attr:`tree` directly —
-        invalidates it automatically.
-        """
-        if self._flat_tree is None or self._flat_tree_source is not self.tree:
-            self._flat_tree = FlatTree.from_spanning_tree(self.tree)
-            self._flat_tree_source = self.tree
+        """The spanning tree: the one owner of tree state (treat as
+        read-only; a tree change installs a new one via :meth:`set_tree`)."""
         return self._flat_tree
 
-    def set_tree(self, tree: SpanningTree, flat_tree: FlatTree | None = None) -> None:
-        """Install ``tree``, optionally together with its prebuilt flat view.
+    @property
+    def tree(self) -> SpanningTree:
+        """A frozen :class:`SpanningTree` view of :attr:`flat_tree`.
 
-        Assigning :attr:`tree` a *new* object invalidates the flat-view cache
-        by identity; code that patches the current tree **in place** (the
-        batched fault repair) must come through here instead, supplying the
-        :meth:`FlatTree.rewire` result, so the cache cannot keep serving
-        arrays of the pre-patch tree.  With ``flat_tree=None`` the cache is
-        dropped and rebuilt lazily on next access.
+        Built on first access and dropped by :meth:`set_tree`; mutating it
+        raises.  The per-edge reference paths and one-off readers use it —
+        no array repair, election, detection or epoch path builds it.
         """
-        if flat_tree is not None and flat_tree.root_id != tree.root:
+        if self._tree_view is None:
+            self._tree_view = SpanningTree.from_flat(self._flat_tree, frozen=True)
+        return self._tree_view
+
+    def set_tree(self, flat_tree: FlatTree) -> None:
+        """Install ``flat_tree``: the one install point, so every tree
+        change — a build, a repair's :meth:`FlatTree.rewire`, a rebuild —
+        drops the stale :attr:`tree` view.  Raises
+        :class:`~repro.exceptions.ConfigurationError` unless it is a
+        :class:`FlatTree` rooted at :attr:`root_id`."""
+        if not isinstance(flat_tree, FlatTree) or flat_tree.root_id != self.root_id:
             raise ConfigurationError(
-                f"flat view is rooted at {flat_tree.root_id} but the tree at "
-                f"{tree.root}"
+                f"set_tree takes a FlatTree rooted at {self.root_id}, got "
+                f"{flat_tree!r}"
             )
-        self.tree = tree
         self._flat_tree = flat_tree
-        self._flat_tree_source = tree if flat_tree is not None else None
+        self._tree_view = None
 
     @property
     def node_map(self) -> Mapping[int, SensorNode]:
@@ -460,7 +453,7 @@ class SensorNetwork:
 
     def attached_node_ids(self) -> list[int]:
         """Nodes the current spanning tree spans (alive and root-connected)."""
-        return sorted(self.tree.parent)
+        return sorted(self._flat_tree.node_ids)
 
     def attached_items(self) -> list[int]:
         """Ground-truth multiset over tree-attached nodes (verification only).
@@ -472,7 +465,7 @@ class SensorNetwork:
         """
         nodes = self._nodes
         items: list[int] = []
-        for node_id in sorted(self.tree.parent):
+        for node_id in self.attached_node_ids():
             items.extend(nodes[node_id].items)
         return items
 
@@ -803,5 +796,5 @@ class SensorNetwork:
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"SensorNetwork(nodes={self.num_nodes}, root={self.root_id}, "
-            f"items={self.total_items()}, tree_height={self.tree.height})"
+            f"items={self.total_items()}, tree_height={self._flat_tree.height})"
         )

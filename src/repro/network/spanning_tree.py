@@ -1,4 +1,4 @@
-"""Spanning-tree construction.
+"""Spanning-tree construction, and the dictionary view of a tree.
 
 The TAG-style protocols of Fact 2.1 run over a spanning tree rooted at the
 query node.  The paper remarks that a *bounded-degree* spanning tree is
@@ -19,16 +19,34 @@ Two constructions are provided, both over a
     star), the construction falls back to the smallest feasible degree and
     reports it, so experiments can quantify the cost of hub nodes (ablation
     E9 in DESIGN.md).
+
+Both produce parent arrays (:func:`spanning_parents`) for the one tree
+constructor, :meth:`~repro.network.FlatTree.from_arrays` (:func:`build_tree`).
+:class:`SpanningTree` is the dictionary view of a flat tree
+(:meth:`SpanningTree.from_flat`), for the per-edge reference paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
+
+import numpy as np
 
 from repro._util.validation import require_positive
 from repro.exceptions import TopologyError
+from repro.network.flat_tree import FlatTree
 from repro.network.links import as_link_table
+
+
+class _FrozenList(list):
+    """A child list of a frozen tree view: reads like a list, mutation raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a frozen tree view cannot be modified; see set_tree")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
 @dataclass
@@ -39,6 +57,27 @@ class SpanningTree:
     parent: dict[int, int | None]
     children: dict[int, list[int]]
     depth: dict[int, int]
+
+    @classmethod
+    def from_flat(cls, flat: FlatTree, frozen: bool = False) -> "SpanningTree":
+        """The dictionaries of ``flat``: keys in canonical order, children
+        ascending.  ``frozen`` makes every map and child list read-only
+        (mutation raises ``TypeError``) — the form ``SensorNetwork.tree``
+        serves.  O(n)."""
+        ids = flat.node_ids
+        child_ids = flat.ids_array[flat.child_index].tolist()
+        kids = _FrozenList if frozen else list
+        children = {
+            node: kids(child_ids[start:end])
+            for node, start, end in zip(
+                ids, flat.child_start.tolist(), flat.child_end.tolist()
+            )
+        }
+        parent = flat.parent_map()
+        depth = dict(zip(ids, flat.depth.tolist()))
+        if frozen:
+            parent, children, depth = map(MappingProxyType, (parent, children, depth))
+        return cls(root=flat.root_id, parent=parent, children=children, depth=depth)
 
     @property
     def num_nodes(self) -> int:
@@ -108,9 +147,8 @@ class SpanningTree:
         acyclic tree reaching the root, so this runs in O(n) with no graph.
 
         :class:`~repro.network.flat_tree.FlatTree.from_spanning_tree` calls
-        this before freezing a tree into arrays, so a malformed tree (e.g. a
-        buggy incremental repair) fails fast instead of corrupting batched
-        sweeps.
+        this before freezing a tree into arrays, so a malformed hand-built
+        tree fails fast instead of corrupting batched sweeps.
         """
         nodes = set(self.parent)
         if set(self.children) != nodes or set(self.depth) != nodes:
@@ -158,81 +196,69 @@ class SpanningTree:
         node set the tree must span; the default is every graph node.  A
         tree repaired after crashes spans only the alive, root-connected
         subset, which is what the fault test-suite passes here.
+        :meth:`check_invariants` proves the structure an acyclic tree
+        reaching the root, so this is O(n).
         """
+        self.check_invariants()
         links = as_link_table(graph)
         expected = set(links.node_ids()) if covering is None else set(covering)
         if set(self.parent) != expected:
             raise TopologyError("tree does not span the expected node set")
-        if self.parent[self.root] is not None:
-            raise TopologyError("root must have no parent")
         for node, parent in self.parent.items():
-            if parent is None:
-                continue
-            if not links.has(node, parent):
+            if parent is not None and not links.has(node, parent):
                 raise TopologyError(
                     f"tree edge ({node}, {parent}) is not an edge of the graph"
                 )
-            if node not in self.children[parent]:
-                raise TopologyError(
-                    f"child list of {parent} does not contain {node}"
-                )
-        # Reachability: following parents must reach the root from everywhere.
-        for node in self.parent:
-            seen = set()
-            current: int | None = node
-            while current is not None:
-                if current in seen:
-                    raise TopologyError("cycle detected in parent pointers")
-                seen.add(current)
-                current = self.parent[current]
-            if self.root not in seen:
-                raise TopologyError(f"node {node} cannot reach the root")
 
 
 def tree_from_parents(root: int, parent: dict[int, int | None]) -> SpanningTree:
     """Build a :class:`SpanningTree` from a parent map (children sorted, depths
-    recomputed).  Raises :class:`~repro.exceptions.TopologyError` when the map
-    does not describe one connected tree rooted at ``root``.  Used by the BFS
-    constructions here and by the incremental fault repair."""
-    children: dict[int, list[int]] = {node: [] for node in parent}
-    for node, par in parent.items():
-        if par is not None:
-            children[par].append(node)
-    for kids in children.values():
-        kids.sort()
-    depth: dict[int, int] = {root: 0}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for child in children[current]:
-            depth[child] = depth[current] + 1
-            queue.append(child)
-    if len(depth) != len(parent):
-        raise TopologyError("parent map does not describe a connected tree")
-    return SpanningTree(root=root, parent=parent, children=children, depth=depth)
+    recomputed) through :meth:`FlatTree.from_parents`.  Raises
+    :class:`~repro.exceptions.TopologyError` when the map does not describe
+    one tree rooted at ``root`` — a cycle, a parent that is no node, a
+    missing root."""
+    return SpanningTree.from_flat(FlatTree.from_parents(root, parent))
 
 
-def bfs_tree(graph, root: int = 0, members=None) -> SpanningTree:
-    """Breadth-first spanning tree rooted at ``root``.
+def spanning_parents(graph, root: int = 0, degree_bound: int | None = None, members=None):
+    """A spanning tree as ``(node_ids, parent_ids)``, two int64 arrays in
+    BFS discovery order (the root first, its parent entry ``-1``).
 
     ``graph`` is a :class:`~repro.network.links.LinkTable` or an
     ``nx.Graph``.  The search runs one whole frontier per level
     (:meth:`~repro.network.links.LinkTable.bfs`), which picks the parents a
     FIFO walk over ascending neighbours picks.  Without ``members`` the tree
     must reach every node, which is the connectivity check; with a boolean
-    row mask ``members`` it spans the component of ``root`` inside it.
+    row mask ``members`` it spans the component of ``root`` inside it.  A
+    ``degree_bound`` applies :func:`bounded_degree_tree`'s heuristic.
     """
+    if degree_bound is not None:
+        require_positive(degree_bound, "max_degree")
+        if degree_bound < 2:
+            raise TopologyError("max_degree must be at least 2 for a rooted tree")
     links = as_link_table(graph)
     if root not in links:
         raise TopologyError(f"root {root} is not a node of the graph")
     order, parents, _ = links.bfs(links.row_of(root), members)
     if members is None and order.size != links.num_nodes:
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
-    parent: dict[int, int | None] = {root: None}
-    parent.update(
-        zip(links.ids_of(order[1:]).tolist(), links.ids_of(parents[1:]).tolist())
-    )
-    return tree_from_parents(root, parent)
+    node_ids = links.ids_of(order)
+    parent_ids = np.concatenate(([-1], links.ids_of(parents[1:])))
+    if degree_bound is not None:
+        parent_ids = _bound_degree(links, node_ids.tolist(), parent_ids, degree_bound)
+    return node_ids, parent_ids
+
+
+def build_tree(graph, root: int = 0, degree_bound: int | None = None, members=None) -> FlatTree:
+    """The :class:`~repro.network.FlatTree` of :func:`spanning_parents`."""
+    node_ids, parent_ids = spanning_parents(graph, root, degree_bound, members)
+    return FlatTree.from_arrays(parent_ids, root, node_ids=node_ids)
+
+
+def bfs_tree(graph, root: int = 0, members=None) -> SpanningTree:
+    """Breadth-first spanning tree rooted at ``root`` (see
+    :func:`spanning_parents` for ``graph`` and ``members``)."""
+    return SpanningTree.from_flat(build_tree(graph, root, None, members))
 
 
 def bounded_degree_tree(
@@ -248,17 +274,20 @@ def bounded_degree_tree(
     spanning tree at all.  ``members`` restricts the tree as in
     :func:`bfs_tree`.
     """
-    require_positive(max_degree, "max_degree")
-    if max_degree < 2:
-        raise TopologyError("max_degree must be at least 2 for a rooted tree")
-    links = as_link_table(graph)
-    tree = bfs_tree(links, root, members)
-    parent = dict(tree.parent)
+    return SpanningTree.from_flat(build_tree(graph, root, max_degree, members))
+
+
+def _bound_degree(links, node_ids: list[int], parent_ids, max_degree: int):
+    """The bounded-degree heuristic over BFS parents; parent ids come back in
+    the order of ``node_ids``.  Moves only along links, and never under a
+    descendant, so the result is a spanning tree of the same nodes."""
+    flat = FlatTree.from_arrays(parent_ids, node_ids[0], node_ids=node_ids)
+    children = SpanningTree.from_flat(flat).children
+    parent: dict[int, int | None] = dict(zip(node_ids, parent_ids.tolist()))
+    parent[node_ids[0]] = None
 
     def degree_of(node: int, children: dict[int, list[int]]) -> int:
         return len(children[node]) + (0 if parent[node] is None else 1)
-
-    children = {node: list(kids) for node, kids in tree.children.items()}
 
     def descendants(node: int) -> set[int]:
         result = set()
@@ -274,7 +303,7 @@ def bounded_degree_tree(
     while changed and iteration_guard > 0:
         changed = False
         iteration_guard -= 1
-        for node in list(children):
+        for node in list(parent):  # BFS discovery order
             while degree_of(node, children) > max_degree and children[node]:
                 moved = False
                 # Try to re-parent the deepest-listed child first so shallow
@@ -302,6 +331,5 @@ def bounded_degree_tree(
                     break
                 if not moved:
                     break
-    rebuilt = tree_from_parents(root, parent)
-    rebuilt.validate(links, covering=set(parent))
-    return rebuilt
+    parent[node_ids[0]] = -1
+    return np.fromiter(parent.values(), dtype=np.int64, count=len(parent))

@@ -76,8 +76,7 @@ def epoch_convergecast(
     the root until a repair re-attaches them.
     """
     if dirty:
-        depth_of = network.tree.depth
-        dirty = {node for node in dirty if node in depth_of}
+        dirty = dirty & network.flat_tree.index.keys()
     if not dirty:
         return EpochStats(rounds=0, activated=0, transmissions=0, suppressions=0)
     if network.execution == "per-edge":
@@ -100,36 +99,42 @@ def _epoch_convergecast_batched(
     decide: DecideFn,
     protocol: str,
 ) -> EpochStats:
-    depth_of = network.tree.depth
-    deepest = max(depth_of[node] for node in dirty)
-    parent_of = network.tree.parent
+    flat = network.flat_tree
+    node_ids = flat.node_ids
+    parent_of = flat.parent
+    positions = [flat.index[node] for node in dirty]
+    levels = flat.depth[positions].tolist()
+    deepest = max(levels)
     ledger = network.ledger
     received: dict[int, dict[int, Any]] = {}
     # Only dirty nodes and nodes a delivery reaches ever act, so the sweep
-    # tracks the active frontier per level instead of scanning whole levels —
-    # a steady-state epoch with k dirty nodes is O(k · depth), not O(n).
+    # tracks the active frontier per level (canonical positions) instead of
+    # scanning whole levels — a steady-state epoch with k dirty nodes is
+    # O(k · depth), not O(n).
     active_by_depth: list[set[int]] = [set() for _ in range(deepest + 1)]
-    for node_id in dirty:
-        active_by_depth[depth_of[node_id]].add(node_id)
+    for position, level in zip(positions, levels):
+        active_by_depth[level].add(position)
     activated = transmissions = suppressions = 0
     for depth in range(deepest, -1, -1):
         links: list[tuple[int, int]] = []
         sizes: list[int] = []
         deliveries: list[tuple[int, int, Any]] = []
-        # Ascending id order: the order the per-edge rounds visit.
-        for node_id in sorted(active_by_depth[depth]):
-            updates = received.pop(node_id, None)
+        # Ascending position within a level is ascending id: the order the
+        # per-edge rounds visit.
+        for position in sorted(active_by_depth[depth]):
+            node_id = node_ids[position]
+            updates = received.pop(position, None)
             activated += 1
             decision = decide(node_id, updates if updates is not None else {})
-            parent = parent_of[node_id]
-            if parent is None:
+            parent = int(parent_of[position])
+            if parent < 0:
                 continue
             if decision is None:
                 suppressions += 1
                 continue
             payload, size_bits = decision
             transmissions += 1
-            links.append((node_id, parent))
+            links.append((node_id, node_ids[parent]))
             sizes.append(size_bits)
             deliveries.append((parent, node_id, payload))
         if links:

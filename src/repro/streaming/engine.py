@@ -233,14 +233,14 @@ class ContinuousQueryEngine:
         """
         if result is None or not getattr(result, "changed_anything", True):
             return
-        tree_nodes = self.network.tree.parent
+        flat = self.network.flat_tree
         if result.rebuilt:
             for state in self._queries.values():
                 state.nodes = {
-                    node_id: _NodeQueryState() for node_id in tree_nodes
+                    node_id: _NodeQueryState() for node_id in flat.node_ids
                 }
                 state.initialized = False
-            self._pending_dirty = set(tree_nodes)
+            self._pending_dirty = set(flat.node_ids)
             self._record_evictions(result)
             return
         dirty: set[int] = set()
@@ -264,11 +264,11 @@ class ContinuousQueryEngine:
             # earlier repair (a region detached for several epochs) need
             # fresh state and a full retransmission, even off the reversal
             # path — their old caches died with the states.
-            for node_id in tree_nodes:
+            for node_id in flat.node_ids:
                 if node_id not in nodes:
                     nodes[node_id] = _NodeQueryState()
                     dirty.add(node_id)
-        self._pending_dirty |= {node for node in dirty if node in tree_nodes}
+        self._pending_dirty |= dirty & flat.index.keys()
         self._record_evictions(result)
 
     def _record_evictions(self, result) -> None:
@@ -285,7 +285,7 @@ class ContinuousQueryEngine:
         if getattr(result, "rebuilt", False):
             telemetry.event(
                 "cache.evict",
-                count=len(self.network.tree.parent),
+                count=self.network.flat_tree.num_nodes,
                 site="rebuild-reset",
             )
             return
@@ -333,7 +333,7 @@ class ContinuousQueryEngine:
         # epoch's traversal for every query, then the backlog is cleared.
         pending = self._pending_dirty
         self._pending_dirty = set()
-        tree_nodes = self.network.tree.parent
+        in_tree = self.network.flat_tree.index.keys()
         total_dirty: set[int] = set()
         stats_total = {"transmissions": 0, "suppressions": 0}
         telemetry = self.network.telemetry
@@ -342,7 +342,7 @@ class ContinuousQueryEngine:
             for name, state in self._queries.items():
                 dirty = self._refresh_local_summaries(state, updates)
                 dirty |= pending
-                dirty = {node for node in dirty if node in tree_nodes}
+                dirty &= in_tree
                 total_dirty |= dirty
                 with telemetry.span("convergecast", query=name):
                     stats = self._run_query_epoch(name, state, dirty)
@@ -421,6 +421,7 @@ class ContinuousQueryEngine:
         self, name: str, state: _QueryState, dirty: set[int]
     ) -> EpochStats:
         slack = self._slack(state)
+        root = self.network.flat_tree.root_id
 
         def decide(
             node_id: int, received: Mapping[int, StreamSummary]
@@ -435,7 +436,7 @@ class ContinuousQueryEngine:
             for summary in node_state.children.values():
                 subtree = subtree.merge(summary)
             node_state.subtree = subtree
-            if self.network.tree.parent[node_id] is None:
+            if node_id == root:
                 return None
             if node_state.transmitted is None:
                 bits = subtree.serialized_bits()

@@ -268,7 +268,7 @@ class VectorStreamEngine(ContinuousQueryEngine):
                 state.tracked = np.ones(num, dtype=bool)
                 state.initialized = False
             self._dropped.by_query.clear()
-            self._pending_dirty = set(self.network.tree.parent)
+            self._pending_dirty = set(flat.node_ids)
             self._record_evictions(result)
             return
         # What the repair names, as positions in the repaired tree: every

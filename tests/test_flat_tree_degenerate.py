@@ -212,11 +212,18 @@ class TestFailFastValidation:
         with pytest.raises(TopologyError):
             tree_from_parents(0, {0: None, 1: 0, 2: None})
 
-    def test_network_flat_tree_property_validates(self):
-        network = SensorNetwork.from_items([1] * 9, topology="grid")
-        network.tree.children[network.root_id].clear()  # corrupt in place
+    @pytest.mark.parametrize(
+        "root, parent",
+        [
+            (0, {0: 1, 1: 0}),  # a cycle through the root
+            (0, {0: None, 1: 5}),  # a parent that is no node
+            (3, {0: None}),  # a root that is no node
+            (0, {0: None, 1: 2, 2: 1}),  # a cycle beside the root
+        ],
+    )
+    def test_tree_from_parents_rejects_malformed_maps(self, root, parent):
         with pytest.raises(TopologyError):
-            _ = network.flat_tree
+            tree_from_parents(root, parent)
 
 
 class TestRewire:

@@ -33,7 +33,7 @@ from repro.faults import (
     run_faulty_stream,
 )
 from repro.network import LinkTable, LossyRadio, SensorNetwork
-from repro.network.spanning_tree import bfs_tree
+from repro.network.spanning_tree import bfs_tree, spanning_parents
 from repro.network.topology import build_links, random_geometric_links
 from repro.streaming import CountQuery, engine_for
 from repro.workloads import DriftStream
@@ -141,15 +141,22 @@ def test_frontier_bfs_is_the_fifo_walk(case):
     assert got == fifo_parents(links, root)
     assert sum(levels) == order.size
     if order.size == num_nodes:
-        tree = bfs_tree(links, root)
-        assert list(tree.parent.items()) == fifo_parents(links, root)
+        assert discovered(links, root) == fifo_parents(links, root)
+        assert bfs_tree(links, root).parent == dict(fifo_parents(links, root))
     else:
         with pytest.raises(TopologyError):
             bfs_tree(links, root)
     mask = np.array(members, dtype=bool)
     mask[root] = True
+    assert discovered(links, root, mask) == fifo_parents(links, root, mask)
     tree = bfs_tree(links, root, mask)
-    assert list(tree.parent.items()) == fifo_parents(links, root, mask)
+    assert tree.parent == dict(fifo_parents(links, root, mask))
+
+
+def discovered(links: LinkTable, root: int, members=None) -> list[tuple]:
+    """``spanning_parents`` as ``(node, parent)`` pairs in discovery order."""
+    node_ids, parent_ids = spanning_parents(links, root, members=members)
+    return list(zip(node_ids.tolist(), [None] + parent_ids[1:].tolist()))
 
 
 def test_sparse_ids_answer_in_their_own_ids():

@@ -126,3 +126,17 @@ class TestBoundedDegreeTree:
         tree.parent[8] = 0  # 8 is not adjacent to 0 in a 3x3 grid
         with pytest.raises(TopologyError):
             tree.validate(graph)
+
+    def test_validate_detects_a_cycle_off_the_root(self):
+        # Consistent parent pointers and child lists, but 1 and 2 hang from
+        # each other: no depth assignment can be one below the parent.
+        from repro.network.spanning_tree import SpanningTree
+
+        tree = SpanningTree(
+            root=0,
+            parent={0: None, 1: 2, 2: 1},
+            children={0: [], 1: [2], 2: [1]},
+            depth={0: 0, 1: 1, 2: 2},
+        )
+        with pytest.raises(TopologyError):
+            tree.validate(ring_topology(3))
