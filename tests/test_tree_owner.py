@@ -163,16 +163,18 @@ def test_random_parent_maps_build_the_dict_constructor_arrays(case):
 # --------------------------------------------------------------------------- #
 # No array path builds the view
 # --------------------------------------------------------------------------- #
-def test_the_array_paths_never_build_the_tree_view(monkeypatch):
+@pytest.mark.parametrize("execution", ["vectorized", "batched"])
+def test_the_array_paths_never_build_the_tree_view(monkeypatch, execution):
     """Heartbeat detection, a crash storm, rejoins, a dropped tree edge and
-    a root crash, vectorized on a dense field: the view is never built."""
+    a root crash on a dense field, off the per-edge path: the view is never
+    built."""
     n, epochs = 400, 24
     network = SensorNetwork.from_items(
         [0] * n,
         topology="random_geometric",
         seed=3,
         degree_bound=None,
-        execution="vectorized",
+        execution=execution,
     )
     network.clear_items()
     # A tree edge with a subtree below it, dropped before anything else
