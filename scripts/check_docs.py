@@ -11,8 +11,9 @@ Four checks, all cheap and all fatal on failure:
    at a file that exists (anchors are stripped; external URLs skipped);
 2. every *public* module under ``src/repro/`` — any ``.py`` whose dotted
    path has no underscore-prefixed component — is mentioned by dotted name
-   in ``docs/ARCHITECTURE.md``, so the package map cannot silently drift
-   as modules are added;
+   in ``docs/ARCHITECTURE.md``, and every backticked ```` `repro.…` ````
+   dotted name there is a module or package under ``src/``, so the package
+   map cannot silently drift as modules are added or deleted;
 3. every sweep spec referenced in ``docs/SWEEPS.md`` as a backticked
    ```` `sweep:<name>` ```` token resolves to a builtin spec that expands
    to a non-empty run matrix, so the sweeps guide cannot document a spec
@@ -36,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SWEEP_REF = re.compile(r"`sweep:([A-Za-z0-9_-]+)`")
+DOTTED_REF = re.compile(r"`(repro(?:\.\w+)+)`")
 #: A backticked repo path; the first whitespace-free token is the path (a
 #: command line such as `scripts/sweep.py run` names ``scripts/sweep.py``).
 PATH_REF = re.compile(r"`((?:tests|src|benchmarks|examples|scripts)/[^`\s]*)[^`]*`")
@@ -86,19 +88,31 @@ def public_modules() -> list[str]:
     return sorted(modules)
 
 
+def is_module(dotted: str) -> bool:
+    """Whether ``dotted`` names a module or package under src/."""
+    path = ROOT / "src" / Path(*dotted.split("."))
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
 def check_architecture_mentions() -> list[str]:
-    """docs/ARCHITECTURE.md must name every public module.
+    """docs/ARCHITECTURE.md must name every public module, and only modules.
 
     Word-boundary matching: a mention of ``repro.faults.election`` does
     not count as mentioning the ``repro.faults`` package itself, so parent
     packages cannot pass vacuously as substrings of their children.
     """
     text = (ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
-    return [
+    missing = [
         f"docs/ARCHITECTURE.md does not mention {module}"
         for module in public_modules()
         if not re.search(rf"(?<![\w.]){re.escape(module)}(?![\w.])", text)
     ]
+    stale = [
+        f"docs/ARCHITECTURE.md names `{name}`, which is no module or package"
+        for name in sorted(set(DOTTED_REF.findall(text)))
+        if not is_module(name)
+    ]
+    return missing + stale
 
 
 def sweep_references() -> list[str]:

@@ -2,11 +2,10 @@
 
 from repro._util.bits import (
     bit_width,
-    encoded_int_bits,
     fixed_width_bits,
     varint_bits,
 )
-from repro._util.randomness import make_rng, spawn_rngs
+from repro._util.randomness import make_rng
 from repro._util.validation import (
     require_integer,
     require_non_negative,
@@ -16,11 +15,9 @@ from repro._util.validation import (
 
 __all__ = [
     "bit_width",
-    "encoded_int_bits",
     "fixed_width_bits",
     "varint_bits",
     "make_rng",
-    "spawn_rngs",
     "require_integer",
     "require_non_negative",
     "require_positive",

@@ -82,22 +82,6 @@ def signed_varint_bits(value: int) -> int:
     return 2 * (zigzag.bit_length() or 1) - 1
 
 
-def encoded_int_bits(value: int, max_value: int | None = None) -> int:
-    """Return the cost in bits of sending ``value``.
-
-    When the receiver knows an upper bound ``max_value`` a fixed-width field is
-    used; otherwise the self-delimiting encoding is charged.
-    """
-    if max_value is None:
-        return varint_bits(value)
-    require_integer(max_value, "max_value")
-    if value > max_value:
-        raise ValueError(
-            f"value {value} exceeds declared maximum {max_value}"
-        )
-    return fixed_width_bits(max_value)
-
-
 # --------------------------------------------------------------------------- #
 # Array twins (int64 arrays) for the whole-array sweeps
 # --------------------------------------------------------------------------- #

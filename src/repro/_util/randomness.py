@@ -2,15 +2,13 @@
 
 All randomized components of the library (the LogLog sketches, the lossy radio
 model, workload generators, gossip protocols) take an explicit seed or
-``random.Random`` instance so experiments are reproducible.  These helpers
-centralise the seed-to-generator conversion and the derivation of independent
-per-node generators from a single experiment seed.
+``random.Random`` instance so experiments are reproducible.  This helper
+centralises the seed-to-generator conversion.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 
 def make_rng(seed: int | random.Random | None) -> random.Random:
@@ -22,28 +20,3 @@ def make_rng(seed: int | random.Random | None) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
-
-
-def spawn_rngs(seed: int | random.Random | None, count: int) -> list[random.Random]:
-    """Derive ``count`` statistically independent generators from one seed.
-
-    Each derived generator gets its own seed drawn from the parent, so the
-    per-node randomness used by e.g. the geometric-sampling counting protocol
-    is independent across nodes but still reproducible from the single
-    experiment seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = make_rng(seed)
-    return [random.Random(parent.getrandbits(64)) for _ in range(count)]
-
-
-def choose_without_replacement(
-    rng: random.Random, population: Sequence[int], k: int
-) -> list[int]:
-    """Sample ``k`` distinct elements from ``population`` using ``rng``."""
-    if k > len(population):
-        raise ValueError(
-            f"cannot sample {k} items from population of {len(population)}"
-        )
-    return rng.sample(list(population), k)

@@ -11,7 +11,6 @@ from repro.protocols.predicates import (
     LessThanPredicate,
     PowerThresholdPredicate,
     Predicate,
-    RangePredicate,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "LessThanPredicate",
     "PowerThresholdPredicate",
     "Predicate",
-    "RangePredicate",
 ]

@@ -83,10 +83,6 @@ class HeartbeatDetector:
         """Largest possible crash-to-detection gap, in epochs."""
         return self.period - 1
 
-    def expected_latency(self) -> float:
-        """Mean crash-to-detection gap for crashes uniform over the period."""
-        return (self.period - 1) / 2
-
     def charge_sweep(
         self, network: SensorNetwork, silent: set[int]
     ) -> tuple[int, int]:

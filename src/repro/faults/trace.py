@@ -138,24 +138,8 @@ class FaultTrace(TraceSerialization):
         return weighted / detected
 
     @property
-    def total_energy_nj(self) -> float:
-        return sum(record.energy_nj for record in self.records)
-
-    @property
-    def total_crashes(self) -> int:
-        return sum(record.crashes for record in self.records)
-
-    @property
-    def total_rejoins(self) -> int:
-        return sum(record.rejoins for record in self.records)
-
-    @property
     def rebuild_count(self) -> int:
         return sum(1 for record in self.records if record.rebuilt)
-
-    def fault_epochs(self) -> list[int]:
-        """Epochs in which faults were applied or the tree was patched."""
-        return [record.epoch for record in self.records if record.had_faults]
 
     @property
     def fault_epoch_bits(self) -> int:

@@ -35,7 +35,6 @@ from repro.network.spanning_tree import (
 )
 from repro.network.vector_field import VectorField
 from repro.network.topology import (
-    balanced_tree_topology,
     grid_topology,
     line_topology,
     random_geometric_topology,
@@ -67,7 +66,6 @@ __all__ = [
     "bfs_tree",
     "bounded_degree_tree",
     "tree_from_parents",
-    "balanced_tree_topology",
     "grid_topology",
     "line_topology",
     "random_geometric_topology",

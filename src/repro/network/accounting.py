@@ -284,15 +284,6 @@ class CommunicationLedger:
             protocol=protocol,
         )
 
-    def charge_local(self, node: int, size_bits: int, protocol: str = "local") -> None:
-        """Charge bits that a node stores/processes locally without transmitting.
-
-        Not part of the communication-complexity measure; tracked only so the
-        space-oriented experiments can report it.
-        """
-        require_non_negative(size_bits, "size_bits")
-        self._per_protocol_bits[f"{protocol}:local"] += size_bits
-
     def advance_round(self, count: int = 1) -> None:
         """Record ``count`` additional synchronous communication rounds."""
         require_non_negative(count, "count")
@@ -341,12 +332,14 @@ class CommunicationLedger:
     # Queries
     # ------------------------------------------------------------------ #
     def traffic(self, node: int) -> NodeTraffic:
-        """Return the traffic record for ``node`` (zeros if it never communicated)."""
-        return self._per_node[node]
+        """Return the traffic record for ``node`` (zeros if it never
+        communicated; a read never adds ``node`` to :meth:`nodes`)."""
+        traffic = self._per_node.get(node)
+        return NodeTraffic() if traffic is None else traffic
 
     def node_bits(self, node: int) -> int:
         """Bits sent plus received by ``node``."""
-        return self._per_node[node].bits_total
+        return self.traffic(node).bits_total
 
     @property
     def max_node_bits(self) -> int:
@@ -730,9 +723,18 @@ class ArrayLedger(CommunicationLedger):
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+    def _require_node(self, node: int) -> None:
+        """Reject a read outside ``0..n-1``: numpy would count a negative id
+        from the end."""
+        if not 0 <= node < self._num_nodes:
+            raise ConfigurationError(
+                f"node ids must lie in 0..{self._num_nodes - 1}; got {node}"
+            )
+
     def traffic(self, node: int) -> NodeTraffic:
         """A *copy* of ``node``'s counters (the base class returns the live
         record; array columns have no per-node object to hand out)."""
+        self._require_node(node)
         return NodeTraffic(
             bits_sent=int(self._bits_sent[node]),
             bits_received=int(self._bits_received[node]),
@@ -741,6 +743,7 @@ class ArrayLedger(CommunicationLedger):
         )
 
     def node_bits(self, node: int) -> int:
+        self._require_node(node)
         return int(self._bits_sent[node] + self._bits_received[node])
 
     def _touched_mask(self):

@@ -59,14 +59,3 @@ class EnergyReport:
     per_node_nj: dict[int, float] = field(default_factory=dict)
     total_nj: float = 0.0
     peak_node_nj: float = 0.0
-
-    @property
-    def network_lifetime_proxy(self) -> float:
-        """Inverse of the peak per-node energy (higher is better).
-
-        The node that spends the most energy dies first; its consumption is
-        the standard first-order proxy for network lifetime.
-        """
-        if self.peak_node_nj == 0.0:
-            return float("inf")
-        return 1.0 / self.peak_node_nj

@@ -45,15 +45,3 @@ class Message:
             raise ConfigurationError(
                 f"a node cannot send a message to itself (node {self.sender})"
             )
-
-    def with_receiver(self, receiver: int) -> "Message":
-        """Return a copy of this message addressed to a different node."""
-        return Message(
-            sender=self.sender,
-            receiver=receiver,
-            payload=self.payload,
-            size_bits=self.size_bits,
-            protocol=self.protocol,
-            round_index=self.round_index,
-            metadata=dict(self.metadata),
-        )

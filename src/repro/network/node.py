@@ -71,20 +71,8 @@ class SensorNode:
         return self.items[0]
 
     # ------------------------------------------------------------------ #
-    # Local (zero-communication) computation helpers
+    # Scratch state
     # ------------------------------------------------------------------ #
-    def count_matching(self, predicate) -> int:
-        """Count local items satisfying a locally-computable predicate."""
-        return sum(1 for item in self.items if predicate(item))
-
-    def local_min(self) -> int | None:
-        """Smallest local item, or ``None`` when the node holds no items."""
-        return min(self.items) if self.items else None
-
-    def local_max(self) -> int | None:
-        """Largest local item, or ``None`` when the node holds no items."""
-        return max(self.items) if self.items else None
-
     def reset_scratch(self) -> None:
         """Drop all per-protocol scratch state."""
         self.scratch.clear()

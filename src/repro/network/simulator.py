@@ -6,14 +6,13 @@ ledger.  Protocols interact with the network exclusively through
 
 * :meth:`send` — transmit a payload of an explicitly declared size over a
   graph edge (charged to the ledger, filtered through the radio model),
-* the batched primitives :meth:`send_batch` / :meth:`send_up_tree` /
-  :meth:`send_down_tree` — plan a whole wave of synchronous-round
-  transmissions and charge them in one ledger call, and
+* the batched primitive :meth:`send_batch` — plan a whole wave of
+  synchronous-round transmissions and charge them in one ledger call, and
 * the node objects — for *local* computation only.
 
 This mirrors the paper's model (Section 2.1): the root can only initiate
 protocols and read back results; all costs are incurred edge by edge.  The
-two charging paths are bit-for-bit equivalent — the batched primitives exist
+two charging paths are bit-for-bit equivalent — the batched primitive exists
 purely so the simulator scales to 100k-node fields; see
 :attr:`SensorNetwork.execution` for how protocols pick a path.
 
@@ -524,24 +523,6 @@ class SensorNetwork:
         )
         return message
 
-    def send_up(
-        self, node_id: int, payload: object, size_bits: int, protocol: str = "unknown"
-    ) -> Message | None:
-        """Send from ``node_id`` to its tree parent (``None`` at the root)."""
-        parent = self.tree.parent[node_id]
-        if parent is None:
-            return None
-        return self.send(node_id, parent, payload, size_bits, protocol=protocol)
-
-    def send_down(
-        self, node_id: int, payload: object, size_bits: int, protocol: str = "unknown"
-    ) -> list[Message]:
-        """Send the same payload from ``node_id`` to each of its tree children."""
-        return [
-            self.send(node_id, child, payload, size_bits, protocol=protocol)
-            for child in self.tree.children[node_id]
-        ]
-
     # ------------------------------------------------------------------ #
     # Batched communication
     # ------------------------------------------------------------------ #
@@ -730,54 +711,6 @@ class SensorNetwork:
             links, sizes, None if all_once else charged, protocol=protocol
         )
         return copies_delivered
-
-    def send_up_tree(
-        self, sends: Sequence[tuple[int, int]], protocol: str = "unknown"
-    ) -> list[int]:
-        """Charge one upward tree transmission per ``(node_id, size_bits)`` pair.
-
-        Spanning-tree edges were validated against the graph at construction,
-        so no per-link edge checks are repeated.  Returns the
-        ``copies_delivered`` count per send, in order.
-        """
-        parent_of = self.tree.parent
-        links: list[tuple[int, int]] = []
-        sizes: list[int] = []
-        try:
-            for node_id, size_bits in sends:
-                parent = parent_of[node_id]
-                if parent is None:
-                    raise ConfigurationError(
-                        f"node {node_id} is the root; it has no parent to send to"
-                    )
-                links.append((node_id, parent))
-                sizes.append(size_bits)
-        except KeyError as error:
-            raise ConfigurationError(f"unknown node id {error.args[0]}") from None
-        return self.send_batch(links, sizes, protocol=protocol, require_edge=False)
-
-    def send_down_tree(
-        self, sends: Sequence[tuple[int, int]], protocol: str = "unknown"
-    ) -> list[tuple[int, int]]:
-        """Charge one downward transmission per child, for each ``(node_id,
-        size_bits)`` pair — the same payload fanned out to every tree child,
-        in child order.
-
-        Returns ``(child_id, copies_delivered)`` pairs covering the whole
-        batch, in transmission order.
-        """
-        children_of = self.tree.children
-        links: list[tuple[int, int]] = []
-        sizes: list[int] = []
-        try:
-            for node_id, size_bits in sends:
-                for child in children_of[node_id]:
-                    links.append((node_id, child))
-                    sizes.append(size_bits)
-        except KeyError as error:
-            raise ConfigurationError(f"unknown node id {error.args[0]}") from None
-        copies = self.send_batch(links, sizes, protocol=protocol, require_edge=False)
-        return [(link[1], count) for link, count in zip(links, copies)]
 
     # ------------------------------------------------------------------ #
     # Measurement helpers

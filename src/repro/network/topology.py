@@ -13,8 +13,8 @@ primitive protocols of Fact 2.1 exist — so the experiment harness runs every
 protocol over several qualitatively different topologies: the line (worst-case
 diameter), the grid and random geometric graphs (typical sensor deployments),
 the star (worst case for the individual complexity measure without a
-degree-bounded tree), the single-hop clique (the Singh–Prasanna setting), and
-balanced trees (the idealised TAG structure).
+degree-bounded tree), the single-hop clique (the Singh–Prasanna setting), the
+ring, and uniformly random trees.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import networkx as nx
 import numpy as np
 
 from repro._util.randomness import make_rng
-from repro._util.validation import require_positive, require_probability
+from repro._util.validation import require_positive
 from repro.exceptions import TopologyError
 from repro.network.links import LinkTable
 
@@ -263,32 +263,3 @@ def random_geometric_topology(
 def random_tree_topology(num_nodes: int, seed: int | None = 0) -> nx.Graph:
     """:func:`random_tree_links` as an ``nx.Graph``."""
     return random_tree_links(num_nodes, seed=seed).to_networkx()
-
-
-def balanced_tree_topology(branching: int, height: int) -> nx.Graph:
-    """A complete ``branching``-ary tree of the given height (root is node 0)."""
-    require_positive(branching, "branching")
-    if height < 0:
-        raise TopologyError(f"height must be non-negative, got {height}")
-    graph = nx.balanced_tree(branching, height)
-    mapping = {node: index for index, node in enumerate(sorted(graph.nodes()))}
-    return nx.relabel_nodes(graph, mapping, copy=True)
-
-
-def erdos_renyi_topology(
-    num_nodes: int, edge_probability: float, seed: int | None = 0, max_attempts: int = 50
-) -> nx.Graph:
-    """A connected Erdős–Rényi graph (used by the gossip baselines)."""
-    require_positive(num_nodes, "num_nodes")
-    require_probability(edge_probability, "edge_probability")
-    rng = make_rng(seed)
-    probability = edge_probability
-    for _ in range(max_attempts):
-        graph = nx.gnp_random_graph(num_nodes, probability, seed=rng.getrandbits(32))
-        if num_nodes == 1 or nx.is_connected(graph):
-            return graph
-        probability = min(1.0, probability * 1.2)
-    raise TopologyError(
-        f"could not build a connected G(n, p) graph with n={num_nodes} "
-        f"after {max_attempts} attempts"
-    )

@@ -46,7 +46,6 @@ from repro.protocols.predicates import (
     LessThanPredicate,
     PowerThresholdPredicate,
     Predicate,
-    RangePredicate,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "LessThanPredicate",
     "PowerThresholdPredicate",
     "Predicate",
-    "RangePredicate",
 ]

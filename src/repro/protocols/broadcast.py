@@ -9,9 +9,10 @@ phase of the primitive protocols.
 
 As with :mod:`~repro.protocols.convergecast`, two execution paths implement
 the same traversal: the batched path (default) expands the whole top-down
-sweep into one :meth:`~repro.network.SensorNetwork.send_down_tree` call,
-while the per-edge path sends edge by edge.  They charge the same edges in
-the same order and are bit-for-bit ledger-equivalent.
+sweep into one :meth:`~repro.network.SensorNetwork.send_batch` call over
+the flat tree's ``down_links``, while the per-edge path sends edge by edge.
+They charge the same edges in the same order and are bit-for-bit
+ledger-equivalent.
 """
 
 from __future__ import annotations

@@ -137,34 +137,3 @@ class PowerThresholdPredicate(Predicate):
 
     def describe(self) -> str:
         return f"< 2^{self.exponent}{self.offset:+d}"
-
-
-@dataclass(frozen=True)
-class RangePredicate(Predicate):
-    """The dyadic-interval membership predicate ``low <= value < high``.
-
-    Used by Algorithm APX_MEDIAN2 (Line 3.2/3.3) when nodes decide whether
-    they stay active in the next zoom-in iteration.  Nodes evaluate it locally
-    after the root broadcasts the current interval.
-    """
-
-    low: int
-    high: int
-    domain_max: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise PredicateError(
-                f"invalid range [{self.low}, {self.high})"
-            )
-
-    def __call__(self, value: int) -> bool:
-        return self.low <= value < self.high
-
-    def encoded_bits(self) -> int:
-        if self.domain_max is not None:
-            return _OPCODE_BITS + 2 * fixed_width_bits(self.domain_max)
-        return _OPCODE_BITS + varint_bits(self.low) + varint_bits(self.high)
-
-    def describe(self) -> str:
-        return f"in [{self.low}, {self.high})"

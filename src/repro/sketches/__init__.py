@@ -7,22 +7,13 @@ protocols serialise and merge up the spanning tree:
   paper's Fact 2.2 (α-counting with ``O(m log log N)`` bits).
 * :mod:`repro.sketches.hyperloglog` — the harmonic-mean refinement, provided
   for comparison experiments.
-* :mod:`repro.sketches.flajolet_martin` — the PCSA bitmap sketch, the earlier
-  alternative cited alongside [1, 3] in the paper.
-* :mod:`repro.sketches.geometric` — the bare "max of geometric samples"
-  estimator that the paper uses to explain approximate counting.
 * :mod:`repro.sketches.gk_summary` / :mod:`repro.sketches.qdigest` — quantile
   summaries used by the Greenwald–Khanna and q-digest baselines (Section 1,
   "concurrent results by others").
 * :mod:`repro.sketches.sampling` — mergeable uniform sampling (the Nath et al.
   synopsis-diffusion baseline).
-* :mod:`repro.sketches.ams` — the Alon–Matias–Szegedy frequency-moment sketch,
-  cited as reference [1].
 """
 
-from repro.sketches.ams import AmsF2Sketch
-from repro.sketches.flajolet_martin import FlajoletMartinSketch
-from repro.sketches.geometric import GeometricMaxEstimator, geometric_rank
 from repro.sketches.gk_summary import GKSummary
 from repro.sketches.hashing import hash64, hash_to_unit
 from repro.sketches.hyperloglog import HyperLogLogSketch
@@ -31,10 +22,6 @@ from repro.sketches.qdigest import QDigest
 from repro.sketches.sampling import MergeableSample
 
 __all__ = [
-    "AmsF2Sketch",
-    "FlajoletMartinSketch",
-    "GeometricMaxEstimator",
-    "geometric_rank",
     "GKSummary",
     "hash64",
     "hash_to_unit",

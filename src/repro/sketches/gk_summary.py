@@ -119,16 +119,6 @@ class GKSummary:
         merged.compress()
         return merged
 
-    def rank_bounds(self, value: int) -> tuple[int, int]:
-        """Return (min_rank, max_rank) bounds of ``value`` in the summarised multiset."""
-        min_rank = 0
-        max_rank = 0
-        for t in self.tuples:
-            if t.value <= value:
-                min_rank += t.g
-                max_rank = min_rank + t.delta
-        return min_rank, max_rank
-
     def query(self, quantile: float) -> int:
         """Return a value whose rank is within εN of ``quantile * N``."""
         if not 0.0 <= quantile <= 1.0:

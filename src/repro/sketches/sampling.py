@@ -80,16 +80,6 @@ class MergeableSample:
             raise ConfigurationError("cannot take the median of an empty sample")
         return values[(len(values) - 1) // 2]
 
-    def sample_quantile(self, fraction: float) -> int:
-        """Approximate quantile from the sample."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigurationError(f"fraction must lie in [0, 1], got {fraction}")
-        values = sorted(self.values())
-        if not values:
-            raise ConfigurationError("cannot query an empty sample")
-        index = min(len(values) - 1, int(fraction * len(values)))
-        return values[index]
-
     @property
     def size(self) -> int:
         return len(self.entries)

@@ -63,19 +63,8 @@ class StreamingTrace(TraceSerialization):
         return sum(record.messages for record in self.records)
 
     @property
-    def total_rounds(self) -> int:
-        return sum(record.rounds for record in self.records)
-
-    @property
     def total_energy_nj(self) -> float:
         return sum(record.energy_nj for record in self.records)
-
-    def bits_per_epoch(self) -> list[int]:
-        return [record.bits for record in self.records]
-
-    def answers_for(self, name: str) -> list[Any]:
-        """The per-epoch answer series of one registered query."""
-        return [record.answers.get(name) for record in self.records]
 
     def steady_state_bits(self, warmup: int = 1) -> float:
         """Mean bits per epoch after the first ``warmup`` epochs.

@@ -104,16 +104,6 @@ class SweepState:
             }
         )
 
-    def clear_rows(self, positions) -> None:
-        for name in self.COLUMNS:
-            getattr(self, name)[positions] = 0
-
-    def take(self, positions) -> "SweepState":
-        """Gather a shard-local copy of the given rows."""
-        return SweepState(
-            **{name: getattr(self, name)[positions] for name in self.COLUMNS}
-        )
-
     def scatter(self, positions, other: "SweepState") -> None:
         """Write a shard-local copy back into the global rows."""
         for name in self.COLUMNS:

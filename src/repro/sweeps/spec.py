@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError, DuplicateAxisValueError
 
@@ -202,14 +202,6 @@ class SweepSpec:
                     f"{type(constraint).__name__}"
                 )
 
-    @property
-    def matrix_size(self) -> int:
-        """Size of the *unconstrained* cartesian product."""
-        size = 1
-        for values in self.axes.values():
-            size *= len(values)
-        return size
-
     def expand(self) -> list[SweepCell]:
         """The run matrix: constrained cartesian product, deterministic order.
 
@@ -316,10 +308,3 @@ def load_spec(source: "SweepSpec | Mapping[str, Any] | str | Path") -> SweepSpec
     raise ConfigurationError(
         f"unsupported sweep spec format {path.suffix!r} (expected .toml or .json)"
     )
-
-
-def normalize_seeds(value: "int | Sequence[int]") -> tuple:
-    """Coerce a seed count or explicit seed list into a seed axis tuple."""
-    if isinstance(value, int):
-        return tuple(range(value))
-    return tuple(value)

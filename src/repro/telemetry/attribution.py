@@ -27,7 +27,6 @@ bits), and each epoch lands in the JSONL trace as one
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -51,11 +50,6 @@ QUANTILE_FRACTIONS = (0.5, 0.9, 0.99)
 #: statistics from one ``np.bincount`` pass (the histogram then costs at
 #: most 1 MiB) instead of an introselect over the delta column.
 BINCOUNT_LIMIT = 1 << 17
-
-#: Dict folds at or above this many touched nodes route their statistics
-#: through numpy; below it the pure-Python heap/sort is faster than the
-#: round-trip into arrays.
-VECTOR_DICT_FOLD_MIN = 4096
 
 
 def _hotspot_order(hotspot: tuple[int, int]) -> tuple[int, int]:
@@ -206,6 +200,35 @@ class CostAttribution:
                     grown[: self.cumulative.size] = self.cumulative
                 self.cumulative = grown
             self.cumulative[:size] += deltas
+        self._append_stats(epoch, deltas, dense)
+
+    def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
+        positive = {node: bits for node, bits in deltas.items() if bits > 0}
+        dense = self._use_dense(len(positive))
+        if dense:
+            if self._cumulative_dict is None:
+                self._cumulative_dict = {}
+                if self.cumulative is None:
+                    self.cumulative = self._cumulative_dict
+            cumulative = self._cumulative_dict
+            for node, bits in positive.items():
+                cumulative[node] = cumulative.get(node, 0) + bits
+        count = len(positive)
+        ids = np.fromiter(positive.keys(), dtype=np.int64, count=count)
+        bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
+        # Id-sorted, so the array statistics' lowest-position tie rule is
+        # the lowest-id rule.
+        order = np.argsort(ids)
+        self._append_stats(epoch, bits[order], dense, ids[order])
+
+    def _append_stats(self, epoch: int, deltas, dense: bool, ids=None) -> None:
+        """Append one epoch's statistics of the delta column ``deltas``.
+
+        Position ``i`` of ``deltas`` is node ``i`` (an
+        :class:`~repro.network.ArrayLedger` column) or node ``ids[i]`` for
+        ascending ``ids`` (a dict ledger's positive deltas).
+        """
+        size = int(deltas.size)
         digest = None
         hotspots: list[tuple[int, int]] = []
         quantiles = {"p50": 0, "p90": 0, "p99": 0, "max": 0}
@@ -259,11 +282,12 @@ class CostAttribution:
                     quantiles = self._digest_quantiles(digest)
             candidates = np.nonzero(deltas > cutoff)[0]
             if candidates.size < k:
-                # Positions are node ids, ascending: the lowest ids win.
+                # Positions ascend with node ids: the lowest ids win.
                 ties = np.nonzero(deltas == cutoff)[0][: k - candidates.size]
                 candidates = np.concatenate([candidates, ties])
+            nodes = candidates if ids is None else ids[candidates]
             hotspots = sorted(
-                ((int(node), int(deltas[node])) for node in candidates),
+                zip(nodes.tolist(), deltas[candidates].tolist()),
                 key=_hotspot_order,
             )
         if not dense and digest is None:
@@ -314,105 +338,6 @@ class CostAttribution:
         k = min(self.top_k, touched)
         return touched, node_bits, quantiles, value_at(touched - k), k
 
-    def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
-        positive = {node: bits for node, bits in deltas.items() if bits > 0}
-        dense = self._use_dense(len(positive))
-        if dense:
-            if self._cumulative_dict is None:
-                self._cumulative_dict = {}
-                if self.cumulative is None:
-                    self.cumulative = self._cumulative_dict
-            cumulative = self._cumulative_dict
-            for node, bits in positive.items():
-                cumulative[node] = cumulative.get(node, 0) + bits
-        if len(positive) >= VECTOR_DICT_FOLD_MIN:
-            # Large dict folds (the batched pipeline at scale): Python
-            # sorts/heaps over 10^5 items cost more than the epoch's own
-            # bookkeeping, so lift the stats into numpy.
-            self._append_dict_stats_vectorized(epoch, positive, dense)
-            return
-        hotspots = heapq.nsmallest(self.top_k, positive.items(), key=_hotspot_order)
-        digest = None
-        if dense:
-            quantiles = self._exact_quantiles(sorted(positive.values()))
-        else:
-            buckets: dict[int, int] = {}
-            for bits in positive.values():
-                bucket = 1 << (min(bits, (1 << UNIVERSE_BITS) - 1).bit_length() - 1)
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-            digest = self._digest_from_buckets(buckets)
-            quantiles = self._digest_quantiles(digest)
-        self.epochs.append(
-            EpochAttribution(
-                epoch=epoch,
-                node_bits=sum(positive.values()),
-                touched=len(positive),
-                hotspots=hotspots,
-                quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
-            )
-        )
-
-    def _append_dict_stats_vectorized(
-        self, epoch: int, positive: dict[int, int], dense: bool
-    ) -> None:
-        """Numpy stats for a large dict fold (same results, no big sorts)."""
-        count = len(positive)
-        nodes = np.fromiter(positive.keys(), dtype=np.int64, count=count)
-        bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
-        dmax = int(bits.max())
-        digest = None
-        if dense and 0 < dmax <= BINCOUNT_LIMIT:
-            touched, node_bits, quantiles, cutoff, k = (
-                self._stats_from_bincount(bits, dmax)
-            )
-        else:
-            node_bits = int(bits.sum())
-            k = min(self.top_k, count)
-            indices = sorted(
-                {
-                    min(count - 1, int(fraction * count))
-                    for fraction in QUANTILE_FRACTIONS
-                }
-                | {count - k}
-            )
-            selected = np.partition(bits, indices)
-            cutoff = int(selected[count - k])
-            if dense:
-                quantiles = {
-                    f"p{int(fraction * 100)}": int(
-                        selected[min(count - 1, int(fraction * count))]
-                    )
-                    for fraction in QUANTILE_FRACTIONS
-                }
-                quantiles["max"] = dmax
-            else:
-                digest = self._digest_from_buckets(self._buckets_array(bits))
-                quantiles = self._digest_quantiles(digest)
-        chosen = np.nonzero(bits > cutoff)[0]
-        if chosen.size < k:
-            # The dict is in first-touched order; the lowest ids win.
-            ties = np.nonzero(bits == cutoff)[0]
-            wanted = k - chosen.size
-            if ties.size > wanted:
-                ties = ties[np.argpartition(nodes[ties], wanted - 1)[:wanted]]
-            chosen = np.concatenate([chosen, ties])
-        hotspots = sorted(
-            zip(nodes[chosen].tolist(), bits[chosen].tolist()), key=_hotspot_order
-        )
-        self.epochs.append(
-            EpochAttribution(
-                epoch=epoch,
-                node_bits=node_bits,
-                touched=count,
-                hotspots=hotspots,
-                quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
-            )
-        )
-
     # ------------------------------------------------------------------ #
     # Sketch helpers
     # ------------------------------------------------------------------ #
@@ -438,21 +363,6 @@ class CostAttribution:
             digest.add(value, count)
         digest.compress()
         return digest
-
-    @staticmethod
-    def _exact_quantiles(ordered) -> dict[str, int]:
-        """Quantiles of a sorted sequence / array of positive deltas."""
-        size = len(ordered)
-        if not size:
-            return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
-        quantiles = {
-            f"p{int(fraction * 100)}": int(
-                ordered[min(size - 1, int(fraction * size))]
-            )
-            for fraction in QUANTILE_FRACTIONS
-        }
-        quantiles["max"] = int(ordered[size - 1])
-        return quantiles
 
     @staticmethod
     def _digest_quantiles(digest: QDigest) -> dict[str, int]:

@@ -173,14 +173,6 @@ class MetricsRegistry:
         """Every label set of counter ``name`` with its value."""
         return dict(self._counters.get(name, {}))
 
-    def names(self) -> dict[str, list[str]]:
-        """Registered metric names grouped by kind."""
-        return {
-            "counters": sorted(self._counters),
-            "gauges": sorted(self._gauges),
-            "histograms": sorted(self._histograms),
-        }
-
     # ------------------------------------------------------------------ #
     # Exporters
     # ------------------------------------------------------------------ #

@@ -21,7 +21,7 @@ ships.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 
 class NullSpan:
@@ -136,10 +136,3 @@ def flatten_labels(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
     if not labels:
         return ()
     return tuple(sorted((str(key), str(value)) for key, value in labels.items()))
-
-
-def iter_label_pairs(
-    key: tuple[tuple[str, str], ...]
-) -> Iterator[tuple[str, str]]:
-    """Iterate a flattened label key back out as ``(name, value)`` pairs."""
-    return iter(key)

@@ -268,18 +268,9 @@ class SpanTracer(TelemetryRecorder):
     # ------------------------------------------------------------------ #
     # Queries and export
     # ------------------------------------------------------------------ #
-    @property
-    def open_spans(self) -> int:
-        """How many spans are currently in flight."""
-        return len(self._stack)
-
     def spans_named(self, name: str) -> list[Span]:
         """Finished spans called ``name``, in completion order."""
         return [span for span in self.spans if span.name == name]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of a finished span, in completion order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def subtree_of(self, span: Span) -> list[Span]:
         """A finished span plus every descendant, in completion order."""

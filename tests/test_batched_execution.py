@@ -322,29 +322,6 @@ class TestBatchedSendPrimitives:
         assert network.ledger.total_bits == 0
         assert 99 not in set(network.ledger.nodes())
 
-    def test_send_up_tree_rejects_root_and_unknown(self):
-        network = build_network(4, topology="line")
-        with pytest.raises(ConfigurationError):
-            network.send_up_tree([(network.root_id, 8)])
-        with pytest.raises(ConfigurationError):
-            network.send_up_tree([(99, 8)])
-
-    def test_send_up_tree_charges_child_parent_edge(self):
-        network = build_network(4, topology="line")
-        copies = network.send_up_tree([(2, 16)], protocol="UP")
-        assert copies == [1]
-        parent = network.tree.parent[2]
-        assert network.ledger.node_bits(2) == 16
-        assert network.ledger.node_bits(parent) == 16
-
-    def test_send_down_tree_fans_out_to_children(self):
-        network = build_network(7, topology="single_hop", degree_bound=None)
-        deliveries = network.send_down_tree([(network.root_id, 8)], protocol="DOWN")
-        assert [child for child, _ in deliveries] == network.tree.children[
-            network.root_id
-        ]
-        assert all(copies == 1 for _, copies in deliveries)
-
     def test_lossy_send_batch_matches_per_edge_charges(self):
         links = [(0, 1), (1, 2), (2, 3)] * 10
         sizes = [8] * len(links)

@@ -39,7 +39,6 @@ class TestDetectorConfig:
     def test_latency_formulas(self):
         assert HeartbeatDetector(period=1).worst_case_latency() == 0
         assert HeartbeatDetector(period=4).worst_case_latency() == 3
-        assert HeartbeatDetector(period=4).expected_latency() == 1.5
 
     def test_from_config(self):
         assert detector_from_config(None) is None

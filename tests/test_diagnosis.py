@@ -18,6 +18,7 @@ The load-bearing assertions mirror the layer's three promises:
   asserted here.
 """
 
+import heapq
 import importlib.util
 import json
 from pathlib import Path
@@ -52,6 +53,13 @@ from repro.telemetry import (
     rolling_mad_anomalies,
     split_by_type,
     verdict,
+)
+from repro.telemetry.attribution import (
+    BINCOUNT_LIMIT,
+    QUANTILE_FRACTIONS,
+    UNIVERSE_BITS,
+    EpochAttribution,
+    _hotspot_order,
 )
 
 DOMAIN = 1 << 12
@@ -175,6 +183,152 @@ class TestFlightRecorder:
         assert bare.event("cache.evict", node=1) is None
 
 
+# --------------------------------------------------------------------------- #
+# The oracle: the two dict folds the single fold replaced (the heap/sort
+# branch below VECTOR_DICT_FOLD_MIN touched nodes, the numpy branch at or
+# above it), kept verbatim; the helpers they share with the array fold are
+# inherited.
+# --------------------------------------------------------------------------- #
+VECTOR_DICT_FOLD_MIN = 4096
+
+
+class RetiredDictFolds(CostAttribution):
+    def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
+        positive = {node: bits for node, bits in deltas.items() if bits > 0}
+        dense = self._use_dense(len(positive))
+        if dense:
+            if self._cumulative_dict is None:
+                self._cumulative_dict = {}
+                if self.cumulative is None:
+                    self.cumulative = self._cumulative_dict
+            cumulative = self._cumulative_dict
+            for node, bits in positive.items():
+                cumulative[node] = cumulative.get(node, 0) + bits
+        if len(positive) >= VECTOR_DICT_FOLD_MIN:
+            # Large dict folds (the batched pipeline at scale): Python
+            # sorts/heaps over 10^5 items cost more than the epoch's own
+            # bookkeeping, so lift the stats into numpy.
+            self._append_dict_stats_vectorized(epoch, positive, dense)
+            return
+        hotspots = heapq.nsmallest(self.top_k, positive.items(), key=_hotspot_order)
+        digest = None
+        if dense:
+            quantiles = self._exact_quantiles(sorted(positive.values()))
+        else:
+            buckets: dict[int, int] = {}
+            for bits in positive.values():
+                bucket = 1 << (min(bits, (1 << UNIVERSE_BITS) - 1).bit_length() - 1)
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+            digest = self._digest_from_buckets(buckets)
+            quantiles = self._digest_quantiles(digest)
+        self.epochs.append(
+            EpochAttribution(
+                epoch=epoch,
+                node_bits=sum(positive.values()),
+                touched=len(positive),
+                hotspots=hotspots,
+                quantiles=quantiles,
+                mode="dense" if dense else "sketch",
+                digest=digest,
+            )
+        )
+
+    def _append_dict_stats_vectorized(
+        self, epoch: int, positive: dict[int, int], dense: bool
+    ) -> None:
+        """Numpy stats for a large dict fold (same results, no big sorts)."""
+        count = len(positive)
+        nodes = np.fromiter(positive.keys(), dtype=np.int64, count=count)
+        bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
+        dmax = int(bits.max())
+        digest = None
+        if dense and 0 < dmax <= BINCOUNT_LIMIT:
+            touched, node_bits, quantiles, cutoff, k = (
+                self._stats_from_bincount(bits, dmax)
+            )
+        else:
+            node_bits = int(bits.sum())
+            k = min(self.top_k, count)
+            indices = sorted(
+                {
+                    min(count - 1, int(fraction * count))
+                    for fraction in QUANTILE_FRACTIONS
+                }
+                | {count - k}
+            )
+            selected = np.partition(bits, indices)
+            cutoff = int(selected[count - k])
+            if dense:
+                quantiles = {
+                    f"p{int(fraction * 100)}": int(
+                        selected[min(count - 1, int(fraction * count))]
+                    )
+                    for fraction in QUANTILE_FRACTIONS
+                }
+                quantiles["max"] = dmax
+            else:
+                digest = self._digest_from_buckets(self._buckets_array(bits))
+                quantiles = self._digest_quantiles(digest)
+        chosen = np.nonzero(bits > cutoff)[0]
+        if chosen.size < k:
+            # The dict is in first-touched order; the lowest ids win.
+            ties = np.nonzero(bits == cutoff)[0]
+            wanted = k - chosen.size
+            if ties.size > wanted:
+                ties = ties[np.argpartition(nodes[ties], wanted - 1)[:wanted]]
+            chosen = np.concatenate([chosen, ties])
+        hotspots = sorted(
+            zip(nodes[chosen].tolist(), bits[chosen].tolist()), key=_hotspot_order
+        )
+        self.epochs.append(
+            EpochAttribution(
+                epoch=epoch,
+                node_bits=node_bits,
+                touched=count,
+                hotspots=hotspots,
+                quantiles=quantiles,
+                mode="dense" if dense else "sketch",
+                digest=digest,
+            )
+        )
+
+    @staticmethod
+    def _exact_quantiles(ordered) -> dict[str, int]:
+        """Quantiles of a sorted sequence / array of positive deltas."""
+        size = len(ordered)
+        if not size:
+            return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
+        quantiles = {
+            f"p{int(fraction * 100)}": int(
+                ordered[min(size - 1, int(fraction * size))]
+            )
+            for fraction in QUANTILE_FRACTIONS
+        }
+        quantiles["max"] = int(ordered[size - 1])
+        return quantiles
+
+
+def delta_grid(touched):
+    """Seeded per-node delta dicts of ``touched`` nodes, as a dict ledger
+    reports them: tie-heavy, wide
+    (above ``BINCOUNT_LIMIT``) and huge (above the sketch's 2**30 clamp)
+    values; ids ``0..~4n/3`` or sparse up to 10**9; inserted highest id
+    first or shuffled; one zero delta, which every fold skips.
+    """
+    rng = np.random.default_rng(touched)
+    for id_space in (touched + touched // 3 + 1, 10**9):
+        ids = rng.choice(id_space, touched + 1, replace=False)
+        for high in (4, 1 << 20, 1 << 40):
+            bits = rng.integers(1, high, touched, endpoint=True)
+            pairs = list(zip(ids[1:].tolist(), bits.tolist()))
+            for order in ("descending", "shuffled"):
+                if order == "descending":
+                    pairs.sort(reverse=True)
+                else:
+                    rng.shuffle(pairs)
+                yield id_space, {int(ids[0]): 0, **dict(pairs)}
+
+
 class TestCostAttribution:
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError):
@@ -222,93 +376,40 @@ class TestCostAttribution:
         # worth of per-node entries a dense fold would keep.
         assert sink.state_entries() == 2 + record.digest.size
 
-    def test_array_fold_matches_dict_fold(self):
-        """The whole-array fast path and the dict path agree exactly."""
-        from repro.network.accounting import ArrayLedger
+    @pytest.mark.parametrize("touched", [1, 3, 17, 4095, 4096, 10_000])
+    def test_one_fold_matches_the_retired_dict_folds(self, touched):
+        """The dict fold (and, on ids ``0..n-1``, the array fold of the same
+        column) reports what the retired heap/sort and numpy folds did."""
+        for id_space, deltas in delta_grid(touched):
+            for mode, dense_limit in (("dense", 0), ("sketch", 0), ("auto", 100)):
+                for top_k in (1, 8, 12_000):
+                    settings = dict(mode=mode, top_k=top_k, dense_limit=dense_limit)
+                    sink, oracle = CostAttribution(**settings), RetiredDictFolds(**settings)
+                    sink._fold_dict(0, deltas)
+                    oracle._fold_dict(0, deltas)
+                    assert sink.epochs[0].to_dict() == oracle.epochs[0].to_dict()
+                    assert sink.cumulative == oracle.cumulative
+                    if id_space > 10**8 or mode == "auto":
+                        continue
+                    column = np.zeros(id_space, dtype=np.int64)
+                    column[list(deltas)] = list(deltas.values())
+                    array = CostAttribution(**settings)
+                    array._fold_array(0, column)
+                    assert array.epochs[0].to_dict() == oracle.epochs[0].to_dict()
 
-        array_ledger = ArrayLedger(16)
-        dict_ledger = CommunicationLedger()
-        array_mark = array_ledger.mark()
-        dict_mark = dict_ledger.mark()
-        charges = [(1, 2, 64), (3, 2, 32), (5, 6, 8), (1, 0, 128)]
-        for sender, receiver, size in charges:
-            array_ledger.charge_array(
-                np.asarray([sender]), np.asarray([receiver]),
-                np.asarray([size]), protocol="stream:count",
-            )
-            dict_ledger.charge(sender, receiver, size, protocol="stream:count")
-        fast, slow = CostAttribution(top_k=3), CostAttribution(top_k=3)
-        fast.observe(0, array_ledger, array_mark)
-        slow._fold_dict(0, dict_ledger.node_deltas_since(dict_mark))
-        a, b = fast.epochs[0], slow.epochs[0]
-        assert a.mode == b.mode == "dense"
-        assert a.node_bits == b.node_bits == 2 * sum(c[2] for c in charges)
-        assert a.touched == b.touched
-        assert a.hotspots == b.hotspots
-        assert a.quantiles == b.quantiles
-
-    def test_large_dict_fold_vectorized_matches_python_path(self, monkeypatch):
-        from repro.telemetry import attribution as attribution_module
-
-        rng = np.random.default_rng(5)
-        nodes = rng.choice(50_000, 6_000, replace=False)
-        values = rng.permutation(6_000) + 1  # distinct, so no tie-breaking
-        deltas = {
-            int(node): int(bits) for node, bits in zip(nodes, values)
-        }
-        vectorized, plain = CostAttribution(), CostAttribution()
-        vectorized._fold_dict(0, deltas)
-        monkeypatch.setattr(
-            attribution_module, "VECTOR_DICT_FOLD_MIN", 10**9
-        )
-        plain._fold_dict(0, deltas)
-        a, b = vectorized.epochs[0], plain.epochs[0]
-        assert a.mode == b.mode == "dense"
-        assert a.node_bits == b.node_bits
-        assert a.touched == b.touched == 6_000
-        assert a.hotspots == b.hotspots
-        assert a.quantiles == b.quantiles
-
-    def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self, monkeypatch):
-        """More bits first, then the lowest node id — whichever fold ran and
+    def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self):
+        """More bits first, then the lowest node id — on either ledger and
         in whatever order the ledger happened to touch the nodes."""
-        from repro.telemetry import attribution as attribution_module
-
         # Node 7 stands out; forty nodes tie at 16 bits, highest id touched first.
         deltas = {7: 64, **{node: 16 for node in range(59, 19, -1)}}
-        plain = CostAttribution(top_k=4)
-        plain._fold_dict(0, deltas)
-        monkeypatch.setattr(attribution_module, "VECTOR_DICT_FOLD_MIN", 1)
-        vectorized = CostAttribution(top_k=4)
-        vectorized._fold_dict(0, deltas)
+        dict_sink = CostAttribution(top_k=4)
+        dict_sink._fold_dict(0, deltas)
         column = np.zeros(64, dtype=np.int64)
         column[list(deltas)] = list(deltas.values())
-        array = CostAttribution(top_k=4)
-        array._fold_array(0, column)
-        for sink in (plain, vectorized, array):
+        array_sink = CostAttribution(top_k=4)
+        array_sink._fold_array(0, column)
+        for sink in (dict_sink, array_sink):
             assert sink.epochs[0].hotspots == [(7, 64), (20, 16), (21, 16), (22, 16)]
-
-    def test_large_dict_fold_sketch_mode_matches_python_path(self, monkeypatch):
-        from repro.telemetry import attribution as attribution_module
-
-        rng = np.random.default_rng(6)
-        deltas = {
-            int(node): int(bits)
-            for node, bits in enumerate(rng.integers(1, 4096, 5_000))
-        }
-        vectorized = CostAttribution(mode="sketch")
-        plain = CostAttribution(mode="sketch")
-        vectorized._fold_dict(0, deltas)
-        monkeypatch.setattr(
-            attribution_module, "VECTOR_DICT_FOLD_MIN", 10**9
-        )
-        plain._fold_dict(0, deltas)
-        a, b = vectorized.epochs[0], plain.epochs[0]
-        assert a.mode == b.mode == "sketch"
-        assert a.node_bits == b.node_bits
-        assert a.touched == b.touched
-        assert a.quantiles == b.quantiles
-        assert vectorized.cumulative is None and plain.cumulative is None
 
     def test_auto_mode_switches_to_sketch_above_dense_limit(self):
         from repro.network.accounting import ArrayLedger

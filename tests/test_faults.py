@@ -499,7 +499,6 @@ class TestRunFaultyStream:
         for record in trace:
             assert record.total_bits == record.repair_bits + record.query_bits
         assert trace.total_bits == trace.total_repair_bits + trace.total_query_bits
-        assert trace.fault_epochs() == [1]
         assert trace.fault_epoch_bits == trace[1].total_bits
 
     def test_engines_must_share_a_network(self):
@@ -519,7 +518,8 @@ class TestRunFaultyStream:
         )
         faults = FaultEngine(network)
         trace = run_faulty_stream(engine, stream, faults, epochs=8)
-        assert trace.total_crashes > 0 and trace.total_rejoins > 0
+        assert any(record.crashes for record in trace)
+        assert any(record.rejoins for record in trace)
         # The network's alive population mirrors the stream's bookkeeping.
         assert network.num_alive == stream.online_count()
         for record in trace:

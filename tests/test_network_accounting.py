@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.exceptions import BudgetExceededError
-from repro.network.accounting import CommunicationLedger, NodeTraffic
+from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.network.accounting import ArrayLedger, CommunicationLedger, NodeTraffic
 
 
 class TestNodeTraffic:
@@ -72,6 +72,28 @@ class TestCharging:
         assert ledger.max_node_bits == 0
         assert ledger.total_bits == 0
         assert list(ledger.nodes()) == []
+
+
+class TestReads:
+    @pytest.mark.parametrize(
+        "make", [CommunicationLedger, lambda: ArrayLedger(8)], ids=["dict", "array"]
+    )
+    def test_reading_an_untouched_node_adds_no_entry(self, make):
+        ledger = make()
+        ledger.charge(0, 3, 10)
+        assert ledger.node_bits(2) == 0
+        assert ledger.traffic(7) == NodeTraffic()
+        assert list(ledger.nodes()) == [0, 3]
+        assert ledger.snapshot().per_node_bits == {0: 10, 3: 10}
+
+    @pytest.mark.parametrize("node", [-1, 8])
+    def test_array_reads_reject_ids_outside_the_population(self, node):
+        ledger = ArrayLedger(8)
+        ledger.charge(0, 7, 10)
+        with pytest.raises(ConfigurationError):
+            ledger.node_bits(node)
+        with pytest.raises(ConfigurationError):
+            ledger.traffic(node)
 
 
 class TestSnapshotResetMerge:

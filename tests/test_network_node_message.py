@@ -42,21 +42,6 @@ class TestSensorNode:
         with pytest.raises(ConfigurationError):
             SensorNode(node_id=0).single_item()
 
-    def test_count_matching(self):
-        node = SensorNode(node_id=0, items=[1, 5, 9, 5])
-        assert node.count_matching(lambda value: value == 5) == 2
-        assert node.count_matching(lambda value: value > 100) == 0
-
-    def test_local_extrema(self):
-        node = SensorNode(node_id=0, items=[4, 2, 8])
-        assert node.local_min() == 2
-        assert node.local_max() == 8
-
-    def test_local_extrema_empty(self):
-        node = SensorNode(node_id=0)
-        assert node.local_min() is None
-        assert node.local_max() is None
-
     def test_scratch_reset(self):
         node = SensorNode(node_id=0)
         node.scratch["x"] = 1
@@ -77,11 +62,3 @@ class TestMessage:
     def test_negative_size_rejected(self):
         with pytest.raises(Exception):
             Message(sender=1, receiver=2, payload=None, size_bits=-1)
-
-    def test_with_receiver_copies(self):
-        message = Message(sender=1, receiver=2, payload="p", size_bits=4, protocol="X")
-        redirected = message.with_receiver(3)
-        assert redirected.receiver == 3
-        assert redirected.sender == 1
-        assert redirected.protocol == "X"
-        assert message.receiver == 2

@@ -143,13 +143,7 @@ class TestEnergyModel:
         assert report.peak_node_nj == report.per_node_nj[1]
         assert report.total_nj == pytest.approx(sum(report.per_node_nj.values()))
 
-    def test_lifetime_proxy_inverse_of_peak(self):
-        ledger = CommunicationLedger()
-        ledger.charge(0, 1, 10)
-        report = EnergyModel().report(ledger)
-        assert report.network_lifetime_proxy == pytest.approx(1.0 / report.peak_node_nj)
-
     def test_empty_ledger_report(self):
         report = EnergyModel().report(CommunicationLedger())
         assert report.total_nj == 0.0
-        assert report.network_lifetime_proxy == float("inf")
+        assert report.peak_node_nj == 0.0

@@ -93,13 +93,6 @@ class TestSend:
         with pytest.raises(TopologyError):
             network.send(0, 2, "x", 8)
 
-    def test_send_up_and_down(self):
-        network = SensorNetwork.from_items([1, 2, 3], topology=line_topology(3))
-        assert network.send_up(0, "x", 8) is None  # root has no parent
-        assert network.send_up(1, "x", 8) is not None
-        downs = network.send_down(0, "y", 8)
-        assert len(downs) == len(network.tree.children[0])
-
     def test_lossy_radio_inflates_charges(self):
         reliable = SensorNetwork.from_items([1, 2], topology=line_topology(2))
         lossy = SensorNetwork.from_items(

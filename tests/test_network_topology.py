@@ -6,9 +6,7 @@ import pytest
 from repro.exceptions import TopologyError
 from repro.network.topology import (
     TOPOLOGY_BUILDERS,
-    balanced_tree_topology,
     build_topology,
-    erdos_renyi_topology,
     grid_topology,
     line_topology,
     random_geometric_topology,
@@ -89,24 +87,6 @@ class TestRandomTopologies:
     def test_random_tree_is_tree(self):
         graph = random_tree_topology(40, seed=5)
         assert nx.is_tree(graph)
-
-    def test_erdos_renyi_connected(self):
-        graph = erdos_renyi_topology(40, 0.15, seed=2)
-        assert nx.is_connected(graph)
-
-
-class TestBalancedTree:
-    def test_node_count(self):
-        graph = balanced_tree_topology(2, 3)
-        assert graph.number_of_nodes() == 15
-        assert nx.is_tree(graph)
-
-    def test_height_zero_is_single_node(self):
-        assert balanced_tree_topology(3, 0).number_of_nodes() == 1
-
-    def test_negative_height_rejected(self):
-        with pytest.raises(TopologyError):
-            balanced_tree_topology(2, -1)
 
 
 class TestBuildTopology:

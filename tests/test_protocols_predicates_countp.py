@@ -11,7 +11,6 @@ from repro.protocols.predicates import (
     AllItemsPredicate,
     LessThanPredicate,
     PowerThresholdPredicate,
-    RangePredicate,
 )
 
 
@@ -86,22 +85,6 @@ class TestPowerThresholdPredicate:
             PowerThresholdPredicate(exponent=-1)
 
 
-class TestRangePredicate:
-    def test_membership(self):
-        predicate = RangePredicate(low=10, high=20)
-        assert predicate(10)
-        assert predicate(19)
-        assert not predicate(20)
-        assert not predicate(9)
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(PredicateError):
-            RangePredicate(low=5, high=3)
-
-    def test_encoding(self):
-        assert RangePredicate(low=1, high=7, domain_max=63).encoded_bits() <= 2 + 12
-
-
 class TestCountPredicateProtocol:
     def test_counts_match_rank_function(self, small_network, small_items):
         for threshold in (0, 10, 42, 43, 1000):
@@ -112,11 +95,6 @@ class TestCountPredicateProtocol:
     def test_true_predicate_equals_count(self, small_network, small_items):
         protocol = CountPredicateProtocol(AllItemsPredicate())
         assert protocol.run(small_network).value == len(small_items)
-
-    def test_range_predicate_count(self, small_network, small_items):
-        protocol = CountPredicateProtocol(RangePredicate(low=10, high=60))
-        expected = sum(1 for item in small_items if 10 <= item < 60)
-        assert protocol.run(small_network).value == expected
 
     def test_counts_multiple_items_per_node(self):
         network = SensorNetwork.from_items([1, 2, 3], topology=line_topology(3))

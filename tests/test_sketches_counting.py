@@ -1,67 +1,11 @@
-"""Tests for the cardinality sketches (LogLog, HyperLogLog, FM, geometric max)."""
+"""Tests for the cardinality sketches (LogLog, HyperLogLog)."""
 
 import random
 
 import pytest
 
-from repro.sketches.flajolet_martin import FlajoletMartinSketch
-from repro.sketches.geometric import GeometricMaxEstimator, geometric_rank
 from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.loglog import LogLogSketch, loglog_relative_sigma
-
-
-class TestGeometricRank:
-    def test_minimum_is_one(self):
-        rng = random.Random(0)
-        assert all(geometric_rank(rng) >= 1 for _ in range(100))
-
-    def test_mean_is_about_two(self):
-        rng = random.Random(1)
-        samples = [geometric_rank(rng) for _ in range(20_000)]
-        assert 1.9 < sum(samples) / len(samples) < 2.1
-
-    def test_max_concentrates_near_log_n(self):
-        # The observation behind Fact 2.2: max of N geometric samples ≈ log2 N.
-        rng = random.Random(2)
-        n = 4096
-        maxima = [max(geometric_rank(rng) for _ in range(n)) for _ in range(20)]
-        mean_max = sum(maxima) / len(maxima)
-        assert 10 < mean_max < 16  # log2(4096) = 12
-
-
-class TestGeometricMaxEstimator:
-    def test_empty_estimate_is_zero(self):
-        assert GeometricMaxEstimator(num_registers=8).estimate() == 0.0
-
-    def test_estimates_sample_count_within_factor_two(self):
-        n = 2000
-        sketch = GeometricMaxEstimator(num_registers=64)
-        rng = random.Random(3)
-        for _ in range(n):
-            for register in range(sketch.num_registers):
-                sketch.observe(register, geometric_rank(rng))
-        assert n / 2 <= sketch.estimate() <= 2 * n
-
-    def test_merge_is_elementwise_max(self):
-        a = GeometricMaxEstimator(num_registers=4, registers=[1, 5, 2, 0])
-        b = GeometricMaxEstimator(num_registers=4, registers=[3, 1, 2, 7])
-        assert a.merge(b).registers == [3, 5, 2, 7]
-
-    def test_merge_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GeometricMaxEstimator(num_registers=4).merge(
-                GeometricMaxEstimator(num_registers=8)
-            )
-
-    def test_observe_bounds_checked(self):
-        sketch = GeometricMaxEstimator(num_registers=4)
-        with pytest.raises(IndexError):
-            sketch.observe(4, 1)
-
-    def test_from_local_samples_reproducible(self):
-        a = GeometricMaxEstimator.from_local_samples(16, seed=5)
-        b = GeometricMaxEstimator.from_local_samples(16, seed=5)
-        assert a.registers == b.registers
 
 
 @pytest.mark.parametrize("sketch_cls", [LogLogSketch, HyperLogLogSketch])
@@ -160,35 +104,3 @@ class TestLogLogSpecifics:
         relative = spread / true_count
         # Promise is ~1.3/sqrt(64) = 0.1625; allow a generous band.
         assert relative < 0.35
-
-
-class TestFlajoletMartin:
-    def test_estimate_within_factor_two(self):
-        sketch = FlajoletMartinSketch(num_bitmaps=64, salt=1)
-        true_count = 4000
-        for value in range(true_count):
-            sketch.add_item(value)
-        assert true_count / 2 <= sketch.estimate() <= 2 * true_count
-
-    def test_merge_is_bitwise_or(self):
-        a = FlajoletMartinSketch(num_bitmaps=16, salt=2)
-        b = FlajoletMartinSketch(num_bitmaps=16, salt=2)
-        for value in range(200):
-            a.add_item(value)
-        for value in range(100, 300):
-            b.add_item(value)
-        merged = a.merge(b)
-        for index in range(16):
-            assert merged.bitmaps[index] == a.bitmaps[index] | b.bitmaps[index]
-
-    def test_empty_estimate_zero(self):
-        assert FlajoletMartinSketch(num_bitmaps=16).estimate() == 0.0
-
-    def test_serialized_bits_are_log_sized_not_loglog(self):
-        fm = FlajoletMartinSketch(num_bitmaps=64, bitmap_width=32)
-        loglog = LogLogSketch(num_registers=64)
-        assert fm.serialized_bits() > 3 * loglog.serialized_bits(1 << 30)
-
-    def test_incompatible_merge_rejected(self):
-        with pytest.raises(ValueError):
-            FlajoletMartinSketch(num_bitmaps=16).merge(FlajoletMartinSketch(num_bitmaps=32))

@@ -380,14 +380,6 @@ class TestIncrementalSavings:
         record = engine.trace[0]
         assert sum(record.per_query_bits.values()) == record.bits
 
-    def test_answers_for_series(self):
-        engine = standard_engine(num_nodes=16)
-        stream = DriftStream(16, max_value=DOMAIN, seed=13)
-        trace = run_stream(engine, stream, epochs=5)
-        counts = trace.answers_for("count")
-        assert len(counts) == 5
-        assert all(count == 16 for count in counts)
-
 
 # --------------------------------------------------------------------------- #
 # Summary primitives

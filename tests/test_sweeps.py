@@ -65,7 +65,7 @@ class TestExpansion:
             axes={"workload": ("drift", "burst"), "seed": (0, 1, 2)},
         )
         cells = spec.expand()
-        assert len(cells) == spec.matrix_size == 6
+        assert len(cells) == 6
         assert [cell.index for cell in cells] == list(range(6))
         # Axes iterate in sorted-name order: seed is the outer loop.
         assert cells[0].cell_id == "seed=0,workload=drift"

@@ -199,7 +199,6 @@ class TestSpanTracer:
         assert epoch.exclusive_bits == 110
         assert epoch.children == 1
         assert epoch.messages == 3 and repair.messages == 1
-        assert tracer.open_spans == 0
 
     def test_out_of_order_close_rejected(self):
         tracer = SpanTracer()
@@ -235,8 +234,6 @@ class TestSpanTracer:
                     ledger.charge(1, 2, 8)
         assert [s.name for s in tracer.spans] == ["convergecast", "stream", "epoch"]
         assert len(tracer.spans_named("epoch")) == 1
-        children = tracer.children_of(epoch)
-        assert [s.name for s in children] == ["stream"]
         subtree = tracer.subtree_of(epoch)
         assert {s.name for s in subtree} == {"epoch", "stream", "convergecast"}
         assert sum(s.exclusive_bits for s in subtree) == epoch.bits == 8

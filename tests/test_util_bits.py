@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._util.bits import bit_width, encoded_int_bits, fixed_width_bits, varint_bits
+from repro._util.bits import bit_width, fixed_width_bits, varint_bits
 from repro.exceptions import ConfigurationError
 
 
@@ -63,15 +63,3 @@ class TestVarint:
         raw_value = 1 << 20
         log_value = 20
         assert varint_bits(log_value) < varint_bits(raw_value) / 3
-
-
-class TestEncodedIntBits:
-    def test_uses_fixed_width_when_domain_known(self):
-        assert encoded_int_bits(5, max_value=1023) == 10
-
-    def test_uses_varint_when_domain_unknown(self):
-        assert encoded_int_bits(5) == varint_bits(5)
-
-    def test_rejects_value_above_domain(self):
-        with pytest.raises(ValueError):
-            encoded_int_bits(2048, max_value=1023)

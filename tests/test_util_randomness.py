@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from repro._util.randomness import choose_without_replacement, make_rng, spawn_rngs
+from repro._util.randomness import make_rng
 
 
 class TestMakeRng:
@@ -21,35 +19,3 @@ class TestMakeRng:
     def test_none_seed_is_allowed(self):
         value = make_rng(None).random()
         assert 0.0 <= value < 1.0
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_reproducible(self):
-        first = [generator.random() for generator in spawn_rngs(42, 4)]
-        second = [generator.random() for generator in spawn_rngs(42, 4)]
-        assert first == second
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(42, 3)
-        values = [generator.random() for generator in children]
-        assert len(set(values)) == 3
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestChooseWithoutReplacement:
-    def test_returns_distinct_elements(self):
-        sample = choose_without_replacement(random.Random(0), list(range(20)), 10)
-        assert len(sample) == len(set(sample)) == 10
-
-    def test_rejects_oversized_sample(self):
-        with pytest.raises(ValueError):
-            choose_without_replacement(random.Random(0), [1, 2], 3)
