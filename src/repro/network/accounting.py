@@ -11,15 +11,19 @@ Two charging paths exist and are bit-for-bit equivalent:
 
 * :meth:`CommunicationLedger.charge` — one transmission at a time, used by
   the per-edge execution path (``SensorNetwork.send``);
-* :meth:`CommunicationLedger.charge_batch` — a whole batch of transmissions
-  in one call, used by the batched execution path.  One batch entry with
-  ``copies`` repetitions is accounted exactly like ``copies`` individual
-  :meth:`charge` calls.
+* :meth:`CommunicationLedger.charge_batch` / :meth:`~CommunicationLedger.charge_array`
+  — a whole batch of transmissions in one call, as a tuple list or as
+  parallel arrays, used by ``SensorNetwork.send_batch``.  One batch entry
+  with ``copies`` repetitions is accounted exactly like ``copies``
+  individual :meth:`charge` calls.
 
-For measuring a single protocol invocation, :meth:`mark` returns a
-lightweight :class:`LedgerMark` that records per-node baselines lazily — only
-for nodes the protocol actually touches — so computing the invocation's
-per-node delta is O(touched nodes), not O(network size).  (A full
+:class:`ArrayLedger`, the dense ledger every execution mode but the
+per-edge specification meters on (ids ``0..n-1``), keeps the per-node
+counters as numpy columns.  For measuring a single protocol invocation,
+:meth:`mark` returns a mark: on the dict ledger a :class:`LedgerMark` that
+records per-node baselines lazily — only for nodes the protocol actually
+touches, O(touched nodes) — and on the array ledger an
+:class:`ArrayLedgerMark`, one O(n) snapshot of the totals column.  (A full
 :meth:`snapshot` still copies the per-node table and remains available for
 callers that need the absolute state.)
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -458,6 +462,17 @@ def _as_int_list(values) -> list[int]:
     return [int(value) for value in values]
 
 
+#: Tuple batches up to this many links stay Python end to end: the ordered
+#: check in ``SensorNetwork.send_batch``, and a buffer in
+#: :meth:`ArrayLedger.charge_batch` that reaches the columns on the next
+#: read.  A whole-array call costs tens of microseconds however few links it
+#: carries, and most batches of a lossy epoch convergecast carry a handful.
+SMALL_BATCH = 16
+
+#: Buffered small-batch charges an :class:`ArrayLedger` holds before it
+#: applies them unread, so the buffer's memory stays bounded.
+_PENDING_LIMIT = 4096
+
 #: Links converted per slice by :meth:`ArrayLedger.charge_batch`.  An
 #: election flood hands over several hundred thousand links as one tuple
 #: list; whole-batch arrays beside it would set the process's peak memory.
@@ -514,7 +529,7 @@ class ArrayLedger(CommunicationLedger):
     out).  An id outside ``0..n-1`` raises
     :class:`~repro.exceptions.ConfigurationError` before anything is
     charged.  :class:`~repro.network.SensorNetwork` picks this class by
-    default for the ``"vectorized"`` / ``"sharded"`` execution modes.
+    default on ids ``0..n-1`` in every execution mode but ``"per-edge"``.
 
     Per-node budgets are *not* supported: budget enforcement must interleave
     the budget check with every individual transmission, which is exactly
@@ -542,6 +557,9 @@ class ArrayLedger(CommunicationLedger):
         # allocates anew), so marks may safely hold a reference as baseline.
         self._totals_cache = None
         self._totals_dirty = True
+        # ``(sender, receiver, bits, messages)`` of small batches not yet
+        # added to the columns; every column read applies them first.
+        self._pending: list[tuple[int, int, int, int]] = []
         # Transient workspace for max_node_delta_since: allocated lazily
         # (only instrumented runs ask), reused across calls so the span
         # layer's per-close max costs three array passes and no allocation.
@@ -556,6 +574,7 @@ class ArrayLedger(CommunicationLedger):
 
     def _node_totals(self):
         if self._totals_dirty:
+            self._apply_pending()
             self._totals_cache = self._bits_sent + self._bits_received
             self._totals_dirty = False
         return self._totals_cache
@@ -605,6 +624,9 @@ class ArrayLedger(CommunicationLedger):
             return
         if min(sizes) < 0:
             require_non_negative(min(sizes), "size_bits")
+        if len(links) <= SMALL_BATCH:
+            self._charge_scalars(links, sizes, copies, protocol)
+            return
         if len(links) > _BATCH_CHUNK:
             # Every id is checked before the first slice is charged.
             for _, pairs in _link_chunks(links):
@@ -620,6 +642,47 @@ class ArrayLedger(CommunicationLedger):
                 else np.asarray(copies[start:stop], dtype=np.int64),
                 protocol,
             )
+
+    def _charge_scalars(self, links, sizes, copies, protocol: str) -> None:
+        """:meth:`charge_batch` for a few links: the checks and scalar totals
+        of :meth:`_charge_columns` now, the per-node columns on the next
+        read (adds commute, so the order they land in moves no bit)."""
+        n = self._num_nodes
+        for column in ([link[0] for link in links], [link[1] for link in links]):
+            low, high = min(column), max(column)
+            if low < 0 or high >= n:
+                raise ConfigurationError(
+                    f"node ids must lie in 0..{n - 1}; got {low}..{high}"
+                )
+        pending = self._pending
+        total = messages = 0
+        for (sender, receiver), size_bits, count in zip(
+            links, sizes, repeat(1) if copies is None else copies
+        ):
+            if count > 0:
+                bits = size_bits * count
+                pending.append((sender, receiver, bits, count))
+                total += bits
+                messages += count
+        if messages:
+            self._totals_dirty = True
+            self._per_protocol_bits[protocol] += total
+            self._messages += messages
+            self._total_bits += total
+            if len(pending) >= _PENDING_LIMIT:
+                self._apply_pending()
+
+    def _apply_pending(self) -> None:
+        """Add the buffered small-batch charges to the per-node columns."""
+        if self._pending:
+            senders, receivers, bits, counts = np.array(
+                self._pending, dtype=np.int64
+            ).T
+            self._pending.clear()
+            np.add.at(self._bits_sent, senders, bits)
+            np.add.at(self._bits_received, receivers, bits)
+            np.add.at(self._msgs_sent, senders, counts)
+            np.add.at(self._msgs_received, receivers, counts)
 
     def charge_array(
         self,
@@ -735,6 +798,7 @@ class ArrayLedger(CommunicationLedger):
         """A *copy* of ``node``'s counters (the base class returns the live
         record; array columns have no per-node object to hand out)."""
         self._require_node(node)
+        self._apply_pending()
         return NodeTraffic(
             bits_sent=int(self._bits_sent[node]),
             bits_received=int(self._bits_received[node]),
@@ -744,9 +808,11 @@ class ArrayLedger(CommunicationLedger):
 
     def node_bits(self, node: int) -> int:
         self._require_node(node)
+        self._apply_pending()
         return int(self._bits_sent[node] + self._bits_received[node])
 
     def _touched_mask(self):
+        self._apply_pending()
         return (self._msgs_sent + self._msgs_received) > 0
 
     @property
@@ -775,6 +841,7 @@ class ArrayLedger(CommunicationLedger):
 
     def reset(self) -> None:
         self._totals_dirty = True
+        self._pending.clear()
         self._bits_sent[:] = 0
         self._bits_received[:] = 0
         self._msgs_sent[:] = 0
@@ -799,6 +866,7 @@ class ArrayLedger(CommunicationLedger):
                     f"a {self._num_nodes}-node one"
                 )
             span = other._num_nodes
+            other._apply_pending()
             self._bits_sent[:span] += other._bits_sent
             self._bits_received[:span] += other._bits_received
             self._msgs_sent[:span] += other._msgs_sent

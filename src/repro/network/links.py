@@ -74,6 +74,7 @@ class LinkTable:
                 self._row = {node: row for row, node in enumerate(ids)}
         self._dropped: set[tuple[int, int]] = set()
         self._neighbors: dict[int, list[int]] = {}
+        self._slot_keys = None
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "LinkTable":
@@ -156,11 +157,32 @@ class LinkTable:
         index = bisect_left(row, v)
         return index < len(row) and row[index] == v
 
+    def has_rows(self, u, v):
+        """:meth:`has` over row arrays: whether each ``(u[i], v[i])`` is an
+        alive link (rows must lie in ``0..num_nodes-1``).
+
+        The slots are sorted by ``(tail, head)``, so their ``tail * n +
+        head`` keys ascend and one ``searchsorted`` finds every pair.
+        """
+        keys = self._slot_keys
+        if keys is None:
+            # The table never changes shape, so the keys are built once.
+            keys = self._slot_keys = self._tails() * self.num_nodes + self.indices
+        wanted = np.asarray(u, dtype=np.int64) * self.num_nodes + np.asarray(
+            v, dtype=np.int64
+        )
+        if not keys.size:
+            return np.zeros(wanted.shape, dtype=bool)
+        slots = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return (keys[slots] == wanted) & self.alive[slots]
+
+    def _tails(self):
+        """The row of every slot."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
+
     def edge_rows(self):
         """Alive links as ``(low, high)`` row arrays, ascending ``(low, high)``."""
-        tails = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr)
-        )
+        tails = self._tails()
         keep = tails < self.indices
         if self._dropped:
             keep &= self.alive

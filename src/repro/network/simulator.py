@@ -26,6 +26,7 @@ spanning tree spanning the alive, root-connected population.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -40,6 +41,7 @@ from repro.exceptions import (
     TopologyError,
 )
 from repro.network.accounting import (
+    SMALL_BATCH,
     ArrayLedger,
     CommunicationLedger,
     LedgerSnapshot,
@@ -66,9 +68,11 @@ from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_record
 #: (:class:`repro.streaming.vector_engine.VectorStreamEngine`) — single
 #: process or subtree-sharded multiprocessing respectively; generic one-shot
 #: protocols treat both exactly like ``"batched"``, so every mode stays
-#: bit-for-bit ledger-identical.  A network constructed in one of the two
-#: array modes without an explicit ``ledger=`` meters on the dense
-#: :class:`~repro.network.ArrayLedger` (ids ``0..n-1``).
+#: bit-for-bit ledger-identical.  A network with ids ``0..n-1`` constructed
+#: without an explicit ``ledger=`` meters on the dense
+#: :class:`~repro.network.ArrayLedger` in every mode but ``"per-edge"``, the
+#: specification, which keeps :class:`~repro.network.CommunicationLedger`
+#: (as do sparse ids).
 EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
 
 
@@ -110,10 +114,12 @@ class SensorNetwork:
         #: not ``0..n-1``.
         self.alive_mask = np.ones(num_nodes, dtype=bool) if dense_ids else None
         if ledger is None:
-            # The array modes charge link arrays, which only the dense
-            # ledger takes without a per-link loop; the list modes send many
-            # small tuple batches, where the dict ledger is the faster one.
-            if dense_ids and execution in ("vectorized", "sharded"):
+            # Every array path meters on the dense ledger, whose marks cost
+            # one array pass instead of a baseline per touched endpoint.  The
+            # per-edge specification keeps the dict ledger, so every default
+            # path held to it is also held to the other ledger class; sparse
+            # ids have no rows to index.
+            if dense_ids and execution != "per-edge":
                 ledger = ArrayLedger(num_nodes)
             else:
                 ledger = CommunicationLedger()
@@ -538,17 +544,24 @@ class SensorNetwork:
         The batched counterpart of :meth:`send`: the whole batch is filtered
         through the radio model *in link order* (a seeded lossy radio
         consumes randomness exactly as per-link sends would) and charged to
-        the ledger in one :meth:`CommunicationLedger.charge_batch` call, so
-        the resulting ledger is bit-for-bit identical to the per-edge path.
-        Payload objects are not simulated here — batched callers hand
-        payloads to receivers themselves — so the return value is the
-        ``copies_delivered`` count per link.
+        the ledger in one call, so the resulting ledger is bit-for-bit
+        identical to the per-edge path.  Payload objects are not simulated
+        here — batched callers hand payloads to receivers themselves — so
+        the return value is the ``copies_delivered`` count per link.
 
         ``links`` may also be a ``(k, 2)`` int64 array with ``sizes`` an
         int64 array (what the vectorized paths already hold); the copies
-        then come back as an int64 array.  Same checks, same charges: on
-        perfect links the arrays are validated and charged whole, any other
-        configuration is converted once and takes the ordered code above.
+        then come back as an int64 array.  Same checks, same charges.  On
+        ids ``0..n-1`` a tuple list of more than
+        :data:`~repro.network.accounting.SMALL_BATCH` links becomes one such
+        array, and one array pass checks every link (known, alive, and a
+        link when ``require_edge``); only a failing batch walks the links in
+        order, to raise :meth:`send`'s error at the first bad one before
+        anything is drawn or charged.  The checked arrays go to an
+        :class:`~repro.network.ArrayLedger` whole, after the radio's ordered
+        draws on imperfect links.  A smaller tuple batch, sparse ids and a
+        budgeted ledger take the ordered per-link check; a budget also
+        charges link by link, so its raise point is the per-edge one.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -572,72 +585,53 @@ class SensorNetwork:
                 "net.bits", ledger.total_bits - bits_before, protocol=protocol
             )
 
-    def _send_batch_impl(
-        self,
-        links: Sequence[tuple[int, int]],
-        sizes: Sequence[int],
-        protocol: str,
-        require_edge: bool,
-    ) -> list[int]:
+    def _send_batch_impl(self, links, sizes, protocol: str, require_edge: bool):
         if len(links) != len(sizes):
             raise ConfigurationError(
                 f"send_batch got {len(links)} links but {len(sizes)} sizes"
             )
-        if isinstance(links, np.ndarray):
-            return self._send_link_array(links, sizes, protocol, require_edge)
-        nodes = self._nodes
-        dead = self._dead
-        if require_edge:
-            has_edge = self._links.has
-            for sender, receiver in links:
-                if sender not in nodes or receiver not in nodes:
-                    raise ConfigurationError(
-                        f"send between unknown nodes {sender} -> {receiver}"
-                    )
-                if sender in dead or receiver in dead:
-                    raise DeadNodeError(
-                        f"send between dead nodes {sender} -> {receiver}; "
-                        "repair the tree before running protocols"
-                    )
-                if not has_edge(sender, receiver):
-                    raise TopologyError(
-                        f"nodes {sender} and {receiver} are not neighbours; "
-                        "multi-hop delivery must be routed explicitly"
-                    )
+        as_array = isinstance(links, np.ndarray)
+        budgeted = self.ledger.per_node_budget_bits is not None
+        perfect = type(self.radio) is ReliableRadio
+        # Dense ids: the whole batch becomes one (k, 2) array, checked in one
+        # pass; a few tuples are cheaper to check in order than any array
+        # call.  ``tuples`` is the id-level list the ordered code reads; an
+        # array input builds it, with Python-int sizes, only when that code
+        # runs.
+        tuples = None if as_array else links
+        if self.alive_mask is None or (tuples is not None and len(links) <= SMALL_BATCH):
+            pairs = None
         else:
-            # Endpoints are validated even when the edge check is waived
-            # (matching :meth:`send`) so a bogus id fails fast instead of
-            # becoming a phantom ledger entry.
-            for sender, receiver in links:
-                if sender not in nodes or receiver not in nodes:
-                    raise ConfigurationError(
-                        f"send between unknown nodes {sender} -> {receiver}"
-                    )
-                if sender in dead or receiver in dead:
-                    raise DeadNodeError(
-                        f"send between dead nodes {sender} -> {receiver}; "
-                        "repair the tree before running protocols"
-                    )
-        if self.ledger.per_node_budget_bits is not None:
+            pairs = links if as_array else _pair_array(links)
+        if tuples is None and (pairs is None or budgeted or not perfect):
+            tuples, sizes = _as_tuples(links), np.asarray(sizes).tolist()
+        if pairs is None or not self._links_pass(pairs, require_edge):
+            # The ordered loop owns the errors: it raises at the first bad
+            # link, before any radio draw or charge.  It also checks sparse
+            # ids, which have no array pass.
+            self._check_links(
+                _as_tuples(links) if tuples is None else tuples, require_edge
+            )
+        if budgeted:
             # Budget enforcement must interleave radio draws and charges
             # per link, so both the BudgetExceededError raise point and the
             # radio RNG state at that point match the per-edge path exactly.
             transmit = self.radio.transmit
             charge = self.ledger.charge
             copies_delivered: list[int] = []
-            for (sender, receiver), size in zip(links, sizes):
+            for (sender, receiver), size in zip(tuples, sizes):
                 outcome = transmit(sender, receiver)
                 copies = outcome.copies_delivered
                 for _ in range(max(outcome.attempts, copies)):
                     charge(sender, receiver, size, protocol=protocol)
                 copies_delivered.append(copies)
-            return copies_delivered
-        if type(self.radio) is ReliableRadio:
+            return _copies_as(copies_delivered, as_array)
+        if perfect:
             # Perfect links need no radio pass at all: one attempt, one copy.
-            self.ledger.charge_batch(links, sizes, None, protocol=protocol)
-            return [1] * len(links)
+            self._charge_links(tuples, pairs, sizes, None, protocol)
+            return np.ones(len(links), dtype=np.int64) if as_array else [1] * len(links)
         try:
-            outcomes = self.radio.filter_batch(links)
+            outcomes = self.radio.filter_batch(tuples)
         except DeliveryError as error:
             # Ledger equivalence on the failure path too: the per-edge loop
             # charges every link delivered before the failing one (and not
@@ -647,47 +641,70 @@ class SensorNetwork:
             if delivered:
                 prefix = len(delivered)
                 self._charge_outcomes(
-                    links[:prefix], sizes[:prefix], delivered, protocol
+                    tuples[:prefix],
+                    None if pairs is None else pairs[:prefix],
+                    sizes[:prefix],
+                    delivered,
+                    protocol,
                 )
             raise
-        return self._charge_outcomes(links, sizes, outcomes, protocol)
-
-    def _send_link_array(self, links, sizes, protocol: str, require_edge: bool):
-        """:meth:`send_batch` for a ``(k, 2)`` link array; copies as an array."""
-        alive = self.alive_mask
-        if (
-            not require_edge
-            and alive is not None
-            and type(self.radio) is ReliableRadio
-            and self.ledger.per_node_budget_bits is None
-            and (
-                links.size == 0
-                or (
-                    links.min() >= 0
-                    and links.max() < alive.size
-                    and alive[links].all()
-                )
-            )
-        ):
-            # Perfect links, every endpoint known and alive: nothing depends
-            # on link order, so the arrays go to the ledger whole.
-            self.ledger.charge_array(
-                links[:, 0], links[:, 1], sizes, protocol=protocol
-            )
-            return np.ones(len(links), dtype=np.int64)
-        # Radio draws, budget raise points, edge checks and the error a bad
-        # endpoint raises all follow link order: the list code owns them.
-        copies = self._send_batch_impl(
-            list(zip(links[:, 0].tolist(), links[:, 1].tolist())),
-            np.asarray(sizes).tolist(),
-            protocol,
-            require_edge,
+        return _copies_as(
+            self._charge_outcomes(tuples, pairs, sizes, outcomes, protocol), as_array
         )
-        return np.asarray(copies, dtype=np.int64)
+
+    def _links_pass(self, pairs, require_edge: bool) -> bool:
+        """Whether every link of a ``(k, 2)`` array is between known, alive
+        nodes and, when ``require_edge`` is set, an alive link."""
+        if not pairs.size:
+            return True
+        alive = self.alive_mask
+        if pairs.min() < 0 or pairs.max() >= alive.size:
+            return False
+        if self._dead and not alive[pairs].all():
+            return False
+        return not require_edge or bool(
+            self._links.has_rows(pairs[:, 0], pairs[:, 1]).all()
+        )
+
+    def _check_links(self, links: Sequence[tuple[int, int]], require_edge: bool) -> None:
+        """Raise the error :meth:`send` raises at the first bad link."""
+        nodes = self._nodes
+        dead = self._dead
+        has_edge = self._links.has
+        for sender, receiver in links:
+            # Endpoints are validated even when the edge check is waived
+            # (matching :meth:`send`) so a bogus id fails fast instead of
+            # becoming a phantom ledger entry.
+            if sender not in nodes or receiver not in nodes:
+                raise ConfigurationError(
+                    f"send between unknown nodes {sender} -> {receiver}"
+                )
+            if sender in dead or receiver in dead:
+                raise DeadNodeError(
+                    f"send between dead nodes {sender} -> {receiver}; "
+                    "repair the tree before running protocols"
+                )
+            if require_edge and not has_edge(sender, receiver):
+                raise TopologyError(
+                    f"nodes {sender} and {receiver} are not neighbours; "
+                    "multi-hop delivery must be routed explicitly"
+                )
+
+    def _charge_links(self, tuples, pairs, sizes, copies, protocol: str) -> None:
+        """Charge checked links: the pair array whole on the array ledger (and
+        when no tuple list was built), the tuple list otherwise."""
+        ledger = self.ledger
+        if pairs is not None and (tuples is None or isinstance(ledger, ArrayLedger)):
+            ledger.charge_array(
+                pairs[:, 0], pairs[:, 1], sizes, protocol=protocol, copies=copies
+            )
+        else:
+            ledger.charge_batch(tuples, sizes, copies, protocol=protocol)
 
     def _charge_outcomes(
         self,
-        links: Sequence[tuple[int, int]],
+        tuples: Sequence[tuple[int, int]],
+        pairs,
         sizes: Sequence[int],
         outcomes: Sequence[DeliveryOutcome],
         protocol: str,
@@ -707,8 +724,8 @@ class SensorNetwork:
                 copies = outcome.copies_delivered
                 append_charged(max(outcome.attempts, copies))
                 append_copies(copies)
-        self.ledger.charge_batch(
-            links, sizes, None if all_once else charged, protocol=protocol
+        self._charge_links(
+            tuples, pairs, sizes, None if all_once else charged, protocol
         )
         return copies_delivered
 
@@ -731,3 +748,25 @@ class SensorNetwork:
             f"SensorNetwork(nodes={self.num_nodes}, root={self.root_id}, "
             f"items={self.total_items()}, tree_height={self._flat_tree.height})"
         )
+
+
+def _pair_array(links: Sequence[tuple[int, int]]):
+    """A tuple batch as one ``(k, 2)`` int64 array, or ``None`` when some id
+    cannot convert (the ordered check then names it).  Ids are ints: like
+    any numpy conversion this casts, so a float id ``3.5`` reads as ``3``."""
+    try:
+        return np.fromiter(
+            chain.from_iterable(links), dtype=np.int64, count=2 * len(links)
+        ).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _as_tuples(pairs) -> list[tuple[int, int]]:
+    """A ``(k, 2)`` link array as the id-level tuple list of Python ints."""
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+def _copies_as(copies: list[int], as_array: bool):
+    """Copies per link in the shape the caller sent: a list or an int64 array."""
+    return np.asarray(copies, dtype=np.int64) if as_array else copies

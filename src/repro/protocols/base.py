@@ -47,12 +47,15 @@ class ProtocolResult:
 class MeteredRun:
     """Context manager measuring the ledger delta of one protocol invocation.
 
-    Built on :meth:`CommunicationLedger.mark`, which records per-node
-    baselines lazily for the nodes the protocol actually touches — entering,
-    exiting and :meth:`result` are therefore O(touched nodes), not
-    O(network size).  Metered runs nest: an outer protocol that invokes
-    sub-protocols (each with its own :class:`MeteredRun`) still measures its
-    full interval.
+    Built on the ledger's :meth:`~CommunicationLedger.mark`.  On the
+    :class:`~repro.network.ArrayLedger` every array path meters on, entering
+    snapshots the per-node totals and :meth:`result` subtracts them — one
+    O(n) array pass each; the dict ledger (per-edge, sparse ids, budgets)
+    records baselines lazily for the nodes the protocol touches, O(touched
+    nodes).  Metered runs nest: an outer protocol that invokes sub-protocols
+    (each with its own :class:`MeteredRun`) still measures its full
+    interval, and a :meth:`~SensorNetwork.reset_ledger` inside one rebases
+    it to the reset.
     """
 
     def __init__(self, network: SensorNetwork) -> None:

@@ -5,7 +5,7 @@ election, the repair pass, the streaming sweep — and records what that
 phase cost in every currency the repository measures: wall-clock seconds
 (``perf_counter``), communication bits / messages / rounds (the delta of
 the bound :class:`~repro.network.CommunicationLedger`, metered with the
-existing O(touched-nodes) :class:`~repro.network.LedgerMark` machinery),
+ledger marks :class:`~repro.protocols.base.MeteredRun` uses),
 and the largest single-node bit delta inside the phase.
 
 Spans nest: the per-epoch driver opens an ``epoch`` span, the fault

@@ -1,10 +1,13 @@
 """Differential tests for the array-native charged send.
 
-``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array and, on perfect
-links with known, alive endpoints, charges it whole; everything else runs
-the ordered tuple-list code.  Each test here drives twin networks — one fed
-arrays, one fed tuple lists — and holds them to the same copies,
-exceptions, ledgers, mark deltas, radio RNG state and telemetry.  Whole runs
+``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array or a tuple list.
+On ids ``0..n-1`` one array pass checks the whole batch and the arrays are
+charged whole (after the radio's ordered draws on imperfect links); a bad
+batch, a tuple batch of at most ``SMALL_BATCH`` links, a budget or sparse
+ids run the ordered tuple-list code.  Each test
+here drives twin networks — one fed arrays, one fed tuple lists — and holds
+them to the same copies, exceptions, ledgers, mark deltas, radio RNG state
+and telemetry; a bad link raises the ordered loop's error.  Whole runs
 on the dense default ledger against the dict ledger are
 ``tests/test_oracle.py``'s.
 """
@@ -31,6 +34,7 @@ from repro.network import (
     ReliableRadio,
     SensorNetwork,
 )
+from repro.network.accounting import SMALL_BATCH
 from repro.network.topology import random_geometric_topology
 from repro.telemetry import SpanTracer
 
@@ -273,7 +277,7 @@ def test_default_ledger_follows_execution_and_yields_to_ledger_argument():
         for mode in ("batched", "per-edge", "vectorized", "sharded")
     }
     assert kinds == {
-        "batched": CommunicationLedger,
+        "batched": ArrayLedger,
         "per-edge": CommunicationLedger,
         "vectorized": ArrayLedger,
         "sharded": ArrayLedger,
@@ -284,6 +288,78 @@ def test_default_ledger_follows_execution_and_yields_to_ledger_argument():
     network = SensorNetwork(sparse, root=1, execution="vectorized")
     assert type(network.ledger) is CommunicationLedger
     assert network.alive_mask is None
+
+
+# ---------------------------------------------------------------------- #
+# One array pass: the ordered loop's error, nothing drawn or charged
+# ---------------------------------------------------------------------- #
+def _ordered_error(network, links, require_edge):
+    """The ordered per-link check the array pass stands in for, kept here as
+    its oracle: ``(class, message)`` of the first bad link, else ``None``."""
+    nodes = set(network.node_ids())
+    for sender, receiver in links:
+        if sender not in nodes or receiver not in nodes:
+            return ConfigurationError, (
+                f"send between unknown nodes {sender} -> {receiver}"
+            )
+        if not network.is_alive(sender) or not network.is_alive(receiver):
+            return DeadNodeError, (
+                f"send between dead nodes {sender} -> {receiver}; "
+                "repair the tree before running protocols"
+            )
+        if require_edge and not network.links.has(sender, receiver):
+            return TopologyError, (
+                f"nodes {sender} and {receiver} are not neighbours; "
+                "multi-hop delivery must be routed explicitly"
+            )
+    return None
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("require_edge", [True, False])
+@pytest.mark.parametrize("fault", ["negative", "unknown", "dead", "non-link"])
+@pytest.mark.parametrize("position", [0, 0.5, 1])
+@pytest.mark.parametrize("k", [SMALL_BATCH // 2, 2 * SMALL_BATCH])
+def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
+    as_array, require_edge, fault, position, k
+):
+    """Small tuple batches take the ordered check, larger ones and arrays
+    the array pass: both report the first bad link as the loop does."""
+    n, dead = 40, 13
+    network = SensorNetwork(
+        random_geometric_topology(n, seed=2),
+        radio=LossyRadio(0.3, seed=4),
+        degree_bound=None,
+    )
+    assert type(network.ledger) is ArrayLedger
+    network.kill_node(dead)
+    links = [edge for edge in sorted(network.graph.edges()) if dead not in edge][:k]
+    network.send_batch([links[2]], [5], protocol="warm", require_edge=False)
+    position = int(position * (k - 1))
+    sender = links[position][0]
+    far = next(
+        node
+        for node in range(n)
+        if node not in (sender, dead) and not network.links.has(sender, node)
+    )
+    links[position] = {
+        "negative": (sender, -1),
+        "unknown": (n + 7, sender),
+        "dead": (sender, dead),
+        "non-link": (sender, far),
+    }[fault]
+    links.append((0, n))  # a later bad link must not be the one reported
+    sizes = list(range(1, len(links) + 1))
+    before = (network.ledger.snapshot(), network.radio._rng.getstate())
+    expected = _ordered_error(network, links, require_edge)
+    if as_array:
+        links, sizes = np.asarray(links), np.asarray(sizes)
+    with pytest.raises(expected[0]) as raised:
+        network.send_batch(links, sizes, protocol="test", require_edge=require_edge)
+    assert str(raised.value) == expected[1]
+    assert (network.ledger.snapshot(), network.radio._rng.getstate()) == before
+    if fault == "non-link" and not require_edge:
+        assert expected[1].startswith(f"send between unknown nodes 0 -> {n}")
 
 
 # ---------------------------------------------------------------------- #

@@ -34,7 +34,11 @@ from repro.faults import (
 )
 from repro.network import LinkTable, LossyRadio, SensorNetwork
 from repro.network.spanning_tree import bfs_tree, spanning_parents
-from repro.network.topology import build_links, random_geometric_links
+from repro.network.topology import (
+    TOPOLOGY_BUILDERS,
+    build_links,
+    random_geometric_links,
+)
 from repro.streaming import CountQuery, engine_for
 from repro.workloads import DriftStream
 from repro.workloads.faults import link_storm_script, storm_under_churn_script
@@ -91,6 +95,34 @@ def test_every_generator_emits_sorted_rows_and_edges(name):
     pairs = list(zip(low.tolist(), high.tolist()))
     assert pairs == sorted(pairs) and all(u < v for u, v in pairs)
     assert links.num_edges == len(pairs) == links.to_networkx().number_of_edges()
+
+
+def _has_rows_is_has(links: LinkTable) -> None:
+    """``has_rows`` over every ordered pair equals ``has`` pair by pair."""
+    n = links.num_nodes
+    u, v = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
+    expected = [links.has(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert links.has_rows(u, v).tolist() == expected
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
+def test_has_rows_is_has_after_drops_and_restores(name):
+    links = build_links(name, 24, seed=4)
+    _has_rows_is_has(links)
+    low, high = links.edges()
+    dropped = list(zip(low.tolist(), high.tolist()))[::3]
+    for u, v in dropped:
+        links.drop(u, v)
+    _has_rows_is_has(links)
+    for u, v in dropped[::2]:
+        links.restore(u, v)
+    _has_rows_is_has(links)
+
+
+def test_has_rows_on_one_node():
+    links = build_links("line", 1)
+    _has_rows_is_has(links)
+    assert links.has_rows(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.network import SensorNetwork
 from repro.network.accounting import ArrayLedger, CommunicationLedger, NodeTraffic
+from repro.network.topology import build_links
+from repro.protocols import CountProtocol, MaxProtocol, SumProtocol
+from repro.protocols.base import MeteredRun
 
 
 class TestNodeTraffic:
@@ -114,6 +118,28 @@ class TestSnapshotResetMerge:
         assert ledger.total_bits == 0
         assert ledger.rounds == 0
         assert ledger.per_protocol_bits() == {}
+
+    def test_a_metered_run_spanning_a_reset_is_the_same_on_both_ledgers(self):
+        """``reset_ledger`` inside a ``MeteredRun`` rebases its mark: the run
+        measures from the reset on, on ``ArrayLedger`` as on the dict one."""
+        results = []
+        for ledger in (CommunicationLedger(), ArrayLedger(25)):
+            network = SensorNetwork(build_links("grid", 25), ledger=ledger)
+            network.assign_items({node: [node] for node in range(25)})
+            MaxProtocol(domain_max=64).run(network)  # traffic before the run
+            with MeteredRun(network) as run:
+                CountProtocol().run(network)
+                network.reset_ledger()
+                inner = SumProtocol().run(network)
+            results.append((run.result("sum"), inner, ledger.snapshot()))
+        assert results[0] == results[1]
+        outer, inner, snapshot = results[0]
+        assert (outer.total_bits, outer.messages, outer.rounds) == (
+            inner.total_bits,
+            inner.messages,
+            inner.rounds,
+        )
+        assert outer.max_node_bits == inner.max_node_bits == snapshot.max_node_bits > 0
 
     def test_merge_accumulates(self):
         a = CommunicationLedger()

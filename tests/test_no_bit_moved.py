@@ -205,6 +205,30 @@ def test_oneshot_paper_queries_move_no_bit():
     assert _sha256(rows) == ONESHOT_SHA256
 
 
+def test_oneshot_paper_queries_meter_on_the_array_ledger(monkeypatch):
+    """Guard against a silent fallback: one round of the 12 queries on a
+    default batched field never reaches the dict ledger's charge or its lazy
+    mark baselines, and every sweep reaches the array ledger as arrays."""
+    from repro.network import accounting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a batched one-shot query metered on the dict ledger")
+
+    monkeypatch.setattr(accounting.CommunicationLedger, "charge_batch", refuse)
+    monkeypatch.setattr(accounting.ArrayLedger, "charge_batch", refuse)
+    monkeypatch.setattr(accounting, "_record_baselines", refuse)
+    n = 256
+    domain = n * n
+    network = SensorNetwork.from_items(
+        uniform_values(n, max_value=domain, seed=SEED),
+        topology="random_geometric",
+        seed=SEED,
+    )
+    for protocol in _oneshot_queries(domain, SEED):
+        network.reset_ledger()
+        assert protocol.run(network).total_bits > 0
+
+
 def _count_path_run(script_for, observed: bool):
     """24 epochs of the count-valued ``execution="vectorized"`` engine on a
     400-node random-geometric field under ``script_for(network, epochs)``,

@@ -179,10 +179,13 @@ class Scenario:
 
     def candidates(self) -> list[tuple[str, bool]]:
         """``(execution, dict ledger?)`` of every path checked against the
-        reference: the dense ``ArrayLedger`` takes no budget, and sharded
-        workers need perfect links and no budget."""
+        reference: ``"batched"`` and ``"vectorized"`` on an explicit dict
+        ledger and, without a budget (the dense ``ArrayLedger`` takes
+        none), on their default ``ArrayLedger``; sharded workers need
+        perfect links and no budget."""
         paths = [("batched", True), ("vectorized", True)]
         if self.budget is None:
+            paths.append(("batched", False))
             paths.append(("vectorized", False))
             if self.radio[0] == "reliable":
                 paths.append(("sharded", False))

@@ -179,6 +179,56 @@ class TestArrayLedger:
             dense.charge_batch(links, sizes[:-1] + [-1])
         assert dense.snapshot() == accounting.ArrayLedger(40).snapshot()
 
+    def test_small_batches_buffered_until_read_leave_the_same_ledger(
+        self, monkeypatch
+    ):
+        """Batches of at most ``SMALL_BATCH`` links reach the columns on the
+        next read or at the buffer limit: every read in between, a mark
+        across them and a merge see the dict ledger's numbers, and a bad id
+        raises the array path's error with nothing charged."""
+        from repro.exceptions import ConfigurationError
+        from repro.network import accounting
+
+        monkeypatch.setattr(accounting, "_PENDING_LIMIT", 40)
+        rng = random.Random(5)
+        dense, reference = accounting.ArrayLedger(40), accounting.CommunicationLedger()
+        mark, reference_mark = dense.mark(), reference.mark()
+        for step in range(60):
+            k = rng.randrange(1, accounting.SMALL_BATCH + 1)
+            links = [(rng.randrange(40), rng.randrange(40)) for _ in range(k)]
+            sizes = [rng.randrange(0, 30) for _ in range(k)]
+            copies = [rng.randrange(0, 3) for _ in range(k)] if step % 2 else None
+            for ledger in (dense, reference):
+                ledger.charge_batch(links, sizes, copies, protocol=f"p{step % 3}")
+            node = rng.randrange(40)
+            read = step % 4
+            if read == 0:
+                assert dense.node_bits(node) == reference.node_bits(node)
+            elif read == 1:
+                assert dense.traffic(node) == reference.traffic(node)
+            elif read == 2:
+                assert dense.max_node_delta_since(mark) == (
+                    reference.max_node_delta_since(reference_mark)
+                )
+        for _ in range(10):  # unread, the buffer stays bounded
+            for ledger in (dense, reference):
+                ledger.charge_batch([(3, 4)] * accounting.SMALL_BATCH, [2] * accounting.SMALL_BATCH)
+            assert len(dense._pending) < 40
+        assert dense.snapshot() == reference.snapshot()
+        merged = accounting.ArrayLedger(40)
+        dense.charge_batch([(1, 2)], [9], protocol="tail")
+        reference.charge_batch([(1, 2)], [9], protocol="tail")
+        merged.merge(dense)
+        assert merged.snapshot() == reference.snapshot()
+        before = dense.snapshot()
+        for bad in ([(1, 2), (3, 40)], [(-1, 2), (3, 4)]):
+            with pytest.raises(ConfigurationError) as small:
+                dense.charge_batch(bad, [5, 5])
+            with pytest.raises(ConfigurationError) as whole:
+                dense.charge_array(*zip(*bad), [5, 5])
+            assert str(small.value) == str(whole.value)
+        assert dense.snapshot() == before
+
     @pytest.mark.parametrize("into", ["array", "dict"])
     @pytest.mark.parametrize("other", ["array", "dict"])
     def test_merge_works_between_both_classes(self, into, other):
