@@ -27,6 +27,7 @@ spanning tree spanning the alive, root-connected population.
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import networkx as nx
@@ -552,16 +553,17 @@ class SensorNetwork:
         ``links`` may also be a ``(k, 2)`` int64 array with ``sizes`` an
         int64 array (what the vectorized paths already hold); the copies
         then come back as an int64 array.  Same checks, same charges.  On
-        ids ``0..n-1`` a tuple list of more than
-        :data:`~repro.network.accounting.SMALL_BATCH` links becomes one such
-        array, and one array pass checks every link (known, alive, and a
-        link when ``require_edge``); only a failing batch walks the links in
-        order, to raise :meth:`send`'s error at the first bad one before
-        anything is drawn or charged.  The checked arrays go to an
-        :class:`~repro.network.ArrayLedger` whole, after the radio's ordered
-        draws on imperfect links.  A smaller tuple batch, sparse ids and a
-        budgeted ledger take the ordered per-link check; a budget also
-        charges link by link, so its raise point is the per-edge one.
+        ids ``0..n-1`` metered by an :class:`~repro.network.ArrayLedger`, a
+        link array or a tuple list of more than
+        :data:`~repro.network.accounting.SMALL_BATCH` links is checked in
+        one array pass (exact integer ids, known, alive, and a link when
+        ``require_edge``) and charged whole, after the radio's ordered draws
+        on imperfect links.  Anything else — a failing batch, a smaller
+        tuple list, sparse ids, another ledger — takes the ordered per-link
+        check, which raises :meth:`send`'s error at the first bad link
+        before anything is drawn or charged, and charges the tuple list; a
+        budget also charges link by link, so its raise point is the per-edge
+        one.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -591,57 +593,38 @@ class SensorNetwork:
                 f"send_batch got {len(links)} links but {len(sizes)} sizes"
             )
         as_array = isinstance(links, np.ndarray)
-        budgeted = self.ledger.per_node_budget_bits is not None
         perfect = type(self.radio) is ReliableRadio
-        # Dense ids: the whole batch becomes one (k, 2) array, checked in one
-        # pass; a few tuples are cheaper to check in order than any array
-        # call.  ``tuples`` is the id-level list the ordered code reads; an
-        # array input builds it, with Python-int sizes, only when that code
-        # runs.
-        tuples = None if as_array else links
-        if self.alive_mask is None or (tuples is not None and len(links) <= SMALL_BATCH):
-            pairs = None
-        else:
-            pairs = links if as_array else _pair_array(links)
-        if tuples is None and (pairs is None or budgeted or not perfect):
-            tuples, sizes = _as_tuples(links), np.asarray(sizes).tolist()
-        if pairs is None or not self._links_pass(pairs, require_edge):
+        # ``pairs`` is the checked (k, 2) int64 array the ledger is charged
+        # from, or None on the ordered path, which charges the tuple list.
+        pairs = self._checked_pairs(links, require_edge)
+        if pairs is None:
+            if as_array:
+                links, sizes = _as_tuples(links), np.asarray(sizes).tolist()
             # The ordered loop owns the errors: it raises at the first bad
-            # link, before any radio draw or charge.  It also checks sparse
-            # ids, which have no array pass.
-            self._check_links(
-                _as_tuples(links) if tuples is None else tuples, require_edge
-            )
-        if budgeted:
-            # Budget enforcement must interleave radio draws and charges
-            # per link, so both the BudgetExceededError raise point and the
-            # radio RNG state at that point match the per-edge path exactly.
-            transmit = self.radio.transmit
-            charge = self.ledger.charge
-            copies_delivered: list[int] = []
-            for (sender, receiver), size in zip(tuples, sizes):
-                outcome = transmit(sender, receiver)
-                copies = outcome.copies_delivered
-                for _ in range(max(outcome.attempts, copies)):
-                    charge(sender, receiver, size, protocol=protocol)
-                copies_delivered.append(copies)
-            return _copies_as(copies_delivered, as_array)
+            # link, before any radio draw or charge.
+            self._check_links(links, require_edge)
+            if self.ledger.per_node_budget_bits is not None:
+                return _copies_as(
+                    self._send_budgeted(links, sizes, protocol), as_array
+                )
+        elif as_array and not perfect:
+            links = _as_tuples(pairs)  # the radio draws per id-level link
         if perfect:
             # Perfect links need no radio pass at all: one attempt, one copy.
-            self._charge_links(tuples, pairs, sizes, None, protocol)
+            self._charge_links(links, pairs, sizes, None, protocol)
             return np.ones(len(links), dtype=np.int64) if as_array else [1] * len(links)
         try:
-            outcomes = self.radio.filter_batch(tuples)
+            outcomes = self.radio.filter_batch(links)
         except DeliveryError as error:
             # Ledger equivalence on the failure path too: the per-edge loop
             # charges every link delivered before the failing one (and not
-            # the failing link itself, whose transmit raised before its
-            # charge), so charge exactly that prefix before re-raising.
-            delivered = getattr(error, "outcomes_before_failure", None)
+            # the failing one itself — ``send`` raises before charging), so
+            # the batched path charges exactly that prefix before re-raising.
+            delivered = getattr(error, "outcomes_before_failure", ())
             if delivered:
                 prefix = len(delivered)
                 self._charge_outcomes(
-                    tuples[:prefix],
+                    links[:prefix],
                     None if pairs is None else pairs[:prefix],
                     sizes[:prefix],
                     delivered,
@@ -649,22 +632,59 @@ class SensorNetwork:
                 )
             raise
         return _copies_as(
-            self._charge_outcomes(tuples, pairs, sizes, outcomes, protocol), as_array
+            self._charge_outcomes(links, pairs, sizes, outcomes, protocol), as_array
         )
 
-    def _links_pass(self, pairs, require_edge: bool) -> bool:
-        """Whether every link of a ``(k, 2)`` array is between known, alive
-        nodes and, when ``require_edge`` is set, an alive link."""
-        if not pairs.size:
-            return True
+    def _checked_pairs(self, links, require_edge: bool):
+        """The batch as a ``(k, 2)`` int64 array whose every link one array
+        pass found between known, alive nodes (and, when ``require_edge`` is
+        set, an alive link); ``None`` sends the batch down the ordered path.
+
+        Only an :class:`~repro.network.ArrayLedger` on ids ``0..n-1`` takes
+        the array, and only a link array or a tuple list of more than
+        :data:`~repro.network.accounting.SMALL_BATCH` links is worth
+        converting.  Ids must be exact integers: anything else, like any
+        failing batch, is left to the ordered loop to accept or name.
+        """
         alive = self.alive_mask
+        if alive is None or not isinstance(self.ledger, ArrayLedger):
+            return None
+        if isinstance(links, np.ndarray):
+            if links.ndim != 2 or links.dtype.kind not in "iu":
+                return None
+            pairs = links
+        elif len(links) <= SMALL_BATCH:
+            return None
+        else:
+            pairs = _pair_array(links)
+            if pairs is None:
+                return None
+        if not pairs.size:
+            return pairs
         if pairs.min() < 0 or pairs.max() >= alive.size:
-            return False
+            return None
+        pairs = pairs.astype(np.int64, copy=False)
         if self._dead and not alive[pairs].all():
-            return False
-        return not require_edge or bool(
-            self._links.has_rows(pairs[:, 0], pairs[:, 1]).all()
-        )
+            return None
+        if require_edge and not self._links.has_rows(pairs[:, 0], pairs[:, 1]).all():
+            return None
+        return pairs
+
+    def _send_budgeted(self, links, sizes, protocol: str) -> list[int]:
+        """Send checked links one at a time: budget enforcement interleaves
+        radio draws and charges per link, so both the BudgetExceededError
+        raise point and the radio RNG state at that point match the per-edge
+        path exactly."""
+        transmit = self.radio.transmit
+        charge = self.ledger.charge
+        copies_delivered: list[int] = []
+        for (sender, receiver), size in zip(links, sizes):
+            outcome = transmit(sender, receiver)
+            copies = outcome.copies_delivered
+            for _ in range(max(outcome.attempts, copies)):
+                charge(sender, receiver, size, protocol=protocol)
+            copies_delivered.append(copies)
+        return copies_delivered
 
     def _check_links(self, links: Sequence[tuple[int, int]], require_edge: bool) -> None:
         """Raise the error :meth:`send` raises at the first bad link."""
@@ -690,20 +710,19 @@ class SensorNetwork:
                     "multi-hop delivery must be routed explicitly"
                 )
 
-    def _charge_links(self, tuples, pairs, sizes, copies, protocol: str) -> None:
-        """Charge checked links: the pair array whole on the array ledger (and
-        when no tuple list was built), the tuple list otherwise."""
-        ledger = self.ledger
-        if pairs is not None and (tuples is None or isinstance(ledger, ArrayLedger)):
-            ledger.charge_array(
+    def _charge_links(self, links, pairs, sizes, copies, protocol: str) -> None:
+        """Charge checked links: the pair array whole when the array pass
+        built one, the tuple list otherwise."""
+        if pairs is None:
+            self.ledger.charge_batch(links, sizes, copies, protocol=protocol)
+        else:
+            self.ledger.charge_array(
                 pairs[:, 0], pairs[:, 1], sizes, protocol=protocol, copies=copies
             )
-        else:
-            ledger.charge_batch(tuples, sizes, copies, protocol=protocol)
 
     def _charge_outcomes(
         self,
-        tuples: Sequence[tuple[int, int]],
+        links: Sequence[tuple[int, int]],
         pairs,
         sizes: Sequence[int],
         outcomes: Sequence[DeliveryOutcome],
@@ -725,7 +744,7 @@ class SensorNetwork:
                 append_charged(max(outcome.attempts, copies))
                 append_copies(copies)
         self._charge_links(
-            tuples, pairs, sizes, None if all_once else charged, protocol
+            links, pairs, sizes, None if all_once else charged, protocol
         )
         return copies_delivered
 
@@ -752,11 +771,13 @@ class SensorNetwork:
 
 def _pair_array(links: Sequence[tuple[int, int]]):
     """A tuple batch as one ``(k, 2)`` int64 array, or ``None`` when some id
-    cannot convert (the ordered check then names it).  Ids are ints: like
-    any numpy conversion this casts, so a float id ``3.5`` reads as ``3``."""
+    is not an exact integer (``operator.index`` refuses ``3.5``, ``3.0`` and
+    ``"3"``, which a plain int64 conversion would cast or parse)."""
     try:
         return np.fromiter(
-            chain.from_iterable(links), dtype=np.int64, count=2 * len(links)
+            map(index, chain.from_iterable(links)),
+            dtype=np.int64,
+            count=2 * len(links),
         ).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError):
         return None

@@ -1,15 +1,15 @@
 """Differential tests for the array-native charged send.
 
 ``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array or a tuple list.
-On ids ``0..n-1`` one array pass checks the whole batch and the arrays are
-charged whole (after the radio's ordered draws on imperfect links); a bad
-batch, a tuple batch of at most ``SMALL_BATCH`` links, a budget or sparse
-ids run the ordered tuple-list code.  Each test
-here drives twin networks — one fed arrays, one fed tuple lists — and holds
-them to the same copies, exceptions, ledgers, mark deltas, radio RNG state
-and telemetry; a bad link raises the ordered loop's error.  Whole runs
-on the dense default ledger against the dict ledger are
-``tests/test_oracle.py``'s.
+On ids ``0..n-1`` metered by an ``ArrayLedger`` one array pass checks the
+whole batch and the arrays are charged whole (after the radio's ordered
+draws on imperfect links); a bad batch, a tuple batch of at most
+``SMALL_BATCH`` links, sparse ids or a dict ledger (budgeted or not) run the
+ordered tuple-list code.  Each test here drives twin networks — one fed
+arrays, one fed tuple lists — and holds them to the same copies,
+exceptions, ledgers, mark deltas, radio RNG state and telemetry; a bad link
+raises the ordered loop's error.  Whole runs on the dense default ledger
+against the dict ledger are ``tests/test_oracle.py``'s.
 """
 
 from __future__ import annotations
@@ -315,16 +315,27 @@ def _ordered_error(network, links, require_edge):
     return None
 
 
-@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize(
+    "as_array, fault",
+    [
+        (as_array, fault)
+        for as_array in (False, True)
+        for fault in ("negative", "unknown", "dead", "non-link")
+    ]
+    # Ids that are not exact integers only arise in tuple lists; a plain
+    # int64 conversion would read 3.5 as node 3 and parse "3".
+    + [(False, "float"), (False, "str")],
+)
 @pytest.mark.parametrize("require_edge", [True, False])
-@pytest.mark.parametrize("fault", ["negative", "unknown", "dead", "non-link"])
 @pytest.mark.parametrize("position", [0, 0.5, 1])
 @pytest.mark.parametrize("k", [SMALL_BATCH // 2, 2 * SMALL_BATCH])
+@pytest.mark.parametrize("later_bad", [True, False])
 def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
-    as_array, require_edge, fault, position, k
+    as_array, require_edge, fault, position, k, later_bad
 ):
     """Small tuple batches take the ordered check, larger ones and arrays
-    the array pass: both report the first bad link as the loop does."""
+    the array pass: both report the first bad link as the loop does, with
+    or without a later bad link beside it."""
     n, dead = 40, 13
     network = SensorNetwork(
         random_geometric_topology(n, seed=2),
@@ -347,11 +358,18 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
         "unknown": (n + 7, sender),
         "dead": (sender, dead),
         "non-link": (sender, far),
+        "float": (sender + 0.5, links[position][1]),
+        "str": (str(sender), links[position][1]),
     }[fault]
-    links.append((0, n))  # a later bad link must not be the one reported
+    if later_bad:
+        links.append((0, n))  # a later bad link must not be the one reported
     sizes = list(range(1, len(links) + 1))
     before = (network.ledger.snapshot(), network.radio._rng.getstate())
     expected = _ordered_error(network, links, require_edge)
+    if expected is None:  # a non-link alone is no error without the edge check
+        assert fault == "non-link" and not require_edge
+        network.send_batch(links, sizes, protocol="test", require_edge=False)
+        return
     if as_array:
         links, sizes = np.asarray(links), np.asarray(sizes)
     with pytest.raises(expected[0]) as raised:
@@ -359,7 +377,7 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
     assert str(raised.value) == expected[1]
     assert (network.ledger.snapshot(), network.radio._rng.getstate()) == before
     if fault == "non-link" and not require_edge:
-        assert expected[1].startswith(f"send between unknown nodes 0 -> {n}")
+        assert later_bad and expected[1].startswith(f"send between unknown nodes 0 -> {n}")
 
 
 # ---------------------------------------------------------------------- #
