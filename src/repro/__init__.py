@@ -67,172 +67,65 @@ with Prometheus-text and markdown exporters — ``docs/TELEMETRY.md`` has the
 span taxonomy and the metric catalogue.  When no tracer is installed the
 instrumentation is free: the default recorder is a shared no-op.
 
-The top-level namespace re-exports the pieces most users need: the network
-simulator with its batched tree primitives, the deterministic and approximate
-median protocols, the primitive aggregation protocols, the continuous-query
-streaming engine and the verification helpers.  Substrates (sketches,
-baselines, workloads, the experiment harness) live in their own subpackages.
+The top-level namespace re-exports what the README, ``docs/``, the examples
+and the scripts import: the network simulator, the median and primitive
+aggregation protocols, the streaming and multi-tenant engines, the fault
+pipeline and the span tracer.  Everything else lives in its subpackage.
 """
 
 from repro.core import (
     ApproximateMedianProtocol,
-    ApproximateOrderStatisticProtocol,
     DeterministicMedianProtocol,
-    DeterministicOrderStatisticProtocol,
     PolyloglogMedianProtocol,
-    RepetitionPolicy,
-    is_approximate_order_statistic,
-    is_median,
-    is_order_statistic,
-    rank,
     reference_median,
-    reference_order_statistic,
-)
-from repro.exceptions import (
-    BudgetExceededError,
-    ConfigurationError,
-    EmptyNetworkError,
-    ProtocolError,
-    ReproError,
-    TopologyError,
 )
 from repro.faults import (
-    ElectionResult,
     FaultEngine,
-    FaultScript,
-    FaultTrace,
     HeartbeatDetector,
-    LinkDrop,
-    LinkRestore,
-    NodeCrash,
-    NodeRejoin,
-    RegionalOutage,
-    RepairResult,
-    RootCrash,
     RootElection,
     TreeRepair,
     run_faulty_stream,
 )
-from repro.network import (
-    EXECUTION_MODES,
-    CommunicationLedger,
-    EnergyModel,
-    FlatTree,
-    LedgerMark,
-    SensorNetwork,
-)
-from repro.protocols import (
-    ApproxCountProtocol,
-    AverageProtocol,
-    CountPredicateProtocol,
-    CountProtocol,
-    LessThanPredicate,
-    MaxProtocol,
-    MinProtocol,
-    SumProtocol,
-    broadcast,
-    convergecast,
-    epoch_convergecast,
-)
+from repro.network import EnergyModel, SensorNetwork
+from repro.protocols import AverageProtocol, CountProtocol, MaxProtocol, MinProtocol
 from repro.streaming import (
     ContinuousQueryEngine,
     CountQuery,
     DistinctCountQuery,
-    EpochRecord,
     MedianQuery,
     PredicateCountQuery,
-    QuantileQuery,
     RecomputeEngine,
-    StreamingTrace,
     run_stream,
 )
-from repro.telemetry import (
-    NULL_RECORDER,
-    MetricsRegistry,
-    NullRecorder,
-    Span,
-    SpanTracer,
-    TelemetryRecorder,
-)
-from repro.tenancy import (
-    AdmissionDecision,
-    MultiTenantEngine,
-    QueryPlanner,
-    TenantLedgerSplit,
-)
+from repro.telemetry import SpanTracer
+from repro.tenancy import MultiTenantEngine
 
 __version__ = "1.10.0"
 
 __all__ = [
     "ApproximateMedianProtocol",
-    "ApproximateOrderStatisticProtocol",
     "DeterministicMedianProtocol",
-    "DeterministicOrderStatisticProtocol",
     "PolyloglogMedianProtocol",
-    "RepetitionPolicy",
-    "is_approximate_order_statistic",
-    "is_median",
-    "is_order_statistic",
-    "rank",
     "reference_median",
-    "reference_order_statistic",
-    "BudgetExceededError",
-    "ConfigurationError",
-    "EmptyNetworkError",
-    "ProtocolError",
-    "ReproError",
-    "TopologyError",
-    "CommunicationLedger",
-    "EnergyModel",
-    "EXECUTION_MODES",
-    "FlatTree",
-    "LedgerMark",
-    "SensorNetwork",
-    "broadcast",
-    "convergecast",
-    "epoch_convergecast",
-    "ApproxCountProtocol",
-    "AverageProtocol",
-    "CountPredicateProtocol",
-    "CountProtocol",
-    "LessThanPredicate",
-    "MaxProtocol",
-    "MinProtocol",
-    "SumProtocol",
     "FaultEngine",
     "HeartbeatDetector",
-    "ElectionResult",
-    "RootCrash",
     "RootElection",
-    "FaultScript",
-    "FaultTrace",
-    "NodeCrash",
-    "NodeRejoin",
-    "LinkDrop",
-    "LinkRestore",
-    "RegionalOutage",
-    "RepairResult",
     "TreeRepair",
     "run_faulty_stream",
+    "EnergyModel",
+    "SensorNetwork",
+    "AverageProtocol",
+    "CountProtocol",
+    "MaxProtocol",
+    "MinProtocol",
     "ContinuousQueryEngine",
+    "CountQuery",
+    "DistinctCountQuery",
+    "MedianQuery",
+    "PredicateCountQuery",
     "RecomputeEngine",
     "run_stream",
-    "CountQuery",
-    "PredicateCountQuery",
-    "QuantileQuery",
-    "MedianQuery",
-    "DistinctCountQuery",
-    "EpochRecord",
-    "StreamingTrace",
-    "MetricsRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
-    "Span",
     "SpanTracer",
-    "TelemetryRecorder",
-    "AdmissionDecision",
     "MultiTenantEngine",
-    "QueryPlanner",
-    "TenantLedgerSplit",
     "__version__",
 ]

@@ -34,14 +34,6 @@ from repro.network.spanning_tree import (
     tree_from_parents,
 )
 from repro.network.vector_field import VectorField
-from repro.network.topology import (
-    grid_topology,
-    line_topology,
-    random_geometric_topology,
-    ring_topology,
-    single_hop_topology,
-    star_topology,
-)
 
 __all__ = [
     "ArrayLedger",
@@ -66,10 +58,4 @@ __all__ = [
     "bfs_tree",
     "bounded_degree_tree",
     "tree_from_parents",
-    "grid_topology",
-    "line_topology",
-    "random_geometric_topology",
-    "ring_topology",
-    "single_hop_topology",
-    "star_topology",
 ]

@@ -23,12 +23,14 @@ the network can invalidate what it derives from the table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:
+    from networkx import Graph
 
 
 class LinkTable:
@@ -44,8 +46,9 @@ class LinkTable:
         """Build the table from edge-endpoint row arrays.
 
         ``low[i] - high[i]`` is one link between two distinct rows; each
-        unordered pair may appear once.  ``ids`` are the node ids of the rows
-        in ascending order (default ``0..num_nodes-1``).
+        unordered pair may appear once (a repeated pair or a self-loop raises
+        :class:`~repro.exceptions.TopologyError`).  ``ids`` are the node ids
+        of the rows in ascending order (default ``0..num_nodes-1``).
         """
         low = np.asarray(low, dtype=np.int64).ravel()
         high = np.asarray(high, dtype=np.int64).ravel()
@@ -55,6 +58,14 @@ class LinkTable:
         keys = np.concatenate((low * num_nodes + high, high * num_nodes + low))
         keys.sort()
         tails, heads = np.divmod(keys, max(num_nodes, 1))
+        # A repeated pair repeats both its keys and a self-loop's two keys
+        # coincide, so either shows as two equal neighbouring keys.
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            tail, head = int(tails[repeated[0]]), int(heads[repeated[0]])
+            if tail == head:
+                raise TopologyError(f"row {tail} is linked to itself")
+            raise TopologyError(f"rows {tail} and {head} are linked more than once")
         #: Row offsets: row ``r``'s slots are ``indptr[r]:indptr[r + 1]``.
         self.indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(tails, minlength=num_nodes), out=self.indptr[1:])
@@ -77,15 +88,22 @@ class LinkTable:
         self._slot_keys = None
 
     @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "LinkTable":
-        """Convert a networkx graph once (self-loops are not links)."""
+    def from_networkx(cls, graph: Graph) -> "LinkTable":
+        """Convert a networkx graph once.
+
+        Self-loops are not links, and each unordered pair is one link
+        however often it appears (both arcs of a ``DiGraph``, the parallel
+        edges of a ``MultiGraph``).
+        """
         ids = sorted(graph.nodes())
         row = {node: index for index, node in enumerate(ids)}
         pairs = np.array(
             [(row[u], row[v]) for u, v in graph.edges() if u != v], dtype=np.int64
         ).reshape(-1, 2)
         pairs.sort(axis=1)
-        return cls(len(ids), pairs[:, 0], pairs[:, 1], ids=ids)
+        num_nodes = len(ids)
+        keys = np.unique(pairs[:, 0] * num_nodes + pairs[:, 1])
+        return cls(num_nodes, *np.divmod(keys, max(num_nodes, 1)), ids=ids)
 
     # ------------------------------------------------------------------ #
     # Ids and rows
@@ -294,8 +312,11 @@ class LinkTable:
     # ------------------------------------------------------------------ #
     # Conversion
     # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.Graph:
-        """A fresh ``nx.Graph`` of the alive links (ascending rows)."""
+    def to_networkx(self) -> Graph:
+        """A fresh ``nx.Graph`` of the alive links (ascending rows); imports
+        networkx on call."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.node_ids())
         low, high = self.edges()
@@ -310,9 +331,14 @@ class LinkTable:
 
 
 def as_link_table(topology) -> LinkTable:
-    """``topology`` as a :class:`LinkTable` (an ``nx.Graph`` converts once)."""
+    """``topology`` as a :class:`LinkTable` (an ``nx.Graph`` converts once).
+
+    A table is returned as is; networkx is imported only for other input.
+    """
     if isinstance(topology, LinkTable):
         return topology
+    import networkx as nx
+
     if isinstance(topology, nx.Graph):
         return LinkTable.from_networkx(topology)
     raise TopologyError(

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import index
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro._util.validation import require_non_negative
@@ -61,6 +60,9 @@ from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import build_links
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_recorder
 
+if TYPE_CHECKING:
+    from networkx import Graph
+
 #: Valid values of :attr:`SensorNetwork.execution`.
 #:
 #: ``"batched"`` and ``"per-edge"`` select the charging path of the generic
@@ -82,7 +84,7 @@ class SensorNetwork:
 
     def __init__(
         self,
-        graph: LinkTable | nx.Graph,
+        graph: LinkTable | Graph,
         root: int = 0,
         radio: RadioModel | None = None,
         tree: SpanningTree | None = None,
@@ -98,7 +100,7 @@ class SensorNetwork:
         if root not in links:
             raise TopologyError(f"root {root} is not a node of the graph")
         self._links = links
-        self._graph_view: nx.Graph | None = None
+        self._graph_view: Graph | None = None
         self.root_id = root
         self.radio = radio if radio is not None else ReliableRadio()
         self.execution = execution
@@ -144,7 +146,7 @@ class SensorNetwork:
     def from_items(
         cls,
         items: Sequence[int],
-        topology: str | LinkTable | nx.Graph = "grid",
+        topology: str | LinkTable | Graph = "grid",
         root: int = 0,
         radio: RadioModel | None = None,
         degree_bound: int | None = 3,
@@ -235,14 +237,16 @@ class SensorNetwork:
         return self._links
 
     @property
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         """A frozen ``nx.Graph`` of the alive links, for readers that want one.
 
-        Built on first access and rebuilt after a link change; mutating it
-        raises.  Nothing on a repair, election or epoch path reads it — they
-        read :attr:`links`.
+        Built on first access (importing networkx) and rebuilt after a link
+        change; mutating it raises.  Nothing on a repair, election or epoch
+        path reads it — they read :attr:`links`.
         """
         if self._graph_view is None:
+            import networkx as nx
+
             self._graph_view = nx.freeze(self._links.to_networkx())
         return self._graph_view
 

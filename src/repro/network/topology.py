@@ -4,9 +4,9 @@ Every named topology has one generator that emits its links as edge arrays
 straight into a :class:`~repro.network.links.LinkTable` (:func:`build_links`);
 nodes are the integers ``0 .. n-1`` and the graph is connected.  By convention
 node ``0`` is the root (the node connected to the user entity in the TAG
-setting), although the simulator lets callers pick any root.  The
-``*_topology`` functions and :func:`build_topology` return the same links as
-an ``nx.Graph`` for callers that want one.
+setting), although the simulator lets callers pick any root.  Only numpy and
+the standard library are needed: a caller that wants an ``nx.Graph`` converts
+the table (:meth:`~repro.network.links.LinkTable.to_networkx`).
 
 The paper is agnostic about the communication structure — it only assumes the
 primitive protocols of Fact 2.1 exist — so the experiment harness runs every
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 
-import networkx as nx
 import numpy as np
 
 from repro._util.randomness import make_rng
@@ -181,6 +180,35 @@ def random_geometric_links(
     )
 
 
+def _prufer_pairs(sequence: list[int], num_nodes: int):
+    """The edges of the tree a Prüfer sequence encodes, as two endpoint lists.
+
+    The linear-time decode: each entry is joined to the smallest leaf left,
+    and the last leaf to node ``n - 1``.  ``index`` only moves up, so a leaf
+    freed below it is taken at once and the scan for the next one is O(n)
+    over the whole decode.
+    """
+    degree = [1] * num_nodes
+    for node in sequence:
+        degree[node] += 1
+    left, right = [], []
+    index = leaf = degree.index(1)
+    for node in sequence:
+        left.append(leaf)
+        right.append(node)
+        degree[node] -= 1
+        if node < index and degree[node] == 1:
+            leaf = node
+        else:
+            index += 1
+            while degree[index] != 1:
+                index += 1
+            leaf = index
+    left.append(leaf)
+    right.append(num_nodes - 1)
+    return left, right
+
+
 def random_tree_links(num_nodes: int, seed: int | None = 0) -> LinkTable:
     """A uniformly random labelled tree (Prüfer sequence)."""
     require_positive(num_nodes, "num_nodes")
@@ -188,9 +216,7 @@ def random_tree_links(num_nodes: int, seed: int | None = 0) -> LinkTable:
         return line_links(num_nodes)
     rng = make_rng(seed)
     prufer = [rng.randrange(num_nodes) for _ in range(num_nodes - 2)]
-    pairs = np.array(list(nx.from_prufer_sequence(prufer).edges()), dtype=np.int64)
-    pairs.sort(axis=1)
-    return LinkTable(num_nodes, pairs[:, 0], pairs[:, 1])
+    return LinkTable(num_nodes, *_prufer_pairs(prufer, num_nodes))
 
 
 TOPOLOGY_BUILDERS = {
@@ -216,50 +242,3 @@ def build_links(name: str, num_nodes: int, seed: int | None = 0) -> LinkTable:
         return builder(num_nodes, seed=seed)
     return builder(num_nodes)
 
-
-def build_topology(name: str, num_nodes: int, seed: int | None = 0) -> nx.Graph:
-    """:func:`build_links` as an ``nx.Graph``."""
-    return build_links(name, num_nodes, seed=seed).to_networkx()
-
-
-# --------------------------------------------------------------------------- #
-# The generators as networkx graphs, and the networkx-only topologies
-# --------------------------------------------------------------------------- #
-def line_topology(num_nodes: int) -> nx.Graph:
-    """:func:`line_links` as an ``nx.Graph``."""
-    return line_links(num_nodes).to_networkx()
-
-
-def ring_topology(num_nodes: int) -> nx.Graph:
-    """:func:`ring_links` as an ``nx.Graph``."""
-    return ring_links(num_nodes).to_networkx()
-
-
-def star_topology(num_nodes: int) -> nx.Graph:
-    """:func:`star_links` as an ``nx.Graph``."""
-    return star_links(num_nodes).to_networkx()
-
-
-def single_hop_topology(num_nodes: int) -> nx.Graph:
-    """:func:`single_hop_links` as an ``nx.Graph``."""
-    return single_hop_links(num_nodes).to_networkx()
-
-
-def grid_topology(rows: int, cols: int | None = None) -> nx.Graph:
-    """:func:`grid_links` as an ``nx.Graph``."""
-    return grid_links(rows, cols).to_networkx()
-
-
-def random_geometric_topology(
-    num_nodes: int,
-    radius: float | None = None,
-    seed: int | None = 0,
-    max_attempts: int = 50,
-) -> nx.Graph:
-    """:func:`random_geometric_links` as an ``nx.Graph``."""
-    return random_geometric_links(num_nodes, radius, seed, max_attempts).to_networkx()
-
-
-def random_tree_topology(num_nodes: int, seed: int | None = 0) -> nx.Graph:
-    """:func:`random_tree_links` as an ``nx.Graph``."""
-    return random_tree_links(num_nodes, seed=seed).to_networkx()

@@ -166,7 +166,7 @@ def correlated_field_values(
     """A synthetic sensor field: smooth spatial gradient + hotspots + noise.
 
     Nodes are assumed to be laid out on a √count × √count grid in row-major
-    order (matching :func:`repro.network.topology.grid_topology`), so
+    order (matching :func:`repro.network.topology.grid_links`), so
     neighbouring nodes report similar values — the spatial correlation real
     deployments exhibit and TAG-style aggregation exploits.
     """

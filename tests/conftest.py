@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology
+from repro.network.topology import grid_links, line_links
 from repro.telemetry import NULL_SPAN, TelemetryRecorder
 
 
@@ -79,13 +79,13 @@ def small_items() -> list[int]:
 @pytest.fixture
 def small_network(small_items) -> SensorNetwork:
     """A 9-node grid holding :func:`small_items`, one item per node."""
-    return SensorNetwork.from_items(small_items, topology=grid_topology(3, 3))
+    return SensorNetwork.from_items(small_items, topology=grid_links(3, 3))
 
 
 @pytest.fixture
 def line_network() -> SensorNetwork:
     """A 16-node line holding the values 0..15."""
-    return SensorNetwork.from_items(list(range(16)), topology=line_topology(16))
+    return SensorNetwork.from_items(list(range(16)), topology=line_links(16))
 
 
 @pytest.fixture
@@ -97,4 +97,4 @@ def medium_items(rng) -> list[int]:
 @pytest.fixture
 def medium_network(medium_items) -> SensorNetwork:
     """A 10x10 grid holding :func:`medium_items`."""
-    return SensorNetwork.from_items(medium_items, topology=grid_topology(10, 10))
+    return SensorNetwork.from_items(medium_items, topology=grid_links(10, 10))

@@ -35,7 +35,7 @@ from repro.network import (
     SensorNetwork,
 )
 from repro.network.accounting import SMALL_BATCH
-from repro.network.topology import random_geometric_topology
+from repro.network.topology import random_geometric_links
 from repro.telemetry import SpanTracer
 
 _quick = settings(
@@ -54,10 +54,10 @@ class _PlainRadio(ReliableRadio):
 
 def _network(n, seed, ledger="dict", radio=None, budget=None, stride=1, offset=0):
     """A random-geometric field; ``stride``/``offset`` make the ids sparse."""
-    graph = random_geometric_topology(n, seed=seed)
+    graph = random_geometric_links(n, seed=seed)
     if (stride, offset) != (1, 0):
         graph = nx.relabel_nodes(
-            graph, {node: node * stride + offset for node in graph.nodes()}
+            graph.to_networkx(), {node: node * stride + offset for node in range(n)}
         )
     if ledger == "array":
         ledger = ArrayLedger((n - 1) * stride + offset + 1)
@@ -271,9 +271,11 @@ def test_array_links_reach_the_ledger_as_arrays(monkeypatch):
 
 
 def test_default_ledger_follows_execution_and_yields_to_ledger_argument():
-    graph = random_geometric_topology(16, seed=0)
+    def graph():
+        return random_geometric_links(16, seed=0)
+
     kinds = {
-        mode: type(SensorNetwork(graph, execution=mode).ledger)
+        mode: type(SensorNetwork(graph(), execution=mode).ledger)
         for mode in ("batched", "per-edge", "vectorized", "sharded")
     }
     assert kinds == {
@@ -283,8 +285,8 @@ def test_default_ledger_follows_execution_and_yields_to_ledger_argument():
         "sharded": ArrayLedger,
     }
     explicit = CommunicationLedger()
-    assert SensorNetwork(graph, execution="vectorized", ledger=explicit).ledger is explicit
-    sparse = nx.relabel_nodes(graph, {node: node + 1 for node in graph.nodes()})
+    assert SensorNetwork(graph(), execution="vectorized", ledger=explicit).ledger is explicit
+    sparse = nx.relabel_nodes(graph().to_networkx(), {node: node + 1 for node in range(16)})
     network = SensorNetwork(sparse, root=1, execution="vectorized")
     assert type(network.ledger) is CommunicationLedger
     assert network.alive_mask is None
@@ -338,7 +340,7 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
     or without a later bad link beside it."""
     n, dead = 40, 13
     network = SensorNetwork(
-        random_geometric_topology(n, seed=2),
+        random_geometric_links(n, seed=2),
         radio=LossyRadio(0.3, seed=4),
         degree_bound=None,
     )

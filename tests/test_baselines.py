@@ -11,13 +11,13 @@ from repro.core.definitions import rank, reference_median
 from repro.core.median import DeterministicMedianProtocol
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology, single_hop_topology
+from repro.network.topology import grid_links, line_links, single_hop_links
 from repro.workloads.generators import generate_workload
 
 
 def _network(n=100, side=10, workload="uniform", max_value=50_000, seed=1):
     items = generate_workload(workload, n, max_value=max_value, seed=seed)
-    return SensorNetwork.from_items(items, topology=grid_topology(side)), items
+    return SensorNetwork.from_items(items, topology=grid_links(side)), items
 
 
 def _rank_error(items, estimate):
@@ -40,7 +40,7 @@ class TestNaiveMedian:
         costs = {}
         for n in (36, 144):
             items = generate_workload("uniform", n, max_value=n * n, seed=4)
-            network = SensorNetwork.from_items(items, topology=line_topology(n))
+            network = SensorNetwork.from_items(items, topology=line_links(n))
             costs[n] = NaiveShipAllMedianProtocol(domain_max=n * n).run(network).max_node_bits
         assert costs[144] >= 3 * costs[36]
 
@@ -52,7 +52,7 @@ class TestNaiveMedian:
         assert naive_bits > 2 * smart_bits
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             NaiveShipAllMedianProtocol().run(network)
@@ -137,31 +137,31 @@ class TestQDigestMedian:
 class TestGossipMedian:
     def test_accuracy_on_well_mixing_topology(self):
         items = generate_workload("uniform", 64, max_value=10_000, seed=15)
-        network = SensorNetwork.from_items(items, topology=single_hop_topology(64))
+        network = SensorNetwork.from_items(items, topology=single_hop_links(64))
         outcome = GossipMedianProtocol(seed=1).run(network).value
         assert _rank_error(items, outcome.median) < 0.25
 
     def test_probe_and_round_metadata(self):
         items = generate_workload("uniform", 36, max_value=1_000, seed=16)
-        network = SensorNetwork.from_items(items, topology=grid_topology(6))
+        network = SensorNetwork.from_items(items, topology=grid_links(6))
         outcome = GossipMedianProtocol(seed=2, rounds_per_probe=20).run(network).value
         assert outcome.rounds_per_probe == 20
         assert outcome.probes >= 1
 
     def test_degenerate_equal_values(self):
-        network = SensorNetwork.from_items([9] * 25, topology=grid_topology(5))
+        network = SensorNetwork.from_items([9] * 25, topology=grid_links(5))
         outcome = GossipMedianProtocol(seed=3).run(network).value
         assert outcome.median == 9
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             GossipMedianProtocol().run(network)
 
     def test_uses_no_spanning_tree_messages(self):
         items = generate_workload("uniform", 36, max_value=1_000, seed=17)
-        network = SensorNetwork.from_items(items, topology=grid_topology(6))
+        network = SensorNetwork.from_items(items, topology=grid_links(6))
         GossipMedianProtocol(seed=4, rounds_per_probe=10).run(network)
         breakdown = network.ledger.per_protocol_bits()
         assert "PUSH_SUM" in breakdown

@@ -25,11 +25,11 @@ from repro.network.radio import (
 from repro.network.simulator import EXECUTION_MODES, SensorNetwork
 from repro._util.bits import varint_bits
 from repro.network.topology import (
-    grid_topology,
-    line_topology,
-    random_geometric_topology,
-    random_tree_topology,
-    star_topology,
+    grid_links,
+    line_links,
+    random_geometric_links,
+    random_tree_links,
+    star_links,
 )
 from repro.protocols.base import MeteredRun
 from repro.protocols.convergecast import _convergecast_batched, count_convergecast
@@ -44,16 +44,16 @@ def build_network(num_nodes=25, topology="grid", **kwargs):
 class TestFlatTree:
     @pytest.fixture(
         params=[
-            grid_topology(5, 5),
-            line_topology(12),
-            star_topology(9),
-            random_geometric_topology(30, seed=7),
+            lambda: grid_links(5, 5),
+            lambda: line_links(12),
+            lambda: star_links(9),
+            lambda: random_geometric_links(30, seed=7),
         ],
         ids=["grid", "line", "star", "geometric"],
     )
     def network(self, request):
-        items = list(range(request.param.number_of_nodes()))
-        return SensorNetwork.from_items(items, topology=request.param)
+        links = request.param()
+        return SensorNetwork.from_items(list(range(links.num_nodes)), topology=links)
 
     def test_matches_spanning_tree_structure(self, network):
         tree = network.tree
@@ -337,16 +337,21 @@ class TestCountConvergecast:
     """The subtree-sum pass against the generic batched fold it replaces."""
 
     @pytest.mark.parametrize(
-        "graph",
-        [line_topology(1), line_topology(9), star_topology(8), random_tree_topology(40, seed=3)],
+        "links",
+        [
+            lambda: line_links(1),
+            lambda: line_links(9),
+            lambda: star_links(8),
+            lambda: random_tree_links(40, seed=3),
+        ],
         ids=["single", "line", "star", "random-tree"],
     )
     @pytest.mark.parametrize("lossy", [False, True], ids=["reliable", "lossy"])
-    def test_equals_the_generic_batched_fold(self, graph, lossy):
+    def test_equals_the_generic_batched_fold(self, links, lossy):
         twins = []
         for _ in range(2):
             radio = LossyRadio(0.4, seed=5) if lossy else ReliableRadio()
-            network = SensorNetwork(graph.copy(), radio=radio)
+            network = SensorNetwork(links(), radio=radio)
             network.assign_items({node: [node] * (node % 4) for node in network.node_ids()})
             twins.append(network)
         generic, kernel = twins

@@ -14,13 +14,13 @@ from repro.core.median import DeterministicMedianProtocol
 from repro.core.rep_count import RepetitionPolicy
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology
+from repro.network.topology import grid_links, line_links
 from repro.workloads.generators import generate_workload
 
 
 def _network(workload="uniform", n=144, side=12, max_value=50_000, seed=1):
     items = generate_workload(workload, n, max_value=max_value, seed=seed)
-    return SensorNetwork.from_items(items, topology=grid_topology(side)), items
+    return SensorNetwork.from_items(items, topology=grid_links(side)), items
 
 
 class TestConfiguration:
@@ -89,13 +89,13 @@ class TestAccuracy:
 
     def test_all_equal_input(self):
         items = [77] * 64
-        network = SensorNetwork.from_items(items, topology=grid_topology(8))
+        network = SensorNetwork.from_items(items, topology=grid_links(8))
         outcome = ApproximateMedianProtocol(num_registers=64, seed=1).run(network).value
         assert outcome.value == 77
 
     def test_two_value_input(self):
         items = [10] * 50 + [1000] * 14
-        network = SensorNetwork.from_items(items, topology=grid_topology(8))
+        network = SensorNetwork.from_items(items, topology=grid_links(8))
         outcome = ApproximateMedianProtocol(num_registers=256, seed=2).run(network).value
         # Median is 10; allow the beta slack of the guarantee (value error).
         assert outcome.value <= 1000
@@ -126,7 +126,7 @@ class TestAccuracy:
         )
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             ApproximateMedianProtocol().run(network)
@@ -170,7 +170,7 @@ class TestComplexity:
         costs = []
         for side in (6, 12, 18):
             items = generate_workload("uniform", side * side, max_value=1 << 16, seed=10)
-            network = SensorNetwork.from_items(items, topology=grid_topology(side))
+            network = SensorNetwork.from_items(items, topology=grid_links(side))
             result = ApproximateMedianProtocol(
                 epsilon=0.25, num_registers=16, seed=2,
                 repetition_policy=RepetitionPolicy.practical(cap=2),
@@ -201,7 +201,7 @@ class TestAgainstDeterministic:
 
     def test_agrees_with_deterministic_on_wide_spread_input(self):
         items = [i * 1000 for i in range(64)]
-        network = SensorNetwork.from_items(items, topology=grid_topology(8))
+        network = SensorNetwork.from_items(items, topology=grid_links(8))
         exact = DeterministicMedianProtocol().run(network).value.median
         network.reset_ledger()
         approx = ApproximateMedianProtocol(num_registers=256, seed=6).run(network).value

@@ -8,13 +8,13 @@ from repro.core.median import DeterministicMedianProtocol
 from repro.core.rep_count import RepetitionPolicy
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology
+from repro.network.topology import grid_links, line_links
 from repro.workloads.generators import generate_workload
 
 
 def _network(workload="uniform", n=144, side=12, max_value=1 << 17, seed=1):
     items = generate_workload(workload, n, max_value=max_value, seed=seed)
-    return SensorNetwork.from_items(items, topology=grid_topology(side)), items
+    return SensorNetwork.from_items(items, topology=grid_links(side)), items
 
 
 class TestLengthTransform:
@@ -42,7 +42,7 @@ class TestConfiguration:
             PolyloglogMedianProtocol(beta=1.5)
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             PolyloglogMedianProtocol().run(network)
@@ -95,7 +95,7 @@ class TestAccuracy:
 
     def test_all_equal_input(self):
         items = [500] * 49
-        network = SensorNetwork.from_items(items, topology=grid_topology(7))
+        network = SensorNetwork.from_items(items, topology=grid_links(7))
         outcome = PolyloglogMedianProtocol(num_registers=64, seed=1).run(network).value
         assert abs(outcome.value - 500) <= 500 * 2 * outcome.beta + 1
 
@@ -142,7 +142,7 @@ class TestComplexity:
         exact_costs = {}
         for max_value in (1 << 10, 1 << 20):
             items = generate_workload("uniform", n, max_value=max_value, seed=8)
-            network = SensorNetwork.from_items(items, topology=grid_topology(side))
+            network = SensorNetwork.from_items(items, topology=grid_links(side))
             result = PolyloglogMedianProtocol(
                 beta=1.0 / 8.0, num_registers=16, seed=5,
                 repetition_policy=RepetitionPolicy.practical(cap=2),
@@ -161,7 +161,7 @@ class TestComplexity:
         costs = []
         for side in (6, 12, 18):
             items = generate_workload("uniform", side * side, max_value=1 << 16, seed=9)
-            network = SensorNetwork.from_items(items, topology=grid_topology(side))
+            network = SensorNetwork.from_items(items, topology=grid_links(side))
             result = PolyloglogMedianProtocol(
                 beta=1.0 / 8.0, num_registers=16, seed=6,
                 repetition_policy=RepetitionPolicy.practical(cap=2),

@@ -10,11 +10,11 @@ from repro.core.definitions import reference_median, reference_order_statistic
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import (
-    grid_topology,
-    line_topology,
-    random_geometric_topology,
-    single_hop_topology,
-    star_topology,
+    grid_links,
+    line_links,
+    random_geometric_links,
+    single_hop_links,
+    star_links,
 )
 from repro.workloads.generators import generate_workload
 
@@ -24,10 +24,10 @@ def _network(items, topology=None):
         side = max(1, math.isqrt(len(items)))
         while side * side < len(items):
             side += 1
-        topology = grid_topology(side)
+        topology = grid_links(side)
         # Trim the grid is not possible; instead use a line when sizes mismatch.
-        if topology.number_of_nodes() != len(items):
-            topology = line_topology(len(items))
+        if topology.num_nodes != len(items):
+            topology = line_links(len(items))
     return SensorNetwork.from_items(items, topology=topology)
 
 
@@ -50,7 +50,7 @@ class TestMedianCorrectness:
         ],
     )
     def test_matches_reference(self, items):
-        network = _network(items, topology=line_topology(len(items)))
+        network = _network(items, topology=line_links(len(items)))
         result = DeterministicMedianProtocol().run(network)
         assert result.value.median == reference_median(items)
 
@@ -59,17 +59,17 @@ class TestMedianCorrectness:
     )
     def test_matches_reference_on_workloads(self, workload):
         items = generate_workload(workload, 81, max_value=50_000, seed=3)
-        network = _network(items, topology=grid_topology(9))
+        network = _network(items, topology=grid_links(9))
         result = DeterministicMedianProtocol(domain_max=50_000).run(network)
         assert result.value.median == reference_median(items)
 
     @pytest.mark.parametrize(
         "topology_factory",
         [
-            lambda n: line_topology(n),
-            lambda n: single_hop_topology(n),
-            lambda n: star_topology(n),
-            lambda n: random_geometric_topology(n, seed=5),
+            lambda n: line_links(n),
+            lambda n: single_hop_links(n),
+            lambda n: star_links(n),
+            lambda n: random_geometric_links(n, seed=5),
         ],
     )
     def test_topology_independent(self, topology_factory):
@@ -79,21 +79,21 @@ class TestMedianCorrectness:
         assert result.value.median == reference_median(items)
 
     def test_multiple_items_per_node(self):
-        network = SensorNetwork.from_items([0, 0, 0], topology=line_topology(3))
+        network = SensorNetwork.from_items([0, 0, 0], topology=line_links(3))
         network.assign_items({0: [10, 20], 1: [30], 2: [40, 50, 60]})
         items = [10, 20, 30, 40, 50, 60]
         result = DeterministicMedianProtocol().run(network)
         assert result.value.median == reference_median(items)
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             DeterministicMedianProtocol().run(network)
 
     def test_outcome_metadata(self):
         items = [4, 8, 15, 16, 23, 42]
-        network = _network(items, topology=line_topology(6))
+        network = _network(items, topology=line_links(6))
         outcome = DeterministicMedianProtocol().run(network).value
         assert outcome.n == 6
         assert outcome.minimum == 4
@@ -106,7 +106,7 @@ class TestMedianComplexity:
 
     def test_probe_count_is_logarithmic_in_spread(self):
         items = generate_workload("uniform", 64, max_value=(1 << 16), seed=1)
-        network = _network(items, topology=grid_topology(8))
+        network = _network(items, topology=grid_links(8))
         outcome = DeterministicMedianProtocol().run(network).value
         spread = outcome.maximum - outcome.minimum
         assert outcome.binary_search_iterations <= math.ceil(math.log2(spread)) + 1
@@ -116,7 +116,7 @@ class TestMedianComplexity:
         for side in (5, 10, 20):
             n = side * side
             items = generate_workload("uniform", n, max_value=n * n, seed=2)
-            network = SensorNetwork.from_items(items, topology=grid_topology(side))
+            network = SensorNetwork.from_items(items, topology=grid_links(side))
             result = DeterministicMedianProtocol(domain_max=n * n).run(network)
             costs[n] = result.max_node_bits
         # N grows 16x from 25 to 400; (log N)^2 grows ~3.5x.  Allow head-room
@@ -129,7 +129,7 @@ class TestMedianComplexity:
         # by a comfortable factor, and the gap widens with N (experiment E8).
         n = 400
         items = generate_workload("uniform", n, max_value=n * n, seed=3)
-        network = SensorNetwork.from_items(items, topology=grid_topology(20))
+        network = SensorNetwork.from_items(items, topology=grid_links(20))
         result = DeterministicMedianProtocol(domain_max=n * n).run(network)
         naive_bits = n * math.ceil(math.log2(n * n))
         assert result.max_node_bits < naive_bits / 3
@@ -139,20 +139,20 @@ class TestOrderStatistics:
     @pytest.mark.parametrize("k", [1, 2, 5, 9, 13, 17])
     def test_absolute_rank(self, k):
         items = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2]
-        network = _network(items, topology=line_topology(len(items)))
+        network = _network(items, topology=line_links(len(items)))
         result = DeterministicOrderStatisticProtocol(k=k).run(network)
         assert result.value.value == reference_order_statistic(items, k)
 
     @pytest.mark.parametrize("quantile", [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0])
     def test_quantiles(self, quantile):
         items = generate_workload("uniform", 100, max_value=10_000, seed=6)
-        network = SensorNetwork.from_items(items, topology=grid_topology(10))
+        network = SensorNetwork.from_items(items, topology=grid_links(10))
         result = DeterministicOrderStatisticProtocol(quantile=quantile).run(network)
         assert result.value.value == reference_order_statistic(items, quantile * 100)
 
     def test_min_and_max_as_order_statistics(self):
         items = [42, 17, 99, 3, 56]
-        network = _network(items, topology=line_topology(5))
+        network = _network(items, topology=line_links(5))
         low = DeterministicOrderStatisticProtocol(k=1).run(network).value.value
         high = DeterministicOrderStatisticProtocol(k=5).run(network).value.value
         assert low == min(items)
@@ -172,13 +172,13 @@ class TestOrderStatistics:
 
     def test_k_beyond_item_count_rejected_at_runtime(self):
         items = [1, 2, 3]
-        network = _network(items, topology=line_topology(3))
+        network = _network(items, topology=line_links(3))
         with pytest.raises(ConfigurationError):
             DeterministicOrderStatisticProtocol(k=10).run(network)
 
     def test_duplicate_heavy_input(self):
         items = [5] * 40 + [9] * 10
-        network = _network(items, topology=line_topology(50))
+        network = _network(items, topology=line_links(50))
         for quantile in (0.2, 0.5, 0.79, 0.9):
             network.reset_ledger()
             result = DeterministicOrderStatisticProtocol(quantile=quantile).run(network)

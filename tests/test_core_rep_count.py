@@ -5,7 +5,7 @@ import pytest
 from repro.core.rep_count import RepeatedApproxCount, RepetitionPolicy
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology
+from repro.network.topology import grid_links
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.predicates import LessThanPredicate
 from repro.workloads.generators import uniform_values
@@ -45,7 +45,7 @@ class TestRepeatedApproxCount:
     @pytest.fixture
     def network_and_items(self):
         items = uniform_values(144, max_value=20_000, seed=1)
-        return SensorNetwork.from_items(items, topology=grid_topology(12)), items
+        return SensorNetwork.from_items(items, topology=grid_links(12)), items
 
     def test_average_tracks_truth(self, network_and_items):
         network, items = network_and_items

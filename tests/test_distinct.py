@@ -11,34 +11,34 @@ from repro.distinct.disjointness import (
 from repro.distinct.exact import ExactDistinctCountProtocol
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology
+from repro.network.topology import grid_links, line_links
 from repro.workloads.generators import zipf_values
 
 
 class TestExactDistinct:
     def test_counts_distinct_values(self):
         items = [1, 5, 5, 9, 1, 1, 12]
-        network = SensorNetwork.from_items(items, topology=line_topology(len(items)))
+        network = SensorNetwork.from_items(items, topology=line_links(len(items)))
         assert ExactDistinctCountProtocol().run(network).value == 4
 
     def test_all_equal(self):
-        network = SensorNetwork.from_items([3] * 20, topology=line_topology(20))
+        network = SensorNetwork.from_items([3] * 20, topology=line_links(20))
         assert ExactDistinctCountProtocol().run(network).value == 1
 
     def test_all_distinct(self):
-        network = SensorNetwork.from_items(list(range(30)), topology=grid_topology(6, 5))
+        network = SensorNetwork.from_items(list(range(30)), topology=grid_links(6, 5))
         assert ExactDistinctCountProtocol().run(network).value == 30
 
     def test_zipf_duplicates(self):
         items = zipf_values(200, max_value=10_000, distinct=32, seed=1)
-        network = SensorNetwork.from_items(items, topology=grid_topology(20, 10))
+        network = SensorNetwork.from_items(items, topology=grid_links(20, 10))
         assert ExactDistinctCountProtocol().run(network).value == len(set(items))
 
     def test_cost_grows_linearly_with_distinct_values(self):
         costs = {}
         for n in (32, 128):
             network = SensorNetwork.from_items(
-                list(range(n)), topology=line_topology(n)
+                list(range(n)), topology=line_links(n)
             )
             result = ExactDistinctCountProtocol(domain_max=4 * n).run(network)
             costs[n] = result.max_node_bits
@@ -47,8 +47,8 @@ class TestExactDistinct:
         assert costs[128] >= 2.5 * costs[32]
 
     def test_cost_stays_small_when_duplication_is_heavy(self):
-        many_duplicates = SensorNetwork.from_items([7] * 128, topology=line_topology(128))
-        all_distinct = SensorNetwork.from_items(list(range(128)), topology=line_topology(128))
+        many_duplicates = SensorNetwork.from_items([7] * 128, topology=line_links(128))
+        all_distinct = SensorNetwork.from_items(list(range(128)), topology=line_links(128))
         dup_cost = ExactDistinctCountProtocol().run(many_duplicates).max_node_bits
         distinct_cost = ExactDistinctCountProtocol().run(all_distinct).max_node_bits
         assert dup_cost < distinct_cost / 5
@@ -56,7 +56,7 @@ class TestExactDistinct:
     def test_bitmap_encoding_caps_cost_for_small_domain(self):
         # With a tiny declared domain the bitmap encoding bounds per-edge cost.
         items = list(range(60))
-        network = SensorNetwork.from_items(items, topology=line_topology(60))
+        network = SensorNetwork.from_items(items, topology=line_links(60))
         result = ExactDistinctCountProtocol(domain_max=63).run(network)
         # Each edge carries at most a 64-bit bitmap (plus the broadcast).
         assert result.max_node_bits <= 2 * 64 + 16
@@ -65,27 +65,27 @@ class TestExactDistinct:
 class TestApproxDistinct:
     def test_estimate_accuracy(self):
         items = list(range(400))
-        network = SensorNetwork.from_items(items, topology=grid_topology(20))
+        network = SensorNetwork.from_items(items, topology=grid_links(20))
         outcome = ApproxDistinctCountProtocol(num_registers=256, seed=1).run(network).value
         assert abs(outcome.estimate - 400) / 400 < 0.3
 
     def test_duplicates_do_not_inflate_estimate(self):
         items = [11, 22, 33] * 60
-        network = SensorNetwork.from_items(items, topology=grid_topology(14, 13))
+        network = SensorNetwork.from_items(items, topology=grid_links(14, 13))
         outcome = ApproxDistinctCountProtocol(num_registers=128, seed=2).run(network).value
         assert outcome.estimate < 30
 
     def test_cost_flat_in_distinct_count(self):
         costs = []
         for n in (64, 256):
-            network = SensorNetwork.from_items(list(range(n)), topology=line_topology(n))
+            network = SensorNetwork.from_items(list(range(n)), topology=line_links(n))
             result = ApproxDistinctCountProtocol(num_registers=64, seed=3).run(network)
             costs.append(result.max_node_bits)
         assert max(costs) <= 1.2 * min(costs)
 
     def test_cost_far_below_exact_for_large_instances(self):
         n = 256
-        network = SensorNetwork.from_items(list(range(n)), topology=line_topology(n))
+        network = SensorNetwork.from_items(list(range(n)), topology=line_links(n))
         exact_bits = ExactDistinctCountProtocol().run(network).max_node_bits
         network.reset_ledger()
         approx_bits = ApproxDistinctCountProtocol(num_registers=64, seed=4).run(
@@ -95,7 +95,7 @@ class TestApproxDistinct:
 
     def test_guaranteed_factor_formula(self):
         outcome_protocol = ApproxDistinctCountProtocol(num_registers=64)
-        network = SensorNetwork.from_items([1, 2, 3, 4], topology=line_topology(4))
+        network = SensorNetwork.from_items([1, 2, 3, 4], topology=line_links(4))
         outcome = outcome_protocol.run(network).value
         assert outcome.guaranteed_factor == pytest.approx(3.15 / 8.0)
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.faults import RootElection, TreeRepair
 from repro.network import SensorNetwork
 from repro.network.radio import ReliableRadio
-from repro.network.topology import build_links, build_topology
+from repro.network.topology import build_links
 from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 
 _settings = settings(
@@ -86,9 +86,10 @@ def fields(draw):
         else draw(st.integers(min_value=6, max_value=28))
     )
     seed = draw(st.integers(min_value=0, max_value=7))
-    graph = build_topology(topology, num_nodes, seed=seed)
-    nodes = sorted(graph.nodes())
-    edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
+    links = build_links(topology, num_nodes, seed=seed)
+    nodes = links.node_ids()
+    low, high = links.edges()
+    edges = list(zip(low.tolist(), high.tolist()))
     others = st.sampled_from(nodes[1:])
     return Field(
         topology=topology,
@@ -171,7 +172,7 @@ def test_array_election_is_what_a_dense_numpy_network_runs(monkeypatch):
         RootElection().elect(network)
         assert calls.pop() == expected
     # Ids that are not 0..n-1 have no alive mask: the reference, silently.
-    graph = build_topology("ring", 8)
+    graph = build_links("ring", 8).to_networkx()
     sparse = SensorNetwork(
         nx.relabel_nodes(graph, {node: 10 * node for node in graph}), root=0
     )
@@ -184,7 +185,7 @@ def test_array_election_is_what_a_dense_numpy_network_runs(monkeypatch):
 # Stream sweep: one send_batch per sweep on perfect links
 # --------------------------------------------------------------------------- #
 def stream_network(radio):
-    graph = build_topology("grid", 36)
+    graph = build_links("grid", 36)
     network = SensorNetwork(graph, radio=radio, degree_bound=3, execution="vectorized")
     engine = engine_for(network, epsilon=0.1)
     engine.register("count", CountQuery())

@@ -8,15 +8,15 @@ from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.flat_tree import FlatTree
 from repro.network.simulator import SensorNetwork
 from repro.network.spanning_tree import SpanningTree, bfs_tree, tree_from_parents
-from repro.network.topology import line_topology, star_topology
+from repro.network.topology import line_links, star_links
 
 
 def line_tree(num_nodes):
-    return bfs_tree(line_topology(num_nodes), root=0)
+    return bfs_tree(line_links(num_nodes), root=0)
 
 
 def star_tree(num_nodes):
-    return bfs_tree(star_topology(num_nodes), root=0)
+    return bfs_tree(star_links(num_nodes), root=0)
 
 
 def subtree_of(tree, node):

@@ -15,7 +15,7 @@ from repro.core.definitions import is_approximate_order_statistic
 from repro.distinct import ApproxDistinctCountProtocol, ExactDistinctCountProtocol
 from repro.exceptions import DeliveryError
 from repro.network.radio import DuplicatingRadio, LossyRadio
-from repro.network.topology import grid_topology, random_geometric_topology
+from repro.network.topology import grid_links, random_geometric_links
 from repro.protocols.aggregates import AverageProtocol, CountProtocol, MaxProtocol
 from repro.workloads.generators import correlated_field_values, generate_workload
 
@@ -27,7 +27,7 @@ class TestEndToEndScenario:
     def field_network(self):
         side = 12
         readings = correlated_field_values(side * side, max_value=4095, seed=21)
-        network = SensorNetwork.from_items(readings, topology=grid_topology(side))
+        network = SensorNetwork.from_items(readings, topology=grid_links(side))
         return network, readings
 
     def test_sequence_of_queries_shares_one_network(self, field_network):
@@ -75,7 +75,7 @@ class TestRobustnessToLinkFailures:
         items = generate_workload("uniform", 49, max_value=10_000, seed=22)
         network = SensorNetwork.from_items(
             items,
-            topology=grid_topology(7),
+            topology=grid_links(7),
             radio=LossyRadio(loss_rate=0.3, seed=9, max_retries=64),
         )
         result = DeterministicMedianProtocol().run(network)
@@ -83,10 +83,10 @@ class TestRobustnessToLinkFailures:
 
     def test_lossy_links_cost_more_bits(self):
         items = generate_workload("uniform", 49, max_value=10_000, seed=23)
-        reliable = SensorNetwork.from_items(items, topology=grid_topology(7))
+        reliable = SensorNetwork.from_items(items, topology=grid_links(7))
         lossy = SensorNetwork.from_items(
             items,
-            topology=grid_topology(7),
+            topology=grid_links(7),
             radio=LossyRadio(loss_rate=0.4, seed=11, max_retries=64),
         )
         reliable_bits = DeterministicMedianProtocol().run(reliable).total_bits
@@ -97,7 +97,7 @@ class TestRobustnessToLinkFailures:
         items = [1, 2, 3, 4]
         network = SensorNetwork.from_items(
             items,
-            topology=grid_topology(2),
+            topology=grid_links(2),
             radio=LossyRadio(loss_rate=0.99, seed=13, max_retries=1),
         )
         with pytest.raises(DeliveryError):
@@ -107,7 +107,7 @@ class TestRobustnessToLinkFailures:
         items = generate_workload("zipf", 64, max_value=10_000, seed=24)
         network = SensorNetwork.from_items(
             items,
-            topology=grid_topology(8),
+            topology=grid_links(8),
             radio=DuplicatingRadio(duplicate_rate=0.4, seed=15),
         )
         assert DeterministicMedianProtocol().run(network).value.median == reference_median(items)
@@ -125,7 +125,7 @@ class TestScalingContrast:
         for n in sizes:
             items = generate_workload("uniform", n, max_value=n * n, seed=25)
             network = SensorNetwork.from_items(
-                items, topology=random_geometric_topology(n, seed=3)
+                items, topology=random_geometric_links(n, seed=3)
             )
             median_costs.append(
                 DeterministicMedianProtocol(domain_max=n * n).run(network).max_node_bits

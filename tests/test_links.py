@@ -1,7 +1,10 @@
 """The link table: one owner of link state, generated straight into arrays.
 
 * the grid-bucketed random-geometric generator finds exactly the edges
-  ``networkx.random_geometric_graph`` finds from the same seeded positions;
+  ``networkx.random_geometric_graph`` finds from the same seeded positions,
+  and the Prüfer decode the tree ``networkx.from_prufer_sequence`` builds;
+* each unordered pair is one link: a converted ``DiGraph`` or
+  ``MultiGraph`` keeps it once, and the constructor refuses a repeat;
 * the frontier BFS picks the parents a readable FIFO walk over ascending
   neighbours picks, after drops too;
 * ``drop_link`` / ``restore_link`` are the only mutation, round-trip
@@ -38,6 +41,7 @@ from repro.network.topology import (
     TOPOLOGY_BUILDERS,
     build_links,
     random_geometric_links,
+    random_tree_links,
 )
 from repro.streaming import CountQuery, engine_for
 from repro.workloads import DriftStream
@@ -71,6 +75,17 @@ def test_random_geometric_links_are_the_networkx_edges(num_nodes, seed):
         for edge in networkx_random_geometric(num_nodes, seed).edges()
     }
     assert edge_set(random_geometric_links(num_nodes, seed=seed)) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("num_nodes", [2, 3, 10, 64, 257, 1024, 2000])
+def test_random_tree_links_are_the_networkx_prufer_tree(num_nodes, seed):
+    rng = make_rng(seed)
+    prufer = [rng.randrange(num_nodes) for _ in range(num_nodes - 2)]
+    expected = {
+        tuple(sorted(edge)) for edge in nx.from_prufer_sequence(prufer).edges()
+    }
+    assert edge_set(random_tree_links(num_nodes, seed=seed)) == expected
 
 
 @pytest.mark.slow
@@ -189,6 +204,34 @@ def discovered(links: LinkTable, root: int, members=None) -> list[tuple]:
     """``spanning_parents`` as ``(node, parent)`` pairs in discovery order."""
     node_ids, parent_ids = spanning_parents(links, root, members=members)
     return list(zip(node_ids.tolist(), [None] + parent_ids[1:].tolist()))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [nx.DiGraph([(0, 1), (1, 0), (1, 2)]), nx.MultiGraph([(0, 1), (1, 0), (1, 2), (1, 1)])],
+    ids=["digraph", "multigraph"],
+)
+def test_a_converted_graph_keeps_each_pair_once(graph):
+    links = LinkTable.from_networkx(graph)
+    assert links.num_edges == 2 and links.neighbors(1) == [0, 2]
+    network = SensorNetwork(graph)
+    network.drop_link(0, 1)
+    assert not network.links.has(0, 1) and not network.links.has(1, 0)
+    assert network.links.neighbors(1) == [2]
+
+
+@pytest.mark.parametrize(
+    "low, high, message",
+    [
+        ([0, 1, 0], [1, 2, 1], "linked more than once"),
+        ([0, 1, 1], [1, 2, 0], "linked more than once"),
+        ([0, 1], [1, 1], "linked to itself"),
+    ],
+    ids=["repeat", "reversed", "self-loop"],
+)
+def test_the_constructor_refuses_a_repeated_pair_or_a_self_loop(low, high, message):
+    with pytest.raises(TopologyError, match=message):
+        LinkTable(3, low, high)
 
 
 def test_sparse_ids_answer_in_their_own_ids():

@@ -7,7 +7,7 @@ from repro.network.accounting import CommunicationLedger
 from repro.network.energy import EnergyModel
 from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import line_topology
+from repro.network.topology import line_links
 from repro.protocols.aggregates import CountProtocol
 
 
@@ -61,7 +61,7 @@ class TestRadioThroughProtocols:
 
     def _line_network(self, radio):
         return SensorNetwork.from_items(
-            list(range(12)), topology=line_topology(12), radio=radio
+            list(range(12)), topology=line_links(12), radio=radio
         )
 
     def test_lossy_retry_exhaustion_raises_through_protocol_run(self):

@@ -106,3 +106,63 @@ def test_random_geometric_fields_need_no_scipy():
         [sys.executable, "-c", BLOCK_SCIPY_AND_BUILD], check=True, env=env, timeout=60
     )
     assert time.perf_counter() - started < 10
+
+
+BLOCK_NETWORKX_AND_RUN = """
+import importlib
+import pkgutil
+import sys
+
+class BlockNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name == "networkx" or name.startswith("networkx."):
+            raise ImportError("networkx is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNetworkx())
+import repro
+
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(module.name)
+
+from repro.core import DeterministicMedianProtocol, reference_median
+from repro.faults import FaultEngine, FaultScript, NodeCrash, RootCrash, run_faulty_stream
+from repro.network import SensorNetwork
+from repro.network.topology import TOPOLOGY_BUILDERS, build_links
+from repro.streaming import CountQuery, engine_for
+from repro.workloads import DriftStream
+
+for name in TOPOLOGY_BUILDERS:
+    assert build_links(name, 25, seed=1).num_edges > 0, name
+
+items = [(7 * node) % 31 for node in range(30)]
+for execution in ("batched", "per-edge"):
+    network = SensorNetwork.from_items(
+        items, topology="random_geometric", seed=2, execution=execution
+    )
+    result = DeterministicMedianProtocol().run(network)
+    assert result.value.median == reference_median(items), execution
+
+for execution in ("batched", "vectorized"):
+    network = SensorNetwork.from_items([0] * 36, topology="grid", execution=execution)
+    network.clear_items()
+    engine = engine_for(network, epsilon=0.1)
+    engine.register("count", CountQuery())
+    script = FaultScript({2: [NodeCrash(7)], 4: [RootCrash()]})
+    faults = FaultEngine(network, script=script)
+    trace = run_faulty_stream(engine, DriftStream(36, seed=0), faults, epochs=6)
+    new_roots = [row["new_root"] for row in trace.to_dicts() if row["new_root"] is not None]
+    assert new_roots == [35], (execution, new_roots)
+
+assert "networkx" not in sys.modules
+"""
+
+
+def test_the_run_paths_need_no_networkx():
+    """networkx is read only by the adapters that hand a caller an
+    ``nx.Graph`` or take one: every module imports, every topology builds,
+    and one-shot and faulty streaming runs complete with it blocked."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, "-c", BLOCK_NETWORKX_AND_RUN], check=True, env=env, timeout=120
+    )

@@ -12,8 +12,6 @@ These cover the properties the paper's proofs rest on:
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +28,7 @@ from repro.distinct.exact import ExactDistinctCountProtocol
 from repro.network.accounting import CommunicationLedger
 from repro.network.simulator import SensorNetwork
 from repro.network.spanning_tree import bounded_degree_tree
-from repro.network.topology import line_topology, random_geometric_topology
+from repro.network.topology import line_links, random_geometric_links
 from repro.protocols.aggregates import CountProtocol, MaxProtocol, MinProtocol, SumProtocol
 from repro.protocols.countp import CountPredicateProtocol
 from repro.protocols.predicates import LessThanPredicate
@@ -61,7 +59,7 @@ def _rank_interval_error(values: list[int], answer: int, target_rank: float) -> 
 
 
 def _line_network(items: list[int]) -> SensorNetwork:
-    return SensorNetwork.from_items(items, topology=line_topology(len(items)))
+    return SensorNetwork.from_items(items, topology=line_links(len(items)))
 
 
 class TestDefinitionProperties:
@@ -226,7 +224,7 @@ class TestInfrastructureProperties:
     )
     @_slow
     def test_bounded_degree_tree_is_always_valid(self, num_nodes, seed, max_degree):
-        graph = random_geometric_topology(num_nodes, seed=seed)
+        graph = random_geometric_links(num_nodes, seed=seed)
         tree = bounded_degree_tree(graph, root=0, max_degree=max_degree)
         tree.validate(graph)
         assert tree.height <= num_nodes

@@ -1,12 +1,10 @@
 """Tests for broadcast, convergecast and the TAG-style aggregates (Fact 2.1)."""
 
-import math
-
 import pytest
 
 from repro.exceptions import EmptyNetworkError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology, single_hop_topology
+from repro.network.topology import grid_links, line_links, single_hop_links
 from repro.protocols.aggregates import (
     AverageProtocol,
     CountProtocol,
@@ -73,13 +71,13 @@ class TestExtremumProtocols:
         assert result.value == max(small_items)
 
     def test_nodes_without_items_are_skipped(self):
-        network = SensorNetwork.from_items([5, 9, 2], topology=line_topology(3))
+        network = SensorNetwork.from_items([5, 9, 2], topology=line_links(3))
         network.assign_items({1: []})
         assert MinProtocol().run(network).value == 2
         assert MaxProtocol().run(network).value == 5
 
     def test_empty_network_rejected(self):
-        network = SensorNetwork.from_items([1, 2], topology=line_topology(2))
+        network = SensorNetwork.from_items([1, 2], topology=line_links(2))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             MinProtocol().run(network)
@@ -94,7 +92,7 @@ class TestCountSumAverage:
         assert CountProtocol().run(small_network).value == len(small_items)
 
     def test_count_with_multiple_items_per_node(self):
-        network = SensorNetwork.from_items([1, 2, 3], topology=line_topology(3))
+        network = SensorNetwork.from_items([1, 2, 3], topology=line_links(3))
         network.assign_items({0: [1, 2, 3, 4]})
         assert CountProtocol().run(network).value == 6
 
@@ -106,7 +104,7 @@ class TestCountSumAverage:
         assert result.value == pytest.approx(sum(small_items) / len(small_items))
 
     def test_average_empty_rejected(self):
-        network = SensorNetwork.from_items([1], topology=line_topology(1))
+        network = SensorNetwork.from_items([1], topology=line_links(1))
         network.clear_items()
         with pytest.raises(EmptyNetworkError):
             AverageProtocol().run(network)
@@ -121,7 +119,7 @@ class TestFact21Complexity:
         for side in (6, 12):
             n = side * side
             items = uniform_values(n, max_value=n * n, seed=1)
-            network = SensorNetwork.from_items(items, topology=grid_topology(side))
+            network = SensorNetwork.from_items(items, topology=grid_links(side))
             result = protocol_cls().run(network)
             costs[n] = result.max_node_bits
         # Quadrupling N should grow the per-node cost far slower than 4x
@@ -130,8 +128,8 @@ class TestFact21Complexity:
 
     def test_count_cost_independent_of_topology_hubs(self):
         items = uniform_values(30, max_value=1000, seed=2)
-        clique = SensorNetwork.from_items(items, topology=single_hop_topology(30))
-        line = SensorNetwork.from_items(items, topology=line_topology(30))
+        clique = SensorNetwork.from_items(items, topology=single_hop_links(30))
+        line = SensorNetwork.from_items(items, topology=line_links(30))
         clique_cost = CountProtocol().run(clique).max_node_bits
         line_cost = CountProtocol().run(line).max_node_bits
         # With the bounded-degree tree the clique is not much worse than the line.

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.network.radio import DuplicatingRadio
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import grid_topology, line_topology, single_hop_topology
+from repro.network.topology import grid_links, line_links, single_hop_links
 from repro.protocols.aggregates import CountProtocol
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.gossip import PushSumGossip
@@ -16,7 +16,7 @@ from repro.workloads.generators import uniform_values
 def _grid_network(n_side, max_value=10_000, seed=0):
     n = n_side * n_side
     items = uniform_values(n, max_value=max_value, seed=seed)
-    return SensorNetwork.from_items(items, topology=grid_topology(n_side)), items
+    return SensorNetwork.from_items(items, topology=grid_links(n_side)), items
 
 
 class TestApproxCountConfiguration:
@@ -62,7 +62,7 @@ class TestApproxCountAccuracy:
 
     def test_distinct_mode_collapses_duplicates(self):
         items = [7] * 80 + list(range(100, 120))
-        network = SensorNetwork.from_items(items, topology=grid_topology(10))
+        network = SensorNetwork.from_items(items, topology=grid_links(10))
         protocol = ApproxCountProtocol(num_registers=256, mode="distinct", seed=9)
         estimate = protocol.run(network).value.estimate
         assert estimate < 60  # true distinct count is 21, multiset count is 100
@@ -112,10 +112,10 @@ class TestApproxCountComplexity:
 class TestDuplicateInsensitivity:
     def test_distinct_mode_immune_to_duplicating_radio(self):
         items = list(range(100))
-        reliable = SensorNetwork.from_items(items, topology=grid_topology(10))
+        reliable = SensorNetwork.from_items(items, topology=grid_links(10))
         duplicating = SensorNetwork.from_items(
             items,
-            topology=grid_topology(10),
+            topology=grid_links(10),
             radio=DuplicatingRadio(duplicate_rate=0.5, seed=3),
         )
         protocol_a = ApproxCountProtocol(num_registers=128, mode="distinct", seed=21)
@@ -130,7 +130,7 @@ class TestDuplicateInsensitivity:
         items = list(range(50))
         network = SensorNetwork.from_items(
             items,
-            topology=grid_topology(8),
+            topology=grid_links(8),
             radio=DuplicatingRadio(duplicate_rate=0.5, seed=5),
         )
         result = CountProtocol().run(network)
@@ -140,7 +140,7 @@ class TestDuplicateInsensitivity:
 class TestPushSumGossip:
     def test_average_on_clique(self):
         items = list(range(1, 33))
-        network = SensorNetwork.from_items(items, topology=single_hop_topology(32))
+        network = SensorNetwork.from_items(items, topology=single_hop_links(32))
         gossip = PushSumGossip(seed=1)
         outcome = gossip.run(network, lambda node: float(node.single_item())).value
         true_average = sum(items) / len(items)
@@ -148,15 +148,15 @@ class TestPushSumGossip:
 
     def test_sum_target(self):
         items = [1] * 16
-        network = SensorNetwork.from_items(items, topology=single_hop_topology(16))
+        network = SensorNetwork.from_items(items, topology=single_hop_links(16))
         gossip = PushSumGossip(seed=2, target="sum", rounds=200)
         outcome = gossip.run(network, lambda node: float(node.single_item())).value
         assert abs(outcome.estimate - 16) / 16 < 0.2
 
     def test_line_converges_more_slowly(self):
         items = list(range(1, 17))
-        clique = SensorNetwork.from_items(items, topology=single_hop_topology(16))
-        line = SensorNetwork.from_items(items, topology=line_topology(16))
+        clique = SensorNetwork.from_items(items, topology=single_hop_links(16))
+        line = SensorNetwork.from_items(items, topology=line_links(16))
         rounds = 30
         clique_outcome = PushSumGossip(seed=3, rounds=rounds).run(
             clique, lambda node: float(node.single_item())
@@ -172,7 +172,7 @@ class TestPushSumGossip:
 
     def test_communication_charged_every_round(self):
         items = [5] * 9
-        network = SensorNetwork.from_items(items, topology=grid_topology(3))
+        network = SensorNetwork.from_items(items, topology=grid_links(3))
         PushSumGossip(seed=4, rounds=10).run(network, lambda node: 1.0)
         assert network.ledger.rounds == 10
         assert network.ledger.total_messages == 10 * 9

@@ -5,7 +5,7 @@ import pytest
 from repro.core.definitions import rank
 from repro.exceptions import PredicateError
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import line_topology
+from repro.network.topology import line_links
 from repro.protocols.countp import CountPredicateProtocol
 from repro.protocols.predicates import (
     AllItemsPredicate,
@@ -97,7 +97,7 @@ class TestCountPredicateProtocol:
         assert protocol.run(small_network).value == len(small_items)
 
     def test_counts_multiple_items_per_node(self):
-        network = SensorNetwork.from_items([1, 2, 3], topology=line_topology(3))
+        network = SensorNetwork.from_items([1, 2, 3], topology=line_links(3))
         network.assign_items({0: [5, 15, 25]})
         protocol = CountPredicateProtocol(LessThanPredicate(threshold=16))
         assert protocol.run(network).value == 4  # 5, 15 from node 0; 2, 3 from others

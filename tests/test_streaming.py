@@ -8,7 +8,7 @@ from repro.core.definitions import rank
 from repro.exceptions import ConfigurationError
 from repro.network.radio import DuplicatingRadio
 from repro.network.simulator import SensorNetwork
-from repro.network.topology import line_topology
+from repro.network.topology import line_links
 from repro.protocols.epoch_convergecast import epoch_convergecast
 from repro.streaming import (
     ContinuousQueryEngine,
@@ -148,7 +148,7 @@ class TestEpochConvergecast:
 
     def test_single_dirty_leaf_activates_only_its_root_path(self):
         network = SensorNetwork.from_items(
-            list(range(8)), topology=line_topology(8)
+            list(range(8)), topology=line_links(8)
         )
         leaf = 7
         activated = []
@@ -165,7 +165,7 @@ class TestEpochConvergecast:
 
     def test_suppression_stops_propagation(self):
         network = SensorNetwork.from_items(
-            list(range(8)), topology=line_topology(8)
+            list(range(8)), topology=line_links(8)
         )
         activated = []
 

@@ -359,11 +359,11 @@ class TestVectorEngine:
         nothing parked: a later eviction of the same child, back in the tree
         under another parent, must not subtract the stale copy again."""
         from repro.faults import FaultEngine, RootCrash, TreeRepair
-        from repro.network.topology import build_topology
+        from repro.network.topology import build_links
         from repro.streaming.vector_engine import engine_for
 
         network = SensorNetwork(
-            build_topology("random_geometric", 6, seed=0), execution="vectorized"
+            build_links("random_geometric", 6, seed=0), execution="vectorized"
         )
         engine = engine_for(network, epsilon=0.0)
         engine.register("count", CountQuery())
@@ -394,11 +394,11 @@ class TestVectorEngine:
         dropped link, not the dead root): that parent still holds the
         fragment root's copy until the repair's child_losses evict it."""
         from repro.faults import FaultEngine, LinkDrop, RootCrash
-        from repro.network.topology import build_topology
+        from repro.network.topology import build_links
         from repro.streaming.vector_engine import engine_for
 
         network = SensorNetwork(
-            build_topology("grid", 7, seed=0), degree_bound=3, execution="vectorized"
+            build_links("grid", 7, seed=0), degree_bound=3, execution="vectorized"
         )
         engine = engine_for(network, epsilon=0.1)
         engine.register("count", CountQuery())
