@@ -23,6 +23,8 @@ from __future__ import annotations
 import time
 from operator import add
 
+import numpy as np
+
 from repro.analysis.report import format_table
 from repro.network.simulator import SensorNetwork
 from repro.protocols.broadcast import broadcast
@@ -42,12 +44,12 @@ def build_field(num_nodes: int) -> SensorNetwork:
     )
 
 
-def timed_query(network: SensorNetwork, name: str, local_value, combine, size_bits):
+def timed_query(network: SensorNetwork, name: str, local_values, combine, size_bits):
     network.reset_ledger()
     started = time.perf_counter()
     broadcast(network, f"{name}-request", 32, protocol=f"{name}-request")
     answer = convergecast(
-        network, local_value, combine, size_bits, protocol=name
+        network, local_values, combine, size_bits, protocol=name
     )
     elapsed = time.perf_counter() - started
     snapshot = network.ledger.snapshot()
@@ -69,16 +71,15 @@ def main() -> None:
         f"(tree height {field.flat_tree.height}) in {build_seconds:.2f}s\n"
     )
 
+    # Each node's local step, for every node at once, from the item columns.
+    items = field.item_columns
+    sums = items.sums()
     rows = [
-        timed_query(field, "COUNT", lambda node: node.item_count, add, 32),
-        timed_query(field, "SUM", lambda node: sum(node.items), add, 64),
-        timed_query(field, "MAX", lambda node: max(node.items), max, 32),
+        timed_query(field, "COUNT", items.lengths.tolist(), add, 32),
+        timed_query(field, "SUM", sums, add, 64),
+        timed_query(field, "MAX", items.reduce(np.maximum, None), max, 32),
         timed_query(
-            field,
-            "SUM(adaptive)",
-            lambda node: sum(node.items),
-            add,
-            lambda value: max(8, value.bit_length()),
+            field, "SUM(adaptive)", sums, add, lambda value: max(8, value.bit_length())
         ),
     ]
     print(format_table(
@@ -97,7 +98,7 @@ def main() -> None:
         started = time.perf_counter()
         broadcast(comparison, "sum-request", 32, protocol="sum-request")
         convergecast(
-            comparison, lambda node: sum(node.items), add, 64, protocol="SUM"
+            comparison, comparison.item_columns.sums(), add, 64, protocol="SUM"
         )
         timings[mode] = time.perf_counter() - started
         snapshots[mode] = comparison.ledger.snapshot()

@@ -17,7 +17,8 @@ Two encodings are provided:
     ``O(log log X)`` bits, which only shows up if the encoding is adaptive.
 
 The ``*_array`` twins size whole int64 columns at once for the array sweeps
-(exact below 2**53, refused above).
+(exact below 2**53, refused above); :func:`bit_length_array` is exact over
+all of uint64.
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ def signed_varint_bits(value: int) -> int:
 # --------------------------------------------------------------------------- #
 #: Largest magnitude whose bit length ``np.frexp`` recovers exactly.
 _EXACT_LIMIT = 1 << 53
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def bit_length_array(words):
+    """Exact ``int.bit_length`` of every ``uint64`` word (0 for zero).
+
+    float64 carries 53 bits, so ``np.frexp`` of a full 64-bit word can round
+    up to the next power of two; each 32-bit half converts exactly.
+    """
+    high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((words & _LOW32).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low).astype(np.int64)
 
 
 def _check_exact(values) -> None:

@@ -715,7 +715,7 @@ def _scaling_workload(network: SensorNetwork) -> int:
     broadcast(network, "sum-request", 32, protocol="scaling-request")
     return convergecast(
         network,
-        local_value=lambda node: sum(node.items),
+        local_values=network.item_columns.sums(),
         combine=add,
         size_bits=64,
         protocol="scaling-sum",

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import CountProtocol, MaxProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 from repro.sketches.gk_summary import GKSummary
@@ -40,34 +39,30 @@ class GKMedianProtocol:
         self,
         epsilon: float = 0.05,
         domain_max: int | None = None,
-        view: ItemView = raw_items,
     ) -> None:
         if not 0.0 < epsilon < 1.0:
             raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
         self.epsilon = epsilon
         self._domain_max = domain_max
-        self._view = view
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         """Execute the protocol; ``value`` is a :class:`GKMedianOutcome`."""
         with MeteredRun(network) as metered:
             domain_max = self._domain_max
             if domain_max is None:
-                domain_max = MaxProtocol(view=self._view).run(network).value
-            total_items = CountProtocol(view=self._view).run(network).value
+                domain_max = MaxProtocol().run(network).value
+            total_items = CountProtocol().run(network).value
             broadcast(
                 network,
                 {"query": "GK_MEDIAN", "epsilon": self.epsilon},
                 16,
                 protocol="GK_MEDIAN",
             )
-
-            def local(node: SensorNode) -> GKSummary:
-                return GKSummary.from_values(self._view(node), epsilon=self.epsilon)
-
             merged = convergecast(
                 network,
-                local,
+                network.item_columns.rows(
+                    lambda values: GKSummary.from_values(values, epsilon=self.epsilon)
+                ),
                 lambda a, b: a.merge(b),
                 lambda summary: summary.serialized_bits(
                     max_value=max(1, domain_max), max_count=max(1, total_items)

@@ -24,8 +24,9 @@ from repro._util.randomness import make_rng
 from repro.exceptions import EmptyNetworkError
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import MaxProtocol, MinProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.gossip import PushSumGossip
+from repro.protocols.predicates import LessThanPredicate
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,10 @@ class GossipMedianProtocol:
     def __init__(
         self,
         rounds_per_probe: int | None = None,
-        view: ItemView = raw_items,
         domain_max: int | None = None,
         seed: int | random.Random | None = 0,
     ) -> None:
         self.rounds_per_probe = rounds_per_probe
-        self._view = view
         self._domain_max = domain_max
         self._rng = make_rng(seed)
 
@@ -57,12 +56,8 @@ class GossipMedianProtocol:
         with MeteredRun(network) as metered:
             if network.total_items() == 0:
                 raise EmptyNetworkError("the network holds no items")
-            minimum = MinProtocol(domain_max=self._domain_max, view=self._view).run(
-                network
-            ).value
-            maximum = MaxProtocol(domain_max=self._domain_max, view=self._view).run(
-                network
-            ).value
+            minimum = MinProtocol(domain_max=self._domain_max).run(network).value
+            maximum = MaxProtocol(domain_max=self._domain_max).run(network).value
             rounds = self.rounds_per_probe
             if rounds is None:
                 n = max(2, network.num_nodes)
@@ -76,14 +71,11 @@ class GossipMedianProtocol:
                 gossip = PushSumGossip(
                     rounds=rounds, seed=self._rng, target="average"
                 )
-
-                def indicator(node) -> float:
-                    values = list(self._view(node))
-                    if not values:
-                        return 0.0
-                    return sum(1.0 for value in values if value < threshold) / len(values)
-
-                return gossip.run(network, indicator).value.estimate
+                # Each node's fraction of its items below the threshold.
+                items = network.item_columns
+                below = items.counts(LessThanPredicate(threshold).mask(items.values))
+                fractions = below / items.lengths.clip(min=1)
+                return gossip.run(network, fractions.tolist()).value.estimate
 
             spread = maximum - minimum
             if spread == 0:

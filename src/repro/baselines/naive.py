@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from repro._util.bits import fixed_width_bits, varint_bits
 from repro.core.definitions import reference_median
 from repro.exceptions import EmptyNetworkError
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 
@@ -33,11 +32,8 @@ class NaiveMedianOutcome:
 class NaiveShipAllMedianProtocol:
     """Forward all raw values to the root; sort there."""
 
-    def __init__(
-        self, domain_max: int | None = None, view: ItemView = raw_items
-    ) -> None:
+    def __init__(self, domain_max: int | None = None) -> None:
         self._domain_max = domain_max
-        self._view = view
 
     def _list_bits(self, values: tuple[int, ...]) -> int:
         if not values:
@@ -51,13 +47,9 @@ class NaiveShipAllMedianProtocol:
         """Execute the protocol; ``value`` is a :class:`NaiveMedianOutcome`."""
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "NAIVE_MEDIAN"}, 4, protocol="NAIVE_MEDIAN")
-
-            def local(node: SensorNode) -> tuple[int, ...]:
-                return tuple(self._view(node))
-
             all_values = convergecast(
                 network,
-                local,
+                network.item_columns.rows(tuple),
                 lambda a, b: a + b,
                 self._list_bits,
                 protocol="NAIVE_MEDIAN",

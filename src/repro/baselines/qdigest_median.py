@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util.validation import require_positive
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import MaxProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 from repro.sketches.qdigest import QDigest
@@ -37,19 +36,17 @@ class QDigestMedianProtocol:
         self,
         compression: int = 32,
         domain_max: int | None = None,
-        view: ItemView = raw_items,
     ) -> None:
         require_positive(compression, "compression")
         self.compression = compression
         self._domain_max = domain_max
-        self._view = view
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         """Execute the protocol; ``value`` is a :class:`QDigestMedianOutcome`."""
         with MeteredRun(network) as metered:
             domain_max = self._domain_max
             if domain_max is None:
-                domain_max = MaxProtocol(view=self._view).run(network).value
+                domain_max = MaxProtocol().run(network).value
             universe = max(2, domain_max + 1)
             broadcast(
                 network,
@@ -57,15 +54,13 @@ class QDigestMedianProtocol:
                 16,
                 protocol="QDIGEST_MEDIAN",
             )
-
-            def local(node: SensorNode) -> QDigest:
-                return QDigest.from_values(
-                    self._view(node), universe_size=universe, compression=self.compression
-                )
-
             merged = convergecast(
                 network,
-                local,
+                network.item_columns.rows(
+                    lambda values: QDigest.from_values(
+                        values, universe_size=universe, compression=self.compression
+                    )
+                ),
                 lambda a, b: a.merge(b),
                 lambda digest: digest.serialized_bits(),
                 protocol="QDIGEST_MEDIAN",

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util.validation import require_positive
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import MaxProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 from repro.sketches.sampling import MergeableSample
@@ -37,13 +36,11 @@ class SamplingMedianProtocol:
         self,
         sample_size: int = 32,
         domain_max: int | None = None,
-        view: ItemView = raw_items,
         salt: int = 0,
     ) -> None:
         require_positive(sample_size, "sample_size")
         self.sample_size = sample_size
         self._domain_max = domain_max
-        self._view = view
         self._salt = salt
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
@@ -51,23 +48,22 @@ class SamplingMedianProtocol:
         with MeteredRun(network) as metered:
             domain_max = self._domain_max
             if domain_max is None:
-                domain_max = MaxProtocol(view=self._view).run(network).value
+                domain_max = MaxProtocol().run(network).value
             broadcast(
                 network,
                 {"query": "SAMPLING_MEDIAN", "k": self.sample_size, "salt": self._salt},
                 16,
                 protocol="SAMPLING_MEDIAN",
             )
-
-            def local(node: SensorNode) -> MergeableSample:
+            def local(node_id: int, values: list[int]) -> MergeableSample:
                 sample = MergeableSample(capacity=self.sample_size, salt=self._salt)
-                for value in self._view(node):
-                    sample.add(value, origin=node.node_id)
+                for value in values:
+                    sample.add(value, origin=node_id)
                 return sample
 
             merged = convergecast(
                 network,
-                local,
+                list(map(local, network.node_ids(), network.item_columns.rows())),
                 lambda a, b: a.merge(b),
                 lambda sample: sample.serialized_bits(
                     max_value=max(1, domain_max), max_nodes=network.num_nodes

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from repro._util.validation import require_probability
 from repro.core.rep_count import RepeatedApproxCount, RepetitionPolicy
 from repro.exceptions import ConfigurationError, EmptyNetworkError
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import MaxProtocol, MinProtocol
 from repro.protocols.apx_count import ApproxCountProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.predicates import LessThanPredicate
 
 
@@ -66,8 +67,6 @@ class ApproximateOrderStatisticProtocol:
             performs (``RepetitionPolicy.paper()`` for the verbatim constants).
         alpha_c: the α of the α-counting protocol (Fact 2.2 gives < 10⁻⁶).
         sketch: ``"loglog"`` or ``"hyperloglog"``.
-        view: item view the protocol operates on (used by APX_MEDIAN2 to run
-            on the logarithm domain).
         domain_max: known upper bound on item values, used only to size the
             predicate encodings.
         seed: randomness seed for the counting sketches.
@@ -82,7 +81,6 @@ class ApproximateOrderStatisticProtocol:
         repetition_policy: RepetitionPolicy | None = None,
         alpha_c: float = 1e-6,
         sketch: str = "loglog",
-        view: ItemView = raw_items,
         domain_max: int | None = None,
         seed: int | random.Random | None = 0,
     ) -> None:
@@ -103,16 +101,14 @@ class ApproximateOrderStatisticProtocol:
             if repetition_policy is not None
             else RepetitionPolicy.practical()
         )
-        self._view = view
         self._domain_max = domain_max
         self._counter = ApproxCountProtocol(
             num_registers=num_registers,
             mode="multiset",
             sketch=sketch,
-            view=view,
             seed=seed,
         )
-        self._rep_count = RepeatedApproxCount(self._counter, view=view)
+        self._rep_count = RepeatedApproxCount(self._counter)
 
     @property
     def sigma(self) -> float:
@@ -120,24 +116,26 @@ class ApproximateOrderStatisticProtocol:
         return self._counter.relative_sigma
 
     # ------------------------------------------------------------------ #
-    def run(self, network: SensorNetwork) -> ProtocolResult:
-        """Execute Fig. 2; the result's ``value`` is an :class:`ApproxMedianOutcome`."""
+    def run(
+        self, network: SensorNetwork, items: ItemColumns | None = None
+    ) -> ProtocolResult:
+        """Execute Fig. 2; the result's ``value`` is an :class:`ApproxMedianOutcome`.
+
+        ``items`` (other columns in the network's row order) replaces the
+        network's items: APX_MEDIAN2 runs it on the logarithm domain.
+        """
         sigma = self.sigma
         margin = self.alpha_c + sigma
         with MeteredRun(network) as metered:
             # Line 1: exact MIN and MAX (cheap, Fact 2.1).
-            minimum = MinProtocol(domain_max=self._domain_max, view=self._view).run(
-                network
-            ).value
-            maximum = MaxProtocol(domain_max=self._domain_max, view=self._view).run(
-                network
-            ).value
+            minimum = MinProtocol(domain_max=self._domain_max).run(network, items).value
+            maximum = MaxProtocol(domain_max=self._domain_max).run(network, items).value
             spread = maximum - minimum
 
             # Line 2: q and the approximate item count n.
             q = max(1.0, math.log2(max(2, spread))) / self.epsilon
             n_estimate = self._rep_count.run(
-                network, self.policy.count_repetitions(q)
+                network, self.policy.count_repetitions(q), items=items
             ).value
             if n_estimate <= 0:
                 raise EmptyNetworkError("approximate count returned zero items")
@@ -182,7 +180,7 @@ class ApproximateOrderStatisticProtocol:
                     domain_max=self._domain_max if self._domain_max is not None else maximum,
                 )
                 return self._rep_count.run(
-                    network, probe_repetitions, predicate=predicate
+                    network, probe_repetitions, predicate=predicate, items=items
                 ).value
 
             # Line 4: noise-tolerant binary search.

@@ -14,8 +14,9 @@ of discarded smaller items, and repeats for ``ceil(log2(1/β))`` stages.
 Per Theorem 4.7 / Corollary 4.8 the per-node communication is
 ``O((log log N)³)`` bits for constant β and ε.  The length transform, the
 active/passive decision and the rescaling are all node-local (the root only
-broadcasts μ̂, a ``O(log log X̄)``-bit value), which the implementation mirrors
-by storing the scaled value in each node's scratch state.
+broadcasts μ̂, a ``O(log log X̄)``-bit value).  That per-node space is item
+columns of the run's own — each node's scaled values; a node is active while
+it holds any — handed to the composed protocols as ``items=``.
 
 Implementation notes (documented deviations, none affecting the asymptotics):
 
@@ -33,21 +34,20 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro._util.bits import varint_bits
+import numpy as np
+
+from repro._util.bits import bit_length_array, varint_bits
 from repro._util.validation import require_probability
 from repro.core.apx_median import ApproximateOrderStatisticProtocol
 from repro.core.rep_count import RepeatedApproxCount, RepetitionPolicy
 from repro.exceptions import ConfigurationError, EmptyNetworkError
-from repro.network.node import SensorNode
+from repro.network.node import INT64_MAX, ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import MaxProtocol
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.predicates import PowerThresholdPredicate
-
-_ACTIVE_KEY = "apxm2_active"
-_SCALED_KEY = "apxm2_scaled"
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,20 @@ class PolyloglogOutcome:
     alpha_guarantee: float = 0.0
 
 
-def _log_length(value: int) -> int:
-    """The length transform x̂ = floor(log2(x + 1)) used in place of floor(log x)."""
-    return int(value + 1).bit_length() - 1
+def _log_length(values):
+    """The length transform x̂ = floor(log2(x + 1)) used in place of
+    floor(log x), over an array of items (exact for every int64 item)."""
+    return bit_length_array(np.asarray(values, dtype=np.uint64) + np.uint64(1)) - 1
+
+
+def _rescale(values, low: int, scale_num: int, scale_den: int):
+    """``1 + (v - low) * scale_num // scale_den`` for every ``v``, exactly:
+    a product that could pass 2**63 is taken in Python ints (the results lie
+    in ``[1, scale_num + 1]`` and fit int64 again)."""
+    offsets = values - low
+    if offsets.size and int(offsets.max()) * scale_num > INT64_MAX:
+        offsets = offsets.astype(object)
+    return (1 + offsets * scale_num // scale_den).astype(np.int64)
 
 
 class PolyloglogMedianProtocol:
@@ -111,27 +122,9 @@ class PolyloglogMedianProtocol:
             num_registers=num_registers,
             mode="multiset",
             sketch=sketch,
-            view=self._active_scaled_view,
             seed=seed,
         )
-        self._rep_count = RepeatedApproxCount(
-            self._counter, view=self._active_scaled_view
-        )
-
-    # ------------------------------------------------------------------ #
-    # Node-local views (no communication)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _active_scaled_view(node: SensorNode) -> list[int]:
-        """Scaled values of this node's items while the node is active."""
-        if not node.scratch.get(_ACTIVE_KEY, False):
-            return []
-        return list(node.scratch.get(_SCALED_KEY, []))
-
-    @classmethod
-    def _active_length_view(cls, node: SensorNode) -> list[int]:
-        """Length transform of the active scaled values (the X̂ of Fig. 4)."""
-        return [_log_length(value) for value in cls._active_scaled_view(node)]
+        self._rep_count = RepeatedApproxCount(self._counter)
 
     @property
     def sigma(self) -> float:
@@ -152,23 +145,23 @@ class PolyloglogMedianProtocol:
             domain_max = max(1, domain_max)
 
             # Stage 0: announce the protocol; each node initialises its scaled
-            # value to its original item(s) and marks itself active.
+            # value to its original item(s), and is active if it holds any.
             broadcast(
                 network,
                 {"query": "APX_MEDIAN2", "beta": self.beta, "epsilon": self.epsilon},
                 16,
                 protocol="APX_MEDIAN2",
             )
-            for node in network.nodes():
-                node.scratch[_ACTIVE_KEY] = bool(node.items)
-                node.scratch[_SCALED_KEY] = list(node.items)
+            scaled = network.item_columns
 
             stages_total = max(1, math.ceil(math.log2(1.0 / self.beta)))
             q0 = max(1.0, math.log2(1.0 / self.beta)) / self.epsilon
             count_repetitions = self.policy.count_repetitions(q0)
 
             # Line 1: approximate total count and initial target rank.
-            n_estimate = self._rep_count.run(network, count_repetitions).value
+            n_estimate = self._rep_count.run(
+                network, count_repetitions, items=scaled
+            ).value
             if n_estimate <= 0:
                 raise EmptyNetworkError("approximate count returned zero items")
             k = n_estimate / 2.0
@@ -192,11 +185,12 @@ class PolyloglogMedianProtocol:
                     num_registers=self.num_registers,
                     repetition_policy=self.policy,
                     sketch=self.sketch,
-                    view=self._active_length_view,
-                    domain_max=_log_length(domain_max),
+                    domain_max=int(_log_length(domain_max)),
                     seed=self._counter._rng,
                 )
-                mu_hat = max(0, int(apx_os.run(network).value.value))
+                # The X̂ of Fig. 4: the length transform of the active values.
+                lengths = ItemColumns(scaled.ptr, _log_length(scaled.values))
+                mu_hat = max(0, int(apx_os.run(network, items=lengths).value.value))
 
                 # Line 3.4 (done before deactivation so it counts over X^(j)):
                 # how many currently-active items fall below the selected
@@ -204,7 +198,7 @@ class PolyloglogMedianProtocol:
                 # alone, keeping the message polyloglog-sized.
                 below_predicate = PowerThresholdPredicate(exponent=mu_hat, offset=-1)
                 below_estimate = self._rep_count.run(
-                    network, count_repetitions, predicate=below_predicate
+                    network, count_repetitions, predicate=below_predicate, items=scaled
                 ).value
 
                 # Selected interval in the current scaled domain (with the +1
@@ -220,26 +214,19 @@ class PolyloglogMedianProtocol:
                     varint_bits(mu_hat) + 4,
                     protocol="APX_MEDIAN2",
                 )
-                scale_num = domain_max - 1
-                scale_den = max(1, interval_width - 1)
-                for node in network.nodes():
-                    if not node.scratch.get(_ACTIVE_KEY, False):
-                        continue
-                    surviving: list[int] = []
-                    for value in node.scratch[_SCALED_KEY]:
-                        if interval_low <= value < interval_low + interval_width:
-                            if interval_width == 1:
-                                surviving.append(1)
-                            else:
-                                rescaled = 1 + (
-                                    (value - interval_low) * scale_num
-                                ) // scale_den
-                                surviving.append(int(rescaled))
-                    if surviving:
-                        node.scratch[_SCALED_KEY] = surviving
-                    else:
-                        node.scratch[_ACTIVE_KEY] = False
-                        node.scratch[_SCALED_KEY] = []
+                # A value survives inside [2^μ̂ − 1, 2^{μ̂+1} − 1); a node left
+                # with none turns passive.
+                values = scaled.values
+                inside = ~below_predicate.mask(values) & PowerThresholdPredicate(
+                    exponent=mu_hat + 1, offset=-1
+                ).mask(values)
+                if interval_width == 1:
+                    rescaled = np.ones(int(inside.sum()), dtype=np.int64)
+                else:
+                    rescaled = _rescale(
+                        values[inside], interval_low, domain_max - 1, interval_width - 1
+                    )
+                scaled = scaled.select(inside, rescaled)
 
                 # Root-side affine update mirroring the node-local rescaling.
                 offset = offset + (interval_low - domain_lo) * scale
@@ -250,7 +237,7 @@ class PolyloglogMedianProtocol:
                 # Line 3.4: adjust the target rank.
                 k = max(1.0, k - below_estimate)
 
-                active_estimate = self._rep_count.run(network, 1).value
+                active_estimate = self._rep_count.run(network, 1, items=scaled).value
                 stage_records.append(
                     ZoomStage(
                         stage=stage,
@@ -283,6 +270,4 @@ class PolyloglogMedianProtocol:
                 epsilon=self.epsilon,
                 alpha_guarantee=alpha_guarantee,
             )
-        # Leave the scratch state clean for the next protocol.
-        network.reset_scratch()
         return metered.result(outcome)

@@ -22,7 +22,7 @@ from repro.core.order_statistics import (
     run_binary_search_selection,
 )
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, ProtocolResult, raw_items
+from repro.protocols.base import ProtocolResult
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ class MedianOutcome:
 class DeterministicMedianProtocol:
     """Algorithm MEDIAN(X): exact median with O((log N)^2) bits per node."""
 
-    def __init__(
-        self, view: ItemView = raw_items, domain_max: int | None = None
-    ) -> None:
-        self._view = view
+    def __init__(self, domain_max: int | None = None) -> None:
         self._domain_max = domain_max
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
@@ -62,7 +59,6 @@ class DeterministicMedianProtocol:
         result = run_binary_search_selection(
             network,
             target_rank=lambda n: n / 2.0,
-            view=self._view,
             domain_max=self._domain_max,
         )
         outcome = MedianOutcome.from_order_statistic(result.value)

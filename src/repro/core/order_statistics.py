@@ -20,7 +20,7 @@ from typing import Callable
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import CountProtocol, MaxProtocol, MinProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.countp import CountPredicateProtocol
 from repro.protocols.predicates import LessThanPredicate
 
@@ -41,7 +41,6 @@ class OrderStatisticOutcome:
 def run_binary_search_selection(
     network: SensorNetwork,
     target_rank: Callable[[int], float],
-    view: ItemView = raw_items,
     domain_max: int | None = None,
 ) -> ProtocolResult:
     """Shared implementation of Fig. 1, parameterised by the target rank.
@@ -53,9 +52,9 @@ def run_binary_search_selection(
     """
     with MeteredRun(network) as metered:
         # Line 1: primitive protocols for min, max and count.
-        minimum = MinProtocol(domain_max=domain_max, view=view).run(network).value
-        maximum = MaxProtocol(domain_max=domain_max, view=view).run(network).value
-        n = CountProtocol(view=view).run(network).value
+        minimum = MinProtocol(domain_max=domain_max).run(network).value
+        maximum = MaxProtocol(domain_max=domain_max).run(network).value
+        n = CountProtocol().run(network).value
         if n == 0:
             raise EmptyNetworkError("cannot select from an empty input multiset")
         k = target_rank(n)
@@ -72,7 +71,7 @@ def run_binary_search_selection(
                 threshold=threshold,
                 domain_max=domain_max if domain_max is not None else maximum,
             )
-            return CountPredicateProtocol(predicate, view=view).run(network).value
+            return CountPredicateProtocol(predicate).run(network).value
 
         if maximum == minimum:
             # Degenerate range: every item has the same value, which is the
@@ -136,7 +135,6 @@ class DeterministicOrderStatisticProtocol:
         self,
         k: float | None = None,
         quantile: float | None = None,
-        view: ItemView = raw_items,
         domain_max: int | None = None,
     ) -> None:
         if (k is None) == (quantile is None):
@@ -147,7 +145,6 @@ class DeterministicOrderStatisticProtocol:
             raise ConfigurationError(f"k must be positive, got {k}")
         self.k = k
         self.quantile = quantile
-        self._view = view
         self._domain_max = domain_max
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
@@ -156,6 +153,4 @@ class DeterministicOrderStatisticProtocol:
                 return float(self.k)
             return self.quantile * n
 
-        return run_binary_search_selection(
-            network, target, view=self._view, domain_max=self._domain_max
-        )
+        return run_binary_search_selection(network, target, domain_max=self._domain_max)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.protocols.apx_count import ApproxCountProtocol
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.predicates import AllItemsPredicate, Predicate
 
 
@@ -85,23 +86,20 @@ class RepetitionPolicy:
 class RepeatedApproxCount:
     """REP_COUNTP(r, P): the average of ``r`` independent APX_COUNT runs."""
 
-    def __init__(
-        self,
-        counter: ApproxCountProtocol,
-        view: ItemView = raw_items,
-    ) -> None:
+    def __init__(self, counter: ApproxCountProtocol) -> None:
         self._counter = counter
-        self._view = view
 
     def run(
         self,
         network: SensorNetwork,
         repetitions: int,
         predicate: Predicate | None = None,
+        items: ItemColumns | None = None,
     ) -> ProtocolResult:
         """Run ``repetitions`` independent counts of items matching ``predicate``.
 
-        The result's ``value`` is the averaged estimate (a float).
+        The result's ``value`` is the averaged estimate (a float).  ``items``
+        replaces the network's items, as in :meth:`ApproxCountProtocol.run`.
         """
         require_positive(repetitions, "repetitions")
         effective_predicate = predicate if predicate is not None else AllItemsPredicate()
@@ -109,7 +107,7 @@ class RepeatedApproxCount:
             total = 0.0
             for _ in range(repetitions):
                 run_result = self._counter.run(
-                    network, predicate=effective_predicate, view=self._view
+                    network, predicate=effective_predicate, items=items
                 )
                 total += run_result.value.estimate
             average = total / repetitions

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.exceptions import ConfigurationError
 from repro.network.simulator import SensorNetwork
 from repro.protocols.apx_count import ApproxCountProtocol
-from repro.protocols.base import ItemView, ProtocolResult, raw_items
+from repro.protocols.base import ProtocolResult
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class ApproxDistinctCountProtocol:
         self,
         num_registers: int = 64,
         sketch: str = "loglog",
-        view: ItemView = raw_items,
         seed: int | None = 0,
     ) -> None:
         if num_registers < 4:
@@ -46,7 +45,6 @@ class ApproxDistinctCountProtocol:
             num_registers=num_registers,
             mode="distinct",
             sketch=sketch,
-            view=view,
             seed=seed,
         )
 

@@ -16,9 +16,8 @@ the linear growth directly, alongside the O(log log n) approximate protocol.
 from __future__ import annotations
 
 from repro._util.bits import fixed_width_bits, varint_bits
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 
@@ -32,11 +31,8 @@ class ExactDistinctCountProtocol:
     the best simple exact encoding.
     """
 
-    def __init__(
-        self, domain_max: int | None = None, view: ItemView = raw_items
-    ) -> None:
+    def __init__(self, domain_max: int | None = None) -> None:
         self._domain_max = domain_max
-        self._view = view
 
     def _set_bits(self, values: frozenset[int]) -> int:
         if not values:
@@ -53,13 +49,9 @@ class ExactDistinctCountProtocol:
             broadcast(
                 network, {"query": "COUNT_DISTINCT"}, 4, protocol="COUNT_DISTINCT"
             )
-
-            def local(node: SensorNode) -> frozenset[int]:
-                return frozenset(self._view(node))
-
             merged = convergecast(
                 network,
-                local,
+                network.item_columns.rows(frozenset),
                 lambda a, b: a | b,
                 self._set_bits,
                 protocol="COUNT_DISTINCT",

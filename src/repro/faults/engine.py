@@ -333,12 +333,10 @@ class FaultEngine:
             elif self.detector is None:
                 network.kill_node(node_id)
             else:
-                # The node dies *now* — readings and scratch state are gone
-                # — but nobody knows until a heartbeat sweep misses it, so
-                # the alive-mask (and the repair) waits for detection.
-                node = network.node(node_id)
-                node.clear_items()
-                node.reset_scratch()
+                # The node dies *now* — its readings are gone — but nobody
+                # knows until a heartbeat sweep misses it, so the alive-mask
+                # (and the repair) waits for detection.
+                network.assign_items({node_id: []})
                 self._undetected[node_id] = self._epoch
                 event_id = self._emit_injection(
                     "NodeCrash", node_id, detected=False
@@ -357,17 +355,13 @@ class FaultEngine:
                 # only the readings changed.
                 del self._undetected[node_id]
                 self._crash_events.pop(node_id, None)
-                node = network.node(node_id)
-                node.clear_items()
-                node.add_items(event.items)
+                network.assign_items({node_id: event.items})
                 rejoined.append(node_id)
                 flaps.append(node_id)
                 self._emit_injection("NodeRejoin", node_id, flap=True)
             elif not network.is_alive(node_id):
                 network.revive_node(node_id)
-                node = network.node(node_id)
-                node.clear_items()
-                node.add_items(event.items)
+                network.assign_items({node_id: event.items})
                 rejoined.append(node_id)
                 self._emit_injection("NodeRejoin", node_id, flap=False)
         elif isinstance(event, RegionalOutage):

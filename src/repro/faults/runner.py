@@ -154,9 +154,7 @@ def run_faulty_stream(
             # is re-synchronised instead of being served forever.
             for node_id in report.flapped:
                 if node_id in tree_nodes:
-                    reachable_updates[node_id] = list(
-                        network.node(node_id).items
-                    )
+                    reachable_updates[node_id] = network.items_of(node_id)
             record = engine.advance_epoch(reachable_updates)
             after = network.ledger.counters_snapshot()
 

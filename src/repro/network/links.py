@@ -143,6 +143,11 @@ class LinkTable:
         """The node ids of a row array (the array itself when dense)."""
         return rows if self._ids is None else self._ids[rows]
 
+    def rows_of(self, node_ids):
+        """The rows of an array of known node ids (the array itself when
+        dense)."""
+        return node_ids if self._ids is None else np.searchsorted(self._ids, node_ids)
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

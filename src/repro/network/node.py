@@ -2,77 +2,89 @@
 
 A node holds a multiset of non-negative integer *input items* (Section 2.1 of
 the paper).  Most experiments use exactly one item per node, but the model —
-and Theorem 5.1's reduction — allows several, so items are stored as a list.
+and Theorem 5.1's reduction — allows several.  The network owns them all as
+one :class:`ItemColumns` pair, so a protocol computes every node's local step
+at once; :class:`SensorNode` is a frozen view of one node.
 
-Nodes also carry a small ``scratch`` dictionary used by protocols for the
-per-node state that the paper charges against *space complexity* (e.g. the
-active/passive flag and scaled values of Algorithm ``APX_MEDIAN2``).  The
-scratch space never leaks into the communication accounting.
+The per-node state the paper charges against *space complexity* (the active
+flag and scaled values of Algorithm ``APX_MEDIAN2``) is columns the protocol
+builds and drops within one run (:mod:`repro.core.apx_median2`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from repro._util.validation import require_non_negative
-from repro.exceptions import ConfigurationError
+import numpy as np
+
+#: The largest item an int64 column holds.
+INT64_MAX = (1 << 63) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorNode:
-    """A single sensor holding zero or more integer items."""
+    """A read-only view of one sensor: its id, its items and whether it is
+    the root, as they were when the view was built."""
 
     node_id: int
-    items: list[int] = field(default_factory=list)
-    is_root: bool = False
-    scratch: dict[str, Any] = field(default_factory=dict)
+    items: tuple[int, ...]
+    is_root: bool
 
-    def __post_init__(self) -> None:
-        require_non_negative(self.node_id, "node_id")
-        validated: list[int] = []
-        for item in self.items:
-            validated.append(require_non_negative(item, "item"))
-        self.items = validated
 
-    # ------------------------------------------------------------------ #
-    # Item management
-    # ------------------------------------------------------------------ #
-    def add_item(self, value: int) -> None:
-        """Append one input item to this node's local multiset."""
-        self.items.append(require_non_negative(value, "value"))
+class ItemColumns(NamedTuple):
+    """Items of every node as CSR int64 columns, in link-table row order.
 
-    def add_items(self, values: Iterable[int]) -> None:
-        """Append several input items."""
-        for value in values:
-            self.add_item(value)
+    Row ``r``'s items are ``values[ptr[r]:ptr[r + 1]]``.  The per-row
+    helpers below are the local steps of the one-shot protocols, each one
+    pass over the columns.
+    """
 
-    def clear_items(self) -> None:
-        """Remove all input items (used when re-seeding a reused network)."""
-        self.items.clear()
+    ptr: np.ndarray
+    values: np.ndarray
 
     @property
-    def item_count(self) -> int:
-        """Number of items held locally, counting multiplicities."""
-        return len(self.items)
+    def lengths(self):
+        """Items per row (int64)."""
+        return np.diff(self.ptr)
 
-    def single_item(self) -> int:
-        """Return the node's item when it holds exactly one, else raise.
+    def counts(self, mask):
+        """Per row, how many of its items ``mask`` (one flag per item) sets."""
+        running = np.zeros(mask.size + 1, dtype=np.int64)
+        np.cumsum(mask, out=running[1:])
+        return running[self.ptr[1:]] - running[self.ptr[:-1]]
 
-        The single-item case is the paper's default (Section 2.1); protocols
-        that assume it call this accessor so a violated assumption fails loudly
-        instead of silently dropping data.
-        """
-        if len(self.items) != 1:
-            raise ConfigurationError(
-                f"node {self.node_id} holds {len(self.items)} items; "
-                "expected exactly one"
-            )
-        return self.items[0]
+    def sums(self) -> list[int]:
+        """Per-row item sums, exact: rows that could pass 2**63 are summed
+        as Python ints instead of in int64."""
+        values = self.values
+        if values.size and int(values.max()) * int(self.lengths.max()) > INT64_MAX:
+            return self.rows(sum)
+        return self.reduce(np.add, 0)
 
-    # ------------------------------------------------------------------ #
-    # Scratch state
-    # ------------------------------------------------------------------ #
-    def reset_scratch(self) -> None:
-        """Drop all per-protocol scratch state."""
-        self.scratch.clear()
+    def reduce(self, ufunc: np.ufunc, empty: object) -> list:
+        """``ufunc`` (``np.add``, ``np.minimum``, ...) over each row's items;
+        ``empty`` for a row with none."""
+        lengths = self.lengths
+        rows = np.flatnonzero(lengths)
+        local = [empty] * lengths.size
+        if rows.size:
+            # Empty rows add no items, so consecutive non-empty starts bound
+            # exactly one row's items each.
+            reduced = ufunc.reduceat(self.values, self.ptr[rows])
+            for row, value in zip(rows.tolist(), reduced.tolist()):
+                local[row] = value
+        return local
+
+    def rows(self, make: Callable[[list[int]], object] = list) -> list:
+        """``make`` applied to every row's items (a list of Python ints)."""
+        bounds = self.ptr.tolist()
+        values = self.values.tolist()
+        return [make(values[start:end]) for start, end in zip(bounds, bounds[1:])]
+
+    def select(self, keep, values=None) -> "ItemColumns":
+        """The items ``keep`` (one flag per item) sets, each row in order;
+        ``values`` (one per kept item) replaces them when given."""
+        ptr = np.zeros_like(self.ptr)
+        np.cumsum(self.counts(keep), out=ptr[1:])
+        return ItemColumns(ptr, self.values[keep] if values is None else values)

@@ -8,7 +8,12 @@ ledger.  Protocols interact with the network exclusively through
   graph edge (charged to the ledger, filtered through the radio model),
 * the batched primitive :meth:`send_batch` — plan a whole wave of
   synchronous-round transmissions and charge them in one ledger call, and
-* the node objects — for *local* computation only.
+* the item columns (:attr:`SensorNetwork.item_columns`) — read for *local*
+  computation only.
+
+The network is the one owner of node state: every node's items as int64
+columns, written only by ``from_items``, ``assign_items``, ``clear_items``
+and ``kill_node``; :meth:`SensorNetwork.node` returns a frozen view.
 
 This mirrors the paper's model (Section 2.1): the root can only initiate
 protocols and read back results; all costs are incurred edge by edge.  The
@@ -49,7 +54,7 @@ from repro.network.accounting import (
 from repro.network.flat_tree import FlatTree
 from repro.network.links import LinkTable, as_link_table
 from repro.network.message import Message
-from repro.network.node import SensorNode
+from repro.network.node import INT64_MAX, ItemColumns, SensorNode
 from repro.network.radio import (
     DELIVERED_ONCE,
     DeliveryOutcome,
@@ -105,13 +110,16 @@ class SensorNetwork:
         self.radio = radio if radio is not None else ReliableRadio()
         self.execution = execution
         self._sorted_ids: list[int] = links.node_ids()
-        self._nodes: dict[int, SensorNode] = {
-            node_id: SensorNode(node_id=node_id, is_root=(node_id == root))
-            for node_id in self._sorted_ids
-        }
-        self._dead: set[int] = set()
-        num_nodes = len(self._sorted_ids)
         dense_ids = links.dense
+        if not dense_ids:
+            for node_id in self._sorted_ids:
+                require_non_negative(node_id, "node_id")
+        num_nodes = len(self._sorted_ids)
+        # Row r holds _item_count[r] items from _item_values[_item_start[r]].
+        # A write that grows a row moves it to fresh slots at the end;
+        # item_columns packs the rows back into CSR order (_item_ptr).
+        self._install(np.zeros(num_nodes, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        self._dead: set[int] = set()
         #: ``_dead`` as a boolean array indexed by node id, for whole-array
         #: endpoint checks (treat as read-only); ``None`` when the ids are
         #: not ``0..n-1``.
@@ -162,6 +170,7 @@ class SensorNetwork:
         """
         if len(items) == 0:
             raise EmptyNetworkError("cannot build a network from zero items")
+        values = np.array(_checked_items(items), dtype=np.int64)
         if isinstance(topology, str):
             links = build_links(topology, len(items), seed=seed)
         else:
@@ -179,8 +188,9 @@ class SensorNetwork:
             execution=execution,
             telemetry=telemetry,
         )
-        for node_id, value in zip(network._sorted_ids, items):
-            network._nodes[node_id].add_item(value)
+        # One item per row, in id order; rows past the items hold none.
+        rows = np.arange(network.num_nodes)
+        network._install((rows < values.size).astype(np.int64), values)
         return network
 
     @property
@@ -291,7 +301,8 @@ class SensorNetwork:
 
     @property
     def root(self) -> SensorNode:
-        return self._nodes[self.root_id]
+        """A frozen view of the root."""
+        return self.node(self.root_id)
 
     @property
     def flat_tree(self) -> FlatTree:
@@ -326,37 +337,101 @@ class SensorNetwork:
         self._tree_view = None
 
     @property
-    def node_map(self) -> Mapping[int, SensorNode]:
-        """The node-id → :class:`SensorNode` table (treat as read-only)."""
-        return self._nodes
+    def tree_rows(self):
+        """The link-table row of every :attr:`flat_tree` position (int64):
+        where a sweep over the tree reads each node's item columns."""
+        return self._links.rows_of(self._flat_tree.ids_array)
+
+    @property
+    def item_columns(self) -> ItemColumns:
+        """Every node's items as CSR int64 columns in link-table row order
+        (treat as read-only; change items through :meth:`assign_items`)."""
+        if self._item_ptr is None:
+            self._pack()
+        return ItemColumns(self._item_ptr, self._item_values)
+
+    def _install(self, counts, values) -> None:
+        """Adopt packed columns: ``counts[r]`` items per row, in row order."""
+        self._item_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=self._item_ptr[1:])
+        self._item_start = self._item_ptr[:-1].copy()
+        self._item_count = counts
+        self._item_values = values
+
+    def _pack(self) -> None:
+        """Gather every row's items back into row order (one array pass)."""
+        counts = self._item_count
+        self._install(counts, self._item_values[_slots(self._item_start, counts)])
+
+    def _row(self, node_id: int) -> int:
+        row = self._links.row_of(node_id)
+        if row < 0:
+            raise ConfigurationError(f"unknown node id {node_id}")
+        return row
 
     def node(self, node_id: int) -> SensorNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise ConfigurationError(f"unknown node id {node_id}") from None
+        """A frozen view of ``node_id`` as it is now (raises on an unknown id)."""
+        node_id = self._sorted_ids[self._row(node_id)]
+        return SensorNode(node_id, tuple(self.items_of(node_id)), node_id == self.root_id)
 
     def nodes(self) -> Iterator[SensorNode]:
-        """Iterate over nodes in id order."""
-        nodes = self._nodes
-        for node_id in self._sorted_ids:
-            yield nodes[node_id]
+        """Frozen views of every node, in id order."""
+        return map(self.node, self._sorted_ids)
 
     def node_ids(self) -> list[int]:
         """Node ids in ascending order (copied from a cache, never re-sorted)."""
         return list(self._sorted_ids)
 
-    def assign_items(self, per_node_items: dict[int, Iterable[int]]) -> None:
-        """Replace the items of the listed nodes (others keep theirs)."""
+    def items_of(self, node_id: int) -> list[int]:
+        """The items of ``node_id``, in the order they were assigned."""
+        row = self._row(node_id)
+        start = int(self._item_start[row])
+        return self._item_values[start : start + int(self._item_count[row])].tolist()
+
+    def assign_items(self, per_node_items: Mapping[int, Iterable[int]]) -> None:
+        """Replace the items of the listed nodes (others keep theirs).
+
+        All or nothing: every id must be known and every item a
+        non-negative integer below 2**63, or
+        :class:`~repro.exceptions.ConfigurationError` is raised before
+        anything is written.  Updates that keep each node's item count
+        (one reading per node) are written in place.
+        """
+        rows: list[int] = []
+        new: list[list[int]] = []
         for node_id, values in per_node_items.items():
-            node = self.node(node_id)
-            node.clear_items()
-            node.add_items(values)
+            rows.append(self._row(node_id))
+            new.append(_checked_items(values))
+        self._write_items(rows, new)
+
+    def _write_items(self, rows: list[int], new: list[list[int]]) -> None:
+        """Replace the items of distinct ``rows`` with the checked ``new``:
+        in place when a row keeps its count or shrinks, O(update)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+        old = self._item_count[rows]
+        if not np.array_equal(counts, old):
+            grown = counts > old
+            if grown.any():
+                live = int(self._item_count.sum())
+                if self._item_values.size > 2 * (live + self.num_nodes):
+                    self._pack()  # bound the dead slots by the live ones
+                # No room in place: grown rows move to fresh slots at the end.
+                extra = counts[grown]
+                ends = self._item_values.size + np.cumsum(extra)
+                self._item_start[rows[grown]] = ends - extra
+                self._item_values = np.concatenate(
+                    (self._item_values, np.zeros(int(extra.sum()), dtype=np.int64))
+                )
+            self._item_count[rows] = counts
+            self._item_ptr = None
+        self._item_values[_slots(self._item_start[rows], counts)] = np.fromiter(
+            chain.from_iterable(new), dtype=np.int64, count=int(counts.sum())
+        )
 
     def clear_items(self) -> None:
         """Remove every item from every node."""
-        for node in self._nodes.values():
-            node.clear_items()
+        self._install(np.zeros_like(self._item_count), np.zeros(0, dtype=np.int64))
 
     def all_items(self) -> list[int]:
         """Ground-truth multiset of all items, for verification only.
@@ -365,26 +440,18 @@ class SensorNetwork:
         The test-suite and the experiment harness use it to check protocol
         outputs against the true answer.
         """
-        items: list[int] = []
-        for node in self.nodes():
-            items.extend(node.items)
-        return items
+        return self.item_columns.values.tolist()
 
     def total_items(self) -> int:
         """Ground-truth value of N = |X| (verification only)."""
-        return sum(node.item_count for node in self._nodes.values())
+        return int(self._item_count.sum())
 
     def max_item(self) -> int:
         """Ground-truth max(X) (verification only)."""
-        items = self.all_items()
-        if not items:
+        values = self.item_columns.values
+        if not values.size:
             raise EmptyNetworkError("network holds no items")
-        return max(items)
-
-    def reset_scratch(self) -> None:
-        """Clear per-protocol scratch state on every node."""
-        for node in self._nodes.values():
-            node.reset_scratch()
+        return int(values.max())
 
     # ------------------------------------------------------------------ #
     # Liveness (the alive-mask consumed by the fault-tolerance engine)
@@ -394,8 +461,8 @@ class SensorNetwork:
         return node_id not in self._dead
 
     def kill_node(self, node_id: int, allow_root: bool = False) -> None:
-        """Crash ``node_id``: it loses its readings and scratch state and can
-        neither send nor receive until revived.
+        """Crash ``node_id``: it loses its readings and can neither send nor
+        receive until revived.
 
         Killing the root requires ``allow_root=True`` — it is the node wired
         to the user entity, so its death leaves the network without an
@@ -413,35 +480,34 @@ class SensorNetwork:
                 "allow_root=True (or schedule repro.faults.RootCrash) to "
                 "model root fail-over"
             )
-        node = self.node(node_id)
+        row = self._row(node_id)
         self._dead.add(node_id)
         if self.alive_mask is not None:
             self.alive_mask[node_id] = False
-        node.clear_items()
-        node.reset_scratch()
+        if self._item_count[row]:
+            self._item_count[row] = 0  # its slots go dead until the next pack
+            self._item_ptr = None
 
     def set_root(self, node_id: int) -> None:
         """Re-root the network's *identity* at ``node_id`` (must be alive).
 
-        Updates :attr:`root_id` and the per-node ``is_root`` flags only —
-        the spanning tree is left untouched, because re-rooting the tree is
-        a charged operation (:class:`~repro.faults.RootElection` decides and
-        bills it, :class:`~repro.faults.TreeRepair` installs the re-rooted
-        tree).  Callers flipping the root outside that pipeline must install
-        a tree rooted at ``node_id`` themselves before running protocols.
+        Updates :attr:`root_id` only — the spanning tree is left untouched,
+        because re-rooting the tree is a charged operation
+        (:class:`~repro.faults.RootElection` decides and bills it,
+        :class:`~repro.faults.TreeRepair` installs the re-rooted tree).
+        Callers flipping the root outside that pipeline must install a tree
+        rooted at ``node_id`` themselves before running protocols.
         """
         if node_id in self._dead:
             raise ConfigurationError(
                 f"cannot root the network at dead node {node_id}"
             )
-        node = self.node(node_id)
-        self._nodes[self.root_id].is_root = False
-        node.is_root = True
+        self._row(node_id)
         self.root_id = node_id
 
     def revive_node(self, node_id: int) -> None:
         """Bring a crashed node back (with no items; rejoin supplies fresh ones)."""
-        self.node(node_id)
+        self._row(node_id)
         self._dead.discard(node_id)
         if self.alive_mask is not None:
             self.alive_mask[node_id] = True
@@ -459,7 +525,7 @@ class SensorNetwork:
 
     @property
     def num_alive(self) -> int:
-        return len(self._nodes) - len(self._dead)
+        return len(self._sorted_ids) - len(self._dead)
 
     def attached_node_ids(self) -> list[int]:
         """Nodes the current spanning tree spans (alive and root-connected)."""
@@ -473,11 +539,10 @@ class SensorNetwork:
         protocol, so answer accuracy is measured against the attached
         population.
         """
-        nodes = self._nodes
-        items: list[int] = []
-        for node_id in self.attached_node_ids():
-            items.extend(nodes[node_id].items)
-        return items
+        attached = np.zeros(self.num_nodes, dtype=bool)
+        attached[self.tree_rows] = True
+        columns = self.item_columns
+        return columns.values[np.repeat(attached, columns.lengths)].tolist()
 
     # ------------------------------------------------------------------ #
     # Communication
@@ -499,7 +564,7 @@ class SensorNetwork:
         receiving node's logic.
         """
         require_non_negative(size_bits, "size_bits")
-        if sender not in self._nodes or receiver not in self._nodes:
+        if sender not in self._links or receiver not in self._links:
             raise ConfigurationError(
                 f"send between unknown nodes {sender} -> {receiver}"
             )
@@ -692,9 +757,9 @@ class SensorNetwork:
 
     def _check_links(self, links: Sequence[tuple[int, int]], require_edge: bool) -> None:
         """Raise the error :meth:`send` raises at the first bad link."""
-        nodes = self._nodes
+        nodes = self._links
         dead = self._dead
-        has_edge = self._links.has
+        has_edge = nodes.has
         for sender, receiver in links:
             # Endpoints are validated even when the edge check is waived
             # (matching :meth:`send`) so a bogus id fails fast instead of
@@ -771,6 +836,27 @@ class SensorNetwork:
             f"SensorNetwork(nodes={self.num_nodes}, root={self.root_id}, "
             f"items={self.total_items()}, tree_height={self._flat_tree.height})"
         )
+
+
+def _checked_items(values: Iterable[int]) -> list[int]:
+    """``values`` as a list of ints, each a non-negative integer below 2**63;
+    raises :class:`~repro.exceptions.ConfigurationError` otherwise."""
+    items = list(values)
+    for item in items:
+        if type(item) is not int or not 0 <= item <= INT64_MAX:
+            # Off the common case: name the bad item, convert numpy ints.
+            items = [require_non_negative(item, "item") for item in items]
+            if max(items) > INT64_MAX:
+                raise ConfigurationError(f"items must be below 2**63, got {max(items)}")
+            break
+    return items
+
+
+def _slots(starts, counts):
+    """The slots of runs of ``counts[i]`` items from ``starts[i]``, in order."""
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    slots += np.arange(slots.size)
+    return slots
 
 
 def _pair_array(links: Sequence[tuple[int, int]]):

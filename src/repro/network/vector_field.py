@@ -1,10 +1,9 @@
 """A standalone million-node sensor field on contiguous numpy state.
 
-:class:`~repro.network.SensorNetwork` carries a link table, per-node
-``Node`` objects and a radio model — the full simulation fidelity the
-correctness suites need, at a per-node Python cost that caps practical runs
-around 10⁵ nodes.  :class:`VectorField` is the production-scale
-counterpart for the paper's *continuous monitoring* regime: a field whose
+:class:`~repro.network.SensorNetwork` carries a link table, item columns
+and a radio model — the full simulation fidelity the correctness suites
+need.  :class:`VectorField` is a standalone counterpart for the paper's
+*continuous monitoring* regime, with no link table: a field whose
 structure is a :class:`~repro.network.FlatTree` (parent / child-span /
 level arrays as contiguous ``int64`` buffers), whose per-node state is a
 handful of ``int64``/bool columns, and whose per-epoch work is the fused

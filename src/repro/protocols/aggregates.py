@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro._util.bits import fixed_width_bits, varint_bits
 from repro.exceptions import EmptyNetworkError
-from repro.network.node import SensorNode
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast, count_convergecast
 
@@ -47,45 +49,43 @@ class _ExtremumProtocol:
     def __init__(
         self,
         pick: Callable[[int, int], int],
+        reduce: np.ufunc,
         name: str,
         domain_max: int | None = None,
-        view: ItemView = raw_items,
     ) -> None:
         self._pick = pick
+        self._reduce = reduce
         self._name = name
         self._domain_max = domain_max
-        self._view = view
 
-    def run(self, network: SensorNetwork) -> ProtocolResult:
+    def run(
+        self, network: SensorNetwork, items: ItemColumns | None = None
+    ) -> ProtocolResult:
+        """Run over the network's items, or over ``items`` (other columns
+        in the same row order) when given."""
+        if items is None:
+            items = network.item_columns
+        pick = self._pick
         with MeteredRun(network) as metered:
             broadcast(network, {"query": self._name}, _REQUEST_BITS, protocol=self._name)
-
-            def local(node: SensorNode) -> int | None:
-                values = list(self._view(node))
-                if not values:
-                    return None
-                result = values[0]
-                for value in values[1:]:
-                    result = self._pick(result, value)
-                return result
 
             def combine(a: int | None, b: int | None) -> int | None:
                 if a is None:
                     return b
                 if b is None:
                     return a
-                return self._pick(a, b)
+                return pick(a, b)
 
             answer = convergecast(
                 network,
-                local,
+                items.reduce(self._reduce, None),
                 combine,
                 _value_size(self._domain_max),
                 protocol=self._name,
             )
             if answer is None:
                 raise EmptyNetworkError(
-                    f"{self._name}: no node holds any item matching the view"
+                    f"{self._name}: no node holds any item"
                 )
         return metered.result(answer)
 
@@ -93,28 +93,25 @@ class _ExtremumProtocol:
 class MinProtocol(_ExtremumProtocol):
     """Compute min(X) over the tree (Fact 2.1)."""
 
-    def __init__(self, domain_max: int | None = None, view: ItemView = raw_items) -> None:
-        super().__init__(min, "MIN", domain_max=domain_max, view=view)
+    def __init__(self, domain_max: int | None = None) -> None:
+        super().__init__(min, np.minimum, "MIN", domain_max=domain_max)
 
 
 class MaxProtocol(_ExtremumProtocol):
     """Compute max(X) over the tree (Fact 2.1)."""
 
-    def __init__(self, domain_max: int | None = None, view: ItemView = raw_items) -> None:
-        super().__init__(max, "MAX", domain_max=domain_max, view=view)
+    def __init__(self, domain_max: int | None = None) -> None:
+        super().__init__(max, np.maximum, "MAX", domain_max=domain_max)
 
 
 class CountProtocol:
     """Compute |X| (with multiplicities) over the tree (Fact 2.1)."""
 
-    def __init__(self, view: ItemView = raw_items) -> None:
-        self._view = view
-
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "COUNT"}, _REQUEST_BITS, protocol="COUNT")
             answer = count_convergecast(
-                network, lambda node: len(list(self._view(node))), protocol="COUNT"
+                network, network.item_columns.lengths, protocol="COUNT"
             )
         return metered.result(answer)
 
@@ -122,17 +119,14 @@ class CountProtocol:
 class SumProtocol:
     """Compute the sum of all items over the tree (Fact 2.1)."""
 
-    def __init__(self, view: ItemView = raw_items) -> None:
-        self._view = view
-
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "SUM"}, _REQUEST_BITS, protocol="SUM")
             # Not count_convergecast: a sum can pass 2**53, beyond which its
-            # array sizing is not exact.
+            # array sizing is not exact.  The partials are Python ints.
             answer = convergecast(
                 network,
-                lambda node: sum(self._view(node)),
+                network.item_columns.sums(),
                 lambda a, b: a + b,
                 lambda value: varint_bits(int(value)),
                 protocol="SUM",
@@ -146,23 +140,17 @@ class AverageProtocol:
     Partial aggregates are (sum, count) pairs, as in TAG.
     """
 
-    def __init__(self, view: ItemView = raw_items) -> None:
-        self._view = view
-
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "AVG"}, _REQUEST_BITS, protocol="AVG")
-
-            def local(node: SensorNode) -> tuple[int, int]:
-                values = list(self._view(node))
-                return sum(values), len(values)
+            items = network.item_columns
 
             def combine(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
                 return a[0] + b[0], a[1] + b[1]
 
             total, count = convergecast(
                 network,
-                local,
+                list(zip(items.sums(), items.lengths.tolist())),
                 combine,
                 lambda pair: varint_bits(int(pair[0])) + varint_bits(int(pair[1])),
                 protocol="AVG",

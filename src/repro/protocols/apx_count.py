@@ -19,8 +19,8 @@ Two counting modes are supported:
 The merge is a register-wise max, so the root's sketch is the sketch of all
 the nodes' hashes together.  The ``"per-edge"`` reference builds one sketch
 per node and merges them up the tree.  Every other execution path collects
-the hashes (the same per-node draws, in bottom-up order), scatters them into
-the root's registers with
+the tree nodes' hashes (the same per-node draws), scatters them into the
+root's registers with
 :func:`~repro.sketches.registers.registers_from_hashes`, and charges the
 same full sketch over every tree edge.
 """
@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from repro._util.randomness import make_rng
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
-from repro.network.node import SensorNode
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import charge_up_sweep, convergecast
 from repro.protocols.predicates import AllItemsPredicate, Predicate
@@ -84,7 +85,6 @@ class ApproxCountProtocol:
         mode: str = "multiset",
         sketch: str = "loglog",
         predicate: Predicate | None = None,
-        view: ItemView = raw_items,
         seed: int | random.Random | None = 0,
         max_expected_count: int = 1 << 30,
     ) -> None:
@@ -99,7 +99,6 @@ class ApproxCountProtocol:
         self.mode = mode
         self.sketch_type = sketch
         self.predicate = predicate if predicate is not None else AllItemsPredicate()
-        self._view = view
         self._rng = make_rng(seed)
         self.max_expected_count = max_expected_count
 
@@ -111,42 +110,32 @@ class ApproxCountProtocol:
         sketch_cls = _SKETCH_TYPES[self.sketch_type]
         return sketch_cls(num_registers=self.num_registers, salt=salt)
 
-    def _local_hashes(
-        self, node: SensorNode, salt: int, predicate: Predicate, view: ItemView
-    ) -> list[int]:
-        """The node's 64-bit contributions, one per matching item."""
-        matching = [value for value in view(node) if predicate(value)]
-        if self.mode == "distinct":
-            return [hash64(value, salt=salt) for value in matching]
-        if not matching:
-            return []  # no draw, so no generator to seed
-        # Fresh per-(node, item, salt) randomness so every item counts once
-        # per invocation and invocations are mutually independent.
-        draw = random.Random(hash64(node.node_id * 1_000_003 + salt, salt=salt)).getrandbits
-        return [draw(64) for _ in matching]
+    def _hashes(self, network, salt, predicate, items, rows) -> list[list[int]]:
+        """The 64-bit contributions of the nodes in link-table ``rows``, one
+        per matching item, as one list per row."""
+        matching = items.select(predicate.mask(items.values))
+        bounds, values = matching.ptr.tolist(), matching.values.tolist()
+        ids = network.node_ids()
+        hashes: list[list[int]] = []
+        for row in rows:
+            local = values[bounds[row] : bounds[row + 1]]
+            if self.mode == "distinct":
+                hashes.append([hash64(value, salt=salt) for value in local])
+            elif local:
+                # Fresh per-(node, item, salt) randomness so every item
+                # counts once per invocation and invocations are mutually
+                # independent.
+                seed = hash64(ids[row] * 1_000_003 + salt, salt=salt)
+                draw = random.Random(seed).getrandbits
+                hashes.append([draw(64) for _ in local])
+            else:
+                hashes.append([])  # no draw, so no generator to seed
+        return hashes
 
-    def _local_sketch(
-        self, node: SensorNode, salt: int, predicate: Predicate, view: ItemView
-    ):
+    def _local_sketch(self, salt: int, hashes: list[int]):
         sketch = self._empty_sketch(salt)
-        for hashed in self._local_hashes(node, salt, predicate, view):
+        for hashed in hashes:
             sketch._add_hash(hashed)
-        return sketch
-
-    def _root_sketch(
-        self, network: SensorNetwork, salt: int, predicate: Predicate, view: ItemView
-    ):
-        """The sketch the convergecast delivers to the root, in one pass:
-        every node's hashes (collected in bottom-up order) scattered into
-        one set of registers."""
-        flat = network.flat_tree
-        nodes = network.node_map
-        node_ids = flat.node_ids
-        hashes: list[int] = []
-        for position in flat.bottom_up.tolist():
-            hashes += self._local_hashes(nodes[node_ids[position]], salt, predicate, view)
-        sketch = self._empty_sketch(salt)
-        sketch.registers = registers_from_hashes(hashes, self.num_registers).tolist()
         return sketch
 
     @property
@@ -158,16 +147,18 @@ class ApproxCountProtocol:
         self,
         network: SensorNetwork,
         predicate: Predicate | None = None,
-        view: ItemView | None = None,
+        items: ItemColumns | None = None,
     ) -> ProtocolResult:
         """Execute one α-counting invocation; ``value`` is an :class:`ApproxCountResult`.
 
-        ``predicate`` and ``view`` override the defaults configured at
-        construction for this invocation only (REP_COUNTP reuses one protocol
-        object across many probes with different predicates).
+        ``predicate`` overrides the one configured at construction for this
+        invocation only (REP_COUNTP reuses one protocol object across many
+        probes with different predicates).  ``items`` (other columns in the
+        network's row order) replaces the network's items.
         """
         effective_predicate = predicate if predicate is not None else self.predicate
-        effective_view = view if view is not None else self._view
+        if items is None:
+            items = network.item_columns
         salt = self._fresh_salt()
         sketch_bits = self._empty_sketch(salt).serialized_bits(self.max_expected_count)
         with MeteredRun(network) as metered:
@@ -178,19 +169,26 @@ class ApproxCountProtocol:
                 protocol="APX_COUNT",
             )
             if network.execution == "per-edge":
+                local = self._hashes(
+                    network, salt, effective_predicate, items, range(network.num_nodes)
+                )
                 merged = convergecast(
                     network,
-                    lambda node: self._local_sketch(
-                        node, salt, effective_predicate, effective_view
-                    ),
+                    [self._local_sketch(salt, hashes) for hashes in local],
                     lambda a, b: a.merge(b),
                     sketch_bits,
                     protocol="APX_COUNT",
                 )
             else:
-                merged = self._root_sketch(
-                    network, salt, effective_predicate, effective_view
+                # The root's sketch in one pass: every tree node's hashes
+                # scattered into one set of registers.
+                local = self._hashes(
+                    network, salt, effective_predicate, items, network.tree_rows.tolist()
                 )
+                merged = self._empty_sketch(salt)
+                merged.registers = registers_from_hashes(
+                    list(chain.from_iterable(local)), self.num_registers
+                ).tolist()
                 # The size does not depend on the registers: every link
                 # carries one full sketch.
                 up_links = network.flat_tree.up_links

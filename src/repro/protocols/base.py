@@ -5,26 +5,18 @@ returns a :class:`ProtocolResult`.  The result couples the answer written to
 the root's output register with the communication cost the invocation added to
 the ledger, so callers (the core algorithms and the experiment harness) never
 have to diff ledger snapshots by hand.
+
+Local steps read every node's items at once from
+:attr:`~repro.network.SensorNetwork.item_columns`; the five protocols
+APX_MEDIAN2 composes take its own columns instead, as ``items=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any
 
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
-
-# A view maps a node to the list of (integer) values the protocol should
-# operate on.  The default view returns the node's raw items; the core
-# algorithms install transformed views (logarithms, rescaled values, active
-# subsets) which are computed locally and therefore cost no communication.
-ItemView = Callable[[SensorNode], Iterable[int]]
-
-
-def raw_items(node: SensorNode) -> list[int]:
-    """The default item view: the node's own input items."""
-    return list(node.items)
 
 
 @dataclass(frozen=True)

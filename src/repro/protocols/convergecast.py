@@ -5,7 +5,8 @@ data; it combines its children's partial aggregates with its own local value
 and sends a single partial aggregate to its parent.  The generic traversal
 below is parameterised by
 
-* ``local_value`` — the node's own contribution (computed locally, free),
+* ``local_values`` — every node's own contribution, one per link-table row
+  (computed locally from the item columns, free),
 * ``combine`` — the aggregation operator (must be associative and commutative
   for the result to be independent of child ordering),
 * ``size_bits`` — the wire size of a partial aggregate, either a constant or
@@ -23,9 +24,9 @@ Two execution paths implement the same traversal, selected by
 * *per-edge* — the reference implementation: one
   :meth:`~repro.network.SensorNetwork.send` per tree edge.
 
-Both visit nodes, combine partials and draw radio randomness in exactly the
-same order, so they produce bit-for-bit identical ledgers and results
-(``tests/test_oracle.py`` holds every path to the per-edge reference).
+Both read the same local values, combine partials and draw radio randomness
+in exactly the same order, so they produce bit-for-bit identical ledgers and
+results (``tests/test_oracle.py`` holds every path to the per-edge reference).
 
 Where the partial aggregate has an array form, the batched path need not
 fold per-node objects at all.  :func:`count_convergecast` (COUNT, COUNTP)
@@ -50,35 +51,35 @@ T = TypeVar("T")
 
 def convergecast(
     network: SensorNetwork,
-    local_value: Callable[..., T],
+    local_values: Sequence[T],
     combine: Callable[[T, T], T],
     size_bits: int | Callable[[T], int],
     protocol: str = "convergecast",
 ) -> T:
-    """Aggregate ``local_value`` over all nodes, returning the root's total.
+    """Aggregate ``local_values`` over the tree, returning the root's total.
 
-    ``local_value`` receives the :class:`~repro.network.SensorNode`; the
-    traversal visits nodes bottom-up so every child has produced its partial
-    aggregate before its parent combines it.  The number of synchronous rounds
-    consumed equals the tree height.
+    ``local_values[r]`` is the contribution of the node in link-table row
+    ``r`` (see :attr:`~repro.network.SensorNetwork.tree_rows`); nodes off
+    the tree are not read.  The traversal visits nodes bottom-up so every
+    child has produced its partial aggregate before its parent combines it.
+    The number of synchronous rounds consumed equals the tree height.
     """
     if network.execution == "per-edge":
         return _convergecast_per_edge(
-            network, local_value, combine, size_bits, protocol
+            network, local_values, combine, size_bits, protocol
         )
-    return _convergecast_batched(network, local_value, combine, size_bits, protocol)
+    return _convergecast_batched(network, local_values, combine, size_bits, protocol)
 
 
 def _convergecast_batched(
     network: SensorNetwork,
-    local_value: Callable[..., T],
+    local_values: Sequence[T],
     combine: Callable[[T, T], T],
     size_bits: int | Callable[[T], int],
     protocol: str,
 ) -> T:
     flat = network.flat_tree
-    nodes = network.node_map
-    node_ids = flat.node_ids
+    rows = network.tree_rows.tolist()
     parent = flat.parent
     child_start = flat.child_start
     child_end = flat.child_end
@@ -92,7 +93,7 @@ def _convergecast_batched(
     append_size = sizes.append
     adaptive = callable(size_bits)
     for position in flat.bottom_up:
-        value = local_value(nodes[node_ids[position]])
+        value = local_values[rows[position]]
         start = child_start[position]
         end = child_end[position]
         if start != end:
@@ -120,34 +121,24 @@ def charge_up_sweep(network: SensorNetwork, sizes: Sequence[int], protocol: str)
     network.ledger.advance_round(flat.height)
 
 
-def _count_bits(value: int) -> int:
-    return varint_bits(int(value))
+def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> int:
+    """Total ``local_counts`` (one int per link-table row) over the tree,
+    each partial sent as a varint.
 
-
-def count_convergecast(
-    network: SensorNetwork, local_count: Callable[..., int], protocol: str
-) -> int:
-    """Total ``local_count`` over all nodes, each partial sent as a varint.
-
-    The same transmissions as ``convergecast(network, local_count, a + b,
-    varint_bits)``.  Off the per-edge path it is one array pass: the local
-    counts (``local_count`` called once per node, in bottom-up order) are
-    summed into their parents deepest level first, and the sizes are the
-    varint widths of the subtree sums.
+    The same transmissions as ``convergecast(network, local_counts, a + b,
+    varint_bits)``.  Off the per-edge path it is one array pass: the tree's
+    local counts are summed into their parents deepest level first, and the
+    sizes are the varint widths of the subtree sums.
     """
+    local_counts = np.asarray(local_counts, dtype=np.int64)
     if network.execution == "per-edge":
         return _convergecast_per_edge(
-            network, local_count, operator.add, _count_bits, protocol
+            network, local_counts.tolist(), operator.add, varint_bits, protocol
         )
     flat = network.flat_tree
-    nodes = network.node_map
-    node_ids = flat.node_ids
     bottom_up = flat.bottom_up
     parent = flat.parent
-    sums = np.empty(flat.num_nodes, dtype=np.int64)
-    sums[bottom_up] = [
-        local_count(nodes[node_ids[position]]) for position in bottom_up.tolist()
-    ]
+    sums = local_counts[network.tree_rows]
     for start, end in reversed(flat.level_spans[1:]):
         np.add.at(sums, parent[start:end], sums[start:end])
     senders = bottom_up[parent[bottom_up] >= 0]
@@ -157,16 +148,16 @@ def count_convergecast(
 
 def _convergecast_per_edge(
     network: SensorNetwork,
-    local_value: Callable[..., T],
+    local_values: Sequence[T],
     combine: Callable[[T, T], T],
     size_bits: int | Callable[[T], int],
     protocol: str,
 ) -> T:
     tree = network.tree
+    row_of = network.links.row_of
     partial: dict[int, T] = {}
     for node_id in tree.nodes_bottom_up():
-        node = network.node(node_id)
-        value = local_value(node)
+        value = local_values[row_of(node_id)]
         for child in tree.children[node_id]:
             value = combine(value, partial.pop(child))
         partial[node_id] = value

@@ -10,9 +10,8 @@ predicate's own :meth:`~repro.protocols.predicates.Predicate.encoded_bits`.
 
 from __future__ import annotations
 
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
-from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
+from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import count_convergecast
 from repro.protocols.predicates import Predicate
@@ -21,9 +20,8 @@ from repro.protocols.predicates import Predicate
 class CountPredicateProtocol:
     """Exact predicate counting over the spanning tree."""
 
-    def __init__(self, predicate: Predicate, view: ItemView = raw_items) -> None:
+    def __init__(self, predicate: Predicate) -> None:
         self.predicate = predicate
-        self._view = view
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
@@ -33,9 +31,8 @@ class CountPredicateProtocol:
                 self.predicate.encoded_bits(),
                 protocol="COUNTP",
             )
-
-            def local(node: SensorNode) -> int:
-                return sum(1 for value in self._view(node) if self.predicate(value))
-
-            answer = count_convergecast(network, local, protocol="COUNTP")
+            items = network.item_columns
+            answer = count_convergecast(
+                network, items.counts(self.predicate.mask(items.values)), "COUNTP"
+            )
         return metered.result(answer)

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 from repro._util.randomness import make_rng
 from repro._util.validation import require_positive
-from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import MeteredRun, ProtocolResult
 
@@ -65,19 +64,21 @@ class PushSumGossip:
     def run(
         self,
         network: SensorNetwork,
-        local_value: Callable[[SensorNode], float],
+        local_values: Sequence[float],
     ) -> ProtocolResult:
-        """Run push-sum; ``value`` of the result is a :class:`PushSumOutcome`."""
+        """Run push-sum from ``local_values`` (one per link-table row, i.e.
+        per node in id order); ``value`` of the result is a
+        :class:`PushSumOutcome`."""
         rounds = self.rounds if self.rounds is not None else self._default_rounds(network)
         with MeteredRun(network) as metered:
             sums: dict[int, float] = {}
             weights: dict[int, float] = {}
-            for node in network.nodes():
-                sums[node.node_id] = float(local_value(node))
+            for node_id, local in zip(network.node_ids(), local_values):
+                sums[node_id] = float(local)
                 if self.target == "average":
-                    weights[node.node_id] = 1.0
+                    weights[node_id] = 1.0
                 else:
-                    weights[node.node_id] = 1.0 if node.node_id == network.root_id else 0.0
+                    weights[node_id] = 1.0 if node_id == network.root_id else 0.0
             neighbours = {
                 node_id: network.links.neighbors(node_id)
                 for node_id in network.node_ids()

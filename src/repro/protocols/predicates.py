@@ -8,7 +8,8 @@ Section 3.1 of the paper requires that a predicate handed to COUNTP
 
 Every predicate therefore knows its own encoding size
 (:meth:`Predicate.encoded_bits`), which the broadcast phase of COUNTP charges
-per tree edge.  The deterministic median only ever uses strict threshold
+per tree edge, and evaluates on every item at once, exactly
+(:meth:`Predicate.mask`).  The deterministic median only ever uses strict threshold
 predicates ("< y") whose description is one value of the input domain — the
 ``O(log N)`` bits Theorem 3.2 accounts for.  The polyloglog algorithm probes
 thresholds over the *logarithm* domain, whose descriptions are exponentially
@@ -19,21 +20,31 @@ measured traffic.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro._util.bits import fixed_width_bits, varint_bits
 from repro.exceptions import PredicateError
+from repro.network.node import INT64_MAX
 
 # Small constant opcode identifying the predicate type on the wire.
 _OPCODE_BITS = 2
+
+
+def _below(values, bound: int):
+    """``values < bound`` for an array of items (non-negative int64) and any
+    Python int ``bound``, clamped into int64 range first."""
+    return values <= min(max(bound - 1, -1), INT64_MAX)
 
 
 class Predicate(abc.ABC):
     """A predicate on item values, evaluable locally and encodable compactly."""
 
     @abc.abstractmethod
-    def __call__(self, value: int) -> bool:
-        """Evaluate the predicate on one item value."""
+    def mask(self, values):
+        """Evaluate the predicate on an int64 array of items (a bool array)."""
 
     @abc.abstractmethod
     def encoded_bits(self) -> int:
@@ -51,8 +62,8 @@ class Predicate(abc.ABC):
 class AllItemsPredicate(Predicate):
     """The TRUE predicate: ``COUNTP(X, TRUE)`` is just ``COUNT(X)``."""
 
-    def __call__(self, value: int) -> bool:
-        return True
+    def mask(self, values):
+        return np.ones(values.shape, dtype=bool)
 
     def encoded_bits(self) -> int:
         return _OPCODE_BITS
@@ -85,8 +96,9 @@ class LessThanPredicate(Predicate):
                 f"got {self.threshold}"
             )
 
-    def __call__(self, value: int) -> bool:
-        return value < self.threshold
+    def mask(self, values):
+        # An integer lies below t exactly when it lies below ceil(t).
+        return _below(values, math.ceil(self.threshold))
 
     def encoded_bits(self) -> int:
         integer_part = abs(int(self.threshold))
@@ -129,8 +141,8 @@ class PowerThresholdPredicate(Predicate):
     def threshold(self) -> int:
         return (1 << self.exponent) + self.offset
 
-    def __call__(self, value: int) -> bool:
-        return value < self.threshold
+    def mask(self, values):
+        return _below(values, self.threshold)
 
     def encoded_bits(self) -> int:
         return _OPCODE_BITS + varint_bits(self.exponent) + 2

@@ -13,18 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _bit_length(words):
-    """Exact ``int.bit_length`` of every ``uint64`` word (0 for zero).
-
-    float64 carries 53 bits, so ``np.frexp`` of a full 64-bit word can round
-    up to the next power of two; each 32-bit half converts exactly.
-    """
-    high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
-    low = np.frexp((words & _LOW32).astype(np.float64))[1]
-    return np.where(high > 0, high + 32, low).astype(np.int64)
+from repro._util.bits import bit_length_array
 
 
 def registers_from_hashes(hashes, num_registers: int):
@@ -40,7 +29,7 @@ def registers_from_hashes(hashes, num_registers: int):
     hashes = np.asarray(hashes, dtype=np.uint64)
     index_bits = num_registers.bit_length() - 1
     index = (hashes & np.uint64(num_registers - 1)).astype(np.intp)
-    ranks = 64 - index_bits + 1 - _bit_length(hashes >> np.uint64(index_bits))
+    ranks = 64 - index_bits + 1 - bit_length_array(hashes >> np.uint64(index_bits))
     registers = np.zeros(num_registers, dtype=np.int64)
     np.maximum.at(registers, index, ranks)
     return registers

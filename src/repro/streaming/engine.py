@@ -321,13 +321,11 @@ class ContinuousQueryEngine:
             raise ConfigurationError(
                 "no standing queries registered; call register() first"
             )
-        updates = dict(updates or {})
+        updates = {node_id: list(items) for node_id, items in (updates or {}).items()}
         # Totals-only diff: build_epoch_record never reads per-node bits, so
         # a steady-state epoch stays O(touched), not O(network size).
         before = self.network.ledger.counters_snapshot()
-        self.network.assign_items(
-            {node_id: list(items) for node_id, items in updates.items()}
-        )
+        self.network.assign_items(updates)
 
         # Nodes marked dirty by a tree repair (see apply_repair) join this
         # epoch's traversal for every query, then the backlog is cleared.
@@ -393,22 +391,24 @@ class ContinuousQueryEngine:
     ) -> set[int]:
         """Recompute local summaries of updated nodes; return the dirty set.
 
+        The new readings are the ``updates`` themselves (already assigned to
+        the network); only the first pass reads every node's items back.
         Updates addressed to nodes the engine no longer tracks (crashed or
         cut off by faults) are ignored — their readings cannot reach the
         root until a repair re-attaches them, at which point
         :meth:`apply_repair` recreates their state.
         """
         if state.initialized:
-            candidates = set(updates)
+            readings = updates
         else:
-            candidates = set(state.nodes)
+            readings = {node: self.network.items_of(node) for node in state.nodes}
             state.initialized = True
         dirty: set[int] = set()
-        for node_id in candidates:
+        for node_id, items in readings.items():
             node_state = state.nodes.get(node_id)
             if node_state is None:
                 continue
-            new_local = state.query.local_summary(self.network.node(node_id).items)
+            new_local = state.query.local_summary(items)
             if node_state.local is None or not new_local.same_as(node_state.local):
                 node_state.local = new_local
                 dirty.add(node_id)
@@ -431,7 +431,7 @@ class ContinuousQueryEngine:
                 node_state.children[child] = summary
             subtree = node_state.local
             if subtree is None:  # a query registered before any epoch ran
-                subtree = state.query.local_summary(self.network.node(node_id).items)
+                subtree = state.query.local_summary(self.network.items_of(node_id))
                 node_state.local = subtree
             for summary in node_state.children.values():
                 subtree = subtree.merge(summary)

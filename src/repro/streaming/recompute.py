@@ -73,14 +73,12 @@ class RecomputeEngine:
             )
         updates = dict(updates or {})
         before = self.network.ledger.counters_snapshot()
-        self.network.assign_items(
-            {node_id: list(items) for node_id, items in updates.items()}
-        )
+        self.network.assign_items(updates)
         transmissions = 0
         for name, query in self._queries.items():
             root_summary = convergecast(
                 self.network,
-                lambda node, q=query: q.local_summary(node.items),
+                self.network.item_columns.rows(query.local_summary),
                 lambda a, b: a.merge(b),
                 lambda summary: summary.serialized_bits(),
                 protocol=f"{self.protocol_prefix}:{name}",

@@ -338,19 +338,20 @@ class VectorStreamEngine(ContinuousQueryEngine):
         query = state.query
         network = self.network
         if state.initialized:
-            candidates = [int(node_id) for node_id in updates]
+            readings = updates.items()
         else:
-            candidates = [
-                int(node_id)
+            readings = [
+                (node_id, network.items_of(node_id))
                 for node_id in self._flat.ids_array[state.tracked].tolist()
             ]
             state.initialized = True
         dirty: set[int] = set()
-        for node_id in candidates:
+        for node_id, items in readings:
+            node_id = int(node_id)
             position = self._pos_of(node_id)
             if position < 0 or not state.tracked[position]:
                 continue
-            new_local = query.local_summary(network.node(node_id).items).count
+            new_local = query.local_summary(items).count
             if not columns.has_local[position] or int(
                 columns.local[position]
             ) != int(new_local):
@@ -374,7 +375,7 @@ class VectorStreamEngine(ContinuousQueryEngine):
         for position in missing.tolist():
             node_id = node_ids[position]
             columns.local[position] = state.query.local_summary(
-                self.network.node(node_id).items
+                self.network.items_of(node_id)
             ).count
             columns.has_local[position] = True
 

@@ -251,7 +251,7 @@ class MultiTenantEngine:
             charged = per_protocol.get(register_key, 0)
             delta = charged - self._accounted.get(register_key, 0)
             if delta:
-                self.split.charge_direct(leg.owner, leg_name, delta)
+                self.split.charge_direct(leg.owner, delta)
                 self._accounted[register_key] = charged
 
     def _settle_epoch(self) -> dict[str, int]:

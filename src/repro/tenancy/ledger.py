@@ -36,14 +36,13 @@ class TenantLedgerSplit:
 
     def __init__(self) -> None:
         self._columns: dict[str, int] = {}
-        self._per_leg: dict[str, dict[str, int]] = {}
         self._total = 0
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def charge_direct(self, tenant: str, leg: str, bits: int) -> None:
-        """Bill ``bits`` of ``leg`` traffic entirely to one tenant.
+    def charge_direct(self, tenant: str, bits: int) -> None:
+        """Bill ``bits`` of one leg's traffic entirely to one tenant.
 
         Used for the costs one registration *caused* rather than shares:
         the leg's announcement broadcast.
@@ -53,8 +52,6 @@ class TenantLedgerSplit:
         if bits == 0:
             return
         self._columns[tenant] = self._columns.get(tenant, 0) + bits
-        leg_column = self._per_leg.setdefault(leg, {})
-        leg_column[tenant] = leg_column.get(tenant, 0) + bits
         self._total += bits
 
     def split_epoch(
@@ -82,14 +79,12 @@ class TenantLedgerSplit:
                     f"leg {leg!r} charged {bits} bits but has no subscribers"
                 )
             share, remainder = divmod(bits, len(units))
-            leg_column = self._per_leg.setdefault(leg, {})
             for index, (tenant, _query_name) in enumerate(units):
                 billed = share + (1 if index < remainder else 0)
                 if billed == 0:
                     continue
                 epoch_shares[tenant] = epoch_shares.get(tenant, 0) + billed
                 self._columns[tenant] = self._columns.get(tenant, 0) + billed
-                leg_column[tenant] = leg_column.get(tenant, 0) + billed
             self._total += bits
         return epoch_shares
 
@@ -108,14 +103,6 @@ class TenantLedgerSplit:
     def column(self, tenant: str) -> int:
         """One tenant's total billed bits (zero if never billed)."""
         return self._columns.get(tenant, 0)
-
-    def leg_breakdown(self, tenant: str) -> dict[str, int]:
-        """Leg -> bits billed to ``tenant`` (registration bits included)."""
-        return {
-            leg: column[tenant]
-            for leg, column in self._per_leg.items()
-            if column.get(tenant)
-        }
 
     def decomposition_holds(self) -> bool:
         """The invariant itself: columns sum exactly to the recorded total."""

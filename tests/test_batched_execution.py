@@ -355,12 +355,14 @@ class TestCountConvergecast:
             network.assign_items({node: [node] * (node % 4) for node in network.node_ids()})
             twins.append(network)
         generic, kernel = twins
-
-        def local(node):
-            return len(node.items)
+        local = kernel.item_columns.lengths
 
         expected = _convergecast_batched(
-            generic, local, lambda a, b: a + b, lambda value: varint_bits(int(value)), "T"
+            generic,
+            local.tolist(),
+            lambda a, b: a + b,
+            lambda value: varint_bits(int(value)),
+            "T",
         )
         answer = count_convergecast(kernel, local, "T")
         assert type(answer) is int and answer == expected

@@ -1,8 +1,9 @@
 """Tests for the polyloglog median of Fig. 4 (Theorem 4.7 / Corollary 4.8)."""
 
+import numpy as np
 import pytest
 
-from repro.core.apx_median2 import PolyloglogMedianProtocol, _log_length
+from repro.core.apx_median2 import PolyloglogMedianProtocol, _log_length, _rescale
 from repro.core.definitions import is_approximate_order_statistic, reference_median
 from repro.core.median import DeterministicMedianProtocol
 from repro.core.rep_count import RepetitionPolicy
@@ -30,6 +31,20 @@ class TestLengthTransform:
     def test_domain_compression(self):
         # The whole point: a 2^20-sized domain compresses to ~21 lengths.
         assert _log_length((1 << 20) - 1) <= 20
+
+    def test_exact_for_every_int64_item(self):
+        # float64 rounds 2**62 - 1 up to 2**62: a float cast would say 62.
+        values = np.array([2**62 - 2, 2**62 - 1, 2**63 - 1], dtype=np.int64)
+        assert _log_length(values).tolist() == [61, 62, 63]
+
+
+class TestRescale:
+    def test_matches_python_ints_past_2_to_the_63(self):
+        values = np.array([5, 2**40, 2**41 - 1], dtype=np.int64)
+        low, num, den = 5, 2**40, 2**41 - 6
+        expected = [1 + (value - low) * num // den for value in values.tolist()]
+        assert _rescale(values, low, num, den).tolist() == expected
+        assert _rescale(values[:1], low, num, den).tolist() == [1]
 
 
 class TestConfiguration:
@@ -107,10 +122,10 @@ class TestAccuracy:
             ).run(network).value
             assert 0 <= outcome.value <= 10_000
 
-    def test_scratch_state_cleaned_up(self):
-        network, _ = _network(seed=5)
+    def test_network_items_untouched(self):
+        network, items = _network(seed=5)
         PolyloglogMedianProtocol(num_registers=64, seed=2).run(network)
-        assert all(node.scratch == {} for node in network.nodes())
+        assert network.all_items() == items
 
 
 class TestStages:

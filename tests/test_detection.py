@@ -100,7 +100,7 @@ class TestDetectionSemantics:
         assert network.is_alive(7)
         assert 7 in network.tree.parent
         assert 7 in faults.undetected_dead
-        assert network.node(7).items == []
+        assert network.items_of(7) == []
         # the epoch-4 sweep misses the heartbeat: detection, kill, repair
         report = faults.step(4)
         assert report.detected == (7,)
@@ -150,7 +150,7 @@ class TestDetectionSemantics:
         assert all(report.detected == () for report in reports)
         assert all(not report.repair.changed_anything for report in reports)
         assert network.tree.parent == parent_before
-        assert network.node(9).items == [123]
+        assert network.items_of(9) == [123]
         assert network.is_alive(9)
 
     def test_flap_readings_reach_the_root(self):
@@ -177,7 +177,7 @@ class TestDetectionSemantics:
         # (epsilon 0): the two replacement readings are in the answer
         assert trace[3].errors["count"] == 0.0
         assert trace[5].errors["count"] == 0.0
-        assert network.node(9).items == [77, 78]
+        assert network.items_of(9) == [77, 78]
 
     def test_lost_heartbeats_do_not_abort_the_sweep(self):
         from repro.network.radio import LossyRadio

@@ -59,7 +59,7 @@ class TestRootIdentity:
         network = fresh_network(9)
         network.kill_node(network.root_id, allow_root=True)
         assert not network.is_alive(0)
-        assert network.node(0).items == []
+        assert network.items_of(0) == []
 
     def test_set_root_moves_the_flags(self):
         network = fresh_network(9)
@@ -67,7 +67,7 @@ class TestRootIdentity:
         assert network.root_id == 5
         assert network.node(5).is_root
         assert not network.node(0).is_root
-        assert network.root is network.node(5)
+        assert network.root == network.node(5)
 
     def test_set_root_rejects_dead_and_unknown_nodes(self):
         network = fresh_network(9)

@@ -111,7 +111,7 @@ class TestAliveMask:
         assert network.num_alive == 8
         assert 4 not in network.alive_node_ids()
         assert network.dead_node_ids() == [4]
-        assert network.node(4).items == []  # readings are lost on crash
+        assert network.items_of(4) == []  # readings are lost on crash
         network.revive_node(4)
         assert network.is_alive(4)
         assert network.num_alive == 9
@@ -286,7 +286,7 @@ class TestFaultEngine:
         assert quiet.repair.strategy == "noop"
         back = engine.step(2)
         assert back.rejoined == (5,)
-        assert network.node(5).items == [3, 4]
+        assert network.items_of(5) == [3, 4]
         assert 5 in network.tree.parent
 
     def test_double_crash_is_single_event(self):

@@ -154,7 +154,7 @@ class TestStar:
         broadcast(network, "q", 8, protocol="req")
         total = convergecast(
             network,
-            local_value=lambda node: sum(node.items),
+            local_values=network.item_columns.sums(),
             combine=lambda a, b: a + b,
             size_bits=16,
             protocol="sum",

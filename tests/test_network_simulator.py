@@ -12,7 +12,7 @@ class TestConstruction:
     def test_from_items_assigns_one_item_per_node(self):
         network = SensorNetwork.from_items([5, 6, 7, 8], topology=line_links(4))
         assert network.num_nodes == 4
-        assert [node.items for node in network.nodes()] == [[5], [6], [7], [8]]
+        assert [node.items for node in network.nodes()] == [(5,), (6,), (7,), (8,)]
 
     def test_from_items_by_topology_name(self):
         network = SensorNetwork.from_items(list(range(9)), topology="grid")
@@ -45,9 +45,9 @@ class TestConstruction:
     def test_assign_and_clear_items(self):
         network = SensorNetwork.from_items([1, 2, 3], topology=line_links(3))
         network.assign_items({0: [10, 11], 2: []})
-        assert network.node(0).items == [10, 11]
-        assert network.node(2).items == []
-        assert network.node(1).items == [2]
+        assert network.items_of(0) == [10, 11]
+        assert network.items_of(2) == []
+        assert network.items_of(1) == [2]
         network.clear_items()
         assert network.total_items() == 0
 

@@ -288,8 +288,9 @@ class Twin:
         self.outcome = None
         if scenario.workload == "one-shot":
             rng = random.Random(scenario.seed)
-            for node_id in network.node_ids():
-                network.node(node_id).add_item(rng.randrange(1, 400))
+            network.assign_items(
+                {node_id: [rng.randrange(1, 400)] for node_id in network.node_ids()}
+            )
         elif scenario.workload == "engine":
             self.engine = engine_for(network, scenario.epsilon, shard_processes=0)
             self.run(self._register_engine)
@@ -417,7 +418,7 @@ def tree_sweeps(dirty: set):
         delivered = broadcast(network, "query", 24, protocol="request")
         total = convergecast(
             network,
-            local_value=lambda node: sum(node.items),
+            local_values=network.item_columns.sums(),
             combine=lambda a, b: a + b,
             size_bits=size_bits,
             protocol="sum",

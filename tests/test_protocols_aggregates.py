@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import EmptyNetworkError
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import grid_links, line_links, single_hop_links
 from repro.protocols.aggregates import (
@@ -41,7 +42,7 @@ class TestConvergecast:
     def test_sum_aggregation(self, small_network):
         total = convergecast(
             small_network,
-            lambda node: sum(node.items),
+            small_network.item_columns.sums(),
             lambda a, b: a + b,
             16,
         )
@@ -50,14 +51,15 @@ class TestConvergecast:
     def test_callable_size(self, line_network):
         convergecast(
             line_network,
-            lambda node: sum(node.items),
+            line_network.item_columns.sums(),
             lambda a, b: a + b,
             lambda value: 100,
         )
         assert line_network.ledger.total_bits == 100 * (line_network.num_nodes - 1)
 
     def test_root_sends_nothing(self, small_network):
-        convergecast(small_network, lambda node: 1, lambda a, b: a + b, 8)
+        ones = [1] * small_network.num_nodes
+        convergecast(small_network, ones, lambda a, b: a + b, 8)
         assert small_network.ledger.traffic(small_network.root_id).bits_sent == 0
 
 
@@ -82,9 +84,13 @@ class TestExtremumProtocols:
         with pytest.raises(EmptyNetworkError):
             MinProtocol().run(network)
 
-    def test_custom_view(self, small_network, small_items):
-        doubled = MaxProtocol(view=lambda node: [2 * item for item in node.items])
-        assert doubled.run(small_network).value == 2 * max(small_items)
+    def test_items_replace_the_network_items(self, small_network, small_items):
+        columns = small_network.item_columns
+        doubled = ItemColumns(columns.ptr, 2 * columns.values)
+        assert MaxProtocol().run(small_network, items=doubled).value == 2 * max(
+            small_items
+        )
+        assert MaxProtocol().run(small_network).value == max(small_items)
 
 
 class TestCountSumAverage:

@@ -1,8 +1,10 @@
 """Tests for the α-counting protocol (Fact 2.2) and push-sum gossip."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.network.node import ItemColumns
 from repro.network.radio import DuplicatingRadio
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import grid_links, line_links, single_hop_links
@@ -73,11 +75,12 @@ class TestApproxCountAccuracy:
         estimate = protocol.run(network).value.estimate
         assert abs(estimate - len(items)) / len(items) < 0.5
 
-    def test_view_override(self):
+    def test_items_override(self):
         network, _ = _grid_network(6, seed=5)
         protocol = ApproxCountProtocol(num_registers=256, seed=13)
-        estimate = protocol.run(network, view=lambda node: []).value.estimate
-        assert estimate == 0.0
+        ptr = np.zeros(network.num_nodes + 1, dtype=np.int64)
+        empty = ItemColumns(ptr, np.zeros(0, dtype=np.int64))
+        assert protocol.run(network, items=empty).value.estimate == 0.0
 
 
 class TestApproxCountComplexity:
@@ -142,7 +145,7 @@ class TestPushSumGossip:
         items = list(range(1, 33))
         network = SensorNetwork.from_items(items, topology=single_hop_links(32))
         gossip = PushSumGossip(seed=1)
-        outcome = gossip.run(network, lambda node: float(node.single_item())).value
+        outcome = gossip.run(network, items).value
         true_average = sum(items) / len(items)
         assert abs(outcome.estimate - true_average) / true_average < 0.05
 
@@ -150,7 +153,7 @@ class TestPushSumGossip:
         items = [1] * 16
         network = SensorNetwork.from_items(items, topology=single_hop_links(16))
         gossip = PushSumGossip(seed=2, target="sum", rounds=200)
-        outcome = gossip.run(network, lambda node: float(node.single_item())).value
+        outcome = gossip.run(network, items).value
         assert abs(outcome.estimate - 16) / 16 < 0.2
 
     def test_line_converges_more_slowly(self):
@@ -158,12 +161,8 @@ class TestPushSumGossip:
         clique = SensorNetwork.from_items(items, topology=single_hop_links(16))
         line = SensorNetwork.from_items(items, topology=line_links(16))
         rounds = 30
-        clique_outcome = PushSumGossip(seed=3, rounds=rounds).run(
-            clique, lambda node: float(node.single_item())
-        ).value
-        line_outcome = PushSumGossip(seed=3, rounds=rounds).run(
-            line, lambda node: float(node.single_item())
-        ).value
+        clique_outcome = PushSumGossip(seed=3, rounds=rounds).run(clique, items).value
+        line_outcome = PushSumGossip(seed=3, rounds=rounds).run(line, items).value
         assert clique_outcome.max_relative_spread <= line_outcome.max_relative_spread + 1e-9
 
     def test_invalid_target_rejected(self):
@@ -173,6 +172,6 @@ class TestPushSumGossip:
     def test_communication_charged_every_round(self):
         items = [5] * 9
         network = SensorNetwork.from_items(items, topology=grid_links(3))
-        PushSumGossip(seed=4, rounds=10).run(network, lambda node: 1.0)
+        PushSumGossip(seed=4, rounds=10).run(network, [1.0] * 9)
         assert network.ledger.rounds == 10
         assert network.ledger.total_messages == 10 * 9

@@ -1,5 +1,6 @@
 """Tests for predicates and the COUNTP protocol (Section 3.1)."""
 
+import numpy as np
 import pytest
 
 from repro.core.definitions import rank
@@ -17,7 +18,7 @@ from repro.protocols.predicates import (
 class TestAllItemsPredicate:
     def test_always_true(self):
         predicate = AllItemsPredicate()
-        assert predicate(0) and predicate(10**9)
+        assert predicate.mask(np.array([0, 10**9])).tolist() == [True, True]
 
     def test_constant_encoding(self):
         assert AllItemsPredicate().encoded_bits() <= 4
@@ -29,14 +30,25 @@ class TestAllItemsPredicate:
 class TestLessThanPredicate:
     def test_strictness(self):
         predicate = LessThanPredicate(threshold=10)
-        assert predicate(9)
-        assert not predicate(10)
-        assert not predicate(11)
+        assert predicate.mask(np.array([9, 10, 11])).tolist() == [True, False, False]
 
     def test_half_integer_threshold(self):
         predicate = LessThanPredicate(threshold=10.5)
-        assert predicate(10)
-        assert not predicate(11)
+        assert predicate.mask(np.array([10, 11])).tolist() == [True, False]
+
+    def test_mask_is_exact_near_2_to_the_63(self):
+        # float64 rounds 2**60 - 1 up to 2**60, so a float cast says False.
+        predicate = LessThanPredicate(threshold=2**60)
+        assert predicate.mask(np.array([2**60 - 1])).tolist() == [True]
+        assert predicate.mask(np.array([2**60])).tolist() == [False]
+        assert LessThanPredicate(threshold=2**60 - 0.5).mask(
+            np.array([2**60 - 1])
+        ).tolist() == [True]
+        top = np.array([2**63 - 1])
+        assert LessThanPredicate(threshold=2**63).mask(top).tolist() == [True]
+        assert LessThanPredicate(threshold=2**70).mask(top).tolist() == [True]
+        assert PowerThresholdPredicate(exponent=63, offset=-1).mask(top).tolist() == [False]
+        assert PowerThresholdPredicate(exponent=64).mask(top).tolist() == [True]
 
     def test_rejects_other_fractions(self):
         with pytest.raises(PredicateError):
@@ -45,7 +57,7 @@ class TestLessThanPredicate:
     def test_negative_threshold_matches_nothing(self):
         # Fig. 1's search radius can probe below the value range.
         predicate = LessThanPredicate(threshold=-3.5)
-        assert not predicate(0)
+        assert predicate.mask(np.array([0])).tolist() == [False]
         assert predicate.encoded_bits() > 0
 
     def test_encoding_uses_domain_width(self):
@@ -71,8 +83,7 @@ class TestPowerThresholdPredicate:
     def test_threshold_value(self):
         predicate = PowerThresholdPredicate(exponent=4, offset=-1)
         assert predicate.threshold == 15
-        assert predicate(14)
-        assert not predicate(15)
+        assert predicate.mask(np.array([14, 15])).tolist() == [True, False]
 
     def test_encoding_is_loglog_sized(self):
         # Describing "< 2^20" must be far cheaper than describing "< 1048576".
@@ -101,14 +112,6 @@ class TestCountPredicateProtocol:
         network.assign_items({0: [5, 15, 25]})
         protocol = CountPredicateProtocol(LessThanPredicate(threshold=16))
         assert protocol.run(network).value == 4  # 5, 15 from node 0; 2, 3 from others
-
-    def test_view_parameter(self, small_network, small_items):
-        protocol = CountPredicateProtocol(
-            LessThanPredicate(threshold=100),
-            view=lambda node: [item * 10 for item in node.items],
-        )
-        expected = sum(1 for item in small_items if item * 10 < 100)
-        assert protocol.run(small_network).value == expected
 
     def test_predicate_cost_charged_in_broadcast(self, small_network):
         cheap = CountPredicateProtocol(LessThanPredicate(threshold=1, domain_max=1))

@@ -232,7 +232,7 @@ class TestTenantLedgerSplit:
         with pytest.raises(ConfigurationError):
             split.split_epoch({"leg00": -1}, {"leg00": [("a", "q")]})
         with pytest.raises(ConfigurationError):
-            split.charge_direct("a", "leg00", -1)
+            split.charge_direct("a", -1)
 
     def test_randomized_splits_always_decompose_exactly(self):
         rng = random.Random(1234)
@@ -255,14 +255,6 @@ class TestTenantLedgerSplit:
             assert split.total_bits == recorded
             assert split.decomposition_holds()
         assert sum(split.columns().values()) == recorded
-
-    def test_leg_breakdown_tracks_per_leg_columns(self):
-        split = TenantLedgerSplit()
-        split.charge_direct("acme", "leg00", 16)
-        split.split_epoch({"leg00": 7}, {"leg00": [("acme", "q"), ("globex", "q")]})
-        assert split.leg_breakdown("acme") == {"leg00": 16 + 4}
-        assert split.leg_breakdown("globex") == {"leg00": 3}
-        assert split.column("nobody") == 0
 
 
 # --------------------------------------------------------------------------- #
