@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro._util.bits import fixed_width_bits, varint_bits
 from repro.network.simulator import SensorNetwork
+from repro.protocols.aggregates import require_in_domain
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
@@ -45,6 +46,9 @@ class ExactDistinctCountProtocol:
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         """Execute the protocol; the result's ``value`` is the exact distinct count."""
+        require_in_domain(
+            network, network.item_columns, self._domain_max, "COUNT_DISTINCT"
+        )
         with MeteredRun(network) as metered:
             broadcast(
                 network, {"query": "COUNT_DISTINCT"}, 4, protocol="COUNT_DISTINCT"

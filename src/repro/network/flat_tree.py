@@ -27,9 +27,16 @@ only:
   convergecast and broadcast sweeps transmit them — computed on first use
   and then shared, so full-tree batched sweeps ship a ready-made link list
   to ``SensorNetwork.send_batch`` while repair-heavy runs that never sweep
-  the full tree do not pay for them; ``up_link_array`` is the same
-  up-sweep as one ``(k, 2)`` int64 array, the form ``send_batch`` charges
-  without a per-link loop.
+  the full tree do not pay for them; ``up_link_array`` / ``down_link_array``
+  are the same sweeps as ``(k, 2)`` int64 arrays, the form ``send_batch``
+  charges without a per-link loop,
+* ``preorder`` is ``(order, start, size)``: a depth-first preorder of the
+  tree (children in ``child_index`` order), ``order[i]`` the canonical index
+  of the ``i``-th node visited, and node ``p``'s subtree exactly the
+  preorder span ``order[start[p]:start[p] + size[p]]`` — so a subtree
+  aggregate of every node is one ``cumsum`` or ``ufunc.reduceat`` over
+  those spans (:func:`~repro.protocols.convergecast.count_convergecast`,
+  MIN and MAX).
 
 **Representation.**  The structural arrays — ``parent``, ``depth``,
 ``child_start``, ``child_end``, ``child_index``, ``bottom_up`` — are
@@ -44,10 +51,11 @@ meaningful.
 
 The representation is immutable by convention: a tree change installs a
 *new* instance, never edits one, and every batched traversal shares the
-installed one.  Because instances are immutable, the lazy
-``up_links``/``down_links`` caches live on the instance: :meth:`rewire`
-returns a new ``FlatTree`` with both caches unset, so a rewire can never
-serve stale link lists to a subsequent sweep (``tests/test_vectorized.py``
+installed one.  Because instances are immutable, the lazy caches —
+``up_links``/``down_links``, their ``up_link_array``/``down_link_array``
+forms and ``preorder`` — live on the instance: :meth:`rewire` returns a new
+``FlatTree`` with every cache unset, so a rewire can never serve stale link
+lists or subtree spans to a subsequent sweep (``tests/test_vectorized.py``
 pins this with a rewire-then-sweep regression test).  Fault repair is the
 one producer of *slightly different* trees at high frequency, so it does not
 rebuild from scratch: :meth:`FlatTree.rewire` re-spans the arrays around a
@@ -99,6 +107,8 @@ class FlatTree:
         "_up_links",
         "_up_link_array",
         "_down_links",
+        "_down_link_array",
+        "_preorder",
     )
 
     def __init__(
@@ -139,6 +149,8 @@ class FlatTree:
         self._up_links = None
         self._up_link_array = None
         self._down_links = None
+        self._down_link_array = None
+        self._preorder = None
 
     # ------------------------------------------------------------------ #
     # Derived views (lazy, immutable once built)
@@ -221,24 +233,81 @@ class FlatTree:
         """
         if self._up_link_array is None:
             ids = self.ids_array
-            positions = self.bottom_up[self.parent[self.bottom_up] >= 0]
+            positions = self.senders
             self._up_link_array = np.stack(
                 (ids[positions], ids[self.parent[positions]]), axis=1
             )
         return self._up_link_array
 
     @property
+    def senders(self):
+        """Canonical indices of the up-sweep's senders, in ``up_links``
+        order: ``bottom_up`` without the root, which comes last."""
+        return self.bottom_up[:-1]
+
+    @property
     def down_links(self) -> list[tuple[int, int]]:
         """Every parent→child edge, in the order the top-down sweep sends."""
         if self._down_links is None:
-            ids = self.ids_array
-            counts = self.child_end - self.child_start
-            senders = ids[np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), counts
-            )].tolist()
-            receivers = ids[self.child_index].tolist()
-            self._down_links = list(zip(senders, receivers))
+            links = self.down_link_array
+            self._down_links = list(zip(links[:, 0].tolist(), links[:, 1].tolist()))
         return self._down_links
+
+    @property
+    def down_link_array(self):
+        """:attr:`down_links` as one ``(k, 2)`` int64 array (read-only, shared
+        like the list): ``child_index`` lists every node's children, parents
+        in canonical order."""
+        if self._down_link_array is None:
+            ids = self.ids_array
+            children = self.child_index
+            self._down_link_array = np.stack(
+                (ids[self.parent[children]], ids[children]), axis=1
+            )
+        return self._down_link_array
+
+    @property
+    def preorder(self):
+        """``(order, start, size)``: the depth-first preorder and every node's
+        subtree span in it (see the module docstring).
+
+        Ranks the tree's Euler tour — event ``2p`` enters node ``p``,
+        ``2p + 1`` leaves it — by pointer doubling, so a 50,000-deep line
+        takes as few whole-array passes as a star, and nothing recurses.
+        Entering ``p`` comes after ``start[p]`` entries and
+        ``start[p] - depth[p]`` exits, and its subtree's ``2 size[p] - 2``
+        events lie between its entry and its exit.  Computed on first use
+        and shared.
+        """
+        if self._preorder is None:
+            num_nodes = self.num_nodes
+            positions = np.arange(num_nodes, dtype=np.int64)
+            children = self.child_index
+            parent = self.parent
+            # After entering p: its first child, or leaving p if it has none.
+            # After leaving p: its next sibling, else leaving its parent; the
+            # root's exit (event 1) ends the tour and points at itself.
+            step = np.empty(2 * num_nodes, dtype=np.int64)
+            has_children = self.child_end > self.child_start
+            step[0::2] = 2 * positions + 1
+            step[0::2][has_children] = 2 * children[self.child_start[has_children]]
+            step[1::2] = 2 * parent + 1
+            step[1] = 1
+            slots = np.arange(children.size - 1, dtype=np.int64)
+            followed = slots + 1 < self.child_end[parent[children[:-1]]]
+            step[2 * children[:-1][followed] + 1] = 2 * children[slots[followed] + 1]
+            # Events left until the end, by pointer doubling.
+            remaining = np.ones(2 * num_nodes, dtype=np.int64)
+            remaining[1] = 0
+            while bool((step != 1).any()):
+                remaining = remaining + remaining[step]
+                step = step[step]
+            rank = 2 * num_nodes - 1 - remaining
+            start = (rank[0::2] + self.depth) // 2
+            order = np.empty(num_nodes, dtype=np.int64)
+            order[start] = positions
+            self._preorder = (order, start, (rank[1::2] - rank[0::2] + 1) // 2)
+        return self._preorder
 
     @classmethod
     def from_spanning_tree(cls, tree: SpanningTree) -> "FlatTree":
@@ -382,7 +451,7 @@ class FlatTree:
         through :attr:`position_table`, so a tree with a negative id raises
         :class:`~repro.exceptions.ConfigurationError`.  The root can be
         neither removed nor reparented.  The result is a *new* ``FlatTree``
-        whose ``up_links``/``down_links`` caches start unset.
+        whose link and preorder caches start unset.
         """
         reparented = {} if reparented is None else reparented
         depths = {} if depths is None else depths

@@ -17,13 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from repro._util.bits import fixed_width_bits, varint_bits
-from repro.exceptions import EmptyNetworkError
+from repro._util.bits import bit_length_array, fixed_width_bits, varint_bits
+from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
-from repro.protocols.convergecast import convergecast, count_convergecast
+from repro.protocols.convergecast import (
+    convergecast,
+    count_convergecast,
+    extremum_convergecast,
+)
 
 # Size of the query-announcement broadcast: an opcode identifying the
 # aggregate.  Constant, as in Fact 2.1.
@@ -41,6 +45,49 @@ def _value_size(domain_max: int | None) -> Callable[[int | None], int]:
         return varint_bits(int(value)) + 1
 
     return size
+
+
+def _value_sizes(domain_max: int | None) -> Callable:
+    """:func:`_value_size` over arrays: ``sizes(values, has_data)``, the
+    size of each value, 1 bit where ``has_data`` is false."""
+
+    def sizes(values, has_data):
+        if domain_max is not None:
+            width = fixed_width_bits(domain_max)
+        else:
+            # varint_bits(v) + 1 == 2 * max(1, v.bit_length()), exactly.
+            width = 2 * np.maximum(1, bit_length_array(values.astype(np.uint64))) - 1
+        return np.where(has_data, width + 1, 1)
+
+    return sizes
+
+
+def require_in_domain(
+    network: SensorNetwork,
+    items: ItemColumns,
+    domain_max: int | None,
+    protocol: str,
+) -> None:
+    """Refuse a tree node's item above ``domain_max``, which the protocol's
+    fixed-width encoding could not carry, with
+    :class:`~repro.exceptions.ConfigurationError` naming it.
+
+    Only nodes the tree spans are read (a detached node's items reach no
+    sweep), in one array compare.
+    """
+    if domain_max is None:
+        return
+    values, lengths = items.values, items.lengths
+    rows = network.tree_rows
+    if rows.size < lengths.size:
+        attached = np.zeros(lengths.size, dtype=bool)
+        attached[rows] = True
+        values = values[np.repeat(attached, lengths)]
+    above = values[values > domain_max]
+    if above.size:
+        raise ConfigurationError(
+            f"{protocol}: item {int(above.max())} exceeds domain_max={domain_max}"
+        )
 
 
 class _ExtremumProtocol:
@@ -65,24 +112,34 @@ class _ExtremumProtocol:
         in the same row order) when given."""
         if items is None:
             items = network.item_columns
-        pick = self._pick
+        require_in_domain(network, items, self._domain_max, self._name)
         with MeteredRun(network) as metered:
             broadcast(network, {"query": self._name}, _REQUEST_BITS, protocol=self._name)
+            if network.execution == "per-edge":
+                pick = self._pick
 
-            def combine(a: int | None, b: int | None) -> int | None:
-                if a is None:
-                    return b
-                if b is None:
-                    return a
-                return pick(a, b)
+                def combine(a: int | None, b: int | None) -> int | None:
+                    if a is None:
+                        return b
+                    if b is None:
+                        return a
+                    return pick(a, b)
 
-            answer = convergecast(
-                network,
-                items.reduce(self._reduce, None),
-                combine,
-                _value_size(self._domain_max),
-                protocol=self._name,
-            )
+                answer = convergecast(
+                    network,
+                    items.reduce(self._reduce, None),
+                    combine,
+                    _value_size(self._domain_max),
+                    protocol=self._name,
+                )
+            else:
+                answer = extremum_convergecast(
+                    network,
+                    items,
+                    self._reduce,
+                    _value_sizes(self._domain_max),
+                    protocol=self._name,
+                )
             if answer is None:
                 raise EmptyNetworkError(
                     f"{self._name}: no node holds any item"

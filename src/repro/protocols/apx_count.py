@@ -10,26 +10,31 @@ exponential saving over exact counting that Section 4 of the paper builds on.
 Two counting modes are supported:
 
 * ``"multiset"`` — every item contributes fresh randomness, so duplicates are
-  counted (this realises the paper's APX_COUNT of |X|).  Each invocation uses
-  a fresh salt so repeated runs (REP_COUNTP) are independent.
+  counted (this realises the paper's APX_COUNT of |X|).  The draws are
+  counter-based: the ``k``-th matching item of node ``v`` (0-based, in row
+  order) contributes ``hash64(k, salt=hash64(v, salt=salt))``, a function of
+  the node, the item's position and the invocation's salt.  Each invocation
+  uses a fresh salt so repeated runs (REP_COUNTP) are independent.
 * ``"distinct"`` — items contribute the hash of their value, so duplicates
   collapse (this is the approximate COUNT DISTINCT of Section 5, and it also
   makes the protocol duplicate-insensitive at the transport level).
 
 The merge is a register-wise max, so the root's sketch is the sketch of all
 the nodes' hashes together.  The ``"per-edge"`` reference builds one sketch
-per node and merges them up the tree.  Every other execution path collects
-the tree nodes' hashes (the same per-node draws), scatters them into the
-root's registers with
+per node from the scalar :func:`~repro.sketches.hashing.hash64` and merges
+them up the tree.  Every other execution path hashes every tree item at once
+with its array twin :func:`~repro.sketches.hashing.hash64_array` (the same
+bits), scatters the hashes into the root's registers with
 :func:`~repro.sketches.registers.registers_from_hashes`, and charges the
 same full sketch over every tree edge.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import chain
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro._util.randomness import make_rng
 from repro._util.validation import require_positive
@@ -40,10 +45,13 @@ from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import charge_up_sweep, convergecast
 from repro.protocols.predicates import AllItemsPredicate, Predicate
-from repro.sketches.hashing import hash64
+from repro.sketches.hashing import hash64, hash64_array
 from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.loglog import LogLogSketch
 from repro.sketches.registers import registers_from_hashes
+
+if TYPE_CHECKING:
+    from random import Random
 
 _SALT_BITS = 32  # broadcast alongside the query so nodes agree on the hash salt
 
@@ -85,7 +93,7 @@ class ApproxCountProtocol:
         mode: str = "multiset",
         sketch: str = "loglog",
         predicate: Predicate | None = None,
-        seed: int | random.Random | None = 0,
+        seed: int | Random | None = 0,
         max_expected_count: int = 1 << 30,
     ) -> None:
         require_positive(num_registers, "num_registers")
@@ -110,27 +118,26 @@ class ApproxCountProtocol:
         sketch_cls = _SKETCH_TYPES[self.sketch_type]
         return sketch_cls(num_registers=self.num_registers, salt=salt)
 
-    def _hashes(self, network, salt, predicate, items, rows) -> list[list[int]]:
-        """The 64-bit contributions of the nodes in link-table ``rows``, one
-        per matching item, as one list per row."""
-        matching = items.select(predicate.mask(items.values))
-        bounds, values = matching.ptr.tolist(), matching.values.tolist()
-        ids = network.node_ids()
-        hashes: list[list[int]] = []
-        for row in rows:
-            local = values[bounds[row] : bounds[row + 1]]
-            if self.mode == "distinct":
-                hashes.append([hash64(value, salt=salt) for value in local])
-            elif local:
-                # Fresh per-(node, item, salt) randomness so every item
-                # counts once per invocation and invocations are mutually
-                # independent.
-                seed = hash64(ids[row] * 1_000_003 + salt, salt=salt)
-                draw = random.Random(seed).getrandbits
-                hashes.append([draw(64) for _ in local])
-            else:
-                hashes.append([])  # no draw, so no generator to seed
-        return hashes
+    def _local_hashes(self, node_id: int, local: list[int], salt: int) -> list[int]:
+        """The 64-bit contributions of one node's matching items: the
+        specification the array path's :meth:`_tree_hashes` reproduces."""
+        if self.mode == "distinct":
+            return [hash64(value, salt=salt) for value in local]
+        node_salt = hash64(node_id, salt=salt)
+        return [hash64(rank, salt=node_salt) for rank in range(len(local))]
+
+    def _tree_hashes(self, network, salt: int, matching: ItemColumns):
+        """:meth:`_local_hashes` of every tree node's ``matching`` items, as
+        one ``uint64`` array (tree order, each node's items in row order)."""
+        rows = network.tree_rows
+        counts = matching.lengths[rows]
+        before = np.cumsum(counts) - counts
+        ranks = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(before, counts)
+        if self.mode == "distinct":
+            slots = ranks + np.repeat(matching.ptr[rows], counts)
+            return hash64_array(matching.values[slots], salt)
+        node_salts = hash64_array(network.flat_tree.ids_array, salt)
+        return hash64_array(ranks, np.repeat(node_salts, counts))
 
     def _local_sketch(self, salt: int, hashes: list[int]):
         sketch = self._empty_sketch(salt)
@@ -168,13 +175,15 @@ class ApproxCountProtocol:
                 _SALT_BITS + effective_predicate.encoded_bits(),
                 protocol="APX_COUNT",
             )
+            matching = items.select(effective_predicate.mask(items.values))
             if network.execution == "per-edge":
-                local = self._hashes(
-                    network, salt, effective_predicate, items, range(network.num_nodes)
-                )
+                rows = zip(network.node_ids(), matching.rows())
                 merged = convergecast(
                     network,
-                    [self._local_sketch(salt, hashes) for hashes in local],
+                    [
+                        self._local_sketch(salt, self._local_hashes(node_id, local, salt))
+                        for node_id, local in rows
+                    ],
                     lambda a, b: a.merge(b),
                     sketch_bits,
                     protocol="APX_COUNT",
@@ -182,17 +191,17 @@ class ApproxCountProtocol:
             else:
                 # The root's sketch in one pass: every tree node's hashes
                 # scattered into one set of registers.
-                local = self._hashes(
-                    network, salt, effective_predicate, items, network.tree_rows.tolist()
-                )
                 merged = self._empty_sketch(salt)
                 merged.registers = registers_from_hashes(
-                    list(chain.from_iterable(local)), self.num_registers
+                    self._tree_hashes(network, salt, matching), self.num_registers
                 ).tolist()
                 # The size does not depend on the registers: every link
                 # carries one full sketch.
-                up_links = network.flat_tree.up_links
-                charge_up_sweep(network, [sketch_bits] * len(up_links), "APX_COUNT")
+                charge_up_sweep(
+                    network,
+                    np.full(network.flat_tree.num_nodes - 1, sketch_bits, dtype=np.int64),
+                    "APX_COUNT",
+                )
             result = ApproxCountResult(
                 estimate=merged.estimate(),
                 relative_sigma=merged.relative_sigma,

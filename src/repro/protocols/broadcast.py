@@ -10,7 +10,8 @@ phase of the primitive protocols.
 As with :mod:`~repro.protocols.convergecast`, two execution paths implement
 the same traversal: the batched path (default) expands the whole top-down
 sweep into one :meth:`~repro.network.SensorNetwork.send_batch` call over
-the flat tree's ``down_links``, while the per-edge path sends edge by edge.
+the flat tree's cached ``down_link_array``, while the per-edge path sends
+edge by edge.
 They charge the same edges in the same order and are bit-for-bit
 ledger-equivalent.
 """
@@ -18,6 +19,8 @@ ledger-equivalent.
 from __future__ import annotations
 
 from typing import Any
+
+import numpy as np
 
 from repro._util.validation import require_non_negative
 from repro.network.simulator import SensorNetwork
@@ -46,16 +49,17 @@ def _broadcast_batched(
     network: SensorNetwork, payload: Any, size_bits: int, protocol: str
 ) -> dict[int, Any]:
     flat = network.flat_tree
-    # flat.down_links lists every parent→child edge in exactly the order the
-    # per-edge top-down sweep transmits them.
+    # flat.down_link_array lists every parent→child edge in exactly the
+    # order the per-edge top-down sweep transmits them.
+    links = flat.down_link_array
     network.send_batch(
-        flat.down_links,
-        [size_bits] * len(flat.down_links),
+        links,
+        np.full(len(links), size_bits, dtype=np.int64),
         protocol=protocol,
         require_edge=False,
     )
     # The tree spans the graph, so every node receives the payload.
-    delivered = {node_id: payload for node_id in flat.node_ids}
+    delivered = dict.fromkeys(flat.node_ids, payload)
     network.ledger.advance_round(flat.height)
     return delivered
 

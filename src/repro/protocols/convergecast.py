@@ -29,11 +29,17 @@ in exactly the same order, so they produce bit-for-bit identical ledgers and
 results (``tests/test_oracle.py`` holds every path to the per-edge reference).
 
 Where the partial aggregate has an array form, the batched path need not
-fold per-node objects at all.  :func:`count_convergecast` (COUNT, COUNTP)
-sums subtrees level by level, and APX_COUNT
-(:mod:`repro.protocols.apx_count`) scatters every node's hashes into the
-root's registers at once.  Either way the sizes sent are the ones the
-per-node fold would send, and :func:`charge_up_sweep` charges them.
+fold per-node objects at all: every node's partial is an aggregate of its
+subtree, and a subtree is one span of the tree's depth-first preorder
+(:attr:`~repro.network.flat_tree.FlatTree.preorder`).
+:func:`count_convergecast` (COUNT, COUNTP) is one ``cumsum`` over the
+preorder and one difference per span; :func:`extremum_convergecast` (MIN,
+MAX) is one ``ufunc.reduceat`` over the spans, with a has-item mask standing
+in for the fold's ``None``; APX_COUNT (:mod:`repro.protocols.apx_count`)
+scatters every node's hashes into the root's registers at once.  Either way
+the sizes sent are the ones the per-node fold would send, and
+:func:`charge_up_sweep` charges them.  SUM, AVG and exact COUNT DISTINCT
+keep the generic fold.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from repro._util.bits import varint_bits, varint_bits_array
+from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 
 T = TypeVar("T")
@@ -86,7 +93,8 @@ def _convergecast_batched(
     child_index = flat.child_index
     values: list[T | None] = [None] * flat.num_nodes
     # Every non-root node sends exactly once, in bottom-up order — the edge
-    # sequence is the precomputed flat.up_links; only the sizes are dynamic.
+    # sequence is the precomputed flat.up_link_array; only the sizes are
+    # dynamic.
     # An adaptive size callable is invoked exactly as on the per-edge path:
     # once per transmitting (non-root) node, in the same order.
     sizes: list[int] = []
@@ -103,7 +111,7 @@ def _convergecast_batched(
         if adaptive and parent[position] >= 0:
             append_size(size_bits(value))
     if not adaptive:
-        sizes = [size_bits] * len(flat.up_links)
+        sizes = [size_bits] * len(flat.senders)
     charge_up_sweep(network, sizes, protocol)
     return values[0]  # the root has canonical index 0
 
@@ -114,11 +122,24 @@ def charge_up_sweep(network: SensorNetwork, sizes: Sequence[int], protocol: str)
     Every batched convergecast ends here, so radio draw order, the charged
     prefix of a :class:`~repro.exceptions.DeliveryError`, the budget raise
     point and dead-node errors are those of :meth:`SensorNetwork.send_batch`
-    — called through the instance, so a patched ``send_batch`` sees it.
+    — called through the instance, so a patched ``send_batch`` sees it.  The
+    links go as the cached ``flat.up_link_array``.
     """
     flat = network.flat_tree
-    network.send_batch(flat.up_links, sizes, protocol=protocol, require_edge=False)
+    network.send_batch(
+        flat.up_link_array, sizes, protocol=protocol, require_edge=False
+    )
     network.ledger.advance_round(flat.height)
+
+
+def _subtree_running(flat, local):
+    """``(running, start, end)``: the running sum of ``local`` (one int per
+    canonical position) in preorder, and every node's subtree span in it —
+    node ``p``'s subtree total is ``running[end[p]] - running[start[p]]``."""
+    order, start, size = flat.preorder
+    running = np.zeros(flat.num_nodes + 1, dtype=np.int64)
+    np.cumsum(local[order], out=running[1:])
+    return running, start, start + size
 
 
 def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> int:
@@ -126,9 +147,9 @@ def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> i
     each partial sent as a varint.
 
     The same transmissions as ``convergecast(network, local_counts, a + b,
-    varint_bits)``.  Off the per-edge path it is one array pass: the tree's
-    local counts are summed into their parents deepest level first, and the
-    sizes are the varint widths of the subtree sums.
+    varint_bits)``.  Off the per-edge path every subtree sum is one
+    difference of a running sum over the preorder, and the sizes are their
+    varint widths.
     """
     local_counts = np.asarray(local_counts, dtype=np.int64)
     if network.execution == "per-edge":
@@ -136,14 +157,54 @@ def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> i
             network, local_counts.tolist(), operator.add, varint_bits, protocol
         )
     flat = network.flat_tree
-    bottom_up = flat.bottom_up
-    parent = flat.parent
-    sums = local_counts[network.tree_rows]
-    for start, end in reversed(flat.level_spans[1:]):
-        np.add.at(sums, parent[start:end], sums[start:end])
-    senders = bottom_up[parent[bottom_up] >= 0]
-    charge_up_sweep(network, varint_bits_array(sums[senders]).tolist(), protocol)
+    running, start, end = _subtree_running(flat, local_counts[network.tree_rows])
+    sums = running[end] - running[start]
+    charge_up_sweep(network, varint_bits_array(sums[flat.senders]), protocol)
     return int(sums[0])  # the root has canonical index 0
+
+
+def extremum_convergecast(
+    network: SensorNetwork,
+    items: ItemColumns,
+    ufunc: np.ufunc,
+    value_sizes: Callable,
+    protocol: str,
+) -> int | None:
+    """The batched MIN / MAX sweep: ``ufunc`` (``np.minimum`` or
+    ``np.maximum``) over every tree node's ``items``; ``None`` when no tree
+    node holds one.
+
+    The same transmissions as the generic fold of every row's
+    ``items.reduce(ufunc, None)`` under "pick, or the other side when one is
+    ``None``": each node sends its subtree's extremum, sized by
+    ``value_sizes(values, has_data)`` — the array form of the fold's size
+    callable, ``has_data`` false where the subtree holds no item.  The
+    subtrees' item-holding nodes are one span of the preorder restricted to
+    item holders, so one ``reduceat`` over the spans folds them all.
+    """
+    flat = network.flat_tree
+    lengths = items.lengths
+    holders = np.flatnonzero(lengths)
+    local = np.zeros(lengths.size, dtype=np.int64)
+    if holders.size:
+        local[holders] = ufunc.reduceat(items.values, items.ptr[holders])
+    rows = network.tree_rows
+    holds = lengths[rows] > 0
+    # Node p's subtree holders are held[low[p]:high[p]].
+    running, start, end = _subtree_running(flat, holds)
+    low, high = running[start], running[end]
+    has_data = high > low
+    bounds = np.empty(2 * flat.num_nodes, dtype=np.int64)
+    bounds[0::2] = low
+    bounds[1::2] = high
+    # The holders' values in preorder, padded so every bound is an index;
+    # an empty span reads one stray value, which ``has_data`` masks.
+    order = flat.preorder[0]
+    held = np.append(local[rows[order[holds[order]]]], 0)
+    values = ufunc.reduceat(held, bounds)[0::2]
+    senders = flat.senders
+    charge_up_sweep(network, value_sizes(values[senders], has_data[senders]), protocol)
+    return int(values[0]) if has_data[0] else None
 
 
 def _convergecast_per_edge(

@@ -7,12 +7,18 @@ hash functions — the paper's ``REP_COUNTP`` averages ``r`` independent runs of
 ``APX_COUNT``, which is only meaningful if the runs use fresh randomness.
 
 The implementation is a splitmix64-style finaliser, which passes the usual
-avalanche tests and needs no external dependencies.
+avalanche tests and needs no external dependencies.  :func:`hash64` is the
+specification; :func:`hash64_array` is its numpy twin over ``uint64`` words,
+the same bits element-wise, which the array paths use to hash a whole
+column (APX_COUNT's per-item draws, the distinct-mode values) in one call.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def hash64(value: int, salt: int = 0) -> int:
@@ -23,13 +29,36 @@ def hash64(value: int, salt: int = 0) -> int:
     >>> hash64(42, salt=1) != hash64(42, salt=2)
     True
     """
-    x = (int(value) ^ (int(salt) * 0x9E3779B97F4A7C15)) & _MASK64
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (int(value) ^ (int(salt) * _GOLDEN)) & _MASK64
+    x = (x + _GOLDEN) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return z & _MASK64
+
+
+def hash64_array(values, salt=0):
+    """:func:`hash64` of every word of ``values``, as a ``uint64`` array.
+
+    ``salt`` is one int or an array broadcasting against ``values`` (one salt
+    per value).  Values and salts are taken mod 2**64 as ``uint64`` words;
+    every product and sum wraps mod 2**64 like the masked Python ints of
+    :func:`hash64`, and being array arithmetic it wraps without an overflow
+    warning.
+    """
+    x = np.array(values, dtype=np.uint64)
+    if isinstance(salt, (int, np.integer)):
+        x ^= np.uint64((int(salt) * _GOLDEN) & _MASK64)
+    else:
+        x ^= np.asarray(salt, dtype=np.uint64) * np.uint64(_GOLDEN)
+    x += np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def hash_to_unit(value: int, salt: int = 0) -> float:

@@ -335,3 +335,60 @@ class TestRewire:
             FlatTree.from_spanning_tree(line_tree(3)).rewire(
                 reparented={-5: 0}, depths={-5: 1}
             )
+
+
+def reference_preorder(tree):
+    """A dict DFS over ``tree.children``: the preorder as node ids, and every
+    node's ``(start, size)`` in it."""
+    order, stack = [], [tree.root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(reversed(tree.children[order[-1]]))
+    start = {node: index for index, node in enumerate(order)}
+    size = {node: 1 for node in order}
+    for node in reversed(order):
+        if tree.parent[node] is not None:
+            size[tree.parent[node]] += size[node]
+    return order, {node: (start[node], size[node]) for node in order}
+
+
+class TestPreorder:
+    """``FlatTree.preorder`` against the dict DFS reference."""
+
+    def assert_matches_reference(self, flat, tree):
+        order, start, size = flat.preorder
+        expected_order, spans = reference_preorder(tree)
+        assert [flat.node_ids[position] for position in order.tolist()] == expected_order
+        assert {
+            node: (start[position], size[position])
+            for position, node in enumerate(flat.node_ids)
+        } == spans
+
+    @given(case=patched_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_random_trees_and_their_rewires(self, case):
+        tree, removed, reparented, depths = case
+        flat = FlatTree.from_parents(tree.root, tree.parent)
+        self.assert_matches_reference(flat, tree)
+        rewired = flat.rewire(removed=removed, reparented=reparented, depths=depths)
+        self.assert_matches_reference(
+            rewired, tree_from_parents(tree.root, rewired.parent_map())
+        )
+
+    def test_single_node(self):
+        flat = FlatTree.from_spanning_tree(line_tree(1))
+        assert [part.tolist() for part in flat.preorder] == [[0], [0], [1]]
+
+    def test_star(self):
+        tree = star_tree(33)
+        self.assert_matches_reference(FlatTree.from_spanning_tree(tree), tree)
+
+    def test_fifty_thousand_node_line(self):
+        """Height 49,999: a recursive walk would overflow the stack, and a
+        pass per level would take seconds."""
+        num_nodes = 50_000
+        flat = FlatTree.from_arrays([-1, *range(num_nodes - 1)])
+        order, start, size = flat.preorder
+        assert order.tolist() == list(range(num_nodes))
+        assert start.tolist() == list(range(num_nodes))
+        assert size.tolist() == list(range(num_nodes, 0, -1))

@@ -12,6 +12,12 @@ prices one delta entry more or less, or makes the radio draw one extra random
 number changes the hash.  (The dict *order* of a digest's ``counts`` moves no
 bit, so it is not visible here — ``tests/test_sketch_kernels.py`` holds the
 kernels to that.)
+
+``ONESHOT_SHA256`` was re-pinned once, when APX_COUNT's multiset draws
+became counter-based (the ``k``-th item of node ``v`` hashes to
+``hash64(k, salt=hash64(v, salt))``): only the APX_COUNT, APX_MEDIAN and
+APX_MEDIAN2 rows moved, and the per-edge and batched paths produce the
+new constant alike.
 """
 
 import hashlib
@@ -65,7 +71,7 @@ VALUE_MAX = 1 << 16
 SEED = 3
 
 TENANTS_SHA256 = "4972802af1dd08ea38ad66d7890cc562d0fd4ef82e59a8b66787aa790204b025"
-ONESHOT_SHA256 = "6e6d83c9908038899069d7dd00f3ba2c1f8d11c5770434f7efa4e021629f7062"
+ONESHOT_SHA256 = "d00648b62019d67d94f4e4e4a6a5d5a90e00e62661aa533c6cea3591c61cb9b4"
 COUNT_PATH_SHA256 = "f477792757b45dace524db685d870c339c3778e84d33e27223d8085b624dac1b"
 LINK_STORM_SHA256 = "128319b8cc315653ca722cc8720827637c649fdede8c869c394d514078d5bfae"
 
@@ -223,6 +229,53 @@ def test_oneshot_paper_queries_meter_on_the_array_ledger(monkeypatch):
         uniform_values(n, max_value=domain, seed=SEED),
         topology="random_geometric",
         seed=SEED,
+    )
+    for protocol in _oneshot_queries(domain, SEED):
+        network.reset_ledger()
+        assert protocol.run(network).total_bits > 0
+
+
+def test_oneshot_paper_queries_leave_no_per_node_python(monkeypatch):
+    """Guard against a silent fallback to per-node Python: one round of the
+    12 queries on ``"batched"`` never seeds a ``random.Random`` inside
+    APX_COUNT, never turns a tuple list into a link array, and never reaches
+    the generic fold from MIN, MAX, COUNT or COUNTP."""
+    import importlib
+    import random
+    import sys
+
+    from repro.network import simulator
+
+    # The package re-exports the function under the module's name.
+    convergecast = importlib.import_module("repro.protocols.convergecast")
+
+    seed_generator = random.Random.__init__
+
+    def guarded_init(self, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "repro.protocols.apx_count":
+            raise AssertionError("APX_COUNT seeded a per-node random.Random")
+        seed_generator(self, *args, **kwargs)
+
+    def refuse_pair_array(links):
+        raise AssertionError("a batched one-shot sweep sent a tuple list")
+
+    generic_fold = convergecast._convergecast_batched
+
+    def guarded_fold(network, local_values, combine, size_bits, protocol):
+        if protocol in ("MIN", "MAX", "COUNT", "COUNTP"):
+            raise AssertionError(f"{protocol} reached the generic batched fold")
+        return generic_fold(network, local_values, combine, size_bits, protocol)
+
+    monkeypatch.setattr(random.Random, "__init__", guarded_init)
+    monkeypatch.setattr(simulator, "_pair_array", refuse_pair_array)
+    monkeypatch.setattr(convergecast, "_convergecast_batched", guarded_fold)
+    n = 256
+    domain = n * n
+    network = SensorNetwork.from_items(
+        uniform_values(n, max_value=domain, seed=SEED),
+        topology="random_geometric",
+        seed=SEED,
+        execution="batched",
     )
     for protocol in _oneshot_queries(domain, SEED):
         network.reset_ledger()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.exceptions import EmptyNetworkError
+from repro.core import DeterministicMedianProtocol
+from repro.distinct import ExactDistinctCountProtocol
+from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import grid_links, line_links, single_hop_links
@@ -91,6 +93,51 @@ class TestExtremumProtocols:
             small_items
         )
         assert MaxProtocol().run(small_network).value == max(small_items)
+
+
+class TestDomainMaxIsEnforced:
+    """An item above ``domain_max`` does not fit the fixed-width field the
+    protocol charges for, so it is refused before anything is sent; an item
+    of a node the tree does not span is never read, so it is not refused."""
+
+    #: case -> (protocol factory, the protocol the error names)
+    PROTOCOLS = {
+        "MIN": (lambda: MinProtocol(domain_max=10), "MIN"),
+        "MAX": (lambda: MaxProtocol(domain_max=10), "MAX"),
+        "COUNT_DISTINCT": (
+            lambda: ExactDistinctCountProtocol(domain_max=10),
+            "COUNT_DISTINCT",
+        ),
+        "MEDIAN": (lambda: DeterministicMedianProtocol(domain_max=10), "MIN"),
+    }
+
+    @staticmethod
+    def grid(execution):
+        """A 3x3 grid of in-domain items; its deepest node (a leaf) holds 1000."""
+        network = SensorNetwork.from_items(
+            [3, 1, 4, 1, 5, 9, 2, 6, 5], topology="grid", execution=execution
+        )
+        holder = network.flat_tree.node_ids[-1]
+        network.assign_items({holder: [1000]})
+        return network, holder
+
+    @pytest.mark.parametrize("execution", ["batched", "per-edge"])
+    @pytest.mark.parametrize("case", sorted(PROTOCOLS))
+    def test_out_of_domain_item_is_refused(self, case, execution):
+        factory, name = self.PROTOCOLS[case]
+        network, _ = self.grid(execution)
+        with pytest.raises(ConfigurationError, match=f"{name}: item 1000 .*domain_max=10"):
+            factory().run(network)
+        assert network.ledger.total_bits == 0
+
+    @pytest.mark.parametrize("execution", ["batched", "per-edge"])
+    @pytest.mark.parametrize("case", sorted(PROTOCOLS))
+    def test_detached_nodes_item_is_not_read(self, case, execution):
+        factory, _ = self.PROTOCOLS[case]
+        network, holder = self.grid(execution)
+        network.set_tree(network.flat_tree.rewire(removed=[holder]))
+        assert network.items_of(holder) == [1000]
+        assert factory().run(network).total_bits > 0
 
 
 class TestCountSumAverage:

@@ -1,6 +1,15 @@
 """Tests for the deterministic hash functions used by sketches."""
 
-from repro.sketches.hashing import hash64, hash_to_unit, leading_rank
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sketches.hashing import hash64, hash64_array, hash_to_unit, leading_rank
+
+#: Every uint64 word, with the edges drawn often.
+WORDS = st.one_of(st.sampled_from([0, 1, 1 << 63, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
 
 
 class TestHash64:
@@ -27,6 +36,38 @@ class TestHash64:
             flips.append(bin(xor).count("1"))
         mean_flips = sum(flips) / len(flips)
         assert 24 < mean_flips < 40
+
+
+class TestHash64Array:
+    """The numpy twin is :func:`hash64` element-wise, wrapping silently."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(WORDS, min_size=1, max_size=16), salt=WORDS)
+    def test_scalar_salt(self, values, salt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hashed = hash64_array(np.array(values, dtype=np.uint64), salt)
+        assert hashed.dtype == np.uint64
+        assert hashed.tolist() == [hash64(value, salt) for value in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=16))
+    def test_array_salt(self, pairs):
+        values, salts = (np.array(column, dtype=np.uint64) for column in zip(*pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hashed = hash64_array(values, salts)
+        assert hashed.tolist() == [hash64(value, salt) for value, salt in pairs]
+
+    def test_zero_dimensional_and_numpy_scalar_salt(self):
+        top = (1 << 64) - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert int(hash64_array(top, np.uint64(top))) == hash64(top, top)
+            assert int(hash64_array(np.uint64(1 << 63), top)) == hash64(1 << 63, top)
+
+    def test_empty(self):
+        assert hash64_array(np.array([], dtype=np.uint64), 3).size == 0
 
 
 class TestHashToUnit:

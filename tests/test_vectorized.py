@@ -289,6 +289,8 @@ class TestFlatTreeArrays:
         flat = FlatTree.from_arrays([-1, 0, 0, 1, 1, 2])
         stale_up = flat.up_links
         stale_down = flat.down_links
+        stale_down_array = flat.down_link_array.tolist()
+        stale_preorder = [part.tolist() for part in flat.preorder]
         patched = flat.rewire(removed=[5], reparented={4: 2}, depths={4: 2})
         # Build the expectation directly: node 5 gone, node 4 under node 2.
         expected = FlatTree.from_arrays([-1, 0, 0, 1, 2])
@@ -296,11 +298,43 @@ class TestFlatTreeArrays:
         assert patched.up_links == expected.up_links
         assert patched.up_link_array.tolist() == [list(link) for link in expected.up_links]
         assert patched.down_links == expected.down_links
+        assert patched.down_link_array.tolist() == [
+            list(link) for link in expected.down_links
+        ]
+        # Preorder 0 1 3 2 4: node 4's subtree is itself, node 2's is {2, 4}.
+        assert [part.tolist() for part in patched.preorder] == [
+            [0, 1, 3, 2, 4],
+            [0, 1, 3, 2, 4],
+            [5, 2, 2, 1, 1],
+        ]
         assert patched.up_links != stale_up
         assert patched.down_links != stale_down
+        assert patched.down_link_array.tolist() != stale_down_array
+        assert [part.tolist() for part in patched.preorder] != stale_preorder
         # The source instance's caches are untouched (rewire is pure).
         assert flat.up_links == stale_up
         assert flat.down_links == stale_down
+        assert flat.down_link_array.tolist() == stale_down_array
+        assert [part.tolist() for part in flat.preorder] == stale_preorder
+
+    def test_rewire_then_sweep_reads_the_new_tree(self):
+        """A network whose tree is replaced by a rewire sweeps the new tree:
+        MIN and COUNT read exactly the nodes it spans, over its links, even
+        with every cache of the old tree built."""
+        from repro.protocols import CountProtocol, MinProtocol
+
+        network = SensorNetwork.from_items([5, 4, 7, 3, 9, 1], topology="line")
+        flat = network.flat_tree
+        assert MinProtocol().run(network).value == 1
+        _ = flat.preorder, flat.down_link_array, flat.up_link_array
+        # Cut node 5 off the end of the line: its item 1 leaves the tree.
+        network.set_tree(flat.rewire(removed=[5]))
+        assert MinProtocol().run(network).value == 3
+        network.reset_ledger()
+        assert CountProtocol().run(network).value == 5
+        assert network.ledger.snapshot().messages == 2 * 4  # broadcast + convergecast
+        network.set_tree(network.flat_tree.rewire(removed=[4, 3, 2]))
+        assert MinProtocol().run(network).value == 4
 
 
 # --------------------------------------------------------------------------- #
