@@ -211,8 +211,8 @@ def heartbeat_sweep_vectorized(
     The array counterpart of :meth:`HeartbeatDetector.charge_sweep` for the
     standalone :class:`~repro.network.vector_field.VectorField`: ``flat`` is
     a :class:`~repro.network.FlatTree`, ``alive`` a boolean mask over its
-    canonical positions, and ``ledger`` any ledger exposing ``charge_array``
-    (the :class:`~repro.network.ArrayLedger` makes it one vector add).  A
+    canonical positions, and ``ledger`` a
+    :class:`~repro.network.CommunicationLedger` (one vector add).  A
     link is charged when both endpoints are alive — a dead child is silent
     (that silence is the detection signal) and a dead parent is not probed.
     Returns ``(bits, messages)`` like the charged sweep.

@@ -9,7 +9,7 @@ of bits transmitted plus received by any single node.
 """
 
 from repro.network.accounting import (
-    ArrayLedger,
+    ArrayLedger,  # the commented alias in accounting: benchmarks still import it
     CommunicationLedger,
     LedgerMark,
     LedgerSnapshot,

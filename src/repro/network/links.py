@@ -123,12 +123,13 @@ class LinkTable:
         return self.row_of(node_id) >= 0
 
     def row_of(self, node_id) -> int:
-        """The row of ``node_id``, ``-1`` when it is not a node."""
+        """The row of ``node_id``, ``-1`` when it is not a node (a ``bool``
+        or a float never is, though ``True == 1`` and ``3.0 == 3``)."""
+        if isinstance(node_id, bool) or not isinstance(node_id, (int, np.integer)):
+            return -1
         if self._row is not None:
             return self._row.get(node_id, -1)
-        if isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes:
-            return int(node_id)
-        return -1
+        return int(node_id) if 0 <= node_id < self.num_nodes else -1
 
     def row_mask(self, node_ids: Iterable[int]):
         """A boolean row mask that is set exactly at ``node_ids``."""

@@ -7,7 +7,7 @@ no cross-shard traffic below the root), and units are packed into
 ``num_shards`` bins by longest-processing-time order on subtree size.  Each
 worker process runs the same level-sweep kernel
 (:func:`repro.streaming.vector_kernels.sweep_levels`) over its shard's
-slice of the state columns, charging a **private**
+slice of the state columns, charging a **private**, unsized
 :class:`~repro.network.CommunicationLedger`; the parent then
 
 * scatters the updated columns back,
@@ -177,17 +177,9 @@ def _run_shard_task(task: dict) -> ShardOutcome:
     root_id = shard.root_id
 
     def charge(tx_pos, tx_par, sizes):
-        senders = ids[tx_pos].tolist()
         external = tx_par == EXTERNAL_PARENT
-        receivers = np.where(
-            external, root_id, ids[np.maximum(tx_par, 0)]
-        ).tolist()
-        ledger.charge_batch(
-            list(zip(senders, receivers)),
-            sizes.tolist(),
-            None,
-            protocol=protocol,
-        )
+        receivers = np.where(external, root_id, ids[np.maximum(tx_par, 0)])
+        ledger.charge_array(ids[tx_pos], receivers, sizes, protocol=protocol)
         return None  # perfect links: the engine enforces ReliableRadio
 
     result = sweep_levels(

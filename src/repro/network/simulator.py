@@ -32,7 +32,6 @@ spanning tree spanning the alive, root-connected population.
 from __future__ import annotations
 
 from itertools import chain
-from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,9 +46,9 @@ from repro.exceptions import (
 )
 from repro.network.accounting import (
     SMALL_BATCH,
-    ArrayLedger,
     CommunicationLedger,
     LedgerSnapshot,
+    link_pairs,
 )
 from repro.network.flat_tree import FlatTree
 from repro.network.links import LinkTable, as_link_table
@@ -76,11 +75,9 @@ if TYPE_CHECKING:
 #: (:class:`repro.streaming.vector_engine.VectorStreamEngine`) — single
 #: process or subtree-sharded multiprocessing respectively; generic one-shot
 #: protocols treat both exactly like ``"batched"``, so every mode stays
-#: bit-for-bit ledger-identical.  A network with ids ``0..n-1`` constructed
-#: without an explicit ``ledger=`` meters on the dense
-#: :class:`~repro.network.ArrayLedger` in every mode but ``"per-edge"``, the
-#: specification, which keeps :class:`~repro.network.CommunicationLedger`
-#: (as do sparse ids).
+#: bit-for-bit ledger-identical.  Every mode meters on the one
+#: :class:`~repro.network.CommunicationLedger`; a network built without an
+#: explicit ``ledger=`` sizes it to its highest id plus one.
 EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
 
 
@@ -125,15 +122,9 @@ class SensorNetwork:
         #: not ``0..n-1``.
         self.alive_mask = np.ones(num_nodes, dtype=bool) if dense_ids else None
         if ledger is None:
-            # Every array path meters on the dense ledger, whose marks cost
-            # one array pass instead of a baseline per touched endpoint.  The
-            # per-edge specification keeps the dict ledger, so every default
-            # path held to it is also held to the other ledger class; sparse
-            # ids have no rows to index.
-            if dense_ids and execution != "per-edge":
-                ledger = ArrayLedger(num_nodes)
-            else:
-                ledger = CommunicationLedger()
+            # A sparse id indexes its own row: O(max id) memory, which the
+            # small sparse fields simulated here can afford.
+            ledger = CommunicationLedger(self._sorted_ids[-1] + 1)
         self.ledger = ledger
         self._telemetry: TelemetryRecorder = NULL_RECORDER
         self.telemetry = telemetry
@@ -622,17 +613,17 @@ class SensorNetwork:
         ``links`` may also be a ``(k, 2)`` int64 array with ``sizes`` an
         int64 array (what the vectorized paths already hold); the copies
         then come back as an int64 array.  Same checks, same charges.  On
-        ids ``0..n-1`` metered by an :class:`~repro.network.ArrayLedger`, a
-        link array or a tuple list of more than
+        ids ``0..n-1``, a link array or a tuple list of more than
         :data:`~repro.network.accounting.SMALL_BATCH` links is checked in
         one array pass (exact integer ids, known, alive, and a link when
         ``require_edge``) and charged whole, after the radio's ordered draws
         on imperfect links.  Anything else — a failing batch, a smaller
-        tuple list, sparse ids, another ledger — takes the ordered per-link
-        check, which raises :meth:`send`'s error at the first bad link
-        before anything is drawn or charged, and charges the tuple list; a
-        budget also charges link by link, so its raise point is the per-edge
-        one.
+        tuple list, sparse ids — takes the ordered per-link check, which
+        raises :meth:`send`'s error at the first bad link before anything is
+        drawn or charged, and charges the tuple list.  A per-node budget is
+        enforced by the ledger at the per-edge raise point on either path;
+        only an imperfect radio under a budget sends link by link, so the
+        radio's draws stop where the per-edge loop's do.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -672,12 +663,10 @@ class SensorNetwork:
             # The ordered loop owns the errors: it raises at the first bad
             # link, before any radio draw or charge.
             self._check_links(links, require_edge)
-            if self.ledger.per_node_budget_bits is not None:
-                return _copies_as(
-                    self._send_budgeted(links, sizes, protocol), as_array
-                )
         elif as_array and not perfect:
             links = _as_tuples(pairs)  # the radio draws per id-level link
+        if not perfect and self.ledger.per_node_budget_bits is not None:
+            return _copies_as(self._send_budgeted(links, sizes, protocol), as_array)
         if perfect:
             # Perfect links need no radio pass at all: one attempt, one copy.
             self._charge_links(links, pairs, sizes, None, protocol)
@@ -709,14 +698,14 @@ class SensorNetwork:
         pass found between known, alive nodes (and, when ``require_edge`` is
         set, an alive link); ``None`` sends the batch down the ordered path.
 
-        Only an :class:`~repro.network.ArrayLedger` on ids ``0..n-1`` takes
-        the array, and only a link array or a tuple list of more than
+        Only ids ``0..n-1`` have the alive mask the pass reads, and only a
+        link array or a tuple list of more than
         :data:`~repro.network.accounting.SMALL_BATCH` links is worth
         converting.  Ids must be exact integers: anything else, like any
-        failing batch, is left to the ordered loop to accept or name.
+        failing batch, is left to the ordered loop to name.
         """
         alive = self.alive_mask
-        if alive is None or not isinstance(self.ledger, ArrayLedger):
+        if alive is None:
             return None
         if isinstance(links, np.ndarray):
             if links.ndim != 2 or links.dtype.kind not in "iu":
@@ -740,10 +729,10 @@ class SensorNetwork:
         return pairs
 
     def _send_budgeted(self, links, sizes, protocol: str) -> list[int]:
-        """Send checked links one at a time: budget enforcement interleaves
-        radio draws and charges per link, so both the BudgetExceededError
-        raise point and the radio RNG state at that point match the per-edge
-        path exactly."""
+        """Send checked links one at a time through an imperfect radio under
+        a budget: draws and charges interleave per link, so both the
+        BudgetExceededError raise point and the radio RNG state at that
+        point match the per-edge path exactly."""
         transmit = self.radio.transmit
         charge = self.ledger.charge
         copies_delivered: list[int] = []
@@ -861,15 +850,12 @@ def _slots(starts, counts):
 
 def _pair_array(links: Sequence[tuple[int, int]]):
     """A tuple batch as one ``(k, 2)`` int64 array, or ``None`` when some id
-    is not an exact integer (``operator.index`` refuses ``3.5``, ``3.0`` and
-    ``"3"``, which a plain int64 conversion would cast or parse)."""
+    is not an exact integer (the ledger's id rule refuses ``True``, ``3.5``,
+    ``3.0`` and ``"3"``, which a plain int64 conversion would cast or
+    parse)."""
     try:
-        return np.fromiter(
-            map(index, chain.from_iterable(links)),
-            dtype=np.int64,
-            count=2 * len(links),
-        ).reshape(-1, 2)
-    except (TypeError, ValueError, OverflowError):
+        return link_pairs(links)
+    except (ConfigurationError, TypeError, ValueError, OverflowError):
         return None
 
 

@@ -17,7 +17,7 @@ sweep chain
    delta-sized frames (:func:`repro.streaming.vector_kernels.sweep_levels`),
 
 each phase running as whole-array level passes and charging the
-:class:`~repro.network.ArrayLedger` in one batch per level.  The bit
+:class:`~repro.network.CommunicationLedger` in one batch per level.  The bit
 accounting is the same arithmetic the reference engine performs per node:
 a count summary costs ``varint_bits(v) + 1`` on first transmission and
 ``1 + min(delta, full)`` afterwards, heartbeats cost
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError
-from repro.network.accounting import ArrayLedger
+from repro.network.accounting import CommunicationLedger
 from repro.network.flat_tree import FlatTree
 from repro.telemetry import NULL_RECORDER
 
@@ -77,7 +77,7 @@ class VectorField:
         self.flat = flat
         self.num_nodes = flat.num_nodes
         self.epsilon = epsilon
-        self.ledger = ArrayLedger(self.num_nodes)
+        self.ledger = CommunicationLedger(self.num_nodes)
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         self.telemetry.bind_ledger(self.ledger)
         self.alive = np.ones(self.num_nodes, dtype=bool)

@@ -39,15 +39,13 @@ class ProtocolResult:
 class MeteredRun:
     """Context manager measuring the ledger delta of one protocol invocation.
 
-    Built on the ledger's :meth:`~CommunicationLedger.mark`.  On the
-    :class:`~repro.network.ArrayLedger` every array path meters on, entering
-    snapshots the per-node totals and :meth:`result` subtracts them — one
-    O(n) array pass each; the dict ledger (per-edge, sparse ids, budgets)
-    records baselines lazily for the nodes the protocol touches, O(touched
-    nodes).  Metered runs nest: an outer protocol that invokes sub-protocols
-    (each with its own :class:`MeteredRun`) still measures its full
-    interval, and a :meth:`~SensorNetwork.reset_ledger` inside one rebases
-    it to the reset.
+    Built on the ledger's :meth:`~repro.network.CommunicationLedger.mark`:
+    entering snapshots the per-node totals column and :meth:`result`
+    subtracts it — one O(n) array pass each, on every execution path.
+    Metered runs nest: an outer protocol that invokes sub-protocols (each
+    with its own :class:`MeteredRun`) still measures its full interval, and
+    a :meth:`~SensorNetwork.reset_ledger` inside one rebases it to the
+    reset.
     """
 
     def __init__(self, network: SensorNetwork) -> None:
@@ -59,8 +57,8 @@ class MeteredRun:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Baselines recorded so far stay valid after release, so result()
-        # may be called either inside or right after the with-block.
+        # The mark's snapshot stays valid after release, so result() may be
+        # called either inside or right after the with-block.
         self.network.ledger.release(self._mark)
 
     def result(self, value: Any) -> ProtocolResult:

@@ -8,9 +8,9 @@ span closes, the sink reads the span's already-open
 :class:`~repro.network.LedgerMark` (no second mark, no extra charge) and
 folds the epoch's per-node bit deltas into one of two representations:
 
-* **dense** — cumulative per-node bits as a numpy ``int64`` column (a plain
-  dict on a dict-backed ledger), exact per-node history for the batched /
-  vectorized regimes up to :attr:`CostAttribution.dense_limit` nodes;
+* **dense** — cumulative per-node bits as a numpy ``int64`` column indexed
+  by node id, exact per-node history up to
+  :attr:`CostAttribution.dense_limit` nodes;
 * **sketch** — the million-node regime: each epoch's per-node bit
   *distribution* is compressed into the repository's own
   :class:`~repro.sketches.QDigest` (values log₂-bucketed, digest
@@ -144,12 +144,10 @@ class CostAttribution:
         self.span_name = span_name
         #: One :class:`EpochAttribution` per observed epoch, in order.
         self.epochs: list[EpochAttribution] = []
-        #: Dense mode: cumulative per-node bits (numpy ``int64`` keyed by
-        #: canonical position / node id, or a dict on a dict-backed ledger).
-        #: ``None`` until the first fold, and permanently ``None`` in sketch
-        #: mode — the memory-bound test asserts exactly this.
+        #: Dense mode: cumulative per-node bits (numpy ``int64`` indexed by
+        #: node id).  ``None`` until the first fold, and permanently ``None``
+        #: in sketch mode — the memory-bound test asserts exactly this.
         self.cumulative: Any = None
-        self._cumulative_dict: dict[int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Feeding (driven by SpanTracer._close; manual driving also works)
@@ -157,10 +155,8 @@ class CostAttribution:
     def observe_span(self, span, ledger, mark):
         """Fold one closing span's ledger interval (called by the tracer).
 
-        Returns the dense per-node delta array on an
-        :class:`~repro.network.ArrayLedger` (so the tracer can reuse it for
-        the span's ``max_node_bits`` instead of re-subtracting), or ``None``
-        on a dict-backed ledger.
+        Returns the dense per-node delta array, so the tracer can reuse it
+        for the span's ``max_node_bits`` instead of re-subtracting.
         """
         epoch = span.attributes.get("epoch")
         if epoch is None:
@@ -171,14 +167,9 @@ class CostAttribution:
         """Fold the per-node deltas accumulated on ``mark`` since its start.
 
         Reads the mark without releasing it (the caller owns its
-        lifecycle).  An :class:`~repro.network.ArrayLedger` mark folds as
-        one whole-array subtraction (the delta array is returned); a
-        dict-backed :class:`~repro.network.LedgerMark` folds its
-        O(touched) baselines and returns ``None``.
+        lifecycle): one whole-array subtraction, whose delta array is
+        returned.
         """
-        if not hasattr(ledger, "node_delta_array"):
-            self._fold_dict(epoch, ledger.node_deltas_since(mark))
-            return None
         deltas = ledger.node_delta_array(mark)
         self._fold_array(epoch, deltas)
         return deltas
@@ -202,32 +193,9 @@ class CostAttribution:
             self.cumulative[:size] += deltas
         self._append_stats(epoch, deltas, dense)
 
-    def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
-        positive = {node: bits for node, bits in deltas.items() if bits > 0}
-        dense = self._use_dense(len(positive))
-        if dense:
-            if self._cumulative_dict is None:
-                self._cumulative_dict = {}
-                if self.cumulative is None:
-                    self.cumulative = self._cumulative_dict
-            cumulative = self._cumulative_dict
-            for node, bits in positive.items():
-                cumulative[node] = cumulative.get(node, 0) + bits
-        count = len(positive)
-        ids = np.fromiter(positive.keys(), dtype=np.int64, count=count)
-        bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
-        # Id-sorted, so the array statistics' lowest-position tie rule is
-        # the lowest-id rule.
-        order = np.argsort(ids)
-        self._append_stats(epoch, bits[order], dense, ids[order])
-
-    def _append_stats(self, epoch: int, deltas, dense: bool, ids=None) -> None:
-        """Append one epoch's statistics of the delta column ``deltas``.
-
-        Position ``i`` of ``deltas`` is node ``i`` (an
-        :class:`~repro.network.ArrayLedger` column) or node ``ids[i]`` for
-        ascending ``ids`` (a dict ledger's positive deltas).
-        """
+    def _append_stats(self, epoch: int, deltas, dense: bool) -> None:
+        """Append one epoch's statistics of the delta column ``deltas``
+        (position ``i`` is node ``i``)."""
         size = int(deltas.size)
         digest = None
         hotspots: list[tuple[int, int]] = []
@@ -285,9 +253,8 @@ class CostAttribution:
                 # Positions ascend with node ids: the lowest ids win.
                 ties = np.nonzero(deltas == cutoff)[0][: k - candidates.size]
                 candidates = np.concatenate([candidates, ties])
-            nodes = candidates if ids is None else ids[candidates]
             hotspots = sorted(
-                zip(nodes.tolist(), deltas[candidates].tolist()),
+                zip(candidates.tolist(), deltas[candidates].tolist()),
                 key=_hotspot_order,
             )
         if not dense and digest is None:

@@ -245,8 +245,8 @@ class SpanTracer(TelemetryRecorder):
             if attribution is not None and span.name == attribution.span_name:
                 # Reuse the span's own mark: per-node attribution costs no
                 # additional mark, and never a charged bit.  The fold hands
-                # back the dense delta array (ArrayLedger) so max_node_bits
-                # comes from the same single subtraction.
+                # back the dense delta array so max_node_bits comes from the
+                # same single subtraction.
                 deltas = attribution.observe_span(span, ledger, mark)
             if deltas is not None:
                 span.max_node_bits = (

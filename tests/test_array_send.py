@@ -1,15 +1,15 @@
 """Differential tests for the array-native charged send.
 
 ``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array or a tuple list.
-On ids ``0..n-1`` metered by an ``ArrayLedger`` one array pass checks the
-whole batch and the arrays are charged whole (after the radio's ordered
-draws on imperfect links); a bad batch, a tuple batch of at most
-``SMALL_BATCH`` links, sparse ids or a dict ledger (budgeted or not) run the
-ordered tuple-list code.  Each test here drives twin networks — one fed
-arrays, one fed tuple lists — and holds them to the same copies,
-exceptions, ledgers, mark deltas, radio RNG state and telemetry; a bad link
-raises the ordered loop's error.  Whole runs on the dense default ledger
-against the dict ledger are ``tests/test_oracle.py``'s.
+On ids ``0..n-1`` one array pass checks the whole batch and the arrays are
+charged whole (after the radio's ordered draws on imperfect links); a bad
+batch, a tuple batch of at most ``SMALL_BATCH`` links or sparse ids run the
+ordered tuple-list code, and an imperfect radio under a budget sends link
+by link.  Each test here drives twin networks — one fed arrays, one fed
+tuple lists — on a sized or an unsized ledger and holds them to the same
+copies, exceptions, ledgers, mark deltas, radio RNG state and telemetry; a
+bad link raises the ordered loop's error.  Whole runs against the per-edge
+reference on the retired dict ledger are ``tests/test_oracle.py``'s.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.exceptions import (
 )
 from repro.faults import HeartbeatDetector
 from repro.network import (
-    ArrayLedger,
     CommunicationLedger,
     LossyRadio,
     ReliableRadio,
@@ -44,7 +43,7 @@ _quick = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-LEDGERS = ("array", "dict")
+LEDGERS = ("sized", "unsized")
 
 
 class _PlainRadio(ReliableRadio):
@@ -52,17 +51,15 @@ class _PlainRadio(ReliableRadio):
     list code, which is what the array branch is compared against."""
 
 
-def _network(n, seed, ledger="dict", radio=None, budget=None, stride=1, offset=0):
+def _network(n, seed, ledger="unsized", radio=None, budget=None, stride=1, offset=0):
     """A random-geometric field; ``stride``/``offset`` make the ids sparse."""
     graph = random_geometric_links(n, seed=seed)
     if (stride, offset) != (1, 0):
         graph = nx.relabel_nodes(
             graph.to_networkx(), {node: node * stride + offset for node in range(n)}
         )
-    if ledger == "array":
-        ledger = ArrayLedger((n - 1) * stride + offset + 1)
-    else:
-        ledger = CommunicationLedger(per_node_budget_bits=budget)
+    size = (n - 1) * stride + offset + 1 if ledger == "sized" else None
+    ledger = CommunicationLedger(size, per_node_budget_bits=budget)
     network = SensorNetwork(
         graph, root=offset, radio=radio, degree_bound=None, ledger=ledger
     )
@@ -239,12 +236,13 @@ class TestArrayVersusList:
         assert copies.tolist() == [1]
 
 
+@pytest.mark.parametrize("ledger", LEDGERS)
 @_quick
 @given(data=st.data(), budget=st.integers(50, 2000))
-def test_budget_raises_at_the_same_transmission(data, budget):
+def test_budget_raises_at_the_same_transmission(ledger, data, budget):
     n = 16
     results = _assert_twins_agree(
-        lambda: _network(n, 1, budget=budget),
+        lambda: _network(n, 1, ledger, budget=budget),
         data.draw(_batches(n)),
     )
     assert all(
@@ -255,7 +253,7 @@ def test_budget_raises_at_the_same_transmission(data, budget):
 
 def test_array_links_reach_the_ledger_as_arrays(monkeypatch):
     """The branch under test is the one taken: no tuple list is charged."""
-    network = _network(24, 0, "array")
+    network = _network(24, 0, "sized")
     network.kill_node(7)
 
     def tuple_path(*args, **kwargs):
@@ -270,25 +268,35 @@ def test_array_links_reach_the_ledger_as_arrays(monkeypatch):
     assert messages > 0 and network.ledger.total_bits == 10 + bits
 
 
-def test_default_ledger_follows_execution_and_yields_to_ledger_argument():
+def test_a_budget_on_perfect_links_is_charged_as_arrays(monkeypatch):
+    """A budget no longer sends link by link: the ledger's prefix check
+    charges the links up to the crossing one and raises the per-edge error."""
+    network = _network(24, 0, "sized", budget=10)
+
+    def one_at_a_time(*args, **kwargs):
+        raise AssertionError("a budgeted perfect-link batch was charged link by link")
+
+    monkeypatch.setattr(network.ledger, "charge", one_at_a_time)
+    monkeypatch.setattr(network.ledger, "charge_batch", one_at_a_time)
+    links = np.asarray([(0, 1), (2, 3), (0, 4), (5, 6)])
+    with pytest.raises(BudgetExceededError) as raised:
+        network.send_batch(links, np.asarray([6, 6, 6, 6]), require_edge=False)
+    assert str(raised.value) == "node 0 exceeded per-node budget of 10 bits (12 bits used)"
+    assert network.ledger.snapshot().per_node_bits == {0: 12, 1: 6, 2: 6, 3: 6, 4: 6}
+
+
+def test_default_ledger_is_sized_to_the_highest_id_and_yields_to_ledger_argument():
     def graph():
         return random_geometric_links(16, seed=0)
 
-    kinds = {
-        mode: type(SensorNetwork(graph(), execution=mode).ledger)
-        for mode in ("batched", "per-edge", "vectorized", "sharded")
-    }
-    assert kinds == {
-        "batched": ArrayLedger,
-        "per-edge": CommunicationLedger,
-        "vectorized": ArrayLedger,
-        "sharded": ArrayLedger,
-    }
+    for mode in ("batched", "per-edge", "vectorized", "sharded"):
+        ledger = SensorNetwork(graph(), execution=mode).ledger
+        assert type(ledger) is CommunicationLedger and ledger.num_nodes == 16
     explicit = CommunicationLedger()
     assert SensorNetwork(graph(), execution="vectorized", ledger=explicit).ledger is explicit
-    sparse = nx.relabel_nodes(graph().to_networkx(), {node: node + 1 for node in range(16)})
-    network = SensorNetwork(sparse, root=1, execution="vectorized")
-    assert type(network.ledger) is CommunicationLedger
+    sparse = nx.relabel_nodes(graph().to_networkx(), {node: 3 * node + 1 for node in range(16)})
+    network = SensorNetwork(sparse, root=1, execution="per-edge")
+    assert network.ledger.num_nodes == 3 * 15 + 2
     assert network.alive_mask is None
 
 
@@ -344,7 +352,6 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
         radio=LossyRadio(0.3, seed=4),
         degree_bound=None,
     )
-    assert type(network.ledger) is ArrayLedger
     network.kill_node(dead)
     links = [edge for edge in sorted(network.graph.edges()) if dead not in edge][:k]
     network.send_batch([links[2]], [5], protocol="warm", require_edge=False)

@@ -229,14 +229,17 @@ class TestLedgerMarks:
 
     def test_release_is_idempotent_and_preserves_baselines(self):
         ledger = CommunicationLedger()
+        ledger.charge(0, 1, 5)
         mark = ledger.mark()
         ledger.charge(3, 4, 6)
         ledger.release(mark)
         ledger.release(mark)
         assert ledger.node_deltas_since(mark) == {3: 6, 4: 6}
-        # New traffic after release is no longer tracked by the mark.
-        ledger.charge(5, 6, 9)
-        assert 5 not in ledger.node_deltas_since(mark)
+        # Released, the mark is not rebased by a reset: it still reads
+        # against the totals it took (a rebased one would see {0: 5, 1: 5}).
+        ledger.reset()
+        ledger.charge(0, 1, 5)
+        assert ledger.node_deltas_since(mark) == {}
 
     def test_reset_rebases_active_marks(self):
         ledger = CommunicationLedger()

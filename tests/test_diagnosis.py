@@ -18,7 +18,6 @@ The load-bearing assertions mirror the layer's three promises:
   asserted here.
 """
 
-import heapq
 import importlib.util
 import json
 from pathlib import Path
@@ -54,13 +53,8 @@ from repro.telemetry import (
     split_by_type,
     verdict,
 )
-from repro.telemetry.attribution import (
-    BINCOUNT_LIMIT,
-    QUANTILE_FRACTIONS,
-    UNIVERSE_BITS,
-    EpochAttribution,
-    _hotspot_order,
-)
+
+from ledger_oracle import RetiredDictFolds
 
 DOMAIN = 1 << 12
 
@@ -183,150 +177,25 @@ class TestFlightRecorder:
         assert bare.event("cache.evict", node=1) is None
 
 
-# --------------------------------------------------------------------------- #
-# The oracle: the two dict folds the single fold replaced (the heap/sort
-# branch below VECTOR_DICT_FOLD_MIN touched nodes, the numpy branch at or
-# above it), kept verbatim; the helpers they share with the array fold are
-# inherited.
-# --------------------------------------------------------------------------- #
-VECTOR_DICT_FOLD_MIN = 4096
-
-
-class RetiredDictFolds(CostAttribution):
-    def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
-        positive = {node: bits for node, bits in deltas.items() if bits > 0}
-        dense = self._use_dense(len(positive))
-        if dense:
-            if self._cumulative_dict is None:
-                self._cumulative_dict = {}
-                if self.cumulative is None:
-                    self.cumulative = self._cumulative_dict
-            cumulative = self._cumulative_dict
-            for node, bits in positive.items():
-                cumulative[node] = cumulative.get(node, 0) + bits
-        if len(positive) >= VECTOR_DICT_FOLD_MIN:
-            # Large dict folds (the batched pipeline at scale): Python
-            # sorts/heaps over 10^5 items cost more than the epoch's own
-            # bookkeeping, so lift the stats into numpy.
-            self._append_dict_stats_vectorized(epoch, positive, dense)
-            return
-        hotspots = heapq.nsmallest(self.top_k, positive.items(), key=_hotspot_order)
-        digest = None
-        if dense:
-            quantiles = self._exact_quantiles(sorted(positive.values()))
-        else:
-            buckets: dict[int, int] = {}
-            for bits in positive.values():
-                bucket = 1 << (min(bits, (1 << UNIVERSE_BITS) - 1).bit_length() - 1)
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-            digest = self._digest_from_buckets(buckets)
-            quantiles = self._digest_quantiles(digest)
-        self.epochs.append(
-            EpochAttribution(
-                epoch=epoch,
-                node_bits=sum(positive.values()),
-                touched=len(positive),
-                hotspots=hotspots,
-                quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
-            )
-        )
-
-    def _append_dict_stats_vectorized(
-        self, epoch: int, positive: dict[int, int], dense: bool
-    ) -> None:
-        """Numpy stats for a large dict fold (same results, no big sorts)."""
-        count = len(positive)
-        nodes = np.fromiter(positive.keys(), dtype=np.int64, count=count)
-        bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
-        dmax = int(bits.max())
-        digest = None
-        if dense and 0 < dmax <= BINCOUNT_LIMIT:
-            touched, node_bits, quantiles, cutoff, k = (
-                self._stats_from_bincount(bits, dmax)
-            )
-        else:
-            node_bits = int(bits.sum())
-            k = min(self.top_k, count)
-            indices = sorted(
-                {
-                    min(count - 1, int(fraction * count))
-                    for fraction in QUANTILE_FRACTIONS
-                }
-                | {count - k}
-            )
-            selected = np.partition(bits, indices)
-            cutoff = int(selected[count - k])
-            if dense:
-                quantiles = {
-                    f"p{int(fraction * 100)}": int(
-                        selected[min(count - 1, int(fraction * count))]
-                    )
-                    for fraction in QUANTILE_FRACTIONS
-                }
-                quantiles["max"] = dmax
-            else:
-                digest = self._digest_from_buckets(self._buckets_array(bits))
-                quantiles = self._digest_quantiles(digest)
-        chosen = np.nonzero(bits > cutoff)[0]
-        if chosen.size < k:
-            # The dict is in first-touched order; the lowest ids win.
-            ties = np.nonzero(bits == cutoff)[0]
-            wanted = k - chosen.size
-            if ties.size > wanted:
-                ties = ties[np.argpartition(nodes[ties], wanted - 1)[:wanted]]
-            chosen = np.concatenate([chosen, ties])
-        hotspots = sorted(
-            zip(nodes[chosen].tolist(), bits[chosen].tolist()), key=_hotspot_order
-        )
-        self.epochs.append(
-            EpochAttribution(
-                epoch=epoch,
-                node_bits=node_bits,
-                touched=count,
-                hotspots=hotspots,
-                quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
-            )
-        )
-
-    @staticmethod
-    def _exact_quantiles(ordered) -> dict[str, int]:
-        """Quantiles of a sorted sequence / array of positive deltas."""
-        size = len(ordered)
-        if not size:
-            return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
-        quantiles = {
-            f"p{int(fraction * 100)}": int(
-                ordered[min(size - 1, int(fraction * size))]
-            )
-            for fraction in QUANTILE_FRACTIONS
-        }
-        quantiles["max"] = int(ordered[size - 1])
-        return quantiles
-
-
 def delta_grid(touched):
     """Seeded per-node delta dicts of ``touched`` nodes, as a dict ledger
     reports them: tie-heavy, wide
     (above ``BINCOUNT_LIMIT``) and huge (above the sketch's 2**30 clamp)
-    values; ids ``0..~4n/3`` or sparse up to 10**9; inserted highest id
-    first or shuffled; one zero delta, which every fold skips.
+    values; ids ``0..~4n/3``; inserted highest id first or shuffled; one
+    zero delta, which every fold skips.
     """
     rng = np.random.default_rng(touched)
-    for id_space in (touched + touched // 3 + 1, 10**9):
-        ids = rng.choice(id_space, touched + 1, replace=False)
-        for high in (4, 1 << 20, 1 << 40):
-            bits = rng.integers(1, high, touched, endpoint=True)
-            pairs = list(zip(ids[1:].tolist(), bits.tolist()))
-            for order in ("descending", "shuffled"):
-                if order == "descending":
-                    pairs.sort(reverse=True)
-                else:
-                    rng.shuffle(pairs)
-                yield id_space, {int(ids[0]): 0, **dict(pairs)}
+    id_space = touched + touched // 3 + 1
+    ids = rng.choice(id_space, touched + 1, replace=False)
+    for high in (4, 1 << 20, 1 << 40):
+        bits = rng.integers(1, high, touched, endpoint=True)
+        pairs = list(zip(ids[1:].tolist(), bits.tolist()))
+        for order in ("descending", "shuffled"):
+            if order == "descending":
+                pairs.sort(reverse=True)
+            else:
+                rng.shuffle(pairs)
+            yield id_space, {int(ids[0]): 0, **dict(pairs)}
 
 
 class TestCostAttribution:
@@ -338,7 +207,7 @@ class TestCostAttribution:
         with pytest.raises(ConfigurationError):
             CostAttribution(epsilon=0.0)
 
-    def test_dense_fold_from_a_dict_ledger(self):
+    def test_dense_fold_from_an_unsized_ledger(self):
         ledger = CommunicationLedger()
         sink = CostAttribution(top_k=2)
         mark = ledger.mark()
@@ -378,31 +247,33 @@ class TestCostAttribution:
 
     @pytest.mark.parametrize("touched", [1, 3, 17, 4095, 4096, 10_000])
     def test_one_fold_matches_the_retired_dict_folds(self, touched):
-        """The dict fold (and, on ids ``0..n-1``, the array fold of the same
-        column) reports what the retired heap/sort and numpy folds did."""
+        """The fold of a delta column reports what the retired heap/sort and
+        numpy dict folds did with the same deltas, cumulative bits included."""
         for id_space, deltas in delta_grid(touched):
+            column = np.zeros(id_space, dtype=np.int64)
+            column[list(deltas)] = list(deltas.values())
             for mode, dense_limit in (("dense", 0), ("sketch", 0), ("auto", 100)):
                 for top_k in (1, 8, 12_000):
                     settings = dict(mode=mode, top_k=top_k, dense_limit=dense_limit)
                     sink, oracle = CostAttribution(**settings), RetiredDictFolds(**settings)
-                    sink._fold_dict(0, deltas)
+                    sink._fold_array(0, column)
                     oracle._fold_dict(0, deltas)
                     assert sink.epochs[0].to_dict() == oracle.epochs[0].to_dict()
-                    assert sink.cumulative == oracle.cumulative
-                    if id_space > 10**8 or mode == "auto":
-                        continue
-                    column = np.zeros(id_space, dtype=np.int64)
-                    column[list(deltas)] = list(deltas.values())
-                    array = CostAttribution(**settings)
-                    array._fold_array(0, column)
-                    assert array.epochs[0].to_dict() == oracle.epochs[0].to_dict()
+                    cumulative = sink.cumulative
+                    if cumulative is not None:
+                        cumulative = {
+                            node: bits
+                            for node, bits in enumerate(cumulative.tolist())
+                            if bits
+                        }
+                    assert cumulative == oracle.cumulative
 
     def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self):
-        """More bits first, then the lowest node id — on either ledger and
-        in whatever order the ledger happened to touch the nodes."""
+        """More bits first, then the lowest node id — in the fold and in the
+        retired dict fold, whatever order the ledger touched the nodes in."""
         # Node 7 stands out; forty nodes tie at 16 bits, highest id touched first.
         deltas = {7: 64, **{node: 16 for node in range(59, 19, -1)}}
-        dict_sink = CostAttribution(top_k=4)
+        dict_sink = RetiredDictFolds(top_k=4)
         dict_sink._fold_dict(0, deltas)
         column = np.zeros(64, dtype=np.int64)
         column[list(deltas)] = list(deltas.values())
@@ -412,9 +283,7 @@ class TestCostAttribution:
             assert sink.epochs[0].hotspots == [(7, 64), (20, 16), (21, 16), (22, 16)]
 
     def test_auto_mode_switches_to_sketch_above_dense_limit(self):
-        from repro.network.accounting import ArrayLedger
-
-        ledger = ArrayLedger(64)
+        ledger = CommunicationLedger(64)
         sink = CostAttribution(dense_limit=32, top_k=4)
         mark = ledger.mark()
         ledger.charge_array(

@@ -2,12 +2,17 @@
 
 import pytest
 
+import numpy as np
+
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.network import SensorNetwork
-from repro.network.accounting import ArrayLedger, CommunicationLedger, NodeTraffic
+from repro.network.accounting import SMALL_BATCH, CommunicationLedger, NodeTraffic
+from repro.network.simulator import EXECUTION_MODES
 from repro.network.topology import build_links
 from repro.protocols import CountProtocol, MaxProtocol, SumProtocol
 from repro.protocols.base import MeteredRun
+
+from ledger_oracle import DictLedger
 
 
 class TestNodeTraffic:
@@ -80,7 +85,7 @@ class TestCharging:
 
 class TestReads:
     @pytest.mark.parametrize(
-        "make", [CommunicationLedger, lambda: ArrayLedger(8)], ids=["dict", "array"]
+        "make", [CommunicationLedger, lambda: CommunicationLedger(8)], ids=["unsized", "sized"]
     )
     def test_reading_an_untouched_node_adds_no_entry(self, make):
         ledger = make()
@@ -92,7 +97,7 @@ class TestReads:
 
     @pytest.mark.parametrize("node", [-1, 8])
     def test_array_reads_reject_ids_outside_the_population(self, node):
-        ledger = ArrayLedger(8)
+        ledger = CommunicationLedger(8)
         ledger.charge(0, 7, 10)
         with pytest.raises(ConfigurationError):
             ledger.node_bits(node)
@@ -121,9 +126,9 @@ class TestSnapshotResetMerge:
 
     def test_a_metered_run_spanning_a_reset_is_the_same_on_both_ledgers(self):
         """``reset_ledger`` inside a ``MeteredRun`` rebases its mark: the run
-        measures from the reset on, on ``ArrayLedger`` as on the dict one."""
+        measures from the reset on, on the ledger as on the dict oracle."""
         results = []
-        for ledger in (CommunicationLedger(), ArrayLedger(25)):
+        for ledger in (DictLedger(), CommunicationLedger(25)):
             network = SensorNetwork(build_links("grid", 25), ledger=ledger)
             network.assign_items({node: [node] for node in range(25)})
             MaxProtocol(domain_max=64).run(network)  # traffic before the run
@@ -173,3 +178,104 @@ class TestBudget:
         ledger.reset()
         with pytest.raises(BudgetExceededError):
             ledger.charge(0, 1, 20)
+
+
+class TestNodeIds:
+    """One id rule for every charging call: exact integers only.  numpy reads
+    ``True`` as a boolean mask, so a ``bool`` id would bill every node."""
+
+    @pytest.mark.parametrize(
+        "attempt",
+        [
+            lambda ledger: ledger.charge(True, 2, 3),
+            lambda ledger: ledger.charge(1, 2.0, 3),
+            lambda ledger: ledger.charge_batch([(True, 2)], [3]),
+            lambda ledger: ledger.charge_batch([(1, 2)] * SMALL_BATCH + [(True, 2)], [3] * 21),
+            lambda ledger: ledger.charge_array([True], [2], [3]),
+            lambda ledger: ledger.charge_array(np.array([True]), np.array([2]), [3]),
+            lambda ledger: ledger.charge_array(np.array([1.0]), np.array([2]), [3]),
+        ],
+        ids=[
+            "charge",
+            "charge-float",
+            "small-batch",
+            "batch",
+            "array-list",
+            "bool-array",
+            "float-array",
+        ],
+    )
+    @pytest.mark.parametrize("num_nodes", [None, 6])
+    def test_a_bool_or_float_id_charges_nothing(self, attempt, num_nodes):
+        ledger = CommunicationLedger(num_nodes)
+        ledger.charge(0, 1, 5)
+        before = ledger.snapshot()
+        with pytest.raises(ConfigurationError, match=r"node[_ ]ids? must be"):
+            attempt(ledger)
+        assert ledger.snapshot() == before
+
+    @pytest.mark.parametrize("execution", EXECUTION_MODES)
+    def test_every_path_refuses_a_bool_id_and_holds_python_ints(self, execution):
+        network = SensorNetwork.from_items([1] * 30, topology="line", execution=execution)
+        sends = [
+            lambda: network.send(True, 2, "x", 3),
+            lambda: network.send(2, True, "x", 3, require_edge=False),
+            lambda: network.send_batch([(True, 2)], [3], require_edge=False),
+            lambda: network.send_batch(
+                [(k, k + 1) for k in range(2 * SMALL_BATCH)] + [(True, 2)],
+                [3] * (2 * SMALL_BATCH + 1),
+            ),
+            lambda: network.send_batch(np.array([[True, False]]), np.array([3])),
+        ]
+        for send in sends:
+            with pytest.raises(ConfigurationError):
+                send()
+            assert network.ledger.total_messages == 0
+        network.send(np.int64(1), np.int64(2), "x", np.int64(3))
+        network.send_batch([(np.int64(3), np.int64(4))], [np.int64(5)])
+        snapshot = network.ledger.snapshot()
+        assert snapshot.per_node_bits == {1: 3, 2: 3, 3: 5, 4: 5}
+        assert snapshot.per_protocol_bits == {"unknown": 8}
+        for value in (
+            *snapshot.per_node_bits,
+            *snapshot.per_node_bits.values(),
+            *snapshot.per_protocol_bits.values(),
+            snapshot.total_bits,
+            snapshot.max_node_bits,
+            snapshot.messages,
+        ):
+            assert type(value) is int
+
+
+class TestLengths:
+    """Parallel inputs of different lengths raise before anything is charged,
+    naming both lengths (``zip`` would drop the tail, numpy broadcast)."""
+
+    @pytest.mark.parametrize(
+        "attempt, message",
+        [
+            (lambda ledger: ledger.charge_array([0, 1], [1, 2], [5]), "2 senders but 1 sizes"),
+            (lambda ledger: ledger.charge_array([0, 1], [1], [5, 5]), "2 senders but 1 receivers"),
+            (
+                lambda ledger: ledger.charge_array([0, 1], [1, 2], [5, 5], copies=[1]),
+                "2 senders but 1 copies",
+            ),
+            (
+                lambda ledger: ledger.charge_batch([(k, k + 1) for k in range(30)], [2] * 29),
+                "30 links but 29 sizes",
+            ),
+            (lambda ledger: ledger.charge_batch([(0, 1), (1, 2)], [2]), "2 links but 1 sizes"),
+            (
+                lambda ledger: ledger.charge_batch([(0, 1)], [2], copies=[1, 1]),
+                "1 links but 2 copies",
+            ),
+        ],
+        ids=["sizes", "receivers", "copies", "batch", "small-batch", "batch-copies"],
+    )
+    @pytest.mark.parametrize("num_nodes", [None, 50])
+    def test_a_length_mismatch_charges_nothing(self, attempt, message, num_nodes):
+        ledger = CommunicationLedger(num_nodes)
+        with pytest.raises(ConfigurationError, match=message):
+            attempt(ledger)
+        assert ledger.snapshot() == CommunicationLedger().snapshot()
+        assert sum(ledger.snapshot().per_node_bits.values()) == 2 * ledger.total_bits

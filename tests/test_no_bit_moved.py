@@ -213,16 +213,15 @@ def test_oneshot_paper_queries_move_no_bit():
 
 def test_oneshot_paper_queries_meter_on_the_array_ledger(monkeypatch):
     """Guard against a silent fallback: one round of the 12 queries on a
-    default batched field never reaches the dict ledger's charge or its lazy
-    mark baselines, and every sweep reaches the array ledger as arrays."""
+    default batched field never charges the ledger one transmission at a
+    time or from a tuple list; every sweep reaches it as arrays."""
     from repro.network import accounting
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a batched one-shot query metered on the dict ledger")
+        raise AssertionError("a batched one-shot query fell back to scalar or tuple charging")
 
+    monkeypatch.setattr(accounting.CommunicationLedger, "charge", refuse)
     monkeypatch.setattr(accounting.CommunicationLedger, "charge_batch", refuse)
-    monkeypatch.setattr(accounting.ArrayLedger, "charge_batch", refuse)
-    monkeypatch.setattr(accounting, "_record_baselines", refuse)
     n = 256
     domain = n * n
     network = SensorNetwork.from_items(

@@ -15,8 +15,10 @@ crash failures (*Notes on Theory of Distributed Systems*, PAPERS.md):
 * the **root may crash**; a charged election replaces it.
 
 ``execution="per-edge"`` is the executable specification of that model —
-one charged ``send`` per tree edge per round.  Every other path is an
-optimisation and must be indistinguishable from it.
+one charged ``send`` per tree edge per round — and the retired dict ledger
+(``tests/ledger_oracle.py``) is the specification of the ledger.  Every
+other path, and the one column ledger every path meters on, is an
+optimisation and must be indistinguishable from them.
 
 What a run exposes
 ------------------
@@ -41,8 +43,9 @@ The machine
 -----------
 :class:`DifferentialOracle` draws one :class:`Scenario` — topology × radio
 × ledger budget × workload × detector × telemetry — and builds twins from
-it: the per-edge reference on a ``CommunicationLedger``, and every
-candidate path admissible for the draw (:meth:`Scenario.candidates`).  Each
+it: the per-edge reference on the dict ledger (traced through the retired
+dict folds), and every candidate path admissible for the draw
+(:meth:`Scenario.candidates`) on the one ``CommunicationLedger``.  Each
 rule is applied to every twin, and the twins are compared after every step;
 after the first error no further rule is applied.  Hypothesis shrinks a
 failure to a minimal field and fault script.
@@ -102,6 +105,8 @@ from repro.streaming import CountQuery, PredicateCountQuery, engine_for
 from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.tenancy import MultiTenantEngine
 
+from ledger_oracle import DictLedger, RetiredDictFolds
+
 TOPOLOGIES = ("grid", "line", "star", "ring", "random_geometric", "random_tree")
 RADIOS = ("reliable", "lossy", "duplicating", "failing", "zero-copy", "per-level")
 WORKLOADS = ("one-shot", "engine", "tenants")
@@ -153,7 +158,7 @@ class Scenario:
     radio: tuple[str, int]
     #: ``max_retries`` of the lossy radio.
     retries: int
-    #: Per-node bit budget; only the dict ledger takes one.
+    #: Per-node bit budget, on every twin but a sharded one.
     budget: int | None
     workload: str
     epsilon: float
@@ -177,18 +182,14 @@ class Scenario:
             return PerLevelRadio()
         return ReliableRadio()
 
-    def candidates(self) -> list[tuple[str, bool]]:
-        """``(execution, dict ledger?)`` of every path checked against the
-        reference: ``"batched"`` and ``"vectorized"`` on an explicit dict
-        ledger and, without a budget (the dense ``ArrayLedger`` takes
-        none), on their default ``ArrayLedger``; sharded workers need
-        perfect links and no budget."""
-        paths = [("batched", True), ("vectorized", True)]
-        if self.budget is None:
-            paths.append(("batched", False))
-            paths.append(("vectorized", False))
-            if self.radio[0] == "reliable":
-                paths.append(("sharded", False))
+    def candidates(self) -> list[str]:
+        """Every path checked against the reference: ``"per-edge"``,
+        ``"batched"`` and ``"vectorized"`` on the one ledger, carrying the
+        scenario's budget; sharded workers need perfect links and no
+        budget."""
+        paths = ["per-edge", "batched", "vectorized"]
+        if self.budget is None and self.radio[0] == "reliable":
+            paths.append("sharded")
         return paths
 
 
@@ -251,24 +252,34 @@ class _OneEpoch:
 class Twin:
     """One execution path's network, fault engine, workload and record."""
 
-    def __init__(self, scenario: Scenario, execution: str, dict_ledger: bool) -> None:
-        self.path = execution if dict_ledger else f"{execution}/array-ledger"
+    def __init__(self, scenario: Scenario, execution: str, reference: bool = False) -> None:
+        """``reference`` runs the twin on the dict ledger and folds its
+        attribution with the retired dict folds; a candidate without a
+        budget meters on the network's default ledger."""
+        self.path = f"{execution}/dict-ledger" if reference else execution
         # Each twin owns a fresh link table: its link drops are its own.
         links = build_links(scenario.topology, scenario.num_nodes, seed=scenario.seed)
         self.tracer = (
-            SpanTracer(flight=FlightRecorder(), attribution=CostAttribution())
+            SpanTracer(
+                flight=FlightRecorder(),
+                attribution=RetiredDictFolds() if reference else CostAttribution(),
+            )
             if scenario.traced
             else None
         )
+        if reference:
+            ledger = DictLedger(per_node_budget_bits=scenario.budget)
+        elif scenario.budget is not None:
+            ledger = CommunicationLedger(
+                links.num_nodes, per_node_budget_bits=scenario.budget
+            )
+        else:
+            ledger = None
         self.network = network = SensorNetwork(
             links,
             radio=scenario.radio_model(),
             degree_bound=scenario.degree_bound,
-            ledger=(
-                CommunicationLedger(per_node_budget_bits=scenario.budget)
-                if dict_ledger
-                else None
-            ),
+            ledger=ledger,
             execution=execution,
             telemetry=self.tracer,
         )
@@ -372,7 +383,7 @@ def observe(twin: Twin) -> dict:
 def assert_same_run(reference: Twin, candidate: Twin) -> None:
     expected, actual = observe(reference), observe(candidate)
     for key, value in expected.items():
-        assert actual[key] == value, f"{candidate.path} differs from per-edge in {key!r}"
+        assert actual[key] == value, f"{candidate.path} differs from {reference.path} in {key!r}"
 
 
 # --------------------------------------------------------------------------- #
@@ -492,11 +503,8 @@ class Twins:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.reference = Twin(scenario, "per-edge", dict_ledger=True)
-        self.candidates = [
-            Twin(scenario, execution, dict_ledger)
-            for execution, dict_ledger in scenario.candidates()
-        ]
+        self.reference = Twin(scenario, "per-edge", reference=True)
+        self.candidates = [Twin(scenario, execution) for execution in scenario.candidates()]
         self.pending: list = []
         self.epoch = 0
         self.compare()

@@ -7,7 +7,7 @@ out over subtree shards in worker processes).  Whole runs of both are
 checked against the per-edge reference by ``tests/test_oracle.py``; this
 file holds the contracts of the layers underneath: the varint kernels
 against the scalar ``repro._util.bits`` they mirror, the
-:class:`ArrayLedger` fast path, ``FlatTree.from_arrays`` and the rewire
+ledger's merge and refusals, ``FlatTree.from_arrays`` and the rewire
 cache-invalidation regression, the vectorized engine's refusals and
 dispatch, fork workers against inline ones, and :class:`VectorField`.
 """
@@ -80,36 +80,10 @@ class TestVarintKernels:
 
 
 # --------------------------------------------------------------------------- #
-# ArrayLedger: the vectorized charge path is the ledger, not a shadow of it
+# The ledger's columns: merges and refusals (charging is held to the retired
+# dict ledger by tests/test_ledger_oracle.py)
 # --------------------------------------------------------------------------- #
 class TestArrayLedger:
-    def test_charge_array_matches_scalar_charges(self):
-        from repro.network.accounting import ArrayLedger, CommunicationLedger
-
-        rng = random.Random(3)
-        senders = [rng.randrange(50) for _ in range(300)]
-        receivers = [rng.randrange(50) for _ in range(300)]
-        sizes = [rng.randrange(1, 40) for _ in range(300)]
-
-        reference = CommunicationLedger()
-        for s, r, b in zip(senders, receivers, sizes):
-            reference.charge(s, r, b, protocol="p")
-        reference.advance_round(4)
-
-        array_ledger = ArrayLedger(50)
-        array_ledger.charge_array(
-            np.asarray(senders), np.asarray(receivers), np.asarray(sizes), protocol="p"
-        )
-        array_ledger.advance_round(4)
-
-        left, right = reference.snapshot(), array_ledger.snapshot()
-        assert left.per_node_bits == right.per_node_bits
-        assert left.total_bits == right.total_bits
-        assert left.max_node_bits == right.max_node_bits
-        assert left.messages == right.messages
-        assert left.rounds == right.rounds
-        assert left.per_protocol_bits == right.per_protocol_bits
-
     def test_merge_is_order_independent(self):
         from repro.network.accounting import CommunicationLedger
 
@@ -132,34 +106,42 @@ class TestArrayLedger:
 
     @pytest.mark.parametrize("bad", [-1, -2, 4, 7])
     def test_out_of_range_ids_charge_nothing(self, bad):
-        """numpy indexing would bill ``-1`` to the last node; the dense
-        ledger refuses instead, like the network does for the dict one."""
+        """numpy indexing would bill ``-1`` to the last node; the sized
+        ledger refuses instead, with one text for small and whole batches."""
         from repro.exceptions import ConfigurationError
-        from repro.network.accounting import ArrayLedger, CommunicationLedger
+        from repro.network.accounting import CommunicationLedger
 
-        ledger = ArrayLedger(4)
+        ledger = CommunicationLedger(4)
         ledger.charge(0, 1, 3, protocol="ok")
         before = ledger.snapshot()
-        stray = CommunicationLedger()
-        stray.charge(0, bad, 8)
         attempts = [
             lambda: ledger.charge(bad, 0, 8),
             lambda: ledger.charge(0, bad, 8),
             lambda: ledger.charge_array([1, bad], [2, 3], [5, 5]),
             lambda: ledger.charge_array([1, 2], [bad, 3], [5, 5], copies=[2, 1]),
             lambda: ledger.charge_batch([(1, 2), (3, bad)], [5, 5]),
-            lambda: ledger.merge(stray),
         ]
+        if bad >= 0:  # an unsized ledger refuses a negative id too
+            stray = CommunicationLedger()
+            stray.charge(0, bad, 8)
+            attempts.append(lambda: ledger.merge(stray))
         for attempt in attempts:
             with pytest.raises(ConfigurationError):
                 attempt()
             assert ledger.snapshot() == before
+        with pytest.raises(ConfigurationError) as small:
+            ledger.charge_batch([(1, 2), (3, bad)], [5, 5])
+        with pytest.raises(ConfigurationError) as whole:
+            ledger.charge_array([1, 3], [2, bad], [5, 5])
+        assert str(small.value) == str(whole.value)
 
     def test_charge_batch_slices_leave_the_same_ledger(self, monkeypatch):
         """A batch longer than the conversion slice: same ledger as the dict
-        one, and a bad id in the *last* slice still charges nothing."""
+        oracle, and a bad id in the *last* slice still charges nothing."""
         from repro.exceptions import ConfigurationError
         from repro.network import accounting
+
+        from ledger_oracle import DictLedger
 
         monkeypatch.setattr(accounting, "_BATCH_CHUNK", 64)
         rng = random.Random(9)
@@ -167,75 +149,33 @@ class TestArrayLedger:
         sizes = [rng.randrange(0, 30) for _ in range(300)]
         copies = [rng.randrange(0, 3) for _ in range(300)]
         for repeats in (None, copies):
-            reference = accounting.CommunicationLedger()
+            reference = DictLedger()
             reference.charge_batch(links, sizes, repeats, protocol="p")
-            dense = accounting.ArrayLedger(40)
+            dense = accounting.CommunicationLedger(40)
             dense.charge_batch(links, sizes, repeats, protocol="p")
             assert dense.snapshot() == reference.snapshot()
-        dense = accounting.ArrayLedger(40)
+        dense = accounting.CommunicationLedger(40)
         with pytest.raises(ConfigurationError):
             dense.charge_batch(links[:-1] + [(3, 40)], sizes)
         with pytest.raises(ConfigurationError):
             dense.charge_batch(links, sizes[:-1] + [-1])
-        assert dense.snapshot() == accounting.ArrayLedger(40).snapshot()
+        assert dense.snapshot() == accounting.CommunicationLedger(40).snapshot()
 
-    def test_small_batches_charged_by_scalar_adds_leave_the_same_ledger(self):
-        """Batches of at most ``SMALL_BATCH`` links take scalar adds into the
-        columns: every read in between, a mark across them and a merge see
-        the dict ledger's numbers, and a bad id raises the array path's
-        error with nothing charged."""
-        from repro.exceptions import ConfigurationError
-        from repro.network import accounting
-
-        rng = random.Random(5)
-        dense, reference = accounting.ArrayLedger(40), accounting.CommunicationLedger()
-        mark, reference_mark = dense.mark(), reference.mark()
-        for step in range(60):
-            k = rng.randrange(1, accounting.SMALL_BATCH + 1)
-            links = [(rng.randrange(40), rng.randrange(40)) for _ in range(k)]
-            sizes = [rng.randrange(0, 30) for _ in range(k)]
-            copies = [rng.randrange(0, 3) for _ in range(k)] if step % 2 else None
-            for ledger in (dense, reference):
-                ledger.charge_batch(links, sizes, copies, protocol=f"p{step % 3}")
-            node = rng.randrange(40)
-            read = step % 4
-            if read == 0:
-                assert dense.node_bits(node) == reference.node_bits(node)
-            elif read == 1:
-                assert dense.traffic(node) == reference.traffic(node)
-            elif read == 2:
-                assert dense.max_node_delta_since(mark) == (
-                    reference.max_node_delta_since(reference_mark)
-                )
-        assert dense.snapshot() == reference.snapshot()
-        merged = accounting.ArrayLedger(40)
-        merged.merge(dense)
-        assert merged.snapshot() == reference.snapshot()
-        before = dense.snapshot()
-        for bad in ([(1, 2), (3, 40)], [(-1, 2), (3, 4)]):
-            with pytest.raises(ConfigurationError) as small:
-                dense.charge_batch(bad, [5, 5])
-            with pytest.raises(ConfigurationError) as whole:
-                dense.charge_array(*zip(*bad), [5, 5])
-            assert str(small.value) == str(whole.value)
-        assert dense.snapshot() == before
-
-    @pytest.mark.parametrize("into", ["array", "dict"])
-    @pytest.mark.parametrize("other", ["array", "dict"])
-    def test_merge_works_between_both_classes(self, into, other):
-        """``a.merge(b)`` for every class pairing equals the same charges
-        replayed on one ledger, and an open mark sees the merge as a delta."""
-        from repro.network.accounting import ArrayLedger, CommunicationLedger
-
-        def make(kind):
-            return ArrayLedger(30) if kind == "array" else CommunicationLedger()
+    def test_merge_equals_the_charges_replayed_on_one_ledger(self):
+        """``a.merge(b)`` equals the same charges replayed on one ledger, and
+        an open mark sees the merge as a delta."""
+        from repro.network.accounting import CommunicationLedger
 
         rng = random.Random(11)
         charges = [
             (rng.randrange(30), rng.randrange(30), rng.randrange(1, 50), f"p{k % 3}")
             for k in range(120)
         ]
-        target, source, replay = make(into), make(other), CommunicationLedger()
+        target, source, replay = (
+            CommunicationLedger(30),
+            CommunicationLedger(30),
+            CommunicationLedger(),
+        )
         for k, (sender, receiver, bits, protocol) in enumerate(charges):
             if k == 20:
                 mark = target.mark()
@@ -250,9 +190,7 @@ class TestArrayLedger:
         assert target.max_node_delta_since(mark) == replay.max_node_delta_since(
             replay_mark
         )
-        assert {
-            node: bits for node, bits in target.node_deltas_since(mark).items() if bits
-        } == replay.node_deltas_since(replay_mark)
+        assert target.node_deltas_since(mark) == replay.node_deltas_since(replay_mark)
 
 
 # --------------------------------------------------------------------------- #
