@@ -1,9 +1,9 @@
 """Deterministic random-number-generator plumbing.
 
-All randomized components of the library (the LogLog sketches, the lossy radio
-model, workload generators, gossip protocols) take an explicit seed or
-``random.Random`` instance so experiments are reproducible.  This helper
-centralises the seed-to-generator conversion.
+All randomized components of the library (the LogLog sketches, workload
+generators, gossip protocols) take an explicit seed or ``random.Random``
+instance so experiments are reproducible.  This helper centralises the
+seed-to-generator conversion.  (The radio models hash their seed instead.)
 """
 
 from __future__ import annotations

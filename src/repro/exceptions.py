@@ -46,6 +46,11 @@ class PredicateError(ProtocolError):
 class DeliveryError(ProtocolError):
     """Raised when the radio model permanently fails to deliver a message."""
 
+    #: The failed link's position in the batch it was sent in (0 for a
+    #: single send): the links before it were delivered and charged, the
+    #: links after it were not sent.
+    index = 0
+
 
 class DeadNodeError(ProtocolError):
     """Raised when a transmission involves a node that has crashed.
@@ -59,6 +64,11 @@ class DeadNodeError(ProtocolError):
 
 class BudgetExceededError(ReproError):
     """Raised when a protocol exceeds an explicitly configured bit budget."""
+
+    #: The position, in the batch charged, of the link whose transmission
+    #: crossed the budget (0 for a single charge): it was charged, the links
+    #: after it were not.
+    index = 0
 
 
 class TraceFormatError(ReproError, ValueError):

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro._util.validation import require_positive
 from repro.exceptions import ConfigurationError, DeliveryError
-from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 
 #: One liveness token per tree edge per sweep: a type bit plus an epoch
@@ -97,14 +96,13 @@ class HeartbeatDetector:
         is applied before the sweep, since the root's silence at the epoch
         tick is self-announcing) neither sends nor is sent to.  The link
         sequence is the tree's cached child→parent edges (canonical
-        bottom-up order), charged through
+        bottom-up order), :attr:`~repro.network.FlatTree.up_link_array`
+        filtered by the endpoints' alive masks and sent as one array through
         :meth:`~repro.network.SensorNetwork.send_batch`, so the ledger —
         including lossy-radio retries — is identical under every execution
-        mode.  On perfect links it is the
-        :attr:`~repro.network.FlatTree.up_link_array` filtered by boolean
-        masks and sent as one array; a lossy radio walks the
-        :attr:`~repro.network.FlatTree.up_links` list, whose order its
-        random draws follow.  Returns ``(bits, messages)`` charged.
+        mode.  A heartbeat the radio loses for good is wasted traffic, not a
+        fault: the links after it are sent on.  Returns ``(bits, messages)``
+        charged.
         """
         telemetry = network.telemetry
         with telemetry.span("detect", period=self.period) as span:
@@ -117,68 +115,37 @@ class HeartbeatDetector:
     def _charge_sweep(
         self, network: SensorNetwork, silent: set[int]
     ) -> tuple[int, int]:
-        flat = network.flat_tree
-        damaged = bool(silent) or network.num_alive < network.num_nodes
+        links = network.flat_tree.up_link_array
         alive = network.alive_mask
-        if alive is not None and type(network.radio) is ReliableRadio:
-            # Perfect links: every heartbeat is one charged copy and link
-            # order moves nothing, so the sweep is one masked link array.
-            links = flat.up_link_array
-            if damaged:
+        if silent or network.num_alive < network.num_nodes:
+            if alive is None:  # sparse ids: no mask to index by id
+                dead = network.dead_node_ids()
+                mute = np.isin(links[:, 0], [*silent, *dead])
+                links = links[~mute & ~np.isin(links[:, 1], dead)]
+            else:
                 speaks = alive
                 if silent:
                     speaks = alive.copy()
                     speaks[list(silent)] = False
                 links = _heard_links(links, speaks, alive)
-            if not len(links):
-                return 0, 0
-            network.send_batch(
-                links,
-                np.full(len(links), self.heartbeat_bits, dtype=np.int64),
-                protocol=self.protocol,
-                require_edge=False,
-            )
-            return len(links) * self.heartbeat_bits, len(links)
-        # A lossy radio draws per link in canonical order and may drop one
-        # for good: walk the cached list.
-        up_links = flat.up_links
-        is_alive = network.is_alive
-        if damaged:
-            links = [
-                link
-                for link in up_links
-                if link[0] not in silent
-                and is_alive(link[0])
-                and is_alive(link[1])
-            ]
-        else:
-            links = up_links
-        if not links:
-            return 0, 0
-        before = network.ledger.counters_snapshot()
-        position = 0
-        while position < len(links):
-            batch = links[position:]
+        ledger = network.ledger
+        bits, messages = ledger.total_bits, ledger.total_messages
+        while len(links):
             try:
                 network.send_batch(
-                    batch,
-                    [self.heartbeat_bits] * len(batch),
+                    links,
+                    np.full(len(links), self.heartbeat_bits, dtype=np.int64),
                     protocol=self.protocol,
                     require_edge=False,
                 )
                 break
             except DeliveryError as error:
-                # A permanently lost heartbeat is not a fault in the sweep —
-                # it is wasted traffic (the sender is probed again next
-                # sweep; false-positive suspicion is not modelled).  The
-                # delivered prefix was charged; skip the dead letter and
-                # keep sweeping.
-                position += len(getattr(error, "outcomes_before_failure", ())) + 1
-        after = network.ledger.counters_snapshot()
-        return (
-            after.total_bits - before.total_bits,
-            after.messages - before.messages,
-        )
+                # A permanently lost heartbeat is wasted traffic (the sender
+                # is probed again next sweep; false-positive suspicion is
+                # not modelled).  The links before it were charged: skip
+                # the dead letter and keep sweeping.
+                links = links[error.index + 1 :]
+        return ledger.total_bits - bits, ledger.total_messages - messages
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (

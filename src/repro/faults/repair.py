@@ -182,7 +182,9 @@ class _Cascade:
     ``deferred_sizes`` buffer the control traffic when the radio is the
     perfect-delivery singleton: no handshake can fail, so charging the whole
     cascade in one ledger batch is bit-for-bit the same as charging each
-    adoption as it happens — minus thousands of tiny batch calls.
+    adoption as it happens — minus thousands of tiny batch calls.  Under
+    any other radio a handshake's delivery decides whether its unit
+    attaches, which the next adoption reads, so each is sent on the spot.
     """
 
     attached: set
@@ -491,6 +493,8 @@ class TreeRepair:
             old_parent = flat.parent_map()
             new_parent = self._seed_parents(old_parent, attached, elected, cascade)
         if type(network.radio) is ReliableRadio:
+            # Delivery, not draw order: only perfect links guarantee every
+            # handshake lands, so only they may charge the cascade at the end.
             cascade.deferred_links = []
             cascade.deferred_sizes = []
         self._adoption_cascade_batched(
@@ -780,8 +784,7 @@ class TreeRepair:
                     links, sizes, protocol=self.protocol, require_edge=False
                 )
             except DeliveryError as error:
-                delivered = getattr(error, "outcomes_before_failure", ())
-                if len(delivered) < 2:
+                if error.index < 2:
                     # The handshake itself never completed: nothing was
                     # committed, the caller may try another attachment point.
                     cascade.failed_units.add(unit_id[orphan])

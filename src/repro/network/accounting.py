@@ -28,6 +28,7 @@ import numpy as np
 
 from repro._util.validation import require_integer, require_non_negative
 from repro.exceptions import BudgetExceededError, ConfigurationError
+from repro.network.node import INT64_MAX
 
 
 @dataclass
@@ -144,11 +145,31 @@ def _same_lengths(call: str, **columns) -> None:
             raise ConfigurationError(f"{call} got {expected} {first} but {length} {name}")
 
 
-def _require_sizes(sizes) -> None:
-    """Refuse a negative size before anything is charged, naming the first."""
-    low = sizes.min() if isinstance(sizes, np.ndarray) else min(sizes)
-    if low < 0:
-        require_non_negative(next(size for size in sizes if size < 0), "size_bits")
+def require_size(value: object) -> int:
+    """``value`` as a size in bits: an exact non-negative integer below 2**63
+    (a ``bool`` or a float is refused), else :class:`ConfigurationError`."""
+    size = require_non_negative(value, "size_bits")
+    if size > INT64_MAX:
+        raise ConfigurationError(f"size_bits must be below 2**63, got {size}")
+    return size
+
+
+def require_sizes(sizes) -> None:
+    """Hold every size of a batch to :func:`require_size` before anything is
+    drawn or charged, naming the first bad one.  An integer array costs one
+    pass over its extremes; any other array is read as a list of values."""
+    if isinstance(sizes, np.ndarray):
+        kind = sizes.dtype.kind
+        if not sizes.size or (
+            (kind == "i" and sizes.min() >= 0) or (kind == "u" and sizes.max() <= INT64_MAX)
+        ):
+            return
+        sizes = sizes.tolist()
+    if sizes and (
+        set(map(type, sizes)) - {int} or min(sizes) < 0 or max(sizes) > INT64_MAX
+    ):
+        for size in sizes:
+            require_size(size)
 
 
 class CommunicationLedger:
@@ -238,7 +259,7 @@ class CommunicationLedger:
     # ------------------------------------------------------------------ #
     def charge(self, sender: int, receiver: int, size_bits: int, protocol: str = "unknown") -> None:
         """Charge a single transmission of ``size_bits`` from sender to receiver."""
-        size_bits = require_non_negative(size_bits, "size_bits")
+        size_bits = require_size(size_bits)
         sender = require_integer(sender, "node_id")
         receiver = require_integer(receiver, "node_id")
         if not (0 <= sender < self._num_nodes and 0 <= receiver < self._num_nodes):
@@ -255,11 +276,13 @@ class CommunicationLedger:
             self._check_budget(sender)
             self._check_budget(receiver)
 
-    def _check_budget(self, node: int) -> None:
+    def _check_budget(self, node: int, index: int = 0) -> None:
         used = int(self._bits_sent[node] + self._bits_received[node])
         if used > self._budget:
             message = f"node {node} exceeded per-node budget of {self._budget} bits"
-            raise BudgetExceededError(f"{message} ({used} bits used)")
+            error = BudgetExceededError(f"{message} ({used} bits used)")
+            error.index = index
+            raise error
 
     def charge_batch(
         self,
@@ -279,7 +302,7 @@ class CommunicationLedger:
             # An empty batch must leave no trace (the per-edge path would
             # simply not have charged), not a zero-bit per-protocol entry.
             return
-        _require_sizes(sizes)
+        require_sizes(sizes)
         if len(links) <= SMALL_BATCH and self._budget is None:
             self._charge_scalars(links, sizes, copies, protocol)
             return
@@ -293,7 +316,11 @@ class CommunicationLedger:
             stop = start + _BATCH_CHUNK
             pairs = link_pairs(links[start:stop])
             counts = None if copies is None else copies[start:stop]
-            self.charge_array(pairs[:, 0], pairs[:, 1], sizes[start:stop], protocol, counts)
+            try:
+                self.charge_array(pairs[:, 0], pairs[:, 1], sizes[start:stop], protocol, counts)
+            except BudgetExceededError as error:
+                error.index += start
+                raise
 
     def _charge_scalars(self, links, sizes, copies, protocol: str) -> None:
         """:meth:`charge_batch` for a few links: the column path's checks,
@@ -332,10 +359,9 @@ class CommunicationLedger:
         _same_lengths(
             "charge_array", senders=senders, receivers=receivers, sizes=sizes, copies=copies
         )
+        require_sizes(sizes)
         senders, receivers = _id_column(senders), _id_column(receivers)
         sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.size:
-            _require_sizes(sizes)
         self._charge_columns(
             senders,
             receivers,
@@ -355,23 +381,28 @@ class CommunicationLedger:
             int(min(senders.min(), receivers.min())),
             int(max(senders.max(), receivers.max())),
         )
+        # Each row's link index in the call, once rows are dropped or repeated.
+        rows = None
         if copies is not None:
-            live = copies > 0
-            if not bool(live.all()):
-                senders, receivers = senders[live], receivers[live]
-                sizes, copies = sizes[live], copies[live]
-            if senders.size == 0:
-                return
-        crossed = False
+            if (copies == 1).all():
+                copies = None  # one copy each: the common perfect-link batch
+            elif copies.min() <= 0:
+                rows = np.flatnonzero(copies > 0)
+                senders, receivers = senders[rows], receivers[rows]
+                sizes, copies = sizes[rows], copies[rows]
+                if senders.size == 0:
+                    return
+        crossed = None
         if self._budget is not None:
             if copies is not None:
+                rows = np.repeat(np.arange(copies.size) if rows is None else rows, copies)
                 senders, receivers, sizes = (
                     np.repeat(column, copies) for column in (senders, receivers, sizes)
                 )
                 copies = None
             crossing = self._first_crossing(senders, receivers, sizes)
             if crossing is not None:
-                crossed = True
+                crossed = crossing if rows is None else int(rows[crossing])
                 stop = crossing + 1
                 senders, receivers, sizes = senders[:stop], receivers[:stop], sizes[:stop]
         if copies is None:
@@ -391,9 +422,9 @@ class CommunicationLedger:
         self._per_protocol_bits[protocol] += total
         self._messages += messages
         self._total_bits += total
-        if crossed:
-            self._check_budget(int(senders[-1]))
-            self._check_budget(int(receivers[-1]))
+        if crossed is not None:
+            self._check_budget(int(senders[-1]), crossed)
+            self._check_budget(int(receivers[-1]), crossed)
 
     def _first_crossing(self, senders, receivers, sizes) -> int | None:
         """Index of the first transmission after which its sender or its

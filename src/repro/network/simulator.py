@@ -38,6 +38,7 @@ import numpy as np
 
 from repro._util.validation import require_non_negative
 from repro.exceptions import (
+    BudgetExceededError,
     ConfigurationError,
     DeadNodeError,
     DeliveryError,
@@ -49,17 +50,14 @@ from repro.network.accounting import (
     CommunicationLedger,
     LedgerSnapshot,
     link_pairs,
+    require_size,
+    require_sizes,
 )
 from repro.network.flat_tree import FlatTree
 from repro.network.links import LinkTable, as_link_table
 from repro.network.message import Message
 from repro.network.node import INT64_MAX, ItemColumns, SensorNode
-from repro.network.radio import (
-    DELIVERED_ONCE,
-    DeliveryOutcome,
-    RadioModel,
-    ReliableRadio,
-)
+from repro.network.radio import RadioModel, ReliableRadio
 from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import build_links
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_recorder
@@ -554,7 +552,7 @@ class SensorNetwork:
         delivered :class:`Message` is returned so the caller can hand it to the
         receiving node's logic.
         """
-        require_non_negative(size_bits, "size_bits")
+        size_bits = require_size(size_bits)
         if sender not in self._links or receiver not in self._links:
             raise ConfigurationError(
                 f"send between unknown nodes {sender} -> {receiver}"
@@ -569,26 +567,21 @@ class SensorNetwork:
                 f"nodes {sender} and {receiver} are not neighbours; "
                 "multi-hop delivery must be routed explicitly"
             )
-        outcome = self.radio.transmit(sender, receiver)
-        charged_attempts = max(outcome.attempts, outcome.copies_delivered)
-        for _ in range(charged_attempts):
-            self.ledger.charge(sender, receiver, size_bits, protocol=protocol)
+        attempts, copies = self._deliver([(sender, receiver)], [size_bits], protocol)
+        charged = int(attempts[0])
         telemetry = self._telemetry
         if telemetry.enabled:
             telemetry.count("net.sends", 1, protocol=protocol)
-            telemetry.count("net.messages", charged_attempts, protocol=protocol)
-            telemetry.count(
-                "net.bits", size_bits * charged_attempts, protocol=protocol
-            )
-        message = Message(
+            telemetry.count("net.messages", charged, protocol=protocol)
+            telemetry.count("net.bits", size_bits * charged, protocol=protocol)
+        return Message(
             sender=sender,
             receiver=receiver,
             payload=payload,
             size_bits=size_bits,
             protocol=protocol,
-            metadata={"copies_delivered": outcome.copies_delivered},
+            metadata={"copies_delivered": int(copies[0])},
         )
-        return message
 
     # ------------------------------------------------------------------ #
     # Batched communication
@@ -602,28 +595,31 @@ class SensorNetwork:
     ) -> list[int]:
         """Transmit one logical message per ``(sender, receiver)`` link.
 
-        The batched counterpart of :meth:`send`: the whole batch is filtered
-        through the radio model *in link order* (a seeded lossy radio
-        consumes randomness exactly as per-link sends would) and charged to
-        the ledger in one call, so the resulting ledger is bit-for-bit
-        identical to the per-edge path.  Payload objects are not simulated
-        here — batched callers hand payloads to receivers themselves — so
-        the return value is the ``copies_delivered`` count per link.
+        The batched counterpart of :meth:`send`, through the same
+        draw-then-charge step: the radio draws every link's send (its draws
+        depend on the link and its send count, not on the link's place in
+        the batch) and the ledger is charged in one call, so the resulting
+        ledger is bit-for-bit identical to one :meth:`send` per link.
+        Payload objects are not simulated here — batched callers hand
+        payloads to receivers themselves — so the return value is the
+        ``copies_delivered`` count per link.
 
         ``links`` may also be a ``(k, 2)`` int64 array with ``sizes`` an
         int64 array (what the vectorized paths already hold); the copies
-        then come back as an int64 array.  Same checks, same charges.  On
-        ids ``0..n-1``, a link array or a tuple list of more than
-        :data:`~repro.network.accounting.SMALL_BATCH` links is checked in
-        one array pass (exact integer ids, known, alive, and a link when
-        ``require_edge``) and charged whole, after the radio's ordered draws
-        on imperfect links.  Anything else — a failing batch, a smaller
-        tuple list, sparse ids — takes the ordered per-link check, which
-        raises :meth:`send`'s error at the first bad link before anything is
-        drawn or charged, and charges the tuple list.  A per-node budget is
-        enforced by the ledger at the per-edge raise point on either path;
-        only an imperfect radio under a budget sends link by link, so the
-        radio's draws stop where the per-edge loop's do.
+        then come back as an int64 array.  Same checks, same charges.  Sizes
+        follow :meth:`send`'s rule (exact non-negative integers below 2**63)
+        and are checked first.  On ids ``0..n-1``, a link array or a tuple
+        list of more than :data:`~repro.network.accounting.SMALL_BATCH`
+        links is checked in one array pass (exact integer ids, known, alive,
+        and a link when ``require_edge``) and drawn and charged as arrays.
+        Anything else — a failing batch, a smaller tuple list, sparse ids —
+        takes the ordered per-link check, which raises :meth:`send`'s error
+        at the first bad link before anything is drawn or charged.  A
+        permanent loss charges the links before it and raises
+        :class:`~repro.exceptions.DeliveryError` with its ``index``; a
+        per-node budget is enforced by the ledger at the per-edge raise
+        point, and the radio takes back the sends drawn after it, so a
+        seeded radio's send counts are those of one :meth:`send` per link.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -652,10 +648,8 @@ class SensorNetwork:
             raise ConfigurationError(
                 f"send_batch got {len(links)} links but {len(sizes)} sizes"
             )
+        require_sizes(sizes)
         as_array = isinstance(links, np.ndarray)
-        perfect = type(self.radio) is ReliableRadio
-        # ``pairs`` is the checked (k, 2) int64 array the ledger is charged
-        # from, or None on the ordered path, which charges the tuple list.
         pairs = self._checked_pairs(links, require_edge)
         if pairs is None:
             if as_array:
@@ -663,35 +657,8 @@ class SensorNetwork:
             # The ordered loop owns the errors: it raises at the first bad
             # link, before any radio draw or charge.
             self._check_links(links, require_edge)
-        elif as_array and not perfect:
-            links = _as_tuples(pairs)  # the radio draws per id-level link
-        if not perfect and self.ledger.per_node_budget_bits is not None:
-            return _copies_as(self._send_budgeted(links, sizes, protocol), as_array)
-        if perfect:
-            # Perfect links need no radio pass at all: one attempt, one copy.
-            self._charge_links(links, pairs, sizes, None, protocol)
-            return np.ones(len(links), dtype=np.int64) if as_array else [1] * len(links)
-        try:
-            outcomes = self.radio.filter_batch(links)
-        except DeliveryError as error:
-            # Ledger equivalence on the failure path too: the per-edge loop
-            # charges every link delivered before the failing one (and not
-            # the failing one itself — ``send`` raises before charging), so
-            # the batched path charges exactly that prefix before re-raising.
-            delivered = getattr(error, "outcomes_before_failure", ())
-            if delivered:
-                prefix = len(delivered)
-                self._charge_outcomes(
-                    links[:prefix],
-                    None if pairs is None else pairs[:prefix],
-                    sizes[:prefix],
-                    delivered,
-                    protocol,
-                )
-            raise
-        return _copies_as(
-            self._charge_outcomes(links, pairs, sizes, outcomes, protocol), as_array
-        )
+        _, copies = self._deliver(links if pairs is None else pairs, sizes, protocol)
+        return copies if as_array else copies.tolist()
 
     def _checked_pairs(self, links, require_edge: bool):
         """The batch as a ``(k, 2)`` int64 array whose every link one array
@@ -728,22 +695,6 @@ class SensorNetwork:
             return None
         return pairs
 
-    def _send_budgeted(self, links, sizes, protocol: str) -> list[int]:
-        """Send checked links one at a time through an imperfect radio under
-        a budget: draws and charges interleave per link, so both the
-        BudgetExceededError raise point and the radio RNG state at that
-        point match the per-edge path exactly."""
-        transmit = self.radio.transmit
-        charge = self.ledger.charge
-        copies_delivered: list[int] = []
-        for (sender, receiver), size in zip(links, sizes):
-            outcome = transmit(sender, receiver)
-            copies = outcome.copies_delivered
-            for _ in range(max(outcome.attempts, copies)):
-                charge(sender, receiver, size, protocol=protocol)
-            copies_delivered.append(copies)
-        return copies_delivered
-
     def _check_links(self, links: Sequence[tuple[int, int]], require_edge: bool) -> None:
         """Raise the error :meth:`send` raises at the first bad link."""
         nodes = self._links
@@ -768,43 +719,36 @@ class SensorNetwork:
                     "multi-hop delivery must be routed explicitly"
                 )
 
-    def _charge_links(self, links, pairs, sizes, copies, protocol: str) -> None:
-        """Charge checked links: the pair array whole when the array pass
-        built one, the tuple list otherwise."""
-        if pairs is None:
-            self.ledger.charge_batch(links, sizes, copies, protocol=protocol)
-        else:
-            self.ledger.charge_array(
-                pairs[:, 0], pairs[:, 1], sizes, protocol=protocol, copies=copies
-            )
+    def _deliver(self, links, sizes, protocol: str):
+        """The one draw-then-charge step of :meth:`send` and
+        :meth:`send_batch`, over checked links (a tuple list or a ``(k, 2)``
+        int64 array): the radio draws every send, each is charged its
+        attempts, and a permanent loss raises once the links before it are
+        charged.  Returns the radio's ``(attempts, copies)`` arrays."""
+        attempts, copies, failed = self.radio.filter_batch(links)
+        sent = len(links) if failed is None else failed
+        try:
+            self._charge(links[:sent], sizes[:sent], attempts[:sent], protocol)
+        except BudgetExceededError as error:
+            # One send per link stops at the crossing link: so do the counts.
+            self.radio.unsend(links[error.index + 1 : sent + 1])
+            raise
+        if failed is None:
+            return attempts, copies
+        sender, receiver = (int(end) for end in links[failed])
+        error = DeliveryError(f"link {sender}->{receiver} failed after {attempts[failed]} attempts")
+        error.index = failed
+        raise error
 
-    def _charge_outcomes(
-        self,
-        links: Sequence[tuple[int, int]],
-        pairs,
-        sizes: Sequence[int],
-        outcomes: Sequence[DeliveryOutcome],
-        protocol: str,
-    ) -> list[int]:
-        """Charge filtered radio outcomes to the ledger; return copies per link."""
-        charged: list[int] = []
-        copies_delivered: list[int] = []
-        append_charged = charged.append
-        append_copies = copies_delivered.append
-        all_once = True
-        for outcome in outcomes:
-            if outcome is DELIVERED_ONCE:  # the overwhelmingly common case
-                append_charged(1)
-                append_copies(1)
-            else:
-                all_once = False
-                copies = outcome.copies_delivered
-                append_charged(max(outcome.attempts, copies))
-                append_copies(copies)
-        self._charge_links(
-            links, pairs, sizes, None if all_once else charged, protocol
-        )
-        return copies_delivered
+    def _charge(self, links, sizes, attempts, protocol: str) -> None:
+        """Charge link ``i`` ``attempts[i]`` transmissions: the pair array
+        whole, a tuple list through the ledger's tuple path."""
+        if isinstance(links, np.ndarray):
+            self.ledger.charge_array(
+                links[:, 0], links[:, 1], sizes, protocol=protocol, copies=attempts
+            )
+        else:
+            self.ledger.charge_batch(links, sizes, attempts.tolist(), protocol=protocol)
 
     # ------------------------------------------------------------------ #
     # Measurement helpers
@@ -862,8 +806,3 @@ def _pair_array(links: Sequence[tuple[int, int]]):
 def _as_tuples(pairs) -> list[tuple[int, int]]:
     """A ``(k, 2)`` link array as the id-level tuple list of Python ints."""
     return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-
-
-def _copies_as(copies: list[int], as_array: bool):
-    """Copies per link in the shape the caller sent: a list or an int64 array."""
-    return np.asarray(copies, dtype=np.int64) if as_array else copies

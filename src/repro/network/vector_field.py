@@ -26,7 +26,7 @@ round advances per swept level — so the ledger, read through the usual
 telemetry spans, is directly comparable with the simulator-backed runs.
 
 Perfect links only: there is no radio model at this scale (the lossy /
-duplicating radios draw per-link randomness, which is exactly the per-link
+duplicating radios count every link's sends, which is exactly the per-link
 cost this class exists to avoid).  For radio-faithful vectorized execution
 over a real :class:`~repro.network.SensorNetwork`, use
 :class:`repro.streaming.vector_engine.VectorStreamEngine`.

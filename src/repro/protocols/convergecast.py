@@ -24,8 +24,9 @@ Two execution paths implement the same traversal, selected by
 * *per-edge* — the reference implementation: one
   :meth:`~repro.network.SensorNetwork.send` per tree edge.
 
-Both read the same local values, combine partials and draw radio randomness
-in exactly the same order, so they produce bit-for-bit identical ledgers and
+Both read the same local values, combine partials and send over the same
+links in the same order (the radio's draws depend on each link and its send
+count, not the order), so they produce bit-for-bit identical ledgers and
 results (``tests/test_oracle.py`` holds every path to the per-edge reference).
 
 Where the partial aggregate has an array form, the batched path need not
@@ -119,7 +120,7 @@ def _convergecast_batched(
 def charge_up_sweep(network: SensorNetwork, sizes: Sequence[int], protocol: str) -> None:
     """Charge one bottom-up sweep: ``sizes[i]`` bits over ``flat.up_links[i]``.
 
-    Every batched convergecast ends here, so radio draw order, the charged
+    Every batched convergecast ends here, so the radio draws, the charged
     prefix of a :class:`~repro.exceptions.DeliveryError`, the budget raise
     point and dead-node errors are those of :meth:`SensorNetwork.send_batch`
     — called through the instance, so a patched ``send_batch`` sees it.  The

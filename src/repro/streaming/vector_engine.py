@@ -16,12 +16,12 @@ per-epoch answers are bit-for-bit identical to the batched and per-edge
 paths.  The ingredients:
 
 * transmissions still go through :meth:`SensorNetwork.send_batch` as
-  ``(k, 2)`` link arrays, deepest level first and in ascending node-id
-  order within a level — so radio randomness is consumed in exactly the
-  reference order and lossy-radio retries charge identically.  On perfect
-  links, where neither order nor timing can matter, the levels of a sweep
-  are buffered and charged in **one** call; any level that could fail is
-  sent on its own (see :meth:`VectorStreamEngine._run_inprocess`);
+  ``(k, 2)`` link arrays, deepest level first — the radio's draws depend on
+  each link and its send count, not on the batch, so lossy-radio retries
+  charge identically.  On perfect links, where delivery is certain, the
+  levels of a sweep are buffered and charged in **one** call; any level
+  whose deliveries could change the next level is sent on its own (see
+  :meth:`VectorStreamEngine._run_inprocess`);
 * the suppression / delta arithmetic is the count-summary specialization of
   the engine's ``decide`` rule, computed with exact vectorized varint
   widths;
@@ -36,9 +36,9 @@ kernel over its shard slice against a private ledger, and the parent folds
 the results back with **one** ledger merge per query per epoch — spans
 ``shard.sweep`` and ``shard.merge`` record the fan-out in the telemetry
 phase breakdown.  Sharded execution requires perfect links
-(:class:`~repro.network.radio.ReliableRadio`): a seeded lossy radio is a
-single RNG stream, which cannot be split across processes and stay
-bit-identical.
+(:class:`~repro.network.radio.ReliableRadio`): a seeded radio counts each
+link's sends in the parent process, and the workers neither read nor return
+those counts.
 """
 
 from __future__ import annotations
@@ -423,12 +423,14 @@ class VectorStreamEngine(ContinuousQueryEngine):
             )
 
         # One charge per sweep.  On perfect links with no per-node budget a
-        # level whose endpoints are all alive cannot fail, lose a copy or
-        # depend on link order, so its links only have to reach the ledger
-        # before the sweep is over: they are buffered and sent as one batch.
-        # Any other level flushes the buffer and is sent on the spot, which
-        # keeps the exception, its raise point and the charged prefix exactly
-        # those of one send per level.
+        # level whose endpoints are all alive cannot fail or lose a copy, so
+        # its links only have to reach the ledger before the sweep is over:
+        # they are buffered and sent as one batch.  The test is about
+        # delivery, not draw order: under any other radio a level's
+        # deliveries decide what the next level sends.  Any other level
+        # flushes the buffer and is sent on the spot, which keeps the
+        # exception, its raise point and the charged prefix exactly those of
+        # one send per level.
         alive = network.alive_mask
         deferrable = (
             alive is not None
@@ -498,8 +500,9 @@ class VectorStreamEngine(ContinuousQueryEngine):
         network = self.network
         if type(network.radio) is not ReliableRadio:
             raise ConfigurationError(
-                "sharded execution requires ReliableRadio: a seeded lossy "
-                "radio is one RNG stream and cannot be split across workers"
+                "sharded execution requires ReliableRadio: a seeded radio "
+                "counts each link's sends in this process, and shard workers "
+                "neither read nor return those counts"
             )
         if network.ledger.per_node_budget_bits is not None:
             raise ConfigurationError(

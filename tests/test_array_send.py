@@ -1,15 +1,16 @@
 """Differential tests for the array-native charged send.
 
 ``SensorNetwork.send_batch`` takes a ``(k, 2)`` link array or a tuple list.
-On ids ``0..n-1`` one array pass checks the whole batch and the arrays are
-charged whole (after the radio's ordered draws on imperfect links); a bad
-batch, a tuple batch of at most ``SMALL_BATCH`` links or sparse ids run the
-ordered tuple-list code, and an imperfect radio under a budget sends link
-by link.  Each test here drives twin networks — one fed arrays, one fed
-tuple lists — on a sized or an unsized ledger and holds them to the same
-copies, exceptions, ledgers, mark deltas, radio RNG state and telemetry; a
-bad link raises the ordered loop's error.  Whole runs against the per-edge
-reference on the retired dict ledger are ``tests/test_oracle.py``'s.
+On ids ``0..n-1`` one array pass checks the whole batch, and the radio draws
+and the ledger charges it as arrays; a bad batch, a tuple batch of at most
+``SMALL_BATCH`` links or sparse ids run the ordered tuple-list check.  Each
+test here drives twin networks — one fed arrays, one fed tuple lists — on a
+sized or an unsized ledger and holds them to the same copies, exceptions,
+ledgers, mark deltas and telemetry; a bad link raises the ordered loop's
+error.  The radio's draws depend on each link and its send count only, so a
+batch, its permutation, its single-link batches and per-edge sends charge
+the same.  Whole runs against the per-edge reference on the retired dict
+ledger are ``tests/test_oracle.py``'s.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from repro.exceptions import (
     BudgetExceededError,
     ConfigurationError,
     DeadNodeError,
+    DeliveryError,
     TopologyError,
 )
 from repro.faults import HeartbeatDetector
 from repro.network import (
     CommunicationLedger,
+    DuplicatingRadio,
     LossyRadio,
     ReliableRadio,
     SensorNetwork,
@@ -44,11 +47,6 @@ _quick = settings(
 )
 
 LEDGERS = ("sized", "unsized")
-
-
-class _PlainRadio(ReliableRadio):
-    """Perfect links behind a subclass: keeps every sender on the ordered
-    list code, which is what the array branch is compared against."""
 
 
 def _network(n, seed, ledger="unsized", radio=None, budget=None, stride=1, offset=0):
@@ -70,7 +68,6 @@ def _network(n, seed, ledger="unsized", radio=None, budget=None, stride=1, offse
 def _observe(network, mark):
     """Everything a send can move, as comparable plain values."""
     ledger = network.ledger
-    radio_rng = getattr(network.radio, "_rng", None)
     counters = network.telemetry.metrics.to_dict()["counters"]
     return {
         "snapshot": ledger.snapshot(),
@@ -81,7 +78,6 @@ def _observe(network, mark):
             if bits
         },
         "max_node_delta": ledger.max_node_delta_since(mark),
-        "radio_rng": None if radio_rng is None else radio_rng.getstate(),
         "telemetry": counters,
     }
 
@@ -251,6 +247,149 @@ def test_budget_raises_at_the_same_transmission(ledger, data, budget):
     )
 
 
+# ---------------------------------------------------------------------- #
+# Order-free draws: a send's outcome is a function of its link and count
+# ---------------------------------------------------------------------- #
+_RADIOS = {
+    "lossy": lambda seed: LossyRadio(0.3, seed=seed),
+    "lossy-failing": lambda seed: LossyRadio(0.6, seed=seed, max_retries=2),
+    "duplicating": lambda seed: DuplicatingRadio(0.3, seed=seed),
+}
+
+
+def _replay(make, batches, as_array, per_edge, size_of):
+    """Send ``batches`` on a fresh network — each as one ``send_batch``, or
+    link by link through ``send`` — and return the error (or ``None``), the
+    ledger snapshot, the copies each link delivered, in send order, and what
+    the radio draws next for every link sent (after an error too: a path
+    that stops at a budget or a loss must leave the same send counts)."""
+    network = make()
+    copies: dict[tuple[int, int], list[int]] = {}
+    try:
+        for links in batches:
+            sizes = [size_of(link) for link in links]
+            if per_edge:
+                delivered = [
+                    network.send(*link, None, size, protocol="t").metadata["copies_delivered"]
+                    for link, size in zip(links, sizes)
+                ]
+            elif as_array:
+                delivered = network.send_batch(
+                    np.asarray(links, dtype=np.int64).reshape(-1, 2), np.asarray(sizes), "t"
+                ).tolist()
+            else:
+                delivered = network.send_batch(links, sizes, "t")
+            for link, count in zip(links, delivered):
+                copies.setdefault(link, []).append(count)
+        error = None
+    except (BudgetExceededError, DeliveryError) as raised:
+        error, copies = (type(raised).__name__, str(raised)), None
+    attempts, delivered, failed = network.radio.filter_batch(
+        sorted({link for links in batches for link in links})
+    )
+    return error, network.ledger.snapshot(), copies, (attempts.tolist(), delivered.tolist(), failed)
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 5),
+    radio=st.sampled_from(sorted(_RADIOS)),
+    budget=st.sampled_from([None, 60, 10**6]),
+    as_array=st.booleans(),
+)
+def test_draws_do_not_depend_on_order_or_batching(ledger, data, seed, radio, budget, as_array):
+    """One multiset of link sends charges the same ledger and delivers the
+    same copies per link as one batch, permuted, as single-link batches and
+    as per-edge sends; a link repeated in a batch is two sends.  Each link
+    carries one size, so a permutation moves no bits between sends.  A
+    budget or a lost send raises where the sends stop, so only the paths
+    that keep the order must agree once one of them raises."""
+    n = 16
+    edges = sorted(_network(n, seed).graph.edges())
+    link = st.sampled_from(edges).flatmap(lambda edge: st.sampled_from([edge, edge[::-1]]))
+    links = data.draw(st.lists(link, min_size=1, max_size=3 * SMALL_BATCH))
+    order = data.draw(st.permutations(range(len(links))))
+
+    def make():
+        return _network(n, seed, ledger, radio=_RADIOS[radio](seed), budget=budget)
+
+    def size_of(link):
+        return 1 + (7 * link[0] + 3 * link[1]) % 40
+
+    whole = _replay(make, [links], as_array, False, size_of)
+    assert _replay(make, [[each] for each in links], as_array, False, size_of) == whole
+    assert _replay(make, [links], as_array, True, size_of) == whole
+    permuted = _replay(make, [[links[i] for i in order]], as_array, False, size_of)
+    if whole[0] is None and permuted[0] is None:
+        assert permuted[1:] == whole[1:]
+    if budget is None:
+        # Which send fails for good does not depend on the order either.
+        assert (whole[0] is None) == (permuted[0] is None)
+
+
+# ---------------------------------------------------------------------- #
+# Sizes: the batched paths take what ``send`` takes
+# ---------------------------------------------------------------------- #
+_EDGES = [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda net: net.send_batch(_EDGES, [2.5] * 3, require_edge=False), "2.5"),
+        (
+            lambda net: net.send_batch(
+                np.array([_EDGES[0]] * 25), np.full(25, 2.5), require_edge=False
+            ),
+            "2.5",
+        ),
+        (lambda net: net.send_batch(_EDGES, np.array([True] * 3), require_edge=False), "True"),
+        (lambda net: net.send_batch(_EDGES, [4, True, 4], require_edge=False), "True"),
+        (
+            lambda net: net.send_batch(
+                np.array(_EDGES), np.full(3, 2**63, dtype=np.uint64), require_edge=False
+            ),
+            "9223372036854775808",
+        ),
+        (lambda net: net.send(0, 1, None, 2**63), "9223372036854775808"),
+        (lambda net: net.ledger.charge_array([0], [1], [2.5]), "2.5"),
+        (lambda net: net.ledger.charge_array([0], [1], np.array([True])), "True"),
+        (lambda net: net.ledger.charge_batch([(0, 1)], [2.5]), "2.5"),
+        (lambda net: net.ledger.charge_batch([(0, 1)] * 25, [2**63] * 25), "9223372036854775808"),
+    ],
+    ids=[
+        "send_batch-float-list",
+        "send_batch-float-array",
+        "send_batch-bool-array",
+        "send_batch-bool-in-list",
+        "send_batch-uint64-2**63",
+        "send-2**63",
+        "charge_array-float",
+        "charge_array-bool",
+        "charge_batch-float",
+        "charge_batch-2**63",
+    ],
+)
+def test_a_size_send_refuses_is_refused_before_any_draw_or_charge(call, named):
+    def make():
+        return _network(12, 0, "sized", radio=LossyRadio(0.3, seed=1))
+
+    network = make()
+    with pytest.raises(ConfigurationError, match=rf"size_bits must be .*got {named}$"):
+        call(network)
+    assert network.ledger.total_messages == 0
+    twin = make()
+    for each in (network, twin):
+        each.send_batch(_EDGES * 4, [8] * 12, require_edge=False)
+    assert network.ledger.snapshot() == twin.ledger.snapshot()
+
+
 def test_array_links_reach_the_ledger_as_arrays(monkeypatch):
     """The branch under test is the one taken: no tuple list is charged."""
     network = _network(24, 0, "sized")
@@ -347,14 +486,21 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
     the array pass: both report the first bad link as the loop does, with
     or without a later bad link beside it."""
     n, dead = 40, 13
-    network = SensorNetwork(
-        random_geometric_links(n, seed=2),
-        radio=LossyRadio(0.3, seed=4),
-        degree_bound=None,
-    )
-    network.kill_node(dead)
-    links = [edge for edge in sorted(network.graph.edges()) if dead not in edge][:k]
-    network.send_batch([links[2]], [5], protocol="warm", require_edge=False)
+
+    def make():
+        network = SensorNetwork(
+            random_geometric_links(n, seed=2),
+            radio=LossyRadio(0.3, seed=4),
+            degree_bound=None,
+        )
+        network.kill_node(dead)
+        network.send_batch([good[2]], [5], protocol="warm", require_edge=False)
+        return network
+
+    edges = sorted(random_geometric_links(n, seed=2).to_networkx().edges())
+    good = [edge for edge in edges if dead not in edge][:k]
+    network = make()
+    links = list(good)
     position = int(position * (k - 1))
     sender = links[position][0]
     far = next(
@@ -373,7 +519,7 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
     if later_bad:
         links.append((0, n))  # a later bad link must not be the one reported
     sizes = list(range(1, len(links) + 1))
-    before = (network.ledger.snapshot(), network.radio._rng.getstate())
+    before = network.ledger.snapshot()
     expected = _ordered_error(network, links, require_edge)
     if expected is None:  # a non-link alone is no error without the edge check
         assert fault == "non-link" and not require_edge
@@ -384,36 +530,68 @@ def test_a_bad_link_raises_the_ordered_error_before_any_draw_or_charge(
     with pytest.raises(expected[0]) as raised:
         network.send_batch(links, sizes, protocol="test", require_edge=require_edge)
     assert str(raised.value) == expected[1]
-    assert (network.ledger.snapshot(), network.radio._rng.getstate()) == before
+    assert network.ledger.snapshot() == before
     if fault == "non-link" and not require_edge:
         assert later_bad and expected[1].startswith(f"send between unknown nodes 0 -> {n}")
+    # Nothing was drawn either: the good links now charge what they charge
+    # on a twin that never saw the bad batch.
+    twin = make()
+    for each in (network, twin):
+        each.send_batch(good, [7] * len(good), protocol="after", require_edge=False)
+    assert network.ledger.snapshot() == twin.ledger.snapshot()
 
 
 # ---------------------------------------------------------------------- #
-# Heartbeat sweep: mask-built link array vs the ordered list walk
+# Heartbeat sweep: one masked link array vs the per-edge list walk
 # ---------------------------------------------------------------------- #
+def _list_walk(network, silent, bits):
+    """The sweep the array branch stands in for, kept here as its oracle:
+    one ``send`` per heard up-link in tree order, a lost heartbeat skipped."""
+    ledger = network.ledger
+    before = ledger.total_bits, ledger.total_messages
+    for sender, receiver in network.flat_tree.up_links:
+        if sender in silent or not (network.is_alive(sender) and network.is_alive(receiver)):
+            continue
+        try:
+            network.send(
+                sender, receiver, None, bits, protocol="faults:heartbeat", require_edge=False
+            )
+        except DeliveryError:
+            pass
+    return ledger.total_bits - before[0], ledger.total_messages - before[1]
+
+
 @pytest.mark.parametrize("ledger", LEDGERS)
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize("lossy", [False, True], ids=["reliable", "lossy"])
 @_quick
 @given(data=st.data(), seed=st.integers(0, 5), kill_root=st.booleans())
-def test_heartbeat_sweep_masks_match_the_list_walk(ledger, data, seed, kill_root):
+def test_heartbeat_sweep_matches_the_list_walk(ledger, sparse, lossy, data, seed, kill_root):
     n = 48
-    others = st.sets(st.integers(1, n - 1), max_size=10)
+    stride, offset = (3, 5) if sparse else (1, 0)
+    others = st.sets(st.integers(1, n - 1).map(lambda node: node * stride + offset), max_size=10)
     dead = data.draw(others)
     silent = data.draw(others) - dead
     detector = HeartbeatDetector(period=1)
     outcomes = []
-    for radio in (ReliableRadio(), _PlainRadio()):
-        network = _network(n, seed, ledger, radio=radio)
+    for walk in (False, True):
+        # A lossy radio with one retry loses a heartbeat for good now and then.
+        radio = LossyRadio(0.5, seed=seed, max_retries=1) if lossy else ReliableRadio()
+        network = _network(n, seed, ledger, radio=radio, stride=stride, offset=offset)
         for node in dead:  # known-dead but still in the (unrepaired) tree
             network.kill_node(node)
         if kill_root:
             network.kill_node(network.root_id, allow_root=True)
         mark = network.ledger.mark()
-        charged = detector.charge_sweep(network, silent)
+        if walk:
+            charged = _list_walk(network, silent, detector.heartbeat_bits)
+        else:
+            charged = detector.charge_sweep(network, silent)
         observed = _observe(network, mark)
-        del observed["telemetry"]["net.links"]  # the walk may split batches
+        del observed["telemetry"]  # per-edge sends count differently
         outcomes.append((charged, observed))
     assert outcomes[0] == outcomes[1]
     bits, messages = outcomes[0][0]
     assert bits == messages * detector.heartbeat_bits
-    assert messages <= n - 1 - len(silent)
+    if not lossy:
+        assert messages <= n - 1 - len(silent)

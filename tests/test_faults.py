@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -23,6 +24,7 @@ from repro.faults import (
     run_faulty_stream,
 )
 from repro.faults.events import expand_regional_outage
+from repro.network.radio import RadioModel
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery, MedianQuery
@@ -570,37 +572,21 @@ class TestAdoptionFallback:
     every candidate is exhausted — identically on both execution paths.
     """
 
-    class BlockedLinksRadio:
+    class BlockedLinksRadio(RadioModel):
         """Reliable radio that permanently fails a chosen set of links."""
 
         def __init__(self, blocked):
             self.blocked = {tuple(link) for link in blocked}
-
-        def transmit(self, sender, receiver):
-            from repro.exceptions import DeliveryError
-            from repro.network.radio import DELIVERED_ONCE
-
-            if (sender, receiver) in self.blocked or (
-                receiver,
-                sender,
-            ) in self.blocked:
-                raise DeliveryError(f"link {sender}->{receiver} is jammed")
-            return DELIVERED_ONCE
+            self.blocked |= {(receiver, sender) for sender, receiver in self.blocked}
 
         def filter_batch(self, links):
-            from repro.exceptions import DeliveryError
-
-            outcomes = []
-            try:
-                for sender, receiver in links:
-                    outcomes.append(self.transmit(sender, receiver))
-            except DeliveryError as error:
-                error.outcomes_before_failure = tuple(outcomes)
-                raise
-            return outcomes
-
-        def reset(self):
-            pass
+            once = np.ones(len(links), dtype=np.int64)
+            for index, link in enumerate(links):
+                if tuple(map(int, link)) in self.blocked:
+                    copies = once.copy()
+                    copies[index] = 0
+                    return once, copies, index
+            return once, once, None
 
     @pytest.mark.parametrize("execution", ["batched", "per-edge"])
     def test_falls_back_to_next_candidate(self, execution):

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.network import SensorNetwork
+from repro.network import accounting
 from repro.network.accounting import SMALL_BATCH, CommunicationLedger, NodeTraffic
 from repro.network.simulator import EXECUTION_MODES
 from repro.network.topology import build_links
@@ -178,6 +179,23 @@ class TestBudget:
         ledger.reset()
         with pytest.raises(BudgetExceededError):
             ledger.charge(0, 1, 20)
+
+    @pytest.mark.parametrize("call", ["charge_batch", "charge_array"])
+    def test_budget_error_names_the_crossing_link(self, monkeypatch, call):
+        """The error's ``index`` is the link whose copy crossed, in the call's
+        own positions: zero-copy links and repeated copies are mapped back,
+        and ``charge_batch``'s chunks add their offset."""
+        monkeypatch.setattr(accounting, "_BATCH_CHUNK", 4)
+        ledger = CommunicationLedger(per_node_budget_bits=100)
+        links, sizes, copies = [(0, 1)] * 20, [8] * 20, [0, 2] * 10
+        with pytest.raises(BudgetExceededError) as raised:
+            if call == "charge_batch":
+                ledger.charge_batch(links, sizes, copies)
+            else:
+                ledger.charge_array([0] * 20, [1] * 20, sizes, copies=copies)
+        # Six 16-bit links fit (96 bits); link 13's first copy crosses.
+        assert raised.value.index == 13
+        assert ledger.node_bits(0) == 104
 
 
 class TestNodeIds:

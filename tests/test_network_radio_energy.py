@@ -1,9 +1,12 @@
 """Tests for the radio models and the energy model."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.exceptions import DeliveryError
-from repro.network.accounting import CommunicationLedger
+from repro.network.accounting import SMALL_BATCH, CommunicationLedger
 from repro.network.energy import EnergyModel
 from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
 from repro.network.simulator import SensorNetwork
@@ -11,49 +14,138 @@ from repro.network.topology import line_links
 from repro.protocols.aggregates import CountProtocol
 
 
+def _sends(radio, link, count):
+    """``count`` sends over one link, one batch each: ``(attempts, copies)``."""
+    results = [radio.filter_batch([link]) for _ in range(count)]
+    assert all(failed is None for _, _, failed in results)
+    return (
+        [int(attempts[0]) for attempts, _, _ in results],
+        [int(copies[0]) for _, copies, _ in results],
+    )
+
+
 class TestReliableRadio:
     def test_always_delivers_once(self):
-        radio = ReliableRadio()
-        for _ in range(10):
-            outcome = radio.transmit(0, 1)
-            assert outcome.delivered
-            assert outcome.attempts == 1
-            assert outcome.copies_delivered == 1
+        attempts, copies, failed = ReliableRadio().filter_batch([(0, 1), (1, 2)])
+        assert attempts.tolist() == copies.tolist() == [1, 1]
+        assert failed is None
 
 
 class TestLossyRadio:
     def test_zero_loss_behaves_like_reliable(self):
-        radio = LossyRadio(loss_rate=0.0, seed=1)
-        assert radio.transmit(0, 1).attempts == 1
+        attempts, _ = _sends(LossyRadio(loss_rate=0.0, seed=1), (0, 1), 20)
+        assert attempts == [1] * 20
 
     def test_retries_until_delivery(self):
-        radio = LossyRadio(loss_rate=0.7, seed=3, max_retries=64)
-        outcomes = [radio.transmit(0, 1) for _ in range(50)]
-        assert all(outcome.delivered for outcome in outcomes)
-        assert any(outcome.attempts > 1 for outcome in outcomes)
+        attempts, copies = _sends(LossyRadio(loss_rate=0.7, seed=3, max_retries=64), (0, 1), 50)
+        assert copies == [1] * 50
+        assert any(count > 1 for count in attempts)
 
-    def test_mean_attempts_tracks_loss_rate(self):
-        radio = LossyRadio(loss_rate=0.5, seed=5, max_retries=200)
-        attempts = [radio.transmit(0, 1).attempts for _ in range(400)]
-        mean_attempts = sum(attempts) / len(attempts)
-        assert 1.6 < mean_attempts < 2.5  # geometric mean 1/(1-p) = 2
-
-    def test_permanent_failure_raises(self):
-        radio = LossyRadio(loss_rate=0.999, seed=1, max_retries=0)
-        with pytest.raises(DeliveryError):
+    def test_permanent_failure_is_reported_and_raised(self):
+        radio = LossyRadio(loss_rate=0.9, seed=1, max_retries=0)
+        attempts, copies, failed = radio.filter_batch([(0, 1)] * 100)
+        assert failed is not None and copies[failed] == 0 and attempts[failed] == 1
+        assert copies[:failed].tolist() == [1] * failed
+        network = SensorNetwork.from_items([1, 2], topology="line", radio=radio)
+        with pytest.raises(DeliveryError) as raised:
             for _ in range(100):
-                radio.transmit(0, 1)
+                network.send(0, 1, "x", 8)
+        assert raised.value.index == 0
 
     def test_loss_rate_one_rejected(self):
         with pytest.raises(DeliveryError):
             LossyRadio(loss_rate=1.0)
 
-    def test_reset_restores_stream(self):
+    def test_reset_restarts_the_send_counts(self):
         radio = LossyRadio(loss_rate=0.5, seed=9)
-        first = [radio.transmit(0, 1).attempts for _ in range(20)]
+        first = _sends(radio, (0, 1), 20)
         radio.reset()
-        second = [radio.transmit(0, 1).attempts for _ in range(20)]
-        assert first == second
+        assert _sends(radio, (0, 1), 20) == first
+
+    def test_unseeded_radios_draw_their_own_seed(self):
+        links = [(0, 1)] * 200
+        draws = [LossyRadio(0.5, seed=None).filter_batch(links)[0].tolist() for _ in range(2)]
+        assert draws[0] != draws[1]
+
+    def test_radios_hold_no_random_stream(self):
+        for radio in (LossyRadio(0.1), DuplicatingRadio(0.1), LossyRadio(0.1, seed=None)):
+            radio.filter_batch([(0, 1)])
+            assert not any(isinstance(value, random.Random) for value in vars(radio).values())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: LossyRadio(0.3, seed=seed),
+        lambda seed: LossyRadio(0.8, seed=seed, max_retries=2),
+        lambda seed: DuplicatingRadio(0.3, seed=seed),
+        lambda seed: DuplicatingRadio(1.0, seed=seed),
+    ],
+    ids=["lossy", "lossy-failing", "duplicating", "always-duplicating"],
+)
+def test_short_tuple_lists_draw_what_arrays_draw(make):
+    """Tuple lists up to SMALL_BATCH draw their first attempts with the
+    scalar ``hash64``, link arrays with ``hash64_array``: one formula, so the
+    same sends draw the same outcomes either way."""
+    rng = np.random.default_rng(3)
+    for seed in (0, 7, -5, 2**64 - 1):
+        scalar, array = make(seed), make(seed)
+        for _ in range(40):
+            pairs = rng.integers(0, 6, size=(int(rng.integers(0, SMALL_BATCH + 1)), 2))
+            links = [tuple(link) for link in pairs.tolist()]
+            expected = scalar.filter_batch(links)
+            actual = array.filter_batch(pairs)
+            assert [part.tolist() for part in expected[:2]] == [
+                part.tolist() for part in actual[:2]
+            ]
+            assert expected[2] == actual[2]
+
+
+class TestDrawStatistics:
+    """The hashed draws behave like independent coins, each check within 4σ.
+
+    2,000 links — ``(a, a + 1)`` and ``(a + 1, a)`` for ``a < 1000`` — are
+    each sent 50 times, one batch per round: 100,000 sends per rate.
+    """
+
+    ROUNDS = 50
+
+    def _rounds(self, radio):
+        """``(attempts, copies)`` as ``(rounds, links)`` arrays, and the links."""
+        a = np.arange(1000)
+        links = np.concatenate(
+            (np.column_stack((a, a + 1)), np.column_stack((a + 1, a)))
+        )
+        results = [radio.filter_batch(links) for _ in range(self.ROUNDS)]
+        assert all(failed is None for _, _, failed in results)
+        attempts = np.array([result[0] for result in results])
+        copies = np.array([result[1] for result in results])
+        return attempts, copies
+
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_lossy_draws(self, p):
+        attempts, copies = self._rounds(LossyRadio(p, seed=11))
+        sends = attempts.size
+        assert (copies == 1).all()
+        # Attempts per delivered send: geometric with mean 1/(1-p).
+        sigma = np.sqrt(p / sends) / (1 - p)
+        assert abs(attempts.mean() - 1 / (1 - p)) < 4 * sigma
+        lost = (attempts > 1).astype(float)  # the first attempt was lost
+        # Consecutive sends on one link: no lag-1 correlation.
+        before, after = lost[:-1].ravel(), lost[1:].ravel()
+        correlation = np.corrcoef(before, after)[0, 1]
+        assert abs(correlation) < 4 / np.sqrt(before.size)
+        # A link and its reverse lose alike.
+        forward, reverse = lost[:, :1000], lost[:, 1000:]
+        sigma = np.sqrt(p * (1 - p) * (1 / forward.size + 1 / reverse.size))
+        assert abs(forward.mean() - reverse.mean()) < 4 * sigma
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_duplicate_share(self, rate):
+        attempts, copies = self._rounds(DuplicatingRadio(rate, seed=11))
+        assert (attempts == copies).all() and set(np.unique(copies)) <= {1, 2}
+        sigma = np.sqrt(rate * (1 - rate) / copies.size)
+        assert abs((copies == 2).mean() - rate) < 4 * sigma
 
 
 class TestRadioThroughProtocols:
@@ -99,7 +191,7 @@ class TestRadioThroughProtocols:
     def test_reset_makes_repeated_protocol_runs_identical(self):
         network = self._line_network(LossyRadio(loss_rate=0.4, seed=6, max_retries=64))
         first = CountProtocol().run(network)
-        # reset_ledger also resets the radio's RNG stream, so the retry
+        # reset_ledger also resets the radio's send counts, so the retry
         # pattern — and therefore every charge — replays exactly.
         network.reset_ledger()
         second = CountProtocol().run(network)
@@ -110,22 +202,19 @@ class TestRadioThroughProtocols:
     def test_without_reset_repeated_runs_diverge(self):
         network = self._line_network(LossyRadio(loss_rate=0.4, seed=6, max_retries=64))
         first = CountProtocol().run(network)
-        second = CountProtocol().run(network)  # RNG stream keeps advancing
+        second = CountProtocol().run(network)  # send counts keep advancing
         assert first.value == second.value
         assert first.total_bits != second.total_bits
 
 
 class TestDuplicatingRadio:
     def test_no_duplication_at_zero_rate(self):
-        radio = DuplicatingRadio(duplicate_rate=0.0, seed=1)
-        assert all(radio.transmit(0, 1).copies_delivered == 1 for _ in range(20))
+        _, copies = _sends(DuplicatingRadio(duplicate_rate=0.0, seed=1), (0, 1), 20)
+        assert copies == [1] * 20
 
     def test_duplicates_appear(self):
-        radio = DuplicatingRadio(duplicate_rate=0.5, seed=2)
-        copies = [radio.transmit(0, 1).copies_delivered for _ in range(200)]
+        _, copies = _sends(DuplicatingRadio(duplicate_rate=0.5, seed=2), (0, 1), 200)
         assert set(copies) == {1, 2}
-        fraction_duplicated = sum(1 for c in copies if c == 2) / len(copies)
-        assert 0.35 < fraction_duplicated < 0.65
 
 
 class TestEnergyModel:

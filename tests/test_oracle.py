@@ -28,7 +28,6 @@ What a run exposes
   after the same charged prefix — and each ``decide`` call with the
   messages charged when it was made (a round decides before it sends);
 * ``ledger.snapshot()`` and ``counters_snapshot()``;
-* the radio's RNG state, or ``FailingRadio.sent``;
 * ``root_id`` and ``tree.parent``;
 * ``flat_tree.to_lists()``, ``up_links`` and ``down_links``;
 * the ``FaultTrace`` rows (``to_dict()``; they hold no wall-clock field);
@@ -63,6 +62,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -72,7 +72,7 @@ from repro.core.apx_median import ApproximateMedianProtocol
 from repro.core.apx_median2 import PolyloglogMedianProtocol
 from repro.core.median import DeterministicMedianProtocol
 from repro.core.rep_count import RepetitionPolicy
-from repro.exceptions import DeliveryError, ReproError
+from repro.exceptions import ReproError
 from repro.faults import (
     FaultEngine,
     HeartbeatDetector,
@@ -86,8 +86,6 @@ from repro.faults import (
 )
 from repro.network import CommunicationLedger, SensorNetwork
 from repro.network.radio import (
-    DELIVERED_ONCE,
-    DeliveryOutcome,
     DuplicatingRadio,
     LossyRadio,
     RadioModel,
@@ -114,26 +112,40 @@ VALUES = st.integers(min_value=0, max_value=399)
 
 
 class FailingRadio(RadioModel):
-    """Perfect links until the ``fail_at``-th transmission, which fails for good."""
+    """Perfect links but one send: the ``k``-th over ``link`` since the last
+    reset (counted from 0) fails for good.  Like the seeded radios, a pure
+    function of the link and its send count."""
 
-    def __init__(self, fail_at: int) -> None:
-        self.fail_at = fail_at
-        self.sent = 0
+    def __init__(self, link: tuple[int, int] | None, k: int) -> None:
+        self.link = link
+        self.k = k
+        self.reset()
 
-    def transmit(self, sender: int, receiver: int):
-        self.sent += 1
-        if self.sent == self.fail_at:
-            raise DeliveryError(f"link {sender}->{receiver} is jammed")
-        return DELIVERED_ONCE
+    def reset(self) -> None:
+        self.sends = 0
+
+    def filter_batch(self, links):
+        once = np.ones(len(links), dtype=np.int64)
+        for index, link in enumerate(links):
+            if tuple(map(int, link)) == self.link:
+                self.sends += 1
+                if self.sends == self.k + 1:
+                    copies = once.copy()
+                    copies[index] = 0
+                    return once, copies, index
+        return once, once, None
+
+    def unsend(self, links) -> None:
+        self.sends -= sum(tuple(map(int, link)) == self.link for link in links)
 
 
 class ZeroCopyRadio(RadioModel):
     """Charges every link but delivers no copy over every third one."""
 
-    def transmit(self, sender: int, receiver: int):
-        if (sender + receiver) % 3 == 0:
-            return DeliveryOutcome(attempts=1, copies_delivered=0)
-        return DELIVERED_ONCE
+    def filter_batch(self, links):
+        pairs = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+        once = np.ones(len(pairs), dtype=np.int64)
+        return once, ((pairs[:, 0] + pairs[:, 1]) % 3 != 0).astype(np.int64), None
 
 
 class PerLevelRadio(ReliableRadio):
@@ -153,8 +165,8 @@ class Scenario:
     num_nodes: int
     seed: int
     degree_bound: int | None
-    #: ``(kind, parameter)``: a seed for the seeded radios, the failing
-    #: transmission for ``"failing"``.
+    #: ``(kind, parameter)``: a seed for the seeded radios; for
+    #: ``"failing"``, which graph link's which send fails.
     radio: tuple[str, int]
     #: ``max_retries`` of the lossy radio.
     retries: int
@@ -175,7 +187,12 @@ class Scenario:
         if kind == "duplicating":
             return DuplicatingRadio(0.3, seed=parameter)
         if kind == "failing":
-            return FailingRadio(parameter)
+            low, high = build_links(self.topology, self.num_nodes, seed=self.seed).edges()
+            if not low.size:
+                return FailingRadio(None, 0)
+            edge = (parameter // 2) % low.size
+            link = (int(low[edge]), int(high[edge]))
+            return FailingRadio(link if parameter % 2 else link[::-1], parameter % 3)
         if kind == "zero-copy":
             return ZeroCopyRadio()
         if kind == "per-level":
@@ -340,13 +357,11 @@ class Twin:
 def observe(twin: Twin) -> dict:
     """Everything a run exposes (see the module docstring)."""
     network = twin.network
-    rng = getattr(network.radio, "_rng", None)
     flat = network.flat_tree
     seen = {
         "outcome": twin.outcome,
         "snapshot": network.ledger.snapshot(),
         "counters": network.ledger.counters_snapshot(),
-        "radio": rng.getstate() if rng is not None else getattr(network.radio, "sent", None),
         "root": network.root_id,
         "parent": dict(network.tree.parent),
         "flat_tree": flat.to_lists(),

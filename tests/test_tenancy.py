@@ -427,12 +427,12 @@ def test_tenant_answers_match_dedicated_engines_at_scale(seed):
 def run_twin_case(radio_name, seed, with_faults, epochs=6, num_nodes=36):
     """Shared service vs a reference engine running the identical plan.
 
-    Under lossy / duplicating radios the shared network's RNG interleaves
-    across legs, so per-tenant dedicated engines are not bit-comparable;
-    the contract instead is that the whole service is a *twin* of one
-    plain engine running the same legs in the same order on an identically
-    seeded network — same answers, same ledger, same radio state — while
-    the tenant columns keep decomposing the shared bits exactly.
+    Under lossy / duplicating radios the legs share each link's send
+    count, so per-tenant dedicated engines are not bit-comparable; the
+    contract instead is that the whole service is a *twin* of one plain
+    engine running the same legs in the same order on an identically
+    seeded network — same answers, same ledger — while the tenant columns
+    keep decomposing the shared bits exactly.
     """
     rng = random.Random(seed * 7321 + 11)
     topology = rng.choice(["grid", "random_geometric"])
@@ -503,11 +503,6 @@ def run_twin_case(radio_name, seed, with_faults, epochs=6, num_nodes=36):
     left, right = shared_net.ledger.snapshot(), reference_net.ledger.snapshot()
     assert left.per_node_bits == right.per_node_bits
     assert left.per_protocol_bits == right.per_protocol_bits
-    if radio_name != "reliable":  # ReliableRadio draws no randomness
-        assert (
-            shared_net.radio._rng.getstate()
-            == reference_net.radio._rng.getstate()
-        )
     # Billing still decomposes exactly — faults, retries and all.
     assert service.decomposition_holds()
     # Per-tenant answers are the reference's summaries through each

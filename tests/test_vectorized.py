@@ -280,7 +280,7 @@ class TestFlatTreeArrays:
 # --------------------------------------------------------------------------- #
 class TestVectorEngine:
     def test_sharded_rejects_lossy_radios(self):
-        """Sharded workers charge private ledgers with no RNG — loud refusal."""
+        """Sharded workers cannot see a seeded radio's send counts — loud refusal."""
         from repro.exceptions import ConfigurationError
         from repro.streaming.vector_engine import VectorStreamEngine
 
