@@ -16,9 +16,9 @@ Two encodings are provided:
     fact that sending ``floor(log x)`` instead of ``x`` shrinks messages to
     ``O(log log X)`` bits, which only shows up if the encoding is adaptive.
 
-The ``*_array`` twins size whole int64 columns at once for the array sweeps
-(exact below 2**53, refused above); :func:`bit_length_array` is exact over
-all of uint64.
+The ``*_array`` twins size whole int64 columns at once for the array sweeps,
+exactly over all of int64: every one goes through :func:`bit_length_array`,
+which is exact over all of uint64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util.validation import require_integer, require_non_negative
-from repro.exceptions import ConfigurationError
 
 
 def bit_width(value: int) -> int:
@@ -86,45 +85,39 @@ def signed_varint_bits(value: int) -> int:
 # --------------------------------------------------------------------------- #
 # Array twins (int64 arrays) for the whole-array sweeps
 # --------------------------------------------------------------------------- #
-#: Largest magnitude whose bit length ``np.frexp`` recovers exactly.
-_EXACT_LIMIT = 1 << 53
-
-
+#: Below this a word converts to float64 exactly.
+_FLOAT_EXACT = np.uint64(1 << 53)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def bit_length_array(words):
     """Exact ``int.bit_length`` of every ``uint64`` word (0 for zero).
 
-    float64 carries 53 bits, so ``np.frexp`` of a full 64-bit word can round
-    up to the next power of two; each 32-bit half converts exactly.
+    float64 carries 53 bits: below ``2**53`` one ``np.frexp`` is exact, but
+    a wider word can round up to the next power of two, so then each
+    32-bit half converts on its own.
     """
-    high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
-    low = np.frexp((words & _LOW32).astype(np.float64))[1]
-    return np.where(high > 0, high + 32, low).astype(np.int64)
+    if words.size and words.max() >= _FLOAT_EXACT:
+        high = np.frexp((words >> np.uint64(32)).astype(np.float64))[1]
+        low = np.frexp((words & _LOW32).astype(np.float64))[1]
+        return np.where(high > 0, high + 32, low).astype(np.int64)
+    return np.frexp(words.astype(np.float64))[1].astype(np.int64)
 
 
-def _check_exact(values) -> None:
-    if values.size and int(np.abs(values).max()) >= _EXACT_LIMIT:
-        raise ConfigurationError(
-            "vectorized varint sizing requires magnitudes below 2**53; "
-            f"got {int(np.abs(values).max())}"
-        )
-
-
-def bit_width_array(values):
-    """Vectorized ``max(1, v.bit_length())`` for non-negative int64 arrays."""
-    _check_exact(values)
-    exponents = np.frexp(values.astype(np.float64))[1]
-    return np.maximum(1, exponents).astype(np.int64)
+def _varint_bits_of_words(words):
+    return 2 * np.maximum(1, bit_length_array(words)) - 1
 
 
 def varint_bits_array(values):
     """Vectorized :func:`varint_bits` (non-negative values)."""
-    return 2 * bit_width_array(values) - 1
+    return _varint_bits_of_words(np.asarray(values, dtype=np.int64).view(np.uint64))
 
 
 def signed_varint_bits_array(values):
-    """Vectorized :func:`signed_varint_bits` (zigzag)."""
-    zigzag = np.where(values >= 0, 2 * values, -2 * values - 1)
-    return 2 * bit_width_array(zigzag) - 1
+    """Vectorized :func:`signed_varint_bits`: the zigzag is computed in
+    uint64, where no int64 value overflows (``-2**63`` maps to
+    ``2**64 - 1``)."""
+    values = np.asarray(values, dtype=np.int64)
+    return _varint_bits_of_words(
+        (values.view(np.uint64) << np.uint64(1)) ^ (values >> 63).view(np.uint64)
+    )

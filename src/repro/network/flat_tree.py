@@ -35,8 +35,12 @@ only:
   of the ``i``-th node visited, and node ``p``'s subtree exactly the
   preorder span ``order[start[p]:start[p] + size[p]]`` — so a subtree
   aggregate of every node is one ``cumsum`` or ``ufunc.reduceat`` over
-  those spans (:func:`~repro.protocols.convergecast.count_convergecast`,
-  MIN and MAX).
+  those spans (:func:`~repro.protocols.convergecast.subtree_sums`: COUNT,
+  SUM, AVG, exact COUNT DISTINCT; MIN and MAX),
+* ``ancestors`` is the binary-lifting table (``ancestors[j, p]``, node
+  ``p``'s ``2**j``-th ancestor), from which
+  :meth:`FlatTree.lowest_common_ancestors` finds the meeting point of
+  many node pairs in one array pass per row.
 
 **Representation.**  The structural arrays — ``parent``, ``depth``,
 ``child_start``, ``child_end``, ``child_index``, ``bottom_up`` — are
@@ -53,9 +57,10 @@ The representation is immutable by convention: a tree change installs a
 *new* instance, never edits one, and every batched traversal shares the
 installed one.  Because instances are immutable, the lazy caches —
 ``up_links``/``down_links``, their ``up_link_array``/``down_link_array``
-forms and ``preorder`` — live on the instance: :meth:`rewire` returns a new
-``FlatTree`` with every cache unset, so a rewire can never serve stale link
-lists or subtree spans to a subsequent sweep (``tests/test_vectorized.py``
+forms, ``preorder`` and ``ancestors`` — live on the instance:
+:meth:`rewire` returns a new ``FlatTree`` with every cache unset, so a
+rewire can never serve stale link lists, subtree spans or ancestors to a
+subsequent sweep (``tests/test_vectorized.py``
 pins this with a rewire-then-sweep regression test).  Fault repair is the
 one producer of *slightly different* trees at high frequency, so it does not
 rebuild from scratch: :meth:`FlatTree.rewire` re-spans the arrays around a
@@ -109,6 +114,7 @@ class FlatTree:
         "_down_links",
         "_down_link_array",
         "_preorder",
+        "_ancestors",
     )
 
     def __init__(
@@ -151,6 +157,7 @@ class FlatTree:
         self._down_links = None
         self._down_link_array = None
         self._preorder = None
+        self._ancestors = None
 
     # ------------------------------------------------------------------ #
     # Derived views (lazy, immutable once built)
@@ -309,6 +316,41 @@ class FlatTree:
             self._preorder = (order, start, (rank[1::2] - rank[0::2] + 1) // 2)
         return self._preorder
 
+    @property
+    def ancestors(self):
+        """The binary-lifting table, a ``(k, num_nodes)`` int64 array:
+        ``ancestors[j, p]`` is the canonical index of node ``p``'s
+        ``2**j``-th ancestor, the root (0) when ``p`` has fewer.  ``2**k``
+        reaches the height, so any climb shorter than the height is one
+        pass per row.  Computed on first use and shared."""
+        if self._ancestors is None:
+            up = np.maximum(self.parent, 0)
+            rows = [up]
+            while 1 << len(rows) < self.height:
+                up = up[up]
+                rows.append(up)
+            self._ancestors = np.stack(rows)
+        return self._ancestors
+
+    def lowest_common_ancestors(self, first, second):
+        """The lowest common ancestor of every pair ``(first[i],
+        second[i])`` of canonical indices, where ``first[i]`` comes before
+        ``second[i]`` in :attr:`preorder`.
+
+        An ancestor of ``second[i]`` contains ``first[i]`` exactly when its
+        subtree starts at or before it.  So ``second[i]`` climbs, by
+        :attr:`ancestors`, to its highest ancestor that starts after
+        ``first[i]``, whose parent is the answer: one array pass per table
+        row, whatever the pairs.
+        """
+        start = self.preorder[1]
+        bound = start[first]
+        node = np.asarray(second, dtype=np.int64)
+        for up in self.ancestors[::-1]:
+            higher = up[node]
+            node = np.where(start[higher] > bound, higher, node)
+        return self.parent[node]
+
     @classmethod
     def from_spanning_tree(cls, tree: SpanningTree) -> "FlatTree":
         """Build the flat representation after validating ``tree``'s structure.
@@ -451,7 +493,7 @@ class FlatTree:
         through :attr:`position_table`, so a tree with a negative id raises
         :class:`~repro.exceptions.ConfigurationError`.  The root can be
         neither removed nor reparented.  The result is a *new* ``FlatTree``
-        whose link and preorder caches start unset.
+        whose link, preorder and ancestor caches start unset.
         """
         reparented = {} if reparented is None else reparented
         depths = {} if depths is None else depths

@@ -62,6 +62,16 @@ class ItemColumns(NamedTuple):
             return self.rows(sum)
         return self.reduce(np.add, 0)
 
+    def sum_array(self):
+        """Per-row item sums as int64, or ``None`` when the items could
+        total past 2**63 (largest item × item count > INT64_MAX), so that
+        some sum over several rows might not fit an int64."""
+        values = self.values
+        if values.size and int(values.max()) * values.size > INT64_MAX:
+            return None
+        # The running sum of the values never passes their total.
+        return self.counts(values)
+
     def reduce(self, ufunc: np.ufunc, empty: object) -> list:
         """``ufunc`` (``np.add``, ``np.minimum``, ...) over each row's items;
         ``empty`` for a row with none."""

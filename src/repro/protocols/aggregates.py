@@ -17,16 +17,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro._util.bits import bit_length_array, fixed_width_bits, varint_bits
+from repro._util.bits import fixed_width_bits, varint_bits, varint_bits_array
 from repro.exceptions import ConfigurationError, EmptyNetworkError
 from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import (
+    charge_up_sweep,
     convergecast,
     count_convergecast,
     extremum_convergecast,
+    subtree_sums,
 )
 
 # Size of the query-announcement broadcast: an opcode identifying the
@@ -55,8 +57,7 @@ def _value_sizes(domain_max: int | None) -> Callable:
         if domain_max is not None:
             width = fixed_width_bits(domain_max)
         else:
-            # varint_bits(v) + 1 == 2 * max(1, v.bit_length()), exactly.
-            width = 2 * np.maximum(1, bit_length_array(values.astype(np.uint64))) - 1
+            width = varint_bits_array(values)
         return np.where(has_data, width + 1, 1)
 
     return sizes
@@ -179,15 +180,18 @@ class SumProtocol:
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "SUM"}, _REQUEST_BITS, protocol="SUM")
-            # Not count_convergecast: a sum can pass 2**53, beyond which its
-            # array sizing is not exact.  The partials are Python ints.
-            answer = convergecast(
-                network,
-                network.item_columns.sums(),
-                lambda a, b: a + b,
-                lambda value: varint_bits(int(value)),
-                protocol="SUM",
-            )
+            local = _batched_sums(network)
+            if local is None:
+                # The partials are Python ints: a sum may pass 2**63.
+                answer = convergecast(
+                    network,
+                    network.item_columns.sums(),
+                    lambda a, b: a + b,
+                    lambda value: varint_bits(int(value)),
+                    protocol="SUM",
+                )
+            else:
+                answer = count_convergecast(network, local, protocol="SUM")
         return metered.result(answer)
 
 
@@ -201,18 +205,41 @@ class AverageProtocol:
         with MeteredRun(network) as metered:
             broadcast(network, {"query": "AVG"}, _REQUEST_BITS, protocol="AVG")
             items = network.item_columns
+            local = _batched_sums(network)
+            if local is None:
 
-            def combine(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-                return a[0] + b[0], a[1] + b[1]
+                def combine(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+                    return a[0] + b[0], a[1] + b[1]
 
-            total, count = convergecast(
-                network,
-                list(zip(items.sums(), items.lengths.tolist())),
-                combine,
-                lambda pair: varint_bits(int(pair[0])) + varint_bits(int(pair[1])),
-                protocol="AVG",
-            )
+                total, count = convergecast(
+                    network,
+                    list(zip(items.sums(), items.lengths.tolist())),
+                    combine,
+                    lambda pair: varint_bits(int(pair[0])) + varint_bits(int(pair[1])),
+                    protocol="AVG",
+                )
+            else:
+                flat = network.flat_tree
+                rows = network.tree_rows
+                sums = subtree_sums(flat, local[rows])
+                counts = subtree_sums(flat, items.lengths[rows])
+                senders = flat.senders
+                charge_up_sweep(
+                    network,
+                    varint_bits_array(sums[senders]) + varint_bits_array(counts[senders]),
+                    "AVG",
+                )
+                total, count = int(sums[0]), int(counts[0])
             if count == 0:
                 raise EmptyNetworkError("AVERAGE: the network holds no items")
             answer = total / count
         return metered.result(answer)
+
+
+def _batched_sums(network: SensorNetwork):
+    """Every row's item sum (int64) for the batched SUM / AVG sweep, or
+    ``None`` for the generic fold: on the per-edge path, or when a subtree
+    sum might not fit an int64."""
+    if network.execution == "per-edge":
+        return None
+    return network.item_columns.sum_array()

@@ -10,10 +10,12 @@ phase of the primitive protocols.
 As with :mod:`~repro.protocols.convergecast`, two execution paths implement
 the same traversal: the batched path (default) expands the whole top-down
 sweep into one :meth:`~repro.network.SensorNetwork.send_batch` call over
-the flat tree's cached ``down_link_array``, while the per-edge path sends
-edge by edge.
+the flat tree's cached ``down_link_array``, and builds nothing per node,
+while the per-edge path sends edge by edge, each child forwarding the
+payload it was delivered.
 They charge the same edges in the same order and are bit-for-bit
-ledger-equivalent.
+ledger-equivalent; neither returns a per-node map, since what each node
+received is what the ledger records.
 """
 
 from __future__ import annotations
@@ -31,23 +33,20 @@ def broadcast(
     payload: Any,
     size_bits: int,
     protocol: str = "broadcast",
-) -> dict[int, Any]:
+) -> None:
     """Send ``payload`` from the root to every node along tree edges.
 
-    Returns a map of node id → delivered payload (identical objects for a
-    reliable radio; the map exists so callers can model per-node delivery if a
-    lossy radio duplicates or mutates messages in the future).
+    Returns nothing: what each node received is what the ledger records.
     The number of synchronous rounds consumed equals the tree height.
     """
     require_non_negative(size_bits, "size_bits")
     if network.execution == "per-edge":
-        return _broadcast_per_edge(network, payload, size_bits, protocol)
-    return _broadcast_batched(network, payload, size_bits, protocol)
+        _broadcast_per_edge(network, payload, size_bits, protocol)
+    else:
+        _broadcast_batched(network, size_bits, protocol)
 
 
-def _broadcast_batched(
-    network: SensorNetwork, payload: Any, size_bits: int, protocol: str
-) -> dict[int, Any]:
+def _broadcast_batched(network: SensorNetwork, size_bits: int, protocol: str) -> None:
     flat = network.flat_tree
     # flat.down_link_array lists every parent→child edge in exactly the
     # order the per-edge top-down sweep transmits them.
@@ -58,16 +57,14 @@ def _broadcast_batched(
         protocol=protocol,
         require_edge=False,
     )
-    # The tree spans the graph, so every node receives the payload.
-    delivered = dict.fromkeys(flat.node_ids, payload)
     network.ledger.advance_round(flat.height)
-    return delivered
 
 
 def _broadcast_per_edge(
     network: SensorNetwork, payload: Any, size_bits: int, protocol: str
-) -> dict[int, Any]:
+) -> None:
     tree = network.tree
+    # Each child forwards the payload it was delivered.
     delivered: dict[int, Any] = {network.root_id: payload}
     for node_id in tree.nodes_top_down():
         if node_id not in delivered:
@@ -78,4 +75,3 @@ def _broadcast_per_edge(
             )
             delivered[child] = message.payload
     network.ledger.advance_round(tree.height)
-    return delivered

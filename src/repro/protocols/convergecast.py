@@ -32,15 +32,18 @@ results (``tests/test_oracle.py`` holds every path to the per-edge reference).
 Where the partial aggregate has an array form, the batched path need not
 fold per-node objects at all: every node's partial is an aggregate of its
 subtree, and a subtree is one span of the tree's depth-first preorder
-(:attr:`~repro.network.flat_tree.FlatTree.preorder`).
-:func:`count_convergecast` (COUNT, COUNTP) is one ``cumsum`` over the
-preorder and one difference per span; :func:`extremum_convergecast` (MIN,
-MAX) is one ``ufunc.reduceat`` over the spans, with a has-item mask standing
-in for the fold's ``None``; APX_COUNT (:mod:`repro.protocols.apx_count`)
-scatters every node's hashes into the root's registers at once.  Either way
-the sizes sent are the ones the per-node fold would send, and
-:func:`charge_up_sweep` charges them.  SUM, AVG and exact COUNT DISTINCT
-keep the generic fold.
+(:attr:`~repro.network.flat_tree.FlatTree.preorder`).  :func:`subtree_sums`
+is one ``cumsum`` over the preorder and one difference per span; it serves
+:func:`count_convergecast` (COUNT, COUNTP, SUM), AVG (run on the sums and
+on the counts) and exact COUNT DISTINCT (:mod:`repro.distinct.exact`, on
+weights that cancel at the meeting point of two holders of one value).
+:func:`extremum_convergecast` (MIN, MAX) is one ``ufunc.reduceat`` over the
+spans, with a has-item mask standing in for the fold's ``None``; APX_COUNT
+(:mod:`repro.protocols.apx_count`) scatters every node's hashes into the
+root's registers at once.  Either way the sizes sent are the ones the
+per-node fold would send, and :func:`charge_up_sweep` charges them.  SUM
+and AVG keep the generic fold only when the items could total past 2**63,
+which an int64 subtree sum cannot hold.
 """
 
 from __future__ import annotations
@@ -143,6 +146,13 @@ def _subtree_running(flat, local):
     return running, start, start + size
 
 
+def subtree_sums(flat, local):
+    """Every node's subtree total of ``local`` (one int64 per canonical
+    position), in canonical order: the root's, at 0, is the whole tree's."""
+    running, start, end = _subtree_running(flat, local)
+    return running[end] - running[start]
+
+
 def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> int:
     """Total ``local_counts`` (one int per link-table row) over the tree,
     each partial sent as a varint.
@@ -150,7 +160,7 @@ def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> i
     The same transmissions as ``convergecast(network, local_counts, a + b,
     varint_bits)``.  Off the per-edge path every subtree sum is one
     difference of a running sum over the preorder, and the sizes are their
-    varint widths.
+    varint widths; the caller keeps every subtree sum within int64.
     """
     local_counts = np.asarray(local_counts, dtype=np.int64)
     if network.execution == "per-edge":
@@ -158,8 +168,7 @@ def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> i
             network, local_counts.tolist(), operator.add, varint_bits, protocol
         )
     flat = network.flat_tree
-    running, start, end = _subtree_running(flat, local_counts[network.tree_rows])
-    sums = running[end] - running[start]
+    sums = subtree_sums(flat, local_counts[network.tree_rows])
     charge_up_sweep(network, varint_bits_array(sums[flat.senders]), protocol)
     return int(sums[0])  # the root has canonical index 0
 

@@ -30,10 +30,9 @@ benchmarks.  Callers own charging: the kernel hands positions and sizes to a
 ``charge`` callable and interprets its returned delivery mask.
 
 Exact bit-width arithmetic: the varint widths come from the array helpers
-of :mod:`repro._util.bits`, which recover ``bit_length`` exactly for
-magnitudes below 2**53.  Count summaries at any simulated scale stay far
-below that; the helpers guard the bound explicitly rather than silently
-rounding.
+of :mod:`repro._util.bits`, which recover ``bit_length`` exactly over all
+of int64 (each 32-bit half of a word converts to float64 exactly), so no
+summary value is sized by a rounded float.
 """
 
 from __future__ import annotations

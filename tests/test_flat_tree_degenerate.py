@@ -1,5 +1,8 @@
 """FlatTree on degenerate topologies, and fail-fast invariant validation."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -375,6 +378,28 @@ class TestPreorder:
             rewired, tree_from_parents(tree.root, rewired.parent_map())
         )
 
+    @given(case=patched_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_lowest_common_ancestors_of_random_trees_and_their_rewires(self, case):
+        """Every preorder-ordered pair of nodes meets where the dict walk
+        to the root says, before and after a rewire."""
+        tree, removed, reparented, depths = case
+        flat = FlatTree.from_parents(tree.root, tree.parent)
+        for each in (flat, flat.rewire(removed=removed, reparented=reparented, depths=depths)):
+            pairs = np.asarray(
+                list(combinations(each.preorder[0].tolist(), 2)), dtype=np.int64
+            ).reshape(-1, 2)
+
+            def path(position):
+                while position >= 0:
+                    yield position
+                    position = int(each.parent[position])
+
+            expected = [
+                next(x for x in path(b) if x in set(path(a))) for a, b in pairs.tolist()
+            ]
+            assert each.lowest_common_ancestors(pairs[:, 0], pairs[:, 1]).tolist() == expected
+
     def test_single_node(self):
         flat = FlatTree.from_spanning_tree(line_tree(1))
         assert [part.tolist() for part in flat.preorder] == [[0], [0], [1]]
@@ -392,3 +417,8 @@ class TestPreorder:
         assert order.tolist() == list(range(num_nodes))
         assert start.tolist() == list(range(num_nodes))
         assert size.tolist() == list(range(num_nodes, 0, -1))
+        # 16 lifting rows reach the height; on a line the earlier node of a
+        # pair is the meeting point.
+        assert flat.ancestors.shape == (16, num_nodes)
+        later = np.arange(1, num_nodes, 997, dtype=np.int64)
+        assert flat.lowest_common_ancestors(later - 1, later).tolist() == (later - 1).tolist()

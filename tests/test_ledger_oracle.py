@@ -13,7 +13,10 @@ The program covers scalar charges, tuple batches below and above
 ``SMALL_BATCH`` (and above a shrunk ``_BATCH_CHUNK``), array batches whose
 ``copies`` include 0, self-pairs, marks taken, released and spanning
 resets and merges, an unsized ledger growing under a live mark, and all of
-it with and without a per-node budget.
+it with and without a per-node budget.  An unsized ledger grows by doubling,
+so its growth stops at ``MAX_ROWS`` rows, and the invariant reads the
+touched rows and the rows at the edge of the columns, not every row: a draw
+with many growth steps would otherwise walk millions of rows.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from ledger_oracle import DictLedger
 
 #: A sized ledger holds ids ``0..SIZED-1``.
 SIZED = 12
+#: No rule draws an id past an unsized ledger's columns once they hold this
+#: many rows.
+MAX_ROWS = 1024
 
 sizes = st.integers(min_value=-1, max_value=90)
 copies = st.integers(min_value=0, max_value=3)
@@ -59,10 +65,19 @@ class LedgerAgainstOracle(RuleBasedStateMachine):
         #: ``(mark, oracle mark)`` pairs still compared.
         self.marks = []
 
+    def growing(self) -> bool:
+        """Whether rules may still grow the columns: unsized, below
+        ``MAX_ROWS`` rows."""
+        return not self.sized and self.ledger.num_nodes < MAX_ROWS
+
     def nodes(self):
         """Ids a sized ledger holds; on an unsized one, the ids its columns
-        hold and the first past them, so it keeps growing under live marks."""
-        high = SIZED - 1 if self.sized else self.ledger.num_nodes
+        hold and, while :meth:`growing`, the first past them, so it keeps
+        growing under live marks."""
+        if self.sized:
+            high = SIZED - 1
+        else:
+            high = self.ledger.num_nodes - (not self.growing())
         return st.integers(min_value=0, max_value=high)
 
     def both(self, act):
@@ -76,9 +91,10 @@ class LedgerAgainstOracle(RuleBasedStateMachine):
 
     @rule(data=st.data(), size=sizes)
     def grow(self, data, size):
-        """Charge the first id past an unsized ledger's columns."""
+        """Charge the first id past an unsized ledger's columns, while
+        :meth:`growing`."""
         node = self.ledger.num_nodes
-        if not self.sized:
+        if self.growing():
             sender = data.draw(self.nodes())
             self.both(lambda ledger: ledger.charge(sender, node, size, protocol="g"))
 
@@ -173,8 +189,15 @@ class LedgerAgainstOracle(RuleBasedStateMachine):
         ledger, oracle = self.ledger, self.oracle
         assert ledger.snapshot() == oracle.snapshot()
         assert ledger.counters_snapshot() == oracle.counters_snapshot()
-        assert set(ledger.nodes()) == set(oracle.nodes())
-        for node in range(SIZED if self.sized else ledger.num_nodes + 1):
+        touched = set(ledger.nodes())
+        assert touched == set(oracle.nodes())
+        if self.sized:
+            rows = range(SIZED)
+        else:
+            # The touched rows, the first and last row, the first id past.
+            edge = {0, ledger.num_nodes - 1, ledger.num_nodes}
+            rows = sorted(touched | {row for row in edge if row >= 0})
+        for node in rows:
             assert ledger.traffic(node) == oracle.traffic(node)
         for mark, oracle_mark in self.marks:
             # The dict mark also lists touched nodes whose delta is 0.

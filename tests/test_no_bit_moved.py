@@ -239,16 +239,18 @@ def test_oneshot_paper_queries_meter_on_the_array_ledger(monkeypatch):
 def test_oneshot_paper_queries_leave_no_per_node_python(monkeypatch):
     """Guard against a silent fallback to per-node Python: one round of the
     12 queries on ``"batched"`` never seeds a ``random.Random`` inside
-    APX_COUNT, never turns a tuple list into a link array, and never reaches
-    the generic fold from MIN, MAX, COUNT or COUNTP."""
+    APX_COUNT, never turns a tuple list into a link array, never reaches
+    the generic fold from MIN, MAX, COUNT, COUNTP, SUM, AVG or
+    COUNT_DISTINCT, and never builds a per-node map in a broadcast."""
     import importlib
     import random
     import sys
 
     from repro.network import simulator
 
-    # The package re-exports the function under the module's name.
+    # The package re-exports the functions under the modules' names.
     convergecast = importlib.import_module("repro.protocols.convergecast")
+    broadcast = importlib.import_module("repro.protocols.broadcast")
 
     seed_generator = random.Random.__init__
 
@@ -261,15 +263,49 @@ def test_oneshot_paper_queries_leave_no_per_node_python(monkeypatch):
         raise AssertionError("a batched one-shot sweep sent a tuple list")
 
     generic_fold = convergecast._convergecast_batched
+    kernels = ("MIN", "MAX", "COUNT", "COUNTP", "SUM", "AVG", "COUNT_DISTINCT")
 
     def guarded_fold(network, local_values, combine, size_bits, protocol):
-        if protocol in ("MIN", "MAX", "COUNT", "COUNTP"):
+        if protocol in kernels:
             raise AssertionError(f"{protocol} reached the generic batched fold")
         return generic_fold(network, local_values, combine, size_bits, protocol)
+
+    # In a batched broadcast, broadcast.py runs a few lines and calls no
+    # builtin but len: a map over the nodes would run a line per node
+    # (a comprehension) or a builtin such as dict.fromkeys.
+    broadcasting = broadcast._broadcast_batched
+    lines, builtins = [], []
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return count_lines
+
+    def trace(frame, event, arg):
+        return count_lines if frame.f_code.co_filename == broadcast.__file__ else None
+
+    def watch_builtins(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename == broadcast.__file__:
+            if arg is not len:
+                builtins.append(arg)
+
+    def watched_broadcast(*args):
+        lines.clear()
+        tracer, profiler = sys.gettrace(), sys.getprofile()
+        sys.settrace(trace)
+        sys.setprofile(watch_builtins)
+        try:
+            broadcasting(*args)
+        finally:
+            sys.setprofile(profiler)
+            sys.settrace(tracer)
+        assert not builtins, f"a batched broadcast called {builtins}"
+        assert len(lines) < 20, f"a batched broadcast ran {len(lines)} lines"
 
     monkeypatch.setattr(random.Random, "__init__", guarded_init)
     monkeypatch.setattr(simulator, "_pair_array", refuse_pair_array)
     monkeypatch.setattr(convergecast, "_convergecast_batched", guarded_fold)
+    monkeypatch.setattr(broadcast, "_broadcast_batched", watched_broadcast)
     n = 256
     domain = n * n
     network = SensorNetwork.from_items(

@@ -72,6 +72,7 @@ from repro.core.apx_median import ApproximateMedianProtocol
 from repro.core.apx_median2 import PolyloglogMedianProtocol
 from repro.core.median import DeterministicMedianProtocol
 from repro.core.rep_count import RepetitionPolicy
+from repro.distinct import ExactDistinctCountProtocol
 from repro.exceptions import ReproError
 from repro.faults import (
     FaultEngine,
@@ -92,7 +93,13 @@ from repro.network.radio import (
     ReliableRadio,
 )
 from repro.network.topology import build_links
-from repro.protocols.aggregates import CountProtocol, SumProtocol
+from repro.protocols.aggregates import (
+    AverageProtocol,
+    CountProtocol,
+    MaxProtocol,
+    MinProtocol,
+    SumProtocol,
+)
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
@@ -441,7 +448,7 @@ def tree_sweeps(dirty: set):
             return ("summary", 8 + (node_id % 3) * 4 + 2 * len(updates))
 
         stats = epoch_convergecast(network, set(dirty), decide, protocol="epoch")
-        delivered = broadcast(network, "query", 24, protocol="request")
+        broadcast(network, "query", 24, protocol="request")
         total = convergecast(
             network,
             local_values=network.item_columns.sums(),
@@ -449,7 +456,7 @@ def tree_sweeps(dirty: set):
             size_bits=size_bits,
             protocol="sum",
         )
-        return stats, delivered, total, sizes
+        return stats, total, sizes
 
     return step
 
@@ -461,6 +468,11 @@ PROTOCOLS = {
     "count": lambda: CountProtocol(),
     "countp": lambda: CountPredicateProtocol(BELOW_200),
     "sum": lambda: SumProtocol(),
+    "avg": lambda: AverageProtocol(),
+    "min": lambda: MinProtocol(),
+    "max": lambda: MaxProtocol(),
+    "distinct_exact": lambda: ExactDistinctCountProtocol(domain_max=512),
+    "distinct_exact_varint": lambda: ExactDistinctCountProtocol(domain_max=None),
     "median": lambda: DeterministicMedianProtocol(domain_max=512),
     "apx_count": lambda: ApproxCountProtocol(num_registers=16),
     "apx_count_hll_below": lambda: ApproxCountProtocol(
@@ -715,3 +727,46 @@ def test_every_cell_of_the_grid_runs_the_same(topology, radio, workload, script)
     rng = random.Random(f"{topology}/{radio}/{workload}/{script}")
     twins = Twins(grid_scenario(rng, topology, radio, workload))
     run_script(twins, script, rng)
+
+
+# --------------------------------------------------------------------------- #
+# Directed: sums beyond float precision and beyond int64
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("radio", ["reliable", "lossy"])
+@pytest.mark.parametrize("kind", ["sum", "avg"])
+@pytest.mark.parametrize(
+    "high, folds", [(1 << 50, False), (1 << 62, True)], ids=["past-2**53", "past-2**63"]
+)
+def test_sums_past_float_precision_and_int64(kind, radio, high, folds):
+    """Item sums past 2**53 take the array kernel, whose varint widths must
+    still be exact; a total past 2**63 (largest item × item count above
+    INT64_MAX) takes the generic fold with Python-int partials."""
+    scenario = Scenario(
+        topology="random_geometric",
+        num_nodes=24,
+        seed=3,
+        degree_bound=3,
+        radio=(radio, 17),
+        retries=16,
+        budget=None,
+        workload="one-shot",
+        epsilon=0.1,
+        mix=(),
+        tenant_bits_budget=None,
+        detector_period=None,
+        traced=False,
+    )
+    twins = Twins(scenario)
+    rng = random.Random(high)
+    items = {
+        node: [high + rng.randrange(1 << 20) for _ in range(2)]
+        for node in twins.network.node_ids()
+    }
+    twins.apply(lambda twin: twin.network.assign_items(items))
+    assert (twins.network.item_columns.sum_array() is None) == folds
+    twins.apply(lambda twin: PROTOCOLS[kind]().run(twin.network))
+    assert twins.reference.outcome[0] == "ok"
+    if kind == "sum":
+        total = sum(map(sum, items.values()))
+        assert total > (1 << 63 if folds else 1 << 53)
+        assert twins.reference.outcome[1].value == total

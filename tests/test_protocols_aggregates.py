@@ -21,9 +21,21 @@ from repro.workloads.generators import uniform_values
 
 
 class TestBroadcast:
-    def test_reaches_every_node(self, small_network):
-        delivered = broadcast(small_network, {"q": 1}, 16)
-        assert set(delivered) == set(small_network.node_ids())
+    @pytest.mark.parametrize("execution", ["per-edge", "batched"])
+    def test_reaches_every_node(self, small_items, execution):
+        """Delivery is what the ledger records: every node but the root
+        receives the payload's bits once."""
+        network = SensorNetwork.from_items(
+            small_items, topology=grid_links(3, 3), execution=execution
+        )
+        assert broadcast(network, {"q": 1}, 16) is None
+        received = {
+            node: network.ledger.traffic(node).bits_received
+            for node in network.node_ids()
+        }
+        assert received == {
+            node: 0 if node == network.root_id else 16 for node in network.node_ids()
+        }
 
     def test_every_tree_edge_charged_once(self, small_network):
         broadcast(small_network, "x", 10)

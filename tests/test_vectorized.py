@@ -16,6 +16,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._util import bits as scalar_bits
 from repro.network.radio import LossyRadio
@@ -71,12 +73,25 @@ class TestVarintKernels:
             scalar_bits.signed_varint_bits(int(v)) for v in signed
         ]
 
-    def test_exactness_guard_trips_beyond_2_to_53(self):
-        from repro.exceptions import ConfigurationError
-        from repro.streaming.vector_kernels import varint_bits_array
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1), min_size=1))
+    @example([0, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63) - 1, -(1 << 63)])
+    def test_every_int64_matches_scalar(self, values):
+        """Exact over all of int64: no float rounding past 2**53, and the
+        zigzag of ``-2**63`` (``2**64 - 1``) does not overflow."""
+        from repro.streaming.vector_kernels import (
+            signed_varint_bits_array,
+            varint_bits_array,
+        )
 
-        with pytest.raises(ConfigurationError):
-            varint_bits_array(np.asarray([1 << 53], dtype=np.int64))
+        signed = np.asarray(values, dtype=np.int64)
+        assert signed_varint_bits_array(signed).tolist() == [
+            scalar_bits.signed_varint_bits(v) for v in values
+        ]
+        magnitudes = [v if v >= 0 else -(v + 1) for v in values]
+        assert varint_bits_array(np.asarray(magnitudes, dtype=np.int64)).tolist() == [
+            scalar_bits.varint_bits(v) for v in magnitudes
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -229,6 +244,7 @@ class TestFlatTreeArrays:
         stale_down = flat.down_links
         stale_down_array = flat.down_link_array.tolist()
         stale_preorder = [part.tolist() for part in flat.preorder]
+        stale_ancestors = flat.ancestors.tolist()
         patched = flat.rewire(removed=[5], reparented={4: 2}, depths={4: 2})
         # Build the expectation directly: node 5 gone, node 4 under node 2.
         expected = FlatTree.from_arrays([-1, 0, 0, 1, 2])
@@ -249,22 +265,30 @@ class TestFlatTreeArrays:
         assert patched.down_links != stale_down
         assert patched.down_link_array.tolist() != stale_down_array
         assert [part.tolist() for part in patched.preorder] != stale_preorder
+        # Node 4 now sits under node 2: its ancestors are 2, then the root.
+        assert patched.ancestors.tolist() == expected.ancestors.tolist() == [
+            [0, 0, 0, 1, 2]
+        ]
+        assert patched.ancestors.tolist() != stale_ancestors
         # The source instance's caches are untouched (rewire is pure).
         assert flat.up_links == stale_up
         assert flat.down_links == stale_down
         assert flat.down_link_array.tolist() == stale_down_array
         assert [part.tolist() for part in flat.preorder] == stale_preorder
+        assert flat.ancestors.tolist() == stale_ancestors
 
     def test_rewire_then_sweep_reads_the_new_tree(self):
         """A network whose tree is replaced by a rewire sweeps the new tree:
-        MIN and COUNT read exactly the nodes it spans, over its links, even
-        with every cache of the old tree built."""
+        MIN, COUNT and exact COUNT DISTINCT read exactly the nodes it spans,
+        over its links, even with every cache of the old tree built."""
+        from repro.distinct import ExactDistinctCountProtocol
         from repro.protocols import CountProtocol, MinProtocol
 
         network = SensorNetwork.from_items([5, 4, 7, 3, 9, 1], topology="line")
         flat = network.flat_tree
         assert MinProtocol().run(network).value == 1
-        _ = flat.preorder, flat.down_link_array, flat.up_link_array
+        assert ExactDistinctCountProtocol().run(network).value == 6
+        _ = flat.preorder, flat.down_link_array, flat.up_link_array, flat.ancestors
         # Cut node 5 off the end of the line: its item 1 leaves the tree.
         network.set_tree(flat.rewire(removed=[5]))
         assert MinProtocol().run(network).value == 3
@@ -273,6 +297,7 @@ class TestFlatTreeArrays:
         assert network.ledger.snapshot().messages == 2 * 4  # broadcast + convergecast
         network.set_tree(network.flat_tree.rewire(removed=[4, 3, 2]))
         assert MinProtocol().run(network).value == 4
+        assert ExactDistinctCountProtocol().run(network).value == 2
 
 
 # --------------------------------------------------------------------------- #
