@@ -123,8 +123,6 @@ def test_sharded_ledger_identity(smoke):
     ledger exactly — per-node bits, totals, messages, rounds and
     per-protocol breakdowns.
     """
-    from repro.streaming.vector_engine import VectorStreamEngine
-
     num_nodes = 1024 if smoke else 10_000
     batched_net, sharded_net = (
         SensorNetwork.from_items(
@@ -134,7 +132,7 @@ def test_sharded_ledger_identity(smoke):
     )
     engines = [
         ContinuousQueryEngine(batched_net, epsilon=0.1),
-        VectorStreamEngine(sharded_net, epsilon=0.1, shard_processes=2),
+        ContinuousQueryEngine(sharded_net, epsilon=0.1, shard_processes=2),
     ]
     rng = random.Random(17)
     epochs = [
@@ -148,8 +146,7 @@ def test_sharded_ledger_identity(smoke):
         engine.register("count", CountQuery())
         for updates in epochs:
             engine.advance_epoch(dict(updates))
-        if hasattr(engine, "close"):
-            engine.close()
+        engine.close()
 
     left = batched_net.ledger.snapshot()
     right = sharded_net.ledger.snapshot()

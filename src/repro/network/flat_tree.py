@@ -191,7 +191,7 @@ class FlatTree:
         :attr:`index` for fields with dense non-negative ids — the table is
         ``max(id) + 1`` long — and the one id→position table the array
         paths share: :meth:`rewire`, the fast repair and election, and the
-        vectorized engine's column re-alignment all read it.
+        streaming column sweep's re-alignment all read it.
         """
         if self._position_table is None:
             ids = self.ids_array

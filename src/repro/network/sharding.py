@@ -1,4 +1,4 @@
-"""Subtree sharding: the multiprocessing backend of the vectorized engine.
+"""Subtree sharding: the multiprocessing backend of the streaming column sweep.
 
 ``execution="sharded"`` partitions the field along the *root-adjacent cut*:
 every child subtree of the root is an indivisible unit (all of a non-root

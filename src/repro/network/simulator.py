@@ -67,13 +67,12 @@ if TYPE_CHECKING:
 
 #: Valid values of :attr:`SensorNetwork.execution`.
 #:
-#: ``"batched"`` and ``"per-edge"`` select the charging path of the generic
-#: tree protocols.  ``"vectorized"`` and ``"sharded"`` additionally make the
-#: streaming layer run its fused numpy epoch pipeline
-#: (:class:`repro.streaming.vector_engine.VectorStreamEngine`) — single
-#: process or subtree-sharded multiprocessing respectively; generic one-shot
-#: protocols treat both exactly like ``"batched"``, so every mode stays
-#: bit-for-bit ledger-identical.  Every mode meters on the one
+#: ``"batched"`` and ``"per-edge"`` select the charging path of the tree
+#: protocols.  ``"sharded"`` additionally fans the streaming engine's
+#: count-query column sweeps out to subtree-sharded worker processes;
+#: ``"vectorized"`` is a spelling of ``"batched"``, kept only for
+#: ``benchmarks/perf``.  Every other protocol treats both exactly like
+#: ``"batched"``, so every mode stays bit-for-bit ledger-identical.  Every mode meters on the one
 #: :class:`~repro.network.CommunicationLedger`; a network built without an
 #: explicit ``ledger=`` sizes it to its highest id plus one.
 EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
@@ -207,10 +206,10 @@ class SensorNetwork:
         """Which execution path protocols use — one of :data:`EXECUTION_MODES`.
 
         ``"batched"`` (default) charges whole sweeps at once; ``"per-edge"``
-        is the simple reference implementation.  ``"vectorized"`` and
-        ``"sharded"`` opt the streaming layer into the fused numpy epoch
-        pipeline (single-process, or subtree-sharded worker processes);
-        generic tree protocols treat them like ``"batched"``.  Every mode
+        is the simple reference implementation.  ``"sharded"`` fans the
+        streaming engine's column sweeps out to subtree-sharded worker
+        processes, and ``"vectorized"`` is a spelling of ``"batched"``;
+        every other protocol treats both like ``"batched"``.  Every mode
         produces bit-for-bit identical ledgers (enforced by
         ``tests/test_oracle.py``).  The mode given at construction also
         picks the default ledger class (see :data:`EXECUTION_MODES`);

@@ -27,9 +27,10 @@ telemetry spans, is directly comparable with the simulator-backed runs.
 
 Perfect links only: there is no radio model at this scale (the lossy /
 duplicating radios count every link's sends, which is exactly the per-link
-cost this class exists to avoid).  For radio-faithful vectorized execution
+cost this class exists to avoid).  For radio-faithful array execution
 over a real :class:`~repro.network.SensorNetwork`, use
-:class:`repro.streaming.vector_engine.VectorStreamEngine`.
+:class:`repro.streaming.ContinuousQueryEngine`, whose column sweep runs the
+same kernel.
 """
 
 from __future__ import annotations

@@ -26,11 +26,12 @@ so ledgers — including lossy-radio retries — are bit-for-bit identical.
 
 The ``"vectorized"`` and ``"sharded"`` execution modes fall through to the
 batched path here (this module's ``decide`` callback is inherently
-per-node); their whole-array twin of this traversal — same level schedule,
+per-node).  The whole-array twin of this traversal — same level schedule,
 same charge order, no callback — is
-:func:`repro.streaming.vector_kernels.sweep_levels`, which the
-count-specialised :class:`~repro.streaming.vector_engine.VectorStreamEngine`
-substitutes for the loop below.
+:func:`repro.streaming.vector_kernels.sweep_levels`, which the streaming
+engine's column sweep (:class:`~repro.streaming.kernels.SweepKernel`) runs
+instead of the loop below for count-valued queries on perfect-link
+fields.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ time.  This subpackage is that execution layer:
   caches per-subtree summaries and per epoch retransmits only deltas from
   nodes whose summary moved beyond an ε-slack, so steady-state communication
   is proportional to change rather than network size;
+* :mod:`repro.streaming.kernels` — the two ways the engine runs a query's
+  epoch: the per-node ``decide`` fold (any summary) and the whole-array
+  column sweep (count-valued summaries on perfect-link fields);
 * :mod:`repro.streaming.recompute` — :class:`RecomputeEngine`, the naive
   every-epoch-from-scratch baseline the savings are measured against;
 * :mod:`repro.streaming.trace` — per-epoch bits / messages / energy records.
@@ -36,7 +39,7 @@ Quick start::
     print(engine.answers(), trace.total_bits)
 """
 
-from repro.streaming.engine import ContinuousQueryEngine, run_stream
+from repro.streaming.engine import ContinuousQueryEngine, engine_for, run_stream
 from repro.streaming.queries import (
     CountQuery,
     DistinctCountQuery,
@@ -53,11 +56,9 @@ from repro.streaming.summaries import (
     StreamSummary,
 )
 from repro.streaming.trace import EpochRecord, StreamingTrace
-from repro.streaming.vector_engine import VectorStreamEngine, engine_for
 
 __all__ = [
     "ContinuousQueryEngine",
-    "VectorStreamEngine",
     "engine_for",
     "RecomputeEngine",
     "run_stream",

@@ -7,11 +7,11 @@
 1. applies the stream's reading updates to the nodes (sensing is free),
 2. recomputes the local summary of every updated node and marks the node
    dirty if the summary actually changed,
-3. runs one :func:`~repro.protocols.epoch_convergecast.epoch_convergecast`
-   per query, in which an activated node merges its cached children summaries
-   with its own and retransmits only when the result differs from what it
-   last sent by more than the ε-slack (transmissions are charged at *delta*
-   cost against the parent's cached copy), and
+3. runs one change-driven convergecast per query, in which an activated
+   node merges its cached children summaries with its own and retransmits
+   only when the result differs from what it last sent by more than the
+   ε-slack (transmissions are charged at *delta* cost against the parent's
+   cached copy), and
 4. reads the answers off the root's merged summary and appends an
    :class:`~repro.streaming.trace.EpochRecord` to the trace.
 
@@ -25,54 +25,35 @@ answer at every epoch — the same additive guarantee whether the stream
 drifts, bursts or churns.  Steady-state communication is therefore
 proportional to *change*: an epoch in which nothing moves costs zero bits.
 
-This module is the *reference* implementation: per-node Python state, one
-``decide`` callback per active node, any summary type.  For count-valued
-queries at production scale, :mod:`repro.streaming.vector_engine` provides
-:class:`~repro.streaming.vector_engine.VectorStreamEngine`, a drop-in
-subclass that runs the same epoch as whole-array level sweeps (and, under
-``execution="sharded"``, fans subtrees out to worker processes) while
-staying bit-for-bit ledger-identical;
-:func:`~repro.streaming.vector_engine.engine_for` picks the right engine
-for a network's execution mode.
+Each query runs on one of two kernels (:mod:`repro.streaming.kernels`),
+picked at registration from the query and the field, never from a user
+option: the per-node ``decide`` fold, which serves any summary, or the
+whole-array column sweep, which serves count-valued summaries on
+perfect-link fields.  Both charge the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.network.energy import EnergyModel
+from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.protocols.broadcast import broadcast
-from repro.protocols.epoch_convergecast import EpochStats, epoch_convergecast
+from repro.streaming.kernels import FoldKernel, SweepKernel
 from repro.streaming.queries import REGISTRATION_BITS, StandingQuery
-from repro.streaming.summaries import StreamSummary
+from repro.streaming.summaries import CountSummary, StreamSummary
 from repro.streaming.trace import EpochRecord, StreamingTrace, build_epoch_record
 
 
-@dataclass
-class _NodeQueryState:
-    """Per-(node, query) cached state."""
-
-    local: StreamSummary | None = None
-    children: dict[int, StreamSummary] = field(default_factory=dict)
-    subtree: StreamSummary | None = None
-    transmitted: StreamSummary | None = None
-
-
-@dataclass
-class _QueryState:
-    """Per-query engine state."""
-
-    query: StandingQuery
-    nodes: dict[int, _NodeQueryState]
-    initialized: bool = False
-    scale: float = 0.0
-
-
 class ContinuousQueryEngine:
-    """Serve standing aggregate queries over a time-evolving sensor network."""
+    """Serve standing aggregate queries over a time-evolving sensor network.
+
+    ``shards`` / ``shard_processes`` size the worker pool of an
+    ``execution="sharded"`` network's column sweeps (``shard_processes=0``
+    runs the shards inline); :meth:`close` shuts that pool down.
+    """
 
     protocol_prefix = "stream"
 
@@ -81,6 +62,9 @@ class ContinuousQueryEngine:
         network: SensorNetwork,
         epsilon: float = 0.1,
         energy_model: EnergyModel | None = None,
+        *,
+        shards: int = 4,
+        shard_processes: int | None = None,
     ) -> None:
         if epsilon < 0:
             raise ConfigurationError(f"epsilon must be non-negative, got {epsilon}")
@@ -88,12 +72,17 @@ class ContinuousQueryEngine:
         self.epsilon = epsilon
         self.energy_model = energy_model if energy_model is not None else EnergyModel()
         self.trace = StreamingTrace()
-        self._queries: dict[str, _QueryState] = {}
+        self._queries: dict[str, FoldKernel | SweepKernel] = {}
         self._answers: dict[str, Any] = {}
         self._pending_dirty: set[int] = set()
         #: Last epoch's "anything transmitting?" truth, for the
         #: ``suppression.flip`` flight event (``None`` before any epoch).
         self._suppression_state: bool | None = None
+        self._shards = shards
+        self._shard_processes = shard_processes
+        #: The sharded sweeps' worker pool and the tree its plan was cut from.
+        self._runner = None
+        self._runner_tree = None
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -109,13 +98,7 @@ class ContinuousQueryEngine:
         """
         if name in self._queries:
             raise ConfigurationError(f"query {name!r} is already registered")
-        self._queries[name] = _QueryState(
-            query=query,
-            nodes={
-                node_id: _NodeQueryState()
-                for node_id in self.network.attached_node_ids()
-            },
-        )
+        self._queries[name] = self._kernel_for(query)
         if announce:
             broadcast(
                 self.network,
@@ -124,9 +107,30 @@ class ContinuousQueryEngine:
                 protocol=f"{self.protocol_prefix}:{name}:register",
             )
 
+    def _kernel_for(self, query: StandingQuery) -> FoldKernel | SweepKernel:
+        """The column sweep for a count-valued query on a perfect-link field
+        (or on a sharded one); the ``decide`` fold for the rest.
+
+        Perfect links and no per-node budget are what let the sweep charge a
+        whole epoch in one batch; a radio swapped in later still charges
+        exactly, one level at a time.
+        """
+        network = self.network
+        sharded = network.execution == "sharded"
+        if isinstance(query.local_summary([]), CountSummary) and (
+            sharded
+            or (
+                network.execution != "per-edge"
+                and type(network.radio) is ReliableRadio
+                and network.ledger.per_node_budget_bits is None
+            )
+        ):
+            return SweepKernel(network, query, self._shard_runner if sharded else None)
+        return FoldKernel(network, query)
+
     def queries(self) -> dict[str, StandingQuery]:
         """The registered queries by name."""
-        return {name: state.query for name, state in self._queries.items()}
+        return {name: kernel.query for name, kernel in self._queries.items()}
 
     def answers(self) -> dict[str, Any]:
         """The most recent per-query answers (empty before the first epoch)."""
@@ -142,16 +146,35 @@ class ContinuousQueryEngine:
         summary at the root instead of costing extra convergecasts.
         """
         try:
-            state = self._queries[name]
+            kernel = self._queries[name]
         except KeyError:
             raise ConfigurationError(f"unknown query {name!r}") from None
-        root_state = state.nodes.get(self.network.root_id)
-        return None if root_state is None else root_state.subtree
+        return kernel.root_summary()
 
     @property
     def epoch(self) -> int:
         """Number of epochs advanced so far."""
         return len(self.trace)
+
+    def close(self) -> None:
+        """Shut down the sharded sweeps' worker pool, if one was started."""
+        if self._runner is not None:
+            self._runner.close()
+        self._runner = self._runner_tree = None
+
+    def _shard_runner(self):
+        """The worker pool for the current tree (shard plans are per-tree);
+        ``None`` when nothing hangs below the root."""
+        flat = self.network.flat_tree
+        if self._runner_tree is not flat:
+            from repro.network.sharding import ShardRunner, build_shard_plan
+
+            self.close()
+            plan = build_shard_plan(flat, self._shards)
+            if plan is not None:
+                self._runner = ShardRunner(plan, processes=self._shard_processes)
+            self._runner_tree = flat
+        return self._runner
 
     # ------------------------------------------------------------------ #
     # Fault recovery
@@ -185,29 +208,14 @@ class ContinuousQueryEngine:
         """
         if election is None:
             return
-        new_root = election.new_root
-        path = tuple(election.reversed_path)
         dirty: set[int] = set()
-        for state in self._queries.values():
-            nodes = state.nodes
-            nodes.pop(election.old_root, None)
-            previous: int | None = None
-            for member in path:
-                node_state = nodes.get(member)
-                if node_state is None:
-                    node_state = nodes[member] = _NodeQueryState()
-                if previous is not None:
-                    node_state.children.pop(previous, None)
-                node_state.transmitted = None
-                dirty.add(member)
-                previous = member
-            if new_root not in nodes:
-                nodes[new_root] = _NodeQueryState()
+        for kernel in self._queries.values():
+            kernel.root_change(election, dirty)
         # The winner must re-read its subtree even if nothing else changed,
         # so the standing answers move to the new root this epoch.
-        dirty.add(new_root)
+        dirty.add(election.new_root)
         self._pending_dirty |= dirty
-        self._record_root_change_evictions(path)
+        self._record_root_change_evictions(tuple(election.reversed_path))
 
     def apply_repair(self, result) -> None:
         """Re-synchronise the summary caches after a spanning-tree repair.
@@ -235,40 +243,14 @@ class ContinuousQueryEngine:
             return
         flat = self.network.flat_tree
         if result.rebuilt:
-            for state in self._queries.values():
-                state.nodes = {
-                    node_id: _NodeQueryState() for node_id in flat.node_ids
-                }
-                state.initialized = False
+            for kernel in self._queries.values():
+                kernel.reset()
             self._pending_dirty = set(flat.node_ids)
-            self._record_evictions(result)
-            return
-        dirty: set[int] = set()
-        removed = set(result.removed)
-        for state in self._queries.values():
-            nodes = state.nodes
-            for node_id in removed:
-                nodes.pop(node_id, None)
-            for parent, child in result.child_losses:
-                parent_state = nodes.get(parent)
-                if parent_state is not None:
-                    parent_state.children.pop(child, None)
-                    dirty.add(parent)
-            for node_id in result.parent_changed:
-                node_state = nodes.get(node_id)
-                if node_state is None:
-                    node_state = nodes[node_id] = _NodeQueryState()
-                node_state.transmitted = None
-                dirty.add(node_id)
-            # Nodes that re-entered the tree after being dropped in an
-            # earlier repair (a region detached for several epochs) need
-            # fresh state and a full retransmission, even off the reversal
-            # path — their old caches died with the states.
-            for node_id in flat.node_ids:
-                if node_id not in nodes:
-                    nodes[node_id] = _NodeQueryState()
-                    dirty.add(node_id)
-        self._pending_dirty |= dirty & flat.index.keys()
+        else:
+            dirty: set[int] = set()
+            for kernel in self._queries.values():
+                kernel.repair(result, dirty)
+            self._pending_dirty |= dirty & flat.index.keys()
         self._record_evictions(result)
 
     def _record_evictions(self, result) -> None:
@@ -337,16 +319,18 @@ class ContinuousQueryEngine:
         telemetry = self.network.telemetry
         stream_span = telemetry.span("stream", epoch=len(self.trace))
         with stream_span:
-            for name, state in self._queries.items():
-                dirty = self._refresh_local_summaries(state, updates)
+            for name, kernel in self._queries.items():
+                dirty = kernel.refresh(updates)
                 dirty |= pending
                 dirty &= in_tree
                 total_dirty |= dirty
                 with telemetry.span("convergecast", query=name):
-                    stats = self._run_query_epoch(name, state, dirty)
+                    stats = kernel.run(
+                        dirty, self._slack(kernel), f"{self.protocol_prefix}:{name}"
+                    )
                 stats_total["transmissions"] += stats.transmissions
                 stats_total["suppressions"] += stats.suppressions
-                self._read_answer(name, state)
+                self._read_answer(name, kernel)
             if telemetry.enabled:
                 stream_span.annotate(
                     dirty_nodes=len(total_dirty),
@@ -386,89 +370,18 @@ class ContinuousQueryEngine:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _refresh_local_summaries(
-        self, state: _QueryState, updates: Mapping[int, Sequence[int]]
-    ) -> set[int]:
-        """Recompute local summaries of updated nodes; return the dirty set.
+    def _slack(self, kernel: FoldKernel | SweepKernel) -> float:
+        return self.epsilon * kernel.scale / max(1, self.network.num_nodes)
 
-        The new readings are the ``updates`` themselves (already assigned to
-        the network); only the first pass reads every node's items back.
-        Updates addressed to nodes the engine no longer tracks (crashed or
-        cut off by faults) are ignored — their readings cannot reach the
-        root until a repair re-attaches them, at which point
-        :meth:`apply_repair` recreates their state.
-        """
-        if state.initialized:
-            readings = updates
-        else:
-            readings = {node: self.network.items_of(node) for node in state.nodes}
-            state.initialized = True
-        dirty: set[int] = set()
-        for node_id, items in readings.items():
-            node_state = state.nodes.get(node_id)
-            if node_state is None:
-                continue
-            new_local = state.query.local_summary(items)
-            if node_state.local is None or not new_local.same_as(node_state.local):
-                node_state.local = new_local
-                dirty.add(node_id)
-        return dirty
-
-    def _slack(self, state: _QueryState) -> float:
-        return self.epsilon * state.scale / max(1, self.network.num_nodes)
-
-    def _run_query_epoch(
-        self, name: str, state: _QueryState, dirty: set[int]
-    ) -> EpochStats:
-        slack = self._slack(state)
-        root = self.network.flat_tree.root_id
-
-        def decide(
-            node_id: int, received: Mapping[int, StreamSummary]
-        ) -> tuple[StreamSummary, int] | None:
-            node_state = state.nodes[node_id]
-            for child, summary in received.items():
-                node_state.children[child] = summary
-            subtree = node_state.local
-            if subtree is None:  # a query registered before any epoch ran
-                subtree = state.query.local_summary(self.network.items_of(node_id))
-                node_state.local = subtree
-            for summary in node_state.children.values():
-                subtree = subtree.merge(summary)
-            node_state.subtree = subtree
-            if node_id == root:
-                return None
-            if node_state.transmitted is None:
-                bits = subtree.serialized_bits()
-            elif subtree.distance(node_state.transmitted) <= slack:
-                return None
-            else:
-                # A wholesale content shift can make the delta cost more than
-                # starting over; a real sender picks the cheaper frame, at the
-                # price of one flag bit telling the receiver which it got.
-                bits = 1 + min(
-                    subtree.delta_bits(node_state.transmitted),
-                    subtree.serialized_bits(),
-                )
-            node_state.transmitted = subtree
-            return subtree, bits
-
-        return epoch_convergecast(
-            self.network,
-            dirty,
-            decide,
-            protocol=f"{self.protocol_prefix}:{name}",
-        )
-
-    def _read_answer(self, name: str, state: _QueryState) -> None:
-        root_state = state.nodes[self.network.root_id]
-        if root_state.subtree is None:
+    def _read_answer(self, name: str, kernel: FoldKernel | SweepKernel) -> None:
+        summary = kernel.root_summary()
+        if summary is None:
             return  # nothing has ever reached the root for this query
-        self._answers[name] = state.query.answer(root_state.subtree)
+        self._answers[name] = kernel.query.answer(summary)
         # High-water mark: suppressed residue from an epoch with a larger
         # answer persists until those nodes re-activate, so both the slack and
         # the reported bound must keep covering the largest scale seen.
-        state.scale = max(state.scale, state.query.scale(root_state.subtree))
+        kernel.scale = max(kernel.scale, kernel.query.scale(summary))
 
     def error_bounds(self) -> dict[str, float]:
         """Per-query absolute answer-error guarantees.
@@ -477,8 +390,8 @@ class ContinuousQueryEngine:
         the instantaneous one — see the class docstring.
         """
         return {
-            name: state.query.error_bound(self.epsilon, state.scale)
-            for name, state in self._queries.items()
+            name: kernel.query.error_bound(self.epsilon, kernel.scale)
+            for name, kernel in self._queries.items()
         }
 
 
@@ -500,3 +413,8 @@ def run_stream(
     for epoch in range(1, epochs):
         engine.advance_epoch(stream.step(epoch))
     return engine.trace
+
+
+#: The engine, under the name ``benchmarks/perf`` imports; each query's
+#: kernel no longer depends on which name built the engine.
+engine_for = ContinuousQueryEngine

@@ -59,10 +59,6 @@ class RecomputeEngine:
     def answers(self) -> dict[str, Any]:
         return dict(self._answers)
 
-    @property
-    def epoch(self) -> int:
-        return len(self.trace)
-
     def advance_epoch(
         self, updates: Mapping[int, Sequence[int]] | None = None
     ) -> EpochRecord:

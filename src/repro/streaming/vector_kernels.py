@@ -1,9 +1,10 @@
-"""Whole-array level-sweep kernels behind the vectorized execution paths.
+"""Whole-array level-sweep kernels behind the streaming column sweep.
 
 The reference :func:`~repro.protocols.epoch_convergecast.epoch_convergecast`
 visits each active node through a Python ``decide`` callback.  At production
-scale that callback dominates the epoch, so the vectorized engine replaces it
-with :func:`sweep_levels`: one pass per tree level over contiguous ``int64``
+scale that callback dominates the epoch, so for count-valued queries the
+engine's :class:`~repro.streaming.kernels.SweepKernel` replaces it with
+:func:`sweep_levels`: one pass per tree level over contiguous ``int64``
 columns, computing every node's merge / suppression / delta decision with
 array arithmetic and charging the level's transmissions in a single batch.
 
@@ -22,8 +23,8 @@ count-valued summaries (:class:`~repro.streaming.summaries.CountSummary`):
   (``last_delivered``) only on delivery — so lossy radios leave the same
   stale caches the reference leaves.
 
-The same kernel serves three callers: the in-process vectorized engine
-(whole tree, root at position 0), the sharded backend (subtree slices whose
+The same kernel serves three callers: the in-process column sweep (whole
+tree, root at position 0), the sharded backend (subtree slices whose
 tops transmit *externally* to the root), and the standalone
 :class:`~repro.network.vector_field.VectorField` used by the million-node
 benchmarks.  Callers own charging: the kernel hands positions and sizes to a

@@ -53,7 +53,6 @@ The cardinal rule, enforced by the overhead-guard test: telemetry
 """
 
 from repro.telemetry.attribution import (
-    ATTRIBUTION_MODES,
     CostAttribution,
     EpochAttribution,
 )
@@ -95,7 +94,6 @@ from repro.telemetry.recorder import (
 from repro.telemetry.spans import Span, SpanTracer, phases_payload
 
 __all__ = [
-    "ATTRIBUTION_MODES",
     "Anomaly",
     "CONTEXT_KINDS",
     "CostAttribution",

@@ -35,9 +35,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.sketches.qdigest import QDigest
 
-#: Valid values of :attr:`CostAttribution.mode`.
-ATTRIBUTION_MODES = ("auto", "dense", "sketch")
-
 #: The sketch's value domain: per-node epoch deltas are clamped into
 #: ``[0, 2**UNIVERSE_BITS)`` (30 bits ≈ a gigabit on one node in one epoch,
 #: far beyond anything the suppression machinery permits).
@@ -103,11 +100,10 @@ class EpochAttribution:
 class CostAttribution:
     """Opt-in per-node cost sink fed from ledger-mark deltas.
 
-    ``mode="auto"`` (default) keeps the dense column while the population
-    stays at or below ``dense_limit`` and switches to the sketch above it;
-    ``"dense"`` / ``"sketch"`` pin one representation.  ``epsilon`` sets the
-    q-digest compression (``compression ≈ 1/ε``); ``top_k`` the exact
-    hotspot count.  ``span_name`` names the span whose close feeds the sink
+    The fold keeps the dense column while the population stays at or
+    below ``dense_limit`` and switches to the sketch above it (so
+    ``dense_limit=0`` always sketches).  ``epsilon`` sets the q-digest
+    compression (``compression ≈ 1/ε``); ``top_k`` the exact hotspot count.  ``span_name`` names the span whose close feeds the sink
     (the pipeline's per-epoch unit, ``"epoch"``).
 
     Attach to a tracer and run as usual::
@@ -119,24 +115,18 @@ class CostAttribution:
 
     def __init__(
         self,
-        mode: str = "auto",
         *,
         top_k: int = 8,
         epsilon: float = 1 / 64,
         dense_limit: int = 200_000,
         span_name: str = "epoch",
     ) -> None:
-        if mode not in ATTRIBUTION_MODES:
-            raise ConfigurationError(
-                f"unknown attribution mode {mode!r}; known: {ATTRIBUTION_MODES}"
-            )
         if top_k <= 0:
             raise ConfigurationError(f"top_k must be positive, got {top_k}")
         if not 0 < epsilon <= 1:
             raise ConfigurationError(
                 f"epsilon must be in (0, 1], got {epsilon}"
             )
-        self.mode = mode
         self.top_k = top_k
         self.epsilon = epsilon
         self.compression = max(1, round(1 / epsilon))
@@ -175,10 +165,6 @@ class CostAttribution:
         return deltas
 
     def _use_dense(self, population: int) -> bool:
-        if self.mode == "dense":
-            return True
-        if self.mode == "sketch":
-            return False
         return population <= self.dense_limit
 
     def _fold_array(self, epoch: int, deltas) -> None:
@@ -388,6 +374,6 @@ class CostAttribution:
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
-            f"CostAttribution(mode={self.mode!r}, epochs={len(self.epochs)}, "
+            f"CostAttribution(dense_limit={self.dense_limit}, epochs={len(self.epochs)}, "
             f"top_k={self.top_k}, compression={self.compression})"
         )

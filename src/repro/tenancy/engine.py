@@ -1,10 +1,10 @@
 """One engine, many tenants: the multi-tenant standing-query service.
 
 :class:`MultiTenantEngine` is the runtime half of the tenancy layer.  It
-owns one underlying streaming engine — picked per the network's execution
-mode by :func:`~repro.streaming.engine_for`, so batched, per-edge,
-vectorized and sharded networks all work — and drives it through the
-shared plan the :class:`~repro.tenancy.QueryPlanner` maintains:
+owns one :class:`~repro.streaming.ContinuousQueryEngine`, which serves any
+mix of queries on any network (each leg on the kernel its query and the
+field pick), and drives it through the shared plan the
+:class:`~repro.tenancy.QueryPlanner` maintains:
 
 * :meth:`register` admits a tenant's query through the planner; only a
   decision that creates a **new leg** registers anything on the engine
@@ -39,10 +39,9 @@ from typing import Any, Mapping, Sequence
 from repro.exceptions import ConfigurationError
 from repro.network.energy import EnergyModel
 from repro.network.simulator import SensorNetwork
+from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import StandingQuery
-from repro.streaming.summaries import CountSummary
-from repro.streaming.trace import EpochRecord, StreamingTrace
-from repro.streaming.vector_engine import VectorStreamEngine, engine_for
+from repro.streaming.trace import EpochRecord
 from repro.tenancy.ledger import TenantLedgerSplit
 from repro.tenancy.planner import AdmissionDecision, QueryPlanner
 
@@ -59,7 +58,9 @@ class MultiTenantEngine:
         **engine_kwargs: Any,
     ) -> None:
         self.network = network
-        self.engine = engine_for(network, epsilon, energy_model, **engine_kwargs)
+        self.engine = ContinuousQueryEngine(
+            network, epsilon, energy_model, **engine_kwargs
+        )
         self.planner = QueryPlanner(
             num_nodes=network.num_nodes, bits_budget=bits_budget
         )
@@ -93,17 +94,6 @@ class MultiTenantEngine:
         if name in self._tenant_queries.get(tenant, {}):
             raise ConfigurationError(
                 f"tenant {tenant!r} already registered query {name!r}"
-            )
-        if isinstance(self.engine, VectorStreamEngine) and not isinstance(
-            query.local_summary([]), CountSummary
-        ):
-            # Fail before the planner records anything, mirroring the
-            # vectorized engine's own count-only registration guard.
-            raise ConfigurationError(
-                f"{type(query).__name__} is not count-valued; a "
-                f"{self.network.execution!r} network serves COUNT / COUNTP "
-                "tenants only — use a batched or per-edge network for "
-                "quantile and distinct-count tenants"
             )
         decision = self.planner.admit(tenant, name, query, tier=tier)
         if decision.status == "admitted":
@@ -177,21 +167,7 @@ class MultiTenantEngine:
 
     def close(self) -> None:
         """Release underlying resources (sharded worker pools)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-
-    @property
-    def trace(self) -> StreamingTrace:
-        return self.engine.trace
-
-    @property
-    def epoch(self) -> int:
-        return self.engine.epoch
-
-    @property
-    def epsilon(self) -> float:
-        return self.engine.epsilon
+        self.engine.close()
 
     @property
     def energy_model(self) -> EnergyModel:

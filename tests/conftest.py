@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import grid_links, line_links
 from repro.telemetry import NULL_SPAN, TelemetryRecorder
@@ -98,3 +99,19 @@ def medium_items(rng) -> list[int]:
 def medium_network(medium_items) -> SensorNetwork:
     """A 10x10 grid holding :func:`medium_items`."""
     return SensorNetwork.from_items(medium_items, topology=grid_links(10, 10))
+
+
+
+class FoldingReliableRadio(ReliableRadio):
+    """Perfect links that are not *the* perfect-link class.  The engine puts
+    a count query on the column sweep only when ``type(radio) is
+    ReliableRadio``, so under this radio every standing query takes the
+    ``decide`` fold, while every send costs what it costs on perfect links."""
+
+
+@pytest.fixture(params=["sweep", "fold"])
+def kernel_radio(request):
+    """A perfect-link radio per engine kernel: off ``"per-edge"``, count
+    queries take the column sweep under ``ReliableRadio`` and the ``decide``
+    fold under :class:`FoldingReliableRadio`."""
+    return ReliableRadio() if request.param == "sweep" else FoldingReliableRadio()

@@ -30,6 +30,7 @@ from repro.exceptions import (
 )
 from repro.faults import HeartbeatDetector
 from repro.network import (
+    EXECUTION_MODES,
     CommunicationLedger,
     DuplicatingRadio,
     LossyRadio,
@@ -428,11 +429,11 @@ def test_default_ledger_is_sized_to_the_highest_id_and_yields_to_ledger_argument
     def graph():
         return random_geometric_links(16, seed=0)
 
-    for mode in ("batched", "per-edge", "vectorized", "sharded"):
+    for mode in EXECUTION_MODES:
         ledger = SensorNetwork(graph(), execution=mode).ledger
         assert type(ledger) is CommunicationLedger and ledger.num_nodes == 16
     explicit = CommunicationLedger()
-    assert SensorNetwork(graph(), execution="vectorized", ledger=explicit).ledger is explicit
+    assert SensorNetwork(graph(), execution="sharded", ledger=explicit).ledger is explicit
     sparse = nx.relabel_nodes(graph().to_networkx(), {node: 3 * node + 1 for node in range(16)})
     network = SensorNetwork(sparse, root=1, execution="per-edge")
     assert network.ledger.num_nodes == 3 * 15 + 2

@@ -201,8 +201,6 @@ def delta_grid(touched):
 class TestCostAttribution:
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError):
-            CostAttribution(mode="approximate")
-        with pytest.raises(ConfigurationError):
             CostAttribution(top_k=0)
         with pytest.raises(ConfigurationError):
             CostAttribution(epsilon=0.0)
@@ -226,7 +224,7 @@ class TestCostAttribution:
 
     def test_sketch_mode_holds_no_dense_state(self):
         ledger = CommunicationLedger()
-        sink = CostAttribution(mode="sketch", top_k=2, epsilon=1 / 32)
+        sink = CostAttribution(top_k=2, epsilon=1 / 32, dense_limit=0)
         mark = ledger.mark()
         for node in range(1, 40):
             ledger.charge(node, 0, 8 * node, protocol="stream:count")
@@ -252,9 +250,10 @@ class TestCostAttribution:
         for id_space, deltas in delta_grid(touched):
             column = np.zeros(id_space, dtype=np.int64)
             column[list(deltas)] = list(deltas.values())
-            for mode, dense_limit in (("dense", 0), ("sketch", 0), ("auto", 100)):
+            # Dense at any population, sketch at any, and switching at 100.
+            for dense_limit in (1 << 62, 0, 100):
                 for top_k in (1, 8, 12_000):
-                    settings = dict(mode=mode, top_k=top_k, dense_limit=dense_limit)
+                    settings = dict(top_k=top_k, dense_limit=dense_limit)
                     sink, oracle = CostAttribution(**settings), RetiredDictFolds(**settings)
                     sink._fold_array(0, column)
                     oracle._fold_dict(0, deltas)
@@ -402,14 +401,10 @@ class TestStormDiagnosis:
 class TestVectorizedReconciliation:
     """Satellite: the causal layer on the numpy execution paths."""
 
-    def test_vector_stream_engine_spans_reconcile_through_a_crash(self):
-        from repro.streaming.vector_engine import VectorStreamEngine
-
-        network = SensorNetwork.from_items(
-            [0] * 64, topology="grid", execution="vectorized"
-        )
+    def test_column_sweep_spans_reconcile_through_a_crash(self):
+        network = SensorNetwork.from_items([0] * 64, topology="grid")
         network.clear_items()
-        engine = VectorStreamEngine(network, epsilon=0.1)
+        engine = ContinuousQueryEngine(network, epsilon=0.1)
         engine.register("count", CountQuery())
         script = FaultScript({3: [NodeCrash(7), NodeCrash(21)]})
         faults = FaultEngine(
@@ -439,13 +434,11 @@ class TestVectorizedReconciliation:
         assert tracer.flight.events_of("detect.miss")
 
     def test_sharded_sweep_spans_carry_per_shard_breakdown(self):
-        from repro.streaming.vector_engine import VectorStreamEngine
-
         network = SensorNetwork.from_items(
             [0] * 64, topology="grid", execution="sharded"
         )
         network.clear_items()
-        engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=0)
+        engine = ContinuousQueryEngine(network, epsilon=0.1, shard_processes=0)
         engine.register("count", CountQuery())
         tracer = SpanTracer()
         network.telemetry = tracer
@@ -535,15 +528,12 @@ class TestOverheadGuard:
     VECTOR_NODES = 100_000
 
     def run_pipeline(self, telemetry, num_nodes):
-        """One crash-under-heartbeats run of the full vectorized fault pipeline."""
-        from repro.streaming.vector_engine import VectorStreamEngine
+        """One crash-under-heartbeats run of the full array fault pipeline."""
         from repro.workloads.streams import DriftStream
 
-        network = SensorNetwork.from_items(
-            [0] * num_nodes, topology="grid", execution="vectorized"
-        )
+        network = SensorNetwork.from_items([0] * num_nodes, topology="grid")
         network.clear_items()
-        engine = VectorStreamEngine(network, epsilon=0.1)
+        engine = ContinuousQueryEngine(network, epsilon=0.1)
         engine.register("count", CountQuery())
         script = FaultScript({2: [NodeCrash(7), NodeCrash(21)]})
         faults = FaultEngine(
@@ -598,8 +588,8 @@ class TestOverheadGuard:
         """Flight + attribution behind a disabled recorder cost O(phases).
 
         The deterministic form of the old "within 10% wall-clock" ratio,
-        which flaked under load: through the whole vectorized fault
-        pipeline (heartbeats, two crashes, repair, stream sweep) a disabled
+        which flaked under load: through the whole array fault pipeline
+        (heartbeats, two crashes, repair, column sweep) a disabled
         recorder is reached by the same per-phase calls at n = 100 and
         n = 2,500, no gated hook fires, and neither sink sees an event or
         an attribution fold — while the charged bits match a traced run.

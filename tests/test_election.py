@@ -21,6 +21,7 @@ from repro.faults import (
     TreeRepair,
     run_faulty_stream,
 )
+from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery
@@ -256,9 +257,9 @@ class TestRootCrashEvent:
 # Streaming recovery: cache migration along the reversed root path
 # --------------------------------------------------------------------------- #
 class TestStreamRecovery:
-    def _run(self, num_nodes=36, crash_epoch=2, epochs=6, execution="batched"):
+    def _run(self, num_nodes=36, crash_epoch=2, epochs=6, execution="batched", radio=None):
         network = SensorNetwork.from_items(
-            [0] * num_nodes, topology="grid", seed=0, execution=execution
+            [0] * num_nodes, topology="grid", seed=0, execution=execution, radio=radio
         )
         network.clear_items()
         engine = ContinuousQueryEngine(network, epsilon=0.0)
@@ -284,15 +285,20 @@ class TestStreamRecovery:
         assert trace.election_count == 1
         assert trace.total_election_bits > 0
 
-    def test_answers_move_to_the_new_root_exactly(self):
-        network, engine, trace = self._run()
+    def test_answers_move_to_the_new_root_exactly(self, kernel_radio):
+        network, engine, trace = self._run(radio=kernel_radio)
         crash = trace[2]
         assert crash.new_root == 35
         assert crash.answers["count"] == 35.0  # the dead root's reading is gone
         assert crash.errors["count"] == 0.0
         assert engine.answers()["count"] == 35.0
-        # The old root's per-query state died with it.
-        assert 0 not in engine._queries["count"].nodes
+        # The old root's per-query state died with it: no fold entry, or
+        # no sweep row and no parked copy.
+        kernel = engine._queries["count"]
+        if type(kernel_radio) is ReliableRadio:
+            assert 0 not in kernel.flat.index and 0 not in kernel.parked
+        else:
+            assert 0 not in kernel.nodes
         assert network.root_id == 35
 
     def test_migration_beats_cold_resync(self):

@@ -9,8 +9,9 @@ the contracts of the layers underneath:
   (``RootElection._plan_arrays``) — it must be the tuple-list builder's
   plan (``_plan_reference``) link for link, and be the builder a dense
   network actually runs;
-* the vectorized engine charges a sweep's levels in one ``send_batch`` on
-  perfect links: one call per sweep, the same links as one call per level.
+* the engine's column sweep charges a sweep's levels in one ``send_batch``
+  on perfect links: one call per sweep, the same links as one call per
+  level.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.faults import RootElection, TreeRepair
 from repro.network import SensorNetwork
 from repro.network.radio import ReliableRadio
 from repro.network.topology import build_links
-from repro.streaming import CountQuery, PredicateCountQuery, engine_for
+from repro.streaming import ContinuousQueryEngine, CountQuery, PredicateCountQuery
 
 _settings = settings(
     max_examples=40,
@@ -164,7 +165,6 @@ def test_array_election_is_what_a_dense_numpy_network_runs(monkeypatch):
         monkeypatch.setattr(RootElection, name, recording(name))
     for execution, expected in (
         ("batched", "_plan_arrays"),
-        ("vectorized", "_plan_arrays"),
         ("per-edge", "_plan_reference"),
     ):
         network = SensorNetwork.from_items([1] * 9, topology="grid", execution=execution)
@@ -186,8 +186,8 @@ def test_array_election_is_what_a_dense_numpy_network_runs(monkeypatch):
 # --------------------------------------------------------------------------- #
 def stream_network(radio):
     graph = build_links("grid", 36)
-    network = SensorNetwork(graph, radio=radio, degree_bound=3, execution="vectorized")
-    engine = engine_for(network, epsilon=0.1)
+    network = SensorNetwork(graph, radio=radio, degree_bound=3)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     engine.register("small", PredicateCountQuery(lambda item: item < 50, description="x < 50"))
     return network, engine

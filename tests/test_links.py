@@ -43,7 +43,7 @@ from repro.network.topology import (
     random_geometric_links,
     random_tree_links,
 )
-from repro.streaming import CountQuery, engine_for
+from repro.streaming import ContinuousQueryEngine, CountQuery
 from repro.workloads import DriftStream
 from repro.workloads.faults import link_storm_script, storm_under_churn_script
 
@@ -286,8 +286,8 @@ def test_the_graph_view_is_read_only():
 
 
 def test_no_fault_or_epoch_path_builds_the_networkx_view(monkeypatch):
-    """A vectorized storm + link storm + two root crashes, watched: the view
-    is never built, so no hot path reads it."""
+    """A storm + link storm + two root crashes on the column sweep, watched:
+    the view is never built, so no hot path reads it."""
     built = []
     original = LinkTable.to_networkx
 
@@ -302,10 +302,9 @@ def test_no_fault_or_epoch_path_builds_the_networkx_view(monkeypatch):
         topology="random_geometric",
         seed=3,
         degree_bound=None,
-        execution="vectorized",
     )
     network.clear_items()
-    engine = engine_for(network, epsilon=0.1)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     script = (
         storm_under_churn_script(

@@ -38,7 +38,7 @@ from repro.protocols import (
     MinProtocol,
     SumProtocol,
 )
-from repro.streaming import CountQuery, engine_for
+from repro.streaming import ContinuousQueryEngine, CountQuery
 from repro.workloads import DriftStream, uniform_values
 
 
@@ -211,15 +211,12 @@ def test_the_one_shot_queries_never_build_a_node_view(monkeypatch):
     assert CountProtocol().run(network).value == n
 
 
-@pytest.mark.parametrize("execution", ["batched", "vectorized"])
-def test_a_faulty_stream_never_builds_a_node_view(monkeypatch, execution):
+def test_a_faulty_stream_never_builds_a_node_view(monkeypatch, kernel_radio):
     n, epochs = 100, 12
-    network = SensorNetwork.from_items(
-        [0] * n, topology="grid", execution=execution
-    )
+    network = SensorNetwork.from_items([0] * n, topology="grid", radio=kernel_radio)
     network.clear_items()
     _refuse_views(monkeypatch)
-    engine = engine_for(network, epsilon=0.1)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     script = FaultScript(
         {2: [NodeCrash(17)], 5: [RootCrash()], 7: [NodeRejoin(17, items=(3, 4))]}

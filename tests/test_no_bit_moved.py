@@ -5,8 +5,11 @@ paper's one-shot protocols are run at small fixed sizes and everything the
 simulation can observe — per-epoch answers, every bit/message column of the
 ``FaultTrace`` and the final ``ledger.snapshot()`` — is hashed.  The constants below were computed on commit ``4c02ed7``
 (PR 11, the parent of the kernel rewrite in ``repro.sketches`` /
-``repro._util``) — the count-valued ``execution="vectorized"`` epoch's on
-``7bac39f`` (PR 13, the parent of the array-native charged send); a kernel that folds a different count into a parent,
+``repro._util``) — the count-valued epoch's on ``7bac39f`` (the parent of
+the array-native charged send), where it ran on the column sweep
+of ``execution="vectorized"``; it now runs twice, once on the sweep and
+once on the ``decide`` fold (``kernel_radio`` in ``tests/conftest.py``),
+and both must hit the one constant.  A kernel that folds a different count into a parent,
 prices one delta entry more or less, or makes the radio draw for one send
 more or less changes the hash.  (The dict *order* of a digest's ``counts`` moves no
 bit, so it is not visible here — ``tests/test_sketch_kernels.py`` holds the
@@ -54,11 +57,11 @@ from repro.protocols import (
     SumProtocol,
 )
 from repro.streaming import (
+    ContinuousQueryEngine,
     CountQuery,
     DistinctCountQuery,
     PredicateCountQuery,
     QuantileQuery,
-    engine_for,
 )
 from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.telemetry.records import json_safe
@@ -319,20 +322,21 @@ def test_oneshot_paper_queries_leave_no_per_node_python(monkeypatch):
         assert protocol.run(network).total_bits > 0
 
 
-def _count_path_run(script_for, observed: bool):
-    """24 epochs of the count-valued ``execution="vectorized"`` engine on a
-    400-node random-geometric field under ``script_for(network, epochs)``,
-    heartbeat period 1; returns the trace rows and the hashed payload."""
+def _count_path_run(script_for, observed: bool, radio):
+    """24 epochs of a count-valued engine on a 400-node random-geometric
+    field of perfect links (``radio``, which picks the kernel) under
+    ``script_for(network, epochs)``, heartbeat period 1; returns the trace
+    rows and the hashed payload."""
     n, epochs = 400, 24
     network = SensorNetwork.from_items(
         [0] * n,
         topology="random_geometric",
         seed=SEED,
         degree_bound=None,
-        execution="vectorized",
+        radio=radio,
     )
     network.clear_items()
-    engine = engine_for(network, epsilon=0.1)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     engine.register(
         "below_mid",
@@ -360,9 +364,9 @@ def _count_path_run(script_for, observed: bool):
 
 
 @pytest.mark.parametrize("observed", [False, True])
-def test_count_path_epochs_move_no_bit(observed):
-    """The count-valued epoch of ``execution="vectorized"`` under a storm,
-    background churn and a root crash, bare and with the full watcher on.
+def test_count_path_epochs_move_no_bit(observed, kernel_radio):
+    """The count-valued epoch under a storm, background churn and a root
+    crash, bare and with the full watcher on, on either kernel.
 
     ``COUNT_PATH_SHA256`` was computed on commit ``7bac39f`` (PR 13, the
     parent of the array-native charged send), where this network's ledger
@@ -370,7 +374,6 @@ def test_count_path_epochs_move_no_bit(observed):
     tuple-list ``send_batch``; installing the tracer moves no bit, so both
     runs pin the same constant.
     """
-
     def script_for(network, epochs):
         return storm_under_churn_script(
             network.node_ids(),
@@ -383,14 +386,14 @@ def test_count_path_epochs_move_no_bit(observed):
             rejoin_value_max=VALUE_MAX,
         ).merge(FaultScript({3 * epochs // 4: [RootCrash()]}))
 
-    rows, digest = _count_path_run(script_for, observed)
+    rows, digest = _count_path_run(script_for, observed, kernel_radio)
     assert sum(row["crashes"] for row in rows) >= 400 // 10  # the storm landed
     assert [row["new_root"] for row in rows].count(None) == len(rows) - 1
     assert digest == COUNT_PATH_SHA256
 
 
 @pytest.mark.parametrize("observed", [False, True])
-def test_cut_tree_edges_and_reelection_move_no_bit(observed):
+def test_cut_tree_edges_and_reelection_move_no_bit(observed, kernel_radio):
     """What the storm pin above never sees: tree edges cut under live nodes
     and a second fail-over.  30% of the links drop at epoch 6, the root
     crashes at epoch 8 (election over a field whose old tree is in pieces),
@@ -399,7 +402,6 @@ def test_cut_tree_edges_and_reelection_move_no_bit(observed):
     ``LINK_STORM_SHA256`` was computed on commit ``bb4d945`` (PR 16, the
     parent of the mask-built attach sweep and the array election flood).
     """
-
     def script_for(network, epochs):
         return link_storm_script(
             network.links,
@@ -411,7 +413,7 @@ def test_cut_tree_edges_and_reelection_move_no_bit(observed):
             FaultScript({epochs // 3: [RootCrash()], 3 * epochs // 4: [RootCrash()]})
         )
 
-    rows, digest = _count_path_run(script_for, observed)
+    rows, digest = _count_path_run(script_for, observed, kernel_radio)
     assert rows[6]["link_drops"] > 0 and rows[6]["reparented"] > 0  # tree edges cut
     assert [row["new_root"] for row in rows if row["new_root"] is not None] == [399, 398]
     assert digest == LINK_STORM_SHA256

@@ -106,7 +106,13 @@ from repro.protocols.convergecast import convergecast
 from repro.protocols.countp import CountPredicateProtocol
 from repro.protocols.epoch_convergecast import epoch_convergecast
 from repro.protocols.predicates import LessThanPredicate
-from repro.streaming import CountQuery, PredicateCountQuery, engine_for
+from repro.streaming import (
+    ContinuousQueryEngine,
+    CountQuery,
+    DistinctCountQuery,
+    PredicateCountQuery,
+    QuantileQuery,
+)
 from repro.telemetry import CostAttribution, FlightRecorder, SpanTracer
 from repro.tenancy import MultiTenantEngine
 
@@ -207,11 +213,11 @@ class Scenario:
         return ReliableRadio()
 
     def candidates(self) -> list[str]:
-        """Every path checked against the reference: ``"per-edge"``,
-        ``"batched"`` and ``"vectorized"`` on the one ledger, carrying the
-        scenario's budget; sharded workers need perfect links and no
-        budget."""
-        paths = ["per-edge", "batched", "vectorized"]
+        """Every path checked against the reference: ``"per-edge"`` and
+        ``"batched"`` (each query on the kernel the engine picks) on the one
+        ledger, carrying the scenario's budget; sharded workers need perfect
+        links and no budget."""
+        paths = ["per-edge", "batched"]
         if self.budget is None and self.radio[0] == "reliable":
             paths.append("sharded")
         return paths
@@ -327,7 +333,7 @@ class Twin:
                 {node_id: [rng.randrange(1, 400)] for node_id in network.node_ids()}
             )
         elif scenario.workload == "engine":
-            self.engine = engine_for(network, scenario.epsilon, shard_processes=0)
+            self.engine = ContinuousQueryEngine(network, scenario.epsilon, shard_processes=0)
             self.run(self._register_engine)
         else:
             self.engine = MultiTenantEngine(
@@ -343,8 +349,15 @@ class Twin:
         self.engine.register("low", PredicateCountQuery(below_200, "below_200"))
 
     def _register_tenants(self, mix) -> list:
-        for index, (tenant, predicate) in enumerate(mix):
-            query = PredicateCountQuery(below_200, "below_200") if predicate else CountQuery()
+        """The drawn count mix, then a q-digest quantile leg and a LogLog
+        distinct leg: every path serves any mix of queries."""
+        queries = [
+            (tenant, PredicateCountQuery(below_200, "below_200") if predicate else CountQuery())
+            for tenant, predicate in mix
+        ]
+        queries.append(("acme", QuantileQuery(0.5, universe_size=400, compression=8)))
+        queries.append(("globex", DistinctCountQuery(num_registers=16)))
+        for index, (tenant, query) in enumerate(queries):
             decision = self.engine.register(tenant, f"q{index}", query)
             self.decisions.append((decision.status, decision.leg, decision.signature))
         return self.decisions

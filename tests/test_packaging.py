@@ -127,9 +127,9 @@ for module in pkgutil.walk_packages(repro.__path__, "repro."):
 
 from repro.core import DeterministicMedianProtocol, reference_median
 from repro.faults import FaultEngine, FaultScript, NodeCrash, RootCrash, run_faulty_stream
-from repro.network import SensorNetwork
+from repro.network import ReliableRadio, SensorNetwork
 from repro.network.topology import TOPOLOGY_BUILDERS, build_links
-from repro.streaming import CountQuery, engine_for
+from repro.streaming import ContinuousQueryEngine, CountQuery
 from repro.workloads import DriftStream
 
 for name in TOPOLOGY_BUILDERS:
@@ -143,16 +143,19 @@ for execution in ("batched", "per-edge"):
     result = DeterministicMedianProtocol().run(network)
     assert result.value.median == reference_median(items), execution
 
-for execution in ("batched", "vectorized"):
-    network = SensorNetwork.from_items([0] * 36, topology="grid", execution=execution)
+class FoldingReliableRadio(ReliableRadio):  # perfect links, count queries on the fold
+    pass
+
+for radio in (FoldingReliableRadio(), ReliableRadio()):  # the fold, then the sweep
+    network = SensorNetwork.from_items([0] * 36, topology="grid", radio=radio)
     network.clear_items()
-    engine = engine_for(network, epsilon=0.1)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     script = FaultScript({2: [NodeCrash(7)], 4: [RootCrash()]})
     faults = FaultEngine(network, script=script)
     trace = run_faulty_stream(engine, DriftStream(36, seed=0), faults, epochs=6)
     new_roots = [row["new_root"] for row in trace.to_dicts() if row["new_root"] is not None]
-    assert new_roots == [35], (execution, new_roots)
+    assert new_roots == [35], (type(radio).__name__, new_roots)
 
 assert "networkx" not in sys.modules
 """

@@ -29,7 +29,7 @@ from repro.faults import (
 from repro.network import FlatTree, SensorNetwork, SpanningTree, tree_from_parents
 from repro.network.spanning_tree import build_tree, spanning_parents
 from repro.network.topology import TOPOLOGY_BUILDERS, build_links
-from repro.streaming import CountQuery, engine_for
+from repro.streaming import ContinuousQueryEngine, CountQuery
 from repro.workloads import DriftStream
 from repro.workloads.faults import storm_under_churn_script
 
@@ -163,8 +163,7 @@ def test_random_parent_maps_build_the_dict_constructor_arrays(case):
 # --------------------------------------------------------------------------- #
 # No array path builds the view
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("execution", ["vectorized", "batched"])
-def test_the_array_paths_never_build_the_tree_view(monkeypatch, execution):
+def test_the_array_paths_never_build_the_tree_view(monkeypatch, kernel_radio):
     """Heartbeat detection, a crash storm, rejoins, a dropped tree edge and
     a root crash on a dense field, off the per-edge path: the view is never
     built."""
@@ -174,7 +173,7 @@ def test_the_array_paths_never_build_the_tree_view(monkeypatch, execution):
         topology="random_geometric",
         seed=3,
         degree_bound=None,
-        execution=execution,
+        radio=kernel_radio,
     )
     network.clear_items()
     # A tree edge with a subtree below it, dropped before anything else
@@ -191,7 +190,7 @@ def test_the_array_paths_never_build_the_tree_view(monkeypatch, execution):
         raise AssertionError("an array path built the tree view")
 
     monkeypatch.setattr(SpanningTree, "from_flat", refuse)
-    engine = engine_for(network, epsilon=0.1)
+    engine = ContinuousQueryEngine(network, epsilon=0.1)
     engine.register("count", CountQuery())
     script = (
         storm_under_churn_script(

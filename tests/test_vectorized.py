@@ -1,15 +1,15 @@
 """Vectorized / sharded execution: the layers under the whole-array paths.
 
-The million-node core adds two execution paths on top of batched and
-per-edge: ``"vectorized"`` (whole-array level sweeps over the numpy-backed
-:class:`~repro.network.FlatTree`) and ``"sharded"`` (the same sweeps fanned
-out over subtree shards in worker processes).  Whole runs of both are
-checked against the per-edge reference by ``tests/test_oracle.py``; this
+The million-node core runs count-valued standing queries as whole-array
+level sweeps over the numpy-backed :class:`~repro.network.FlatTree` (the
+engine's column sweep), on a ``"sharded"`` network fanned out over subtree
+shards in worker processes.  Whole runs of both are checked against the
+per-edge reference by ``tests/test_oracle.py``; this
 file holds the contracts of the layers underneath: the varint kernels
 against the scalar ``repro._util.bits`` they mirror, the
 ledger's merge and refusals, ``FlatTree.from_arrays`` and the rewire
-cache-invalidation regression, the vectorized engine's refusals and
-dispatch, fork workers against inline ones, and :class:`VectorField`.
+cache-invalidation regression, which kernel the engine gives each query,
+fork workers against inline ones, and :class:`VectorField`.
 """
 
 import random
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro._util import bits as scalar_bits
-from repro.network.radio import LossyRadio
+from repro.network.radio import LossyRadio, ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.streaming.engine import ContinuousQueryEngine
 from repro.streaming.queries import CountQuery, MedianQuery
@@ -301,44 +301,170 @@ class TestFlatTreeArrays:
 
 
 # --------------------------------------------------------------------------- #
-# VectorStreamEngine: refusals, dispatch, fork workers
+# The engine's kernels: which query runs where, fork workers, recovery
 # --------------------------------------------------------------------------- #
-class TestVectorEngine:
+def kernel_runs(monkeypatch) -> dict[str, list[str]]:
+    """Record each kernel's ``run`` by the protocol (``stream:<query>``) it
+    charges; returns ``{"sweep": [...], "fold": [...]}``."""
+    from repro.streaming.kernels import FoldKernel, SweepKernel
+
+    runs: dict[str, list[str]] = {"sweep": [], "fold": []}
+    for label, kernel in (("sweep", SweepKernel), ("fold", FoldKernel)):
+        original = kernel.run
+
+        def run(self, dirty, slack, protocol, original=original, label=label):
+            runs[label].append(protocol)
+            return original(self, dirty, slack, protocol)
+
+        monkeypatch.setattr(kernel, "run", run)
+    return runs
+
+
+def mixed_engine(network):
+    """COUNT, COUNTP and a q-digest quantile on one engine."""
+    from repro.streaming import PredicateCountQuery
+
+    engine = ContinuousQueryEngine(network, epsilon=0.1, shard_processes=0)
+    engine.register("count", CountQuery())
+    engine.register("low", PredicateCountQuery(lambda item: item < DOMAIN // 2, "low"))
+    engine.register("median", MedianQuery(universe_size=DOMAIN, compression=16))
+    return engine
+
+
+def drift(network, epochs: int, seed: int = 3) -> list[dict]:
+    rng = random.Random(seed)
+    ids = network.node_ids()
+    return [
+        {node: [rng.randrange(DOMAIN)] for node in rng.sample(ids, max(1, len(ids) // 10))}
+        for _ in range(epochs)
+    ]
+
+
+class TestKernelChoice:
+    def test_perfect_links_sweep_counts_and_fold_a_quantile(self, monkeypatch, kernel_radio):
+        """Under ``ReliableRadio`` itself COUNT and COUNTP take the sweep and
+        the quantile the fold; under perfect links of another class
+        (``kernel_radio``'s fold side) every query folds."""
+        runs = kernel_runs(monkeypatch)
+        network = grid_network("batched", kernel_radio)
+        engine = mixed_engine(network)
+        for updates in drift(network, 2):
+            engine.advance_epoch(updates)
+        counts = {"stream:count", "stream:low"}
+        if type(kernel_radio) is ReliableRadio:
+            assert set(runs["sweep"]) == counts
+            assert set(runs["fold"]) == {"stream:median"}
+        else:
+            assert runs["sweep"] == []
+            assert set(runs["fold"]) == counts | {"stream:median"}
+
+    @pytest.mark.parametrize(
+        "execution, radio, budget",
+        [
+            ("batched", LossyRadio(0.2, seed=1), None),
+            ("batched", None, 10**9),
+            ("per-edge", None, None),
+        ],
+        ids=["lossy", "budget", "per-edge"],
+    )
+    def test_everything_else_takes_the_fold(self, monkeypatch, execution, radio, budget):
+        from repro.network import CommunicationLedger
+        from repro.network.topology import build_links
+
+        runs = kernel_runs(monkeypatch)
+        network = SensorNetwork(
+            build_links("grid", 36),
+            radio=radio,
+            ledger=CommunicationLedger(36, per_node_budget_bits=budget),
+            execution=execution,
+        )
+        engine = mixed_engine(network)
+        for updates in drift(network, 2):
+            engine.advance_epoch(updates)
+        assert runs["sweep"] == []
+        assert set(runs["fold"]) == {"stream:count", "stream:low", "stream:median"}
+
+    def test_a_sharded_field_sweeps_every_count_query(self, monkeypatch):
+        runs = kernel_runs(monkeypatch)
+        network = grid_network("sharded")
+        engine = mixed_engine(network)
+        for updates in drift(network, 2):
+            engine.advance_epoch(updates)
+        engine.close()
+        assert set(runs["sweep"]) == {"stream:count", "stream:low"}
+        assert set(runs["fold"]) == {"stream:median"}
+
+    def test_a_radio_swapped_after_registration_charges_what_per_edge_charges(
+        self, monkeypatch
+    ):
+        """Registered on perfect links, the counts take the sweep; a lossy
+        radio swapped in afterwards must still cost exactly what the per-edge
+        specification charges, delivered mask by delivered mask."""
+        runs = kernel_runs(monkeypatch)
+        observed = []
+        for execution in ("per-edge", "batched"):
+            network = grid_network(execution)
+            network.clear_items()
+            engine = mixed_engine(network)
+            network.radio = LossyRadio(0.3, seed=5)
+            answers = [engine.advance_epoch(updates).answers for updates in drift(network, 6)]
+            observed.append((answers, network.ledger.snapshot()))
+        assert set(runs["sweep"]) == {"stream:count", "stream:low"}
+        assert observed[0] == observed[1]
+
+    def test_vectorized_serves_quantile_and_distinct_queries_as_per_edge_does(self):
+        """``"vectorized"`` is a spelling of ``"batched"``: a q-digest
+        quantile and a LogLog distinct count register on it, directly and
+        through tenancy, and answer and charge what per-edge does."""
+        from repro.streaming import DistinctCountQuery, QuantileQuery
+        from repro.tenancy import MultiTenantEngine
+
+        def queries():
+            return {
+                "median": QuantileQuery(0.5, universe_size=DOMAIN, compression=16),
+                "distinct": DistinctCountQuery(num_registers=16),
+            }
+
+        observed = []
+        for execution in ("per-edge", "vectorized"):
+            runs = []
+            for tenancy in (False, True):
+                network = grid_network(execution)
+                network.clear_items()
+                if tenancy:
+                    engine = MultiTenantEngine(network, epsilon=0.1)
+                    for name, query in queries().items():
+                        assert engine.register("acme", name, query).admitted
+                else:
+                    engine = ContinuousQueryEngine(network, epsilon=0.1)
+                    for name, query in queries().items():
+                        engine.register(name, query)
+                for updates in drift(network, 4):
+                    engine.advance_epoch(updates)
+                runs.append((engine.answers(), network.ledger.snapshot()))
+            observed.append(runs)
+        assert observed[1] == observed[0]
+        answers = observed[1][1][0]["acme"]
+        assert answers["median"] is not None and answers["distinct"] > 0
+
     def test_sharded_rejects_lossy_radios(self):
         """Sharded workers cannot see a seeded radio's send counts — loud refusal."""
         from repro.exceptions import ConfigurationError
-        from repro.streaming.vector_engine import VectorStreamEngine
 
         network = grid_network("sharded", LossyRadio(loss_rate=0.35, seed=0))
-        engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=0)
+        engine = ContinuousQueryEngine(network, epsilon=0.1, shard_processes=0)
         engine.register("count", CountQuery())
         with pytest.raises(ConfigurationError):
             engine.advance_epoch({1: [3, 4]})
 
-    def test_vectorized_rejects_non_count_queries(self):
-        from repro.exceptions import ConfigurationError
-        from repro.streaming.vector_engine import VectorStreamEngine
-
-        engine = VectorStreamEngine(grid_network("vectorized"), epsilon=0.1)
-        with pytest.raises(ConfigurationError):
-            engine.register("median", MedianQuery(universe_size=DOMAIN))
-
-    def test_engine_for_dispatches_on_execution_mode(self):
-        from repro.streaming.vector_engine import VectorStreamEngine, engine_for
-
-        assert isinstance(engine_for(grid_network("vectorized")), VectorStreamEngine)
-        assert type(engine_for(grid_network("batched"))) is ContinuousQueryEngine
-
     def test_fork_workers_charge_what_inline_workers_charge(self):
         """The one thing ``shard_processes`` changes is where the shard
         sweeps run; answers and the merged ledger must not notice."""
-        from repro.streaming.vector_engine import VectorStreamEngine
-
         runs = []
         for processes in (0, 2):
             network = grid_network("sharded")
             network.clear_items()
-            engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=processes)
+            engine = ContinuousQueryEngine(network, epsilon=0.1, shard_processes=processes)
             engine.register("count", CountQuery())
             rng = random.Random(3)
             answers = [
@@ -357,12 +483,9 @@ class TestVectorEngine:
         under another parent, must not subtract the stale copy again."""
         from repro.faults import FaultEngine, RootCrash, TreeRepair
         from repro.network.topology import build_links
-        from repro.streaming.vector_engine import engine_for
 
-        network = SensorNetwork(
-            build_links("random_geometric", 6, seed=0), execution="vectorized"
-        )
-        engine = engine_for(network, epsilon=0.0)
+        network = SensorNetwork(build_links("random_geometric", 6, seed=0))
+        engine = ContinuousQueryEngine(network, epsilon=0.0)
         engine.register("count", CountQuery())
         faults = FaultEngine(network)
 
@@ -392,12 +515,9 @@ class TestVectorEngine:
         fragment root's copy until the repair's child_losses evict it."""
         from repro.faults import FaultEngine, LinkDrop, RootCrash
         from repro.network.topology import build_links
-        from repro.streaming.vector_engine import engine_for
 
-        network = SensorNetwork(
-            build_links("grid", 7, seed=0), degree_bound=3, execution="vectorized"
-        )
-        engine = engine_for(network, epsilon=0.1)
+        network = SensorNetwork(build_links("grid", 7, seed=0), degree_bound=3)
+        engine = ContinuousQueryEngine(network, epsilon=0.1)
         engine.register("count", CountQuery())
         faults = FaultEngine(network)
         for epoch, updates, events in (
