@@ -385,18 +385,59 @@ class SensorNetwork:
         anything is written.  Updates that keep each node's item count
         (one reading per node) are written in place.
         """
-        rows: list[int] = []
-        new: list[list[int]] = []
-        for node_id, values in per_node_items.items():
-            rows.append(self._row(node_id))
-            new.append(_checked_items(values))
-        self._write_items(rows, new)
+        batch = self._checked_batch(per_node_items)
+        if batch is None:
+            # The ordered loop owns the errors: it raises at the first bad
+            # entry, before anything is written.
+            rows: list[int] = []
+            new: list[list[int]] = []
+            for node_id, values in per_node_items.items():
+                rows.append(self._row(node_id))
+                new.append(_checked_items(values))
+            counts = np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+            batch = (
+                np.asarray(rows, dtype=np.int64),
+                counts,
+                np.fromiter(chain.from_iterable(new), dtype=np.int64, count=int(counts.sum())),
+            )
+        self._write_items(*batch)
 
-    def _write_items(self, rows: list[int], new: list[list[int]]) -> None:
-        """Replace the items of distinct ``rows`` with the checked ``new``:
-        in place when a row keeps its count or shrinks, O(update)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+    def _checked_batch(self, per_node_items: Mapping[int, Iterable[int]]):
+        """The batch as ``(rows, counts, values)`` int64 columns when one
+        array pass finds every id known and every item valid; ``None`` sends
+        it down the ordered loop.
+
+        Ids and items must be exact ``int`` and the item lists lists or
+        tuples (an iterator would be spent by a check that then fails);
+        anything else, like any failing batch, is left to the loop.
+        """
+        lists = list(per_node_items.values())
+        if not set(map(type, lists)) <= {list, tuple}:
+            return None
+        items = list(chain.from_iterable(lists))
+        if not (set(map(type, per_node_items)) | set(map(type, items))) <= {int}:
+            return None
+        try:
+            ids = np.array(list(per_node_items), dtype=np.int64)
+            values = np.array(items, dtype=np.int64)
+        except OverflowError:
+            return None
+        if values.size and values.min() < 0:
+            return None
+        links = self._links
+        rows = links.rows_of(ids)
+        if rows.size and not (
+            rows.min() >= 0
+            and rows.max() < links.num_nodes
+            and np.array_equal(links.ids_of(rows), ids)
+        ):
+            return None
+        return rows, np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)), values
+
+    def _write_items(self, rows, counts, values) -> None:
+        """Replace the items of distinct ``rows`` with ``counts[i]`` checked
+        ``values`` each: in place when a row keeps its count or shrinks,
+        O(update)."""
         old = self._item_count[rows]
         if not np.array_equal(counts, old):
             grown = counts > old
@@ -413,9 +454,7 @@ class SensorNetwork:
                 )
             self._item_count[rows] = counts
             self._item_ptr = None
-        self._item_values[_slots(self._item_start[rows], counts)] = np.fromiter(
-            chain.from_iterable(new), dtype=np.int64, count=int(counts.sum())
-        )
+        self._item_values[_slots(self._item_start[rows], counts)] = values
 
     def clear_items(self) -> None:
         """Remove every item from every node."""

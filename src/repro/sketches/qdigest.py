@@ -116,8 +116,13 @@ class QDigest:
         """
         if self.total == 0:
             return
-        threshold = self.total / self.compression
         counts = self.counts
+        # total <= compression puts the threshold at 1 or below: a fold needs
+        # a pair and parent summing below it, so stored counts of at least 1
+        # never fold.
+        if self.total <= self.compression and min(counts.values(), default=1) >= 1:
+            return
+        threshold = self.total / self.compression
         get = counts.get
         pop = counts.pop
         levels = self._levels

@@ -28,11 +28,14 @@ reference: same ledger snapshot, same answers, same trace rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.network.node import INT64_MAX
 from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.protocols.epoch_convergecast import EpochStats, epoch_convergecast
@@ -349,30 +352,42 @@ class SweepKernel:
                     columns.child_sum[parent] -= self.parked.pop(child)
 
     def refresh(self, updates: Mapping[int, Sequence[int]]) -> set[int]:
-        """The fold's :meth:`FoldKernel.refresh` over the ``local`` column."""
+        """The fold's :meth:`FoldKernel.refresh` over the ``local`` column.
+
+        One pass over the batch: the ids' positions, the ``tracked`` mask,
+        one compare and one write.  Only a tracked node's summary is
+        computed, and all of them before anything is written.
+        """
         self.realign()
         columns = self.columns
         if self.initialized:
-            readings = updates.items()
+            node_ids, readings = list(map(int, updates)), updates.values()
         else:
-            readings = [
-                (node_id, self.network.items_of(node_id))
-                for node_id in self.flat.ids_array[self.tracked].tolist()
-            ]
+            node_ids = self.flat.ids_array[self.tracked].tolist()
+            readings = map(self.network.items_of, node_ids)
             self.initialized = True
-        dirty: set[int] = set()
-        for node_id, items in readings:
-            node_id = int(node_id)
-            position = self._pos_of(node_id)
-            if position < 0 or not self.tracked[position]:
-                continue
-            new_local = self.query.local_summary(items).count
-            if not columns.has_local[position] or int(columns.local[position]) != int(
-                new_local
-            ):
-                columns.local[position] = new_local
-                columns.has_local[position] = True
-                dirty.add(node_id)
+        try:
+            ids = np.array(node_ids, dtype=np.int64)
+        except OverflowError:  # an id past int64 is in no tree
+            ids = np.array(
+                [node_id if 0 <= node_id <= INT64_MAX else -1 for node_id in node_ids],
+                dtype=np.int64,
+            )
+        positions = self.flat.positions_of(ids)
+        kept = positions >= 0
+        kept[kept] = self.tracked[positions[kept]]
+        summaries = map(self.query.local_summary, compress(readings, kept.tolist()))
+        new_local = np.fromiter(map(attrgetter("count"), summaries), dtype=np.int64)
+        ids, positions = ids[kept], positions[kept]
+        changed = ~columns.has_local[positions] | (columns.local[positions] != new_local)
+        dirty = set(ids[changed].tolist())
+        if len(set(node_ids)) < len(node_ids):
+            # Two keys named one node (``2`` and ``2.5``): the last reading
+            # is the one a loop over the batch would leave.
+            positions, last = np.unique(positions[::-1], return_index=True)
+            new_local = new_local[::-1][last]
+        columns.local[positions] = new_local
+        columns.has_local[positions] = True
         return dirty
 
     def run(self, dirty: set[int], slack: float, protocol: str) -> EpochStats:

@@ -96,7 +96,7 @@ class PredicateCountQuery(StandingQuery):
         self.description = description
 
     def local_summary(self, items: Sequence[int]) -> CountSummary:
-        return CountSummary(sum(1 for item in items if self.predicate(item)))
+        return CountSummary(sum(map(bool, map(self.predicate, items))))
 
     def answer(self, summary: CountSummary) -> int:
         return summary.count

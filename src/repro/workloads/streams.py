@@ -20,18 +20,37 @@ went offline).  Four qualitatively different dynamics are provided:
   change detection and the best case for delta encoding.
 
 All streams are deterministic in their ``seed``; values are non-negative
-integers bounded by ``max_value``, matching the one-shot generators.
+integers bounded by ``max_value``, matching the one-shot generators, and
+every stream refuses :meth:`~StreamWorkload.step` before
+:meth:`~StreamWorkload.initial`.
+
+A quiet drift epoch costs its updates, not its nodes.
+:meth:`DriftStream.step` takes from the seed's Mersenne Twister, as one
+block of words (``getrandbits``), exactly the doubles a per-node loop of
+``random()`` and ``gauss()`` calls would draw, and walks only the nodes
+whose draw fell below ``drift_fraction`` (``gauss`` in the random module's
+own arithmetic).  The updates and the generator's state are those of the
+loop, so code sharing a ``random.Random`` seed sees the draws it always
+saw.  The seed must be an ``int``, ``None`` or a ``random.Random`` that
+draws with the Mersenne Twister (not ``random.SystemRandom``).
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import random
+
+import numpy as np
 
 from repro._util.randomness import make_rng
 from repro._util.validation import require_non_negative, require_positive, require_probability
 from repro.exceptions import ConfigurationError
 from repro.faults.events import NodeCrash, NodeRejoin
+from repro.network.node import INT64_MAX
+
+_TWOPI = 2.0 * math.pi  # random.gauss's constant
+_TO_DOUBLE = 1.0 / 9007199254740992.0  # random()'s: 53-bit integer -> [0, 1)
 
 
 class StreamWorkload(abc.ABC):
@@ -49,6 +68,14 @@ class StreamWorkload(abc.ABC):
 
     def _clamp(self, value: float) -> int:
         return max(0, min(self.max_value, int(round(value))))
+
+    def _started(self, state):
+        """``state``, once :meth:`initial` has filled it (never empty then)."""
+        if not len(state):
+            raise ConfigurationError(
+                f"{type(self).__name__}.step() called before initial()"
+            )
+        return state
 
     @abc.abstractmethod
     def initial(self) -> dict[int, list[int]]:
@@ -79,31 +106,112 @@ class DriftStream(StreamWorkload):
     ) -> None:
         super().__init__(num_nodes, max_value=max_value, seed=seed)
         self.drift_fraction = require_probability(drift_fraction, "drift_fraction")
-        if step_fraction <= 0:
+        if not 0 < step_fraction < math.inf:
             raise ConfigurationError(
-                f"step_fraction must be positive, got {step_fraction}"
+                f"step_fraction must be positive and finite, got {step_fraction}"
             )
         self.step_fraction = step_fraction
-        self._values: list[int] = []
+        # step() takes the generator's words in blocks and sets its cached
+        # Gaussian deviate: both must be random.Random's own.
+        if any(
+            getattr(type(self._rng), method) is not getattr(random.Random, method)
+            for method in ("random", "gauss", "getrandbits")
+        ):
+            raise ConfigurationError(
+                "DriftStream draws random.Random's Mersenne Twister words in "
+                f"blocks; got a {type(self._rng).__name__}"
+            )
+        if max_value > INT64_MAX:
+            raise ConfigurationError(
+                f"max_value must be below 2**63 (readings are int64 items), got {max_value}"
+            )
+        # random() is k / 2**53 for a 53-bit k, so it falls below the
+        # fraction exactly when k falls below this.
+        self._threshold = math.ceil(self.drift_fraction * 2.0**53)
+        # The largest float64 not above max_value: a rounded reading beyond
+        # it is beyond max_value.
+        self._ceiling = float(max_value)
+        if self._ceiling > max_value:
+            self._ceiling = math.nextafter(self._ceiling, 0.0)
+        self._values = np.zeros(0, dtype=np.int64)
 
     def initial(self) -> dict[int, list[int]]:
-        self._values = [
-            self._rng.randint(0, self.max_value) for _ in range(self.num_nodes)
-        ]
-        return {node: [value] for node, value in enumerate(self._values)}
+        values = [self._rng.randint(0, self.max_value) for _ in range(self.num_nodes)]
+        self._values = np.array(values, dtype=np.int64)
+        return {node: [value] for node, value in enumerate(values)}
 
     def step(self, epoch: int) -> dict[int, list[int]]:
         del epoch
-        sigma = self.step_fraction * self.max_value
-        updates: dict[int, list[int]] = {}
-        for node in range(self.num_nodes):
-            if self._rng.random() >= self.drift_fraction:
+        values = self._started(self._values)
+        rng = self._rng
+        gauss_next = rng.gauss_next
+        # The per-node loop draws one double per node, plus two after every
+        # other hit: a ``gauss`` call with no cached deviate draws a pair and
+        # caches the second.  Node ``i``'s draw is ``block[i + consumed]``,
+        # ``consumed`` counting the pair draws before it; the block grows
+        # only to doubles the loop would draw.  A double is two words of the
+        # generator, and ``block`` holds each as random()'s 53-bit integer.
+        num_nodes, threshold = self.num_nodes, self._threshold
+        hits: list[int] = []
+
+        def draw(block):
+            count = num_nodes + consumed - block.size
+            words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+            raw = np.frombuffer(words, dtype="<u8")  # (second word << 32) | first
+            extra = ((raw & 0xFFFFFFFF) >> 5 << 26) | (raw >> 38)
+            hits.extend((np.flatnonzero(extra < threshold) + block.size).tolist())
+            return np.concatenate((block, extra))
+
+        consumed = 0
+        block = draw(np.zeros(0, dtype=np.uint64))
+        nodes: list[int] = []  # the nodes that step, in order
+        pairs = []  # the block positions of the pairs' first draws
+        cached = gauss_next is not None
+        upcoming = 0  # the block position of the next node's draw
+        index = 0
+        while index < len(hits) or block.size < num_nodes + consumed:
+            if index == len(hits):
+                block = draw(block)
                 continue
-            moved = self._clamp(self._values[node] + self._rng.gauss(0.0, sigma))
-            if moved != self._values[node]:
-                self._values[node] = moved
-                updates[node] = [moved]
-        return updates
+            position = hits[index]
+            index += 1
+            if position < upcoming:
+                continue  # a pair draw that happens to lie below the fraction
+            nodes.append(position - consumed)
+            if cached:
+                upcoming = position + 1
+            else:
+                pairs.append(position + 1)
+                consumed += 2
+                upcoming = position + 3
+                if upcoming > block.size:
+                    block = draw(block)
+            cached = not cached
+        # random.gauss on every pair, operation for operation: the products
+        # and differences as float64 arrays, the libm calls through math.
+        pairs = np.array(pairs, dtype=np.int64)
+        angles = (block[pairs] * _TO_DOUBLE * _TWOPI).tolist()
+        logs = np.array(list(map(math.log, (1.0 - block[pairs + 1] * _TO_DOUBLE).tolist())))
+        radii = np.array(list(map(math.sqrt, (-2.0 * logs).tolist())))
+        cosines = np.array(list(map(math.cos, angles))) * radii
+        sines = np.array(list(map(math.sin, angles))) * radii
+        deviates = np.column_stack((cosines, sines)).ravel().tolist()
+        if gauss_next is not None:
+            deviates.insert(0, gauss_next)
+        gauss_next = deviates[len(nodes)] if len(deviates) > len(nodes) else None
+        # _clamp(value + gauss * sigma) for every stepping node, as arrays:
+        # the int64 -> float64 sum rounds as Python's int + float does.
+        sigma = self.step_fraction * self.max_value
+        nodes = np.array(nodes, dtype=np.int64)
+        before = values[nodes]
+        rounded = np.rint(before + np.multiply(deviates[: nodes.size], sigma))
+        after = np.clip(rounded, 0.0, self._ceiling).astype(np.int64)
+        after[rounded > self._ceiling] = self.max_value
+        moved = after != before
+        nodes, after = nodes[moved], after[moved]
+        values[nodes] = after
+        rng.gauss_next = gauss_next
+        return {node: [value] for node, value in zip(nodes.tolist(), after.tolist())}
 
 
 class BurstStream(StreamWorkload):
@@ -150,6 +258,7 @@ class BurstStream(StreamWorkload):
 
     def step(self, epoch: int) -> dict[int, list[int]]:
         del epoch
+        self._started(self._base)
         self._clock += 1
         phase = self._clock % self.burst_period
         updates: dict[int, list[int]] = {}
@@ -217,6 +326,7 @@ class ChurnStream(StreamWorkload):
 
     def step(self, epoch: int) -> dict[int, list[int]]:
         del epoch
+        self._started(self._values)
         updates: dict[int, list[int]] = {}
         for node in range(self.num_nodes):
             if self._rng.random() >= self.churn_rate:
@@ -305,6 +415,7 @@ class SeasonalStream(StreamWorkload):
 
     def step(self, epoch: int) -> dict[int, list[int]]:
         del epoch
+        self._started(self._values)
         self._clock += 1
         updates: dict[int, list[int]] = {}
         for node in range(self.num_nodes):

@@ -108,6 +108,21 @@ def test_random_geometric_fields_need_no_scipy():
     assert time.perf_counter() - started < 10
 
 
+def test_drift_streams_leave_numpy_random_unimported():
+    """DriftStream takes its draws from random.Random's own words: importing
+    numpy.random alone raised the tenants_lossy benchmark's peak RSS by more
+    than its 5% bound."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = (
+        "import sys\n"
+        "from repro.workloads import DriftStream\n"
+        "stream = DriftStream(64, seed=0, drift_fraction=0.5)\n"
+        "stream.initial(); stream.step(1)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
 BLOCK_NETWORKX_AND_RUN = """
 import importlib
 import pkgutil

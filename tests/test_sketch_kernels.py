@@ -220,6 +220,37 @@ class TestQDigestKernels:
         digest.compress()
         assert_same_digest(digest, expected)
 
+    @given(data=st.data(), universe=universes, zero=st.booleans())
+    @_settings
+    def test_a_digest_no_heavier_than_its_compression_folds_nothing(
+        self, data, universe, zero
+    ):
+        """``total <= compression`` puts the threshold at 1 or below, so
+        stored counts of at least 1 never fold and ``compress`` may return
+        at once; a stored 0 can still fold and takes the full pass."""
+        digest = QDigest(universe_size=universe)
+        node_ids = st.integers(min_value=1, max_value=2 * digest._padded_universe - 1)
+        entries = data.draw(st.lists(st.tuples(node_ids, st.integers(1, 4)), max_size=60))
+        digest.counts = dict(entries)
+        if zero:
+            digest.counts[data.draw(node_ids)] = 0
+        digest.total = sum(digest.counts.values())
+        digest.compression = max(1, digest.total + data.draw(st.integers(0, 3)))
+        before = list(digest.counts.items())
+        expected = clone(digest)
+        reference_compress(expected)
+        if not zero:
+            assert list(expected.counts.items()) == before
+        digest.compress()
+        assert_same_digest(digest, expected)
+
+    def test_a_stored_zero_still_folds_in_a_light_digest(self):
+        digest = QDigest(universe_size=8, compression=1)
+        digest.counts = {8: 0, 12: 1}
+        digest.total = 1
+        digest.compress()
+        assert digest.counts == {12: 1}
+
     @given(data=st.data(), universe=universes)
     @_settings
     def test_merges_of_merges_equal_reference(self, data, universe):
