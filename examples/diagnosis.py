@@ -79,8 +79,8 @@ def main() -> None:
     print(
         f"flight ring captured {len(tracer.flight)} causal events "
         f"({tracer.flight.dropped} dropped); attribution folded "
-        f"{len(tracer.attribution.epochs)} epoch(s) "
-        f"in {tracer.attribution.epochs[-1].mode!r} mode"
+        f"{len(tracer.attribution.epochs)} epoch(s) into one "
+        f"{tracer.attribution.cumulative.size}-node column"
     )
     print()
 

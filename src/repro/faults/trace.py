@@ -27,8 +27,8 @@ from repro.telemetry.records import EpochRecordBase, TraceSerialization
 class FaultEpochRecord(EpochRecordBase):
     """Everything measured during one epoch of a faulty run.
 
-    Inherits the shared measurement fields and the ``to_dict()`` /
-    ``to_jsonl()`` serializers from
+    Inherits the shared measurement fields and the ``to_dict()``
+    serializer from
     :class:`~repro.telemetry.EpochRecordBase`.
     """
 

@@ -35,13 +35,31 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.network.node import INT64_MAX
 from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.protocols.epoch_convergecast import EpochStats, epoch_convergecast
 from repro.streaming.queries import StandingQuery
 from repro.streaming.summaries import CountSummary, StreamSummary
 from repro.streaming.vector_kernels import SweepState, sweep_levels
+
+
+def _update_ids(updates: Mapping[int, Sequence[int]]):
+    """The keys of an update batch as an int64 id array.
+
+    Each key must be an exact integer in int64 (an ``int`` or a numpy
+    integer, never a ``bool``), as :meth:`SensorNetwork.assign_items`
+    requires before an epoch reaches a kernel.  Anything else raises
+    :class:`~repro.exceptions.ConfigurationError` in both kernels, so
+    neither reads ``True`` or ``3.0`` as node 1 or 3, nor ``4.5`` as 4.
+    """
+    if not set(map(type, updates)) <= {int}:
+        for key in updates:
+            if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+                raise ConfigurationError(f"update key {key!r} is not a node id")
+    try:
+        return np.fromiter(updates, dtype=np.int64, count=len(updates))
+    except OverflowError:
+        raise ConfigurationError("update keys past int64 are not node ids") from None
 
 
 @dataclass
@@ -119,8 +137,11 @@ class FoldKernel:
         Updates addressed to nodes the kernel no longer tracks (crashed or
         cut off by faults) are ignored — their readings cannot reach the
         root until a repair re-attaches them, at which point :meth:`repair`
-        recreates their state.
+        recreates their state.  A key that is not an int64 node id raises
+        :class:`~repro.exceptions.ConfigurationError` before anything is
+        computed.
         """
+        _update_ids(updates)
         if self.initialized:
             readings = updates
         else:
@@ -358,21 +379,15 @@ class SweepKernel:
         one compare and one write.  Only a tracked node's summary is
         computed, and all of them before anything is written.
         """
+        ids = _update_ids(updates)
         self.realign()
         columns = self.columns
         if self.initialized:
-            node_ids, readings = list(map(int, updates)), updates.values()
+            readings = updates.values()
         else:
-            node_ids = self.flat.ids_array[self.tracked].tolist()
-            readings = map(self.network.items_of, node_ids)
+            ids = self.flat.ids_array[self.tracked]
+            readings = map(self.network.items_of, ids.tolist())
             self.initialized = True
-        try:
-            ids = np.array(node_ids, dtype=np.int64)
-        except OverflowError:  # an id past int64 is in no tree
-            ids = np.array(
-                [node_id if 0 <= node_id <= INT64_MAX else -1 for node_id in node_ids],
-                dtype=np.int64,
-            )
         positions = self.flat.positions_of(ids)
         kept = positions >= 0
         kept[kept] = self.tracked[positions[kept]]
@@ -380,15 +395,9 @@ class SweepKernel:
         new_local = np.fromiter(map(attrgetter("count"), summaries), dtype=np.int64)
         ids, positions = ids[kept], positions[kept]
         changed = ~columns.has_local[positions] | (columns.local[positions] != new_local)
-        dirty = set(ids[changed].tolist())
-        if len(set(node_ids)) < len(node_ids):
-            # Two keys named one node (``2`` and ``2.5``): the last reading
-            # is the one a loop over the batch would leave.
-            positions, last = np.unique(positions[::-1], return_index=True)
-            new_local = new_local[::-1][last]
         columns.local[positions] = new_local
         columns.has_local[positions] = True
-        return dirty
+        return set(ids[changed].tolist())
 
     def run(self, dirty: set[int], slack: float, protocol: str) -> EpochStats:
         """One epoch's sweep from ``dirty``."""

@@ -23,8 +23,8 @@ from repro.telemetry.records import EpochRecordBase, TraceSerialization
 class EpochRecord(EpochRecordBase):
     """Everything measured during one epoch of a streaming engine.
 
-    Inherits the shared measurement fields and the ``to_dict()`` /
-    ``to_jsonl()`` serializers from
+    Inherits the shared measurement fields and the ``to_dict()``
+    serializer from
     :class:`~repro.telemetry.EpochRecordBase`.
     """
 

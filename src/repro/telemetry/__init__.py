@@ -24,9 +24,8 @@ The causal diagnosis layer builds on those three:
   → ``election`` / ``repair.*`` → ``cache.evict`` …), each linked by
   ``cause_event_id``;
 * :mod:`repro.telemetry.attribution` — :class:`CostAttribution`: per-node
-  cumulative bits on the dense paths, and a
-  :class:`~repro.sketches.QDigest` + top-k hotspot compression of each
-  epoch's per-node distribution in the million-node regime;
+  cumulative bits in one ``int64`` column, with each epoch's exact
+  quantiles and top-k hotspots;
 * :mod:`repro.telemetry.diagnose` — :func:`diagnose`: rolling median/MAD
   anomaly detection over the epoch series plus backwards causal-chain
   walks, rendered as "why" reports (CLI: ``scripts/diagnose.py``).

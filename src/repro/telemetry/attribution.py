@@ -1,49 +1,36 @@
 """Per-node cost attribution: *which* nodes an epoch's bits landed on.
 
-The paper's cost measure is per-node — the maximum over nodes of bits sent
-plus received — yet the telemetry layer (PR 6) reports only aggregate
-per-phase totals.  :class:`CostAttribution` closes that gap as an opt-in
-sink on a :class:`~repro.telemetry.SpanTracer`: every time an ``epoch``
-span closes, the sink reads the span's already-open
-:class:`~repro.network.LedgerMark` (no second mark, no extra charge) and
-folds the epoch's per-node bit deltas into one of two representations:
+The paper's cost measure is per node — the maximum over nodes of bits sent
+plus received — while spans and metrics report per-phase totals.
+:class:`CostAttribution` closes that gap as an opt-in sink on a
+:class:`~repro.telemetry.SpanTracer`: every time an ``epoch`` span closes,
+the sink reads the span's already-open :class:`~repro.network.LedgerMark`
+(no second mark, no extra charge) and folds the epoch's per-node bit deltas
+into one ``int64`` column of cumulative bits indexed by node id.  Each
+epoch's exact statistics — touched nodes, summed bits, the top-``k``
+hotspots and the p50 / p90 / p99 / max per-node quantiles — come from the
+same delta column, at every population.
 
-* **dense** — cumulative per-node bits as a numpy ``int64`` column indexed
-  by node id, exact per-node history up to
-  :attr:`CostAttribution.dense_limit` nodes;
-* **sketch** — the million-node regime: each epoch's per-node bit
-  *distribution* is compressed into the repository's own
-  :class:`~repro.sketches.QDigest` (values log₂-bucketed, digest
-  compression ``≈ 1/ε``) plus an exact top-``k`` hotspot heap, so retained
-  state stays ``O(k + 1/ε)`` per epoch instead of ``O(n)`` — the
-  observability layer summarised with the paper's own machinery.
-
-Either way the sink *observes* the ledger and never charges it (the
-telemetry cardinal rule; the overhead-guard test holds it to zero extra
-bits), and each epoch lands in the JSONL trace as one
-``"type": "attribution"`` line that :mod:`repro.telemetry.diagnose` and
-``scripts/diagnose.py`` use to name hotspots in "why" reports.
+The sink *observes* the ledger and never charges it (the telemetry cardinal
+rule; the overhead-guard test holds it to zero extra bits), and each epoch
+lands in the JSONL trace as one ``"type": "attribution"`` line that
+:mod:`repro.telemetry.diagnose` and ``scripts/diagnose.py`` use to name
+hotspots in "why" reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.sketches.qdigest import QDigest
-
-#: The sketch's value domain: per-node epoch deltas are clamped into
-#: ``[0, 2**UNIVERSE_BITS)`` (30 bits ≈ a gigabit on one node in one epoch,
-#: far beyond anything the suppression machinery permits).
-UNIVERSE_BITS = 30
 
 #: Quantile fractions reported per epoch.
 QUANTILE_FRACTIONS = (0.5, 0.9, 0.99)
 
-#: Largest per-node epoch delta for which the dense fold derives its order
+#: Largest per-node epoch delta for which the fold derives its order
 #: statistics from one ``np.bincount`` pass (the histogram then costs at
 #: most 1 MiB) instead of an introselect over the delta column.
 BINCOUNT_LIMIT = 1 << 17
@@ -56,17 +43,26 @@ def _hotspot_order(hotspot: tuple[int, int]) -> tuple[int, int]:
     return -hotspot[1], hotspot[0]
 
 
+def _quantiles(touched: int, value_at, dmax: int) -> dict[str, int]:
+    """The reported quantiles of ``touched`` positive deltas whose largest
+    is ``dmax``; ``value_at(rank)`` is the ``rank``-th smallest of them."""
+    quantiles = {
+        f"p{int(fraction * 100)}": value_at(min(touched - 1, int(fraction * touched)))
+        for fraction in QUANTILE_FRACTIONS
+    }
+    quantiles["max"] = dmax
+    return quantiles
+
+
 @dataclass
 class EpochAttribution:
-    """One epoch's per-node bit distribution, compressed.
+    """One epoch's per-node bit distribution, summarised exactly.
 
-    ``hotspots`` is the exact top-``k`` of the epoch's per-node deltas as
+    ``hotspots`` is the top-``k`` of the epoch's per-node deltas as
     ``(node, bits)`` pairs, descending by bits, ties by ascending node id
     (whichever ledger or fold produced them); ``quantiles`` maps ``"p50"`` /
-    ``"p90"`` / ``"p99"`` / ``"max"`` to bit values (digest-approximate in
-    sketch mode, exact in dense mode); ``digest`` is the
-    :class:`~repro.sketches.QDigest` itself in sketch mode (``None`` in
-    dense mode, where the full delta vector was available).
+    ``"p90"`` / ``"p99"`` / ``"max"`` to the rank statistics of the positive
+    deltas.
     """
 
     epoch: int
@@ -77,66 +73,39 @@ class EpochAttribution:
     touched: int
     hotspots: list[tuple[int, int]]
     quantiles: dict[str, int]
-    mode: str
-    digest: QDigest | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         """JSON-safe dict — one ``"type": "attribution"`` JSONL line."""
-        record = {
+        return {
             "type": "attribution",
             "epoch": self.epoch,
             "node_bits": self.node_bits,
             "touched": self.touched,
             "hotspots": [[int(node), int(bits)] for node, bits in self.hotspots],
             "quantiles": dict(self.quantiles),
-            "mode": self.mode,
         }
-        if self.digest is not None:
-            record["sketch_entries"] = self.digest.size
-            record["sketch_bits"] = self.digest.serialized_bits()
-        return record
 
 
 class CostAttribution:
     """Opt-in per-node cost sink fed from ledger-mark deltas.
 
-    The fold keeps the dense column while the population stays at or
-    below ``dense_limit`` and switches to the sketch above it (so
-    ``dense_limit=0`` always sketches).  ``epsilon`` sets the q-digest
-    compression (``compression ≈ 1/ε``); ``top_k`` the exact hotspot count.  ``span_name`` names the span whose close feeds the sink
-    (the pipeline's per-epoch unit, ``"epoch"``).
-
-    Attach to a tracer and run as usual::
+    ``top_k`` is the number of hotspots kept per epoch.  Attach to a tracer
+    and run as usual::
 
         tracer = SpanTracer(attribution=CostAttribution(top_k=8))
         run_faulty_stream(engine, stream, faults, epochs, telemetry=tracer)
         node, bits, share = tracer.attribution.top_hotspot(epoch=3)
     """
 
-    def __init__(
-        self,
-        *,
-        top_k: int = 8,
-        epsilon: float = 1 / 64,
-        dense_limit: int = 200_000,
-        span_name: str = "epoch",
-    ) -> None:
+    def __init__(self, *, top_k: int = 8) -> None:
         if top_k <= 0:
             raise ConfigurationError(f"top_k must be positive, got {top_k}")
-        if not 0 < epsilon <= 1:
-            raise ConfigurationError(
-                f"epsilon must be in (0, 1], got {epsilon}"
-            )
         self.top_k = top_k
-        self.epsilon = epsilon
-        self.compression = max(1, round(1 / epsilon))
-        self.dense_limit = dense_limit
-        self.span_name = span_name
         #: One :class:`EpochAttribution` per observed epoch, in order.
         self.epochs: list[EpochAttribution] = []
-        #: Dense mode: cumulative per-node bits (numpy ``int64`` indexed by
-        #: node id).  ``None`` until the first fold, and permanently ``None``
-        #: in sketch mode — the memory-bound test asserts exactly this.
+        #: Cumulative per-node bits (numpy ``int64`` indexed by node id),
+        #: grown to the widest delta column folded; ``None`` until the
+        #: first fold.
         self.cumulative: Any = None
 
     # ------------------------------------------------------------------ #
@@ -145,8 +114,8 @@ class CostAttribution:
     def observe_span(self, span, ledger, mark):
         """Fold one closing span's ledger interval (called by the tracer).
 
-        Returns the dense per-node delta array, so the tracer can reuse it
-        for the span's ``max_node_bits`` instead of re-subtracting.
+        Returns the per-node delta array, so the tracer can reuse it for
+        the span's ``max_node_bits`` instead of re-subtracting.
         """
         epoch = span.attributes.get("epoch")
         if epoch is None:
@@ -164,37 +133,26 @@ class CostAttribution:
         self._fold_array(epoch, deltas)
         return deltas
 
-    def _use_dense(self, population: int) -> bool:
-        return population <= self.dense_limit
-
     def _fold_array(self, epoch: int, deltas) -> None:
         size = int(deltas.size)
-        dense = self._use_dense(size)
-        if dense:
-            if self.cumulative is None or self.cumulative.size < size:
-                grown = np.zeros(size, dtype=np.int64)
-                if self.cumulative is not None:
-                    grown[: self.cumulative.size] = self.cumulative
-                self.cumulative = grown
-            self.cumulative[:size] += deltas
-        self._append_stats(epoch, deltas, dense)
+        if self.cumulative is None or self.cumulative.size < size:
+            grown = np.zeros(size, dtype=np.int64)
+            if self.cumulative is not None:
+                grown[: self.cumulative.size] = self.cumulative
+            self.cumulative = grown
+        self.cumulative[:size] += deltas
+        self._append_stats(epoch, deltas)
 
-    def _append_stats(self, epoch: int, deltas, dense: bool) -> None:
+    def _append_stats(self, epoch: int, deltas) -> None:
         """Append one epoch's statistics of the delta column ``deltas``
         (position ``i`` is node ``i``)."""
-        size = int(deltas.size)
-        digest = None
         hotspots: list[tuple[int, int]] = []
         quantiles = {"p50": 0, "p90": 0, "p99": 0, "max": 0}
         touched = 0
         node_bits = 0
-        dmax = int(deltas.max()) if size else 0
+        dmax = int(deltas.max()) if deltas.size else 0
         if dmax > 0:
-            if (
-                dense
-                and dmax <= BINCOUNT_LIMIT
-                and int(deltas.min()) >= 0
-            ):
+            if dmax <= BINCOUNT_LIMIT and int(deltas.min()) >= 0:
                 # Fast path for the per-epoch regime: one counting pass
                 # over the column yields the whole value histogram, and
                 # every order statistic falls out of its prefix sums.
@@ -221,19 +179,9 @@ class CostAttribution:
                 )
                 selected = np.partition(positive, indices)
                 cutoff = int(selected[touched - k])
-                if dense:
-                    quantiles = {
-                        f"p{int(fraction * 100)}": int(
-                            selected[min(touched - 1, int(fraction * touched))]
-                        )
-                        for fraction in QUANTILE_FRACTIONS
-                    }
-                    quantiles["max"] = int(selected[indices[-1] :].max())
-                else:
-                    digest = self._digest_from_buckets(
-                        self._buckets_array(positive)
-                    )
-                    quantiles = self._digest_quantiles(digest)
+                quantiles = _quantiles(
+                    touched, lambda rank: int(selected[rank]), dmax
+                )
             candidates = np.nonzero(deltas > cutoff)[0]
             if candidates.size < k:
                 # Positions ascend with node ids: the lowest ids win.
@@ -243,12 +191,6 @@ class CostAttribution:
                 zip(candidates.tolist(), deltas[candidates].tolist()),
                 key=_hotspot_order,
             )
-        if not dense and digest is None:
-            positive = deltas[deltas > 0]
-            touched = int(positive.size)
-            node_bits = int(positive.sum()) if touched else 0
-            digest = self._digest_from_buckets(self._buckets_array(positive))
-            quantiles = self._digest_quantiles(digest)
         self.epochs.append(
             EpochAttribution(
                 epoch=epoch,
@@ -256,8 +198,6 @@ class CostAttribution:
                 touched=touched,
                 hotspots=hotspots,
                 quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
             )
         )
 
@@ -281,52 +221,9 @@ class CostAttribution:
             # exceeds the rank.
             return 1 + int(np.searchsorted(positive_cum, rank, side="right"))
 
-        quantiles = {
-            f"p{int(fraction * 100)}": value_at(
-                min(touched - 1, int(fraction * touched))
-            )
-            for fraction in QUANTILE_FRACTIONS
-        }
-        quantiles["max"] = dmax
+        quantiles = _quantiles(touched, value_at, dmax)
         k = min(self.top_k, touched)
         return touched, node_bits, quantiles, value_at(touched - k), k
-
-    # ------------------------------------------------------------------ #
-    # Sketch helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _buckets_array(positive) -> dict[int, int]:
-        """Log₂ histogram of an array of positive deltas: {2^e: count}."""
-        if not positive.size:
-            return {}
-        clamped = np.minimum(positive, (1 << UNIVERSE_BITS) - 1)
-        exponents = np.frexp(clamped.astype(np.float64))[1] - 1
-        counts = np.bincount(exponents)
-        return {
-            1 << exponent: int(count)
-            for exponent, count in enumerate(counts.tolist())
-            if count
-        }
-
-    def _digest_from_buckets(self, buckets: dict[int, int]) -> QDigest:
-        digest = QDigest(
-            universe_size=1 << UNIVERSE_BITS, compression=self.compression
-        )
-        for value, count in sorted(buckets.items()):
-            digest.add(value, count)
-        digest.compress()
-        return digest
-
-    @staticmethod
-    def _digest_quantiles(digest: QDigest) -> dict[str, int]:
-        if digest.total == 0:
-            return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
-        quantiles = {
-            f"p{int(fraction * 100)}": int(digest.quantile(fraction))
-            for fraction in QUANTILE_FRACTIONS
-        }
-        quantiles["max"] = int(digest.quantile(1.0))
-        return quantiles
 
     # ------------------------------------------------------------------ #
     # Queries and export
@@ -351,29 +248,10 @@ class CostAttribution:
         share = bits / record.node_bits if record.node_bits else 0.0
         return node, bits, share
 
-    def state_entries(self) -> int:
-        """Retained per-node-resolution entries — the memory-bound measure.
-
-        Dense mode counts the cumulative column; sketch mode counts only
-        hotspot pairs and surviving digest ranges, which is what keeps the
-        million-node regime at ``O(epochs · (k + 1/ε))``.
-        """
-        entries = 0
-        if self.cumulative is not None:
-            entries += len(self.cumulative)
-        for record in self.epochs:
-            entries += len(record.hotspots)
-            if record.digest is not None:
-                entries += record.digest.size
-        return entries
-
     def iter_dicts(self) -> Iterator[dict]:
         """JSON-safe dicts, one per observed epoch."""
         for record in self.epochs:
             yield record.to_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
-        return (
-            f"CostAttribution(dense_limit={self.dense_limit}, epochs={len(self.epochs)}, "
-            f"top_k={self.top_k}, compression={self.compression})"
-        )
+        return f"CostAttribution(top_k={self.top_k}, epochs={len(self.epochs)})"

@@ -5,10 +5,9 @@
 Before the telemetry layer existed they invented those records separately;
 now both subclass :class:`EpochRecordBase`, which owns the fields every
 epoch shares (the ledger deltas, the energy, the suppression statistics)
-and the serialization machinery (:meth:`EpochRecordBase.to_dict` /
-:meth:`EpochRecordBase.to_jsonl`) — the field list is introspected from
-the dataclass, so a new field added to either record serializes without
-touching an exporter.
+and their serialization (:meth:`EpochRecordBase.to_dict`) — the field
+list is introspected from the dataclass, so a new field added to either
+record serializes without touching an exporter.
 
 This module imports nothing from :mod:`repro.streaming` or
 :mod:`repro.faults`; the dependency points the other way (telemetry is the
@@ -21,8 +20,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterator
-
-from repro.telemetry.export import dumps_line, write_jsonl
 
 
 def json_safe(value: Any) -> Any:
@@ -44,10 +41,10 @@ def json_safe(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class EpochRecordBase:
-    """Fields every per-epoch record shares, plus JSONL serialization.
+    """Fields every per-epoch record shares, plus their JSON-safe dict.
 
     Subclasses set :attr:`record_type` — it becomes the ``"type"`` field
-    of each JSONL line, so mixed trace files remain self-describing.
+    of each serialized record, so mixed trace files remain self-describing.
     """
 
     record_type: ClassVar[str] = "epoch_record"
@@ -70,13 +67,9 @@ class EpochRecordBase:
             payload[spec.name] = json_safe(getattr(self, spec.name))
         return payload
 
-    def to_jsonl(self) -> str:
-        """One JSONL line (no trailing newline)."""
-        return dumps_line(self.to_dict())
-
 
 class TraceSerialization:
-    """JSONL export mixin for any trace holding :class:`EpochRecordBase` rows.
+    """Export mixin for any trace holding :class:`EpochRecordBase` rows.
 
     Expects the host class to expose ``self.records`` (the mixin is what
     lets ``StreamingTrace`` and ``FaultTrace`` share exporters without
@@ -89,11 +82,3 @@ class TraceSerialization:
         """One JSON-safe dict per epoch record, in epoch order."""
         for record in self.records:
             yield record.to_dict()
-
-    def to_jsonl(self) -> str:
-        """The whole trace as a JSONL string (one line per epoch)."""
-        return "".join(record.to_jsonl() + "\n" for record in self.records)
-
-    def write_jsonl(self, path) -> int:
-        """Write the trace to ``path`` as JSONL; returns the line count."""
-        return write_jsonl(path, self.to_dicts())

@@ -145,7 +145,7 @@ class SpanTracer(TelemetryRecorder):
         #: Optional :class:`~repro.telemetry.flight.FlightRecorder` sink.
         self.flight = flight
         #: Optional :class:`~repro.telemetry.attribution.CostAttribution`
-        #: sink, fed each closing span named ``attribution.span_name``.
+        #: sink, fed each closing ``epoch`` span.
         self.attribution = attribution
 
     # ------------------------------------------------------------------ #
@@ -242,10 +242,10 @@ class SpanTracer(TelemetryRecorder):
             span.rounds = ledger.rounds - mark.rounds
             attribution = self.attribution
             deltas = None
-            if attribution is not None and span.name == attribution.span_name:
+            if attribution is not None and span.name == "epoch":
                 # Reuse the span's own mark: per-node attribution costs no
                 # additional mark, and never a charged bit.  The fold hands
-                # back the dense delta array so max_node_bits comes from the
+                # back the delta array so max_node_bits comes from the
                 # same single subtraction.
                 deltas = attribution.observe_span(span, ledger, mark)
             if deltas is not None:

@@ -31,7 +31,6 @@ from repro.network.accounting import LedgerSnapshot, NodeTraffic
 from repro.telemetry.attribution import (
     BINCOUNT_LIMIT,
     QUANTILE_FRACTIONS,
-    UNIVERSE_BITS,
     CostAttribution,
     EpochAttribution,
     _hotspot_order,
@@ -432,8 +431,9 @@ DictLedger = CommunicationLedger
 # --------------------------------------------------------------------------- #
 # The attribution oracle: the two dict folds the single fold replaced (the
 # heap/sort branch below VECTOR_DICT_FOLD_MIN touched nodes, the numpy branch
-# at or above it), kept verbatim; the helpers they share with the array fold
-# are inherited.  ``observe`` folds a dict ledger's deltas, as the sink did.
+# at or above it), kept verbatim but for the sketch regime, which is gone;
+# the helpers they share with the array fold are inherited.  ``observe``
+# folds a dict ledger's deltas, as the sink did.
 # --------------------------------------------------------------------------- #
 VECTOR_DICT_FOLD_MIN = 4096
 
@@ -447,54 +447,37 @@ class RetiredDictFolds(CostAttribution):
 
     def _fold_dict(self, epoch: int, deltas: dict[int, int]) -> None:
         positive = {node: bits for node, bits in deltas.items() if bits > 0}
-        dense = self._use_dense(len(positive))
-        if dense:
-            if self._cumulative_dict is None:
-                self._cumulative_dict = {}
-                if self.cumulative is None:
-                    self.cumulative = self._cumulative_dict
-            cumulative = self._cumulative_dict
-            for node, bits in positive.items():
-                cumulative[node] = cumulative.get(node, 0) + bits
+        if self._cumulative_dict is None:
+            self._cumulative_dict = {}
+            if self.cumulative is None:
+                self.cumulative = self._cumulative_dict
+        cumulative = self._cumulative_dict
+        for node, bits in positive.items():
+            cumulative[node] = cumulative.get(node, 0) + bits
         if len(positive) >= VECTOR_DICT_FOLD_MIN:
             # Large dict folds (the batched pipeline at scale): Python
             # sorts/heaps over 10^5 items cost more than the epoch's own
             # bookkeeping, so lift the stats into numpy.
-            self._append_dict_stats_vectorized(epoch, positive, dense)
+            self._append_dict_stats_vectorized(epoch, positive)
             return
         hotspots = heapq.nsmallest(self.top_k, positive.items(), key=_hotspot_order)
-        digest = None
-        if dense:
-            quantiles = self._exact_quantiles(sorted(positive.values()))
-        else:
-            buckets: dict[int, int] = {}
-            for bits in positive.values():
-                bucket = 1 << (min(bits, (1 << UNIVERSE_BITS) - 1).bit_length() - 1)
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-            digest = self._digest_from_buckets(buckets)
-            quantiles = self._digest_quantiles(digest)
         self.epochs.append(
             EpochAttribution(
                 epoch=epoch,
                 node_bits=sum(positive.values()),
                 touched=len(positive),
                 hotspots=hotspots,
-                quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
+                quantiles=self._exact_quantiles(sorted(positive.values())),
             )
         )
 
-    def _append_dict_stats_vectorized(
-        self, epoch: int, positive: dict[int, int], dense: bool
-    ) -> None:
+    def _append_dict_stats_vectorized(self, epoch: int, positive: dict[int, int]) -> None:
         """Numpy stats for a large dict fold (same results, no big sorts)."""
         count = len(positive)
         nodes = np.fromiter(positive.keys(), dtype=np.int64, count=count)
         bits = np.fromiter(positive.values(), dtype=np.int64, count=count)
         dmax = int(bits.max())
-        digest = None
-        if dense and 0 < dmax <= BINCOUNT_LIMIT:
+        if 0 < dmax <= BINCOUNT_LIMIT:
             touched, node_bits, quantiles, cutoff, k = (
                 self._stats_from_bincount(bits, dmax)
             )
@@ -510,17 +493,13 @@ class RetiredDictFolds(CostAttribution):
             )
             selected = np.partition(bits, indices)
             cutoff = int(selected[count - k])
-            if dense:
-                quantiles = {
-                    f"p{int(fraction * 100)}": int(
-                        selected[min(count - 1, int(fraction * count))]
-                    )
-                    for fraction in QUANTILE_FRACTIONS
-                }
-                quantiles["max"] = dmax
-            else:
-                digest = self._digest_from_buckets(self._buckets_array(bits))
-                quantiles = self._digest_quantiles(digest)
+            quantiles = {
+                f"p{int(fraction * 100)}": int(
+                    selected[min(count - 1, int(fraction * count))]
+                )
+                for fraction in QUANTILE_FRACTIONS
+            }
+            quantiles["max"] = dmax
         chosen = np.nonzero(bits > cutoff)[0]
         if chosen.size < k:
             # The dict is in first-touched order; the lowest ids win.
@@ -539,8 +518,6 @@ class RetiredDictFolds(CostAttribution):
                 touched=count,
                 hotspots=hotspots,
                 quantiles=quantiles,
-                mode="dense" if dense else "sketch",
-                digest=digest,
             )
         )
 

@@ -9,6 +9,7 @@ numpy ints, tuples, generators, bools, floats, strings, negatives, 2**63 and
 unknown ids.  The array pass must raise the loop's exception (type and
 message) and then have written nothing, or leave exactly what the loop
 leaves; the sweep's dirty set must also equal ``FoldKernel.refresh``'s.
+A refresh key that is not an int64 node id is refused by both kernels.
 """
 
 from __future__ import annotations
@@ -190,27 +191,29 @@ def _sweep_locals(sweep):
     return {ids[pos]: local[pos] for pos in range(len(ids)) if has[pos] and sweep.tracked[pos]}
 
 
+def _is_node_id(key):
+    return (
+        not isinstance(key, bool)
+        and isinstance(key, (int, np.integer))
+        and -(1 << 63) <= key <= INT64_MAX
+    )
+
+
 def _check_refresh(kernels, updates):
+    refused = not all(map(_is_node_id, updates))
     for sweep, loop, fold in kernels:
         sweep.realign()  # re-keying to a new tree is not a write of the batch
-        before = _columns(sweep)
+        before, fold_before = _columns(sweep), _fold_locals(fold)
+        if refused:
+            for kernel in (sweep, fold):
+                with pytest.raises(ConfigurationError):
+                    kernel.refresh(dict(updates))
+            assert _columns(sweep) == before and _fold_locals(fold) == fold_before
+            continue
         expected = _outcome(reference_sweep_refresh, loop, dict(updates))
         actual = _outcome(sweep.refresh, dict(updates))
-        if expected[0] == "raised":
-            assert actual == expected
-            assert _columns(sweep) == before
-            # The loop wrote the entries before the bad one; the array pass
-            # wrote none.  Start the next batch from the same columns.
-            loop.columns.local[:] = sweep.columns.local
-            loop.columns.has_local[:] = sweep.columns.has_local
-            continue
         assert actual == expected and _columns(sweep) == _columns(loop)
-        # The fold looks ids up in a dict (``4.5`` and ``"5"`` name no node
-        # there); given the ids the sweep reads, it must agree.
-        by_id = {int(key): items for key, items in updates.items()}
-        dirty = fold.refresh(by_id)
-        if len(by_id) == len(updates):
-            assert actual[1] == dirty
+        assert actual[1] == fold.refresh(dict(updates))
         assert _sweep_locals(sweep) == _fold_locals(fold)
 
 
@@ -265,15 +268,25 @@ def test_a_refused_summary_writes_nothing():
     assert _columns(sweep) == before
 
 
-def test_two_keys_naming_one_node_leave_the_last_reading():
-    """``4`` and ``4.5`` both name node 4 (the sweep reads ``int(key)``): as
-    in a loop, the node is dirty when any of its readings moved its local
-    count, and it keeps the last one."""
+@pytest.mark.parametrize(
+    "batch",
+    [{4.5: [1, 2, 3], "5": [7, 7]}, {4: [1], 4.5: [2, 3]}, {3.0: [1]}, {True: [1]},
+     {2: [1], 1 << 63: [1]}, {np.uint64(1 << 63): [1]}],
+)
+def test_keys_that_are_not_node_ids_are_refused_by_both_kernels(batch):
+    """``4.5``, ``"5"``, ``3.0``, ``True`` and ids past int64 name no node in
+    either kernel: both refuse the batch and write nothing, and the next
+    valid batch leaves them with the same dirty sets and locals."""
     network = SensorNetwork(grid_links(3), degree_bound=None)
     network.assign_items({node: [node, node] for node in range(9)})
-    for batch in ({4: [1], 4.5: [2, 3]}, {4: [1], 4.5: [2]}, {4.5: [3], 4: [1, 1]}):
-        sweep, loop = SweepKernel(network, CountQuery()), SweepKernel(network, CountQuery())
-        sweep.refresh({})
-        reference_sweep_refresh(loop, {})
-        assert sweep.refresh(batch) == reference_sweep_refresh(loop, batch) == {4}
-        assert _columns(sweep) == _columns(loop)
+    for query in _queries():
+        sweep, fold = SweepKernel(network, query), FoldKernel(network, query)
+        assert sweep.refresh({}) == fold.refresh({})
+        before = _columns(sweep), _fold_locals(fold)
+        for kernel in (sweep, fold):
+            with pytest.raises(ConfigurationError):
+                kernel.refresh(batch)
+        assert (_columns(sweep), _fold_locals(fold)) == before
+        valid = {1: [2], 4: [], 5: [3, 4, 6]}
+        assert sweep.refresh(valid) == fold.refresh(valid)
+        assert _sweep_locals(sweep) == _fold_locals(fold)

@@ -13,7 +13,7 @@ The load-bearing assertions mirror the layer's three promises:
   enabled at n = 100k the run charges zero extra bits, a disabled recorder
   carrying both sinks is reached by a per-epoch call count that does not
   grow with n while the sinks stay empty, and at n = 1M the attribution
-  sink holds no O(n) state (the q-digest + top-k bound).  The wall-clock
+  sink holds one int64 column of n entries plus O(k) per epoch.  The wall-clock
   cost of watching is a measured layer of ``benchmarks/perf``, not a ratio
   asserted here.
 """
@@ -179,10 +179,9 @@ class TestFlightRecorder:
 
 def delta_grid(touched):
     """Seeded per-node delta dicts of ``touched`` nodes, as a dict ledger
-    reports them: tie-heavy, wide
-    (above ``BINCOUNT_LIMIT``) and huge (above the sketch's 2**30 clamp)
-    values; ids ``0..~4n/3``; inserted highest id first or shuffled; one
-    zero delta, which every fold skips.
+    reports them: tie-heavy, wide (above ``BINCOUNT_LIMIT``) and huge (past
+    2**30) values; ids ``0..~4n/3``; inserted highest id first or shuffled;
+    one zero delta, which every fold skips.
     """
     rng = np.random.default_rng(touched)
     id_space = touched + touched // 3 + 1
@@ -202,8 +201,6 @@ class TestCostAttribution:
     def test_configuration_validation(self):
         with pytest.raises(ConfigurationError):
             CostAttribution(top_k=0)
-        with pytest.raises(ConfigurationError):
-            CostAttribution(epsilon=0.0)
 
     def test_dense_fold_from_an_unsized_ledger(self):
         ledger = CommunicationLedger()
@@ -213,7 +210,6 @@ class TestCostAttribution:
         ledger.charge(2, 3, 40, protocol="faults:repair")
         sink.observe(0, ledger, mark)
         (record,) = sink.epochs
-        assert record.mode == "dense"
         # Sender + receiver: every charged bit lands on two nodes.
         assert record.node_bits == 2 * 140
         assert record.touched == 3
@@ -222,27 +218,6 @@ class TestCostAttribution:
         assert sink.top_hotspot(0) == (2, 140, 140 / 280)
         assert sink.epoch_record(1) is None
 
-    def test_sketch_mode_holds_no_dense_state(self):
-        ledger = CommunicationLedger()
-        sink = CostAttribution(top_k=2, epsilon=1 / 32, dense_limit=0)
-        mark = ledger.mark()
-        for node in range(1, 40):
-            ledger.charge(node, 0, 8 * node, protocol="stream:count")
-        sink.observe(0, ledger, mark)
-        (record,) = sink.epochs
-        assert record.mode == "sketch"
-        assert record.digest is not None
-        assert sink.cumulative is None  # the O(n) column never materialises
-        assert len(record.hotspots) == 2
-        assert record.hotspots[0][0] == 0  # the root received everything
-        assert record.quantiles["max"] >= record.quantiles["p50"] > 0
-        line = record.to_dict()
-        assert line["type"] == "attribution"
-        assert line["sketch_entries"] == record.digest.size
-        # Bounded by hotspots + digest ranges, nowhere near the 40 nodes'
-        # worth of per-node entries a dense fold would keep.
-        assert sink.state_entries() == 2 + record.digest.size
-
     @pytest.mark.parametrize("touched", [1, 3, 17, 4095, 4096, 10_000])
     def test_one_fold_matches_the_retired_dict_folds(self, touched):
         """The fold of a delta column reports what the retired heap/sort and
@@ -250,22 +225,12 @@ class TestCostAttribution:
         for id_space, deltas in delta_grid(touched):
             column = np.zeros(id_space, dtype=np.int64)
             column[list(deltas)] = list(deltas.values())
-            # Dense at any population, sketch at any, and switching at 100.
-            for dense_limit in (1 << 62, 0, 100):
-                for top_k in (1, 8, 12_000):
-                    settings = dict(top_k=top_k, dense_limit=dense_limit)
-                    sink, oracle = CostAttribution(**settings), RetiredDictFolds(**settings)
-                    sink._fold_array(0, column)
-                    oracle._fold_dict(0, deltas)
-                    assert sink.epochs[0].to_dict() == oracle.epochs[0].to_dict()
-                    cumulative = sink.cumulative
-                    if cumulative is not None:
-                        cumulative = {
-                            node: bits
-                            for node, bits in enumerate(cumulative.tolist())
-                            if bits
-                        }
-                    assert cumulative == oracle.cumulative
+            for top_k in (1, 8, 12_000):
+                sink, oracle = CostAttribution(top_k=top_k), RetiredDictFolds(top_k=top_k)
+                sink._fold_array(0, column)
+                oracle._fold_dict(0, deltas)
+                assert sink.epochs[0].to_dict() == oracle.epochs[0].to_dict()
+                assert nonzero_entries(sink.cumulative) == oracle.cumulative
 
     def test_ties_at_the_cutoff_go_to_the_lowest_ids_in_every_fold(self):
         """More bits first, then the lowest node id — in the fold and in the
@@ -281,17 +246,51 @@ class TestCostAttribution:
         for sink in (dict_sink, array_sink):
             assert sink.epochs[0].hotspots == [(7, 64), (20, 16), (21, 16), (22, 16)]
 
-    def test_auto_mode_switches_to_sketch_above_dense_limit(self):
-        ledger = CommunicationLedger(64)
-        sink = CostAttribution(dense_limit=32, top_k=4)
-        mark = ledger.mark()
-        ledger.charge_array(
-            np.arange(1, 33), np.zeros(32, dtype=np.int64),
-            np.full(32, 16), protocol="stream:count",
-        )
-        sink.observe(0, ledger, mark)
-        assert sink.epochs[0].mode == "sketch"
-        assert sink.cumulative is None
+    def test_a_quarter_million_node_fold_matches_the_dict_folds(self):
+        """At n = 250,000 the fold reports what the dict folds do — hotspots,
+        exact quantiles, summed bits and cumulative bits — over epochs on
+        the bincount, the introselect and the small-dict paths."""
+        num_nodes = 250_000
+        ledger = CommunicationLedger(num_nodes)
+        sink, oracle = CostAttribution(top_k=8), RetiredDictFolds(top_k=8)
+        rng = np.random.default_rng(40)
+        for epoch, (touched, high) in enumerate(
+            [(12_500, 400), (12_500, 1 << 20), (1_000, 64)]
+        ):
+            mark = ledger.mark()
+            senders = rng.choice(num_nodes, touched, replace=False)
+            receivers = rng.integers(0, num_nodes, touched)
+            ledger.charge_array(
+                senders, receivers, rng.integers(1, high, touched), protocol="stream:count"
+            )
+            sink.observe(epoch, ledger, mark)
+            oracle.observe(epoch, ledger, mark)
+            ledger.release(mark)
+        assert list(sink.iter_dicts()) == list(oracle.iter_dicts())
+        assert sink.cumulative.size == num_nodes
+        assert nonzero_entries(sink.cumulative) == oracle.cumulative
+        assert int(sink.cumulative.sum()) == 2 * ledger.total_bits
+
+    @pytest.mark.parametrize("num_nodes", [20_000, 1_000_000])
+    def test_quantiles_are_the_exact_rank_statistics(self, num_nodes):
+        """1,000 touched nodes whose largest delta is 399: ``max`` is 399 and
+        p50 / p90 / p99 are the sorted deltas at ranks 500 / 900 / 990."""
+        rng = np.random.default_rng(399)
+        bits = 1 + np.arange(1_000) * 398 // 999
+        column = np.zeros(num_nodes, dtype=np.int64)
+        column[rng.choice(num_nodes, 1_000, replace=False)] = rng.permutation(bits)
+        sink = CostAttribution()
+        sink._fold_array(0, column)
+        (record,) = sink.epochs
+        ordered = np.sort(bits).tolist()
+        assert (ordered[500], ordered[900], ordered[990]) == (200, 359, 395)
+        assert record.quantiles == {"p50": 200, "p90": 359, "p99": 395, "max": 399}
+        assert record.touched == 1_000 and record.node_bits == int(bits.sum())
+
+
+def nonzero_entries(cumulative):
+    """A cumulative column as the dict fold keeps it: touched nodes only."""
+    return {node: bits for node, bits in enumerate(cumulative.tolist()) if bits}
 
 
 class TestDetector:
@@ -493,32 +492,33 @@ class TestVectorizedReconciliation:
             assert anomaly.attributed
 
     @pytest.mark.slow
-    def test_million_node_attribution_stays_sketched(self):
-        """The memory bound: 1M nodes, zero O(n) attribution state."""
+    def test_million_node_attribution_keeps_one_column(self):
+        """The memory bound at 1M nodes: one int64 column of n entries, and
+        per epoch at most ``top_k`` hotspots and 4 quantiles."""
         from repro.network.vector_field import VectorField
 
-        sink = CostAttribution(top_k=8, epsilon=1 / 64)
+        num_nodes = 1_000_000
+        sink = CostAttribution(top_k=8)
         tracer = SpanTracer(attribution=sink)
-        field = VectorField.balanced(1_000_000, telemetry=tracer)
+        field = VectorField.balanced(num_nodes, telemetry=tracer)
         field.register_count_query("count")
         rng = np.random.default_rng(5)
         field.advance_epoch(
-            changed_positions=np.arange(1_000_000),
-            new_counts=rng.integers(0, 50, 1_000_000),
+            changed_positions=np.arange(num_nodes),
+            new_counts=rng.integers(0, 50, num_nodes),
         )
-        churn = rng.choice(1_000_000, 10_000, replace=False)
+        churn = rng.choice(num_nodes, 10_000, replace=False)
         field.advance_epoch(
             changed_positions=churn,
             new_counts=rng.integers(0, 50, 10_000),
         )
-        assert sink.cumulative is None
-        assert all(record.mode == "sketch" for record in sink.epochs)
-        # O(epochs * (k + 1/eps)) — permissively doubled, still ~5 orders
-        # of magnitude under the 1M-entry dense column it must not keep.
-        assert sink.state_entries() <= 2 * len(sink.epochs) * (8 + 64)
+        assert sink.cumulative.dtype == np.int64
+        assert sink.cumulative.shape == (num_nodes,)
+        assert len(sink.epochs) == 2
         for record in sink.epochs:
-            assert record.digest is not None
             assert record.touched > 0
+            assert len(record.hotspots) <= 8
+            assert len(record.quantiles) == 4
 
 
 class TestOverheadGuard:

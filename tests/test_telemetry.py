@@ -296,8 +296,9 @@ class TestJsonl:
         assert streaming.to_dict()["type"] == "epoch"
         assert streaming.to_dict()["bits"] == 60
         assert faulty.to_dict()["type"] == "fault_epoch"
-        assert '"type": "epoch"' not in streaming.to_jsonl()  # compact separators
-        assert '"epoch":0' in streaming.to_jsonl().replace(" ", "")
+        line = dumps_line(streaming.to_dict())
+        assert '"type": "epoch"' not in line  # compact separators
+        assert '"epoch":0' in line.replace(" ", "")
 
 
 @pytest.mark.parametrize("execution", ["batched", "per-edge"])
