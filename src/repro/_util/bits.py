@@ -113,6 +113,12 @@ def varint_bits_array(values):
     return _varint_bits_of_words(np.asarray(values, dtype=np.int64).view(np.uint64))
 
 
+def varint_bits_sum(counts, axis: int):
+    """``varint_bits_array(counts).sum(axis)`` for non-negative counts below
+    ``2**53`` in any integer dtype, read as they are (no int64 copy)."""
+    return 2 * np.maximum(1, bit_length_array(counts)).sum(axis=axis) - counts.shape[axis]
+
+
 def signed_varint_bits_array(values):
     """Vectorized :func:`signed_varint_bits`: the zigzag is computed in
     uint64, where no int64 value overflows (``-2**63`` maps to

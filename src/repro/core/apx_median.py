@@ -34,6 +34,7 @@ from repro.protocols.aggregates import MaxProtocol, MinProtocol
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.predicates import LessThanPredicate
+from repro.protocols.tally import SweepTally, sweep_tally
 
 
 @dataclass(frozen=True)
@@ -122,21 +123,39 @@ class ApproximateOrderStatisticProtocol:
         """Execute Fig. 2; the result's ``value`` is an :class:`ApproxMedianOutcome`.
 
         ``items`` (other columns in the network's row order) replaces the
-        network's items: APX_MEDIAN2 runs it on the logarithm domain.
+        network's items.
+        """
+        with MeteredRun(network) as metered:
+            outcome = self.select(network, items)
+        return metered.result(outcome)
+
+    def select(
+        self,
+        network: SensorNetwork,
+        items: ItemColumns | None = None,
+        tally: SweepTally | None = None,
+    ) -> ApproxMedianOutcome:
+        """The root-side outcome of Fig. 2, as :meth:`run` computes it.
+
+        The search's sweeps (MIN, MAX, every APX_COUNT repetition) go into
+        ``tally`` when given (APX_MEDIAN2 runs this on the logarithm domain
+        inside its own), else into a tally of the search's own where the
+        network defers them (:mod:`repro.protocols.tally`), charged before
+        this returns.
         """
         sigma = self.sigma
         margin = self.alpha_c + sigma
-        with MeteredRun(network) as metered:
+        with sweep_tally(network, tally) as tally:
             # Line 1: exact MIN and MAX (cheap, Fact 2.1).
-            minimum = MinProtocol(domain_max=self._domain_max).run(network, items).value
-            maximum = MaxProtocol(domain_max=self._domain_max).run(network, items).value
+            minimum = MinProtocol(domain_max=self._domain_max).value(network, items, tally)
+            maximum = MaxProtocol(domain_max=self._domain_max).value(network, items, tally)
             spread = maximum - minimum
 
             # Line 2: q and the approximate item count n.
             q = max(1.0, math.log2(max(2, spread))) / self.epsilon
-            n_estimate = self._rep_count.run(
-                network, self.policy.count_repetitions(q), items=items
-            ).value
+            n_estimate = self._rep_count.average(
+                network, self.policy.count_repetitions(q), items=items, tally=tally
+            )
             if n_estimate <= 0:
                 raise EmptyNetworkError("approximate count returned zero items")
             if self.quantile is not None:
@@ -165,7 +184,7 @@ class ApproximateOrderStatisticProtocol:
                     epsilon=self.epsilon,
                     sigma=sigma,
                 )
-                return metered.result(outcome)
+                return outcome
 
             # Line 3: initial probe point and radius, as in Fig. 1.
             y = (maximum + minimum) / 2.0
@@ -179,9 +198,9 @@ class ApproximateOrderStatisticProtocol:
                     threshold=threshold,
                     domain_max=self._domain_max if self._domain_max is not None else maximum,
                 )
-                return self._rep_count.run(
-                    network, probe_repetitions, predicate=predicate, items=items
-                ).value
+                return self._rep_count.average(
+                    network, probe_repetitions, predicate=predicate, items=items, tally=tally
+                )
 
             # Line 4: noise-tolerant binary search.
             value: int | None = None
@@ -216,7 +235,7 @@ class ApproximateOrderStatisticProtocol:
                 epsilon=self.epsilon,
                 sigma=sigma,
             )
-        return metered.result(outcome)
+        return outcome
 
 
 class ApproximateMedianProtocol(ApproximateOrderStatisticProtocol):

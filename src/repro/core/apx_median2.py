@@ -48,6 +48,7 @@ from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.predicates import PowerThresholdPredicate
+from repro.protocols.tally import sweep_tally
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,20 @@ class PolyloglogMedianProtocol:
 
     # ------------------------------------------------------------------ #
     def run(self, network: SensorNetwork) -> ProtocolResult:
-        """Execute Fig. 4; the result's ``value`` is a :class:`PolyloglogOutcome`."""
-        with MeteredRun(network) as metered:
+        """Execute Fig. 4; the result's ``value`` is a :class:`PolyloglogOutcome`.
+
+        Every sweep of the run, those of the stages' APX_MEDIAN searches
+        included, goes into one tally where the network defers them
+        (:mod:`repro.protocols.tally`), charged before the result.
+        """
+        with MeteredRun(network) as metered, sweep_tally(network) as tally:
             if network.total_items() == 0:
                 raise EmptyNetworkError("cannot compute a median of an empty network")
             domain_max = self.domain_max
             if domain_max is None:
                 # The paper assumes X̄ is known a priori; when it is not, one
                 # exact MAX query (Fact 2.1, O(log N) bits) supplies it.
-                domain_max = MaxProtocol().run(network).value
+                domain_max = MaxProtocol().value(network, tally=tally)
             domain_max = max(1, domain_max)
 
             # Stage 0: announce the protocol; each node initialises its scaled
@@ -151,6 +157,7 @@ class PolyloglogMedianProtocol:
                 {"query": "APX_MEDIAN2", "beta": self.beta, "epsilon": self.epsilon},
                 16,
                 protocol="APX_MEDIAN2",
+                tally=tally,
             )
             scaled = network.item_columns
 
@@ -159,9 +166,9 @@ class PolyloglogMedianProtocol:
             count_repetitions = self.policy.count_repetitions(q0)
 
             # Line 1: approximate total count and initial target rank.
-            n_estimate = self._rep_count.run(
-                network, count_repetitions, items=scaled
-            ).value
+            n_estimate = self._rep_count.average(
+                network, count_repetitions, items=scaled, tally=tally
+            )
             if n_estimate <= 0:
                 raise EmptyNetworkError("approximate count returned zero items")
             k = n_estimate / 2.0
@@ -190,16 +197,16 @@ class PolyloglogMedianProtocol:
                 )
                 # The X̂ of Fig. 4: the length transform of the active values.
                 lengths = ItemColumns(scaled.ptr, _log_length(scaled.values))
-                mu_hat = max(0, int(apx_os.run(network, items=lengths).value.value))
+                mu_hat = max(0, int(apx_os.select(network, lengths, tally).value))
 
                 # Line 3.4 (done before deactivation so it counts over X^(j)):
                 # how many currently-active items fall below the selected
                 # dyadic interval.  The predicate is described by the exponent
                 # alone, keeping the message polyloglog-sized.
                 below_predicate = PowerThresholdPredicate(exponent=mu_hat, offset=-1)
-                below_estimate = self._rep_count.run(
-                    network, count_repetitions, predicate=below_predicate, items=scaled
-                ).value
+                below_estimate = self._rep_count.average(
+                    network, count_repetitions, below_predicate, scaled, tally
+                )
 
                 # Selected interval in the current scaled domain (with the +1
                 # shift of the length transform).
@@ -213,6 +220,7 @@ class PolyloglogMedianProtocol:
                     {"query": "APX_MEDIAN2_ZOOM", "mu_hat": mu_hat, "stage": stage},
                     varint_bits(mu_hat) + 4,
                     protocol="APX_MEDIAN2",
+                    tally=tally,
                 )
                 # A value survives inside [2^μ̂ − 1, 2^{μ̂+1} − 1); a node left
                 # with none turns passive.
@@ -237,7 +245,7 @@ class PolyloglogMedianProtocol:
                 # Line 3.4: adjust the target rank.
                 k = max(1.0, k - below_estimate)
 
-                active_estimate = self._rep_count.run(network, 1, items=scaled).value
+                active_estimate = self._rep_count.average(network, 1, items=scaled, tally=tally)
                 stage_records.append(
                     ZoomStage(
                         stage=stage,

@@ -14,6 +14,12 @@ the pseudocode exactly; ``RepetitionPolicy.practical()`` (the default used by
 the benchmarks) keeps the same structure with a bounded number of repetitions
 so large sweeps finish in reasonable time.  Experiment E9 quantifies the
 effect of the cap.
+
+Inside a search (APX_MEDIAN, APX_MEDIAN2) the repetitions' sweeps may go to
+the search's :class:`~repro.protocols.tally.SweepTally` and be charged once
+it is over (:meth:`RepeatedApproxCount.average`).  Each repetition draws its
+salt and computes its estimate exactly as before; the per-node cost is
+unchanged, and only the host-side order of charging changes.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from repro.network.simulator import SensorNetwork
 from repro.protocols.apx_count import ApproxCountProtocol
 from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.predicates import AllItemsPredicate, Predicate
+from repro.protocols.tally import SweepTally
 
 
 @dataclass(frozen=True)
@@ -101,17 +108,29 @@ class RepeatedApproxCount:
         The result's ``value`` is the averaged estimate (a float).  ``items``
         replaces the network's items, as in :meth:`ApproxCountProtocol.run`.
         """
+        with MeteredRun(network) as metered:
+            average = self.average(network, repetitions, predicate, items)
+        return metered.result(average)
+
+    def average(
+        self,
+        network: SensorNetwork,
+        repetitions: int,
+        predicate: Predicate | None = None,
+        items: ItemColumns | None = None,
+        tally: SweepTally | None = None,
+    ) -> float:
+        """The averaged estimate :meth:`run` returns, each repetition's
+        sweeps charged on the spot or added to ``tally``
+        (:meth:`ApproxCountProtocol.count`)."""
         require_positive(repetitions, "repetitions")
         effective_predicate = predicate if predicate is not None else AllItemsPredicate()
-        with MeteredRun(network) as metered:
-            total = 0.0
-            for _ in range(repetitions):
-                run_result = self._counter.run(
-                    network, predicate=effective_predicate, items=items
-                )
-                total += run_result.value.estimate
-            average = total / repetitions
-        return metered.result(average)
+        total = 0.0
+        for _ in range(repetitions):
+            total += self._counter.count(
+                network, predicate=effective_predicate, items=items, tally=tally
+            ).estimate
+        return total / repetitions
 
     @property
     def relative_sigma(self) -> float:

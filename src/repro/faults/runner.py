@@ -135,26 +135,32 @@ def run_faulty_stream(
             mid = network.ledger.counters_snapshot()
 
             flat = network.flat_tree
-            # The update and flap targets the tree spans, one array lookup.
-            targets = np.fromiter((*updates, *report.flapped), dtype=np.int64)
-            tree_nodes = set(targets[flat.positions_of(targets) >= 0].tolist())
+            # The update targets the tree spans, one array lookup.
+            ids = np.fromiter(updates, dtype=np.int64, count=len(updates))
+            spanned = flat.positions_of(ids) >= 0
             # Crashed-but-undetected nodes still sit in the tree, but their
             # sensors are gone: a zombie reads nothing, so its updates vanish
             # (its stale cached summary lingering at the root is exactly the
             # answer-error cost of the detection window).
             undetected = getattr(faults, "undetected_dead", frozenset())
-            reachable_updates = {
-                node_id: items
-                for node_id, items in updates.items()
-                if node_id in tree_nodes and node_id not in undetected
-            }
+            if spanned.all() and not any(node_id in updates for node_id in undetected):
+                reachable_updates = updates  # nothing to filter: no copy
+            else:
+                reachable_updates = {
+                    node_id: items
+                    for (node_id, items), kept in zip(updates.items(), spanned.tolist())
+                    if kept and node_id not in undetected
+                }
             # A flap (crash + rejoin inside one detection window) leaves the
             # tree untouched but replaced the node's readings wholesale;
             # surface it as this epoch's update so the stale pre-crash summary
             # is re-synchronised instead of being served forever.
-            for node_id in report.flapped:
-                if node_id in tree_nodes:
-                    reachable_updates[node_id] = network.items_of(node_id)
+            flaps = np.array(report.flapped, dtype=np.int64)
+            flapped = flaps[flat.positions_of(flaps) >= 0].tolist()
+            if flapped and reachable_updates is updates:
+                reachable_updates = dict(updates)
+            for node_id in flapped:
+                reachable_updates[node_id] = network.items_of(node_id)
             record = engine.advance_epoch(reachable_updates)
             after = network.ledger.counters_snapshot()
 

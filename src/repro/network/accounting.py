@@ -11,9 +11,12 @@ breakdowns and message/round counts.  :meth:`~CommunicationLedger.charge`
 :meth:`~CommunicationLedger.charge_array` (a tuple list or parallel arrays,
 ``SensorNetwork.send_batch``) are bit-for-bit equivalent: a batch entry with
 ``copies`` repetitions is ``copies`` :meth:`~CommunicationLedger.charge`
-calls, budget raise point included.  A :class:`LedgerMark` meters one
-interval.  The retired dict-backed ledger lives on in ``tests/`` as the
-reference the test suite holds this one to.
+calls, budget raise point included.
+:meth:`~CommunicationLedger.charge_totals` charges several sweeps over the
+same links at once, as one bit total and one message count per link (no
+budget).  A :class:`LedgerMark` meters one interval.  The retired
+dict-backed ledger lives on in ``tests/`` as the reference the test suite
+holds this one to.
 """
 
 from __future__ import annotations
@@ -406,25 +409,60 @@ class CommunicationLedger:
                 stop = crossing + 1
                 senders, receivers, sizes = senders[:stop], receivers[:stop], sizes[:stop]
         if copies is None:
-            weights = sizes
-            messages = int(senders.size)
-            np.add.at(self._msgs_sent, senders, 1)
-            np.add.at(self._msgs_received, receivers, 1)
+            self._add(senders, receivers, sizes, 1, int(senders.size), protocol)
         else:
-            weights = sizes * copies
-            messages = int(copies.sum())
-            np.add.at(self._msgs_sent, senders, copies)
-            np.add.at(self._msgs_received, receivers, copies)
-        self._totals_dirty = True
-        np.add.at(self._bits_sent, senders, weights)
-        np.add.at(self._bits_received, receivers, weights)
-        total = int(weights.sum())
-        self._per_protocol_bits[protocol] += total
-        self._messages += messages
-        self._total_bits += total
+            self._add(senders, receivers, sizes * copies, copies, int(copies.sum()), protocol)
         if crossed is not None:
             self._check_budget(int(senders[-1]), crossed)
             self._check_budget(int(receivers[-1]), crossed)
+
+    def _add(self, senders, receivers, bits, counts, messages: int, protocol: str) -> None:
+        """Scatter-add ``bits[i]`` bits and ``counts[i]`` messages (a column,
+        or one scalar for all) over checked link columns."""
+        np.add.at(self._msgs_sent, senders, counts)
+        np.add.at(self._msgs_received, receivers, counts)
+        self._totals_dirty = True
+        np.add.at(self._bits_sent, senders, bits)
+        np.add.at(self._bits_received, receivers, bits)
+        total = int(bits.sum())
+        self._per_protocol_bits[protocol] += total
+        self._messages += messages
+        self._total_bits += total
+
+    def charge_totals(self, senders, receivers, bits, messages, protocol: str = "unknown") -> None:
+        """Charge link ``i`` ``bits[i]`` bits over ``messages[i]``
+        transmissions in all: several sweeps over the same links, whose
+        sizes may differ from sweep to sweep, charged at once.
+
+        The ledger is left as the sweeps' :meth:`charge_array` calls leave
+        it.  A per-node budget raises at one transmission of one sweep,
+        which a total no longer names, so a budgeted ledger refuses the
+        call with :class:`ConfigurationError` before charging.  Lengths,
+        counts and ids are checked as :meth:`charge_array` checks them.
+        """
+        if self._budget is not None:
+            raise ConfigurationError("charge_totals cannot enforce a per-node budget")
+        _same_lengths(
+            "charge_totals", senders=senders, receivers=receivers, bits=bits, messages=messages
+        )
+        require_sizes(bits)
+        require_sizes(messages)
+        senders, receivers = _id_column(senders), _id_column(receivers)
+        if senders.size == 0:
+            return
+        self._admit(
+            int(min(senders.min(), receivers.min())),
+            int(max(senders.max(), receivers.max())),
+        )
+        messages = np.asarray(messages, dtype=np.int64)
+        self._add(
+            senders,
+            receivers,
+            np.asarray(bits, dtype=np.int64),
+            messages,
+            int(messages.sum()),
+            protocol,
+        )
 
     def _first_crossing(self, senders, receivers, sizes) -> int | None:
         """Index of the first transmission after which its sender or its

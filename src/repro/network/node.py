@@ -32,6 +32,13 @@ class SensorNode:
     is_root: bool
 
 
+def run_slots(starts, counts):
+    """The slots of runs of ``counts[i]`` items from ``starts[i]``, in order."""
+    slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    slots += np.arange(slots.size)
+    return slots
+
+
 class ItemColumns(NamedTuple):
     """Items of every node as CSR int64 columns, in link-table row order.
 
@@ -53,6 +60,11 @@ class ItemColumns(NamedTuple):
         running = np.zeros(mask.size + 1, dtype=np.int64)
         np.cumsum(mask, out=running[1:])
         return running[self.ptr[1:]] - running[self.ptr[:-1]]
+
+    def slots(self, rows):
+        """Where the items of ``rows`` lie in ``values``, row after row."""
+        starts = self.ptr[rows]
+        return run_slots(starts, self.ptr[rows + 1] - starts)
 
     def sums(self) -> list[int]:
         """Per-row item sums, exact: rows that could pass 2**63 are summed

@@ -56,7 +56,7 @@ from repro.network.accounting import (
 from repro.network.flat_tree import FlatTree
 from repro.network.links import LinkTable, as_link_table
 from repro.network.message import Message
-from repro.network.node import INT64_MAX, ItemColumns, SensorNode
+from repro.network.node import INT64_MAX, ItemColumns, SensorNode, run_slots
 from repro.network.radio import RadioModel, ReliableRadio
 from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import build_links
@@ -225,6 +225,19 @@ class SensorNetwork:
             )
         self._execution = mode
 
+    @property
+    def deferrable(self) -> bool:
+        """Whether a send between alive nodes here can neither fail, lose a
+        copy nor stop at a budget: ids ``0..n-1``, ``type(radio) is
+        ReliableRadio`` and no per-node budget.  Such a send's charge only
+        has to reach the ledger before anything reads it, not at its place
+        in the order of sends."""
+        return (
+            self.alive_mask is not None
+            and type(self.radio) is ReliableRadio
+            and self.ledger.per_node_budget_bits is None
+        )
+
     # ------------------------------------------------------------------ #
     # Links
     # ------------------------------------------------------------------ #
@@ -349,7 +362,7 @@ class SensorNetwork:
     def _pack(self) -> None:
         """Gather every row's items back into row order (one array pass)."""
         counts = self._item_count
-        self._install(counts, self._item_values[_slots(self._item_start, counts)])
+        self._install(counts, self._item_values[run_slots(self._item_start, counts)])
 
     def _row(self, node_id: int) -> int:
         row = self._links.row_of(node_id)
@@ -454,7 +467,7 @@ class SensorNetwork:
                 )
             self._item_count[rows] = counts
             self._item_ptr = None
-        self._item_values[_slots(self._item_start[rows], counts)] = values
+        self._item_values[run_slots(self._item_start[rows], counts)] = values
 
     def clear_items(self) -> None:
         """Remove every item from every node."""
@@ -681,6 +694,30 @@ class SensorNetwork:
                 "net.bits", ledger.total_bits - bits_before, protocol=protocol
             )
 
+    def charge_totals(self, links, bits, messages, protocol: str = "unknown") -> None:
+        """Charge several perfect-link sweeps over the ``(k, 2)`` int64
+        ``links`` at once: link ``i`` carried ``bits[i]`` bits over
+        ``messages[i]`` sends in all.
+
+        Only a :attr:`deferrable` network whose ``links`` join alive nodes
+        takes it (anything else raises
+        :class:`~repro.exceptions.ConfigurationError` before charging): no
+        send can fail there, so the ledger ends as one :meth:`send_batch`
+        per sweep leaves it, and telemetry counts the same ``net.bits`` and
+        ``net.messages``.
+        """
+        if not self.deferrable or self._checked_pairs(links, require_edge=False) is None:
+            raise ConfigurationError(
+                "charge_totals needs perfect links, no budget and alive endpoints"
+            )
+        self.ledger.charge_totals(links[:, 0], links[:, 1], bits, messages, protocol)
+        telemetry = self._telemetry
+        if telemetry.enabled:
+            telemetry.count("net.batches", 1, protocol=protocol)
+            telemetry.count("net.links", len(links), protocol=protocol)
+            telemetry.count("net.messages", int(np.sum(messages)), protocol=protocol)
+            telemetry.count("net.bits", int(np.sum(bits)), protocol=protocol)
+
     def _send_batch_impl(self, links, sizes, protocol: str, require_edge: bool):
         if len(links) != len(sizes):
             raise ConfigurationError(
@@ -821,13 +858,6 @@ def _checked_items(values: Iterable[int]) -> list[int]:
                 raise ConfigurationError(f"items must be below 2**63, got {max(items)}")
             break
     return items
-
-
-def _slots(starts, counts):
-    """The slots of runs of ``counts[i]`` items from ``starts[i]``, in order."""
-    slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    slots += np.arange(slots.size)
-    return slots
 
 
 def _pair_array(links: Sequence[tuple[int, int]]):

@@ -30,6 +30,7 @@ from repro.protocols.convergecast import (
     extremum_convergecast,
     subtree_sums,
 )
+from repro.protocols.tally import SweepTally
 
 # Size of the query-announcement broadcast: an opcode identifying the
 # aggregate.  Constant, as in Fact 2.1.
@@ -111,41 +112,55 @@ class _ExtremumProtocol:
     ) -> ProtocolResult:
         """Run over the network's items, or over ``items`` (other columns
         in the same row order) when given."""
+        with MeteredRun(network) as metered:
+            answer = self.value(network, items)
+        return metered.result(answer)
+
+    def value(
+        self,
+        network: SensorNetwork,
+        items: ItemColumns | None = None,
+        tally: SweepTally | None = None,
+    ) -> int:
+        """The answer :meth:`run` returns, unmetered: a search's ``tally``
+        (:mod:`repro.protocols.tally`) takes the two sweeps' charges."""
         if items is None:
             items = network.item_columns
         require_in_domain(network, items, self._domain_max, self._name)
-        with MeteredRun(network) as metered:
-            broadcast(network, {"query": self._name}, _REQUEST_BITS, protocol=self._name)
-            if network.execution == "per-edge":
-                pick = self._pick
+        broadcast(
+            network, {"query": self._name}, _REQUEST_BITS, protocol=self._name, tally=tally
+        )
+        if network.execution == "per-edge":
+            pick = self._pick
 
-                def combine(a: int | None, b: int | None) -> int | None:
-                    if a is None:
-                        return b
-                    if b is None:
-                        return a
-                    return pick(a, b)
+            def combine(a: int | None, b: int | None) -> int | None:
+                if a is None:
+                    return b
+                if b is None:
+                    return a
+                return pick(a, b)
 
-                answer = convergecast(
-                    network,
-                    items.reduce(self._reduce, None),
-                    combine,
-                    _value_size(self._domain_max),
-                    protocol=self._name,
-                )
-            else:
-                answer = extremum_convergecast(
-                    network,
-                    items,
-                    self._reduce,
-                    _value_sizes(self._domain_max),
-                    protocol=self._name,
-                )
-            if answer is None:
-                raise EmptyNetworkError(
-                    f"{self._name}: no node holds any item"
-                )
-        return metered.result(answer)
+            answer = convergecast(
+                network,
+                items.reduce(self._reduce, None),
+                combine,
+                _value_size(self._domain_max),
+                protocol=self._name,
+            )
+        else:
+            answer = extremum_convergecast(
+                network,
+                items,
+                self._reduce,
+                _value_sizes(self._domain_max),
+                protocol=self._name,
+                tally=tally,
+            )
+        if answer is None:
+            raise EmptyNetworkError(
+                f"{self._name}: no node holds any item"
+            )
+        return answer
 
 
 class MinProtocol(_ExtremumProtocol):
@@ -167,11 +182,16 @@ class CountProtocol:
 
     def run(self, network: SensorNetwork) -> ProtocolResult:
         with MeteredRun(network) as metered:
-            broadcast(network, {"query": "COUNT"}, _REQUEST_BITS, protocol="COUNT")
-            answer = count_convergecast(
-                network, network.item_columns.lengths, protocol="COUNT"
-            )
+            answer = self.value(network)
         return metered.result(answer)
+
+    def value(self, network: SensorNetwork, tally: SweepTally | None = None) -> int:
+        """The answer :meth:`run` returns, unmetered: a search's ``tally``
+        (:mod:`repro.protocols.tally`) takes the two sweeps' charges."""
+        broadcast(network, {"query": "COUNT"}, _REQUEST_BITS, protocol="COUNT", tally=tally)
+        return count_convergecast(
+            network, network.item_columns.lengths, protocol="COUNT", tally=tally
+        )
 
 
 class SumProtocol:

@@ -27,6 +27,15 @@ with its array twin :func:`~repro.sketches.hashing.hash64_array` (the same
 bits), scatters the hashes into the root's registers with
 :func:`~repro.sketches.registers.registers_from_hashes`, and charges the
 same full sketch over every tree edge.
+
+A search adds an invocation's two constant-size sweeps (``_SALT_BITS`` plus
+the predicate down, one sketch up) to its
+:class:`~repro.protocols.tally.SweepTally` instead
+(:meth:`ApproxCountProtocol.count` with ``tally=``) and charges them all
+once it is over.  The salt, the registers and the estimate are the same, and
+so is the per-node cost; only the host-side order of charging changes.
+:meth:`ApproxCountProtocol.run` charges on the spot and reports its exact
+cost.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from repro.protocols.base import MeteredRun, ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import charge_up_sweep, convergecast
 from repro.protocols.predicates import AllItemsPredicate, Predicate
+from repro.protocols.tally import SweepTally
 from repro.sketches.hashing import hash64, hash64_array
 from repro.sketches.hyperloglog import HyperLogLogSketch
 from repro.sketches.loglog import LogLogSketch
@@ -163,49 +173,66 @@ class ApproxCountProtocol:
         probes with different predicates).  ``items`` (other columns in the
         network's row order) replaces the network's items.
         """
+        with MeteredRun(network) as metered:
+            result = self.count(network, predicate, items)
+        return metered.result(result)
+
+    def count(
+        self,
+        network: SensorNetwork,
+        predicate: Predicate | None = None,
+        items: ItemColumns | None = None,
+        tally: SweepTally | None = None,
+    ) -> ApproxCountResult:
+        """One invocation's root-side outcome, as :meth:`run` computes it.
+
+        Its two sweeps are charged on the spot, or added to ``tally`` (see
+        :mod:`repro.protocols.tally`): the salt, the registers and the
+        estimate are the same either way.
+        """
         effective_predicate = predicate if predicate is not None else self.predicate
         if items is None:
             items = network.item_columns
         salt = self._fresh_salt()
         sketch_bits = self._empty_sketch(salt).serialized_bits(self.max_expected_count)
-        with MeteredRun(network) as metered:
-            broadcast(
+        broadcast(
+            network,
+            {"query": "APX_COUNT", "salt": salt, "predicate": effective_predicate},
+            _SALT_BITS + effective_predicate.encoded_bits(),
+            protocol="APX_COUNT",
+            tally=tally,
+        )
+        matching = items.select(effective_predicate.mask(items.values))
+        if network.execution == "per-edge":
+            rows = zip(network.node_ids(), matching.rows())
+            merged = convergecast(
                 network,
-                {"query": "APX_COUNT", "salt": salt, "predicate": effective_predicate},
-                _SALT_BITS + effective_predicate.encoded_bits(),
+                [
+                    self._local_sketch(salt, self._local_hashes(node_id, local, salt))
+                    for node_id, local in rows
+                ],
+                lambda a, b: a.merge(b),
+                sketch_bits,
                 protocol="APX_COUNT",
             )
-            matching = items.select(effective_predicate.mask(items.values))
-            if network.execution == "per-edge":
-                rows = zip(network.node_ids(), matching.rows())
-                merged = convergecast(
-                    network,
-                    [
-                        self._local_sketch(salt, self._local_hashes(node_id, local, salt))
-                        for node_id, local in rows
-                    ],
-                    lambda a, b: a.merge(b),
-                    sketch_bits,
-                    protocol="APX_COUNT",
-                )
-            else:
-                # The root's sketch in one pass: every tree node's hashes
-                # scattered into one set of registers.
-                merged = self._empty_sketch(salt)
-                merged.registers = registers_from_hashes(
-                    self._tree_hashes(network, salt, matching), self.num_registers
-                ).tolist()
-                # The size does not depend on the registers: every link
-                # carries one full sketch.
-                charge_up_sweep(
-                    network,
-                    np.full(network.flat_tree.num_nodes - 1, sketch_bits, dtype=np.int64),
-                    "APX_COUNT",
-                )
-            result = ApproxCountResult(
-                estimate=merged.estimate(),
-                relative_sigma=merged.relative_sigma,
-                num_registers=self.num_registers,
-                sketch_bits=sketch_bits,
+        else:
+            # The root's sketch in one pass: every tree node's hashes
+            # scattered into one set of registers.
+            merged = self._empty_sketch(salt)
+            merged.registers = registers_from_hashes(
+                self._tree_hashes(network, salt, matching), self.num_registers
+            ).tolist()
+            # The size does not depend on the registers: every link
+            # carries one full sketch.
+            charge_up_sweep(
+                network,
+                np.full(network.flat_tree.num_nodes - 1, sketch_bits, dtype=np.int64),
+                "APX_COUNT",
+                tally,
             )
-        return metered.result(result)
+        return ApproxCountResult(
+            estimate=merged.estimate(),
+            relative_sigma=merged.relative_sigma,
+            num_registers=self.num_registers,
+            sketch_bits=sketch_bits,
+        )

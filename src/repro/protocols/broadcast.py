@@ -20,12 +20,15 @@ received is what the ledger records.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro._util.validation import require_non_negative
 from repro.network.simulator import SensorNetwork
+
+if TYPE_CHECKING:
+    from repro.protocols.tally import SweepTally
 
 
 def broadcast(
@@ -33,14 +36,19 @@ def broadcast(
     payload: Any,
     size_bits: int,
     protocol: str = "broadcast",
+    tally: SweepTally | None = None,
 ) -> None:
     """Send ``payload`` from the root to every node along tree edges.
 
     Returns nothing: what each node received is what the ledger records.
-    The number of synchronous rounds consumed equals the tree height.
+    The number of synchronous rounds consumed equals the tree height.  With
+    a search's ``tally`` (:mod:`repro.protocols.tally`) the sweep is added
+    to it, to be charged with the search's other sweeps.
     """
     require_non_negative(size_bits, "size_bits")
-    if network.execution == "per-edge":
+    if tally is not None:
+        tally.down(protocol, size_bits)
+    elif network.execution == "per-edge":
         _broadcast_per_edge(network, payload, size_bits, protocol)
     else:
         _broadcast_batched(network, size_bits, protocol)

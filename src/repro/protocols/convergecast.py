@@ -49,13 +49,16 @@ which an int64 subtree sum cannot hold.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro._util.bits import varint_bits, varint_bits_array
 from repro.network.node import ItemColumns
 from repro.network.simulator import SensorNetwork
+
+if TYPE_CHECKING:
+    from repro.protocols.tally import SweepTally
 
 T = TypeVar("T")
 
@@ -120,15 +123,25 @@ def _convergecast_batched(
     return values[0]  # the root has canonical index 0
 
 
-def charge_up_sweep(network: SensorNetwork, sizes: Sequence[int], protocol: str) -> None:
+def charge_up_sweep(
+    network: SensorNetwork,
+    sizes: Sequence[int],
+    protocol: str,
+    tally: SweepTally | None = None,
+) -> None:
     """Charge one bottom-up sweep: ``sizes[i]`` bits over ``flat.up_links[i]``.
 
     Every batched convergecast ends here, so the radio draws, the charged
     prefix of a :class:`~repro.exceptions.DeliveryError`, the budget raise
     point and dead-node errors are those of :meth:`SensorNetwork.send_batch`
     — called through the instance, so a patched ``send_batch`` sees it.  The
-    links go as the cached ``flat.up_link_array``.
+    links go as the cached ``flat.up_link_array``.  With a search's
+    ``tally`` (:mod:`repro.protocols.tally`) the sweep is added to it
+    instead, to be charged with the search's other sweeps.
     """
+    if tally is not None:
+        tally.up(protocol, sizes)
+        return
     flat = network.flat_tree
     network.send_batch(
         flat.up_link_array, sizes, protocol=protocol, require_edge=False
@@ -153,14 +166,17 @@ def subtree_sums(flat, local):
     return running[end] - running[start]
 
 
-def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> int:
+def count_convergecast(
+    network: SensorNetwork, local_counts, protocol: str, tally: SweepTally | None = None
+) -> int:
     """Total ``local_counts`` (one int per link-table row) over the tree,
     each partial sent as a varint.
 
     The same transmissions as ``convergecast(network, local_counts, a + b,
     varint_bits)``.  Off the per-edge path every subtree sum is one
     difference of a running sum over the preorder, and the sizes are their
-    varint widths; the caller keeps every subtree sum within int64.
+    varint widths; the caller keeps every subtree sum within int64.  A
+    ``tally`` takes the sweep's charge (:func:`charge_up_sweep`).
     """
     local_counts = np.asarray(local_counts, dtype=np.int64)
     if network.execution == "per-edge":
@@ -169,7 +185,7 @@ def count_convergecast(network: SensorNetwork, local_counts, protocol: str) -> i
         )
     flat = network.flat_tree
     sums = subtree_sums(flat, local_counts[network.tree_rows])
-    charge_up_sweep(network, varint_bits_array(sums[flat.senders]), protocol)
+    charge_up_sweep(network, varint_bits_array(sums[flat.senders]), protocol, tally)
     return int(sums[0])  # the root has canonical index 0
 
 
@@ -179,6 +195,7 @@ def extremum_convergecast(
     ufunc: np.ufunc,
     value_sizes: Callable,
     protocol: str,
+    tally: SweepTally | None = None,
 ) -> int | None:
     """The batched MIN / MAX sweep: ``ufunc`` (``np.minimum`` or
     ``np.maximum``) over every tree node's ``items``; ``None`` when no tree
@@ -190,7 +207,8 @@ def extremum_convergecast(
     ``value_sizes(values, has_data)`` — the array form of the fold's size
     callable, ``has_data`` false where the subtree holds no item.  The
     subtrees' item-holding nodes are one span of the preorder restricted to
-    item holders, so one ``reduceat`` over the spans folds them all.
+    item holders, so one ``reduceat`` over the spans folds them all.  A
+    ``tally`` takes the sweep's charge (:func:`charge_up_sweep`).
     """
     flat = network.flat_tree
     lengths = items.lengths
@@ -213,7 +231,9 @@ def extremum_convergecast(
     held = np.append(local[rows[order[holds[order]]]], 0)
     values = ufunc.reduceat(held, bounds)[0::2]
     senders = flat.senders
-    charge_up_sweep(network, value_sizes(values[senders], has_data[senders]), protocol)
+    charge_up_sweep(
+        network, value_sizes(values[senders], has_data[senders]), protocol, tally
+    )
     return int(values[0]) if has_data[0] else None
 
 

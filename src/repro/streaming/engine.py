@@ -303,7 +303,12 @@ class ContinuousQueryEngine:
             raise ConfigurationError(
                 "no standing queries registered; call register() first"
             )
-        updates = {node_id: list(items) for node_id, items in (updates or {}).items()}
+        # The batch is read twice (the write, then every kernel's refresh):
+        # list and tuple readings are kept as they are, anything else (an
+        # iterator would be spent by the first read) is materialised once.
+        updates = updates or {}
+        if not set(map(type, updates.values())) <= {list, tuple}:
+            updates = {node_id: list(items) for node_id, items in updates.items()}
         # Totals-only diff: build_epoch_record never reads per-node bits, so
         # a steady-state epoch stays O(touched), not O(network size).
         before = self.network.ledger.counters_snapshot()

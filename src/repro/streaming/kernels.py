@@ -458,16 +458,11 @@ class SweepKernel:
         # flushes the buffer and is sent on the spot, which keeps the
         # exception, its raise point and the charged prefix exactly those of
         # one send per level.
-        alive = network.alive_mask
-        deferrable = (
-            alive is not None
-            and type(network.radio) is ReliableRadio
-            and network.ledger.per_node_budget_bits is None
-        )
+        deferrable = network.deferrable
         # ``up``: which tree positions are alive; ``None`` while all of them are.
         up = None
         if deferrable and network.num_alive < network.num_nodes:
-            up = alive[ids]
+            up = network.alive_mask[ids]
             if bool(up.all()):
                 up = None
         pending: list[tuple] = []

@@ -109,6 +109,12 @@ class FoldingReliableRadio(ReliableRadio):
     ``decide`` fold, while every send costs what it costs on perfect links."""
 
 
+@pytest.fixture
+def folding_radio():
+    """The :class:`FoldingReliableRadio` class (call it for a fresh radio)."""
+    return FoldingReliableRadio
+
+
 @pytest.fixture(params=["sweep", "fold"])
 def kernel_radio(request):
     """A perfect-link radio per engine kernel: off ``"per-edge"``, count

@@ -239,6 +239,47 @@ def test_oneshot_paper_queries_meter_on_the_array_ledger(monkeypatch):
         assert protocol.run(network).total_bits > 0
 
 
+def test_oneshot_paper_searches_charge_each_protocol_once(monkeypatch):
+    """Guard against a silent fallback to per-sweep charging: on a default
+    batched field, MEDIAN, OS, APX_MEDIAN and APX_MEDIAN2 tally every sweep
+    of their search, the MIN / MAX / COUNT prelude included, and charge each
+    protocol's once, in one ``charge_totals`` call."""
+    import inspect
+
+    from repro.network import accounting
+
+    calls = []
+    ledger = accounting.CommunicationLedger
+    for method in ("charge_array", "charge_totals"):
+        charge = getattr(ledger, method)
+
+        def recording(self, *args, method=method, charge=charge, **kwargs):
+            bound = inspect.signature(charge).bind(self, *args, **kwargs)
+            calls.append((method, bound.arguments["protocol"]))
+            return charge(self, *args, **kwargs)
+
+        monkeypatch.setattr(ledger, method, recording)
+    n = 256
+    domain = n * n
+    network = SensorNetwork.from_items(
+        uniform_values(n, max_value=domain, seed=SEED),
+        topology="random_geometric",
+        seed=SEED,
+    )
+    searched = {
+        "DeterministicMedianProtocol": {"MIN", "MAX", "COUNT", "COUNTP"},
+        "DeterministicOrderStatisticProtocol": {"MIN", "MAX", "COUNT", "COUNTP"},
+        "ApproximateMedianProtocol": {"MIN", "MAX", "APX_COUNT"},
+        "PolyloglogMedianProtocol": {"MIN", "MAX", "APX_COUNT", "APX_MEDIAN2"},
+    }
+    for protocol in _oneshot_queries(domain, SEED)[:4]:
+        network.reset_ledger()
+        calls.clear()
+        assert protocol.run(network).total_bits > 0
+        expected = searched[type(protocol).__name__]
+        assert sorted(calls) == sorted(("charge_totals", name) for name in expected), calls
+
+
 def test_oneshot_paper_queries_leave_no_per_node_python(monkeypatch):
     """Guard against a silent fallback to per-node Python: one round of the
     12 queries on ``"batched"`` never seeds a ``random.Random`` inside

@@ -254,6 +254,35 @@ class TestEpochAnswers:
         engine.advance_epoch({node: [node * 25] for node in range(16)})
         assert engine.answers()["low"] == 4  # 0, 25, 50, 75
 
+    def test_readings_of_any_iterable_are_read_once_by_every_kernel(self, kernel_radio):
+        """Lists and tuples are taken as they are; an iterator is
+        materialised once, so the write and both count kernels see it."""
+        answers = []
+        for reading in ([60, 300], (60, 300), iter([60, 300])):
+            network = empty_network(16)
+            network.radio = kernel_radio
+            engine = ContinuousQueryEngine(network, epsilon=0.0)
+            engine.register("count", CountQuery())
+            engine.register(
+                "low", PredicateCountQuery(lambda item: item < 100, description="x<100")
+            )
+            updates = {node: [node * 25] for node in range(16)}
+            updates[3] = reading
+            engine.advance_epoch(updates)
+            answers.append((engine.answers(), network.items_of(3)))
+        assert answers == [({"count": 17, "low": 4}, [60, 300])] * 3
+
+    def test_a_bad_batch_raises_and_writes_nothing(self):
+        network = empty_network(16)
+        engine = ContinuousQueryEngine(network, epsilon=0.0)
+        engine.register("count", CountQuery())
+        engine.advance_epoch({node: [node] for node in range(16)})
+        for bad in ({2: (5, -1)}, {2: [5], 99: [1]}, {2: iter([5, 1.5])}):
+            with pytest.raises(ConfigurationError):
+                engine.advance_epoch(bad)
+            assert network.items_of(2) == [2]
+        assert engine.answers()["count"] == 16
+
     def test_distinct_count_query_sanity(self):
         network = empty_network(36)
         engine = ContinuousQueryEngine(network, epsilon=0.05)

@@ -73,6 +73,20 @@ class TestVarintKernels:
             scalar_bits.signed_varint_bits(int(v)) for v in signed
         ]
 
+    def test_varint_bits_sum_matches_the_summed_array(self):
+        from repro._util.bits import varint_bits_array, varint_bits_sum
+
+        rng = np.random.default_rng(7)
+        edges = [0, 1, 2, 3] + [(1 << k) + d for k in range(2, 53) for d in (-1, 0, 1)]
+        for dtype, high in ((np.int32, 1 << 31), (np.int64, 1 << 53)):
+            counts = rng.integers(0, high, size=(60, 5), dtype=dtype)
+            flat = counts.reshape(-1)
+            edges_here = [edge for edge in edges if edge < high]
+            flat[: len(edges_here)] = edges_here
+            for axis in (0, 1):
+                expected = varint_bits_array(counts).sum(axis=axis)
+                assert varint_bits_sum(counts, axis=axis).tolist() == expected.tolist()
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1), min_size=1))
     @example([0, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63) - 1, -(1 << 63)])
