@@ -82,10 +82,11 @@ def main() -> None:
         pass
     report = EnergyModel().report(network.ledger)
     hottest = sorted(report.per_node_nj.items(), key=lambda kv: -kv[1])[:5]
+    tree = network.flat_tree
     print()
     print(format_table(
         ["node", "depth in tree", "energy (nJ)"],
-        [[node, network.tree.depth[node], round(nj, 1)] for node, nj in hottest],
+        [[node, int(tree.depth[tree.index[node]]), round(nj, 1)] for node, nj in hottest],
         title="Hottest nodes after one dashboard refresh",
     ))
     print(f"\nTotal energy per refresh: {report.total_nj / 1e6:.2f} mJ; "

@@ -322,7 +322,7 @@ def run_exact_median_study(
             exact=median_accuracy(items, answer, quantile).exact,
             probes=result.value.probes,
             domain_max=domain,
-            tree_degree=network.tree.max_degree(),
+            tree_degree=network.flat_tree.max_degree(),
             tree_height=network.flat_tree.height,
         )
     _fit_ladder(

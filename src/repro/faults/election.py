@@ -370,7 +370,8 @@ class RootElection:
         electorate = sorted(depth_from_winner)
 
         fragments, frag_id, frag_parent = tree_fragments(network, electorate)
-        old_depth = network.tree.depth
+        flat = network.flat_tree
+        old_depth = dict(zip(flat.nodes_top_down(), flat.depth.tolist()))
 
         # Phase 1 — candidate convergecast: one frame per surviving tree
         # edge, canonical bottom-up order across all fragments at once.

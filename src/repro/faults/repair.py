@@ -29,7 +29,7 @@ Two implementations of the sweep exist, selected by ``network.execution``
 exactly as the protocol traversals are:
 
 * *per-edge* — the reference: the attached set is a walk down the old tree
-  (read through the ``network.tree`` view), the adoption frontier scans
+  (node by node, through ``children_of``), the adoption frontier scans
   every attached node's neighbourhood wave by wave, and the repaired tree is
   rebuilt from its full parent map.  O(alive graph edges) per fault epoch.
 * *arrays* (every other mode) — the attached set is a handful of boolean
@@ -41,7 +41,7 @@ exactly as the protocol traversals are:
   touching the edge set, and the repaired tree is one
   :meth:`~repro.network.FlatTree.rewire` of the old one, installed through
   :meth:`~repro.network.SensorNetwork.set_tree` — no dictionary tree is
-  kept in step, and the ``network.tree`` view is never built.  O(damage)
+  kept in step.  O(damage)
   in Python where the reference is O(alive edges).
   It needs the dense ids ``0..n-1`` behind ``network.alive_mask``; a
   network with other ids is repaired by the reference.
@@ -289,10 +289,10 @@ class TreeRepair:
     def _repair_per_edge(
         self, network: SensorNetwork, elected: ElectionResult | None = None
     ) -> RepairResult:
-        tree = network.tree
+        flat = network.flat_tree
+        node_ids, index = flat.node_ids, flat.index
         links = network.links
-        old_parent = tree.parent
-        old_children = tree.children
+        old_parent = flat.parent_map()
         has_edge = links.has
         is_alive = network.is_alive
 
@@ -308,7 +308,8 @@ class TreeRepair:
             stack = [network.root_id]
             while stack:
                 node = stack.pop()
-                for child in old_children[node]:
+                for position in flat.children_of(index[node]):
+                    child = node_ids[position]
                     if is_alive(child) and has_edge(child, node):
                         attached.add(child)
                         stack.append(child)

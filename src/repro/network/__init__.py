@@ -27,12 +27,6 @@ from repro.network.radio import (
     ReliableRadio,
 )
 from repro.network.simulator import EXECUTION_MODES, SensorNetwork
-from repro.network.spanning_tree import (
-    SpanningTree,
-    bfs_tree,
-    bounded_degree_tree,
-    tree_from_parents,
-)
 from repro.network.vector_field import VectorField
 
 __all__ = [
@@ -54,8 +48,4 @@ __all__ = [
     "EXECUTION_MODES",
     "SensorNetwork",
     "VectorField",
-    "SpanningTree",
-    "bfs_tree",
-    "bounded_degree_tree",
-    "tree_from_parents",
 ]

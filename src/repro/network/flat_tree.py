@@ -3,10 +3,8 @@
 :class:`FlatTree` is the one representation of a network's rooted spanning
 tree: ``SensorNetwork.flat_tree`` owns it, every tree builder produces it
 from parent arrays (:meth:`FlatTree.from_arrays`), and the repair installs
-a new one through ``SensorNetwork.set_tree``.  The per-node dictionaries of
-:class:`~repro.network.spanning_tree.SpanningTree` are a read-only view
-built from these arrays on demand, for the per-edge reference paths and
-for readers that want ``tree.parent`` / ``tree.children`` / ``tree.depth``.
+a new one through ``SensorNetwork.set_tree``.  Every reader — the batched
+sweeps and the per-edge reference paths alike — reads this type.
 The arrays are indexed by a *canonical index* — the node's position in the
 top-down level order (by depth, ascending id within a level) — so the
 batched protocol implementations can sweep whole levels with array indexing
@@ -15,11 +13,10 @@ only:
 * ``parent[i]`` is the canonical index of node ``i``'s parent (``-1`` at the
   root, which always has canonical index 0),
 * the children of node ``i`` are ``child_index[child_start[i]:child_end[i]]``,
-  in the same order as ``SpanningTree.children`` (so combine orders match the
-  per-edge traversals exactly),
-* ``bottom_up`` lists canonical indices in exactly the order of
-  :meth:`SpanningTree.nodes_bottom_up`, and the canonical order itself *is*
-  :meth:`SpanningTree.nodes_top_down`,
+  ascending by id (so combine orders match the per-edge traversals exactly),
+* ``bottom_up`` lists canonical indices deepest level first, ascending id
+  within a level (:meth:`FlatTree.nodes_bottom_up`), and the canonical
+  order itself is :meth:`FlatTree.nodes_top_down`,
 * ``level_spans[d]`` is the half-open span of depth-``d`` nodes in canonical
   order, so level sweeps are contiguous slices,
 * ``up_links`` / ``down_links`` are the tree's edge sequences as
@@ -49,9 +46,11 @@ execution path sweep a million-node level as one array expression.
 Everything that crosses back into id-keyed code — ``node_ids``,
 ``level_spans``, ``up_links``/``down_links``, :meth:`parent_id` — is built
 from Python ints, so ledgers, radios and traces never see a numpy scalar.
-The per-edge reference path keeps consuming those id-level views, which is
-how the differential oracle (``tests/test_oracle.py``) stays bit-for-bit
-meaningful.
+The per-edge reference paths walk the tree node by node instead
+(:meth:`nodes_top_down`, :meth:`nodes_bottom_up`, :meth:`children_of`,
+:meth:`parent_map`) and never read the link lists or ``preorder`` the
+batched paths charge from, which is how the differential oracle
+(``tests/test_oracle.py``) stays bit-for-bit meaningful.
 
 The representation is immutable by convention: a tree change installs a
 *new* instance, never edits one, and every batched traversal shares the
@@ -351,6 +350,7 @@ class FlatTree:
             node = np.where(start[higher] > bound, higher, node)
         return self.parent[node]
 
+    # Kept only for benchmarks/perf/layers.py; collapse step 1 deletes it.
     @classmethod
     def from_spanning_tree(cls, tree: SpanningTree) -> "FlatTree":
         """Build the flat representation after validating ``tree``'s structure.
@@ -612,7 +612,7 @@ class FlatTree:
         """Canonical indices of the children of the node at ``position``.
 
         Always a plain list of Python ints (hot paths slice ``child_index``
-        directly); iteration order matches ``SpanningTree.children``.
+        directly), ascending by node id.
         """
         return self.child_index[
             self.child_start[position] : self.child_end[position]
@@ -630,13 +630,20 @@ class FlatTree:
         )
 
     def nodes_bottom_up(self) -> Iterator[int]:
-        """Node ids in the same order as ``SpanningTree.nodes_bottom_up``."""
+        """Node ids ordered so every node appears before its parent: deepest
+        level first, ascending id within a level.  Canonical, so two equal
+        trees traverse (and charge) identically however they were built."""
         node_ids = self.node_ids
         return (node_ids[position] for position in self.bottom_up)
 
     def nodes_top_down(self) -> list[int]:
-        """Node ids in the same order as ``SpanningTree.nodes_top_down``."""
+        """Node ids ordered so every node appears after its parent: by
+        level, ascending id within a level (the canonical order)."""
         return list(self.node_ids)
+
+    def max_degree(self) -> int:
+        """Maximum tree degree (children count plus one for the parent edge)."""
+        return int((self.child_end - self.child_start + (self.parent >= 0)).max())
 
     def to_lists(self) -> dict[str, list]:
         """Every structural array as a plain Python list, keyed by slot name.

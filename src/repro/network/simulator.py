@@ -86,7 +86,6 @@ class SensorNetwork:
         graph: LinkTable | Graph,
         root: int = 0,
         radio: RadioModel | None = None,
-        tree: SpanningTree | None = None,
         degree_bound: int | None = 3,
         ledger: CommunicationLedger | None = None,
         execution: str = "batched",
@@ -127,13 +126,9 @@ class SensorNetwork:
         self.telemetry = telemetry
         self._tree_view: SpanningTree | None = None
         self.degree_bound = degree_bound
-        # A spanning tree of the links is the connectivity check: the given
-        # one is validated, a built one must reach every node.
-        if tree is not None:
-            tree.validate(links)
-            self.set_tree(FlatTree.from_parents(tree.root, tree.parent))
-        else:
-            self.rebuild_tree()
+        # A spanning tree of the links is the connectivity check: it must
+        # reach every node.
+        self.rebuild_tree()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -279,17 +274,9 @@ class SensorNetwork:
         self._links.restore(u, v)
         self._graph_view = None
 
-    _UNSET = object()
-
-    def rebuild_tree(self, degree_bound: object = _UNSET) -> FlatTree:
-        """Rebuild and install the spanning tree, optionally changing the
-        degree bound; returns the new :attr:`flat_tree`.
-
-        Pass ``degree_bound=None`` explicitly to switch to an unbounded BFS
-        tree; omit the argument to keep the current bound.
-        """
-        if degree_bound is not SensorNetwork._UNSET:
-            self.degree_bound = degree_bound  # type: ignore[assignment]
+    def rebuild_tree(self) -> FlatTree:
+        """Rebuild and install the spanning tree under :attr:`degree_bound`;
+        returns the new :attr:`flat_tree`."""
         self.set_tree(build_tree(self._links, self.root_id, self.degree_bound))
         return self._flat_tree
 
@@ -311,16 +298,16 @@ class SensorNetwork:
         read-only; a tree change installs a new one via :meth:`set_tree`)."""
         return self._flat_tree
 
+    # Kept only for benchmarks/perf/layers.py; collapse step 1 deletes it.
     @property
     def tree(self) -> SpanningTree:
         """A frozen :class:`SpanningTree` view of :attr:`flat_tree`.
 
         Built on first access and dropped by :meth:`set_tree`; mutating it
-        raises.  The per-edge reference paths and one-off readers use it —
-        no array repair, election, detection or epoch path builds it.
+        raises.  No path of the library reads it.
         """
         if self._tree_view is None:
-            self._tree_view = SpanningTree.from_flat(self._flat_tree, frozen=True)
+            self._tree_view = SpanningTree.from_flat(self._flat_tree)
         return self._tree_view
 
     def set_tree(self, flat_tree: FlatTree) -> None:

@@ -1,4 +1,4 @@
-"""Spanning-tree construction, and the dictionary view of a tree.
+"""Spanning-tree construction.
 
 The TAG-style protocols of Fact 2.1 run over a spanning tree rooted at the
 query node.  The paper remarks that a *bounded-degree* spanning tree is
@@ -7,23 +7,19 @@ node pays for all of its children's traffic).
 
 Two constructions are provided, both over a
 :class:`~repro.network.links.LinkTable` (an ``nx.Graph`` converts once):
-
-``bfs_tree``
-    Plain breadth-first-search tree — minimal depth, but the degree can be as
-    large as the graph degree (think of the star topology).
-
-``bounded_degree_tree``
-    A heuristic that starts from the BFS tree and re-parents excess children
-    to nearby tree nodes with spare capacity, using only edges of the original
-    graph.  When the graph itself cannot support the requested bound (e.g. the
-    star), the construction falls back to the smallest feasible degree and
-    reports it, so experiments can quantify the cost of hub nodes (ablation
-    E9 in DESIGN.md).
+the plain breadth-first-search tree (``degree_bound=None``: minimal depth,
+but the degree can be as large as the graph degree — think of the star
+topology), and a heuristic that starts from the BFS tree and re-parents
+excess children to nearby tree nodes with spare capacity, using only edges
+of the original graph.  When the graph itself cannot support the requested
+bound (e.g. the star), the heuristic falls back to the smallest feasible
+degree, so experiments can quantify the cost of hub nodes (ablation E9 in
+DESIGN.md).
 
 Both produce parent arrays (:func:`spanning_parents`) for the one tree
 constructor, :meth:`~repro.network.FlatTree.from_arrays` (:func:`build_tree`).
-:class:`SpanningTree` is the dictionary view of a flat tree
-(:meth:`SpanningTree.from_flat`), for the per-edge reference paths.
+:class:`SpanningTree` is a frozen dictionary view of a flat tree, kept only
+for ``benchmarks/perf/layers.py``; collapse step 1 deletes it.
 """
 
 from __future__ import annotations
@@ -49,6 +45,7 @@ class _FrozenList(list):
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
+# Kept only for benchmarks/perf/layers.py; collapse step 1 deletes it.
 @dataclass
 class SpanningTree:
     """A rooted spanning tree described by parent/children maps."""
@@ -59,82 +56,25 @@ class SpanningTree:
     depth: dict[int, int]
 
     @classmethod
-    def from_flat(cls, flat: FlatTree, frozen: bool = False) -> "SpanningTree":
-        """The dictionaries of ``flat``: keys in canonical order, children
-        ascending.  ``frozen`` makes every map and child list read-only
-        (mutation raises ``TypeError``) — the form ``SensorNetwork.tree``
-        serves.  O(n)."""
+    def from_flat(cls, flat: FlatTree) -> "SpanningTree":
+        """The frozen dictionaries of ``flat``: keys in canonical order,
+        children ascending, every map and child list read-only (mutation
+        raises ``TypeError``).  O(n)."""
         ids = flat.node_ids
         child_ids = flat.ids_array[flat.child_index].tolist()
-        kids = _FrozenList if frozen else list
         children = {
-            node: kids(child_ids[start:end])
+            node: _FrozenList(child_ids[start:end])
             for node, start, end in zip(
                 ids, flat.child_start.tolist(), flat.child_end.tolist()
             )
         }
-        parent = flat.parent_map()
         depth = dict(zip(ids, flat.depth.tolist()))
-        if frozen:
-            parent, children, depth = map(MappingProxyType, (parent, children, depth))
-        return cls(root=flat.root_id, parent=parent, children=children, depth=depth)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.parent)
-
-    @property
-    def height(self) -> int:
-        """Maximum depth of any node (root has depth 0)."""
-        return max(self.depth.values()) if self.depth else 0
-
-    def max_degree(self) -> int:
-        """Maximum tree degree (children count plus one for the parent edge)."""
-        best = 0
-        for node, kids in self.children.items():
-            degree = len(kids) + (0 if self.parent[node] is None else 1)
-            best = max(best, degree)
-        return best
-
-    def nodes_bottom_up(self) -> list[int]:
-        """Nodes ordered so every node appears before its parent.
-
-        The order is *canonical* — deepest level first, ascending node id
-        within a level — so two trees with equal parent/depth content
-        traverse (and therefore charge radio transmissions) identically, no
-        matter how their dictionaries were built.  The incremental fault
-        repair relies on this: its batched and per-edge paths construct the
-        same repaired tree through different code, and every later sweep
-        must stay bit-for-bit ledger-equivalent between them.
-        """
-        depth = self.depth
-        return sorted(self.parent, key=lambda node: (-depth[node], node))
-
-    def nodes_top_down(self) -> list[int]:
-        """Nodes ordered so every node appears after its parent.
-
-        Canonical like :meth:`nodes_bottom_up`: by level, ascending node id
-        within a level.
-        """
-        depth = self.depth
-        return sorted(self.parent, key=lambda node: (depth[node], node))
-
-    def subtree_nodes(self, node: int) -> list[int]:
-        """All nodes in the subtree rooted at ``node`` (including it)."""
-        result = []
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            result.append(current)
-            stack.extend(self.children[current])
-        return result
-
-    def path_to_root(self, node: int) -> list[int]:
-        """The node sequence from ``node`` up to (and including) the root."""
-        path = [node]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
+        return cls(
+            root=flat.root_id,
+            parent=MappingProxyType(flat.parent_map()),
+            children=MappingProxyType(children),
+            depth=MappingProxyType(depth),
+        )
 
     def check_invariants(self) -> None:
         """Graph-free structural validation: parent/children/depth consistency.
@@ -188,37 +128,6 @@ class SpanningTree:
                     f"{self.depth[parent] + 1} (one below parent {parent})"
                 )
 
-    def validate(self, graph, covering: set[int] | None = None) -> None:
-        """Check that this is a spanning tree of ``graph`` rooted at ``root``.
-
-        ``graph`` is a :class:`~repro.network.links.LinkTable` or an
-        ``nx.Graph``; only alive links count.  ``covering`` overrides the
-        node set the tree must span; the default is every graph node.  A
-        tree repaired after crashes spans only the alive, root-connected
-        subset, which is what the fault test-suite passes here.
-        :meth:`check_invariants` proves the structure an acyclic tree
-        reaching the root, so this is O(n).
-        """
-        self.check_invariants()
-        links = as_link_table(graph)
-        expected = set(links.node_ids()) if covering is None else set(covering)
-        if set(self.parent) != expected:
-            raise TopologyError("tree does not span the expected node set")
-        for node, parent in self.parent.items():
-            if parent is not None and not links.has(node, parent):
-                raise TopologyError(
-                    f"tree edge ({node}, {parent}) is not an edge of the graph"
-                )
-
-
-def tree_from_parents(root: int, parent: dict[int, int | None]) -> SpanningTree:
-    """Build a :class:`SpanningTree` from a parent map (children sorted, depths
-    recomputed) through :meth:`FlatTree.from_parents`.  Raises
-    :class:`~repro.exceptions.TopologyError` when the map does not describe
-    one tree rooted at ``root`` — a cycle, a parent that is no node, a
-    missing root."""
-    return SpanningTree.from_flat(FlatTree.from_parents(root, parent))
-
 
 def spanning_parents(graph, root: int = 0, degree_bound: int | None = None, members=None):
     """A spanning tree as ``(node_ids, parent_ids)``, two int64 arrays in
@@ -230,12 +139,12 @@ def spanning_parents(graph, root: int = 0, degree_bound: int | None = None, memb
     FIFO walk over ascending neighbours picks.  Without ``members`` the tree
     must reach every node, which is the connectivity check; with a boolean
     row mask ``members`` it spans the component of ``root`` inside it.  A
-    ``degree_bound`` applies :func:`bounded_degree_tree`'s heuristic.
+    ``degree_bound`` applies :func:`_bound_degree`'s heuristic.
     """
     if degree_bound is not None:
-        require_positive(degree_bound, "max_degree")
+        require_positive(degree_bound, "degree_bound")
         if degree_bound < 2:
-            raise TopologyError("max_degree must be at least 2 for a rooted tree")
+            raise TopologyError("degree_bound must be at least 2 for a rooted tree")
     links = as_link_table(graph)
     if root not in links:
         raise TopologyError(f"root {root} is not a node of the graph")
@@ -255,36 +164,21 @@ def build_tree(graph, root: int = 0, degree_bound: int | None = None, members=No
     return FlatTree.from_arrays(parent_ids, root, node_ids=node_ids)
 
 
-def bfs_tree(graph, root: int = 0, members=None) -> SpanningTree:
-    """Breadth-first spanning tree rooted at ``root`` (see
-    :func:`spanning_parents` for ``graph`` and ``members``)."""
-    return SpanningTree.from_flat(build_tree(graph, root, None, members))
-
-
-def bounded_degree_tree(
-    graph, root: int = 0, max_degree: int = 3, members=None
-) -> SpanningTree:
-    """Spanning tree whose degree is heuristically capped at ``max_degree``.
-
-    Starting from the BFS tree, any node with too many children tries to hand
-    excess children over to graph-neighbours that are already in the tree, are
-    not descendants of the child being moved, and still have spare capacity.
-    The resulting tree is always a valid spanning tree; the degree bound is
-    best-effort because some graphs (e.g. the star) admit no low-degree
-    spanning tree at all.  ``members`` restricts the tree as in
-    :func:`bfs_tree`.
-    """
-    return SpanningTree.from_flat(build_tree(graph, root, max_degree, members))
-
-
 def _bound_degree(links, node_ids: list[int], parent_ids, max_degree: int):
     """The bounded-degree heuristic over BFS parents; parent ids come back in
-    the order of ``node_ids``.  Moves only along links, and never under a
-    descendant, so the result is a spanning tree of the same nodes."""
-    flat = FlatTree.from_arrays(parent_ids, node_ids[0], node_ids=node_ids)
-    children = SpanningTree.from_flat(flat).children
+    the order of ``node_ids``.
+
+    Any node with too many children tries to hand excess children over to
+    graph-neighbours that are already in the tree, are not descendants of
+    the child being moved, and still have spare capacity.  Moves only
+    along links, and never under a descendant, so the result is a spanning
+    tree of the same nodes; the bound is best-effort because some graphs
+    (e.g. the star) admit no low-degree spanning tree at all."""
     parent: dict[int, int | None] = dict(zip(node_ids, parent_ids.tolist()))
     parent[node_ids[0]] = None
+    children: dict[int, list[int]] = {node: [] for node in node_ids}
+    for node in node_ids[1:]:
+        children[parent[node]].append(node)
 
     def degree_of(node: int, children: dict[int, list[int]]) -> int:
         return len(children[node]) + (0 if parent[node] is None else 1)

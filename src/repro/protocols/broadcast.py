@@ -11,8 +11,9 @@ As with :mod:`~repro.protocols.convergecast`, two execution paths implement
 the same traversal: the batched path (default) expands the whole top-down
 sweep into one :meth:`~repro.network.SensorNetwork.send_batch` call over
 the flat tree's cached ``down_link_array``, and builds nothing per node,
-while the per-edge path sends edge by edge, each child forwarding the
-payload it was delivered.
+while the per-edge path walks the flat tree node by node
+(``nodes_top_down`` / ``children_of``) and sends edge by edge, each child
+forwarding the payload it was delivered.
 They charge the same edges in the same order and are bit-for-bit
 ledger-equivalent; neither returns a per-node map, since what each node
 received is what the ledger records.
@@ -71,15 +72,17 @@ def _broadcast_batched(network: SensorNetwork, size_bits: int, protocol: str) ->
 def _broadcast_per_edge(
     network: SensorNetwork, payload: Any, size_bits: int, protocol: str
 ) -> None:
-    tree = network.tree
+    flat = network.flat_tree
+    node_ids, index = flat.node_ids, flat.index
     # Each child forwards the payload it was delivered.
     delivered: dict[int, Any] = {network.root_id: payload}
-    for node_id in tree.nodes_top_down():
+    for node_id in flat.nodes_top_down():
         if node_id not in delivered:
             continue
-        for child in tree.children[node_id]:
+        for position in flat.children_of(index[node_id]):
+            child = node_ids[position]
             message = network.send(
                 node_id, child, delivered[node_id], size_bits, protocol=protocol
             )
             delivered[child] = message.payload
-    network.ledger.advance_round(tree.height)
+    network.ledger.advance_round(flat.height)

@@ -21,7 +21,9 @@ Two execution paths implement the same traversal, selected by
   transmission of the sweep, and charges them in one
   :func:`charge_up_sweep`.  This is what lets the simulator run 100k-node
   fields.
-* *per-edge* — the reference implementation: one
+* *per-edge* — the reference implementation: a node-by-node walk of the
+  same flat tree (``nodes_bottom_up`` / ``children_of`` / ``parent_map``,
+  never its link lists or preorder) with one
   :meth:`~repro.network.SensorNetwork.send` per tree edge.
 
 Both read the same local values, combine partials and send over the same
@@ -244,17 +246,19 @@ def _convergecast_per_edge(
     size_bits: int | Callable[[T], int],
     protocol: str,
 ) -> T:
-    tree = network.tree
+    flat = network.flat_tree
+    node_ids, index = flat.node_ids, flat.index
+    parent_of = flat.parent_map()
     row_of = network.links.row_of
     partial: dict[int, T] = {}
-    for node_id in tree.nodes_bottom_up():
+    for node_id in flat.nodes_bottom_up():
         value = local_values[row_of(node_id)]
-        for child in tree.children[node_id]:
-            value = combine(value, partial.pop(child))
+        for position in flat.children_of(index[node_id]):
+            value = combine(value, partial.pop(node_ids[position]))
         partial[node_id] = value
-        parent = tree.parent[node_id]
+        parent = parent_of[node_id]
         if parent is not None:
             bits = size_bits(value) if callable(size_bits) else size_bits
             network.send(node_id, parent, value, bits, protocol=protocol)
-    network.ledger.advance_round(tree.height)
+    network.ledger.advance_round(flat.height)
     return partial[network.root_id]

@@ -170,10 +170,11 @@ def _epoch_convergecast_per_edge(
     decide: DecideFn,
     protocol: str,
 ) -> EpochStats:
-    tree = network.tree
-    depth_of = tree.depth
-    parent_of = tree.parent
-    deepest = max(depth_of[node] for node in dirty)
+    flat = network.flat_tree
+    index = flat.index
+    depth_of = flat.depth.tolist()
+    parent_of = flat.parent_map()
+    deepest = max(depth_of[index[node]] for node in dirty)
     node_ids = network.node_ids()
     inboxes: dict[int, list[tuple[int, Any]]] = {node_id: [] for node_id in node_ids}
     received: dict[int, dict[int, Any]] = {}
@@ -186,10 +187,10 @@ def _epoch_convergecast_per_edge(
             inbox, inboxes[node_id] = inboxes[node_id], []
             for sender, payload in inbox:  # duplicated deliveries overwrite: idempotent
                 received.setdefault(node_id, {})[sender] = payload
-            depth = depth_of.get(node_id)
+            position = index.get(node_id)
             # Crashed or cut off (not spanned by the repaired tree), or not
             # this node's round: a node at depth d acts in round deepest - d.
-            if depth is None or deepest - depth != round_index:
+            if position is None or deepest - depth_of[position] != round_index:
                 continue
             updates = received.pop(node_id, {})
             if node_id not in dirty and not updates:

@@ -7,6 +7,8 @@ from collections import Counter
 
 import pytest
 
+from repro.network.flat_tree import FlatTree
+from repro.network.links import as_link_table
 from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.network.topology import grid_links, line_links
@@ -100,6 +102,30 @@ def medium_network(medium_items) -> SensorNetwork:
     """A 10x10 grid holding :func:`medium_items`."""
     return SensorNetwork.from_items(medium_items, topology=grid_links(10, 10))
 
+
+def check_spanning(flat, graph, covering=None) -> None:
+    """Assert that ``flat`` spans ``covering`` (default: every node of
+    ``graph``), that each of its tree edges is an alive link of ``graph``
+    (a ``LinkTable`` or an ``nx.Graph``), and that its arrays are the ones
+    a rebuild from its parent map gives (``FlatTree.rewire`` re-validates
+    nothing; the constructors refuse anything that is not one rooted
+    tree)."""
+    links = as_link_table(graph)
+    expected = set(links.node_ids()) if covering is None else set(covering)
+    assert set(flat.node_ids) == expected, "the tree spans another node set"
+    parent_of = flat.parent_map()
+    for node, parent in parent_of.items():
+        assert parent is None or links.has(node, parent), (
+            f"tree edge ({node}, {parent}) is not an alive link"
+        )
+    rebuilt = FlatTree.from_parents(flat.root_id, parent_of)
+    assert rebuilt.to_lists() == flat.to_lists(), "the arrays disagree"
+
+
+@pytest.fixture(scope="session")
+def spanning():
+    """:func:`check_spanning`: ``spanning(flat, graph, covering=None)``."""
+    return check_spanning
 
 
 class FoldingReliableRadio(ReliableRadio):

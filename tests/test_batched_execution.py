@@ -17,6 +17,7 @@ from repro.network.accounting import CommunicationLedger
 from repro.network.flat_tree import FlatTree
 from repro.network.radio import LossyRadio, ReliableRadio
 from repro.network.simulator import EXECUTION_MODES, SensorNetwork
+from repro.network.spanning_tree import spanning_parents
 from repro._util.bits import varint_bits
 from repro.network.topology import (
     grid_links,
@@ -35,6 +36,36 @@ def build_network(num_nodes=25, topology="grid", **kwargs):
     )
 
 
+class ReferenceTree:
+    """The network's tree as dictionaries, from the builder's parent arrays
+    (not from the flat tree): children ascending, depths walked down from
+    the root, and the canonical ``(depth, id)`` traversal orders."""
+
+    def __init__(self, network):
+        node_ids, parent_ids = spanning_parents(
+            network.links, network.root_id, network.degree_bound
+        )
+        self.root = network.root_id
+        self.parent = dict(zip(node_ids.tolist(), [None] + parent_ids[1:].tolist()))
+        self.children = {node: [] for node in self.parent}
+        for node, up in sorted(self.parent.items()):
+            if up is not None:
+                self.children[up].append(node)
+        self.depth, stack = {self.root: 0}, [self.root]
+        while stack:
+            node = stack.pop()
+            for child in self.children[node]:
+                self.depth[child] = self.depth[node] + 1
+                stack.append(child)
+        self.height = max(self.depth.values())
+
+    def nodes_bottom_up(self):
+        return sorted(self.parent, key=lambda node: (-self.depth[node], node))
+
+    def nodes_top_down(self):
+        return sorted(self.parent, key=lambda node: (self.depth[node], node))
+
+
 class TestFlatTree:
     @pytest.fixture(
         params=[
@@ -50,9 +81,9 @@ class TestFlatTree:
         return SensorNetwork.from_items(list(range(links.num_nodes)), topology=links)
 
     def test_matches_spanning_tree_structure(self, network):
-        tree = network.tree
+        tree = ReferenceTree(network)
         flat = network.flat_tree
-        assert flat.num_nodes == tree.num_nodes
+        assert flat.num_nodes == len(tree.parent)
         assert flat.height == tree.height
         assert flat.root_id == tree.root
         assert flat.node_ids[0] == tree.root
@@ -71,7 +102,7 @@ class TestFlatTree:
             assert children == tree.children[node_id]
 
     def test_traversal_orders_match_spanning_tree(self, network):
-        tree = network.tree
+        tree = ReferenceTree(network)
         flat = network.flat_tree
         assert list(flat.nodes_bottom_up()) == tree.nodes_bottom_up()
         assert flat.nodes_top_down() == tree.nodes_top_down()
@@ -87,7 +118,7 @@ class TestFlatTree:
         assert covered == list(range(flat.num_nodes))
 
     def test_up_links_are_bottom_up_child_parent_edges(self, network):
-        tree = network.tree
+        tree = ReferenceTree(network)
         flat = network.flat_tree
         expected = [
             (node_id, tree.parent[node_id])
@@ -97,7 +128,7 @@ class TestFlatTree:
         assert flat.up_links == expected
 
     def test_down_links_are_top_down_fanout_edges(self, network):
-        tree = network.tree
+        tree = ReferenceTree(network)
         flat = network.flat_tree
         expected = [
             (node_id, child)
@@ -107,13 +138,13 @@ class TestFlatTree:
         assert flat.down_links == expected
 
     def test_cache_invalidated_by_rebuild(self):
-        network = build_network(20, topology="single_hop")
+        network = build_network(20, topology="single_hop", degree_bound=None)
         first = network.flat_tree
         assert network.flat_tree is first  # cached
-        network.rebuild_tree(degree_bound=None)
+        network.rebuild_tree()
         rebuilt = network.flat_tree
         assert rebuilt is not first
-        assert list(rebuilt.nodes_bottom_up()) == network.tree.nodes_bottom_up()
+        assert list(rebuilt.nodes_bottom_up()) == ReferenceTree(network).nodes_bottom_up()
 
     def test_from_spanning_tree_alias(self):
         network = build_network(9)

@@ -68,7 +68,9 @@ class TestChargedSweeps:
         bits, _ = detector.charge_sweep(network, silent=silent)
         assert bits == detector.heartbeat_bits * (network.num_nodes - 2)
         # node 5's own children transmitted toward the zombie
-        child = network.tree.children[5][0] if network.tree.children[5] else None
+        flat = network.flat_tree
+        children = flat.children_of(flat.index[5])
+        child = flat.node_ids[children[0]] if children else None
         if child is not None:
             assert network.ledger.traffic(child).bits_sent > 0
 
@@ -98,7 +100,7 @@ class TestDetectionSemantics:
         assert report.detected == ()
         assert not report.repair.changed_anything
         assert network.is_alive(7)
-        assert 7 in network.tree.parent
+        assert 7 in network.flat_tree.index
         assert 7 in faults.undetected_dead
         assert network.items_of(7) == []
         # the epoch-4 sweep misses the heartbeat: detection, kill, repair
@@ -106,7 +108,7 @@ class TestDetectionSemantics:
         assert report.detected == (7,)
         assert report.detection_latencies == (1,)
         assert not network.is_alive(7)
-        assert 7 not in network.tree.parent
+        assert 7 not in network.flat_tree.index
         assert faults.undetected_dead == frozenset()
 
     def test_period_one_matches_oracle_except_heartbeat_bits(self):
@@ -143,13 +145,13 @@ class TestDetectionSemantics:
         faults = FaultEngine(
             network, script=script, detector=HeartbeatDetector(period=8)
         )
-        parent_before = dict(network.tree.parent)
+        parent_before = network.flat_tree.parent_map()
         reports = [faults.step(epoch) for epoch in range(4)]
         assert reports[1].crashed == (9,)
         assert reports[2].rejoined == (9,)
         assert all(report.detected == () for report in reports)
         assert all(not report.repair.changed_anything for report in reports)
-        assert network.tree.parent == parent_before
+        assert network.flat_tree.parent_map() == parent_before
         assert network.items_of(9) == [123]
         assert network.is_alive(9)
 
@@ -274,16 +276,16 @@ class TestSeparateAccounting:
 
         network = fresh_network(25)
         victim = 7
-        tree_parent = network.tree.parent[victim]
+        parent_of = network.flat_tree.parent_map()
         script = FaultScript()
         script.add(1, NodeCrash(victim))
         # a tree-link drop elsewhere forces a repair at epoch 2, mid-window
         other = next(
             node
-            for node, parent in network.tree.parent.items()
+            for node, parent in parent_of.items()
             if parent is not None and node != victim and parent != victim
         )
-        script.add(2, LinkDrop(other, network.tree.parent[other]))
+        script.add(2, LinkDrop(other, parent_of[other]))
         faults = FaultEngine(
             network, script=script, detector=HeartbeatDetector(period=8)
         )
@@ -297,7 +299,7 @@ class TestSeparateAccounting:
         assert victim in report.detected
         assert report.detection_latencies[report.detected.index(victim)] == 1
         assert not network.is_alive(victim)
-        assert victim not in network.tree.parent
+        assert victim not in network.flat_tree.index
         assert network.ledger.traffic(victim).bits_sent == sent_before
 
     def test_repair_messages_exclude_heartbeats(self):

@@ -130,7 +130,7 @@ class TestDisjointnessInstances:
         instance = make_disjoint_instance(16, seed=3)
         network = instance.build_network()
         assert network.num_nodes == 32
-        assert network.tree.height == 31
+        assert network.flat_tree.height == 31
         left, right = instance.cut_edge()
         assert right == left + 1
 

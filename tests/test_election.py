@@ -126,10 +126,10 @@ class TestRootElection:
 
     def test_election_leaves_the_tree_to_the_repair(self):
         network = fresh_network(16)
-        old_parent = dict(network.tree.parent)
+        old_parent = network.flat_tree.parent_map()
         network.kill_node(0, allow_root=True)
         RootElection().elect(network)
-        assert network.tree.parent == old_parent  # untouched by design
+        assert network.flat_tree.parent_map() == old_parent  # untouched by design
 
 
 # --------------------------------------------------------------------------- #
@@ -143,7 +143,7 @@ class TestRepairFailover:
             TreeRepair().repair(network)
 
     @pytest.mark.parametrize("execution", ["batched", "per-edge"])
-    def test_seeded_repair_respans_the_survivors(self, execution):
+    def test_seeded_repair_respans_the_survivors(self, execution, spanning):
         network = fresh_network(36, execution=execution)
         network.kill_node(0, allow_root=True)
         repair = TreeRepair(election=RootElection())
@@ -152,17 +152,14 @@ class TestRepairFailover:
         assert result.election.new_root == 35
         assert network.root_id == 35
         assert 0 in result.removed
-        tree = network.tree
-        assert set(tree.parent) == set(network.alive_node_ids())
-        tree.check_invariants()
-        tree.validate(network.graph, covering=set(tree.parent))
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
         # The repair's own bill excludes the election's.
         snapshot = network.ledger.snapshot()
         assert result.control_bits == snapshot.per_protocol_bits.get(
             "faults:repair", 0
         )
 
-    def test_rebuild_strategy_still_elects_first(self):
+    def test_rebuild_strategy_still_elects_first(self, spanning):
         network = fresh_network(36)
         network.kill_node(0, allow_root=True)
         result = TreeRepair(strategy="rebuild", election=RootElection()).repair(
@@ -170,15 +167,15 @@ class TestRepairFailover:
         )
         assert result.rebuilt
         assert result.election is not None
-        assert network.tree.root == network.root_id == 35
-        network.tree.validate(network.graph, covering=set(network.tree.parent))
+        assert network.flat_tree.root_id == network.root_id == 35
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
 
 # --------------------------------------------------------------------------- #
 # Engine integration: the scripted RootCrash event
 # --------------------------------------------------------------------------- #
 class TestRootCrashEvent:
-    def test_failover_happens_in_the_crash_epoch(self):
+    def test_failover_happens_in_the_crash_epoch(self, spanning):
         network = fresh_network(25)
         script = FaultScript().add(1, RootCrash())
         faults = FaultEngine(network, script=script)
@@ -189,9 +186,9 @@ class TestRootCrashEvent:
         assert report.election is not None
         assert report.election.new_root == 24
         assert network.root_id == 24
-        network.tree.validate(network.graph, covering=set(network.tree.parent))
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
-    def test_second_blow_hits_the_new_root(self):
+    def test_second_blow_hits_the_new_root(self, spanning):
         network = fresh_network(25)
         script = FaultScript().add(1, RootCrash()).add(3, RootCrash())
         faults = FaultEngine(network, script=script)
@@ -200,7 +197,7 @@ class TestRootCrashEvent:
         # 24 won the first election, died in the second, 23 succeeded it.
         assert network.root_id == 23
         assert not network.is_alive(24)
-        network.tree.validate(network.graph, covering=set(network.tree.parent))
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
     def test_node_crash_on_the_current_root_fails_over(self):
         """A crash is a crash: hitting whoever is root triggers an election.
@@ -229,7 +226,7 @@ class TestRootCrashEvent:
             faults.step(epoch)
         assert network.is_alive(network.root_id)
 
-    def test_failover_with_charged_detector_reveals_zombies(self):
+    def test_failover_with_charged_detector_reveals_zombies(self, spanning):
         network = fresh_network(25)
         script = FaultScript().add(1, NodeCrash(7)).add(2, RootCrash())
         faults = FaultEngine(
@@ -250,7 +247,7 @@ class TestRootCrashEvent:
         # No sweep was due this epoch (period 4): the probe revealed the
         # zombie at the repair's already-charged cost, not the heartbeat's.
         assert report.detection_bits == 0
-        network.tree.validate(network.graph, covering=set(network.tree.parent))
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
 
 # --------------------------------------------------------------------------- #

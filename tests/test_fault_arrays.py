@@ -72,8 +72,9 @@ class Field:
         for u, v in sorted(self.dropped):
             if network.links.has(u, v):
                 network.drop_link(u, v)
+        parent_of = network.flat_tree.parent_map()
         for child in sorted(self.cut_children):
-            parent = network.tree.parent.get(child)
+            parent = parent_of.get(child)
             if parent is not None and network.links.has(child, parent):
                 network.drop_link(child, parent)
 
@@ -216,7 +217,7 @@ def test_perfect_links_pay_one_send_batch_per_sweep():
         # so both standing queries have something to send.
         updates = {
             node: [(11 * node + 37 * epoch) % 100] * (1 + (node + epoch) % 3)
-            for node in network.tree.parent
+            for node in network.flat_tree.node_ids
         }
         del calls[:], reference_calls[:]
         assert engine.advance_epoch(updates) == reference_engine.advance_epoch(updates)

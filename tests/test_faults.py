@@ -47,6 +47,30 @@ def fresh_network(num_nodes=36, topology="grid", **kwargs):
     return network
 
 
+def children_of(flat, node):
+    """The child ids of ``node`` in ``flat`` (none when it is not a node)."""
+    if node not in flat.index:
+        return []
+    return [flat.node_ids[child] for child in flat.children_of(flat.index[node])]
+
+
+def subtree_of(flat, node):
+    members, stack = [], [node]
+    while stack:
+        members.append(stack.pop())
+        stack.extend(children_of(flat, members[-1]))
+    return set(members)
+
+
+def first_internal_node(flat):
+    """The first non-root node, top down, that has children."""
+    return next(
+        node
+        for node in flat.nodes_top_down()[1:]
+        if children_of(flat, node)
+    )
+
+
 def count_engine(network, epsilon=0.0):
     engine = ContinuousQueryEngine(network, epsilon=epsilon)
     engine.register("count", CountQuery())
@@ -145,12 +169,10 @@ class TestAliveMask:
 
 
 class TestTreeRepair:
-    def test_leaf_crash_is_local(self):
+    def test_leaf_crash_is_local(self, spanning):
         network = fresh_network(16)
-        leaf = max(
-            network.tree.parent, key=lambda n: (network.tree.depth[n], n)
-        )
-        parent = network.tree.parent[leaf]
+        leaf = network.flat_tree.node_ids[-1]  # deepest level, highest id
+        parent = network.flat_tree.parent_id(leaf)
         network.kill_node(leaf)
         result = TreeRepair().repair(network)
         assert result.strategy == "incremental"
@@ -158,19 +180,11 @@ class TestTreeRepair:
         assert result.removed == (leaf,)
         assert (parent, leaf) in result.child_losses
         assert result.control_bits == 0  # nothing to re-attach
-        network.tree.check_invariants()
-        network.tree.validate(
-            network.graph, covering=set(network.alive_node_ids())
-        )
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
-    def test_internal_crash_reattaches_orphans(self):
+    def test_internal_crash_reattaches_orphans(self, spanning):
         network = fresh_network(36)
-        tree = network.tree
-        internal = next(
-            node
-            for node in tree.nodes_top_down()
-            if tree.children[node] and tree.parent[node] is not None
-        )
+        internal = first_internal_node(network.flat_tree)
         network.kill_node(internal)
         result = TreeRepair().repair(network)
         assert result.strategy == "incremental"
@@ -178,42 +192,31 @@ class TestTreeRepair:
         assert result.detached == ()  # the grid is 2-connected enough
         assert len(result.parent_changed) >= 1
         assert result.control_bits > 0
-        assert set(network.tree.parent) == set(network.alive_node_ids())
-        network.tree.check_invariants()
-        network.tree.validate(
-            network.graph, covering=set(network.alive_node_ids())
-        )
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
-    def test_line_cut_leaves_detached_tail(self):
+    def test_line_cut_leaves_detached_tail(self, spanning):
         network = fresh_network(10, topology="line")
         network.kill_node(4)
         result = TreeRepair().repair(network)
         assert result.detached == (5, 6, 7, 8, 9)
-        assert set(network.tree.parent) == {0, 1, 2, 3}
+        assert set(network.flat_tree.node_ids) == {0, 1, 2, 3}
         # The cut heals when the bridge node comes back.
         network.revive_node(4)
         healed = TreeRepair().repair(network)
         assert healed.detached == ()
-        assert set(network.tree.parent) == set(range(10))
         assert 4 in healed.parent_changed
-        network.tree.check_invariants()
+        spanning(network.flat_tree, network.links, range(10))
 
-    def test_dropped_tree_edge_reroutes(self):
+    def test_dropped_tree_edge_reroutes(self, spanning):
         network = fresh_network(36)
-        tree = network.tree
-        child = next(
-            node for node in tree.nodes_bottom_up() if tree.parent[node] is not None
-        )
-        parent = tree.parent[child]
+        child = next(network.flat_tree.nodes_bottom_up())
+        parent = network.flat_tree.parent_id(child)
         network.drop_link(child, parent)
         result = TreeRepair().repair(network)
         assert child in result.parent_changed
         assert (parent, child) in result.child_losses
-        assert network.tree.parent[child] != parent
-        network.tree.check_invariants()
-        network.tree.validate(
-            network.graph, covering=set(network.alive_node_ids())
-        )
+        assert network.flat_tree.parent_id(child) != parent
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
     def test_repair_is_idempotent(self):
         network = fresh_network(36)
@@ -228,25 +231,20 @@ class TestTreeRepair:
 
     def test_repair_traffic_is_charged_under_its_protocol(self):
         network = fresh_network(36)
-        tree = network.tree
-        internal = next(
-            node
-            for node in tree.nodes_top_down()
-            if tree.children[node] and tree.parent[node] is not None
-        )
+        internal = first_internal_node(network.flat_tree)
         network.kill_node(internal)
         result = TreeRepair().repair(network)
         per_protocol = network.ledger.per_protocol_bits()
         assert per_protocol.get("faults:repair", 0) == result.control_bits > 0
 
-    def test_threshold_fallback_rebuilds(self):
+    def test_threshold_fallback_rebuilds(self, spanning):
         network = fresh_network(36)
         network.kill_node(7)
         result = TreeRepair(rebuild_threshold=1e-9).repair(network)
         assert result.rebuilt
         assert result.strategy == "rebuild"
         assert result.control_bits > 0
-        network.tree.check_invariants()
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
     def test_rebuild_strategy_always_rebuilds(self):
         network = fresh_network(36)
@@ -260,13 +258,13 @@ class TestTreeRepair:
         incremental = TreeRepair().repair(incremental_network)
         assert result.control_bits > 5 * incremental.control_bits
 
-    def test_rebuild_respects_degree_bound(self):
+    def test_rebuild_respects_degree_bound(self, spanning):
         network = fresh_network(36, degree_bound=3)
         network.kill_node(7)
         result = TreeRepair(strategy="rebuild").repair(network)
         assert result.rebuilt
-        assert network.tree.max_degree() <= 3  # a grid supports the bound
-        network.tree.check_invariants()
+        assert network.flat_tree.max_degree() <= 3  # a grid supports the bound
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -289,7 +287,7 @@ class TestFaultEngine:
         back = engine.step(2)
         assert back.rejoined == (5,)
         assert network.items_of(5) == [3, 4]
-        assert 5 in network.tree.parent
+        assert 5 in network.flat_tree.index
 
     def test_double_crash_is_single_event(self):
         network = fresh_network(16)
@@ -327,12 +325,12 @@ class TestFaultEngine:
         assert histories[0] == histories[1]
         assert any(dead for dead in histories[0])  # faults actually happened
 
-    def test_regional_outage_event(self):
+    def test_regional_outage_event(self, spanning):
         network = fresh_network(25)
         script = FaultScript({0: [RegionalOutage(center=12, radius=1)]})
         report = FaultEngine(network, script=script).step(0)
         assert set(report.crashed) == {7, 11, 12, 13, 17}
-        network.tree.check_invariants()
+        spanning(network.flat_tree, network.links, network.alive_node_ids())
 
     def test_quiet_epoch_charges_nothing(self):
         network = fresh_network(16)
@@ -589,16 +587,15 @@ class TestAdoptionFallback:
             return once, once, None
 
     @pytest.mark.parametrize("execution", ["batched", "per-edge"])
-    def test_falls_back_to_next_candidate(self, execution):
+    def test_falls_back_to_next_candidate(self, execution, spanning):
         # 3x3 grid, kill node 4 (the centre's neighbour structure is known):
         # orphan 7's first candidate adopter is 6; jam that link and the
         # handshake must retry through 8 instead of aborting the epoch.
         network = fresh_network(9, execution=execution)
-        tree = network.tree
         # find an orphan with at least two attached neighbours after a crash
         victim = 4
         network.kill_node(victim)
-        orphans = [n for n in tree.children.get(victim, ()) if network.is_alive(n)]
+        orphans = [n for n in children_of(network.flat_tree, victim) if network.is_alive(n)]
         assert orphans, "test topology must orphan at least one child"
         orphan = orphans[0]
         neighbors = sorted(
@@ -610,23 +607,23 @@ class TestAdoptionFallback:
         first = neighbors[0]
         network.radio = self.BlockedLinksRadio([(orphan, first)])
         result = TreeRepair().repair(network)
-        assert orphan in network.tree.parent
-        assert network.tree.parent[orphan] != first
+        assert network.flat_tree.parent_id(orphan) != first
         assert orphan in result.parent_changed
-        network.tree.check_invariants()
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
     @pytest.mark.parametrize("execution", ["batched", "per-edge"])
-    def test_exhausted_candidates_abort_after_installing(self, execution):
+    def test_exhausted_candidates_abort_after_installing(self, execution, spanning):
         from repro.exceptions import DeliveryError
 
         network = fresh_network(9, execution=execution)
-        tree = network.tree
         victim = 4
         network.kill_node(victim)
-        orphans = [n for n in tree.children.get(victim, ()) if network.is_alive(n)]
+        orphans = [
+            n for n in children_of(network.flat_tree, victim) if network.is_alive(n)
+        ]
         orphan = orphans[0]
         # jam every link that could ever adopt any member of the orphan unit
-        unit = set(tree.subtree_nodes(orphan)) - {victim}
+        unit = subtree_of(network.flat_tree, orphan)
         blocked = [
             (member, neighbor)
             for member in unit
@@ -641,8 +638,8 @@ class TestAdoptionFallback:
         # detached, everything else is repaired and installed
         assert set(unit) <= set(result.detached)
         for member in unit:
-            assert member not in network.tree.parent
-        network.tree.check_invariants()
+            assert member not in network.flat_tree.index
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)
 
 
 class TestAccountingInvariant:
@@ -727,10 +724,11 @@ class TestAccountingInvariant:
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("execution", ["batched", "per-edge"])
-def test_fault_storm_stack_stays_consistent_at_scale(execution, seed):
+def test_fault_storm_stack_stays_consistent_at_scale(execution, seed, spanning):
     """A 10k-node storm-under-churn run keeps every invariant on both paths.
 
-    The invariant sweep (``check_invariants`` + graph validation per epoch)
+    The invariant sweep (a rebuild from the parent map + graph validation
+    per epoch)
     dominates the runtime — this is the fault-storm stress test the ``slow``
     marker exists for; tier-1 CI runs it on the 3.12 leg only.
     """
@@ -752,15 +750,5 @@ def test_fault_storm_stack_stays_consistent_at_scale(execution, seed):
     faults = FaultEngine(network, script=script, repair=TreeRepair())
     for epoch in range(8):
         faults.step(epoch)
-        network.tree.check_invariants()
-        network.tree.validate(
-            network.graph, covering=set(network.tree.parent)
-        )
-    # The flat view the batched sweeps consume matches a from-scratch build.
-    from repro.network.flat_tree import FlatTree
-
-    scratch = FlatTree.from_spanning_tree(network.tree)
-    flat_lists, scratch_lists = network.flat_tree.to_lists(), scratch.to_lists()
-    assert flat_lists["node_ids"] == scratch_lists["node_ids"]
-    assert flat_lists["parent"] == scratch_lists["parent"]
-    assert flat_lists["child_index"] == scratch_lists["child_index"]
+        # The flat tree the batched sweeps consume matches a from-scratch build.
+        spanning(network.flat_tree, network.links, network.flat_tree.node_ids)

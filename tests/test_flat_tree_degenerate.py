@@ -10,16 +10,55 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.flat_tree import FlatTree
 from repro.network.simulator import SensorNetwork
-from repro.network.spanning_tree import SpanningTree, bfs_tree, tree_from_parents
+from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import line_links, star_links
 
 
 def line_tree(num_nodes):
-    return bfs_tree(line_links(num_nodes), root=0)
+    return build_tree(line_links(num_nodes), root=0)
 
 
 def star_tree(num_nodes):
-    return bfs_tree(star_links(num_nodes), root=0)
+    return build_tree(star_links(num_nodes), root=0)
+
+
+class DictTree:
+    """A reference tree kept as its own dictionaries: the parent map as
+    given, children ascending, depths by a walk down from the root."""
+
+    def __init__(self, root, parent):
+        self.root, self.parent = root, dict(parent)
+        self.children = {node: [] for node in self.parent}
+        for node, up in sorted(self.parent.items()):
+            if up is not None:
+                self.children[up].append(node)
+        self.depth, stack = {root: 0}, [root]
+        while stack:
+            node = stack.pop()
+            for child in self.children[node]:
+                self.depth[child] = self.depth[node] + 1
+                stack.append(child)
+
+    def bottom_up(self):
+        return sorted(self.parent, key=lambda node: (-self.depth[node], node))
+
+    def top_down(self):
+        return sorted(self.parent, key=lambda node: (self.depth[node], node))
+
+    @classmethod
+    def of(cls, flat):
+        return cls(flat.root_id, flat.parent_map())
+
+
+def mutable_view(flat):
+    """A hand-editable :class:`SpanningTree` of ``flat``."""
+    view = SpanningTree.from_flat(flat)
+    return SpanningTree(
+        root=view.root,
+        parent=dict(view.parent),
+        children={node: list(kids) for node, kids in view.children.items()},
+        depth=dict(view.depth),
+    )
 
 
 def subtree_of(tree, node):
@@ -42,7 +81,7 @@ def patched_trees(draw):
     parent = {ids[0]: None}
     for position in range(1, num_nodes):
         parent[ids[position]] = ids[draw(st.integers(0, position - 1))]
-    tree = tree_from_parents(ids[0], parent)
+    tree = DictTree(ids[0], parent)
 
     leaves = [node for node in ids[1:] if not tree.children[node]]
     removed = set(draw(st.lists(st.sampled_from(leaves), unique=True))) if leaves else set()
@@ -67,7 +106,7 @@ def patched_trees(draw):
         patched[node] = reparented[node]
 
     # Every node whose parent changed, and everything that moved with it.
-    rebuilt = tree_from_parents(ids[0], patched)
+    rebuilt = DictTree(ids[0], patched)
     depths = {
         member: rebuilt.depth[member]
         for node in reparented
@@ -78,7 +117,7 @@ def patched_trees(draw):
 
 class TestSingleNode:
     def test_arrays(self):
-        flat = FlatTree.from_spanning_tree(line_tree(1))
+        flat = line_tree(1)
         assert flat.num_nodes == 1
         assert flat.height == 0
         assert flat.node_ids == [0]
@@ -89,7 +128,7 @@ class TestSingleNode:
         assert flat.up_links == [] and flat.down_links == []
 
     def test_orders(self):
-        flat = FlatTree.from_spanning_tree(line_tree(1))
+        flat = line_tree(1)
         assert list(flat.nodes_bottom_up()) == [0]
         assert flat.nodes_top_down() == [0]
         assert flat.parent_id(0) is None
@@ -101,7 +140,7 @@ class TestDeepPath:
     N = 40
 
     def test_shape(self):
-        flat = FlatTree.from_spanning_tree(line_tree(self.N))
+        flat = line_tree(self.N)
         assert flat.height == self.N - 1
         assert flat.num_nodes == self.N
         # Every level holds exactly one node.
@@ -112,16 +151,16 @@ class TestDeepPath:
         assert flat.children_of(self.N - 1) == []
 
     def test_orders_match_spanning_tree(self):
-        tree = line_tree(self.N)
-        flat = FlatTree.from_spanning_tree(tree)
-        assert list(flat.nodes_bottom_up()) == tree.nodes_bottom_up()
-        assert flat.nodes_top_down() == tree.nodes_top_down()
+        flat = line_tree(self.N)
+        tree = DictTree.of(flat)
+        assert list(flat.nodes_bottom_up()) == tree.bottom_up()
+        assert flat.nodes_top_down() == tree.top_down()
         # Bottom-up must visit the deep end first, top-down the root first.
         assert next(iter(flat.nodes_bottom_up())) == self.N - 1
         assert flat.nodes_top_down()[0] == 0
 
     def test_link_sequences(self):
-        flat = FlatTree.from_spanning_tree(line_tree(self.N))
+        flat = line_tree(self.N)
         assert flat.up_links == [(i, i - 1) for i in range(self.N - 1, 0, -1)]
         assert flat.down_links == [(i, i + 1) for i in range(self.N - 1)]
 
@@ -132,17 +171,16 @@ class TestStar:
     N = 33
 
     def test_shape(self):
-        flat = FlatTree.from_spanning_tree(star_tree(self.N))
+        flat = star_tree(self.N)
         assert flat.height == 1
         assert flat.level_spans == [(0, 1), (1, self.N)]
         assert flat.children_of(0) == list(range(1, self.N))
         assert all(flat.parent[i] == 0 for i in range(1, self.N))
 
     def test_orders(self):
-        tree = star_tree(self.N)
-        flat = FlatTree.from_spanning_tree(tree)
+        flat = star_tree(self.N)
         bottom_up = list(flat.nodes_bottom_up())
-        assert bottom_up == tree.nodes_bottom_up()
+        assert bottom_up == DictTree.of(flat).bottom_up()
         assert bottom_up[-1] == 0  # the root combines last
         assert flat.nodes_top_down()[0] == 0
 
@@ -169,36 +207,36 @@ class TestFailFastValidation:
     """from_spanning_tree must reject malformed trees (satellite of PR 3)."""
 
     def test_valid_tree_passes(self):
-        tree = line_tree(5)
+        tree = mutable_view(line_tree(5))
         tree.check_invariants()
         assert FlatTree.from_spanning_tree(tree).num_nodes == 5
 
     def test_child_list_mismatch(self):
-        tree = line_tree(5)
+        tree = mutable_view(line_tree(5))
         tree.children[1].remove(2)  # 2's parent still claims 1
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
 
     def test_duplicate_child_entry(self):
-        tree = star_tree(4)
+        tree = mutable_view(star_tree(4))
         tree.children[1].append(2)  # 2 now appears under 0 and 1
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
 
     def test_depth_inconsistency(self):
-        tree = line_tree(5)
+        tree = mutable_view(line_tree(5))
         tree.depth[3] = 7
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
 
     def test_root_with_parent(self):
-        tree = line_tree(3)
+        tree = mutable_view(line_tree(3))
         tree.parent[0] = 2
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
 
     def test_key_set_mismatch(self):
-        tree = line_tree(3)
+        tree = mutable_view(line_tree(3))
         del tree.depth[2]
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
@@ -211,9 +249,9 @@ class TestFailFastValidation:
         with pytest.raises(TopologyError):
             FlatTree.from_spanning_tree(tree)
 
-    def test_tree_from_parents_rejects_disconnection(self):
+    def test_from_parents_rejects_disconnection(self):
         with pytest.raises(TopologyError):
-            tree_from_parents(0, {0: None, 1: 0, 2: None})
+            FlatTree.from_parents(0, {0: None, 1: 0, 2: None})
 
     @pytest.mark.parametrize(
         "root, parent",
@@ -224,9 +262,9 @@ class TestFailFastValidation:
             (0, {0: None, 1: 2, 2: 1}),  # a cycle beside the root
         ],
     )
-    def test_tree_from_parents_rejects_malformed_maps(self, root, parent):
+    def test_from_parents_rejects_malformed_maps(self, root, parent):
         with pytest.raises(TopologyError):
-            tree_from_parents(root, parent)
+            FlatTree.from_parents(root, parent)
 
 
 class TestRewire:
@@ -242,20 +280,20 @@ class TestRewire:
     )
 
     def assert_matches_scratch(self, rewired, patched_tree):
-        scratch = FlatTree.from_spanning_tree(patched_tree)
+        scratch = FlatTree.from_parents(patched_tree.root, patched_tree.parent)
         for slot in self.SLOTS:
             assert getattr(rewired, slot) == getattr(scratch, slot), slot
         # Structural arrays compared as plain lists.
         assert rewired.to_lists() == scratch.to_lists()
 
     def patch(self, tree, removed=(), reparented=None):
-        """Apply a patch to a parent map and return the rebuilt SpanningTree."""
+        """Apply a patch to a parent map and return the rebuilt DictTree."""
         parent = dict(tree.parent)
         for node in removed:
             del parent[node]
         for node, new_parent in (reparented or {}).items():
             parent[node] = new_parent
-        return tree_from_parents(tree.root, parent)
+        return DictTree(tree.root, parent)
 
     def moved_depths(self, patched, nodes):
         depths = {}
@@ -271,26 +309,26 @@ class TestRewire:
         return depths
 
     def test_leaf_removal(self):
-        tree = line_tree(8)
+        tree = DictTree.of(line_tree(8))
         patched = self.patch(tree, removed=[7])
-        rewired = FlatTree.from_spanning_tree(tree).rewire(removed={7})
+        rewired = FlatTree.from_parents(tree.root, tree.parent).rewire(removed={7})
         self.assert_matches_scratch(rewired, patched)
 
     def test_subtree_reparent_changes_every_member_depth(self):
-        tree = star_tree(6)
+        tree = DictTree.of(star_tree(6))
         # hang node 5 below node 1 instead of the hub
         patched = self.patch(tree, reparented={5: 1})
-        rewired = FlatTree.from_spanning_tree(tree).rewire(
+        rewired = FlatTree.from_parents(tree.root, tree.parent).rewire(
             reparented={5: 1}, depths=self.moved_depths(patched, [5])
         )
         self.assert_matches_scratch(rewired, patched)
 
     def test_node_addition(self):
-        tree = line_tree(6)
+        tree = DictTree.of(line_tree(6))
         parent = dict(tree.parent)
         parent[99] = 2
-        patched = tree_from_parents(0, parent)
-        rewired = FlatTree.from_spanning_tree(tree).rewire(
+        patched = DictTree(0, parent)
+        rewired = FlatTree.from_parents(tree.root, tree.parent).rewire(
             reparented={99: 2}, depths={99: patched.depth[99]}
         )
         self.assert_matches_scratch(rewired, patched)
@@ -298,21 +336,21 @@ class TestRewire:
     def test_reparent_requires_depth(self):
         from repro.exceptions import ConfigurationError
 
-        flat = FlatTree.from_spanning_tree(line_tree(5))
+        flat = line_tree(5)
         with pytest.raises(ConfigurationError):
             flat.rewire(reparented={3: 0})
 
     def test_root_cannot_move(self):
         from repro.exceptions import ConfigurationError
 
-        flat = FlatTree.from_spanning_tree(line_tree(5))
+        flat = line_tree(5)
         with pytest.raises(ConfigurationError):
             flat.rewire(reparented={0: 1}, depths={0: 1})
 
     def test_removed_and_depths_must_not_overlap(self):
         from repro.exceptions import ConfigurationError
 
-        flat = FlatTree.from_spanning_tree(line_tree(5))
+        flat = line_tree(5)
         with pytest.raises(ConfigurationError):
             flat.rewire(removed={3}, reparented={3: 0}, depths={3: 1})
 
@@ -323,21 +361,18 @@ class TestRewire:
         trees of 1–64 nodes (sparse ids included): the re-span is the rebuild."""
         tree, removed, reparented, depths = case
         patched = self.patch(tree, removed=removed, reparented=reparented)
-        rewired = FlatTree.from_spanning_tree(tree).rewire(
+        rewired = FlatTree.from_parents(tree.root, tree.parent).rewire(
             removed=removed, reparented=reparented, depths=depths
         )
         # to_lists() carries node_ids and level_spans; height is a slot.
         self.assert_matches_scratch(rewired, patched)
 
     def test_negative_id_is_a_named_error(self):
-        tree = tree_from_parents(0, {0: None, -1: 0, 1: 0})
-        flat = FlatTree.from_spanning_tree(tree)
+        flat = FlatTree.from_parents(0, {0: None, -1: 0, 1: 0})
         with pytest.raises(ConfigurationError, match="non-negative"):
             flat.rewire(removed={1})
         with pytest.raises(ConfigurationError, match="non-negative"):
-            FlatTree.from_spanning_tree(line_tree(3)).rewire(
-                reparented={-5: 0}, depths={-5: 1}
-            )
+            line_tree(3).rewire(reparented={-5: 0}, depths={-5: 1})
 
 
 def reference_preorder(tree):
@@ -375,7 +410,7 @@ class TestPreorder:
         self.assert_matches_reference(flat, tree)
         rewired = flat.rewire(removed=removed, reparented=reparented, depths=depths)
         self.assert_matches_reference(
-            rewired, tree_from_parents(tree.root, rewired.parent_map())
+            rewired, DictTree.of(rewired)
         )
 
     @given(case=patched_trees())
@@ -401,12 +436,12 @@ class TestPreorder:
             assert each.lowest_common_ancestors(pairs[:, 0], pairs[:, 1]).tolist() == expected
 
     def test_single_node(self):
-        flat = FlatTree.from_spanning_tree(line_tree(1))
+        flat = line_tree(1)
         assert [part.tolist() for part in flat.preorder] == [[0], [0], [1]]
 
     def test_star(self):
-        tree = star_tree(33)
-        self.assert_matches_reference(FlatTree.from_spanning_tree(tree), tree)
+        tree = DictTree.of(star_tree(33))
+        self.assert_matches_reference(FlatTree.from_parents(tree.root, tree.parent), tree)
 
     def test_fifty_thousand_node_line(self):
         """Height 49,999: a recursive walk would overflow the stack, and a

@@ -56,7 +56,8 @@ class TestEndToEndScenario:
         report = EnergyModel().report(network.ledger)
         hot_node = max(report.per_node_nj, key=report.per_node_nj.get)
         # The hottest node is near the root (it relays every probe).
-        assert network.tree.depth[hot_node] <= 2
+        flat = network.flat_tree
+        assert flat.depth[flat.index[hot_node]] <= 2
 
     def test_exact_and_approximate_agree_in_rank_terms(self, field_network):
         network, readings = field_network

@@ -36,7 +36,7 @@ from repro.faults import (
     run_faulty_stream,
 )
 from repro.network import LinkTable, LossyRadio, SensorNetwork
-from repro.network.spanning_tree import bfs_tree, spanning_parents
+from repro.network.spanning_tree import build_tree, spanning_parents
 from repro.network.topology import (
     TOPOLOGY_BUILDERS,
     build_links,
@@ -189,15 +189,15 @@ def test_frontier_bfs_is_the_fifo_walk(case):
     assert sum(levels) == order.size
     if order.size == num_nodes:
         assert discovered(links, root) == fifo_parents(links, root)
-        assert bfs_tree(links, root).parent == dict(fifo_parents(links, root))
+        assert build_tree(links, root).parent_map() == dict(fifo_parents(links, root))
     else:
         with pytest.raises(TopologyError):
-            bfs_tree(links, root)
+            build_tree(links, root)
     mask = np.array(members, dtype=bool)
     mask[root] = True
     assert discovered(links, root, mask) == fifo_parents(links, root, mask)
-    tree = bfs_tree(links, root, mask)
-    assert tree.parent == dict(fifo_parents(links, root, mask))
+    tree = build_tree(links, root, members=mask)
+    assert tree.parent_map() == dict(fifo_parents(links, root, mask))
 
 
 def discovered(links: LinkTable, root: int, members=None) -> list[tuple]:
@@ -241,8 +241,8 @@ def test_sparse_ids_answer_in_their_own_ids():
     assert links.neighbors(3) == [13, 43]
     assert links.has(43, 3) and not links.has(3, 23) and not links.has(4, 3)
     assert edge_set(links) == {tuple(sorted(edge)) for edge in graph.edges()}
-    tree = bfs_tree(links, 23)
-    assert tree.parent == {23: None, 13: 23, 33: 23, 3: 13, 43: 33}
+    tree = build_tree(links, 23)
+    assert tree.parent_map() == {23: None, 13: 23, 33: 23, 3: 13, 43: 33}
 
 
 # --------------------------------------------------------------------------- #
@@ -351,6 +351,6 @@ def test_a_rebuild_charges_what_the_links_are_not_their_history(execution):
         network.kill_node(7)
         result = TreeRepair(strategy="rebuild").repair(network)
         assert result.rebuilt
-        return network.ledger.snapshot(), dict(network.tree.parent)
+        return network.ledger.snapshot(), network.flat_tree.parent_map()
 
     assert rebuilt(history=True) == rebuilt(history=False)

@@ -60,24 +60,28 @@ class TestConstruction:
 class TestTreeManagement:
     def test_default_tree_is_degree_bounded(self):
         network = SensorNetwork.from_items(list(range(20)), topology="single_hop")
-        assert network.tree.max_degree() <= 3
+        assert network.flat_tree.max_degree() <= 3
 
     def test_rebuild_tree_unbounded(self):
-        network = SensorNetwork.from_items(list(range(20)), topology="single_hop")
-        network.rebuild_tree(degree_bound=None)
-        assert network.tree.max_degree() == 19
-
-    def test_rebuild_tree_keeps_bound_when_omitted(self):
-        network = SensorNetwork.from_items(list(range(10)), topology="single_hop")
-        original_bound = network.degree_bound
+        network = SensorNetwork.from_items(
+            list(range(20)), topology="single_hop", degree_bound=None
+        )
         network.rebuild_tree()
+        assert network.flat_tree.max_degree() == 19
+
+    def test_rebuild_tree_keeps_the_bound(self):
+        network = SensorNetwork.from_items(list(range(10)), topology="single_hop")
+        original_bound, original = network.degree_bound, network.flat_tree
+        rebuilt = network.rebuild_tree()
         assert network.degree_bound == original_bound
+        assert rebuilt is network.flat_tree is not original
+        assert rebuilt.to_lists() == original.to_lists()
 
     def test_star_tree_height(self):
         network = SensorNetwork.from_items(
             list(range(8)), topology=star_links(8), degree_bound=None
         )
-        assert network.tree.height == 1
+        assert network.flat_tree.height == 1
 
 
 class TestSend:

@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
-from repro.exceptions import TopologyError
-from repro.network.spanning_tree import bfs_tree, bounded_degree_tree
+from repro.exceptions import ConfigurationError, TopologyError
+from repro.network import FlatTree, SensorNetwork
+from repro.network.spanning_tree import SpanningTree, build_tree
 from repro.network.topology import (
     grid_links,
     line_links,
@@ -15,123 +16,125 @@ from repro.network.topology import (
 )
 
 
+def depth_of(flat):
+    return dict(zip(flat.node_ids, flat.depth.tolist()))
+
+
 class TestBfsTree:
-    def test_spans_all_nodes(self):
+    def test_spans_all_nodes(self, spanning):
         graph = grid_links(4)
-        tree = bfs_tree(graph, root=0)
-        assert set(tree.parent) == set(graph.node_ids())
-        tree.validate(graph)
+        tree = build_tree(graph, root=0)
+        assert set(tree.node_ids) == set(graph.node_ids())
+        spanning(tree, graph)
 
     def test_root_has_no_parent(self):
-        tree = bfs_tree(grid_links(3), root=0)
-        assert tree.parent[0] is None
-        assert tree.depth[0] == 0
+        tree = build_tree(grid_links(3), root=0)
+        assert tree.parent_map()[0] is None
+        assert depth_of(tree)[0] == 0
 
     def test_depth_is_graph_distance(self):
         graph = grid_links(4)
-        tree = bfs_tree(graph, root=0)
+        tree = build_tree(graph, root=0)
         distances = nx.single_source_shortest_path_length(graph.to_networkx(), 0)
-        assert tree.depth == distances
+        assert depth_of(tree) == distances
 
     def test_line_tree_height(self):
-        tree = bfs_tree(line_links(10), root=0)
+        tree = build_tree(line_links(10), root=0)
         assert tree.height == 9
 
     def test_unknown_root_rejected(self):
         with pytest.raises(TopologyError):
-            bfs_tree(line_links(4), root=99)
+            build_tree(line_links(4), root=99)
 
     def test_disconnected_graph_rejected(self):
         graph = nx.Graph()
         graph.add_nodes_from([0, 1, 2])
         graph.add_edge(0, 1)
         with pytest.raises(TopologyError):
-            bfs_tree(graph, root=0)
+            build_tree(graph, root=0)
 
     def test_bottom_up_order_children_before_parents(self):
-        tree = bfs_tree(grid_links(4), root=0)
-        order = tree.nodes_bottom_up()
+        tree = build_tree(grid_links(4), root=0)
+        order = list(tree.nodes_bottom_up())
         position = {node: index for index, node in enumerate(order)}
-        for node, parent in tree.parent.items():
+        for node, parent in tree.parent_map().items():
             if parent is not None:
                 assert position[node] < position[parent]
 
     def test_top_down_order_parents_before_children(self):
-        tree = bfs_tree(grid_links(4), root=0)
+        tree = build_tree(grid_links(4), root=0)
         order = tree.nodes_top_down()
         position = {node: index for index, node in enumerate(order)}
-        for node, parent in tree.parent.items():
+        for node, parent in tree.parent_map().items():
             if parent is not None:
                 assert position[parent] < position[node]
 
-    def test_path_to_root_ends_at_root(self):
-        tree = bfs_tree(grid_links(3), root=0)
-        for node in tree.parent:
-            assert tree.path_to_root(node)[-1] == 0
-
-    def test_subtree_of_root_is_everything(self):
-        tree = bfs_tree(grid_links(3), root=0)
-        assert set(tree.subtree_nodes(0)) == set(tree.parent)
-
     def test_nonzero_root(self):
-        tree = bfs_tree(grid_links(3), root=4)
-        assert tree.root == 4
-        assert tree.parent[4] is None
+        tree = build_tree(grid_links(3), root=4)
+        assert tree.root_id == 4
+        assert tree.parent_map()[4] is None
 
 
 class TestBoundedDegreeTree:
-    def test_still_a_spanning_tree(self):
+    def test_still_a_spanning_tree(self, spanning):
         graph = single_hop_links(20)
-        tree = bounded_degree_tree(graph, root=0, max_degree=3)
-        tree.validate(graph)
-        assert set(tree.parent) == set(graph.node_ids())
+        tree = build_tree(graph, root=0, degree_bound=3)
+        spanning(tree, graph)
+        assert set(tree.node_ids) == set(graph.node_ids())
 
     def test_degree_reduced_on_clique(self):
         graph = single_hop_links(30)
-        unbounded = bfs_tree(graph, root=0)
-        bounded = bounded_degree_tree(graph, root=0, max_degree=3)
+        unbounded = build_tree(graph, root=0)
+        bounded = build_tree(graph, root=0, degree_bound=3)
         assert unbounded.max_degree() == 29
         assert bounded.max_degree() <= 3
 
     def test_degree_bound_respected_on_grid(self):
         graph = grid_links(6)
-        tree = bounded_degree_tree(graph, root=0, max_degree=3)
+        tree = build_tree(graph, root=0, degree_bound=3)
         assert tree.max_degree() <= 3
 
-    def test_star_bound_is_best_effort(self):
+    def test_star_bound_is_best_effort(self, spanning):
         # The star admits no low-degree spanning tree: the construction must
         # still return a valid tree even though the bound cannot be met.
         graph = star_links(12)
-        tree = bounded_degree_tree(graph, root=0, max_degree=3)
-        tree.validate(graph)
+        tree = build_tree(graph, root=0, degree_bound=3)
+        spanning(tree, graph)
         assert tree.max_degree() == 11
 
     def test_ring_unchanged(self):
         graph = ring_links(10)
-        tree = bounded_degree_tree(graph, root=0, max_degree=3)
+        tree = build_tree(graph, root=0, degree_bound=3)
         assert tree.max_degree() <= 2 + 1
 
-    def test_random_geometric(self):
+    def test_random_geometric(self, spanning):
         graph = random_geometric_links(60, seed=7)
-        tree = bounded_degree_tree(graph, root=0, max_degree=4)
-        tree.validate(graph)
+        tree = build_tree(graph, root=0, degree_bound=4)
+        spanning(tree, graph)
 
     def test_rejects_degree_below_two(self):
-        with pytest.raises(TopologyError):
-            bounded_degree_tree(grid_links(3), root=0, max_degree=1)
+        for degree_bound, error, message in (
+            (1, TopologyError, "degree_bound must be at least 2"),
+            (0, ConfigurationError, "degree_bound must be positive"),
+            (True, ConfigurationError, "degree_bound must be an integer"),
+        ):
+            with pytest.raises(error, match=message):
+                build_tree(grid_links(3), root=0, degree_bound=degree_bound)
+            with pytest.raises(error, match=message):
+                SensorNetwork.from_items(
+                    [1] * 9, topology="grid", degree_bound=degree_bound
+                )
 
-    def test_validate_detects_foreign_edges(self):
+    def test_spanning_check_detects_foreign_edges(self, spanning):
         graph = grid_links(3)
-        tree = bfs_tree(graph, root=0)
-        tree.parent[8] = 0  # 8 is not adjacent to 0 in a 3x3 grid
-        with pytest.raises(TopologyError):
-            tree.validate(graph)
+        parent = build_tree(graph, root=0).parent_map()
+        parent[8] = 0  # 8 is not adjacent to 0 in a 3x3 grid
+        with pytest.raises(AssertionError, match="not an alive link"):
+            spanning(FlatTree.from_parents(0, parent), graph)
 
-    def test_validate_detects_a_cycle_off_the_root(self):
+    def test_invariants_detect_a_cycle_off_the_root(self):
         # Consistent parent pointers and child lists, but 1 and 2 hang from
         # each other: no depth assignment can be one below the parent.
-        from repro.network.spanning_tree import SpanningTree
-
         tree = SpanningTree(
             root=0,
             parent={0: None, 1: 2, 2: 1},
@@ -139,4 +142,6 @@ class TestBoundedDegreeTree:
             depth={0: 0, 1: 1, 2: 2},
         )
         with pytest.raises(TopologyError):
-            tree.validate(ring_links(3))
+            tree.check_invariants()
+        with pytest.raises(TopologyError):
+            FlatTree.from_parents(0, tree.parent)

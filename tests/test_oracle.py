@@ -28,7 +28,7 @@ What a run exposes
   after the same charged prefix — and each ``decide`` call with the
   messages charged when it was made (a round decides before it sends);
 * ``ledger.snapshot()`` and ``counters_snapshot()``;
-* ``root_id`` and ``tree.parent``;
+* ``root_id`` and ``flat_tree.parent_map()``;
 * ``flat_tree.to_lists()``, ``up_links`` and ``down_links``;
 * the ``FaultTrace`` rows (``to_dict()``; they hold no wall-clock field);
 * engine answers;
@@ -54,7 +54,9 @@ The grid
 A random draw need not reach every combination in one run, so
 :func:`test_every_cell_of_the_grid_runs_the_same` also drives the same twins
 through every topology × radio × workload × fault script cell, the other
-axes and the script's choices seeded by the cell's name.
+axes and the script's choices seeded by the cell's name.  It runs with the
+``SpanningTree`` view refused: the per-edge reference reads the flat tree
+node by node, like every other path.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from repro.network.radio import (
     RadioModel,
     ReliableRadio,
 )
+from repro.network.spanning_tree import SpanningTree
 from repro.network.topology import build_links
 from repro.protocols.aggregates import (
     AverageProtocol,
@@ -383,7 +386,7 @@ def observe(twin: Twin) -> dict:
         "snapshot": network.ledger.snapshot(),
         "counters": network.ledger.counters_snapshot(),
         "root": network.root_id,
-        "parent": dict(network.tree.parent),
+        "parent": flat.parent_map(),
         "flat_tree": flat.to_lists(),
         "up_links": flat.up_links,
         "down_links": flat.down_links,
@@ -518,7 +521,7 @@ def cut_tree_edge(child: int):
 
     def step(twin: Twin):
         network = twin.network
-        network.drop_link(child, network.tree.parent[child])
+        network.drop_link(child, network.flat_tree.parent_id(child))
         return repair(twin)
 
     return step
@@ -577,7 +580,7 @@ class Twins:
         network = self.network
         return [
             child
-            for child, parent in sorted(network.tree.parent.items())
+            for child, parent in sorted(network.flat_tree.parent_map().items())
             if parent is not None and network.links.has(child, parent)
         ]
 
@@ -736,7 +739,13 @@ def run_script(twins: Twins, script: str, rng: random.Random, epochs: int = 6) -
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("radio", RADIOS)
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_every_cell_of_the_grid_runs_the_same(topology, radio, workload, script):
+def test_every_cell_of_the_grid_runs_the_same(
+    topology, radio, workload, script, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path built the tree view")
+
+    monkeypatch.setattr(SpanningTree, "from_flat", refuse)
     rng = random.Random(f"{topology}/{radio}/{workload}/{script}")
     twins = Twins(grid_scenario(rng, topology, radio, workload))
     run_script(twins, script, rng)

@@ -27,7 +27,7 @@ from repro.core.order_statistics import DeterministicOrderStatisticProtocol
 from repro.distinct.exact import ExactDistinctCountProtocol
 from repro.network.accounting import CommunicationLedger
 from repro.network.simulator import SensorNetwork
-from repro.network.spanning_tree import bounded_degree_tree
+from repro.network.spanning_tree import build_tree
 from repro.network.topology import line_links, random_geometric_links
 from repro.protocols.aggregates import CountProtocol, MaxProtocol, MinProtocol, SumProtocol
 from repro.protocols.countp import CountPredicateProtocol
@@ -223,8 +223,10 @@ class TestInfrastructureProperties:
         max_degree=st.integers(min_value=2, max_value=5),
     )
     @_slow
-    def test_bounded_degree_tree_is_always_valid(self, num_nodes, seed, max_degree):
+    def test_bounded_degree_tree_is_always_valid(
+        self, spanning, num_nodes, seed, max_degree
+    ):
         graph = random_geometric_links(num_nodes, seed=seed)
-        tree = bounded_degree_tree(graph, root=0, max_degree=max_degree)
-        tree.validate(graph)
+        tree = build_tree(graph, root=0, degree_bound=max_degree)
+        spanning(tree, graph)
         assert tree.height <= num_nodes

@@ -49,7 +49,7 @@ class TestBroadcast:
 
     def test_rounds_equal_tree_height(self, line_network):
         broadcast(line_network, "x", 10)
-        assert line_network.ledger.rounds == line_network.tree.height
+        assert line_network.ledger.rounds == line_network.flat_tree.height
 
 
 class TestConvergecast:

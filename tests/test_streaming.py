@@ -158,7 +158,7 @@ class TestEpochConvergecast:
             return ("payload", 8)
 
         stats = epoch_convergecast(network, {leaf}, decide)
-        assert activated == list(network.tree.path_to_root(leaf))
+        assert activated == list(range(leaf, -1, -1))  # the leaf's path to the root
         # Every activated node except the root transmits.
         assert stats.transmissions == len(activated) - 1
         assert network.ledger.total_bits == 8 * stats.transmissions
@@ -345,7 +345,7 @@ class TestDeltaSuppression:
         engine = standard_engine(num_nodes=25)
         engine.advance_epoch({node: [node * 10] for node in range(25)})
         record = engine.advance_epoch({24: [3000]})
-        height = engine.network.tree.height
+        height = engine.network.flat_tree.height
         queries = len(engine.queries())
         assert record.dirty_nodes == 1
         assert 0 < record.messages <= height * queries

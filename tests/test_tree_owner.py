@@ -3,7 +3,7 @@
 * the array constructor builds exactly the arrays the retired dictionary
   constructor built, on every named topology and on random parent maps with
   sparse and negative ids;
-* the array paths of a faulted, vectorized stream never build the view;
+* no path of a faulted stream — batched or per-edge — builds the view;
 * the view refuses mutation.
 """
 
@@ -26,8 +26,8 @@ from repro.faults import (
     TreeRepair,
     run_faulty_stream,
 )
-from repro.network import FlatTree, SensorNetwork, SpanningTree, tree_from_parents
-from repro.network.spanning_tree import build_tree, spanning_parents
+from repro.network import FlatTree, SensorNetwork
+from repro.network.spanning_tree import SpanningTree, build_tree, spanning_parents
 from repro.network.topology import TOPOLOGY_BUILDERS, build_links
 from repro.streaming import ContinuousQueryEngine, CountQuery
 from repro.workloads import DriftStream
@@ -37,9 +37,11 @@ from repro.workloads.faults import storm_under_churn_script
 # --------------------------------------------------------------------------- #
 # The oracle: the dictionary tree and the dictionary → array constructor the
 # arrays replaced, kept verbatim (bar the final install, which now returns
-# what ``FlatTree.to_lists`` reports).
+# what ``FlatTree.to_lists`` reports, and the traversal orders, which are
+# the retired tree's ``(depth, id)`` sorts, spelled out here).
 # --------------------------------------------------------------------------- #
 def dict_tree_from_parents(root, parent):
+    """``(parent, children, depth)`` dictionaries of a parent map."""
     children = {node: [] for node in parent}
     for node, par in parent.items():
         if par is not None:
@@ -54,11 +56,12 @@ def dict_tree_from_parents(root, parent):
             depth[child] = depth[current] + 1
             queue.append(child)
     assert len(depth) == len(parent)
-    return SpanningTree(root=root, parent=parent, children=children, depth=depth)
+    return parent, children, depth
 
 
 def dict_constructor_lists(tree):
-    order = tree.nodes_top_down()
+    tree_parent, tree_children, tree_depth = tree
+    order = sorted(tree_parent, key=lambda node: (tree_depth[node], node))
     index = {node: position for position, node in enumerate(order)}
     num_nodes = len(order)
     parent = [0] * num_nodes
@@ -67,11 +70,11 @@ def dict_constructor_lists(tree):
     child_end = [0] * num_nodes
     child_index: list[int] = []
     for position, node in enumerate(order):
-        depth[position] = tree.depth[node]
-        node_parent = tree.parent[node]
+        depth[position] = tree_depth[node]
+        node_parent = tree_parent[node]
         parent[position] = -1 if node_parent is None else index[node_parent]
         child_start[position] = len(child_index)
-        child_index.extend(index[child] for child in tree.children[node])
+        child_index.extend(index[child] for child in tree_children[node])
         child_end[position] = len(child_index)
 
     height = depth[-1] if num_nodes else 0
@@ -84,7 +87,10 @@ def dict_constructor_lists(tree):
         level_spans.append((start, end))
         start = end
 
-    bottom_up = [index[node] for node in tree.nodes_bottom_up()]
+    bottom_up = [
+        index[node]
+        for node in sorted(tree_parent, key=lambda node: (-tree_depth[node], node))
+    ]
     return {
         "node_ids": order,
         "level_spans": level_spans,
@@ -112,7 +118,7 @@ def test_the_array_constructor_is_the_dict_constructor(topology, degree_bound):
     network = SensorNetwork(links, degree_bound=degree_bound)
     assert network.flat_tree.to_lists() == expected
     view = network.tree
-    assert dict_constructor_lists(view) == expected
+    assert dict_constructor_lists((view.parent, view.children, view.depth)) == expected
     assert FlatTree.from_spanning_tree(view).to_lists() == expected
 
 
@@ -151,22 +157,20 @@ def test_random_parent_maps_build_the_dict_constructor_arrays(case):
     node_ids = list(parent)
     parent_ids = [-1 if par is None else par for par in parent.values()]
     assert FlatTree.from_arrays(parent_ids, root, node_ids=node_ids).to_lists() == expected
-    tree = tree_from_parents(root, parent)
-    reference = dict_tree_from_parents(root, dict(parent))
-    assert (tree.parent, tree.children, tree.depth) == (
-        reference.parent,
-        reference.children,
-        reference.depth,
+    view = SpanningTree.from_flat(FlatTree.from_parents(root, parent))
+    assert (view.parent, view.children, view.depth) == dict_tree_from_parents(
+        root, dict(parent)
     )
 
 
 # --------------------------------------------------------------------------- #
 # No array path builds the view
 # --------------------------------------------------------------------------- #
-def test_the_array_paths_never_build_the_tree_view(monkeypatch, kernel_radio):
+@pytest.mark.parametrize("execution", ["batched", "per-edge"])
+def test_no_path_builds_the_tree_view(monkeypatch, kernel_radio, execution):
     """Heartbeat detection, a crash storm, rejoins, a dropped tree edge and
-    a root crash on a dense field, off the per-edge path: the view is never
-    built."""
+    a root crash on a dense field, on the batched path and on the per-edge
+    reference: the view is never built."""
     n, epochs = 400, 24
     network = SensorNetwork.from_items(
         [0] * n,
@@ -174,6 +178,7 @@ def test_the_array_paths_never_build_the_tree_view(monkeypatch, kernel_radio):
         seed=3,
         degree_bound=None,
         radio=kernel_radio,
+        execution=execution,
     )
     network.clear_items()
     # A tree edge with a subtree below it, dropped before anything else
@@ -187,7 +192,7 @@ def test_the_array_paths_never_build_the_tree_view(monkeypatch, kernel_radio):
     tree_edge = (flat.node_ids[child], flat.node_ids[flat.parent[child]])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an array path built the tree view")
+        raise AssertionError("a path built the tree view")
 
     monkeypatch.setattr(SpanningTree, "from_flat", refuse)
     engine = ContinuousQueryEngine(network, epsilon=0.1)
@@ -216,7 +221,7 @@ def test_the_array_paths_never_build_the_tree_view(monkeypatch, kernel_radio):
 # The view is read-only
 # --------------------------------------------------------------------------- #
 def test_network_tree_view_is_frozen():
-    network = SensorNetwork.from_items([1] * 9, topology="grid")
+    network = SensorNetwork.from_items([1] * 9, topology="grid", degree_bound=None)
     tree = network.tree
     root = network.root_id
     for mutate in (
@@ -238,7 +243,7 @@ def test_network_tree_view_is_frozen():
         network.tree = tree
     assert tree.parent == network.flat_tree.parent_map()
     assert network.tree is tree  # built once, kept until the tree changes
-    network.rebuild_tree(degree_bound=None)
+    network.rebuild_tree()
     assert network.tree is not tree
     with pytest.raises(ConfigurationError):
         network.set_tree(tree)  # the view is not a tree to install

@@ -231,7 +231,7 @@ class TestFlatTreeArrays:
 
         network = grid_network("batched")
         parents = np.full(network.num_nodes, -1, dtype=np.int64)
-        for node, parent in network.tree.parent.items():
+        for node, parent in network.flat_tree.parent_map().items():
             parents[node] = -1 if parent is None else parent
         rebuilt = FlatTree.from_arrays(parents)
         assert rebuilt.to_lists() == network.flat_tree.to_lists()
@@ -518,7 +518,7 @@ class TestKernelChoice:
         for neighbor in neighbors:
             network.restore_link(root, neighbor)
         fail_over(1, {})
-        network.drop_link(1, network.tree.parent[1])
+        network.drop_link(1, network.flat_tree.parent_id(1))
         engine.apply_repair(TreeRepair().repair(network))
         fail_over(2, {})
         assert engine.answers()["count"] == len(network.attached_items()) == 1
